@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the computational kernels: one layered LDPC
-//! iteration (scalar f64 baseline vs the fixed-point CSR datapath), the MEU
+//! iteration (f64 reference vs the fixed-point datapath), the MEU
 //! two-minimum extraction (sequential push vs batch scan), one flooding
 //! iteration, one SISO half iteration, one NoC message-passing phase and one
 //! graph partitioning run.
@@ -106,9 +106,8 @@ fn main() {
         }),
     );
 
-    // The acceptance comparison of the fixed-point datapath: one layered
-    // iteration on the 576/R12 code (fixed iteration count so both paths do
-    // identical work), float vs fixed.
+    // One serial layered iteration on the 576/R12 code (fixed iteration
+    // count so both paths do identical work), float vs fixed.
     let code576 = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid code");
     let llrs576 = noisy_ldpc_llrs(&code576, 2);
     let (layered576, fixed576) = layered_pair(&code576);

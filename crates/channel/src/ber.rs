@@ -238,51 +238,6 @@ impl StopRule {
     }
 }
 
-/// Drives a Monte-Carlo run: repeatedly calls `simulate_frame`, which must
-/// return `(reference_bits, decoded_bits)`, until the stopping rule fires.
-///
-/// # Example
-///
-/// ```
-/// use fec_channel::{ErrorRateRun, MonteCarloConfig};
-///
-/// let cfg = MonteCarloConfig { max_frames: 100, target_frame_errors: 5, min_frames: 1 };
-/// let counter = ErrorRateRun::new(cfg).run(|i| {
-///     // even frames decode correctly, odd frames have one bit error
-///     let reference = vec![0u8; 8];
-///     let mut decoded = reference.clone();
-///     if i % 2 == 1 { decoded[0] = 1; }
-///     (reference, decoded)
-/// });
-/// assert!(counter.frame_errors() >= 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ErrorRateRun {
-    config: MonteCarloConfig,
-}
-
-impl ErrorRateRun {
-    /// Creates a run driver with the given stopping configuration.
-    pub fn new(config: MonteCarloConfig) -> Self {
-        ErrorRateRun { config }
-    }
-
-    /// Runs the simulation loop.  The closure receives the frame index.
-    pub fn run<F>(&self, mut simulate_frame: F) -> ErrorCounter
-    where
-        F: FnMut(u64) -> (Vec<u8>, Vec<u8>),
-    {
-        let mut counter = ErrorCounter::new();
-        let mut i = 0;
-        while !self.config.should_stop(&counter) {
-            let (reference, decoded) = simulate_frame(i);
-            counter.record_frame(&reference, &decoded);
-            i += 1;
-        }
-        counter
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,29 +357,5 @@ mod tests {
         c.record_frame(&[0], &[0]);
         c.record_frame(&[0], &[0]);
         assert!(cfg.should_stop(&c));
-    }
-
-    #[test]
-    fn run_driver_honours_error_target() {
-        let cfg = MonteCarloConfig {
-            max_frames: 1_000,
-            target_frame_errors: 7,
-            min_frames: 1,
-        };
-        let counter = ErrorRateRun::new(cfg).run(|_| (vec![0u8; 4], vec![1u8, 0, 0, 0]));
-        assert_eq!(counter.frame_errors(), 7);
-        assert_eq!(counter.frames(), 7);
-    }
-
-    #[test]
-    fn run_driver_honours_max_frames() {
-        let cfg = MonteCarloConfig {
-            max_frames: 13,
-            target_frame_errors: 1_000,
-            min_frames: 1,
-        };
-        let counter = ErrorRateRun::new(cfg).run(|_| (vec![0u8; 4], vec![0u8; 4]));
-        assert_eq!(counter.frames(), 13);
-        assert_eq!(counter.frame_errors(), 0);
     }
 }

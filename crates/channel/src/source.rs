@@ -1,41 +1,4 @@
-//! Random information-bit sources for Monte-Carlo simulation.
-
-use rand::Rng;
-
-/// A source of pseudo-random information bits.
-///
-/// # Example
-///
-/// ```
-/// use fec_channel::BitSource;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let bits = BitSource::new().generate(16, &mut rng);
-/// assert_eq!(bits.len(), 16);
-/// assert!(bits.iter().all(|&b| b <= 1));
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BitSource;
-
-impl BitSource {
-    /// Creates a new bit source.
-    pub fn new() -> Self {
-        BitSource
-    }
-
-    /// Generates `len` uniformly random bits.
-    pub fn generate<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Vec<u8> {
-        (0..len).map(|_| rng.gen_range(0..=1u8)).collect()
-    }
-
-    /// Generates the all-zero word of length `len` (handy for decoder tests,
-    /// since linear codes are symmetric under the all-zero codeword
-    /// assumption).
-    pub fn all_zero(&self, len: usize) -> Vec<u8> {
-        vec![0u8; len]
-    }
-}
+//! Bit-level helpers for Monte-Carlo error counting.
 
 /// Counts the number of positions where two bit slices differ.
 ///
@@ -53,28 +16,6 @@ pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn generates_requested_length() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let bits = BitSource::new().generate(100, &mut rng);
-        assert_eq!(bits.len(), 100);
-        assert!(bits.iter().all(|&b| b == 0 || b == 1));
-    }
-
-    #[test]
-    fn bits_are_roughly_balanced() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let bits = BitSource::new().generate(10_000, &mut rng);
-        let ones: usize = bits.iter().map(|&b| b as usize).sum();
-        assert!(ones > 4500 && ones < 5500, "ones = {ones}");
-    }
-
-    #[test]
-    fn all_zero_helper() {
-        assert_eq!(BitSource::new().all_zero(4), vec![0, 0, 0, 0]);
-    }
 
     #[test]
     fn hamming_distance_counts_differences() {

@@ -151,13 +151,16 @@ impl Json {
     /// Parses a JSON document (the subset this crate emits: no `\uXXXX`
     /// surrogate pairs beyond the BMP escape form, numbers as i64/u64/f64).
     ///
+    /// Arrays and objects may nest at most [`MAX_NESTING`] levels deep, so
+    /// untrusted input cannot exhaust the stack of the recursive parser.
+    ///
     /// # Errors
     ///
     /// Returns a [`ParseError`] describing the first offending byte offset.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_NESTING)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError {
@@ -247,8 +250,18 @@ fn expect(
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_NESTING: usize = 128;
+
+/// Parses one value; `depth` is how many more array/object levels may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
+    if depth == 0 && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(ParseError {
+            offset: *pos,
+            message: "arrays and objects nest too deeply",
+        });
+    }
     match bytes.get(*pos) {
         None => Err(ParseError {
             offset: *pos,
@@ -267,7 +280,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -297,7 +310,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b":", "expected ':' after object key")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -618,6 +631,23 @@ mod tests {
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_limits_nesting_depth() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(Json::parse(&nested("[", "]", MAX_NESTING)).is_ok());
+        assert!(Json::parse(&nested("{\"a\":", "}", MAX_NESTING)).is_ok());
+        for too_deep in [
+            nested("[", "]", MAX_NESTING + 1),
+            nested("{\"a\":", "}", MAX_NESTING + 1),
+            "[".repeat(300_000),
+        ] {
+            let err = Json::parse(&too_deep).unwrap_err();
+            assert!(err.message.contains("nest too deeply"), "{err}");
         }
     }
 

@@ -8,6 +8,37 @@
 use super::{DecodeOutcome, MinimumExtractionUnit};
 use crate::code::QcLdpcCode;
 use fec_fixed::Llr;
+use std::cell::RefCell;
+
+thread_local! {
+    /// Per-thread λ / `R` / `Q` memories of the serial
+    /// [`LayeredDecoder::decode`], the f64 counterpart of the fixed-point
+    /// decoder's default scratch.  Buffers only grow, so a thread decoding
+    /// the same code repeatedly never reallocates them.
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
+}
+
+/// Working memory of one serial decode, sized once per code like the
+/// processing element's fixed λ and `R_lk` memories.
+#[derive(Debug)]
+struct Scratch {
+    /// Bit LLRs λ, one per variable.
+    lambda: Vec<f64>,
+    /// `R_lk` message memory, one per parity-check edge in CSR order.
+    r: Vec<f64>,
+    /// `Q_lk` values of the row being updated, up to the maximum degree.
+    q: Vec<f64>,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Scratch {
+            lambda: Vec::new(),
+            r: Vec::new(),
+            q: Vec::new(),
+        }
+    }
+}
 
 /// Configuration of the layered decoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,12 +86,12 @@ pub struct LayeredDecoder {
     code: QcLdpcCode,
     config: LayeredConfig,
     /// CSR row pointers into `cols` (length `m + 1`), rows stored in the
-    /// exact layered schedule order [`decode`](LayeredDecoder::decode)
-    /// processes them — shared by all lanes of the batch path.
+    /// layered schedule order — walked by the serial loop and shared by
+    /// all lanes of the batch path.
     row_ptr: Vec<u32>,
     /// Flattened column indices of every parity-check entry, schedule order.
     cols: Vec<u32>,
-    /// Largest check-node degree (batch scratch-buffer size).
+    /// Largest check-node degree (`Q` row scratch size).
     max_degree: usize,
 }
 
@@ -69,8 +100,7 @@ impl LayeredDecoder {
     pub fn new(code: &QcLdpcCode, config: LayeredConfig) -> Self {
         // Flatten the parity-check rows into CSR in the layered schedule
         // order (layer by layer), mirroring the fixed-point decoder's
-        // layout, so the lockstep batch path walks the identical row
-        // sequence as the serial `decode` loop.
+        // layout; the serial and the lockstep batch loop both walk it.
         let h = code.parity_check();
         let mut row_ptr = Vec::with_capacity(code.m() + 1);
         let mut cols = Vec::with_capacity(code.edge_count());
@@ -100,6 +130,10 @@ impl LayeredDecoder {
 
     /// Decodes a block of channel LLRs.
     ///
+    /// λ, the `R` message memory and the `Q` row live in a per-thread
+    /// scratch, so in steady state a decode allocates only the two vectors
+    /// of the returned [`DecodeOutcome`].
+    ///
     /// # Panics
     ///
     /// Panics if `channel.len() != code.n()`.
@@ -109,65 +143,72 @@ impl LayeredDecoder {
             self.code.n(),
             "LLR vector length must equal the code length"
         );
-        let code = &self.code;
-        let m = code.m();
-        let h = code.parity_check();
+        SCRATCH.with(|s| self.decode_in(channel, &mut s.borrow_mut()))
+    }
 
-        // lambda[k]: current bit LLR; r[row][j]: stored R_lk for the j-th entry of the row.
-        let mut lambda: Vec<f64> = channel.iter().map(|l| l.value()).collect();
-        let mut r: Vec<Vec<f64>> = (0..m).map(|row| vec![0.0; h.row_degree(row)]).collect();
+    /// The serial layered iteration over the CSR arrays.
+    fn decode_in(&self, channel: &[Llr], scratch: &mut Scratch) -> DecodeOutcome {
+        let h = self.code.parity_check();
+        let LayeredConfig { scale, offset, .. } = self.config;
+        let Scratch { lambda, r, q } = scratch;
+        lambda.clear();
+        lambda.extend(channel.iter().map(|l| l.value()));
+        r.clear();
+        r.resize(self.cols.len(), 0.0);
+        q.resize(self.max_degree, 0.0);
+        let mut hard = vec![0u8; lambda.len()];
 
         let mut iterations = 0;
         let mut converged = false;
 
         for it in 0..self.config.max_iterations {
             iterations = it + 1;
-            for layer in code.layers() {
-                for &row in &layer {
-                    let cols = h.row(row);
-                    // Q_lk = lambda_old - R_old, Eq. (6); two-minimum extraction, Eq. (11).
-                    let mut meu = MinimumExtractionUnit::new();
-                    let mut q = Vec::with_capacity(cols.len());
-                    for (j, &col) in cols.iter().enumerate() {
-                        let qlk = lambda[col] - r[row][j];
-                        meu.push(j, qlk);
-                        q.push(qlk);
-                    }
-                    // R_new and lambda update, Eq. (9)-(10), with the optional
-                    // offset-min-sum correction applied before normalization.
-                    for (j, &col) in cols.iter().enumerate() {
-                        let sign_excl = if q[j] < 0.0 {
-                            -meu.sign_product()
-                        } else {
-                            meu.sign_product()
-                        };
-                        let magnitude = (meu.magnitude_for(j) - self.config.offset).max(0.0);
-                        let r_new = self.config.scale * sign_excl * magnitude;
-                        lambda[col] = q[j] + r_new;
-                        r[row][j] = r_new;
-                    }
+            for rows in self.row_ptr.windows(2) {
+                let (start, end) = (rows[0] as usize, rows[1] as usize);
+                let cols = &self.cols[start..end];
+                let r_row = &mut r[start..end];
+                let q_row = &mut q[..cols.len()];
+                // Q_lk = lambda_old - R_old, Eq. (6); two-minimum extraction, Eq. (11).
+                let mut meu = MinimumExtractionUnit::new();
+                for (j, ((qj, &col), &rj)) in
+                    q_row.iter_mut().zip(cols).zip(r_row.iter()).enumerate()
+                {
+                    *qj = lambda[col as usize] - rj;
+                    meu.push(j, *qj);
+                }
+                // R_new and lambda update, Eq. (9)-(10), with the optional
+                // offset-min-sum correction applied before normalization.
+                for (j, ((&qj, &col), rj)) in
+                    q_row.iter().zip(cols).zip(r_row.iter_mut()).enumerate()
+                {
+                    let sign_excl = if qj < 0.0 {
+                        -meu.sign_product()
+                    } else {
+                        meu.sign_product()
+                    };
+                    let magnitude = (meu.magnitude_for(j) - offset).max(0.0);
+                    let r_new = scale * sign_excl * magnitude;
+                    lambda[col as usize] = qj + r_new;
+                    *rj = r_new;
                 }
             }
 
-            let hard: Vec<u8> = lambda.iter().map(|&l| Llr::new(l).hard_bit()).collect();
-            if self.config.early_termination && h.is_codeword(&hard) {
-                converged = true;
-                return DecodeOutcome {
-                    hard_bits: hard,
-                    posterior: lambda,
-                    iterations,
-                    converged,
-                };
+            if self.config.early_termination {
+                hard_decisions(lambda, &mut hard);
+                if h.is_codeword(&hard) {
+                    converged = true;
+                    break;
+                }
             }
         }
 
-        let hard: Vec<u8> = lambda.iter().map(|&l| Llr::new(l).hard_bit()).collect();
-        if h.is_codeword(&hard) {
-            converged = true;
+        if !converged {
+            hard_decisions(lambda, &mut hard);
+            converged = h.is_codeword(&hard);
         }
         DecodeOutcome {
             hard_bits: hard,
-            posterior: lambda,
+            posterior: lambda.clone(),
             iterations,
             converged,
         }
@@ -299,6 +340,14 @@ impl LayeredDecoder {
                 }
             })
             .collect()
+    }
+}
+
+/// Writes the hard decisions of `lambda` into `hard` through
+/// [`Llr::hard_bit`] (so NaN decodes as bit 0).
+fn hard_decisions(lambda: &[f64], hard: &mut [u8]) {
+    for (hb, &l) in hard.iter_mut().zip(lambda) {
+        *hb = Llr::new(l).hard_bit();
     }
 }
 

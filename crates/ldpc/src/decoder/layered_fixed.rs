@@ -8,14 +8,13 @@
 //! the `3/4` normalization of Eq. (11) is a shift-add, and the `R_lk`
 //! messages are saturated to `r_bits` before being written back.
 //!
-//! It is also the workspace's fast path.  The per-row `Vec<Vec<f64>>`
-//! message storage of the reference decoder is flattened into contiguous
-//! CSR-style buffers (`row_ptr`/`cols`/`r`), and the two-minimum extraction
-//! runs through the branch-light batch kernel
-//! [`MinimumExtractionUnit::scan`], so the hot loop is pure integer
-//! compare/select arithmetic over dense slices — autovectorizer food.  See
-//! `cargo bench -p decoder-bench --bench kernels` for the comparison against
-//! the scalar f64 baseline.
+//! Messages live in contiguous CSR-style buffers (`row_ptr`/`cols`/`r`),
+//! and the two-minimum extraction runs through the branch-light batch
+//! kernel [`MinimumExtractionUnit::scan`], so the hot loop is pure integer
+//! compare/select arithmetic over dense slices.  Its speed edge over the
+//! f64 reference comes from lockstep batching (`decode_batch*`); a serial
+//! frame is slower than the f64 serial loop.  See `cargo bench -p
+//! decoder-bench --bench kernels` for both comparisons.
 
 use super::{BatchTwoMinScan, DecodeOutcome, MinimumExtractionUnit};
 use crate::code::QcLdpcCode;

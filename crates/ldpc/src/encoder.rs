@@ -11,15 +11,15 @@
 
 use crate::code::{LdpcError, QcLdpcCode};
 
-/// Cyclic shift helper: returns the vector `y` with `y[r] = x[(r + shift) % z]`,
-/// i.e. the product of a right-shifted identity block with `x`.
-fn shift_block(x: &[u8], shift: usize) -> Vec<u8> {
-    let z = x.len();
-    (0..z).map(|r| x[(r + shift) % z]).collect()
-}
-
-fn xor_into(dst: &mut [u8], src: &[u8]) {
-    for (d, s) in dst.iter_mut().zip(src) {
+/// `dst ^= P_shift · src` for one `z × z` block: `dst[r] ^= src[(r + shift) % z]`
+/// (the product of a right-shifted identity with `src`), done as two
+/// contiguous slice XORs around the wrap point.
+fn xor_shifted(dst: &mut [u8], src: &[u8], shift: usize) {
+    let (head, tail) = dst.split_at_mut(src.len() - shift);
+    for (d, s) in head.iter_mut().zip(&src[shift..]) {
+        *d ^= s;
+    }
+    for (d, s) in tail.iter_mut().zip(&src[..shift]) {
         *d ^= s;
     }
 }
@@ -42,81 +42,103 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
 #[derive(Debug, Clone)]
 pub struct QcEncoder {
     code: QcLdpcCode,
+    /// Per block row, the `(block column, shift)` pairs of its non-zero
+    /// systematic blocks (shifts scaled to `z` and reduced modulo `z`, as
+    /// in the expansion of `H`).
+    row_blocks: Vec<Vec<(usize, usize)>>,
+    /// Shift of the `h_b` column's top (and bottom) block.
+    hb_shift: usize,
+    /// The "middle" block row of the weight-3 `h_b` column (the entry with
+    /// shift 0 strictly between the first and last block rows).
+    mid: usize,
 }
 
 impl QcEncoder {
     /// Creates an encoder for the given code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parity part lacks the 802.16e structure: a weight-3
+    /// `h_b` column with entries in the first block row and in a middle
+    /// block row.
     pub fn new(code: &QcLdpcCode) -> Self {
-        QcEncoder { code: code.clone() }
+        let z = code.expansion();
+        let base = code.base();
+        let mb = base.rows();
+        let kb = base.systematic_cols();
+        let row_blocks = (0..mb)
+            .map(|br| {
+                (0..kb)
+                    .filter_map(|bc| base.shift(br, bc, z).map(|s| (bc, s % z)))
+                    .collect()
+            })
+            .collect();
+        let hb_shift = base
+            .shift(0, kb, z)
+            .expect("h_b column has an entry in block row 0")
+            % z;
+        let mid = (1..mb - 1)
+            .find(|&r| base.entry(r, kb) >= 0)
+            .expect("h_b column has a middle entry");
+        QcEncoder {
+            code: code.clone(),
+            row_blocks,
+            hb_shift,
+            mid,
+        }
     }
 
     /// Encodes `info` (length `k`) into a systematic codeword of length `n`.
+    ///
+    /// The parity blocks are computed in place in the returned codeword, so
+    /// an encode makes one allocation.
     ///
     /// # Errors
     ///
     /// Returns [`LdpcError::InvalidInfoLength`] if `info.len() != k`.
     pub fn encode(&self, info: &[u8]) -> Result<Vec<u8>, LdpcError> {
         let code = &self.code;
-        if info.len() != code.k() {
+        let k = code.k();
+        if info.len() != k {
             return Err(LdpcError::InvalidInfoLength {
-                expected: code.k(),
+                expected: k,
                 actual: info.len(),
             });
         }
         let z = code.expansion();
-        let base = code.base();
-        let mb = base.rows();
-        let kb = base.systematic_cols();
-        // The "middle" row of the weight-3 h_b column (the entry with shift 0
-        // strictly between the first and last block rows).
-        let mid = (1..mb - 1)
-            .find(|&r| base.entry(r, kb) >= 0)
-            .expect("h_b column has a middle entry");
+        let mb = self.row_blocks.len();
+        let mut codeword = vec![0u8; code.n()];
+        codeword[..k].copy_from_slice(info);
+        let parity = &mut codeword[k..];
 
-        // lambda_i = sum_j P_{s(i,j)} u_j over the systematic part.
-        let mut lambda = vec![vec![0u8; z]; mb];
-        for (br, lambda_br) in lambda.iter_mut().enumerate() {
-            for bc in 0..kb {
-                if let Some(s) = base.shift(br, bc, z) {
-                    let block = &info[bc * z..(bc + 1) * z];
-                    let shifted = shift_block(block, s);
-                    xor_into(lambda_br, &shifted);
-                }
+        // lambda_i = sum_j P_{s(i,j)} u_j over the systematic part, written
+        // one parity block ahead (lambda_i into block i + 1, the last one
+        // into block 0) so the recursion below can run in place.
+        for (br, blocks) in self.row_blocks.iter().enumerate() {
+            let slot = (br + 1) % mb;
+            let dst = &mut parity[slot * z..(slot + 1) * z];
+            for &(bc, s) in blocks {
+                xor_shifted(dst, &info[bc * z..(bc + 1) * z], s);
             }
         }
 
         // p_0 = sum_i lambda_i (the double h_b shift cancels, the dual
         // diagonal cancels pairwise, leaving the single shift-0 h_b entry).
-        let mut p = vec![vec![0u8; z]; mb];
-        for l in &lambda {
-            xor_into(&mut p[0], l);
+        let (p0, rest) = parity.split_at_mut(z);
+        for lambda in rest.chunks_exact(z) {
+            xor_shifted(p0, lambda, 0);
         }
 
-        let hb_shift = base
-            .shift(0, kb, z)
-            .expect("h_b column has an entry in block row 0");
-
-        // Forward recursion on the dual diagonal.
+        // Forward recursion on the dual diagonal; block i + 1 holds lambda_i.
         // row 0:  lambda_0 + P_hb p_0 + p_1 = 0
-        let mut p1 = lambda[0].clone();
-        xor_into(&mut p1, &shift_block(&p[0], hb_shift));
-        p[1] = p1;
+        xor_shifted(&mut rest[..z], p0, self.hb_shift);
         for i in 1..mb - 1 {
             // row i: lambda_i + [p_0 if i == mid] + p_i + p_{i+1} = 0
-            let mut next = lambda[i].clone();
-            let prev = p[i].clone();
-            xor_into(&mut next, &prev);
-            if i == mid {
-                let p0 = p[0].clone();
-                xor_into(&mut next, &p0);
+            let (prev, next) = rest[(i - 1) * z..(i + 1) * z].split_at_mut(z);
+            xor_shifted(next, prev, 0);
+            if i == self.mid {
+                xor_shifted(next, p0, 0);
             }
-            p[i + 1] = next;
-        }
-
-        let mut codeword = Vec::with_capacity(code.n());
-        codeword.extend_from_slice(info);
-        for block in &p {
-            codeword.extend_from_slice(block);
         }
         Ok(codeword)
     }
@@ -251,9 +273,16 @@ mod tests {
     }
 
     #[test]
-    fn shift_block_rotates() {
-        assert_eq!(shift_block(&[1, 0, 0, 0], 1), vec![0, 0, 0, 1]);
-        assert_eq!(shift_block(&[1, 2, 3, 4], 0), vec![1, 2, 3, 4]);
+    fn xor_shifted_adds_the_rotated_block() {
+        let src = [1, 2, 3, 4];
+        for shift in 0..4 {
+            let mut dst = [0u8; 4];
+            xor_shifted(&mut dst, &src, shift);
+            let rotated: Vec<u8> = (0..4).map(|r| src[(r + shift) % 4]).collect();
+            assert_eq!(dst.to_vec(), rotated, "shift {shift}");
+            xor_shifted(&mut dst, &src, shift);
+            assert_eq!(dst, [0; 4], "adding twice cancels, shift {shift}");
+        }
     }
 
     #[test]
@@ -291,12 +320,18 @@ mod tests {
 
     #[test]
     fn gaussian_encoder_agrees_with_qc_encoder() {
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let qc = QcEncoder::new(&code);
-        let ge = GaussianEncoder::new(&code).expect("parity part is invertible");
-        for seed in 0..3 {
-            let info = random_info(code.k(), seed);
-            assert_eq!(qc.encode(&info).unwrap(), ge.encode(&info).unwrap());
+        for rate in CodeRate::all() {
+            let code = QcLdpcCode::wimax(576, rate).unwrap();
+            let qc = QcEncoder::new(&code);
+            let ge = GaussianEncoder::new(&code).expect("parity part is invertible");
+            for seed in 0..3 {
+                let info = random_info(code.k(), seed);
+                assert_eq!(
+                    qc.encode(&info).unwrap(),
+                    ge.encode(&info).unwrap(),
+                    "rate {rate}"
+                );
+            }
         }
     }
 

@@ -95,16 +95,19 @@ impl SparseBinaryMatrix {
     /// Panics if `v.len() != num_cols()`.
     pub fn multiply_vector(&self, v: &[u8]) -> Vec<u8> {
         assert_eq!(v.len(), self.cols, "vector length must equal column count");
-        self.rows
-            .iter()
-            .map(|row| row.iter().fold(0u8, |acc, &c| acc ^ (v[c] & 1)))
-            .collect()
+        self.rows.iter().map(|row| parity(row, v)).collect()
     }
 
     /// Returns `true` if `H * v = 0`, i.e. `v` is a codeword of the code with
-    /// this parity-check matrix.
+    /// this parity-check matrix.  Allocation-free; stops at the first
+    /// unsatisfied check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != num_cols()`.
     pub fn is_codeword(&self, v: &[u8]) -> bool {
-        self.multiply_vector(v).iter().all(|&s| s == 0)
+        assert_eq!(v.len(), self.cols, "vector length must equal column count");
+        self.rows.iter().all(|row| parity(row, v) == 0)
     }
 
     /// Computes the rank of the matrix over GF(2) (dense elimination on
@@ -187,6 +190,11 @@ impl SparseBinaryMatrix {
     pub fn used_columns(&self) -> BTreeSet<usize> {
         self.rows.iter().flat_map(|r| r.iter().copied()).collect()
     }
+}
+
+/// GF(2) parity of the bits of `v` selected by one sparse row.
+fn parity(row: &[usize], v: &[u8]) -> u8 {
+    row.iter().fold(0u8, |acc, &c| acc ^ (v[c] & 1))
 }
 
 #[cfg(test)]
@@ -350,6 +358,7 @@ mod tests {
             let hb = h.multiply_vector(&b);
             let hab = h.multiply_vector(&ab);
             let hxor: Vec<u8> = ha.iter().zip(&hb).map(|(x, y)| x ^ y).collect();
+            prop_assert_eq!(h.is_codeword(&a), ha.iter().all(|&s| s == 0));
             prop_assert_eq!(hab, hxor);
         }
     }

@@ -679,114 +679,6 @@ impl WorkPool {
             obs: None,
         }
     }
-
-    /// Executes `count` independent tasks and returns their results in
-    /// **index order** regardless of completion order or worker count.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of the first failing task on the calling thread.
-    #[deprecated(note = "use `pool.run().indexed(count, task)`")]
-    pub fn run_indexed<T, F>(&self, count: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run().indexed(count, task)
-    }
-
-    /// Like [`run_indexed`], but additionally invokes `on_done` from the
-    /// calling thread as each task finishes (**completion order**).
-    ///
-    /// [`run_indexed`]: WorkPool::run_indexed
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of the first failing task on the calling thread.
-    #[deprecated(note = "use `pool.run().indexed_streamed(count, task, on_done)`")]
-    pub fn run_indexed_with<T, F, C>(&self, count: usize, task: F, on_done: C) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        C: FnMut(usize, &T),
-    {
-        self.run().indexed_streamed(count, task, on_done)
-    }
-
-    /// Like [`run_indexed_with`], but additionally collects pool
-    /// observability into `obs`.
-    ///
-    /// [`run_indexed_with`]: WorkPool::run_indexed_with
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of the first failing task on the calling thread.
-    #[deprecated(note = "use `pool.run().observed(clock, obs).indexed_streamed(...)`")]
-    pub fn run_indexed_observed<T, F, C>(
-        &self,
-        count: usize,
-        task: F,
-        on_done: C,
-        clock: &dyn Clock,
-        obs: &mut PoolObs,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        C: FnMut(usize, &T),
-    {
-        self.run()
-            .observed(clock, obs)
-            .indexed_streamed(count, task, on_done)
-    }
-
-    /// Executes a *dynamic* job set: starts with `initial`, and after each
-    /// job finishes calls `on_complete(id, result, sink)` on the calling
-    /// thread (completion order), which may submit follow-up jobs.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of the first failing job on the calling thread.
-    #[deprecated(note = "use `pool.run().jobs(initial, on_complete)`")]
-    pub fn run_jobs<'env, T, F>(&self, initial: Vec<Job<'env, T>>, mut on_complete: F)
-    where
-        T: Send + 'env,
-        F: FnMut(usize, T, &mut JobSink<'env, T>),
-    {
-        self.run().jobs(initial, |id, outcome, sink| {
-            if let JobOutcome::Done(value) = outcome {
-                on_complete(id, value, sink);
-            }
-        });
-    }
-
-    /// Like [`run_jobs`], but additionally collects pool observability into
-    /// `obs` with spans measured by the injected `clock`.
-    ///
-    /// [`run_jobs`]: WorkPool::run_jobs
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of the first failing job on the calling thread.
-    #[deprecated(note = "use `pool.run().observed(clock, obs).jobs(initial, on_complete)`")]
-    pub fn run_jobs_observed<'env, T, F>(
-        &self,
-        initial: Vec<Job<'env, T>>,
-        mut on_complete: F,
-        clock: &'env dyn Clock,
-        obs: &'env mut PoolObs,
-    ) where
-        T: Send + 'env,
-        F: FnMut(usize, T, &mut JobSink<'env, T>),
-    {
-        self.run()
-            .observed(clock, obs)
-            .jobs(initial, |id, outcome, sink| {
-                if let JobOutcome::Done(value) = outcome {
-                    on_complete(id, value, sink);
-                }
-            });
-    }
 }
 
 impl Default for WorkPool {
@@ -1406,17 +1298,5 @@ mod tests {
             })
             .collect();
         WorkPool::new(4).run().jobs(initial, |_, _, _| {});
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_delegate() {
-        let out = WorkPool::new(2).run_indexed(5, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6, 8]);
-
-        let mut seen = Vec::new();
-        let initial = (0..3).map(|id| Job::new(id, move || id + 100)).collect();
-        WorkPool::new(1).run_jobs(initial, |id, value, _| seen.push((id, value)));
-        assert_eq!(seen, vec![(0, 100), (1, 101), (2, 102)]);
     }
 }

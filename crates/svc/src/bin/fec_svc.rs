@@ -16,7 +16,7 @@
 //! * `--workers` — worker threads of the shared pool (default one per
 //!   core); results are bit-identical for any worker count.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -87,15 +87,7 @@ fn serve_stdio(service: &Service) {
         let sink = SharedSink::new(std::io::stdout());
         // fec-lint: allow(no-thread-spawn, reader thread of the stdio transport; decode work stays on the WorkPool)
         scope.spawn(move || {
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else {
-                    break;
-                };
-                if !service.handle_line(&line, &sink) {
-                    return;
-                }
-            }
+            service.serve(std::io::stdin().lock(), &sink);
             service.request_shutdown();
         });
         service.run();
@@ -150,30 +142,7 @@ fn serve_client(service: &Service, stream: std::os::unix::net::UnixStream) {
         .expect("set client read timeout");
     let reader = stream.try_clone().expect("clone client stream");
     let sink = SharedSink::new(stream);
-    let mut reader = std::io::BufReader::new(reader);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                if !service.handle_line(&line, &sink) {
-                    return;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if service.is_shutdown() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
+    service.serve(std::io::BufReader::new(reader), &sink);
 }
 
 #[cfg(not(unix))]

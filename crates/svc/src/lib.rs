@@ -39,4 +39,4 @@ pub mod service;
 
 pub use job::{run_unit, JobSpec, Unit};
 pub use protocol::Request;
-pub use service::{EventSink, Service, ServiceConfig};
+pub use service::{EventSink, Service, ServiceConfig, MAX_REQUEST_LINE};

@@ -19,7 +19,7 @@
 //! client for rows still to come.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{BufRead, ErrorKind, Write};
 use std::path::PathBuf;
 use std::sync::{Condvar, Mutex};
 
@@ -28,6 +28,11 @@ use fec_sched::{CancelToken, Job, JobOutcome, Priority, WorkPool};
 
 use crate::job::{self, Unit};
 use crate::protocol::{self, Request};
+
+/// Longest request line [`Service::serve`] accepts, in bytes (newline
+/// excluded).  Requests are small objects; anything longer is rejected
+/// without ever being buffered whole.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Where a service delivers protocol events for one client.
 ///
@@ -139,6 +144,70 @@ impl Service {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         self.state.lock().expect("service state poisoned")
+    }
+
+    /// Serves one client of a transport: reads request lines from `reader`
+    /// and handles each with [`handle_line`](Service::handle_line) until end
+    /// of input, a read error or a `shutdown` request.  A read that times
+    /// out (a socket with a read timeout) only checks whether the daemon is
+    /// shutting down.
+    ///
+    /// A line longer than [`MAX_REQUEST_LINE`] bytes, or one that is not
+    /// UTF-8, gets one `error` event.  The excess of an over-long line is
+    /// discarded as it arrives, so a client cannot grow the daemon's memory.
+    pub fn serve<R: BufRead, S: EventSink + Clone + 'static>(&self, mut reader: R, sink: &S) {
+        let mut line = Vec::new();
+        let mut overlong = false;
+        loop {
+            let chunk = match reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) =>
+                {
+                    if self.is_shutdown() {
+                        return;
+                    }
+                    continue;
+                }
+                Err(_) => return,
+            };
+            let at_eof = chunk.is_empty();
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let part = &chunk[..newline.unwrap_or(chunk.len())];
+            if line.len() + part.len() > MAX_REQUEST_LINE {
+                overlong = true;
+                line.clear();
+            } else if !overlong {
+                line.extend_from_slice(part);
+            }
+            let used = part.len() + usize::from(newline.is_some());
+            reader.consume(used);
+            if newline.is_none() && !at_eof {
+                continue;
+            }
+            let reply = if std::mem::take(&mut overlong) {
+                Err(format!("request line exceeds {MAX_REQUEST_LINE} bytes"))
+            } else {
+                String::from_utf8(std::mem::take(&mut line))
+                    .map_err(|_| "request line is not valid UTF-8".to_string())
+            };
+            match reply {
+                Ok(text) => {
+                    if !self.handle_line(&text, sink) {
+                        return;
+                    }
+                }
+                Err(reason) => {
+                    sink.clone().deliver(&protocol::error(&reason).to_string());
+                }
+            }
+            if at_eof {
+                return;
+            }
+        }
     }
 
     /// Handles one request line from a client whose events go to `sink`

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use fec_json::Json;
 use fec_sched::CancelToken;
-use fec_svc::{EventSink, Service, ServiceConfig};
+use fec_svc::{EventSink, Service, ServiceConfig, MAX_REQUEST_LINE};
 
 /// A fresh per-test log directory under the target-local temp dir.
 fn test_dir(name: &str) -> PathBuf {
@@ -200,6 +200,43 @@ fn bad_requests_get_error_or_rejected_replies() {
     assert!(lines[2].contains("unknown standard"));
     assert_eq!(event_type(&lines[3]), "error");
     assert!(lines[3].contains("unknown job id 99"));
+}
+
+/// A request nested deeper than the JSON parser's limit (but short enough
+/// to pass the line cap) is answered with exactly one `error` event instead
+/// of overflowing the reader thread's stack.
+#[test]
+fn deeply_nested_request_gets_one_error_reply() {
+    let svc = service("deep", 1, 8);
+    let sink = RecordingSink::default();
+    let deep = "[".repeat(MAX_REQUEST_LINE - 1);
+    assert!(svc.handle_line(&deep, &sink));
+
+    let lines = sink.lines();
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert_eq!(event_type(&lines[0]), "error");
+    assert!(lines[0].contains("nest too deeply"), "{}", lines[0]);
+}
+
+/// The transport reader caps request lines: an over-long line gets one
+/// `error` event, its tail is discarded, and the next line is served.
+#[test]
+fn serve_answers_an_overlong_line_once_and_keeps_reading() {
+    let svc = service("overlong", 1, 8);
+    let sink = RecordingSink::default();
+    let input = format!(
+        "{}\n{}\n{{\"type\":\"cancel\",\"job_id\":7}}",
+        "[".repeat(300_000),
+        "x".repeat(MAX_REQUEST_LINE)
+    );
+    svc.serve(std::io::Cursor::new(input), &sink);
+
+    let lines = sink.lines();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    assert!(lines.iter().all(|l| event_type(l) == "error"), "{lines:?}");
+    assert!(lines[0].contains("exceeds"), "{}", lines[0]);
+    assert!(lines[1].contains("malformed request"), "{}", lines[1]);
+    assert!(lines[2].contains("unknown job id 7"), "{}", lines[2]);
 }
 
 /// Acceptance: a cancelled job's delivered rows are bit-identical to the

@@ -1,0 +1,62 @@
+//! Steady-state heap-allocation counts of the f64 LDPC frame path.
+//!
+//! The serial [`LayeredDecoder::decode`] keeps λ, the `R` message memory and
+//! the `Q` row in a per-thread scratch — the software image of the
+//! processing element's fixed λ/`R_lk` memories — so a decode allocates only
+//! the two vectors of its outcome, however many iterations it runs.  The
+//! [`QcEncoder`] computes its parity blocks in place in the returned
+//! codeword.  Counts are taken per thread (see `common`).
+
+mod common;
+
+use common::allocations;
+use fec_fixed::Llr;
+use rand::{Rng, SeedableRng};
+use wimax_ldpc::decoder::{LayeredConfig, LayeredDecoder};
+use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
+
+const BLOCK_LENGTHS: [usize; 2] = [576, 2304];
+
+#[test]
+fn layered_decode_allocations_do_not_grow_with_iterations() {
+    for n in BLOCK_LENGTHS {
+        let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
+        let decoder = LayeredDecoder::new(&code, LayeredConfig::default());
+        // A clean all-zero frame converges in one iteration; pure noise runs
+        // every iteration without converging.
+        let clean = vec![Llr::new(6.0); n];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let noise: Vec<Llr> = (0..n).map(|_| Llr::new(rng.gen_range(-1.0..1.0))).collect();
+
+        // Warm-up: grow the per-thread scratch to this code's size.
+        let _ = decoder.decode(&noise);
+
+        let (one_allocs, one) = allocations(|| decoder.decode(&clean));
+        let (all_allocs, all) = allocations(|| decoder.decode(&noise));
+        assert_eq!((one.iterations, one.converged), (1, true), "n{n}");
+        assert_eq!((all.iterations, all.converged), (10, false), "n{n}");
+        assert_eq!(
+            one_allocs, all_allocs,
+            "n{n}: 1 iteration made {one_allocs} allocations, 10 made {all_allocs}"
+        );
+        assert!(
+            one_allocs <= 2,
+            "n{n}: a decode should allocate only its outcome, made {one_allocs}"
+        );
+    }
+}
+
+#[test]
+fn qc_encode_allocates_at_most_twice() {
+    for n in BLOCK_LENGTHS {
+        let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
+        let encoder = QcEncoder::new(&code);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let info: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..=1)).collect();
+        let _ = encoder.encode(&info);
+
+        let (allocs, codeword) = allocations(|| encoder.encode(&info));
+        assert!(code.is_codeword(&codeword.expect("info length matches")));
+        assert!(allocs <= 2, "n{n}: encode made {allocs} allocations");
+    }
+}

@@ -5,42 +5,14 @@
 //! instrumented decode entry point allocates exactly as much as the plain
 //! one when the recorder is disabled).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::allocations;
 use fec_channel::sim::{EngineConfig, SimulationEngine};
 use fec_channel::MonteCarloConfig;
 use fec_obs::{ManualClock, NoopRecorder, Registry};
 use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder};
 use wimax_ldpc::{CodeRate, QcLdpcCode, QuantizedLayeredLdpcCodec};
-
-/// Counts every heap allocation the process makes, so a test can compare
-/// the allocation cost of two code paths.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let value = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, value)
-}
 
 fn quantized_codec() -> QuantizedLayeredLdpcCodec {
     let code = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length");
@@ -107,7 +79,8 @@ fn observed_counts_are_byte_identical_for_any_worker_and_batch_size() {
 /// point makes exactly as many heap allocations as the plain one, because
 /// every instrumentation site is gated on the recorder's `const ENABLED`
 /// and folds away.  Measured at steady state (after a warm-up decode) so
-/// one-time lazy initialisation does not skew either side.
+/// one-time lazy initialisation does not skew either side, and counted on
+/// this thread only, so the sibling test's engine workers cannot perturb it.
 #[test]
 fn noop_recorder_adds_zero_allocations_to_decode_quantized() {
     let code = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length");
