@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the computational kernels: one layered LDPC
 //! iteration (f64 reference vs the fixed-point datapath), the MEU
-//! two-minimum extraction (sequential push vs batch scan), one flooding
+//! two-minimum extraction (sequential push vs two-pass scan), one flooding
 //! iteration, one SISO half iteration, one NoC message-passing phase and one
 //! graph partitioning run.
 //!
@@ -125,7 +125,7 @@ fn main() {
     println!("    -> fixed-point layered speedup over f64 on n576/R12: {speedup:.2}x (min/min)");
 
     // The MEU two-minimum extraction in isolation: sequential scalar pushes
-    // vs the branch-light batch scan, over WiMAX-typical degree-7 rows.
+    // vs the branch-light two-pass scan, over WiMAX-typical degree-7 rows.
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let q_fixed: Vec<i16> = (0..7 * 4096).map(|_| rng.gen_range(-64i16..=63)).collect();
     let q_float: Vec<f64> = q_fixed.iter().map(|&v| f64::from(v)).collect();
@@ -154,27 +154,6 @@ fn main() {
             std::hint::black_box(acc);
         }),
     );
-
-    // The lockstep batch MEU scan: the same 4096 degree-7 rows, laid out as
-    // struct-of-arrays groups of 8 and 16 frame lanes.
-    let mut scan_out = wimax_ldpc::decoder::BatchTwoMinScan::new();
-    for lanes in [8usize, 16] {
-        let name = format!("meu_two_min_deg7_x4096/scan_batch_b{lanes}");
-        let q_soa = q_fixed.clone(); // same values; chunked as 7 * lanes
-        run(
-            &mut reports,
-            bench(name.leak(), 3, 40, || {
-                let mut acc = 0i32;
-                for group in q_soa.chunks_exact(7 * lanes) {
-                    MinimumExtractionUnit::scan_batch(group, lanes, &mut scan_out);
-                    for f in 0..lanes {
-                        acc += i32::from(scan_out.min1[f]) + i32::from(scan_out.min2[f]);
-                    }
-                }
-                std::hint::black_box(acc);
-            }),
-        );
-    }
 
     // Serial vs lockstep batch fixed decode on n576/R12, full 10-iteration
     // budget with early termination off so every variant does identical

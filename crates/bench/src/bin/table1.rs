@@ -62,13 +62,14 @@ fn main() {
                 ("code", Json::str(code.label())),
             ],
         )
+        .expect("create result file")
     });
     let mut finished = 0usize;
     let mut obs = metrics.enabled().then(ObsCollector::new);
     let on_row = |idx: usize, row: &noc_decoder::dse::Table1Row| {
         finished += 1;
         if let Some(stream) = &mut stream {
-            stream.push(row);
+            stream.push(row).expect("write result row");
         }
         eprintln!(
             "  [{finished:>2}/72] point {idx:>2}: {} D={} P={} {} ({}) -> {:.2} Mb/s",
@@ -90,7 +91,7 @@ fn main() {
     }
     if let Some(stream) = stream {
         let path = stream.path().to_path_buf();
-        let rows = stream.finish();
+        let rows = stream.finish().expect("write result trailer");
         eprintln!("wrote {} ({rows} rows)", path.display());
     }
 

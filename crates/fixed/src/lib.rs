@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod llr;
 pub mod maxstar;

@@ -137,127 +137,66 @@ impl MinSumArith {
         raw < self.lambda_min || raw > self.lambda_max
     }
 
-    /// Lane (struct-of-arrays) form of [`q_message`](MinSumArith::q_message):
-    /// `q[f] = sat(lambda[f] - r[f])` for every frame lane `f` of a batch.
+    /// Array form of [`q_message`](MinSumArith::q_message) for `B` lockstep
+    /// frame lanes: `q[f] = sat(lambda[f] - r[f])`.
     ///
-    /// All three slices index the *same* `[edge][frame]` batch position, so
-    /// the loop is a tight element-wise pass over `B` contiguous lanes —
-    /// the natural SIMD axis of the lockstep batch decoder.  The `i16`
-    /// subtraction cannot overflow for legal register widths (`<= 15` bits
-    /// means `|lambda - r| <= 32766`), so `saturating_sub` + clamp is
-    /// bit-identical to the widening scalar path.
-    ///
-    /// With the `simd` cargo feature the loop runs on explicit
-    /// `std::simd` lanes; the default scalar form autovectorizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn q_message_lanes(&self, q: &mut [i16], lambda: &[i16], r: &[i16]) {
-        assert_eq!(q.len(), lambda.len());
-        assert_eq!(q.len(), r.len());
+    /// The `i16` subtraction cannot overflow for legal register widths
+    /// (`<= 15` bits means `|lambda - r| <= 32767`), so `saturating_sub` +
+    /// clamp is bit-identical to the widening scalar path while staying in
+    /// 16-bit vector lanes; the clamp is spelled `max(lo).min(hi)` so it
+    /// compiles to packed min/max.  A single lane (`B = 1`) takes the
+    /// widening scalar path instead, because x86 has no scalar saturating
+    /// `i16` arithmetic.
+    #[inline(always)]
+    pub fn q_message_array<const B: usize>(&self, lambda: [i16; B], r: [i16; B]) -> [i16; B] {
         let (lo, hi) = (self.lambda_min as i16, self.lambda_max as i16);
-        #[cfg(feature = "simd")]
-        {
-            simd_lanes::q_message(q, lambda, r, lo, hi);
+        let mut q = [0i16; B];
+        for f in 0..B {
+            q[f] = if B == 1 {
+                self.q_message(i32::from(lambda[f]), i32::from(r[f]))
+            } else {
+                lambda[f].saturating_sub(r[f]).max(lo).min(hi)
+            };
         }
-        #[cfg(not(feature = "simd"))]
-        for ((qf, &lf), &rf) in q.iter_mut().zip(lambda).zip(r) {
-            *qf = lf.saturating_sub(rf).clamp(lo, hi);
-        }
+        q
     }
 
-    /// Lane form of the magnitude half of
-    /// [`r_message`](MinSumArith::r_message): `out[f] =
-    /// min(scale_magnitude(mins[f]), r_max)` for every lane, leaving the
-    /// per-position sign application to the caller (the sign depends on the
-    /// excluded input, not only on the lane).
+    /// Array form of the magnitude half of
+    /// [`r_message`](MinSumArith::r_message): `min(scale_magnitude(m), r_max)`
+    /// per lane, leaving the per-position sign to the caller (the sign
+    /// depends on the excluded input, not only on the lane).
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths differ or any input magnitude is
-    /// negative (debug builds).
-    #[inline]
-    pub fn scaled_magnitude_lanes(&self, out: &mut [i16], mins: &[i16]) {
-        assert_eq!(out.len(), mins.len());
-        let r_max = self.r_max;
-        for (of, &mf) in out.iter_mut().zip(mins) {
-            debug_assert!(mf >= 0);
-            *of = (((NMS_SCALE_NUM * i32::from(mf) + (1 << (NMS_SCALE_SHIFT - 1)))
-                >> NMS_SCALE_SHIFT)
-                .min(r_max)) as i16;
+    /// Panics (debug builds) if any input magnitude is negative.
+    #[inline(always)]
+    pub fn scaled_magnitude_array<const B: usize>(&self, mins: [i16; B]) -> [i16; B] {
+        let mut out = [0i16; B];
+        for f in 0..B {
+            out[f] = self.scale_magnitude(i32::from(mins[f])).min(self.r_max) as i16;
         }
+        out
     }
 
-    /// Lane form of [`lambda_update`](MinSumArith::lambda_update):
-    /// `lambda[f] = sat(q[f] + r_new[f])` for every frame lane.
+    /// Array form of [`lambda_update`](MinSumArith::lambda_update):
+    /// `lambda[f] = sat(q[f] + r_new[f])`.
     ///
-    /// Like the other lane ops, the `i16` saturating add followed by the
-    /// register clamp is bit-identical to the scalar `i32` path for every
-    /// legal register width (≤ 15 bits: `|q + r|` ≤ 32766 never wraps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[inline]
-    pub fn lambda_update_lanes(&self, lambda: &mut [i16], q: &[i16], r_new: &[i16]) {
-        assert_eq!(lambda.len(), q.len());
-        assert_eq!(lambda.len(), r_new.len());
+    /// Like [`q_message_array`](MinSumArith::q_message_array), the `i16`
+    /// saturating add followed by the register clamp is bit-identical to the
+    /// scalar `i32` path for every legal register width (`|q + r|` <= 32766
+    /// never wraps), and `B = 1` takes that scalar path.
+    #[inline(always)]
+    pub fn lambda_update_array<const B: usize>(&self, q: [i16; B], r_new: [i16; B]) -> [i16; B] {
         let (lo, hi) = (self.lambda_min as i16, self.lambda_max as i16);
-        #[cfg(feature = "simd")]
-        {
-            simd_lanes::lambda_update(lambda, q, r_new, lo, hi);
+        let mut lambda = [0i16; B];
+        for f in 0..B {
+            lambda[f] = if B == 1 {
+                self.lambda_update(i32::from(q[f]), i32::from(r_new[f]))
+            } else {
+                q[f].saturating_add(r_new[f]).max(lo).min(hi)
+            };
         }
-        #[cfg(not(feature = "simd"))]
-        for ((lf, &qf), &rf) in lambda.iter_mut().zip(q).zip(r_new) {
-            *lf = qf.saturating_add(rf).clamp(lo, hi);
-        }
-    }
-}
-
-/// Explicit `std::simd` implementations of the lane ops (the `simd` cargo
-/// feature, nightly toolchains only).  Scalar tails cover lane counts that
-/// are not a multiple of the vector width.
-#[cfg(feature = "simd")]
-mod simd_lanes {
-    use std::simd::cmp::SimdOrd;
-    use std::simd::num::SimdInt;
-    use std::simd::Simd;
-
-    /// Vector width: 8 × i16 = 128 bits, available everywhere.
-    const W: usize = 8;
-
-    pub fn q_message(q: &mut [i16], lambda: &[i16], r: &[i16], lo: i16, hi: i16) {
-        let lov = Simd::<i16, W>::splat(lo);
-        let hiv = Simd::<i16, W>::splat(hi);
-        let mut i = 0;
-        while i + W <= q.len() {
-            let lf = Simd::<i16, W>::from_slice(&lambda[i..i + W]);
-            let rf = Simd::<i16, W>::from_slice(&r[i..i + W]);
-            let qf = lf.saturating_sub(rf).simd_clamp(lov, hiv);
-            qf.copy_to_slice(&mut q[i..i + W]);
-            i += W;
-        }
-        for f in i..q.len() {
-            q[f] = lambda[f].saturating_sub(r[f]).clamp(lo, hi);
-        }
-    }
-
-    pub fn lambda_update(lambda: &mut [i16], q: &[i16], r_new: &[i16], lo: i16, hi: i16) {
-        let lov = Simd::<i16, W>::splat(lo);
-        let hiv = Simd::<i16, W>::splat(hi);
-        let mut i = 0;
-        while i + W <= lambda.len() {
-            let qf = Simd::<i16, W>::from_slice(&q[i..i + W]);
-            let rf = Simd::<i16, W>::from_slice(&r_new[i..i + W]);
-            let lf = qf.saturating_add(rf).simd_clamp(lov, hiv);
-            lf.copy_to_slice(&mut lambda[i..i + W]);
-            i += W;
-        }
-        for f in i..lambda.len() {
-            lambda[f] = q[f].saturating_add(r_new[f]).clamp(lo, hi);
-        }
+        lambda
     }
 }
 
@@ -338,48 +277,39 @@ mod tests {
     #[test]
     fn lane_ops_match_the_scalar_ops_elementwise() {
         // Width 15 exercises the widest legal registers: the i16 lane
-        // subtraction must still agree with the widening scalar path.
+        // arithmetic must still agree with the widening scalar path.
         for (lambda_bits, r_bits) in [(7, 7), (7, 5), (15, 15)] {
             let a = MinSumArith::new(lambda_bits, r_bits);
             let lo = a.lambda_min() as i16;
             let hi = a.lambda_max() as i16;
-            let lambda: Vec<i16> = (0..13).map(|i| (i * 2731 - 16000) as i16).collect();
-            let r: Vec<i16> = (0..13)
-                .map(|i| ((i * 1931) % 32000 - 16000) as i16)
-                .collect();
-            let r: Vec<i16> = r.iter().map(|&v| v.clamp(-hi, hi)).collect();
-            let mut q = vec![0i16; 13];
-            let lambda: Vec<i16> = lambda.iter().map(|&v| v.clamp(lo, hi)).collect();
-            a.q_message_lanes(&mut q, &lambda, &r);
+            let lambda: [i16; 13] = std::array::from_fn(|i| (i as i32 * 2731 - 16000) as i16);
+            let lambda = lambda.map(|v| v.clamp(lo, hi));
+            let r: [i16; 13] = std::array::from_fn(|i| ((i as i32 * 1931) % 32000 - 16000) as i16);
+            let r = r.map(|v| v.clamp(-hi, hi));
+            let q = a.q_message_array(lambda, r);
+            let updated = a.lambda_update_array(q, r);
             for f in 0..13 {
-                assert_eq!(
-                    q[f],
-                    a.q_message(i32::from(lambda[f]), i32::from(r[f])),
-                    "lane {f} at widths ({lambda_bits}, {r_bits})"
-                );
+                let (l, rv) = (i32::from(lambda[f]), i32::from(r[f]));
+                let widths = format!("lane {f} at widths ({lambda_bits}, {r_bits})");
+                assert_eq!(q[f], a.q_message(l, rv), "{widths}");
+                assert_eq!(updated[f], a.lambda_update(i32::from(q[f]), rv), "{widths}");
             }
 
-            let mins: Vec<i16> = (0..13)
-                .map(|i| ((i * 1261) % i32::from(hi)) as i16)
-                .collect();
-            let mut out = vec![0i16; 13];
-            a.scaled_magnitude_lanes(&mut out, &mins);
-            for f in 0..13 {
-                assert_eq!(
-                    out[f],
-                    a.r_message(i32::from(mins[f]), false),
-                    "lane {f} at widths ({lambda_bits}, {r_bits})"
-                );
+            // Every magnitude a clamped Q can have, in 16-lane chunks.
+            for chunk in (0..=i32::from(hi) + 1).collect::<Vec<_>>().chunks(16) {
+                let mins: [i16; 16] =
+                    std::array::from_fn(|f| chunk.get(f).map_or(0, |&m| m as i16));
+                let out = a.scaled_magnitude_array(mins);
+                for f in 0..16 {
+                    assert_eq!(
+                        out[f],
+                        a.r_message(i32::from(mins[f]), false),
+                        "magnitude {} at widths ({lambda_bits}, {r_bits})",
+                        mins[f]
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "assertion")]
-    fn mismatched_lane_lengths_panic() {
-        let a = MinSumArith::default();
-        let mut q = vec![0i16; 4];
-        a.q_message_lanes(&mut q, &[0; 3], &[0; 4]);
     }
 
     /// Floating-point reference of the same message chain, quantized back to

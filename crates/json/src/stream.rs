@@ -27,40 +27,42 @@ impl StreamedRows {
     /// pairs are emitted before the `rows` array (e.g. the standard and the
     /// code label of a sweep).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the file cannot be created; the result binaries treat an
-    /// unwritable result path as a hard error.
-    pub fn create(path: &Path, table: &str, meta: &[(&str, Json)]) -> Self {
+    /// Returns the I/O error if the directory or the file cannot be created
+    /// or the header cannot be written.
+    pub fn create(path: &Path, table: &str, meta: &[(&str, Json)]) -> std::io::Result<Self> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).expect("create result directory");
+                std::fs::create_dir_all(parent)?;
             }
         }
-        let mut file = std::fs::File::create(path).expect("create result file");
+        let mut file = std::fs::File::create(path)?;
         let mut header = format!("{{\"table\":{}", Json::str(table));
         for (key, value) in meta {
             header.push_str(&format!(",{}:{value}", Json::str(*key)));
         }
         header.push_str(",\"rows\":[");
-        write!(file, "{header}").expect("write result header");
-        StreamedRows {
+        write!(file, "{header}")?;
+        Ok(StreamedRows {
             file,
             path: path.to_path_buf(),
             rows: 0,
-        }
+        })
     }
 
     /// Appends one row (compact JSON, one line) and flushes it to disk.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the file cannot be written.
-    pub fn push(&mut self, row: &impl ToJson) {
+    /// Returns the I/O error if the row cannot be written; the row is then
+    /// not counted.
+    pub fn push(&mut self, row: &impl ToJson) -> std::io::Result<()> {
         let separator = if self.rows == 0 { "\n" } else { ",\n" };
-        write!(self.file, "{separator}{}", row.to_json()).expect("write result row");
-        self.file.flush().expect("flush result row");
+        write!(self.file, "{separator}{}", row.to_json())?;
+        self.file.flush()?;
         self.rows += 1;
+        Ok(())
     }
 
     /// Number of rows written so far.
@@ -77,12 +79,12 @@ impl StreamedRows {
     /// success — a library must not chat on stderr; binaries that want a
     /// "wrote …" line print it themselves.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the file cannot be written.
-    pub fn finish(mut self) -> usize {
-        writeln!(self.file, "\n]}}").expect("write result trailer");
-        self.rows
+    /// Returns the I/O error if the trailer cannot be written.
+    pub fn finish(mut self) -> std::io::Result<usize> {
+        writeln!(self.file, "\n]}}")?;
+        Ok(self.rows)
     }
 }
 
@@ -100,11 +102,12 @@ mod tests {
         }
         let dir = std::env::temp_dir().join("fec-json-test-streamed");
         let path = dir.join("rows.json");
-        let mut out = StreamedRows::create(&path, "t", &[("standard", Json::str("802.11n"))]);
+        let mut out =
+            StreamedRows::create(&path, "t", &[("standard", Json::str("802.11n"))]).unwrap();
         assert_eq!(out.rows(), 0);
-        out.push(&R(1));
-        out.push(&R(2));
-        assert_eq!(out.finish(), 2);
+        out.push(&R(1)).unwrap();
+        out.push(&R(2)).unwrap();
+        assert_eq!(out.finish().unwrap(), 2);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
             text.starts_with(r#"{"table":"t","standard":"802.11n","rows":["#),

@@ -8,15 +8,19 @@
 //! the `3/4` normalization of Eq. (11) is a shift-add, and the `R_lk`
 //! messages are saturated to `r_bits` before being written back.
 //!
-//! Messages live in contiguous CSR-style buffers (`row_ptr`/`cols`/`r`),
-//! and the two-minimum extraction runs through the branch-light batch
-//! kernel [`MinimumExtractionUnit::scan`], so the hot loop is pure integer
-//! compare/select arithmetic over dense slices.  Its speed edge over the
-//! f64 reference comes from lockstep batching (`decode_batch*`); a serial
-//! frame is slower than the f64 serial loop.  See `cargo bench -p
-//! decoder-bench --bench kernels` for both comparisons.
+//! There is one decode loop: a lockstep kernel over `B` frame lanes with
+//! `B` a compile-time width, one of 1, 2, 4, 8 and 16.  Every entry point
+//! splits its frames into those widths (a single frame is `B = 1`; 13
+//! frames run as 8 + 4 + 1), and lanes never interact, so results do not
+//! depend on the split.  λ and the `R_lk` message memory are
+//! struct-of-arrays (`[var][lane]`, `[edge][lane]`) over the CSR structure,
+//! so every message update is one `[i16; B]` vector operation — the batch
+//! analogue of the paper's PE updating `z` check rows in parallel.  See
+//! `cargo bench -p decoder-bench --bench kernels` for the per-width
+//! throughput.
 
-use super::{BatchTwoMinScan, DecodeOutcome, MinimumExtractionUnit};
+use super::meu::LaneScan;
+use super::DecodeOutcome;
 use crate::code::QcLdpcCode;
 use fec_fixed::{Llr, MinSumArith, QuantStats, Quantizer, LAMBDA_BITS, R_BITS};
 use fec_obs::{Class, NoopRecorder, Recorder};
@@ -31,42 +35,24 @@ thread_local! {
     static SCRATCH: RefCell<FixedScratch> = RefCell::new(FixedScratch::new());
 }
 
-/// Reusable working memory of the fixed-point decoder, for both the serial
-/// and the batch lockstep paths.
+/// Reusable working memory of the fixed-point decoder: the λ registers, the
+/// `R_lk` message memory and the `Q_lk` row scratch of one lockstep block.
 ///
-/// The decoder's hot buffers (λ, the `R` message memory, the `Q_lk` row
-/// scratch, hard decisions, per-lane scan results) historically were
-/// reallocated on every `decode` call.  A `FixedScratch` owns them instead:
-/// pass one to the `*_with` entry points to make repeated decoding
+/// Pass one to the `*_with` entry points to make repeated decoding
 /// allocation-free in steady state (aside from the returned
 /// [`DecodeOutcome`]s, which own their results by contract).
 ///
-/// In the batch path the buffers hold **struct-of-arrays** data, frame
-/// innermost: `lambda[v * batch + f]` is variable `v` of frame lane `f`,
-/// `r[e * batch + f]` edge `e` of lane `f` — so every message update runs
-/// over `batch` contiguous lanes.
+/// The buffers hold **struct-of-arrays** data, frame lane innermost:
+/// `lambda[v * B + f]` is variable `v` of lane `f`, `r[e * B + f]` edge `e`
+/// of lane `f`, so every message update runs over `B` contiguous lanes.
 #[derive(Debug, Clone, Default)]
 pub struct FixedScratch {
-    /// λ registers, `[var][frame]`.
+    /// λ registers, `[var][lane]`.
     lambda: Vec<i16>,
-    /// `R_lk` message memory, `[edge][frame]`.
+    /// `R_lk` message memory, `[edge][lane]`.
     r: Vec<i16>,
-    /// `Q_lk` row scratch, `[position][frame]` up to the maximum degree.
+    /// `Q_lk` row scratch, `[position][lane]` up to the maximum degree.
     q: Vec<i16>,
-    /// Hard decisions of one frame (syndrome-check scratch).
-    hard: Vec<u8>,
-    /// Per-lane two-minimum results, reused across rows.
-    scan: BatchTwoMinScan,
-    /// Scaled `3/4` message magnitudes for `min1`, per lane.
-    mag1: Vec<i16>,
-    /// Scaled `3/4` message magnitudes for `min2`, per lane.
-    mag2: Vec<i16>,
-    /// Per-lane live mask: `false` once a lane's stopping rule fired.
-    active: Vec<bool>,
-    /// Per-lane iteration counts.
-    iterations: Vec<usize>,
-    /// Per-lane convergence flags.
-    converged: Vec<bool>,
 }
 
 impl FixedScratch {
@@ -161,9 +147,9 @@ impl FixedLayeredDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if the register widths are outside `2..=15` or if any parity
+    /// Panics if the register widths are outside `2..=15`, if any parity
     /// check has degree below 2 (a degree-1 check carries no extrinsic
-    /// information and indicates a malformed code).
+    /// information and indicates a malformed code) or above `u16::MAX`.
     pub fn new(code: &QcLdpcCode, config: FixedLayeredConfig) -> Self {
         let h = code.parity_check();
         let m = code.m();
@@ -178,6 +164,10 @@ impl FixedLayeredDecoder {
                 "check row {row} has degree {} (< 2): the min-sum update needs \
                  a leave-one-out partner",
                 entries.len()
+            );
+            assert!(
+                entries.len() <= usize::from(u16::MAX),
+                "check row {row} is wider than the u16 MEU positions"
             );
             max_degree = max_degree.max(entries.len());
             cols.extend(entries.iter().map(|&c| c as u32));
@@ -249,21 +239,11 @@ impl FixedLayeredDecoder {
             "LLR vector length must equal the code length"
         );
         let mut quant = QuantStats::default();
-        scratch.lambda.clear();
-        scratch.lambda.extend(channel.iter().map(|l| {
-            let q = if R::ENABLED {
-                self.quantizer.quantize_tracked(l.value(), &mut quant)
-            } else {
-                self.quantizer.quantize(l.value())
-            };
-            // fec-lint: allow(fixed-narrowing-cast, quantizer output is a SatFixed already clamped to the lambda register range, which new() bounds to 15 bits)
-            q.value() as i16
-        }));
-        if R::ENABLED {
-            rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
-            rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
-        }
-        self.decode_lambda(scratch, rec)
+        let ([outcome], _) = self.decode_block::<1, R>(scratch, rec, |_, v| {
+            self.quantize_lambda::<R>(channel[v], &mut quant)
+        });
+        record_quant_stats(rec, &quant);
+        outcome
     }
 
     /// Decodes already-quantized channel LLRs (integer λ values in LSB
@@ -320,15 +300,10 @@ impl FixedLayeredDecoder {
             self.code.n(),
             "LLR vector length must equal the code length"
         );
-        // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
-        let lo = self.arith.lambda_min() as i16;
-        // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
-        let hi = self.arith.lambda_max() as i16;
-        scratch.lambda.clear();
-        scratch
-            .lambda
-            .extend(quantized.iter().map(|&v| v.clamp(lo, hi)));
-        self.decode_lambda(scratch, rec)
+        let (lo, hi) = self.lambda_bounds();
+        let ([outcome], _) =
+            self.decode_block::<1, R>(scratch, rec, |_, v| quantized[v].clamp(lo, hi));
+        outcome
     }
 
     /// Decodes a batch of frames in lockstep (per-thread default scratch;
@@ -342,10 +317,9 @@ impl FixedLayeredDecoder {
     }
 
     /// Quantizes `frames.len()` frames of channel LLRs and decodes them **in
-    /// lockstep** over the shared CSR structure: λ and `R` live in
-    /// struct-of-arrays buffers (frame innermost), so the two-minimum scan
-    /// and every saturating message update run over `B` contiguous lanes.
-    /// Per-frame results are bit-identical to decoding each frame alone.
+    /// lockstep** blocks of 16, 8, 4, 2 and 1 lanes over the shared CSR
+    /// structure.  Per-frame results are bit-identical to decoding each
+    /// frame alone.
     ///
     /// # Panics
     ///
@@ -384,34 +358,22 @@ impl FixedLayeredDecoder {
         rec: &mut R,
     ) -> Vec<DecodeOutcome> {
         let n = self.code.n();
-        let batch = frames.len();
-        if batch == 0 {
-            return Vec::new();
-        }
-        let mut quant = QuantStats::default();
-        scratch.lambda.clear();
-        scratch.lambda.resize(n * batch, 0);
-        for (f, frame) in frames.iter().enumerate() {
+        for frame in frames {
             assert_eq!(
                 frame.len(),
                 n,
                 "LLR vector length must equal the code length"
             );
-            for (v, l) in frame.iter().enumerate() {
-                let q = if R::ENABLED {
-                    self.quantizer.quantize_tracked(l.value(), &mut quant)
-                } else {
-                    self.quantizer.quantize(l.value())
-                };
-                // fec-lint: allow(fixed-narrowing-cast, quantizer output is a SatFixed already clamped to the lambda register range, which new() bounds to 15 bits)
-                scratch.lambda[v * batch + f] = q.value() as i16;
-            }
         }
-        if R::ENABLED {
-            rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
-            rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
+        if frames.is_empty() {
+            return Vec::new();
         }
-        self.decode_lanes(batch, scratch, rec)
+        let mut quant = QuantStats::default();
+        let outcomes = self.decode_frames(frames.len(), scratch, rec, |f, v| {
+            self.quantize_lambda::<R>(frames[f][v], &mut quant)
+        });
+        record_quant_stats(rec, &quant);
+        outcomes
     }
 
     /// Decodes `batch` already-quantized frames in lockstep.  `quantized`
@@ -482,26 +444,92 @@ impl FixedLayeredDecoder {
             batch * n,
             "quantized input must hold exactly batch * n LLR values"
         );
+        let (lo, hi) = self.lambda_bounds();
+        self.decode_frames(batch, scratch, rec, |f, v| {
+            quantized[f * n + v].clamp(lo, hi)
+        })
+    }
+
+    /// Decodes `count` frames, split greedily into lockstep blocks of 16,
+    /// 8, 4, 2 and 1 lanes; λ of frame `f` at variable `v` is
+    /// `lambda_of(f, v)`.  Records the lockstep execution metrics of every
+    /// block.
+    fn decode_frames<R: Recorder>(
+        &self,
+        count: usize,
+        scratch: &mut FixedScratch,
+        rec: &mut R,
+        mut lambda_of: impl FnMut(usize, usize) -> i16,
+    ) -> Vec<DecodeOutcome> {
+        let mut outcomes = Vec::with_capacity(count);
+        while outcomes.len() < count {
+            let first = outcomes.len();
+            let lanes = |f, v| lambda_of(first + f, v);
+            match count - first {
+                16.. => self.push_block::<16, R>(scratch, rec, lanes, &mut outcomes),
+                8..=15 => self.push_block::<8, R>(scratch, rec, lanes, &mut outcomes),
+                4..=7 => self.push_block::<4, R>(scratch, rec, lanes, &mut outcomes),
+                2..=3 => self.push_block::<2, R>(scratch, rec, lanes, &mut outcomes),
+                _ => self.push_block::<1, R>(scratch, rec, lanes, &mut outcomes),
+            }
+        }
+        outcomes
+    }
+
+    /// Decodes one `B`-lane block of [`decode_frames`](Self::decode_frames)
+    /// and appends its outcomes.
+    fn push_block<const B: usize, R: Recorder>(
+        &self,
+        scratch: &mut FixedScratch,
+        rec: &mut R,
+        lambda_of: impl FnMut(usize, usize) -> i16,
+        outcomes: &mut Vec<DecodeOutcome>,
+    ) {
+        let (lanes, exec) = self.decode_block::<B, R>(scratch, rec, lambda_of);
+        if R::ENABLED {
+            // Each lane occupies its slot for all `exec` iterations of the
+            // block; `exec - iterations` is the over-work its early
+            // termination could not reclaim.
+            let mut overwork = 0u64;
+            for out in &lanes {
+                rec.observe(
+                    Class::Execution,
+                    "fixed.lane_iterations",
+                    out.iterations as u64,
+                );
+                overwork += (exec - out.iterations) as u64;
+            }
+            rec.observe(Class::Execution, "fixed.batch_exec_iterations", exec as u64);
+            rec.incr(Class::Execution, "fixed.overwork_iters", overwork);
+            rec.incr(Class::Execution, "fixed.lockstep_lanes", B as u64);
+        }
+        outcomes.extend(lanes);
+    }
+
+    /// Quantizes one channel LLR into a λ register value, counting
+    /// quantizer saturation into `stats` when recording.
+    fn quantize_lambda<R: Recorder>(&self, llr: Llr, stats: &mut QuantStats) -> i16 {
+        let q = if R::ENABLED {
+            self.quantizer.quantize_tracked(llr.value(), stats)
+        } else {
+            self.quantizer.quantize(llr.value())
+        };
+        // fec-lint: allow(fixed-narrowing-cast, quantizer output is a SatFixed already clamped to the lambda register range, which new() bounds to 15 bits)
+        q.value() as i16
+    }
+
+    /// The λ register rails, for saturating already-quantized inputs.
+    fn lambda_bounds(&self) -> (i16, i16) {
         // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
         let lo = self.arith.lambda_min() as i16;
         // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
         let hi = self.arith.lambda_max() as i16;
-        // Transpose the frame-major input into the [var][frame] SoA layout.
-        scratch.lambda.clear();
-        scratch.lambda.resize(n * batch, 0);
-        for f in 0..batch {
-            let frame = &quantized[f * n..(f + 1) * n];
-            for (v, &value) in frame.iter().enumerate() {
-                scratch.lambda[v * batch + f] = value.clamp(lo, hi);
-            }
-        }
-        self.decode_lanes(batch, scratch, rec)
+        (lo, hi)
     }
 
-    /// Per-frame count metrics shared by the serial and lockstep paths.
-    /// Both must emit identical values for the same frame — lockstep lanes
-    /// are bit-identical to serial decodes, so these counts stay part of
-    /// the determinism contract at any batch size.
+    /// Per-frame count metrics of one decoded lane.  They depend only on
+    /// the frame, so they stay part of the determinism contract at any
+    /// batch size.
     fn record_frame_counts<R: Recorder>(&self, rec: &mut R, iterations: usize, converged: bool) {
         rec.incr(Class::Count, "fixed.frames", 1);
         rec.observe(Class::Count, "fixed.iterations", iterations as u64);
@@ -513,68 +541,281 @@ impl FixedLayeredDecoder {
         }
     }
 
-    /// The serial fixed-point layered iteration over the CSR message
-    /// buffers; `scratch.lambda` holds the quantized λ values on entry.
+    /// The decode loop: `B` frame lanes in lockstep, with λ of lane `f` at
+    /// variable `v` given by `lambda_of(f, v)`.  Returns the per-lane
+    /// outcomes and the number of iterations the block executed.
+    ///
+    /// Early termination is per lane: a lane whose hard decisions satisfy
+    /// every check leaves the active mask, which freezes its λ and `R`
+    /// lanes, so its result — and every other lane's — matches a decode of
+    /// that frame alone bit for bit.  The block stops once no lane is
+    /// active.
     ///
     /// Generic over [`Recorder`]: every recording site sits behind
     /// `R::ENABLED`, an associated `const`, so the [`NoopRecorder`]
-    /// monomorphization is the exact pre-instrumentation loop (gated by the
-    /// kernels bench).
-    fn decode_lambda<R: Recorder>(&self, scratch: &mut FixedScratch, rec: &mut R) -> DecodeOutcome {
-        let m = self.code.m();
-        let h = self.code.parity_check();
-        let arith = &self.arith;
-        let mut sat_q = 0u64;
-        let mut r_clip = 0u64;
-        let mut sat_lambda = 0u64;
-
-        let FixedScratch {
-            lambda, r, q, hard, ..
-        } = scratch;
-
-        // Contiguous R message memory, one entry per parity-check edge
-        // (i16: `r_bits` may legally be up to 15); zeroed for this frame.
+    /// monomorphization carries no instrumentation.
+    fn decode_block<const B: usize, R: Recorder>(
+        &self,
+        scratch: &mut FixedScratch,
+        rec: &mut R,
+        mut lambda_of: impl FnMut(usize, usize) -> i16,
+    ) -> ([DecodeOutcome; B], usize) {
+        let n = self.code.n();
+        let FixedScratch { lambda, r, q } = scratch;
+        lambda.clear();
+        lambda.resize(n * B, 0);
+        // `R_lk` starts at zero for every frame.
         r.clear();
-        r.resize(self.cols.len(), 0);
-        // Scratch Q_lk buffer, reused across rows.
+        r.resize(self.cols.len() * B, 0);
         q.clear();
-        q.resize(self.max_degree, 0);
-        hard.clear();
-        hard.resize(lambda.len(), 0);
+        q.resize(self.max_degree * B, 0);
+        let lambda = lambda.as_chunks_mut::<B>().0;
+        let r = r.as_chunks_mut::<B>().0;
+        let q = q.as_chunks_mut::<B>().0;
+        for (v, lanes) in lambda.iter_mut().enumerate() {
+            for (f, value) in lanes.iter_mut().enumerate() {
+                *value = lambda_of(f, v);
+            }
+        }
 
+        // Lane masks are all-ones (live) or zero (frozen), the form the
+        // update pass blends with.
+        let mut active = [-1i16; B];
+        let mut iterations = [0usize; B];
+        let mut converged = [false; B];
+        let mut sat = SatCounts::default();
+        let mut exec = 0;
+        for it in 1..=self.config.max_iterations {
+            exec = it;
+            for (count, &live) in iterations.iter_mut().zip(&active) {
+                if live != 0 {
+                    *count = it;
+                }
+            }
+            // The blend is wasted work while every lane is live, so that
+            // common case runs an unmasked sweep.
+            if active == [-1; B] {
+                self.sweep::<B, R, false>(lambda, r, q, active, &mut sat);
+            } else {
+                self.sweep::<B, R, true>(lambda, r, q, active, &mut sat);
+            }
+            if self.config.early_termination {
+                let satisfied = self.parity_satisfied(lambda, active);
+                for f in 0..B {
+                    if satisfied[f] {
+                        converged[f] = true;
+                        active[f] = 0;
+                    }
+                }
+                if active == [0; B] {
+                    break;
+                }
+            }
+        }
+        // Lanes that never stopped early get one syndrome check of their
+        // final hard decisions.
+        let unconverged = converged.map(|c| if c { 0 } else { -1 });
+        let satisfied = self.parity_satisfied(lambda, unconverged);
+
+        let scale = self.quantizer.scale();
+        let outcomes = std::array::from_fn(|f| DecodeOutcome {
+            hard_bits: lambda.iter().map(|l| u8::from(l[f] < 0)).collect(),
+            posterior: lambda.iter().map(|l| f64::from(l[f]) / scale).collect(),
+            iterations: iterations[f],
+            converged: converged[f] || satisfied[f],
+        });
+        if R::ENABLED {
+            for out in &outcomes {
+                self.record_frame_counts(rec, out.iterations, out.converged);
+            }
+            rec.incr(Class::Count, "fixed.sat_q", sat.sat_q);
+            rec.incr(Class::Count, "fixed.r_clip", sat.r_clip);
+            rec.incr(Class::Count, "fixed.sat_lambda", sat.sat_lambda);
+        }
+        (outcomes, exec)
+    }
+
+    /// One layered iteration over every check row, Eq. (6)–(11), for `B`
+    /// lanes.  With `MASKED`, lanes whose `active` mask is zero keep their
+    /// λ and `R`; without it every lane must be active.
+    ///
+    /// Kept out of line, one body per lane width and mask, so the
+    /// vectorization of each `[i16; B]` operation does not depend on the
+    /// iteration loop around it.  Check the `B = 8` codegen (not only
+    /// `B = 16`) when changing the lane loops: a loop body too large to
+    /// unroll stays a scalar loop over the lanes.
+    #[inline(never)]
+    fn sweep<const B: usize, R: Recorder, const MASKED: bool>(
+        &self,
+        lambda: &mut [[i16; B]],
+        r: &mut [[i16; B]],
+        q: &mut [[i16; B]],
+        active: [i16; B],
+        sat: &mut SatCounts,
+    ) {
+        let arith = &self.arith;
+        // Natural row order == layered schedule (see `row_ptr` docs).
+        for row in self.row_ptr.windows(2) {
+            let (start, end) = (row[0] as usize, row[1] as usize);
+            let cols = &self.cols[start..end];
+            let r_row = &mut r[start..end];
+            let q_row = &mut q[..cols.len()];
+
+            // Fused pass: Q_lk = sat(λ - R_old), Eq. (6), streamed through
+            // the lane MEU (two minima, first position, sign parity).
+            let mut meu = LaneScan::<B>::default();
+            for (pos, ((qj, &col), rj)) in (0u16..).zip(q_row.iter_mut().zip(cols).zip(&*r_row)) {
+                let lam = lambda[col as usize];
+                if R::ENABLED {
+                    sat.sat_q += lanes_where(active, |f| {
+                        arith.q_saturates(i32::from(lam[f]), i32::from(rj[f]))
+                    });
+                }
+                *qj = arith.q_message_array(lam, *rj);
+                meu.push(pos, *qj);
+            }
+            if R::ENABLED {
+                sat.r_clip += lanes_where(active, |f| arith.r_clips(i32::from(meu.min1[f])));
+                sat.r_clip += lanes_where(active, |f| arith.r_clips(i32::from(meu.min2[f])));
+            }
+            let mag1 = arith.scaled_magnitude_array(meu.min1);
+            let mag2 = arith.scaled_magnitude_array(meu.min2);
+
+            // Update pass: R_new and λ, Eq. (9)-(11).  The position holding
+            // the minimum gets min2, every other one min1; the sign excludes
+            // the position's own Q_lk.
+            for (pos, ((qj, &col), rj)) in (0u16..).zip(q_row.iter().zip(cols).zip(r_row)) {
+                let mut r_new = [0i16; B];
+                for f in 0..B {
+                    let mag = if meu.min1_pos[f] == pos {
+                        mag2[f]
+                    } else {
+                        mag1[f]
+                    };
+                    r_new[f] = if (qj[f] ^ meu.sign[f]) < 0 { -mag } else { mag };
+                }
+                if R::ENABLED {
+                    sat.sat_lambda += lanes_where(active, |f| {
+                        arith.lambda_saturates(i32::from(qj[f]), i32::from(r_new[f]))
+                    });
+                }
+                let lam_new = arith.lambda_update_array(*qj, r_new);
+                let lam = &mut lambda[col as usize];
+                if MASKED {
+                    for f in 0..B {
+                        lam[f] = (lam_new[f] & active[f]) | (lam[f] & !active[f]);
+                        rj[f] = (r_new[f] & active[f]) | (rj[f] & !active[f]);
+                    }
+                } else {
+                    *lam = lam_new;
+                    *rj = r_new;
+                }
+            }
+        }
+    }
+
+    /// Syndrome check of the hard decisions `λ < 0` for the lanes whose
+    /// `lanes` mask is set: the sign bit of the XOR of a row's λ values is
+    /// that row's parity, so all lanes are checked at once.  Unchecked lanes
+    /// report `false`.
+    fn parity_satisfied<const B: usize>(&self, lambda: &[[i16; B]], lanes: [i16; B]) -> [bool; B] {
+        // Sign bit of `failed[f]`: lane `f` has an odd-parity row (unchecked
+        // lanes start failed, so they never hold up the early exit).
+        let mut failed = lanes.map(|m| !m);
+        for row in self.row_ptr.windows(2) {
+            let mut parity = [0i16; B];
+            for &col in &self.cols[row[0] as usize..row[1] as usize] {
+                let l = &lambda[col as usize];
+                for f in 0..B {
+                    parity[f] ^= l[f];
+                }
+            }
+            for f in 0..B {
+                failed[f] |= parity[f];
+            }
+            if failed.iter().all(|&x| x < 0) {
+                break;
+            }
+        }
+        failed.map(|x| x >= 0)
+    }
+}
+
+/// Saturation-event counts of one block, summed over its active lanes.
+#[derive(Default)]
+struct SatCounts {
+    sat_q: u64,
+    r_clip: u64,
+    sat_lambda: u64,
+}
+
+/// Records the quantizer saturation counts of the frames just loaded.
+fn record_quant_stats<R: Recorder>(rec: &mut R, quant: &QuantStats) {
+    if R::ENABLED {
+        rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
+        rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
+    }
+}
+
+/// Number of lanes with a set `active` mask for which `event` holds.
+/// Branch-free (`&`, not `&&`), so the lane predicates vectorize.
+#[inline(always)]
+fn lanes_where<const B: usize>(active: [i16; B], event: impl Fn(usize) -> bool) -> u64 {
+    let mut count = 0u16;
+    for (f, &live) in active.iter().enumerate() {
+        count += u16::from((live != 0) & event(f));
+    }
+    u64::from(count)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::base_matrix::CodeRate;
+    use crate::decoder::{LayeredConfig, LayeredDecoder, MinimumExtractionUnit};
+    use crate::encoder::QcEncoder;
+    use fec_obs::Registry;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The serial loop the lockstep kernel replaced, kept as its oracle:
+    /// one frame at a time, a two-pass [`MinimumExtractionUnit::scan`] per
+    /// row and a syndrome check of the hard decisions after every
+    /// iteration.  Records the same Count-class metrics as the kernel.
+    fn reference_decode(
+        dec: &FixedLayeredDecoder,
+        quantized: &[i16],
+        rec: &mut Registry,
+    ) -> DecodeOutcome {
+        let arith = &dec.arith;
+        let h = dec.code.parity_check();
+        let (lo, hi) = dec.lambda_bounds();
+        let mut lambda: Vec<i16> = quantized.iter().map(|&v| v.clamp(lo, hi)).collect();
+        let mut r = vec![0i16; dec.cols.len()];
+        let mut q = vec![0i16; dec.max_degree];
+        let (mut sat_q, mut r_clip, mut sat_lambda) = (0u64, 0u64, 0u64);
+        let hard =
+            |lambda: &[i16]| -> Vec<u8> { lambda.iter().map(|&l| u8::from(l < 0)).collect() };
         let mut iterations = 0;
         let mut converged = false;
-
-        for it in 0..self.config.max_iterations {
+        for it in 0..dec.config.max_iterations {
             iterations = it + 1;
-            // Natural row order == layered schedule (see `row_ptr` docs).
-            for row in 0..m {
-                let start = self.row_ptr[row] as usize;
-                let end = self.row_ptr[row + 1] as usize;
-                let cols = &self.cols[start..end];
+            for row in 0..dec.code.m() {
+                let start = dec.row_ptr[row] as usize;
+                let end = dec.row_ptr[row + 1] as usize;
+                let cols = &dec.cols[start..end];
                 let r_row = &mut r[start..end];
                 let q_row = &mut q[..cols.len()];
-
-                // Q_lk = lambda_old - R_old, Eq. (6), saturated.
                 for ((qj, &col), &rj) in q_row.iter_mut().zip(cols).zip(r_row.iter()) {
-                    let lam = i32::from(lambda[col as usize]);
-                    let rv = i32::from(rj);
-                    if R::ENABLED && arith.q_saturates(lam, rv) {
-                        sat_q += 1;
-                    }
+                    let (lam, rv) = (i32::from(lambda[col as usize]), i32::from(rj));
+                    sat_q += u64::from(arith.q_saturates(lam, rv));
                     *qj = arith.q_message(lam, rv);
                 }
-
-                // Two-minimum extraction, Eq. (11), as one batch scan.
                 let scan = MinimumExtractionUnit::scan(q_row);
-                if R::ENABLED {
-                    r_clip += u64::from(arith.r_clips(i32::from(scan.min1)));
-                    r_clip += u64::from(arith.r_clips(i32::from(scan.min2)));
-                }
+                r_clip += u64::from(arith.r_clips(i32::from(scan.min1)));
+                r_clip += u64::from(arith.r_clips(i32::from(scan.min2)));
                 let mag1 = arith.r_message(i32::from(scan.min1), false);
                 let mag2 = arith.r_message(i32::from(scan.min2), false);
-
-                // R_new and lambda update, Eq. (9)-(10).
                 for (j, ((&qj, &col), rj)) in
                     q_row.iter().zip(cols).zip(r_row.iter_mut()).enumerate()
                 {
@@ -583,294 +824,67 @@ impl FixedLayeredDecoder {
                     } else {
                         mag1
                     };
-                    let negative = (qj < 0) != scan.negative_parity;
-                    let r_new = if negative { -mag } else { mag };
-                    if R::ENABLED && arith.lambda_saturates(i32::from(qj), i32::from(r_new)) {
-                        sat_lambda += 1;
-                    }
+                    let r_new = if (qj < 0) != scan.negative_parity {
+                        -mag
+                    } else {
+                        mag
+                    };
+                    sat_lambda +=
+                        u64::from(arith.lambda_saturates(i32::from(qj), i32::from(r_new)));
                     lambda[col as usize] = arith.lambda_update(i32::from(qj), i32::from(r_new));
                     *rj = r_new;
                 }
             }
-
-            for (hb, &l) in hard.iter_mut().zip(lambda.iter()) {
-                *hb = u8::from(l < 0);
-            }
-            if self.config.early_termination && h.is_codeword(hard) {
+            if dec.config.early_termination && h.is_codeword(&hard(&lambda)) {
                 converged = true;
                 break;
             }
         }
-
         if !converged {
-            for (hb, &l) in hard.iter_mut().zip(lambda.iter()) {
-                *hb = u8::from(l < 0);
-            }
-            converged = h.is_codeword(hard);
+            converged = h.is_codeword(&hard(&lambda));
         }
-        if R::ENABLED {
-            self.record_frame_counts(rec, iterations, converged);
-            rec.incr(Class::Count, "fixed.sat_q", sat_q);
-            rec.incr(Class::Count, "fixed.r_clip", r_clip);
-            rec.incr(Class::Count, "fixed.sat_lambda", sat_lambda);
-        }
-        let scale = self.quantizer.scale();
+        dec.record_frame_counts(rec, iterations, converged);
+        rec.incr(Class::Count, "fixed.sat_q", sat_q);
+        rec.incr(Class::Count, "fixed.r_clip", r_clip);
+        rec.incr(Class::Count, "fixed.sat_lambda", sat_lambda);
         DecodeOutcome {
-            hard_bits: hard.clone(),
-            posterior: lambda.iter().map(|&l| f64::from(l) / scale).collect(),
+            hard_bits: hard(&lambda),
+            posterior: lambda
+                .iter()
+                .map(|&l| f64::from(l) / dec.quantizer.scale())
+                .collect(),
             iterations,
             converged,
         }
     }
 
-    /// The lockstep batch iteration: identical arithmetic to
-    /// [`decode_lambda`](FixedLayeredDecoder::decode_lambda) per lane, but
-    /// every loop body runs over `batch` contiguous frame lanes of the
-    /// struct-of-arrays buffers.  `scratch.lambda` holds the `[var][frame]`
-    /// λ values on entry.
-    ///
-    /// Early termination is per-lane: a converged frame's λ and `R` lanes
-    /// are frozen (masked writes), so its result — and every other
-    /// lane's — matches the serial path bit for bit; once every lane has
-    /// converged the iteration stops entirely.
-    fn decode_lanes<R: Recorder>(
-        &self,
-        batch: usize,
-        scratch: &mut FixedScratch,
-        rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
-        let n = self.code.n();
-        let m = self.code.m();
-        let h = self.code.parity_check();
-        let arith = &self.arith;
-        let mut sat_q = 0u64;
-        let mut r_clip = 0u64;
-        let mut sat_lambda = 0u64;
-
-        let FixedScratch {
-            lambda,
-            r,
-            q,
-            hard,
-            scan,
-            mag1,
-            mag2,
-            active,
-            iterations,
-            converged,
-        } = scratch;
-
-        r.clear();
-        r.resize(self.cols.len() * batch, 0);
-        q.clear();
-        q.resize(self.max_degree * batch, 0);
-        hard.clear();
-        hard.resize(n, 0);
-        mag1.clear();
-        mag1.resize(batch, 0);
-        mag2.clear();
-        mag2.resize(batch, 0);
-        active.clear();
-        active.resize(batch, true);
-        iterations.clear();
-        iterations.resize(batch, 0);
-        converged.clear();
-        converged.resize(batch, false);
-        let mut live = batch;
-        let mut exec = 0usize;
-
-        for it in 0..self.config.max_iterations {
-            exec = it + 1;
-            for f in 0..batch {
-                if active[f] {
-                    iterations[f] = it + 1;
-                }
-            }
-            for row in 0..m {
-                let start = self.row_ptr[row] as usize;
-                let end = self.row_ptr[row + 1] as usize;
-                let cols = &self.cols[start..end];
-                let q_rows = &mut q[..cols.len() * batch];
-
-                // Q_lk = lambda_old - R_old per lane, Eq. (6), saturated.
-                // The saturation count only looks at live lanes, so it
-                // matches the serial path's count frame for frame (λ and R
-                // are still the pre-update values here).
-                if R::ENABLED {
-                    for (j, &col) in cols.iter().enumerate() {
-                        let lam = &lambda[col as usize * batch..(col as usize + 1) * batch];
-                        let r_row = &r[(start + j) * batch..(start + j + 1) * batch];
-                        for f in 0..batch {
-                            if active[f]
-                                && arith.q_saturates(i32::from(lam[f]), i32::from(r_row[f]))
-                            {
-                                sat_q += 1;
-                            }
+    /// Quantized λ frames of the all-zero codeword, each with its own sign
+    /// flip rate from clean to hopeless, so one batch mixes lanes that stop
+    /// early, late and never.  Magnitudes are mostly small, so a converged
+    /// lane's λ would still move if it were not frozen; one in twenty
+    /// reaches half again past the rail.
+    fn random_lambda_frames(n: usize, hi: i16, seed: u64) -> Vec<Vec<i16>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..17)
+            .map(|_| {
+                let flip_rate = rng.gen_range(0.0..0.25);
+                (0..n)
+                    .map(|_| {
+                        let magnitude = if rng.gen_range(0..20) == 0 {
+                            rng.gen_range(0..=hi + hi / 2)
+                        } else {
+                            rng.gen_range(0..=hi / 4)
+                        };
+                        if rng.gen::<f64>() < flip_rate {
+                            -magnitude
+                        } else {
+                            magnitude
                         }
-                    }
-                }
-                for (j, &col) in cols.iter().enumerate() {
-                    arith.q_message_lanes(
-                        &mut q_rows[j * batch..(j + 1) * batch],
-                        &lambda[col as usize * batch..(col as usize + 1) * batch],
-                        &r[(start + j) * batch..(start + j + 1) * batch],
-                    );
-                }
-
-                // Per-lane two-minimum extraction, Eq. (11), one lockstep
-                // scan over the whole row.
-                MinimumExtractionUnit::scan_batch(q_rows, batch, scan);
-                if R::ENABLED {
-                    for ((&is_active, &m1), &m2) in active
-                        .iter()
-                        .zip(scan.min1.iter())
-                        .zip(scan.min2.iter())
-                        .take(batch)
-                    {
-                        if is_active {
-                            r_clip += u64::from(arith.r_clips(i32::from(m1)));
-                            r_clip += u64::from(arith.r_clips(i32::from(m2)));
-                        }
-                    }
-                }
-                arith.scaled_magnitude_lanes(mag1, &scan.min1);
-                arith.scaled_magnitude_lanes(mag2, &scan.min2);
-
-                // R_new and lambda update per lane, Eq. (9)-(10).  Inactive
-                // (converged) lanes keep their frozen λ/R via the select on
-                // `active`, which stays branch-light for the vectorizer.
-                let all_active = live == batch;
-                for (j, &col) in cols.iter().enumerate() {
-                    let j32 = j as u32;
-                    let q_row = &q_rows[j * batch..(j + 1) * batch];
-                    let lam = &mut lambda[col as usize * batch..(col as usize + 1) * batch];
-                    let r_row = &mut r[(start + j) * batch..(start + j + 1) * batch];
-                    if all_active {
-                        // Fast path — no convergence mask in flight: write
-                        // the signed R messages straight into the edge
-                        // memory, then one pure element-wise saturating
-                        // update over the contiguous lanes.
-                        for ((((&qj, &pos), (&m1, &m2)), &par), rf) in q_row
-                            .iter()
-                            .zip(scan.min1_pos.iter())
-                            .zip(mag1.iter().zip(mag2.iter()))
-                            .zip(scan.negative_parity.iter())
-                            .zip(r_row.iter_mut())
-                        {
-                            let mag = if j32 == pos { m2 } else { m1 };
-                            let negative = (qj < 0) != par;
-                            *rf = if negative { -mag } else { mag };
-                        }
-                        if R::ENABLED {
-                            // Every lane is live on this path.
-                            for (&qj, &rf) in q_row.iter().zip(r_row.iter()) {
-                                if arith.lambda_saturates(i32::from(qj), i32::from(rf)) {
-                                    sat_lambda += 1;
-                                }
-                            }
-                        }
-                        arith.lambda_update_lanes(lam, q_row, r_row);
-                    } else {
-                        // Masked path: converged lanes keep their frozen
-                        // λ and R via branch-light selects.
-                        for ((((((&qj, &pos), (&m1, &m2)), &par), &act), lamf), rf) in q_row
-                            .iter()
-                            .zip(scan.min1_pos.iter())
-                            .zip(mag1.iter().zip(mag2.iter()))
-                            .zip(scan.negative_parity.iter())
-                            .zip(active.iter())
-                            .zip(lam.iter_mut())
-                            .zip(r_row.iter_mut())
-                        {
-                            let mag = if j32 == pos { m2 } else { m1 };
-                            let negative = (qj < 0) != par;
-                            let r_new = if negative { -mag } else { mag };
-                            if R::ENABLED
-                                && act
-                                && arith.lambda_saturates(i32::from(qj), i32::from(r_new))
-                            {
-                                sat_lambda += 1;
-                            }
-                            let lam_new = arith.lambda_update(i32::from(qj), i32::from(r_new));
-                            *lamf = if act { lam_new } else { *lamf };
-                            *rf = if act { r_new } else { *rf };
-                        }
-                    }
-                }
-            }
-
-            if self.config.early_termination {
-                for f in 0..batch {
-                    if !active[f] {
-                        continue;
-                    }
-                    for (v, hb) in hard.iter_mut().enumerate() {
-                        *hb = u8::from(lambda[v * batch + f] < 0);
-                    }
-                    if h.is_codeword(hard) {
-                        converged[f] = true;
-                        active[f] = false;
-                        live -= 1;
-                    }
-                }
-                if live == 0 {
-                    break;
-                }
-            }
-        }
-
-        let scale = self.quantizer.scale();
-        let outcomes: Vec<DecodeOutcome> = (0..batch)
-            .map(|f| {
-                let hard_bits: Vec<u8> = (0..n)
-                    .map(|v| u8::from(lambda[v * batch + f] < 0))
-                    .collect();
-                let lane_converged = converged[f] || h.is_codeword(&hard_bits);
-                DecodeOutcome {
-                    posterior: (0..n)
-                        .map(|v| f64::from(lambda[v * batch + f]) / scale)
-                        .collect(),
-                    hard_bits,
-                    iterations: iterations[f],
-                    converged: lane_converged,
-                }
+                    })
+                    .collect()
             })
-            .collect();
-        if R::ENABLED {
-            // Count-class metrics: identical to what the serial path would
-            // record for the same frames.  Execution-class metrics quantify
-            // the lockstep schedule itself: each lane occupies its SIMD slot
-            // for all `exec` loop iterations, so `exec - iterations[f]` is
-            // the over-work a lane's early termination could not reclaim.
-            let mut overwork = 0u64;
-            for out in &outcomes {
-                self.record_frame_counts(rec, out.iterations, out.converged);
-                rec.observe(
-                    Class::Execution,
-                    "fixed.lane_iterations",
-                    out.iterations as u64,
-                );
-                overwork += (exec - out.iterations) as u64;
-            }
-            rec.incr(Class::Count, "fixed.sat_q", sat_q);
-            rec.incr(Class::Count, "fixed.r_clip", r_clip);
-            rec.incr(Class::Count, "fixed.sat_lambda", sat_lambda);
-            rec.observe(Class::Execution, "fixed.batch_exec_iterations", exec as u64);
-            rec.incr(Class::Execution, "fixed.overwork_iters", overwork);
-            rec.incr(Class::Execution, "fixed.lockstep_lanes", batch as u64);
-        }
-        outcomes
+            .collect()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::base_matrix::CodeRate;
-    use crate::decoder::{LayeredConfig, LayeredDecoder};
-    use crate::encoder::QcEncoder;
-    use proptest::prelude::*;
-    use rand::{Rng, SeedableRng};
 
     fn noisy_llrs(cw: &[u8], sigma: f64, seed: u64) -> Vec<Llr> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -1159,6 +1173,56 @@ mod tests {
             for (f, frame) in frames.iter().enumerate() {
                 let serial = dec.decode_quantized(frame);
                 prop_assert!(batched[f] == serial, "lane {} of batch {} diverged", f, batch);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
+        /// Every batch size 1..=17 (all lane widths and their splits, up to
+        /// 16 + 1) under four datapath configurations: each lane's outcome
+        /// and the batch's Count-class `fixed.*` metrics equal the serial
+        /// reference's.
+        #[test]
+        fn every_batch_size_matches_the_serial_reference(seed in 0u64..1 << 32) {
+            let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+            let n = code.n();
+            let configs = [
+                FixedLayeredConfig::default(),
+                FixedLayeredConfig::paper(),
+                FixedLayeredConfig {
+                    frac_bits: 3,
+                    ..FixedLayeredConfig::default().with_lambda_bits(10)
+                },
+                FixedLayeredConfig {
+                    early_termination: false,
+                    ..FixedLayeredConfig::default()
+                },
+            ];
+            for cfg in configs {
+                let dec = FixedLayeredDecoder::new(&code, cfg);
+                let frames = random_lambda_frames(n, dec.lambda_bounds().1, seed);
+                let mut reference = Vec::new();
+                for frame in &frames {
+                    let mut reg = Registry::new();
+                    let out = reference_decode(&dec, frame, &mut reg);
+                    prop_assert!(dec.decode_quantized(frame) == out, "serial decode under {:?}", cfg);
+                    reference.push((out, reg));
+                }
+                for batch in 1..=frames.len() {
+                    let mut got_counts = Registry::new();
+                    let got = dec.decode_batch_quantized_recorded(
+                        &frames[..batch].concat(),
+                        batch,
+                        &mut got_counts,
+                    );
+                    let mut want_counts = Registry::new();
+                    for (f, (want, counts)) in reference[..batch].iter().enumerate() {
+                        prop_assert!(got[f] == *want, "lane {} of batch {} under {:?}", f, batch, cfg);
+                        want_counts.merge(counts);
+                    }
+                    prop_assert_eq!(got_counts.render_counts(), want_counts.render_counts());
+                }
             }
         }
     }

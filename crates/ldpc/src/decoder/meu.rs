@@ -176,146 +176,63 @@ impl MinimumExtractionUnit {
             negative_parity: negatives % 2 == 1,
         }
     }
-
-    /// Lockstep two-minimum extraction over `lanes` frames at once — the
-    /// batch-of-frames counterpart of [`scan`](MinimumExtractionUnit::scan).
-    ///
-    /// `q` holds the `Q_lk` values of one check row for a whole batch in
-    /// struct-of-arrays layout, frame innermost: `q[j * lanes + f]` is input
-    /// position `j` of frame lane `f`, so every inner loop runs over `lanes`
-    /// *contiguous* values — the natural SIMD axis, independent of the check
-    /// degree and of the expansion factor `z`.  Results land in `out`
-    /// (resized as needed; reuse one [`BatchTwoMinScan`] across rows to stay
-    /// allocation-free).
-    ///
-    /// Every lane's result is **bit-identical** to scanning that lane's
-    /// values through [`scan`](MinimumExtractionUnit::scan), including the
-    /// tie (`min2 = min1`), degree-1 (`min2 = 0`) and empty-row (all zero)
-    /// conventions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0` or `q.len()` is not a multiple of `lanes`.
-    pub fn scan_batch(q: &[i16], lanes: usize, out: &mut BatchTwoMinScan) {
-        assert!(lanes > 0, "scan_batch needs at least one lane");
-        assert_eq!(
-            q.len() % lanes,
-            0,
-            "q length must be a whole number of degree positions"
-        );
-        let degree = q.len() / lanes;
-        out.reset(lanes);
-        if degree == 0 {
-            // Empty row: `scan`'s all-zero convention, already set by reset.
-            out.min1.iter_mut().for_each(|m| *m = 0);
-            out.min2.iter_mut().for_each(|m| *m = 0);
-            out.min1_pos.iter_mut().for_each(|p| *p = 0);
-            return;
-        }
-        // Lane blocks of 8 keep the four running accumulators in registers
-        // across the whole degree loop (one load per `q` element, zero
-        // accumulator traffic), which is what lets the compiler vectorize
-        // the block across the contiguous frame axis.
-        let mut f = 0;
-        while f + 8 <= lanes {
-            Self::scan_lane_block::<8>(q, lanes, degree, f, out);
-            f += 8;
-        }
-        while f < lanes {
-            Self::scan_lane_block::<1>(q, lanes, degree, f, out);
-            f += 1;
-        }
-    }
-
-    /// Scans lane columns `f0 .. f0 + B` of a struct-of-arrays row.  The
-    /// select-based two-minimum recurrence `min2 = min(min2, max(min1, mag))`
-    /// folds the MEU tie convention in for free: a magnitude tied with the
-    /// running minimum lands in `min2`, leaving `min2 == min1`.
-    #[inline]
-    fn scan_lane_block<const B: usize>(
-        q: &[i16],
-        lanes: usize,
-        degree: usize,
-        f0: usize,
-        out: &mut BatchTwoMinScan,
-    ) {
-        let mut m1 = [i16::MAX; B];
-        let mut m2 = [i16::MAX; B];
-        let mut pos = [u32::MAX; B];
-        let mut par = [false; B];
-        for j in 0..degree {
-            let row = &q[j * lanes + f0..j * lanes + f0 + B];
-            let j32 = j as u32;
-            for (t, &v) in row.iter().enumerate() {
-                let mag = v.saturating_abs();
-                par[t] ^= v < 0;
-                m2[t] = m2[t].min(mag.max(m1[t]));
-                let smaller = mag < m1[t];
-                m1[t] = if smaller { mag } else { m1[t] };
-                pos[t] = if smaller { j32 } else { pos[t] };
-            }
-        }
-        for t in 0..B {
-            out.min1[f0 + t] = m1[t];
-            // A lane whose every magnitude saturates at i16::MAX never takes
-            // the strictly-smaller branch; its first position is 0 like in
-            // the sequential scan (and min1 == min2 == i16::MAX already).
-            out.min1_pos[f0 + t] = if pos[t] == u32::MAX { 0 } else { pos[t] };
-            // Degree-1 rows have no leave-one-out partner.
-            out.min2[f0 + t] = if degree < 2 { 0 } else { m2[t] };
-            out.negative_parity[f0 + t] = par[t];
-        }
-    }
 }
 
-/// Per-lane results of [`MinimumExtractionUnit::scan_batch`]: the four MEU
-/// quantities of one check row for every frame lane of a batch, in
-/// struct-of-arrays form so downstream message updates stay lockstep too.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchTwoMinScan {
+/// Lockstep two-minimum extraction over `B` frame lanes: the MEU state of
+/// one check row for a whole batch of frames, fed one `[i16; B]` position
+/// at a time so the decoder can fuse it with the `Q_lk` computation.
+///
+/// Each lane follows [`MinimumExtractionUnit::scan`] bit for bit on rows of
+/// degree ≥ 2 (the only rows the decoder accepts): the select recurrence
+/// `min2 = min(min2, max(min1, mag))` folds the tie convention in for free,
+/// since a magnitude tied with the running minimum lands in `min2`.
+#[derive(Debug)]
+pub(crate) struct LaneScan<const B: usize> {
     /// Smallest input magnitude per lane.
-    pub min1: Vec<i16>,
-    /// Second-smallest input magnitude per lane (same conventions as
-    /// [`TwoMinScan::min2`]).
-    pub min2: Vec<i16>,
+    pub(crate) min1: [i16; B],
+    /// Second-smallest input magnitude per lane (equal to `min1` on ties).
+    pub(crate) min2: [i16; B],
     /// Position of the first input holding `min1`, per lane.
-    pub min1_pos: Vec<u32>,
-    /// `true` where an odd number of the lane's inputs were negative.
-    pub negative_parity: Vec<bool>,
+    pub(crate) min1_pos: [u16; B],
+    /// XOR of every input per lane: the sign bit is set exactly when an odd
+    /// number of inputs were negative, so `(q ^ sign) < 0` is the sign of
+    /// the message excluding `q`.
+    pub(crate) sign: [i16; B],
 }
 
-impl BatchTwoMinScan {
-    /// An empty result holder; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        BatchTwoMinScan::default()
-    }
-
-    /// Number of lanes the last scan produced results for.
-    pub fn lanes(&self) -> usize {
-        self.min1.len()
-    }
-
-    /// Min-sum exclusion rule for one lane, mirroring
-    /// [`TwoMinScan::magnitude_for`].
-    #[inline]
-    pub fn magnitude_for(&self, lane: usize, pos: usize) -> i16 {
-        if pos as u32 == self.min1_pos[lane] {
-            self.min2[lane]
-        } else {
-            self.min1[lane]
+impl<const B: usize> Default for LaneScan<B> {
+    /// An empty scan.
+    fn default() -> Self {
+        LaneScan {
+            min1: [i16::MAX; B],
+            min2: [i16::MAX; B],
+            min1_pos: [0; B],
+            sign: [0; B],
         }
     }
+}
 
-    /// Resizes every buffer to `lanes` and restores scan start values.
-    fn reset(&mut self, lanes: usize) {
-        self.min1.clear();
-        self.min1.resize(lanes, i16::MAX);
-        self.min2.clear();
-        self.min2.resize(lanes, i16::MAX);
-        self.min1_pos.clear();
-        self.min1_pos.resize(lanes, u32::MAX);
-        self.negative_parity.clear();
-        self.negative_parity.resize(lanes, false);
+impl<const B: usize> LaneScan<B> {
+    /// Feeds input position `pos` of every lane.  Branch-free selects only,
+    /// one short loop per step: each loop fully unrolls into a few vector
+    /// instructions even at `B = 16`, where one fused lane loop stays a
+    /// scalar loop.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, pos: u16, q: [i16; B]) {
+        // `saturating_abs` as a saturating negate and a max.
+        let mag = q.map(|v| v.max(v.saturating_neg()));
+        for (sign, v) in self.sign.iter_mut().zip(q) {
+            *sign ^= v;
+        }
+        for ((min2, m), min1) in self.min2.iter_mut().zip(mag).zip(self.min1) {
+            *min2 = (*min2).min(m.max(min1));
+        }
+        for ((first, m), min1) in self.min1_pos.iter_mut().zip(mag).zip(self.min1) {
+            *first = if m < min1 { pos } else { *first };
+        }
+        for (min1, m) in self.min1.iter_mut().zip(mag) {
+            *min1 = (*min1).min(m);
+        }
     }
 }
 
@@ -461,107 +378,79 @@ mod tests {
         assert!(scan.negative_parity);
     }
 
-    /// Transposes per-lane rows into the `[position][lane]` batch layout.
-    fn to_soa(lanes: &[Vec<i16>]) -> (Vec<i16>, usize) {
-        let degree = lanes[0].len();
-        let mut q = vec![0i16; degree * lanes.len()];
-        for (f, lane) in lanes.iter().enumerate() {
-            assert_eq!(lane.len(), degree);
-            for (j, &v) in lane.iter().enumerate() {
-                q[j * lanes.len() + f] = v;
-            }
+    /// Feeds per-lane rows (`lanes[f]` is lane `f`'s row) through a
+    /// `LaneScan<B>` position by position.
+    fn lane_scan<const B: usize>(lanes: &[Vec<i16>; B]) -> LaneScan<B> {
+        let mut meu = LaneScan::<B>::default();
+        for (pos, j) in (0u16..).zip(0..lanes[0].len()) {
+            meu.push(pos, std::array::from_fn(|f| lanes[f][j]));
         }
-        (q, lanes.len())
+        meu
     }
 
-    fn assert_lane_matches_scan(out: &BatchTwoMinScan, lane: usize, values: &[i16]) {
+    fn assert_lane_matches_scan<const B: usize>(meu: &LaneScan<B>, lane: usize, values: &[i16]) {
         let scan = MinimumExtractionUnit::scan(values);
-        assert_eq!(out.min1[lane], scan.min1, "lane {lane} min1");
-        assert_eq!(out.min2[lane], scan.min2, "lane {lane} min2");
-        assert_eq!(out.min1_pos[lane], scan.min1_pos, "lane {lane} pos");
+        assert_eq!(meu.min1[lane], scan.min1, "lane {lane} min1");
+        assert_eq!(meu.min2[lane], scan.min2, "lane {lane} min2");
         assert_eq!(
-            out.negative_parity[lane], scan.negative_parity,
+            u32::from(meu.min1_pos[lane]),
+            scan.min1_pos,
+            "lane {lane} pos"
+        );
+        assert_eq!(
+            meu.sign[lane] < 0,
+            scan.negative_parity,
             "lane {lane} parity"
         );
-        for j in 0..values.len() {
-            assert_eq!(
-                out.magnitude_for(lane, j),
-                scan.magnitude_for(j),
-                "lane {lane} magnitude at {j}"
-            );
-        }
     }
 
     #[test]
     fn scan_batch_matches_per_lane_scan() {
-        let lanes = vec![
+        let lanes = [
             vec![12, -3, 7, -3, 20, 5],
             vec![4, -4, 10, 1, 1, 9],
             vec![-9, 63, -63, 0, 2, -2],
         ];
-        let (q, b) = to_soa(&lanes);
-        let mut out = BatchTwoMinScan::new();
-        MinimumExtractionUnit::scan_batch(&q, b, &mut out);
-        assert_eq!(out.lanes(), 3);
+        let meu = lane_scan(&lanes);
         for (f, lane) in lanes.iter().enumerate() {
-            assert_lane_matches_scan(&out, f, lane);
+            assert_lane_matches_scan(&meu, f, lane);
         }
     }
 
+    /// Degree-2 rows, the smallest the decoder accepts, with degenerate
+    /// contents per lane: a tie at the minimum, an `i16::MIN` whose
+    /// magnitude saturates, and all zeros.
     #[test]
     fn scan_batch_handles_degenerate_rows_per_lane() {
-        // Degree-1 batch: every lane follows the degree-1 convention.
-        let mut out = BatchTwoMinScan::new();
-        MinimumExtractionUnit::scan_batch(&[-9, 5], 2, &mut out);
-        assert_lane_matches_scan(&out, 0, &[-9]);
-        assert_lane_matches_scan(&out, 1, &[5]);
-        // Empty (degree-0) batch: the all-zero convention.
-        MinimumExtractionUnit::scan_batch(&[], 2, &mut out);
-        assert_eq!(out.min1, vec![0, 0]);
-        assert_eq!(out.min2, vec![0, 0]);
-        assert_eq!(out.min1_pos, vec![0, 0]);
-        assert_eq!(out.negative_parity, vec![false, false]);
-    }
-
-    #[test]
-    fn scan_batch_reuses_and_resizes_the_result_buffers() {
-        let mut out = BatchTwoMinScan::new();
-        MinimumExtractionUnit::scan_batch(&[1, 2, 3, 4, 5, 6], 3, &mut out);
-        assert_eq!(out.lanes(), 3);
-        MinimumExtractionUnit::scan_batch(&[7, -1, 2, 5], 1, &mut out);
-        assert_eq!(out.lanes(), 1);
-        assert_lane_matches_scan(&out, 0, &[7, -1, 2, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn scan_batch_rejects_zero_lanes() {
-        let mut out = BatchTwoMinScan::new();
-        MinimumExtractionUnit::scan_batch(&[1, 2], 0, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number of degree positions")]
-    fn scan_batch_rejects_ragged_input() {
-        let mut out = BatchTwoMinScan::new();
-        MinimumExtractionUnit::scan_batch(&[1, 2, 3], 2, &mut out);
+        let lanes = [
+            vec![-9, 5],
+            vec![4, -4],
+            vec![i16::MIN, 5],
+            vec![i16::MIN, i16::MIN],
+            vec![0, 0],
+        ];
+        let meu = lane_scan(&lanes);
+        for (f, lane) in lanes.iter().enumerate() {
+            assert_lane_matches_scan(&meu, f, lane);
+        }
     }
 
     proptest! {
         #[test]
         fn scan_batch_agrees_with_scan_on_every_lane(
             rows in proptest::collection::vec(
-                proptest::collection::vec(-64i16..=63, 7), 1..9)
+                proptest::collection::vec(-64i16..=63, 2..24), 16)
         ) {
-            let (q, b) = to_soa(&rows);
-            let mut out = BatchTwoMinScan::new();
-            MinimumExtractionUnit::scan_batch(&q, b, &mut out);
-            for (f, lane) in rows.iter().enumerate() {
+            // Ragged draws are cut to the shortest row: one degree per batch.
+            let degree = rows.iter().map(Vec::len).min().unwrap_or(2);
+            let lanes: [Vec<i16>; 16] = std::array::from_fn(|f| rows[f][..degree].to_vec());
+            let meu = lane_scan(&lanes);
+            for (f, lane) in lanes.iter().enumerate() {
                 let scan = MinimumExtractionUnit::scan(lane);
-                prop_assert_eq!(out.min1[f], scan.min1);
-                prop_assert_eq!(out.min2[f], scan.min2);
-                prop_assert_eq!(out.min1_pos[f], scan.min1_pos);
-                prop_assert_eq!(out.negative_parity[f], scan.negative_parity);
+                prop_assert_eq!(meu.min1[f], scan.min1);
+                prop_assert_eq!(meu.min2[f], scan.min2);
+                prop_assert_eq!(u32::from(meu.min1_pos[f]), scan.min1_pos);
+                prop_assert_eq!(meu.sign[f] < 0, scan.negative_parity);
             }
         }
 

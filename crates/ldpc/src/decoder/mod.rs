@@ -11,7 +11,7 @@ mod meu;
 pub use flooding::{FloodingConfig, FloodingDecoder, FloodingKind};
 pub use layered::{LayeredConfig, LayeredDecoder};
 pub use layered_fixed::{FixedLayeredConfig, FixedLayeredDecoder, FixedScratch};
-pub use meu::{BatchTwoMinScan, MinimumExtractionUnit, TwoMinScan};
+pub use meu::{MinimumExtractionUnit, TwoMinScan};
 
 /// Result of a decoding attempt.
 #[derive(Debug, Clone, PartialEq)]

@@ -61,9 +61,9 @@ pub const AUDITED_FNS: &[&str] = &[
     "r_message",
     "lambda_update",
     "scale_magnitude",
-    "q_message_lanes",
-    "scaled_magnitude_lanes",
-    "lambda_update_lanes",
+    "q_message_array",
+    "scaled_magnitude_array",
+    "lambda_update_array",
     "q_saturates",
     "r_clips",
     "lambda_saturates",

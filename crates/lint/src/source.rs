@@ -94,12 +94,16 @@ impl SourceFile {
                 // Find the body's opening brace: the first `{` at the depth
                 // the `fn` keyword sits at (skips `{` inside const generics
                 // or where-clause bounds, which stay bracket-balanced).
+                // Parenthesized and bracketed groups are skipped whole, so
+                // the `;` of an array type like `[i16; B]` in the signature
+                // is not taken for the end of a body-less declaration.
                 let fn_depth = depth[i];
                 let mut j = i + 2;
                 while j < n {
                     let tj = &lexed.tokens[j];
                     if tj.kind == TokenKind::Punct {
                         match tj.text.as_str() {
+                            "(" | "[" if matching[j] != usize::MAX => j = matching[j],
                             ";" if depth[j] == fn_depth => break, // trait decl
                             "{" if depth[j] == fn_depth => {
                                 let close = matching[j];
@@ -291,6 +295,14 @@ mod tests {
         let tok_b = f.tokens().iter().position(|t| t.text == "b").unwrap();
         assert_eq!(f.enclosing_fn[tok_a].as_deref(), Some("outer"));
         assert_eq!(f.enclosing_fn[tok_b].as_deref(), Some("inner"));
+    }
+
+    #[test]
+    fn enclosing_fn_tracking_sees_past_array_types_in_the_signature() {
+        let src = "fn lanes<const B: usize>(q: [i16; B]) -> [i16; B] { let c = q; c }";
+        let f = SourceFile::parse("crates/x/src/lib.rs", src);
+        let tok_c = f.tokens().iter().position(|t| t.text == "c").unwrap();
+        assert_eq!(f.enclosing_fn[tok_c].as_deref(), Some("lanes"));
     }
 
     #[test]

@@ -72,7 +72,13 @@ fn main() {
             other => panic!("unrecognised argument: {other}"),
         }
     }
-    let service = Service::new(cfg);
+    let service = match Service::new(cfg) {
+        Ok(service) => service,
+        Err(message) => {
+            eprintln!("fec_svc: {message}");
+            std::process::exit(1);
+        }
+    };
     match transport {
         Transport::Stdio => serve_stdio(&service),
         Transport::Socket(path) => serve_socket(&service, &path),

@@ -17,6 +17,11 @@
 //! events — the job keeps running and logging — and a later `resume`
 //! request replays the log from any row index and reattaches the new
 //! client for rows still to come.
+//!
+//! File-system failures end a job, never the daemon: a job whose files
+//! cannot be created is rejected, and a failed write to its log or result
+//! file sends one `error` event and ends the job with
+//! `done {status: "failed"}`.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, ErrorKind, Write};
@@ -78,23 +83,75 @@ struct JobEntry {
     error: Option<String>,
     finished: bool,
     sink: Option<Box<dyn EventSink>>,
-    log: std::fs::File,
+    /// The replay log; `None` once a write to it failed.
+    log: Option<std::fs::File>,
     log_path: PathBuf,
     artifact: Option<StreamedRows>,
 }
 
 impl JobEntry {
     /// Appends the event to the replay log (flushed), then delivers it to
-    /// the attached client, dropping the sink on a dead connection.
+    /// the attached client, dropping the sink on a dead connection.  A
+    /// failed log write [fails](JobEntry::fail) the job after delivery.
     fn emit(&mut self, event: &Json) {
         let line = event.to_string();
-        writeln!(self.log, "{line}").expect("write job log");
-        self.log.flush().expect("flush job log");
+        let appended = self.append(&line);
+        self.deliver(&line);
+        if let Err(message) = appended {
+            self.fail(message);
+        }
+    }
+
+    /// Appends one event line to the replay log (flushed).  A failed write
+    /// drops the log and returns the failure.
+    fn append(&mut self, line: &str) -> Result<(), String> {
+        if let Some(log) = self.log.as_mut() {
+            if let Err(e) = writeln!(log, "{line}").and_then(|()| log.flush()) {
+                self.log = None;
+                return Err(format!("job log {}: {e}", self.log_path.display()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Streams one result row to the job's result file, then emits it.
+    /// Once either file of the job has failed, the job is ending and its
+    /// rows are dropped.
+    fn emit_row(&mut self, job_id: u64, data: Json) {
+        let Some(artifact) = self.artifact.as_mut() else {
+            return;
+        };
+        if self.log.is_none() {
+            return;
+        }
+        if let Err(e) = artifact.push(&data) {
+            let path = artifact.path().display().to_string();
+            self.artifact = None;
+            self.fail(format!("job result file {path}: {e}"));
+            return;
+        }
+        let event = protocol::row(job_id, self.rows, data);
+        self.emit(&event);
+        self.rows += 1;
+    }
+
+    fn deliver(&mut self, line: &str) {
         if let Some(sink) = self.sink.as_mut() {
-            if !sink.deliver(&line) {
+            if !sink.deliver(line) {
                 self.sink = None;
             }
         }
+    }
+
+    /// Ends the job on an I/O failure: the client gets one `error` event,
+    /// the job's remaining units retire, and `done {status: "failed"}`
+    /// follows once they have.  The first failure wins.
+    fn fail(&mut self, message: String) {
+        if self.error.is_none() {
+            self.deliver(&protocol::error(&message).to_string());
+            self.error = Some(message);
+        }
+        self.cancel.cancel();
     }
 }
 
@@ -125,12 +182,17 @@ type UnitResult = Result<Vec<Json>, String>;
 impl Service {
     /// Creates the service and its log directory.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the log directory cannot be created.
-    pub fn new(cfg: ServiceConfig) -> Self {
-        std::fs::create_dir_all(&cfg.log_dir).expect("create service log directory");
-        Service {
+    /// Returns a message naming the directory if it cannot be created.
+    pub fn new(cfg: ServiceConfig) -> Result<Self, String> {
+        std::fs::create_dir_all(&cfg.log_dir).map_err(|e| {
+            format!(
+                "cannot create the log directory {}: {e}",
+                cfg.log_dir.display()
+            )
+        })?;
+        Ok(Service {
             cfg,
             state: Mutex::new(State {
                 next_job_id: 1,
@@ -139,7 +201,7 @@ impl Service {
                 shutdown: false,
             }),
             wake: Condvar::new(),
-        }
+        })
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
@@ -271,18 +333,31 @@ impl Service {
             );
             return;
         }
+        // The id is spent even if the job's files cannot be created, so a
+        // retry does not collide with whatever blocked them.
         let id = st.next_job_id;
         st.next_job_id += 1;
         let log_path = self.cfg.log_dir.join(format!("job_{id}.ndjson"));
-        let log = std::fs::File::create(&log_path).expect("create job log");
-        let artifact = StreamedRows::create(
-            &self.cfg.log_dir.join(format!("job_{id}_result.json")),
-            parsed.kind,
-            &[
-                ("job_id", Json::from(id)),
-                ("label", Json::str(parsed.label.clone())),
-            ],
-        );
+        let result_path = self.cfg.log_dir.join(format!("job_{id}_result.json"));
+        let files = std::fs::File::create(&log_path)
+            .map_err(|e| format!("cannot create job log {}: {e}", log_path.display()))
+            .and_then(|log| {
+                let meta = [
+                    ("job_id", Json::from(id)),
+                    ("label", Json::str(parsed.label.clone())),
+                ];
+                StreamedRows::create(&result_path, parsed.kind, &meta)
+                    .map(|artifact| (log, artifact))
+                    .map_err(|e| format!("cannot create job result {}: {e}", result_path.display()))
+            });
+        let (log, artifact) = match files {
+            Ok(files) => files,
+            Err(reason) => {
+                drop(st);
+                sink.deliver(&protocol::rejected(&reason).to_string());
+                return;
+            }
+        };
         let accepted = protocol::accepted(
             id,
             parsed.kind,
@@ -301,7 +376,7 @@ impl Service {
             error: None,
             finished: false,
             sink: Some(sink),
-            log,
+            log: Some(log),
             log_path,
             artifact: Some(artifact),
         };
@@ -335,7 +410,14 @@ impl Service {
             }
             Some(entry) => {
                 entry.cancel.cancel();
-                entry.emit(&protocol::cancelling(job_id));
+                // The acknowledgement answers the requester, who need not be
+                // the job's client; the job's client learns from `done`.
+                let line = protocol::cancelling(job_id).to_string();
+                let appended = entry.append(&line);
+                sink.clone().deliver(&line);
+                if let Err(message) = appended {
+                    entry.fail(message);
+                }
             }
         }
     }
@@ -344,7 +426,8 @@ impl Service {
     /// `from_row` onwards) into `sink`, then — if the job is still running
     /// — attaches the sink for the rows still to come.  Replay and
     /// reattachment happen under the state lock, so no row is duplicated
-    /// or missed around the hand-over point.
+    /// or missed around the hand-over point.  A log that failed or cannot
+    /// be read is answered with one `error` event.
     fn resume(&self, job_id: u64, from_row: u64, mut sink: Box<dyn EventSink>) {
         let mut st = self.lock();
         let Some(entry) = st.jobs.get_mut(&job_id) else {
@@ -352,7 +435,21 @@ impl Service {
             sink.deliver(&protocol::error(&format!("unknown job id {job_id}")).to_string());
             return;
         };
-        let text = std::fs::read_to_string(&entry.log_path).expect("read job log");
+        let text = match entry.log {
+            Some(_) => std::fs::read_to_string(&entry.log_path)
+                .map_err(|e| format!("cannot read job log {}: {e}", entry.log_path.display())),
+            None => Err(format!(
+                "job {job_id} has no replay log: a write to it failed"
+            )),
+        };
+        let text = match text {
+            Ok(text) => text,
+            Err(reason) => {
+                drop(st);
+                sink.deliver(&protocol::error(&reason).to_string());
+                return;
+            }
+        };
         let mut alive = true;
         for line in text.lines() {
             let Ok(event) = Json::parse(line) else {
@@ -499,12 +596,7 @@ fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) 
         JobOutcome::Cancelled => entry.units_cancelled += 1,
         JobOutcome::Done(Ok(rows)) => {
             for data in rows {
-                if let Some(artifact) = entry.artifact.as_mut() {
-                    artifact.push(&data);
-                }
-                let event = protocol::row(job_id, entry.rows, data);
-                entry.emit(&event);
-                entry.rows += 1;
+                entry.emit_row(job_id, data);
             }
         }
         JobOutcome::Done(Err(message)) => {
@@ -515,6 +607,12 @@ fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) 
     }
     entry.units_finished += 1;
     if entry.units_finished == entry.units_total {
+        if let Some(artifact) = entry.artifact.take() {
+            let path = artifact.path().display().to_string();
+            if let Err(e) = artifact.finish() {
+                entry.fail(format!("job result file {path}: {e}"));
+            }
+        }
         let status = if entry.error.is_some() {
             "failed"
         } else if entry.units_cancelled > 0 {
@@ -524,9 +622,6 @@ fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) 
         };
         let done = protocol::done(job_id, entry.rows, status, entry.error.as_deref());
         entry.emit(&done);
-        if let Some(artifact) = entry.artifact.take() {
-            artifact.finish();
-        }
         entry.finished = true;
         entry.sink = None;
     }

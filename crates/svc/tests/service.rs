@@ -10,10 +10,17 @@ use std::sync::{Arc, Mutex};
 use fec_json::Json;
 use fec_sched::CancelToken;
 use fec_svc::{EventSink, Service, ServiceConfig, MAX_REQUEST_LINE};
+use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 
-/// A fresh per-test log directory under the target-local temp dir.
+/// The per-test log directory under the temp dir.
+fn log_dir_of(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("fec-svc-test-{}-{name}", std::process::id()))
+}
+
+/// A fresh (removed) per-test log directory.
 fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fec-svc-test-{}-{name}", std::process::id()));
+    let dir = log_dir_of(name);
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -24,6 +31,7 @@ fn service(name: &str, workers: usize, max_jobs: usize) -> Service {
         max_jobs,
         log_dir: test_dir(name),
     })
+    .expect("the test log directory is creatable")
 }
 
 /// Records every delivered line; never disconnects.
@@ -460,7 +468,8 @@ fn job_artifacts_mirror_the_live_stream() {
         workers: 1,
         max_jobs: 8,
         log_dir: dir.clone(),
-    });
+    })
+    .expect("the test log directory is creatable");
     let sink = RecordingSink::default();
     assert!(svc.handle_line(SMALL_BER, &sink));
     svc.drain();
@@ -481,4 +490,222 @@ fn job_artifacts_mirror_the_live_stream() {
             .collect::<Vec<_>>(),
         "artifact rows are the streamed row payloads"
     );
+}
+
+/// The events of one type in `lines`.
+fn events_of<'a>(lines: &'a [String], ty: &str) -> Vec<&'a String> {
+    lines.iter().filter(|l| event_type(l) == ty).collect()
+}
+
+/// A log directory that cannot be created (its parent is a regular file)
+/// makes startup fail with a message naming it, in the library and in the
+/// daemon binary, which exits non-zero instead of panicking.
+#[test]
+fn log_dir_under_a_regular_file_fails_startup_with_a_message() {
+    let dir = test_dir("startup");
+    std::fs::create_dir_all(&dir).unwrap();
+    let blocker = dir.join("not-a-dir");
+    std::fs::write(&blocker, "a regular file").unwrap();
+    let log_dir = blocker.join("logs");
+
+    let err = Service::new(ServiceConfig {
+        workers: 1,
+        max_jobs: 8,
+        log_dir: log_dir.clone(),
+    })
+    .unwrap_err();
+    assert!(err.contains("log directory"), "{err}");
+    assert!(err.contains(&log_dir.display().to_string()), "{err}");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fec_svc"))
+        .arg("--stdio")
+        .arg("--log-dir")
+        .arg(&log_dir)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("log directory"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A job log whose writes fail (a symlink to `/dev/full`, which answers
+/// every write with ENOSPC even for root) ends that job with one `error`
+/// event and `done {status: "failed"}`; the daemon keeps serving, and a
+/// resume of the failed job is answered with an `error`.
+#[cfg(unix)]
+#[test]
+fn failed_log_write_ends_the_job_not_the_daemon() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let svc = service("devfull", 1, 8);
+    std::os::unix::fs::symlink("/dev/full", log_dir_of("devfull").join("job_1.ndjson")).unwrap();
+
+    let sink = RecordingSink::default();
+    assert!(svc.handle_line(SMALL_BER, &sink));
+    svc.drain();
+    let lines = sink.lines();
+    assert_eq!(event_type(&lines[0]), "accepted", "{lines:?}");
+    let errors = events_of(&lines, "error");
+    assert_eq!(errors.len(), 1, "{lines:?}");
+    assert!(errors[0].contains("job log"), "{}", errors[0]);
+    assert!(rows_of(&lines).is_empty(), "{lines:?}");
+    assert_eq!(done_status(&lines, 1).as_deref(), Some("failed"));
+    assert_eq!(event_type(lines.last().unwrap()), "done", "{lines:?}");
+
+    let resume = RecordingSink::default();
+    assert!(svc.handle_line(r#"{"type":"resume","job_id":1}"#, &resume));
+    let replies = resume.lines();
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert_eq!(event_type(&replies[0]), "error");
+
+    let next = RecordingSink::default();
+    assert!(svc.handle_line(SMALL_BER, &next));
+    svc.drain();
+    assert_eq!(rows_of(&next.lines()).len(), 2);
+    assert_eq!(done_status(&next.lines(), 2).as_deref(), Some("completed"));
+}
+
+/// A job log that cannot be created (a directory sits at its path) rejects
+/// the submit with a reason; the next job gets a fresh id and runs.
+#[test]
+fn uncreatable_job_log_rejects_the_submit() {
+    let svc = service("nolog", 1, 8);
+    std::fs::create_dir(log_dir_of("nolog").join("job_1.ndjson")).unwrap();
+
+    let sink = RecordingSink::default();
+    assert!(svc.handle_line(SMALL_BER, &sink));
+    let lines = sink.lines();
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert_eq!(event_type(&lines[0]), "rejected");
+    assert!(lines[0].contains("cannot create job log"), "{}", lines[0]);
+
+    let next = RecordingSink::default();
+    assert!(svc.handle_line(SMALL_BER, &next));
+    svc.drain();
+    assert_eq!(done_status(&next.lines(), 2).as_deref(), Some("completed"));
+}
+
+/// A replay log that can no longer be read answers `resume` with one
+/// `error` event.
+#[test]
+fn unreadable_replay_log_answers_resume_with_an_error() {
+    let svc = service("unreadable", 1, 8);
+    let sink = RecordingSink::default();
+    assert!(svc.handle_line(SMALL_BER, &sink));
+    svc.drain();
+    assert_eq!(done_status(&sink.lines(), 1).as_deref(), Some("completed"));
+
+    let log = log_dir_of("unreadable").join("job_1.ndjson");
+    std::fs::remove_file(&log).unwrap();
+    std::fs::create_dir(&log).unwrap();
+    let resume = RecordingSink::default();
+    assert!(svc.handle_line(r#"{"type":"resume","job_id":1}"#, &resume));
+    let replies = resume.lines();
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert_eq!(event_type(&replies[0]), "error");
+    assert!(replies[0].contains("cannot read job log"), "{}", replies[0]);
+}
+
+/// Valid request lines of every kind, the starting points of the fuzz test.
+const REQUEST_CORPUS: &[&str] = &[
+    SMALL_BER,
+    r#"{"type":"submit","job":"compliance","standard":"wimax","scope":"corners","priority":"high"}"#,
+    r#"{"type":"submit","job":"ber","standard":"lte","codec":"turbo","frames":2,"snrs":[0.5]}"#,
+    r#"{"type":"submit","job":"ber","standard":"wimax","codec":"quantized","lambda_bits":7,"batch_frames":8,"adaptive":{"target_rel_width":0.2,"confidence":0.95}}"#,
+    r#"{"type":"submit","job":"ber","standard":"80211n","block":648,"frames":1,"priority":"low"}"#,
+    r#"{"type":"cancel","job_id":1}"#,
+    r#"{"type":"resume","job_id":2,"from_row":0}"#,
+    r#"{"type":"shutdown"}"#,
+];
+
+/// Fragments spliced into mutated lines: JSON syntax, extreme numbers,
+/// escapes and non-ASCII text.
+const FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    "\"",
+    ":",
+    ",",
+    "\\",
+    "\\u0000",
+    "\\ud800",
+    "null",
+    "true",
+    "-1",
+    "0",
+    "1e999",
+    "-0.0",
+    "18446744073709551616",
+    "9223372036854775807",
+    "\"job_id\":",
+    "\"type\":\"submit\"",
+    "\"frames\":",
+    "\"block\":",
+    "\"snrs\":[",
+    "é",
+    "\u{1F600}",
+    "\t",
+];
+
+/// One mutated request line: a corpus line with a few random byte-range
+/// deletions, fragment insertions and duplications (always on character
+/// boundaries), or a line of random fragments.
+fn mutated_line(rng: &mut rand::rngs::StdRng) -> String {
+    if rng.gen_range(0..8) == 0 {
+        return (0..rng.gen_range(0..12))
+            .map(|_| FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())])
+            .collect();
+    }
+    let mut line = REQUEST_CORPUS[rng.gen_range(0..REQUEST_CORPUS.len())].to_string();
+    for _ in 0..rng.gen_range(0..4) {
+        let bounds: Vec<usize> = line
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([line.len()])
+            .collect();
+        let a = bounds[rng.gen_range(0..bounds.len())];
+        let b = bounds[rng.gen_range(0..bounds.len())];
+        let (a, b) = (a.min(b), a.max(b));
+        match rng.gen_range(0..3) {
+            0 => line.replace_range(a..b, ""),
+            1 => line.insert_str(a, FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())]),
+            _ => {
+                let copy = line[a..b].to_string();
+                line.insert_str(b, &copy);
+            }
+        }
+    }
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    /// `handle_line` never panics, and every non-blank line gets exactly one
+    /// direct reply — except a `resume` of a known job, whose reply is the
+    /// replay of that job's log, `accepted` first.  The scheduler never
+    /// runs, so admitted jobs stay queued and the admission limit is hit.
+    #[test]
+    fn handle_line_replies_once_to_any_line(seed in 0u64..u64::MAX) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let svc = service("fuzz", 1, 3);
+        for _ in 0..12 {
+            let line = mutated_line(&mut rng);
+            let sink = RecordingSink::default();
+            svc.handle_line(&line, &sink);
+            let replies = sink.lines();
+            let resumed = replies.first().is_some_and(|r| event_type(r) == "accepted")
+                && fec_svc::protocol::parse_request(line.trim())
+                    .is_ok_and(|r| matches!(r, fec_svc::protocol::Request::Resume { .. }));
+            if line.trim().is_empty() {
+                prop_assert!(replies.is_empty(), "blank line {:?} got {:?}", line, replies);
+            } else if !resumed {
+                prop_assert!(replies.len() == 1, "line {:?} got {:?}", line, replies);
+            }
+        }
+    }
 }

@@ -56,22 +56,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    let mut stream = json_path.as_ref().map(|path| {
-        StreamedRows::create(
-            path,
-            "compliance",
-            &[
-                ("scope", Json::str(if full { "full" } else { "corners" })),
-                (
-                    "standard",
-                    Json::str(standard.map_or("all".to_string(), |s| s.name().to_string())),
-                ),
-            ],
-        )
-    });
+    let mut stream = json_path
+        .as_ref()
+        .map(|path| {
+            StreamedRows::create(
+                path,
+                "compliance",
+                &[
+                    ("scope", Json::str(if full { "full" } else { "corners" })),
+                    (
+                        "standard",
+                        Json::str(standard.map_or("all".to_string(), |s| s.name().to_string())),
+                    ),
+                ],
+            )
+        })
+        .transpose()?;
     let mut on_entry = |_: usize, entry: &noc_decoder::ComplianceEntry| {
         if let Some(stream) = &mut stream {
-            stream.push(entry);
+            stream.push(entry).expect("write result row");
         }
     };
     let mut obs = (metrics_path.is_some() || metrics_report).then(Registry::new);
@@ -93,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(stream) = stream {
         let path = stream.path().to_path_buf();
-        let rows = stream.finish();
+        let rows = stream.finish()?;
         eprintln!("wrote {} ({rows} rows)", path.display());
     }
 
