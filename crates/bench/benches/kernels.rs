@@ -17,6 +17,7 @@ use decoder_bench::{
 use fec_channel::sim::{EngineConfig, SimulationEngine};
 use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
+use fec_obs::NoopRecorder;
 use noc_decoder::MappingConfig;
 use noc_mapping::LdpcMapping;
 use noc_sim::{NocConfig, NocSimulator, RoutingAlgorithm, Topology, TopologyKind};
@@ -173,19 +174,17 @@ fn main() {
         .collect();
     let n576 = code576.n();
     let b1_report = bench("fixed_layered_n576_x16f/serial_b1", 2, 12, || {
-        for f in 0..batch_total {
-            std::hint::black_box(
-                fixed10.decode_quantized(&quantized_frames[f * n576..(f + 1) * n576]),
-            );
+        for frame in quantized_frames.chunks_exact(n576) {
+            std::hint::black_box(fixed10.decode_quantized(frame, &mut NoopRecorder));
         }
     });
     let b8_report = bench("fixed_layered_n576_x16f/lockstep_b8", 2, 12, || {
         for half in quantized_frames.chunks_exact(8 * n576) {
-            std::hint::black_box(fixed10.decode_batch_quantized(half, 8));
+            std::hint::black_box(fixed10.decode_quantized(half, &mut NoopRecorder));
         }
     });
     let b16_report = bench("fixed_layered_n576_x16f/lockstep_b16", 2, 12, || {
-        std::hint::black_box(fixed10.decode_batch_quantized(&quantized_frames, 16));
+        std::hint::black_box(fixed10.decode_quantized(&quantized_frames, &mut NoopRecorder));
     });
     let batch_speedup_b8 = b1_report.min_ns / b8_report.min_ns;
     let frames_per_s = |r: &BenchReport| batch_total as f64 / (r.min_ns * 1e-9);

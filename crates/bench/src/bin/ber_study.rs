@@ -31,11 +31,13 @@
 //! one per core); every curve schedules its `(point, shard)` work units
 //! onto one pool, and the counts are bit-identical for any worker count.
 //!
-//! `--batch-frames` hands that many frames per call to the codecs'
-//! lockstep batch decoder (default 1, the classic loop).  Channel noise is
-//! drawn frame by frame before decoding and batch decodes are bit-identical
-//! per frame, so every count — and the `--json` output — is byte-for-byte
-//! independent of the batch size.
+//! `--batch-frames` hands that many frames per call to the codec's one
+//! decode method, `FecCodec::decode_frames` (default 1, one frame at a
+//! time).  The fixed-point codec decodes them as lockstep lanes; the other
+//! codecs decode them one after another.  Channel noise is drawn frame by
+//! frame before decoding and decodes are bit-identical per frame, so every
+//! count — and the `--json` output — is byte-for-byte independent of the
+//! batch size.
 //!
 //! `--adaptive` switches every curve to the confidence-targeted stop rule:
 //! a point keeps running continuation rounds until the Wilson relative

@@ -94,69 +94,11 @@ impl ErrorCounter {
     }
 }
 
-/// Stopping rules for a Monte-Carlo error-rate run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonteCarloConfig {
-    /// Stop after this many frames regardless of the error count.
-    pub max_frames: u64,
-    /// Stop early once this many frame errors have been observed (gives a
-    /// controlled relative confidence on the FER estimate).
-    pub target_frame_errors: u64,
-    /// Minimum number of frames to simulate even if the error target is hit.
-    pub min_frames: u64,
-}
-
-impl Default for MonteCarloConfig {
-    fn default() -> Self {
-        MonteCarloConfig {
-            max_frames: 10_000,
-            target_frame_errors: 50,
-            min_frames: 20,
-        }
-    }
-}
-
-impl MonteCarloConfig {
-    /// Checks the configuration for internal consistency.
-    ///
-    /// `min_frames > max_frames` is rejected rather than silently capped at
-    /// `max_frames` (the frame budget always wins in [`should_stop`], which
-    /// would contradict the `min_frames` documentation), and a zero frame
-    /// budget is rejected because a run could never record anything.
-    ///
-    /// [`should_stop`]: MonteCarloConfig::should_stop
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_frames == 0 {
-            return Err("max_frames must be at least 1".into());
-        }
-        if self.min_frames > self.max_frames {
-            return Err(format!(
-                "min_frames ({}) exceeds max_frames ({}): the minimum could never be honoured",
-                self.min_frames, self.max_frames
-            ));
-        }
-        Ok(())
-    }
-
-    /// Returns `true` when a run with the given counter state should stop.
-    pub fn should_stop(&self, counter: &ErrorCounter) -> bool {
-        if counter.frames() >= self.max_frames {
-            return true;
-        }
-        counter.frames() >= self.min_frames && counter.frame_errors() >= self.target_frame_errors
-    }
-}
-
 /// How the simulation engine decides that a curve point has simulated
-/// enough frames.
+/// enough frames.  The rule owns the point's frame budget.
 ///
-/// The classic mode is [`FixedBudget`]: the per-point budget and early-stop
-/// rules of [`MonteCarloConfig`] apply unchanged, and outputs are
-/// byte-identical to every release that predates this enum.
+/// [`FixedBudget`] simulates exactly `frames` frames per point; its outputs
+/// are byte-identical to every earlier fixed-frame release.
 ///
 /// [`RelativeWidth`] is the adaptive mode: a point keeps running
 /// continuation rounds until the Wilson-score confidence interval of its
@@ -171,12 +113,13 @@ impl MonteCarloConfig {
 ///
 /// [`FixedBudget`]: StopRule::FixedBudget
 /// [`RelativeWidth`]: StopRule::RelativeWidth
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StopRule {
-    /// Fixed frame budget with optional frame-error early stop: exactly the
-    /// [`MonteCarloConfig`] semantics, byte-identical to historical outputs.
-    #[default]
-    FixedBudget,
+    /// Exactly `frames` frames per point.
+    FixedBudget {
+        /// The per-point frame count; must be at least 1.
+        frames: u64,
+    },
     /// Confidence-targeted adaptive sampling.
     RelativeWidth {
         /// Stop once the Wilson relative half-width of the FER estimate is
@@ -200,16 +143,31 @@ impl StopRule {
         matches!(self, StopRule::RelativeWidth { .. })
     }
 
+    /// The most frames a point may simulate: the exact budget of
+    /// [`FixedBudget`](StopRule::FixedBudget), the cap of
+    /// [`RelativeWidth`](StopRule::RelativeWidth).
+    pub fn max_frames(&self) -> u64 {
+        match *self {
+            StopRule::FixedBudget { frames } => frames,
+            StopRule::RelativeWidth { max_frames, .. } => max_frames,
+        }
+    }
+
     /// Checks the rule for degenerate settings, naming the offending field.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency:
-    /// `target_rel_width` outside `(0, 1)`, `confidence` outside `(0.5, 1)`,
-    /// or a zero frame cap.
+    /// a zero frame budget, `target_rel_width` outside `(0, 1)`, or
+    /// `confidence` outside `(0.5, 1)`.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
-            StopRule::FixedBudget => Ok(()),
+            StopRule::FixedBudget { frames } => {
+                if frames == 0 {
+                    return Err("frames (the fixed per-point budget) must be at least 1".into());
+                }
+                Ok(())
+            }
             StopRule::RelativeWidth {
                 target_rel_width,
                 confidence,
@@ -272,43 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn stopping_rules() {
-        let cfg = MonteCarloConfig {
-            max_frames: 10,
-            target_frame_errors: 2,
-            min_frames: 3,
-        };
-        let mut c = ErrorCounter::new();
-        c.record_frame(&[0], &[1]);
-        c.record_frame(&[0], &[1]);
-        // error target hit but min_frames not reached yet
-        assert!(!cfg.should_stop(&c));
-        c.record_frame(&[0], &[0]);
-        assert!(cfg.should_stop(&c));
-    }
-
-    #[test]
     fn validate_accepts_defaults_and_rejects_inconsistency() {
-        assert!(MonteCarloConfig::default().validate().is_ok());
-        let inconsistent = MonteCarloConfig {
-            max_frames: 10,
-            target_frame_errors: 5,
-            min_frames: 11,
-        };
-        let err = inconsistent.validate().unwrap_err();
-        assert!(err.contains("min_frames"), "{err}");
-        let empty = MonteCarloConfig {
-            max_frames: 0,
-            target_frame_errors: 5,
-            min_frames: 0,
-        };
-        assert!(empty.validate().is_err());
+        // 10 000 frames is the engine's default budget.
+        assert!(StopRule::FixedBudget { frames: 10_000 }.validate().is_ok());
+        let err = StopRule::FixedBudget { frames: 0 }.validate().unwrap_err();
+        assert!(err.contains("frames"), "{err}");
     }
 
     #[test]
     fn stop_rule_validate_rejects_degenerate_adaptive_settings() {
-        assert!(StopRule::FixedBudget.validate().is_ok());
-        assert!(StopRule::default() == StopRule::FixedBudget);
+        assert!(!StopRule::FixedBudget { frames: 1 }.is_adaptive());
         let good = StopRule::RelativeWidth {
             target_rel_width: 0.2,
             confidence: 0.95,
@@ -348,14 +279,15 @@ mod tests {
 
     #[test]
     fn max_frames_always_stops() {
-        let cfg = MonteCarloConfig {
-            max_frames: 2,
-            target_frame_errors: 100,
-            min_frames: 1,
+        // Both rules stop a point at their frame budget: the exact count of
+        // the fixed rule, the cap of the adaptive one.
+        assert_eq!(StopRule::FixedBudget { frames: 2 }.max_frames(), 2);
+        let adaptive = StopRule::RelativeWidth {
+            target_rel_width: 0.2,
+            confidence: 0.95,
+            max_frames: 7,
         };
-        let mut c = ErrorCounter::new();
-        c.record_frame(&[0], &[0]);
-        c.record_frame(&[0], &[0]);
-        assert!(cfg.should_stop(&c));
+        assert!(adaptive.is_adaptive());
+        assert_eq!(adaptive.max_frames(), 7);
     }
 }

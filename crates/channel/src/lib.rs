@@ -37,7 +37,7 @@ pub mod source;
 pub mod stats;
 
 pub use awgn::{AwgnChannel, EbN0};
-pub use ber::{ErrorCounter, MonteCarloConfig, StopRule};
+pub use ber::{ErrorCounter, StopRule};
 pub use modulation::BpskModulator;
 pub use sim::{BerCurve, BerPoint, DecodedFrame, EngineConfig, FecCodec, SimulationEngine};
 pub use stats::{normal_quantile, wilson_interval, WilsonInterval};

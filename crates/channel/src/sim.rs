@@ -5,10 +5,12 @@
 //! Monte-Carlo loop.  This module replaces all of them with one engine:
 //!
 //! * [`FecCodec`] — an object-safe encode/decode abstraction implemented by
-//!   every decoder flavour (`wimax_ldpc::codec`, `wimax_turbo::codec`);
+//!   every decoder flavour (`wimax_ldpc::codec`, `wimax_turbo::codec`), with
+//!   one decode method, [`FecCodec::decode_frames`], over a chunk of frames;
 //! * [`SimulationEngine`] — shards frames across worker threads, gives every
 //!   shard an independent deterministic RNG stream, aggregates via
-//!   [`ErrorCounter::merge`] and stops early per [`MonteCarloConfig`];
+//!   [`ErrorCounter::merge`] and ends each point by its [`StopRule`], which
+//!   owns the point's frame budget;
 //! * [`BerPoint`] / [`BerCurve`] — machine-readable results
 //!   ([`fec_json::ToJson`]).
 //!
@@ -16,19 +18,26 @@
 //!
 //! Work is split into a fixed number of *shards* (independent RNG streams),
 //! and frames are scheduled onto shards in rounds whose sizes depend only on
-//! the configuration — never on the number of worker threads.  Threads are
-//! merely executors of shards, and the aggregated [`ErrorCounter`] is a sum
-//! of integers, so a run with 8 workers produces **bit-identical** error
-//! counts to a run with 1 worker and the same seed.
+//! the configuration and the merged counts — never on the number of worker
+//! threads.  Threads are merely executors of shards, and the aggregated
+//! [`ErrorCounter`] is a sum of integers, so a run with 8 workers produces
+//! **bit-identical** error counts to a run with 1 worker and the same seed.
+//!
+//! A shard simulates its frames in chunks of
+//! [`EngineConfig::batch_frames`] through one frame function: the chunk's
+//! frames are generated, encoded and sent through the channel one after
+//! another, then decoded with one [`FecCodec::decode_frames`] call (a batch
+//! of 1 is a chunk of one frame).  The RNG is consumed frame by frame before
+//! any decode, so the counts do not depend on the chunk size either.
 //!
 //! # Scheduling
 //!
 //! All fan-out runs on the shared deterministic
 //! [`fec_sched::WorkPool`]: a curve is enumerated as `(point, shard)` work
 //! units over **one** pool, so a 10-point sweep keeps every core busy across
-//! points instead of barriering per round per point.  Early stopping stays
-//! exact because each point's next round is submitted as continuation jobs
-//! only after its previous round has been merged — but shards of other
+//! points instead of barriering per round per point.  Adaptive stopping
+//! stays exact because each point's next round is submitted as continuation
+//! jobs only after its previous round has been merged — but shards of other
 //! points fill the gap in the meantime.  Per-shard RNG streams are keyed on
 //! `(seed, shard, ebn0_db)`, so the counts are bit-identical to the
 //! point-at-a-time schedule.
@@ -39,9 +48,11 @@
 //! [`fec_obs::Registry`]: every shard job records into a private registry
 //! that is merged on completion (the merge is commutative, so Count-class
 //! metrics stay bit-identical for any worker count and batch size), the
-//! pool contributes `pool.*` spans via [`fec_sched::PoolObs`], and the
-//! engine emits per-point `engine.p{i}.*` counters.  Timing spans use the
-//! injected [`fec_obs::Clock`] and are excluded from determinism gating.
+//! engine records the `codec.*` family of every decoded frame and per-point
+//! `engine.p{i}.*` counters, instrumented codecs add their datapath metrics,
+//! and the pool contributes `pool.*` spans via [`fec_sched::PoolObs`].
+//! Timing spans use the injected [`fec_obs::Clock`] and are excluded from
+//! determinism gating.
 //!
 //! [`run_curve_observed`]: SimulationEngine::run_curve_observed
 //!
@@ -50,6 +61,7 @@
 //! ```
 //! use fec_channel::sim::{DecodedFrame, EngineConfig, FecCodec, SimulationEngine};
 //! use fec_fixed::Llr;
+//! use fec_obs::Registry;
 //!
 //! /// A rate-1/2 repetition code: good enough to show the engine at work.
 //! struct Repetition;
@@ -61,12 +73,18 @@
 //!     fn encode(&self, info: &[u8]) -> Vec<u8> {
 //!         info.iter().chain(info).copied().collect()
 //!     }
-//!     fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
+//!     fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
 //!         let k = self.info_bits();
-//!         let bits = (0..k)
-//!             .map(|i| u8::from(llrs[i].value() + llrs[i + k].value() < 0.0))
-//!             .collect();
-//!         DecodedFrame { info_bits: bits, iterations: 1, converged: true }
+//!         frames
+//!             .iter()
+//!             .map(|llrs| DecodedFrame {
+//!                 info_bits: (0..k)
+//!                     .map(|i| u8::from(llrs[i].value() + llrs[i + k].value() < 0.0))
+//!                     .collect(),
+//!                 iterations: 1,
+//!                 converged: true,
+//!             })
+//!             .collect()
 //!     }
 //! }
 //!
@@ -76,7 +94,7 @@
 //! ```
 
 use crate::awgn::{AwgnChannel, EbN0};
-use crate::ber::{ErrorCounter, MonteCarloConfig, StopRule};
+use crate::ber::{ErrorCounter, StopRule};
 use crate::modulation::BpskModulator;
 use crate::stats::{normal_quantile, wilson_interval};
 use fec_fixed::Llr;
@@ -117,73 +135,32 @@ pub trait FecCodec: Send + Sync {
     /// bits.
     fn encode(&self, info: &[u8]) -> Vec<u8>;
 
-    /// Decodes one frame of channel LLRs (length `codeword_bits()`).
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame;
+    /// Decodes a chunk of frames of channel LLRs (each of length
+    /// `codeword_bits()`), returning one [`DecodedFrame`] per frame in
+    /// order.  This is the codec's one decode path.
+    ///
+    /// Results must be **bit-identical** to decoding each frame alone: the
+    /// engine's determinism contract extends to the chunk size.  With `obs`
+    /// set, instrumented codecs record their datapath metrics into it (the
+    /// engine itself records the generic `codec.*` family); observation
+    /// never changes results, and Count-class metrics must be a pure
+    /// per-frame function so they too are independent of the chunk size.
+    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame>;
 
-    /// Decodes a batch of frames, returning one [`DecodedFrame`] per input
-    /// frame in order.
-    ///
-    /// The default implementation simply loops over [`decode`]
-    /// (batch-oblivious codecs stay correct for free); codecs with a
-    /// lockstep batch datapath override it.  Overrides must return results
-    /// **bit-identical** to decoding each frame alone — the engine's
-    /// determinism contract extends to the batch size.
-    ///
-    /// [`decode`]: FecCodec::decode
+    /// Decodes one frame: a chunk of one, without observation.
+    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
+        self.decode_frames(&[llrs], None).remove(0)
+    }
+
+    /// Decodes a chunk of frames without observation.
     fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
-        frames.iter().map(|f| self.decode(f)).collect()
-    }
-
-    /// Decodes one frame while recording metrics into `obs`.
-    ///
-    /// The default decodes via [`decode`] and records the generic `codec.*`
-    /// Count metrics with [`record_decoded_frame`]; instrumented codecs
-    /// override it to thread a recorder through their datapath.  Overrides
-    /// must return a frame **bit-identical** to [`decode`] — observation
-    /// never changes results — and must keep their Count-class metrics a
-    /// pure per-frame function so the engine's determinism contract extends
-    /// to the registry.
-    ///
-    /// [`decode`]: FecCodec::decode
-    fn decode_observed(&self, llrs: &[Llr], obs: &mut Registry) -> DecodedFrame {
-        let frame = self.decode(llrs);
-        record_decoded_frame(obs, &frame);
-        frame
-    }
-
-    /// Decodes a batch of frames while recording metrics into `obs`.
-    ///
-    /// Same contract as [`decode_batch`] plus the metric rules of
-    /// [`decode_observed`]: the default loops over [`decode_observed`], and
-    /// overrides must emit Count-class metrics identical to decoding each
-    /// frame alone.
-    ///
-    /// [`decode_batch`]: FecCodec::decode_batch
-    /// [`decode_observed`]: FecCodec::decode_observed
-    fn decode_batch_observed(&self, frames: &[&[Llr]], obs: &mut Registry) -> Vec<DecodedFrame> {
-        frames
-            .iter()
-            .map(|f| self.decode_observed(f, obs))
-            .collect()
+        self.decode_frames(frames, None)
     }
 
     /// Code rate `k / n`, used to set the AWGN noise variance for a target
     /// `Eb/N0`.
     fn rate(&self) -> f64 {
         self.info_bits() as f64 / self.codeword_bits() as f64
-    }
-}
-
-/// Records the codec-level Count metrics for one decoded frame:
-/// `codec.frames`, the `codec.iterations` histogram and `codec.converged`.
-///
-/// Shared by the [`FecCodec::decode_observed`] default and by instrumented
-/// overrides, so every codec reports the same baseline metric family.
-pub fn record_decoded_frame(obs: &mut Registry, frame: &DecodedFrame) {
-    obs.incr(Class::Count, "codec.frames", 1);
-    obs.observe(Class::Count, "codec.iterations", frame.iterations as u64);
-    if frame.converged {
-        obs.incr(Class::Count, "codec.converged", 1);
     }
 }
 
@@ -201,28 +178,19 @@ pub struct EngineConfig {
     pub frames_per_shard_round: u64,
     /// Base seed; each shard stream is derived from it with SplitMix64.
     pub seed: u64,
-    /// Frames handed to [`FecCodec::decode_batch`] per call (`1` = the
-    /// classic one-frame-at-a-time loop).  Because batch decodes are
-    /// bit-identical per frame and the channel RNG is consumed frame by
-    /// frame *before* decoding, results do not depend on this value.
+    /// Frames handed to [`FecCodec::decode_frames`] per call (`1` = one
+    /// frame at a time).  Because decodes are bit-identical per frame and
+    /// the channel RNG is consumed frame by frame *before* decoding, results
+    /// do not depend on this value.
     pub batch_frames: usize,
-    /// Stopping rules (frame budget, error target, minimum frames).
-    pub stop: MonteCarloConfig,
-    /// How a point decides it is done.  [`StopRule::FixedBudget`] (the
-    /// default) applies `stop` unchanged and is byte-identical to the
-    /// historical engine; [`StopRule::RelativeWidth`] runs adaptive
-    /// continuation rounds until the Wilson relative half-width of the FER
-    /// estimate reaches the target (`stop.min_frames` is still honoured as
-    /// the per-point minimum).
+    /// How a point decides it is done, budget included:
+    /// [`StopRule::FixedBudget`] runs exactly its frame count;
+    /// [`StopRule::RelativeWidth`] runs adaptive continuation rounds until
+    /// the Wilson relative half-width of the FER estimate reaches the target
+    /// (never fewer than
+    /// [`ADAPTIVE_MIN_FRAMES`](EngineConfig::ADAPTIVE_MIN_FRAMES) frames) or
+    /// the cap.
     pub stop_rule: StopRule,
-    /// Optional curve-wide frame budget for the adaptive mode: at every
-    /// round boundary the remaining global budget is rebalanced across the
-    /// still-running points, proportionally to their projected need — a pure
-    /// function of the merged counts.  Requires
-    /// [`StopRule::RelativeWidth`]; rebalancing needs a curve-wide merged
-    /// state, so the engine runs the curve in lockstep global rounds when
-    /// this is set.
-    pub global_frame_cap: Option<u64>,
 }
 
 impl Default for EngineConfig {
@@ -233,9 +201,7 @@ impl Default for EngineConfig {
             frames_per_shard_round: 8,
             seed: 0x5EED,
             batch_frames: 1,
-            stop: MonteCarloConfig::default(),
-            stop_rule: StopRule::FixedBudget,
-            global_frame_cap: None,
+            stop_rule: StopRule::FixedBudget { frames: 10_000 },
         }
     }
 }
@@ -246,19 +212,15 @@ impl EngineConfig {
     pub fn fixed_frames(frames: u64, seed: u64) -> Self {
         EngineConfig {
             seed,
-            stop: MonteCarloConfig {
-                max_frames: frames,
-                target_frame_errors: u64::MAX,
-                min_frames: frames,
-            },
+            stop_rule: StopRule::FixedBudget { frames },
             ..EngineConfig::default()
         }
     }
 
-    /// Minimum frames per point the [`adaptive`](EngineConfig::adaptive)
-    /// constructor requests before the width target may stop a point, so a
-    /// couple of lucky error-free frames cannot end a point prematurely
-    /// (clamped to the frame cap for tiny budgets).
+    /// Minimum frames a [`StopRule::RelativeWidth`] point runs before the
+    /// width target may stop it, so a couple of lucky error-free frames
+    /// cannot end a point prematurely (clamped to the frame cap for tiny
+    /// budgets).
     pub const ADAPTIVE_MIN_FRAMES: u64 = 32;
 
     /// A confidence-targeted adaptive configuration: each point runs until
@@ -269,11 +231,6 @@ impl EngineConfig {
     pub fn adaptive(max_frames: u64, target_rel_width: f64, confidence: f64, seed: u64) -> Self {
         EngineConfig {
             seed,
-            stop: MonteCarloConfig {
-                max_frames,
-                target_frame_errors: u64::MAX,
-                min_frames: Self::ADAPTIVE_MIN_FRAMES.min(max_frames),
-            },
             stop_rule: StopRule::RelativeWidth {
                 target_rel_width,
                 confidence,
@@ -306,24 +263,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for the stopping rules.
-    pub fn with_stop(mut self, stop: MonteCarloConfig) -> Self {
-        self.stop = stop;
-        self
-    }
-
-    /// Builder-style setter for the stop rule (fixed budget vs adaptive).
-    pub fn with_stop_rule(mut self, stop_rule: StopRule) -> Self {
-        self.stop_rule = stop_rule;
-        self
-    }
-
-    /// Builder-style setter for the optional curve-wide adaptive frame cap.
-    pub fn with_global_frame_cap(mut self, cap: Option<u64>) -> Self {
-        self.global_frame_cap = cap;
-        self
-    }
-
     /// Builder-style setter for the decode batch size.
     ///
     /// # Panics
@@ -338,8 +277,8 @@ impl EngineConfig {
     /// Checks the configuration for internal consistency.
     ///
     /// `shards == 0` is rejected here (it would be a division by zero in the
-    /// round-splitting schedule), together with every inconsistency caught
-    /// by [`MonteCarloConfig::validate`].
+    /// round-splitting schedule), together with a zero batch and every
+    /// degenerate setting caught by [`StopRule::validate`].
     ///
     /// # Errors
     ///
@@ -354,32 +293,7 @@ impl EngineConfig {
                     .into(),
             );
         }
-        self.stop.validate()?;
-        self.stop_rule.validate()?;
-        match self.stop_rule {
-            StopRule::FixedBudget => {
-                if self.global_frame_cap.is_some() {
-                    return Err(
-                        "global_frame_cap requires the adaptive StopRule::RelativeWidth \
-                         (a fixed budget already pins every point's frame count)"
-                            .into(),
-                    );
-                }
-            }
-            StopRule::RelativeWidth { max_frames, .. } => {
-                if self.stop.min_frames > max_frames {
-                    return Err(format!(
-                        "min_frames ({}) exceeds the adaptive max_frames cap ({}): the minimum \
-                         could never be honoured",
-                        self.stop.min_frames, max_frames
-                    ));
-                }
-                if self.global_frame_cap == Some(0) {
-                    return Err("global_frame_cap must be at least 1 when set".into());
-                }
-            }
-        }
-        Ok(())
+        self.stop_rule.validate()
     }
 }
 
@@ -564,7 +478,7 @@ impl SimulationEngine {
             cfg,
             round_quota: (shards as u64).saturating_mul(cfg.frames_per_shard_round),
             z: match cfg.stop_rule {
-                StopRule::FixedBudget => 0.0,
+                StopRule::FixedBudget { .. } => 0.0,
                 StopRule::RelativeWidth { confidence, .. } => {
                     normal_quantile(0.5 + confidence / 2.0)
                 }
@@ -572,57 +486,41 @@ impl SimulationEngine {
             observed: observe.is_some(),
         };
 
-        // A curve-wide adaptive budget needs the *whole* merged curve state
-        // at every decision, so rebalancing runs in lockstep global rounds;
-        // otherwise points schedule their own rounds independently.
-        let initial = if cfg.global_frame_cap.is_some() {
-            schedule_global_round(&ctx, &mut states)
-        } else {
-            let mut initial = Vec::new();
-            for (point, state) in states.iter_mut().enumerate() {
-                initial.extend(schedule_round(&ctx, state, point));
-            }
-            initial
-        };
         // A round never schedules more jobs per point than there are shards,
         // so the first round's job count is the concurrency the whole curve
         // can ever expose (later adaptive rounds grow in frames per job, not
-        // in jobs).
-        let mut curve_in_flight = initial.len();
-        match observe {
-            None => {
-                WorkPool::new(cfg.workers)
-                    .run()
-                    .jobs(initial, |id, outcome, sink| {
-                        let JobOutcome::Done((rng, acc, _)) = outcome else {
-                            unreachable!("engine shard jobs carry no cancel token")
-                        };
-                        let next =
-                            on_shard_done(&ctx, &mut states, &mut curve_in_flight, id, rng, acc);
-                        sink.submit_all(next);
-                    });
+        // in jobs) — the pool sizes itself from it.
+        let mut initial = Vec::new();
+        for (point, state) in states.iter_mut().enumerate() {
+            initial.extend(schedule_round(&ctx, state, point));
+        }
+        let (clock, mut obs) = observe.unzip();
+        let mut pool_obs = PoolObs::new();
+        let mut run = WorkPool::new(cfg.workers).run();
+        if let Some(clock) = clock {
+            run = run.observed(clock, &mut pool_obs);
+        }
+        run.jobs(initial, |id, outcome, sink| {
+            let JobOutcome::Done((rng, acc, reg)) = outcome else {
+                unreachable!("engine shard jobs carry no cancel token")
+            };
+            if let (Some(obs), Some(reg)) = (obs.as_deref_mut(), reg) {
+                obs.merge(&reg);
             }
-            Some((clock, obs)) => {
-                let mut pool_obs = PoolObs::new();
-                WorkPool::new(cfg.workers)
-                    .run()
-                    .observed(clock, &mut pool_obs)
-                    .jobs(initial, |id, outcome, sink| {
-                        let JobOutcome::Done((rng, acc, reg)) = outcome else {
-                            unreachable!("engine shard jobs carry no cancel token")
-                        };
-                        if let Some(reg) = reg {
-                            obs.merge(&reg);
-                        }
-                        let next =
-                            on_shard_done(&ctx, &mut states, &mut curve_in_flight, id, rng, acc);
-                        sink.submit_all(next);
-                    });
-                pool_obs.record_into(obs, "pool");
-                obs.incr(Class::Count, "engine.points", ebn0_dbs.len() as u64);
-                for (i, state) in states.iter().enumerate() {
-                    record_point_obs(obs, i, state, cfg, ctx.z);
-                }
+            let (point, shard) = (id / shards, id % shards);
+            let state = &mut states[point];
+            state.rngs[shard] = Some(rng);
+            state.total.merge(&acc);
+            state.in_flight -= 1;
+            if state.in_flight == 0 {
+                sink.submit_all(schedule_round(&ctx, state, point));
+            }
+        });
+        if let Some(obs) = obs {
+            pool_obs.record_into(obs, "pool");
+            obs.incr(Class::Count, "engine.points", ebn0_dbs.len() as u64);
+            for (i, state) in states.iter().enumerate() {
+                record_point_obs(obs, i, state, cfg, ctx.z);
             }
         }
 
@@ -635,8 +533,8 @@ impl SimulationEngine {
 }
 
 /// Emits the per-point `engine.p{i}.*` Count metrics: frames, bit/frame
-/// errors, decoder iterations, scheduling rounds and whether the error
-/// target stopped the point before its frame budget.  Adaptive runs
+/// errors, decoder iterations, scheduling rounds and whether the stop rule
+/// ended the point before its frame budget.  Adaptive runs
 /// additionally report `adaptive_rounds`, `frames_saved_vs_budget` (the
 /// unspent part of the per-point cap) and `ci_half_width_ppm` (the final
 /// Wilson *relative* half-width in parts per million, so `200_000`
@@ -671,10 +569,7 @@ fn record_point_obs(
         &format!("engine.p{point}.rounds"),
         state.rounds,
     );
-    let budget = match cfg.stop_rule {
-        StopRule::FixedBudget => cfg.stop.max_frames,
-        StopRule::RelativeWidth { max_frames, .. } => max_frames,
-    };
+    let budget = cfg.stop_rule.max_frames();
     if c.frames() < budget {
         obs.incr(Class::Count, &format!("engine.p{point}.early_stop"), 1);
     }
@@ -741,31 +636,21 @@ const ADAPTIVE_ROUND_GROWTH: u64 = 4;
 /// of the merged counter and the configuration: no clocks, no completion
 /// order, no worker count.
 fn next_round_frames(ctx: &CurveCtx<'_>, counter: &ErrorCounter) -> u64 {
-    let cfg = ctx.cfg;
     let base = ctx.round_quota.max(1);
-    match cfg.stop_rule {
-        StopRule::FixedBudget => {
-            if cfg.stop.should_stop(counter) {
-                return 0;
-            }
-            // `should_stop` guarantees frames < max_frames here, but keep
-            // the subtraction saturating so a future stopping rule cannot
-            // turn an off-by-one into a u64 underflow and a near-infinite
-            // round.
-            let remaining = cfg.stop.max_frames.saturating_sub(counter.frames());
-            remaining.min(base)
-        }
+    let frames = counter.frames();
+    match ctx.cfg.stop_rule {
+        StopRule::FixedBudget { frames: budget } => budget.saturating_sub(frames).min(base),
         StopRule::RelativeWidth {
             target_rel_width,
             max_frames,
             ..
         } => {
-            let frames = counter.frames();
             if frames >= max_frames {
                 return 0;
             }
             let rhw = wilson_interval(counter.frame_errors(), frames, ctx.z).relative_half_width();
-            if frames >= cfg.stop.min_frames && rhw <= target_rel_width {
+            let min_frames = EngineConfig::ADAPTIVE_MIN_FRAMES.min(max_frames);
+            if frames >= min_frames && rhw <= target_rel_width {
                 return 0;
             }
             let remaining = max_frames - frames;
@@ -791,8 +676,9 @@ fn next_round_frames(ctx: &CurveCtx<'_>, counter: &ErrorCounter) -> u64 {
     }
 }
 
-/// Builds the jobs of `point`'s next scheduling round, or an empty vector
-/// once its stopping rule fires.  Round sizes are a pure function of the
+/// Builds the `(point, shard)` jobs of `point`'s next scheduling round,
+/// splitting its frames over the point's shard streams — none once its
+/// stopping rule fires.  Round sizes are a pure function of the
 /// configuration and the merged counters, never of the worker count.
 fn schedule_round<'env>(
     ctx: &CurveCtx<'env>,
@@ -800,169 +686,36 @@ fn schedule_round<'env>(
     point: usize,
 ) -> Vec<Job<'env, ShardResult>> {
     let round = next_round_frames(ctx, &state.total.counter);
-    if round == 0 {
-        state.in_flight = 0;
-        return Vec::new();
-    }
-    build_round_jobs(ctx, state, point, round)
-}
-
-/// Builds one lockstep *global* round for the optional adaptive curve-wide
-/// frame cap: called only at a curve-wide round boundary (no job of any
-/// point in flight), it computes every still-running point's desired next
-/// round from its merged counts and, when the remaining global budget
-/// cannot cover the sum, rebalances proportionally — floor-scaled shares
-/// with the leftover frames handed out in point-index order.  Every input
-/// is merged state at a deterministic barrier, so the rebalanced schedule
-/// is bit-identical at any worker count.
-fn schedule_global_round<'env>(
-    ctx: &CurveCtx<'env>,
-    states: &mut [PointState],
-) -> Vec<Job<'env, ShardResult>> {
-    let cap = ctx
-        .cfg
-        .global_frame_cap
-        .expect("lockstep global rounds require a global frame cap");
-    let used: u64 = states.iter().map(|s| s.total.counter.frames()).sum();
-    let budget = cap.saturating_sub(used);
-    let desired: Vec<u64> = states
-        .iter()
-        .map(|s| next_round_frames(ctx, &s.total.counter))
-        .collect();
-    let total: u64 = desired.iter().sum();
-    let grants = if total <= budget {
-        desired
-    } else {
-        let mut grants: Vec<u64> = desired
-            .iter()
-            .map(|&d| (d as u128 * budget as u128 / total as u128) as u64)
-            .collect();
-        let mut leftover = budget - grants.iter().sum::<u64>();
-        while leftover > 0 {
-            let mut progressed = false;
-            for (grant, &want) in grants.iter_mut().zip(&desired) {
-                if leftover > 0 && *grant < want {
-                    *grant += 1;
-                    leftover -= 1;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        grants
-    };
-    let mut jobs = Vec::new();
-    for (point, &grant) in grants.iter().enumerate() {
-        if grant > 0 {
-            jobs.extend(build_round_jobs(ctx, &mut states[point], point, grant));
-        } else {
-            states[point].in_flight = 0;
-        }
-    }
-    jobs
-}
-
-/// Merges one finished `(point, shard)` job back into the curve state and
-/// returns the next round's jobs, if this completion closed a round
-/// boundary: the point's own boundary in independent mode, the curve-wide
-/// boundary in lockstep-global-cap mode.
-fn on_shard_done<'env>(
-    ctx: &CurveCtx<'env>,
-    states: &mut [PointState],
-    curve_in_flight: &mut usize,
-    id: usize,
-    rng: StdRng,
-    acc: PointAccumulator,
-) -> Vec<Job<'env, ShardResult>> {
-    let shards = ctx.cfg.shards;
-    let (point, shard) = (id / shards, id % shards);
-    {
-        let state = &mut states[point];
-        state.rngs[shard] = Some(rng);
-        state.total.merge(&acc);
-        state.in_flight -= 1;
-    }
-    *curve_in_flight -= 1;
-    let next = if ctx.cfg.global_frame_cap.is_some() {
-        if *curve_in_flight == 0 {
-            schedule_global_round(ctx, states)
-        } else {
-            Vec::new()
-        }
-    } else {
-        let state = &mut states[point];
-        if state.in_flight == 0 {
-            schedule_round(ctx, state, point)
-        } else {
-            Vec::new()
-        }
-    };
-    *curve_in_flight += next.len();
-    next
-}
-
-/// Builds the `(point, shard)` jobs of one `round`-frame scheduling round,
-/// splitting the frames over the point's shard streams.
-fn build_round_jobs<'env>(
-    ctx: &CurveCtx<'env>,
-    state: &mut PointState,
-    point: usize,
-    round: u64,
-) -> Vec<Job<'env, ShardResult>> {
-    let cfg = ctx.cfg;
     let shards = state.rngs.len();
-    let counts = split_round(round, shards);
-
     let codec = ctx.codec;
     let channel = &ctx.channels[point];
     let modulator = ctx.modulator;
-    let batch = cfg.batch_frames;
+    let batch = ctx.cfg.batch_frames as u64;
     let observed = ctx.observed;
     let mut jobs = Vec::new();
-    for (shard, &n) in counts.iter().enumerate() {
+    for (shard, n) in split_round(round, shards).into_iter().enumerate() {
         if n == 0 {
             continue;
         }
         let mut rng = state.rngs[shard].take().expect("shard RNG checked back in");
         jobs.push(Job::new(point * shards + shard, move || {
             let mut acc = PointAccumulator::default();
-            let mut reg = if observed {
-                Some(Box::new(Registry::new()))
-            } else {
-                None
-            };
-            if batch <= 1 {
-                for _ in 0..n {
-                    simulate_frame(
-                        codec,
-                        channel,
-                        modulator,
-                        &mut rng,
-                        &mut acc,
-                        reg.as_deref_mut(),
-                    );
-                }
-            } else {
-                // Chunk the shard's quota into decode batches; the final
-                // chunk may be ragged.  The RNG is consumed frame by frame
-                // during generation, so the stream order — and therefore
-                // every count — is independent of `batch`.
-                let mut done = 0u64;
-                while done < n {
-                    let b = (n - done).min(batch as u64) as usize;
-                    simulate_batch(
-                        codec,
-                        channel,
-                        modulator,
-                        &mut rng,
-                        &mut acc,
-                        b,
-                        reg.as_deref_mut(),
-                    );
-                    done += b as u64;
-                }
+            let mut reg = observed.then(|| Box::new(Registry::new()));
+            // The final chunk may be ragged; the stream order — and
+            // therefore every count — is independent of `batch`.
+            let mut done = 0;
+            while done < n {
+                let chunk = (n - done).min(batch);
+                simulate_chunk(
+                    codec,
+                    channel,
+                    modulator,
+                    &mut rng,
+                    &mut acc,
+                    chunk as usize,
+                    reg.as_deref_mut(),
+                );
+                done += chunk;
             }
             (rng, acc, reg)
         }));
@@ -990,50 +743,26 @@ fn finish_point(ebn0_db: f64, total: &PointAccumulator) -> BerPoint {
     }
 }
 
-/// Simulates one frame end to end and records it into `acc` (and, when
-/// observing, into the shard registry `obs`).
-fn simulate_frame(
-    codec: &dyn FecCodec,
-    channel: &AwgnChannel,
-    modulator: &BpskModulator,
-    rng: &mut StdRng,
-    acc: &mut PointAccumulator,
-    obs: Option<&mut Registry>,
-) {
-    let info: Vec<u8> = (0..codec.info_bits())
-        .map(|_| rng.gen_range(0..=1))
-        .collect();
-    let codeword = codec.encode(&info);
-    debug_assert_eq!(codeword.len(), codec.codeword_bits());
-    let received = channel.transmit(&modulator.modulate(&codeword), rng);
-    let llrs = channel.llrs(&received);
-    let decoded = match obs {
-        Some(obs) => codec.decode_observed(&llrs, obs),
-        None => codec.decode(&llrs),
-    };
-    acc.counter.record_frame(&info, &decoded.info_bits);
-    acc.iterations += decoded.iterations as u64;
-}
-
-/// Simulates `batch` frames end to end with one [`FecCodec::decode_batch`]
-/// call and records them into `acc` in generation order.
+/// Simulates `chunk` frames end to end with one
+/// [`FecCodec::decode_frames`] call and records them into `acc` (and, when
+/// observing, the `codec.*` family into the shard registry `obs`) in
+/// generation order.
 ///
 /// Each frame's channel randomness is drawn **fully, frame by frame, before
-/// any decode** — the exact call order of the serial loop — so the shard's
-/// RNG stream (and with it every error count) is bit-identical to
-/// `batch_frames == 1`.
-fn simulate_batch(
+/// any decode**, so the shard's RNG stream (and with it every error count)
+/// is the same for any chunk size.
+fn simulate_chunk(
     codec: &dyn FecCodec,
     channel: &AwgnChannel,
     modulator: &BpskModulator,
     rng: &mut StdRng,
     acc: &mut PointAccumulator,
-    batch: usize,
-    obs: Option<&mut Registry>,
+    chunk: usize,
+    mut obs: Option<&mut Registry>,
 ) {
-    let mut infos = Vec::with_capacity(batch);
-    let mut llr_frames = Vec::with_capacity(batch);
-    for _ in 0..batch {
+    let mut infos = Vec::with_capacity(chunk);
+    let mut llr_frames = Vec::with_capacity(chunk);
+    for _ in 0..chunk {
         let info: Vec<u8> = (0..codec.info_bits())
             .map(|_| rng.gen_range(0..=1))
             .collect();
@@ -1044,14 +773,18 @@ fn simulate_batch(
         infos.push(info);
     }
     let frames: Vec<&[Llr]> = llr_frames.iter().map(|f| f.as_slice()).collect();
-    let decoded = match obs {
-        Some(obs) => codec.decode_batch_observed(&frames, obs),
-        None => codec.decode_batch(&frames),
-    };
-    debug_assert_eq!(decoded.len(), batch);
+    let decoded = codec.decode_frames(&frames, obs.as_deref_mut());
+    debug_assert_eq!(decoded.len(), chunk);
     for (info, frame) in infos.iter().zip(&decoded) {
         acc.counter.record_frame(info, &frame.info_bits);
         acc.iterations += frame.iterations as u64;
+        if let Some(obs) = obs.as_deref_mut() {
+            obs.incr(Class::Count, "codec.frames", 1);
+            obs.observe(Class::Count, "codec.iterations", frame.iterations as u64);
+            if frame.converged {
+                obs.incr(Class::Count, "codec.converged", 1);
+            }
+        }
     }
 }
 
@@ -1112,15 +845,21 @@ mod tests {
             info.iter().chain(info).copied().collect()
         }
 
-        fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-            let bits = (0..self.k)
-                .map(|i| u8::from(llrs[i].value() + llrs[i + self.k].value() < 0.0))
-                .collect();
-            DecodedFrame {
-                info_bits: bits,
-                iterations: 1,
-                converged: true,
-            }
+        fn decode_frames(
+            &self,
+            frames: &[&[Llr]],
+            _obs: Option<&mut Registry>,
+        ) -> Vec<DecodedFrame> {
+            frames
+                .iter()
+                .map(|llrs| DecodedFrame {
+                    info_bits: (0..self.k)
+                        .map(|i| u8::from(llrs[i].value() + llrs[i + self.k].value() < 0.0))
+                        .collect(),
+                    iterations: 1,
+                    converged: true,
+                })
+                .collect()
         }
     }
 
@@ -1144,56 +883,52 @@ mod tests {
             info.to_vec()
         }
 
-        fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-            DecodedFrame {
-                info_bits: llrs.iter().map(|l| u8::from(l.value() >= 0.0)).collect(),
-                iterations: 1,
-                converged: false,
-            }
+        fn decode_frames(
+            &self,
+            frames: &[&[Llr]],
+            _obs: Option<&mut Registry>,
+        ) -> Vec<DecodedFrame> {
+            frames
+                .iter()
+                .map(|llrs| DecodedFrame {
+                    info_bits: llrs.iter().map(|l| u8::from(l.value() >= 0.0)).collect(),
+                    iterations: 1,
+                    converged: false,
+                })
+                .collect()
         }
     }
 
-    fn engine(workers: usize, stop: MonteCarloConfig) -> SimulationEngine {
+    fn engine(workers: usize, frames: u64) -> SimulationEngine {
         SimulationEngine::new(EngineConfig {
             workers,
             shards: 8,
             frames_per_shard_round: 4,
             seed: 99,
             batch_frames: 1,
-            stop,
-            ..EngineConfig::default()
+            stop_rule: StopRule::FixedBudget { frames },
         })
     }
 
     #[test]
     fn identical_counts_for_1_2_and_8_workers() {
         let codec = Repetition { k: 24 };
-        let stop = MonteCarloConfig {
-            max_frames: 300,
-            target_frame_errors: 40,
-            min_frames: 50,
-        };
-        let reference = engine(1, stop).run_point(&codec, 1.0);
+        let reference = engine(1, 300).run_point(&codec, 1.0);
         for workers in [2, 8] {
-            let point = engine(workers, stop).run_point(&codec, 1.0);
+            let point = engine(workers, 300).run_point(&codec, 1.0);
             assert_eq!(point, reference, "workers = {workers}");
         }
     }
 
     #[test]
     fn curve_counts_are_identical_for_1_2_and_8_workers() {
-        // The (point, shard) pool schedule with early stopping active: every
-        // point of the curve must be bit-identical at any worker count.
+        // The (point, shard) pool schedule: every point of the curve must
+        // be bit-identical at any worker count.
         let codec = Repetition { k: 24 };
-        let stop = MonteCarloConfig {
-            max_frames: 200,
-            target_frame_errors: 25,
-            min_frames: 30,
-        };
         let snrs = [-1.0, 1.0, 3.0, 5.0];
-        let reference = engine(1, stop).run_curve(&codec, &snrs);
+        let reference = engine(1, 200).run_curve(&codec, &snrs);
         for workers in [2, 8] {
-            let curve = engine(workers, stop).run_curve(&codec, &snrs);
+            let curve = engine(workers, 200).run_curve(&codec, &snrs);
             assert_eq!(curve, reference, "workers = {workers}");
         }
     }
@@ -1204,22 +939,12 @@ mod tests {
         // drawn frame by frame before decoding, so any (workers, batch)
         // combination must reproduce the serial single-frame counts.
         let codec = Repetition { k: 24 };
-        let stop = MonteCarloConfig {
-            max_frames: 300,
-            target_frame_errors: 40,
-            min_frames: 50,
-        };
-        let reference = engine(1, stop).run_point(&codec, 1.0);
+        let reference = engine(1, 300).run_point(&codec, 1.0);
         for workers in [1, 2, 8] {
             for batch in [1, 4, 8] {
                 let eng = SimulationEngine::new(EngineConfig {
-                    workers,
-                    shards: 8,
-                    frames_per_shard_round: 4,
-                    seed: 99,
                     batch_frames: batch,
-                    stop,
-                    ..EngineConfig::default()
+                    ..*engine(workers, 300).config()
                 });
                 let point = eng.run_point(&codec, 1.0);
                 assert_eq!(point, reference, "workers = {workers}, batch = {batch}");
@@ -1289,29 +1014,9 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_never_undershoots_min_frames() {
-        // Every frame errs, so the error target is hit immediately; the
-        // engine must still simulate at least `min_frames` frames.
-        let stop = MonteCarloConfig {
-            max_frames: 10_000,
-            target_frame_errors: 1,
-            min_frames: 97,
-        };
-        let point = engine(2, stop).run_point(&AlwaysWrong, 0.0);
-        assert!(point.frames >= 97, "frames = {}", point.frames);
-        assert!(point.frames < 10_000, "early stopping should fire");
-        assert_eq!(point.fer, 1.0);
-    }
-
-    #[test]
     fn max_frames_is_never_exceeded() {
         let codec = Repetition { k: 8 };
-        let stop = MonteCarloConfig {
-            max_frames: 41,
-            target_frame_errors: u64::MAX,
-            min_frames: 1,
-        };
-        let point = engine(3, stop).run_point(&codec, 1.0);
+        let point = engine(3, 41).run_point(&codec, 1.0);
         assert_eq!(point.frames, 41);
     }
 
@@ -1351,31 +1056,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min_frames (50) exceeds max_frames (10)")]
-    fn engine_rejects_min_frames_above_max_frames() {
-        // Regression: this configuration used to be accepted and silently
-        // capped at `max_frames`, contradicting the `min_frames` contract.
-        let _ = engine(
-            1,
-            MonteCarloConfig {
-                max_frames: 10,
-                target_frame_errors: 5,
-                min_frames: 50,
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "max_frames must be at least 1")]
+    #[should_panic(expected = "frames (the fixed per-point budget) must be at least 1")]
     fn engine_rejects_zero_frame_budget() {
-        let _ = engine(
-            1,
-            MonteCarloConfig {
-                max_frames: 0,
-                target_frame_errors: 5,
-                min_frames: 0,
-            },
-        );
+        let _ = engine(1, 0);
     }
 
     #[test]
@@ -1384,17 +1067,12 @@ mod tests {
         // themselves) must be byte-identical at any (workers, batch)
         // combination, because shard registries merge commutatively.
         let codec = Repetition { k: 24 };
-        let stop = MonteCarloConfig {
-            max_frames: 200,
-            target_frame_errors: 25,
-            min_frames: 30,
-        };
         let clock = fec_obs::ManualClock::new();
         let snrs = [0.0, 4.0];
         let mut reference_obs = Registry::new();
         let reference =
-            engine(1, stop).run_curve_observed(&codec, &snrs, &clock, &mut reference_obs);
-        assert_eq!(reference, engine(1, stop).run_curve(&codec, &snrs));
+            engine(1, 200).run_curve_observed(&codec, &snrs, &clock, &mut reference_obs);
+        assert_eq!(reference, engine(1, 200).run_curve(&codec, &snrs));
         let reference_counts = reference_obs.render_counts();
         assert!(reference_obs.counter("codec.frames").unwrap() >= 60);
         assert!(
@@ -1409,13 +1087,8 @@ mod tests {
         for workers in [2, 8] {
             for batch in [1, 8] {
                 let eng = SimulationEngine::new(EngineConfig {
-                    workers,
-                    shards: 8,
-                    frames_per_shard_round: 4,
-                    seed: 99,
                     batch_frames: batch,
-                    stop,
-                    ..EngineConfig::default()
+                    ..*engine(workers, 200).config()
                 });
                 let mut obs = Registry::new();
                 let curve = eng.run_curve_observed(&codec, &snrs, &clock, &mut obs);
@@ -1467,14 +1140,23 @@ mod tests {
 
     #[test]
     fn adaptive_never_undershoots_min_frames() {
-        // Every frame errs, so the width target is met almost immediately;
-        // the point must still honour min_frames before stopping.
-        let mut cfg = EngineConfig::adaptive(10_000, 0.3, 0.9, 7).with_shards(8);
-        cfg.stop.min_frames = 100; // above the 32-frame base round
-        cfg.frames_per_shard_round = 4;
-        let point = SimulationEngine::new(cfg).run_point(&AlwaysWrong, 0.0);
-        assert!(point.frames >= 100, "frames = {}", point.frames);
-        assert!(point.frames < 10_000, "the width target should stop early");
+        // Every frame errs, so the width target is met after the first
+        // 8-frame round; the point must still run ADAPTIVE_MIN_FRAMES
+        // frames before stopping, at any worker count.
+        for workers in [1, 2] {
+            let mut cfg = EngineConfig::adaptive(10_000, 0.3, 0.9, 7)
+                .with_shards(8)
+                .with_workers(workers);
+            cfg.frames_per_shard_round = 1; // an 8-frame base round
+            let point = SimulationEngine::new(cfg).run_point(&AlwaysWrong, 0.0);
+            assert!(
+                point.frames >= EngineConfig::ADAPTIVE_MIN_FRAMES,
+                "frames = {}",
+                point.frames
+            );
+            assert!(point.frames < 10_000, "the width target should stop early");
+            assert_eq!(point.fer, 1.0);
+        }
     }
 
     #[test]
@@ -1492,35 +1174,6 @@ mod tests {
             adaptive.frames,
             fixed.frames
         );
-    }
-
-    #[test]
-    fn global_frame_cap_is_honoured_and_deterministic() {
-        let codec = Repetition { k: 24 };
-        let snrs = [0.0, 2.0, 4.0];
-        let engine = |workers: usize, batch: usize| {
-            SimulationEngine::new(
-                EngineConfig::adaptive(2_000, 0.05, 0.95, 99)
-                    .with_shards(8)
-                    .with_workers(workers)
-                    .with_batch_frames(batch)
-                    .with_global_frame_cap(Some(700)),
-            )
-        };
-        let reference = engine(1, 1).run_curve(&codec, &snrs);
-        let total: u64 = reference.points.iter().map(|p| p.frames).sum();
-        assert!(total <= 700, "total = {total}");
-        // The 5% target is unreachable under this budget, so the cap binds.
-        assert!(
-            total >= 650,
-            "the budget should be nearly exhausted: {total}"
-        );
-        for workers in [2, 8] {
-            for batch in [1, 8] {
-                let curve = engine(workers, batch).run_curve(&codec, &snrs);
-                assert_eq!(curve, reference, "workers = {workers}, batch = {batch}");
-            }
-        }
     }
 
     #[test]
@@ -1589,20 +1242,9 @@ mod tests {
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("max_frames"), "{err}");
-        // min_frames above the adaptive cap can never be honoured.
-        let mut cfg = EngineConfig::adaptive(100, 0.2, 0.95, 1);
-        cfg.stop.min_frames = 101;
-        cfg.stop.max_frames = 101;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("min_frames"), "{err}");
-        // A global cap makes no sense with a fixed budget.
-        let cfg = EngineConfig::default().with_global_frame_cap(Some(100));
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("global_frame_cap"), "{err}");
-        // Zero global cap is rejected too.
-        let cfg = EngineConfig::adaptive(1_000, 0.2, 0.95, 1).with_global_frame_cap(Some(0));
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("global_frame_cap"), "{err}");
+        // A zero fixed budget is rejected too.
+        let err = EngineConfig::fixed_frames(0, 1).validate().unwrap_err();
+        assert!(err.contains("frames"), "{err}");
         assert!(EngineConfig::adaptive(1_000, 0.2, 0.95, 1)
             .validate()
             .is_ok());
@@ -1636,8 +1278,8 @@ mod tests {
 
     #[test]
     fn effective_workers_is_capped_by_shards() {
-        let eng = engine(64, MonteCarloConfig::default());
+        let eng = engine(64, 100);
         assert_eq!(eng.effective_workers(), 8);
-        assert!(engine(0, MonteCarloConfig::default()).effective_workers() >= 1);
+        assert!(engine(0, 100).effective_workers() >= 1);
     }
 }

@@ -16,6 +16,7 @@
 
 use fec_channel::sim::{DecodedFrame, FecCodec};
 use fec_fixed::Llr;
+use fec_obs::Registry;
 use std::fmt;
 use wimax_turbo::binary::{
     BinarySiso, BinarySisoConfig, BinarySisoInput, BinaryTrellis, TrellisBoundary,
@@ -604,16 +605,21 @@ impl FecCodec for LteTurboCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self
-            .decoder
-            .decode(llrs)
-            .expect("LLR length matches the codeword");
-        DecodedFrame {
-            info_bits: out.info_bits,
-            iterations: out.iterations,
-            converged: out.converged,
-        }
+    fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        frames
+            .iter()
+            .map(|llrs| {
+                let out = self
+                    .decoder
+                    .decode(llrs)
+                    .expect("LLR length matches the codeword");
+                DecodedFrame {
+                    info_bits: out.info_bits,
+                    iterations: out.iterations,
+                    converged: out.converged,
+                }
+            })
+            .collect()
     }
 }
 

@@ -185,24 +185,8 @@ impl<C: FecCodec> FecCodec for NamedCodec<C> {
         self.inner.encode(info)
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        self.inner.decode(llrs)
-    }
-
-    fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
-        // Forward so a wrapped codec's lockstep batch override is not lost
-        // behind the loop-over-decode default.
-        self.inner.decode_batch(frames)
-    }
-
-    fn decode_observed(&self, llrs: &[Llr], obs: &mut Registry) -> DecodedFrame {
-        // Forward so a wrapped codec's instrumented datapath (fixed.*
-        // saturation counters) is not lost behind the generic default.
-        self.inner.decode_observed(llrs, obs)
-    }
-
-    fn decode_batch_observed(&self, frames: &[&[Llr]], obs: &mut Registry) -> Vec<DecodedFrame> {
-        self.inner.decode_batch_observed(frames, obs)
+    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        self.inner.decode_frames(frames, obs)
     }
 }
 

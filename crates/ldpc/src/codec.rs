@@ -3,13 +3,25 @@
 
 use crate::code::QcLdpcCode;
 use crate::decoder::{
-    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder, LayeredConfig,
-    LayeredDecoder,
+    DecodeOutcome, FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder,
+    LayeredConfig, LayeredDecoder,
 };
 use crate::encoder::QcEncoder;
-use fec_channel::sim::{record_decoded_frame, DecodedFrame, FecCodec};
+use fec_channel::sim::{DecodedFrame, FecCodec};
 use fec_fixed::Llr;
-use fec_obs::Registry;
+use fec_obs::{NoopRecorder, Registry};
+
+/// The engine's view of a decoder outcome: the first `k` (information) hard
+/// decisions, the iteration count and the convergence flag.
+fn decoded_frame(out: DecodeOutcome, k: usize) -> DecodedFrame {
+    let mut info_bits = out.hard_bits;
+    info_bits.truncate(k);
+    DecodedFrame {
+        info_bits,
+        iterations: out.iterations,
+        converged: out.converged,
+    }
+}
 
 /// The layered normalized-min-sum decoder (the paper's hardware algorithm)
 /// behind the [`FecCodec`] interface.
@@ -52,36 +64,14 @@ impl FecCodec for LayeredLdpcCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self.decoder.decode(llrs);
-        DecodedFrame {
-            info_bits: out.hard_bits[..self.k].to_vec(),
-            iterations: out.iterations,
-            converged: out.converged,
-        }
-    }
-
-    /// Lockstep f64 batch decode (see [`LayeredDecoder::decode_batch`]):
-    /// per-frame results are bit-identical to [`decode`](Self::decode), so
-    /// `--batch-frames` now gives a fair float-vs-fixed batch comparison.
-    fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
-        self.decoder
-            .decode_batch(frames)
-            .into_iter()
-            .map(|out| DecodedFrame {
-                info_bits: out.hard_bits[..self.k].to_vec(),
-                iterations: out.iterations,
-                converged: out.converged,
-            })
+    /// Decodes frame after frame with the serial f64 loop: an f64 lockstep
+    /// loop measured slower at 8 frames, since its two-minimum scan runs
+    /// lane by lane over strided memory (see the README's batch section).
+    fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        frames
+            .iter()
+            .map(|llrs| decoded_frame(self.decoder.decode(llrs), self.k))
             .collect()
-    }
-
-    fn decode_batch_observed(&self, frames: &[&[Llr]], obs: &mut Registry) -> Vec<DecodedFrame> {
-        let decoded = self.decode_batch(frames);
-        for frame in &decoded {
-            record_decoded_frame(obs, frame);
-        }
-        decoded
     }
 }
 
@@ -126,13 +116,11 @@ impl FecCodec for FloodingLdpcCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self.decoder.decode(llrs);
-        DecodedFrame {
-            info_bits: out.hard_bits[..self.k].to_vec(),
-            iterations: out.iterations,
-            converged: out.converged,
-        }
+    fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        frames
+            .iter()
+            .map(|llrs| decoded_frame(self.decoder.decode(llrs), self.k))
+            .collect()
     }
 }
 
@@ -188,64 +176,18 @@ impl FecCodec for QuantizedLayeredLdpcCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self.decoder.decode(llrs);
-        DecodedFrame {
-            info_bits: out.hard_bits[..self.k].to_vec(),
-            iterations: out.iterations,
-            converged: out.converged,
-        }
-    }
-
-    fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
-        // Lockstep struct-of-arrays decode over the shared CSR structure;
-        // bit-identical per frame to the serial `decode` (the engine's
-        // determinism contract), so overriding the loop-over-decode default
-        // changes throughput only.
-        self.decoder
-            .decode_batch(frames)
-            .into_iter()
-            .map(|out| DecodedFrame {
-                info_bits: out.hard_bits[..self.k].to_vec(),
-                iterations: out.iterations,
-                converged: out.converged,
-            })
-            .collect()
-    }
-
-    fn decode_observed(&self, llrs: &[Llr], obs: &mut Registry) -> DecodedFrame {
-        // Thread the registry through the fixed datapath so quantizer
-        // saturation and min-sum clip counters (`fixed.*`) land next to the
-        // generic `codec.*` family.  Results stay bit-identical to
-        // `decode`; the `fixed.*` Count metrics are per-frame functions, so
-        // the engine's determinism contract extends to them.
-        let out = self.decoder.decode_recorded(llrs, obs);
-        let frame = DecodedFrame {
-            info_bits: out.hard_bits[..self.k].to_vec(),
-            iterations: out.iterations,
-            converged: out.converged,
+    /// Decodes the frames in lockstep blocks (see
+    /// [`FixedLayeredDecoder::decode_batch`]); with `obs` set, the fixed
+    /// datapath records its `fixed.*` quantizer, saturation and lockstep
+    /// metrics into it.
+    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        let outcomes = match obs {
+            Some(obs) => self.decoder.decode_batch(frames, obs),
+            None => self.decoder.decode_batch(frames, &mut NoopRecorder),
         };
-        record_decoded_frame(obs, &frame);
-        frame
-    }
-
-    fn decode_batch_observed(&self, frames: &[&[Llr]], obs: &mut Registry) -> Vec<DecodedFrame> {
-        // The lockstep datapath additionally reports Execution-class
-        // over-work metrics (`fixed.lane_iterations`,
-        // `fixed.batch_exec_iterations`); its Count-class metrics are
-        // gated on active lanes and therefore identical to serial decode.
-        self.decoder
-            .decode_batch_recorded(frames, obs)
+        outcomes
             .into_iter()
-            .map(|out| {
-                let frame = DecodedFrame {
-                    info_bits: out.hard_bits[..self.k].to_vec(),
-                    iterations: out.iterations,
-                    converged: out.converged,
-                };
-                record_decoded_frame(obs, &frame);
-                frame
-            })
+            .map(|out| decoded_frame(out, self.k))
             .collect()
     }
 }
@@ -330,15 +272,9 @@ mod tests {
         let batched = codec.decode_batch(&refs);
         let serial: Vec<DecodedFrame> = frames.iter().map(|f| codec.decode(f)).collect();
         assert_eq!(batched, serial);
-
-        // Count-class observability must be batch-invariant too.
-        let mut serial_obs = Registry::new();
-        for f in &frames {
-            let _ = codec.decode_observed(f, &mut serial_obs);
-        }
-        let mut batch_obs = Registry::new();
-        let _ = codec.decode_batch_observed(&refs, &mut batch_obs);
-        assert_eq!(batch_obs.render_counts(), serial_obs.render_counts());
+        // Observation never changes results.
+        let mut obs = Registry::new();
+        assert_eq!(codec.decode_frames(&refs, Some(&mut obs)), serial);
     }
 
     #[test]
@@ -374,24 +310,26 @@ mod tests {
         let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
 
         let mut serial_obs = Registry::new();
-        let serial: Vec<DecodedFrame> = frames
+        let serial: Vec<DecodedFrame> = refs
             .iter()
-            .map(|f| codec.decode_observed(f, &mut serial_obs))
+            .flat_map(|f| codec.decode_frames(&[f], Some(&mut serial_obs)))
             .collect();
         let plain: Vec<DecodedFrame> = frames.iter().map(|f| codec.decode(f)).collect();
         assert_eq!(serial, plain, "observation must not change results");
 
         let mut batch_obs = Registry::new();
-        let batched = codec.decode_batch_observed(&refs, &mut batch_obs);
+        let batched = codec.decode_frames(&refs, Some(&mut batch_obs));
         assert_eq!(batched, plain);
         // Count-class metrics (fixed.* saturation counters included) are
         // active-lane gated in the lockstep path, so batch == serial.
         assert_eq!(batch_obs.render_counts(), serial_obs.render_counts());
-        assert_eq!(serial_obs.counter("codec.frames"), Some(5));
+        assert_eq!(serial_obs.counter("fixed.frames"), Some(5));
         assert!(serial_obs.get("fixed.iterations").is_some());
-        // The lockstep path alone reports Execution-class over-work.
+        // Both report the Execution-class lockstep metrics; one-lane
+        // blocks never wait on another lane.
         assert!(batch_obs.get("fixed.lane_iterations").is_some());
-        assert!(serial_obs.get("fixed.lane_iterations").is_none());
+        assert!(serial_obs.get("fixed.lane_iterations").is_some());
+        assert_eq!(serial_obs.counter("fixed.overwork_iters"), Some(0));
     }
 
     #[test]

@@ -86,8 +86,7 @@ pub struct LayeredDecoder {
     code: QcLdpcCode,
     config: LayeredConfig,
     /// CSR row pointers into `cols` (length `m + 1`), rows stored in the
-    /// layered schedule order — walked by the serial loop and shared by
-    /// all lanes of the batch path.
+    /// layered schedule order.
     row_ptr: Vec<u32>,
     /// Flattened column indices of every parity-check entry, schedule order.
     cols: Vec<u32>,
@@ -100,7 +99,7 @@ impl LayeredDecoder {
     pub fn new(code: &QcLdpcCode, config: LayeredConfig) -> Self {
         // Flatten the parity-check rows into CSR in the layered schedule
         // order (layer by layer), mirroring the fixed-point decoder's
-        // layout; the serial and the lockstep batch loop both walk it.
+        // layout.
         let h = code.parity_check();
         let mut row_ptr = Vec::with_capacity(code.m() + 1);
         let mut cols = Vec::with_capacity(code.edge_count());
@@ -212,134 +211,6 @@ impl LayeredDecoder {
             iterations,
             converged,
         }
-    }
-
-    /// Decodes a batch of frames **in lockstep** over the shared CSR
-    /// structure: λ and the `R` messages live in struct-of-arrays buffers
-    /// (frame innermost, `lambda[v * batch + f]`), so every row update runs
-    /// over `batch` contiguous lanes — the floating-point counterpart of
-    /// the fixed-point decoder's batch datapath.
-    ///
-    /// Early termination is per-lane: a converged frame's λ and `R` lanes
-    /// are frozen while the others keep iterating, so every lane's result
-    /// is **bit-identical** to decoding that frame alone with
-    /// [`decode`](LayeredDecoder::decode); once all lanes have converged
-    /// the iteration stops entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frame's length differs from `code.n()`.
-    pub fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodeOutcome> {
-        let n = self.code.n();
-        let batch = frames.len();
-        if batch == 0 {
-            return Vec::new();
-        }
-        let h = self.code.parity_check();
-
-        // Transpose the frames into the [var][frame] SoA layout.
-        let mut lambda = vec![0.0f64; n * batch];
-        for (f, frame) in frames.iter().enumerate() {
-            assert_eq!(
-                frame.len(),
-                n,
-                "LLR vector length must equal the code length"
-            );
-            for (v, l) in frame.iter().enumerate() {
-                lambda[v * batch + f] = l.value();
-            }
-        }
-        let mut r = vec![0.0f64; self.cols.len() * batch];
-        let mut q = vec![0.0f64; self.max_degree * batch];
-        let mut hard = vec![0u8; n];
-        let mut active = vec![true; batch];
-        let mut iterations = vec![0usize; batch];
-        let mut converged = vec![false; batch];
-        let mut live = batch;
-        let rows = self.row_ptr.len() - 1;
-
-        for it in 0..self.config.max_iterations {
-            for f in 0..batch {
-                if active[f] {
-                    iterations[f] = it + 1;
-                }
-            }
-            for row in 0..rows {
-                let start = self.row_ptr[row] as usize;
-                let end = self.row_ptr[row + 1] as usize;
-                let cols = &self.cols[start..end];
-
-                // Q_lk = lambda_old - R_old, Eq. (6), over contiguous lanes.
-                for (j, &col) in cols.iter().enumerate() {
-                    let lam = &lambda[col as usize * batch..(col as usize + 1) * batch];
-                    let r_row = &r[(start + j) * batch..(start + j + 1) * batch];
-                    let q_row = &mut q[j * batch..(j + 1) * batch];
-                    for f in 0..batch {
-                        q_row[f] = lam[f] - r_row[f];
-                    }
-                }
-
-                // Two-minimum extraction and the R/λ update, Eq. (9)-(11),
-                // per lane in the exact arithmetic order of the serial
-                // loop, so each lane stays bit-identical to `decode`.
-                // Converged lanes are skipped: their λ and R stay frozen.
-                for f in 0..batch {
-                    if !active[f] {
-                        continue;
-                    }
-                    let mut meu = MinimumExtractionUnit::new();
-                    for j in 0..cols.len() {
-                        meu.push(j, q[j * batch + f]);
-                    }
-                    for (j, &col) in cols.iter().enumerate() {
-                        let qj = q[j * batch + f];
-                        let sign_excl = if qj < 0.0 {
-                            -meu.sign_product()
-                        } else {
-                            meu.sign_product()
-                        };
-                        let magnitude = (meu.magnitude_for(j) - self.config.offset).max(0.0);
-                        let r_new = self.config.scale * sign_excl * magnitude;
-                        lambda[col as usize * batch + f] = qj + r_new;
-                        r[(start + j) * batch + f] = r_new;
-                    }
-                }
-            }
-
-            if self.config.early_termination {
-                for f in 0..batch {
-                    if !active[f] {
-                        continue;
-                    }
-                    for (v, hb) in hard.iter_mut().enumerate() {
-                        *hb = Llr::new(lambda[v * batch + f]).hard_bit();
-                    }
-                    if h.is_codeword(&hard) {
-                        converged[f] = true;
-                        active[f] = false;
-                        live -= 1;
-                    }
-                }
-                if live == 0 {
-                    break;
-                }
-            }
-        }
-
-        (0..batch)
-            .map(|f| {
-                let posterior: Vec<f64> = (0..n).map(|v| lambda[v * batch + f]).collect();
-                let hard_bits: Vec<u8> =
-                    posterior.iter().map(|&l| Llr::new(l).hard_bit()).collect();
-                let lane_converged = converged[f] || h.is_codeword(&hard_bits);
-                DecodeOutcome {
-                    hard_bits,
-                    posterior,
-                    iterations: iterations[f],
-                    converged: lane_converged,
-                }
-            })
-            .collect()
     }
 }
 
@@ -521,86 +392,5 @@ mod tests {
             assert!(out.converged, "rate {rate}");
             assert_eq!(out.hard_bits, cw, "rate {rate}");
         }
-    }
-
-    /// A batch that exercises every lane state the lockstep loop can reach:
-    /// instant convergence, convergence at different iteration counts, a
-    /// frame that never converges, and a NaN-bearing frame.
-    fn mixed_batch(code: &QcLdpcCode) -> Vec<Vec<Llr>> {
-        let enc = QcEncoder::new(code);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let mut frames = vec![vec![Llr::new(6.0); code.n()]];
-        for seed in [2u64, 6, 15] {
-            let info: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..=1)).collect();
-            let cw = enc.encode(&info).unwrap();
-            frames.push(noisy_llrs(&cw, 0.8, seed));
-        }
-        // Pure noise: should exhaust max_iterations without converging.
-        frames.push(
-            (0..code.n())
-                .map(|_| Llr::new(rng.gen_range(-1.0..1.0)))
-                .collect(),
-        );
-        let mut with_nan = vec![Llr::new(6.0); code.n()];
-        with_nan[37] = Llr::new(f64::NAN);
-        frames.push(with_nan);
-        frames
-    }
-
-    /// Per-lane equality with the posterior compared **by bit pattern**
-    /// (`f64::to_bits`), so the NaN-bearing lane still asserts bit-exact
-    /// lockstep arithmetic instead of tripping over `NaN != NaN`.
-    fn assert_outcomes_bit_identical(batched: &[DecodeOutcome], serial: &[DecodeOutcome]) {
-        assert_eq!(batched.len(), serial.len());
-        for (f, (b, s)) in batched.iter().zip(serial).enumerate() {
-            assert_eq!(b.hard_bits, s.hard_bits, "lane {f}: hard bits");
-            assert_eq!(b.iterations, s.iterations, "lane {f}: iterations");
-            assert_eq!(b.converged, s.converged, "lane {f}: converged");
-            let b_bits: Vec<u64> = b.posterior.iter().map(|x| x.to_bits()).collect();
-            let s_bits: Vec<u64> = s.posterior.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(b_bits, s_bits, "lane {f}: posterior bit patterns");
-        }
-    }
-
-    #[test]
-    fn batch_decode_matches_serial_decode_bit_for_bit() {
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let dec = LayeredDecoder::new(&code, LayeredConfig::default());
-        let frames = mixed_batch(&code);
-        let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
-        let batched = dec.decode_batch(&refs);
-        let serial: Vec<DecodeOutcome> = frames.iter().map(|f| dec.decode(f)).collect();
-        assert_outcomes_bit_identical(&batched, &serial);
-        let iters: Vec<usize> = serial.iter().map(|o| o.iterations).collect();
-        assert!(
-            iters.windows(2).any(|w| w[0] != w[1]),
-            "test batch must mix convergence depths, got {iters:?}"
-        );
-        assert!(serial.iter().any(|o| !o.converged));
-    }
-
-    #[test]
-    fn batch_decode_matches_serial_with_offset_and_no_early_termination() {
-        let code = QcLdpcCode::wimax(576, CodeRate::R34A).unwrap();
-        let cfg = LayeredConfig {
-            scale: 1.0,
-            offset: 0.15,
-            max_iterations: 6,
-            early_termination: false,
-        };
-        let dec = LayeredDecoder::new(&code, cfg);
-        let frames = mixed_batch(&code);
-        let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
-        let serial: Vec<DecodeOutcome> = frames.iter().map(|f| dec.decode(f)).collect();
-        assert_outcomes_bit_identical(&dec.decode_batch(&refs), &serial);
-    }
-
-    #[test]
-    fn batch_decode_handles_empty_and_singleton_batches() {
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let dec = LayeredDecoder::new(&code, LayeredConfig::default());
-        assert!(dec.decode_batch(&[]).is_empty());
-        let frame = vec![Llr::new(6.0); code.n()];
-        assert_eq!(dec.decode_batch(&[&frame]), vec![dec.decode(&frame)]);
     }
 }

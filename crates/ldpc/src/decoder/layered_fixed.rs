@@ -9,15 +9,20 @@
 //! messages are saturated to `r_bits` before being written back.
 //!
 //! There is one decode loop: a lockstep kernel over `B` frame lanes with
-//! `B` a compile-time width, one of 1, 2, 4, 8 and 16.  Every entry point
-//! splits its frames into those widths (a single frame is `B = 1`; 13
-//! frames run as 8 + 4 + 1), and lanes never interact, so results do not
-//! depend on the split.  λ and the `R_lk` message memory are
+//! `B` a compile-time width, one of 1, 2, 4, 8 and 16.  The three entry
+//! points ([`decode`], [`decode_batch`] and [`decode_quantized`]) split
+//! their frames into those widths (a single frame is `B = 1`; 13 frames
+//! run as 8 + 4 + 1), and lanes never interact, so results do not depend on
+//! the split.  λ and the `R_lk` message memory are
 //! struct-of-arrays (`[var][lane]`, `[edge][lane]`) over the CSR structure,
 //! so every message update is one `[i16; B]` vector operation — the batch
 //! analogue of the paper's PE updating `z` check rows in parallel.  See
 //! `cargo bench -p decoder-bench --bench kernels` for the per-width
 //! throughput.
+//!
+//! [`decode`]: FixedLayeredDecoder::decode
+//! [`decode_batch`]: FixedLayeredDecoder::decode_batch
+//! [`decode_quantized`]: FixedLayeredDecoder::decode_quantized
 
 use super::meu::LaneScan;
 use super::DecodeOutcome;
@@ -27,26 +32,21 @@ use fec_obs::{Class, NoopRecorder, Recorder};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread default scratch: the convenience entry points
-    /// ([`FixedLayeredDecoder::decode`] and friends) borrow this so steady-
-    /// state decoding is allocation-free without forcing every caller to
-    /// carry a [`FixedScratch`].  Buffers only grow, so one thread decoding
-    /// the same code repeatedly never reallocates.
-    static SCRATCH: RefCell<FixedScratch> = RefCell::new(FixedScratch::new());
+    /// Per-thread λ / `R` / `Q` memories of every entry point, so steady-
+    /// state decoding allocates only the returned outcomes.  Buffers only
+    /// grow, so one thread decoding the same code repeatedly never
+    /// reallocates.
+    static SCRATCH: RefCell<FixedScratch> = const { RefCell::new(FixedScratch::new()) };
 }
 
-/// Reusable working memory of the fixed-point decoder: the λ registers, the
-/// `R_lk` message memory and the `Q_lk` row scratch of one lockstep block.
-///
-/// Pass one to the `*_with` entry points to make repeated decoding
-/// allocation-free in steady state (aside from the returned
-/// [`DecodeOutcome`]s, which own their results by contract).
+/// Working memory of the fixed-point decoder: the λ registers, the `R_lk`
+/// message memory and the `Q_lk` row scratch of one lockstep block.
 ///
 /// The buffers hold **struct-of-arrays** data, frame lane innermost:
 /// `lambda[v * B + f]` is variable `v` of lane `f`, `r[e * B + f]` edge `e`
 /// of lane `f`, so every message update runs over `B` contiguous lanes.
-#[derive(Debug, Clone, Default)]
-pub struct FixedScratch {
+#[derive(Debug)]
+struct FixedScratch {
     /// λ registers, `[var][lane]`.
     lambda: Vec<i16>,
     /// `R_lk` message memory, `[edge][lane]`.
@@ -56,9 +56,12 @@ pub struct FixedScratch {
 }
 
 impl FixedScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        FixedScratch::default()
+    const fn new() -> Self {
+        FixedScratch {
+            lambda: Vec::new(),
+            r: Vec::new(),
+            q: Vec::new(),
+        }
     }
 }
 
@@ -194,126 +197,13 @@ impl FixedLayeredDecoder {
         &self.quantizer
     }
 
-    /// Quantizes floating-point channel LLRs and decodes (per-thread default
-    /// scratch; see [`FixedLayeredDecoder::decode_with`]).
+    /// Quantizes floating-point channel LLRs and decodes one frame.
     ///
     /// # Panics
     ///
     /// Panics if `channel.len() != code.n()`.
     pub fn decode(&self, channel: &[Llr]) -> DecodeOutcome {
-        SCRATCH.with(|s| self.decode_with(channel, &mut s.borrow_mut()))
-    }
-
-    /// Quantizes floating-point channel LLRs and decodes using the caller's
-    /// scratch buffers — allocation-free in steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel.len() != code.n()`.
-    pub fn decode_with(&self, channel: &[Llr], scratch: &mut FixedScratch) -> DecodeOutcome {
-        self.decode_with_recorded(channel, scratch, &mut NoopRecorder)
-    }
-
-    /// Instrumented form of [`decode`](FixedLayeredDecoder::decode): emits
-    /// frame/iteration/saturation count metrics into `rec` (per-thread
-    /// default scratch).
-    pub fn decode_recorded<R: Recorder>(&self, channel: &[Llr], rec: &mut R) -> DecodeOutcome {
-        SCRATCH.with(|s| self.decode_with_recorded(channel, &mut s.borrow_mut(), rec))
-    }
-
-    /// [`decode_recorded`](FixedLayeredDecoder::decode_recorded) with
-    /// caller-owned scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel.len() != code.n()`.
-    pub fn decode_with_recorded<R: Recorder>(
-        &self,
-        channel: &[Llr],
-        scratch: &mut FixedScratch,
-        rec: &mut R,
-    ) -> DecodeOutcome {
-        assert_eq!(
-            channel.len(),
-            self.code.n(),
-            "LLR vector length must equal the code length"
-        );
-        let mut quant = QuantStats::default();
-        let ([outcome], _) = self.decode_block::<1, R>(scratch, rec, |_, v| {
-            self.quantize_lambda::<R>(channel[v], &mut quant)
-        });
-        record_quant_stats(rec, &quant);
-        outcome
-    }
-
-    /// Decodes already-quantized channel LLRs (integer λ values in LSB
-    /// units).  Out-of-range inputs are saturated to the register width.
-    /// Uses the per-thread default scratch; see
-    /// [`FixedLayeredDecoder::decode_quantized_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantized.len() != code.n()`.
-    pub fn decode_quantized(&self, quantized: &[i16]) -> DecodeOutcome {
-        SCRATCH.with(|s| self.decode_quantized_with(quantized, &mut s.borrow_mut()))
-    }
-
-    /// [`decode_quantized`](FixedLayeredDecoder::decode_quantized) with
-    /// caller-owned scratch buffers — allocation-free in steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantized.len() != code.n()`.
-    pub fn decode_quantized_with(
-        &self,
-        quantized: &[i16],
-        scratch: &mut FixedScratch,
-    ) -> DecodeOutcome {
-        self.decode_quantized_with_recorded(quantized, scratch, &mut NoopRecorder)
-    }
-
-    /// Instrumented form of
-    /// [`decode_quantized`](FixedLayeredDecoder::decode_quantized) (per-thread
-    /// default scratch).
-    pub fn decode_quantized_recorded<R: Recorder>(
-        &self,
-        quantized: &[i16],
-        rec: &mut R,
-    ) -> DecodeOutcome {
-        SCRATCH.with(|s| self.decode_quantized_with_recorded(quantized, &mut s.borrow_mut(), rec))
-    }
-
-    /// [`decode_quantized_recorded`](FixedLayeredDecoder::decode_quantized_recorded)
-    /// with caller-owned scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantized.len() != code.n()`.
-    pub fn decode_quantized_with_recorded<R: Recorder>(
-        &self,
-        quantized: &[i16],
-        scratch: &mut FixedScratch,
-        rec: &mut R,
-    ) -> DecodeOutcome {
-        assert_eq!(
-            quantized.len(),
-            self.code.n(),
-            "LLR vector length must equal the code length"
-        );
-        let (lo, hi) = self.lambda_bounds();
-        let ([outcome], _) =
-            self.decode_block::<1, R>(scratch, rec, |_, v| quantized[v].clamp(lo, hi));
-        outcome
-    }
-
-    /// Decodes a batch of frames in lockstep (per-thread default scratch;
-    /// see [`FixedLayeredDecoder::decode_batch_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frame's length differs from `code.n()`.
-    pub fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodeOutcome> {
-        SCRATCH.with(|s| self.decode_batch_with(frames, &mut s.borrow_mut()))
+        self.decode_batch(&[channel], &mut NoopRecorder).remove(0)
     }
 
     /// Quantizes `frames.len()` frames of channel LLRs and decodes them **in
@@ -321,42 +211,16 @@ impl FixedLayeredDecoder {
     /// structure.  Per-frame results are bit-identical to decoding each
     /// frame alone.
     ///
-    /// # Panics
-    ///
-    /// Panics if any frame's length differs from `code.n()`.
-    pub fn decode_batch_with(
-        &self,
-        frames: &[&[Llr]],
-        scratch: &mut FixedScratch,
-    ) -> Vec<DecodeOutcome> {
-        self.decode_batch_with_recorded(frames, scratch, &mut NoopRecorder)
-    }
-
-    /// Instrumented form of
-    /// [`decode_batch`](FixedLayeredDecoder::decode_batch): emits the same
-    /// count metrics as the serial recorded path (bit-identical at any batch
-    /// size) plus lockstep execution metrics — per-lane iteration histogram
-    /// and over-work counters (per-thread default scratch).
-    pub fn decode_batch_recorded<R: Recorder>(
-        &self,
-        frames: &[&[Llr]],
-        rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
-        SCRATCH.with(|s| self.decode_batch_with_recorded(frames, &mut s.borrow_mut(), rec))
-    }
-
-    /// [`decode_batch_recorded`](FixedLayeredDecoder::decode_batch_recorded)
-    /// with caller-owned scratch buffers.
+    /// `rec` receives the per-frame count metrics (`fixed.frames`,
+    /// iterations, convergence, quantizer and min-sum saturation), which
+    /// are bit-identical at any batch size, and the Execution-class lockstep
+    /// metrics of every block (per-lane iteration histogram and over-work).
+    /// With [`NoopRecorder`] every recording site compiles away.
     ///
     /// # Panics
     ///
     /// Panics if any frame's length differs from `code.n()`.
-    pub fn decode_batch_with_recorded<R: Recorder>(
-        &self,
-        frames: &[&[Llr]],
-        scratch: &mut FixedScratch,
-        rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
+    pub fn decode_batch<R: Recorder>(&self, frames: &[&[Llr]], rec: &mut R) -> Vec<DecodeOutcome> {
         let n = self.code.n();
         for frame in frames {
             assert_eq!(
@@ -365,115 +229,67 @@ impl FixedLayeredDecoder {
                 "LLR vector length must equal the code length"
             );
         }
-        if frames.is_empty() {
-            return Vec::new();
-        }
         let mut quant = QuantStats::default();
-        let outcomes = self.decode_frames(frames.len(), scratch, rec, |f, v| {
+        let outcomes = self.decode_frames(frames.len(), rec, |f, v| {
             self.quantize_lambda::<R>(frames[f][v], &mut quant)
         });
         record_quant_stats(rec, &quant);
         outcomes
     }
 
-    /// Decodes `batch` already-quantized frames in lockstep.  `quantized`
-    /// holds the frames back to back (frame-major: frame `f` occupies
-    /// `quantized[f * n .. (f + 1) * n]`); out-of-range λ values are
-    /// saturated like in
-    /// [`decode_quantized`](FixedLayeredDecoder::decode_quantized).  Returns
-    /// one [`DecodeOutcome`] per frame, in input order, each bit-identical
-    /// to the serial `decode_quantized` result for that frame.
-    ///
-    /// Uses the per-thread default scratch; see
-    /// [`FixedLayeredDecoder::decode_batch_quantized_with`].
+    /// Decodes already-quantized frames (integer λ values in LSB units) in
+    /// lockstep like [`decode_batch`](FixedLayeredDecoder::decode_batch).
+    /// `quantized` holds the frames back to back (frame `f` occupies
+    /// `quantized[f * n .. (f + 1) * n]`); out-of-range values are
+    /// saturated to the register width.  Returns one [`DecodeOutcome`] per
+    /// frame, in input order — none for an empty input.
     ///
     /// # Panics
     ///
-    /// Panics if `batch == 0` or `quantized.len() != batch * code.n()`.
-    pub fn decode_batch_quantized(&self, quantized: &[i16], batch: usize) -> Vec<DecodeOutcome> {
-        SCRATCH.with(|s| self.decode_batch_quantized_with(quantized, batch, &mut s.borrow_mut()))
-    }
-
-    /// [`decode_batch_quantized`](FixedLayeredDecoder::decode_batch_quantized)
-    /// with caller-owned scratch buffers — allocation-free in steady state
-    /// (aside from the returned outcomes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `quantized.len() != batch * code.n()`.
-    pub fn decode_batch_quantized_with(
+    /// Panics if `quantized.len()` is not a multiple of `code.n()`.
+    pub fn decode_quantized<R: Recorder>(
         &self,
         quantized: &[i16],
-        batch: usize,
-        scratch: &mut FixedScratch,
-    ) -> Vec<DecodeOutcome> {
-        self.decode_batch_quantized_with_recorded(quantized, batch, scratch, &mut NoopRecorder)
-    }
-
-    /// Instrumented form of
-    /// [`decode_batch_quantized`](FixedLayeredDecoder::decode_batch_quantized)
-    /// (per-thread default scratch).
-    pub fn decode_batch_quantized_recorded<R: Recorder>(
-        &self,
-        quantized: &[i16],
-        batch: usize,
-        rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
-        SCRATCH.with(|s| {
-            self.decode_batch_quantized_with_recorded(quantized, batch, &mut s.borrow_mut(), rec)
-        })
-    }
-
-    /// [`decode_batch_quantized_recorded`](FixedLayeredDecoder::decode_batch_quantized_recorded)
-    /// with caller-owned scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `quantized.len() != batch * code.n()`.
-    pub fn decode_batch_quantized_with_recorded<R: Recorder>(
-        &self,
-        quantized: &[i16],
-        batch: usize,
-        scratch: &mut FixedScratch,
         rec: &mut R,
     ) -> Vec<DecodeOutcome> {
         let n = self.code.n();
-        assert!(batch > 0, "batch must hold at least one frame");
         assert_eq!(
-            quantized.len(),
-            batch * n,
-            "quantized input must hold exactly batch * n LLR values"
+            quantized.len() % n,
+            0,
+            "quantized input must hold whole frames: batch * n LLR values"
         );
         let (lo, hi) = self.lambda_bounds();
-        self.decode_frames(batch, scratch, rec, |f, v| {
+        self.decode_frames(quantized.len() / n, rec, |f, v| {
             quantized[f * n + v].clamp(lo, hi)
         })
     }
 
     /// Decodes `count` frames, split greedily into lockstep blocks of 16,
-    /// 8, 4, 2 and 1 lanes; λ of frame `f` at variable `v` is
-    /// `lambda_of(f, v)`.  Records the lockstep execution metrics of every
-    /// block.
+    /// 8, 4, 2 and 1 lanes, in the per-thread scratch; λ of frame `f` at
+    /// variable `v` is `lambda_of(f, v)`.  Records the lockstep execution
+    /// metrics of every block.
     fn decode_frames<R: Recorder>(
         &self,
         count: usize,
-        scratch: &mut FixedScratch,
         rec: &mut R,
         mut lambda_of: impl FnMut(usize, usize) -> i16,
     ) -> Vec<DecodeOutcome> {
-        let mut outcomes = Vec::with_capacity(count);
-        while outcomes.len() < count {
-            let first = outcomes.len();
-            let lanes = |f, v| lambda_of(first + f, v);
-            match count - first {
-                16.. => self.push_block::<16, R>(scratch, rec, lanes, &mut outcomes),
-                8..=15 => self.push_block::<8, R>(scratch, rec, lanes, &mut outcomes),
-                4..=7 => self.push_block::<4, R>(scratch, rec, lanes, &mut outcomes),
-                2..=3 => self.push_block::<2, R>(scratch, rec, lanes, &mut outcomes),
-                _ => self.push_block::<1, R>(scratch, rec, lanes, &mut outcomes),
+        SCRATCH.with(|scratch| {
+            let scratch = &mut scratch.borrow_mut();
+            let mut outcomes = Vec::with_capacity(count);
+            while outcomes.len() < count {
+                let first = outcomes.len();
+                let lanes = |f, v| lambda_of(first + f, v);
+                match count - first {
+                    16.. => self.push_block::<16, R>(scratch, rec, lanes, &mut outcomes),
+                    8..=15 => self.push_block::<8, R>(scratch, rec, lanes, &mut outcomes),
+                    4..=7 => self.push_block::<4, R>(scratch, rec, lanes, &mut outcomes),
+                    2..=3 => self.push_block::<2, R>(scratch, rec, lanes, &mut outcomes),
+                    _ => self.push_block::<1, R>(scratch, rec, lanes, &mut outcomes),
+                }
             }
-        }
-        outcomes
+            outcomes
+        })
     }
 
     /// Decodes one `B`-lane block of [`decode_frames`](Self::decode_frames)
@@ -886,6 +702,11 @@ mod tests {
             .collect()
     }
 
+    /// Decodes one already-quantized frame.
+    fn decode_one(dec: &FixedLayeredDecoder, frame: &[i16]) -> DecodeOutcome {
+        dec.decode_quantized(frame, &mut NoopRecorder).remove(0)
+    }
+
     fn noisy_llrs(cw: &[u8], sigma: f64, seed: u64) -> Vec<Llr> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         cw.iter()
@@ -988,7 +809,7 @@ mod tests {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
         // +1000 saturates to +63: still a confident zero bit.
-        let out = dec.decode_quantized(&vec![1000i16; code.n()]);
+        let out = decode_one(&dec, &vec![1000i16; code.n()]);
         assert!(out.converged);
         assert!(out.hard_bits.iter().all(|&b| b == 0));
         assert!(out.posterior.iter().all(|&p| p == 31.5)); // 63 / 2^1
@@ -1054,10 +875,10 @@ mod tests {
             let q: Vec<i16> = (0..batch * n)
                 .map(|_| rng.gen_range(-300i16..=300))
                 .collect();
-            let batched = dec.decode_batch_quantized(&q, batch);
+            let batched = dec.decode_quantized(&q, &mut NoopRecorder);
             assert_eq!(batched.len(), batch);
             for f in 0..batch {
-                let serial = dec.decode_quantized(&q[f * n..(f + 1) * n]);
+                let serial = decode_one(&dec, &q[f * n..(f + 1) * n]);
                 assert_eq!(batched[f], serial, "lane {f} of batch {batch}");
             }
         }
@@ -1082,7 +903,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
-        let batched = dec.decode_batch(&refs);
+        let batched = dec.decode_batch(&refs, &mut NoopRecorder);
         let serial: Vec<DecodeOutcome> = frames.iter().map(|f| dec.decode(f)).collect();
         assert_eq!(batched, serial);
         let iters: Vec<usize> = serial.iter().map(|o| o.iterations).collect();
@@ -1108,7 +929,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
-        let batched = dec.decode_batch(&refs);
+        let batched = dec.decode_batch(&refs, &mut NoopRecorder);
         for (f, frame) in frames.iter().enumerate() {
             assert_eq!(batched[f], dec.decode(frame), "lane {f}");
         }
@@ -1118,15 +939,8 @@ mod tests {
     fn empty_batch_decodes_to_no_outcomes() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        assert!(dec.decode_batch(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one frame")]
-    fn zero_batch_of_quantized_frames_panics() {
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        let _ = dec.decode_batch_quantized(&[], 0);
+        assert!(dec.decode_batch(&[], &mut NoopRecorder).is_empty());
+        assert!(dec.decode_quantized(&[], &mut NoopRecorder).is_empty());
     }
 
     #[test]
@@ -1134,28 +948,25 @@ mod tests {
     fn ragged_quantized_batch_panics() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        let _ = dec.decode_batch_quantized(&vec![0i16; code.n() + 1], 1);
+        let _ = dec.decode_quantized(&vec![0i16; code.n() + 1], &mut NoopRecorder);
     }
 
     #[test]
     fn scratch_reuse_across_calls_is_harmless() {
-        // One scratch driven through serial and batch entry points in
-        // alternation must not leak state between calls.
+        // The per-thread scratch driven through one, three and one lanes in
+        // alternation must not leak state between calls of either width.
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
         let n = code.n();
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let q: Vec<i16> = (0..3 * n).map(|_| rng.gen_range(-100i16..=100)).collect();
-        let mut scratch = FixedScratch::new();
-        let expected: Vec<DecodeOutcome> = (0..3)
-            .map(|f| dec.decode_quantized(&q[f * n..(f + 1) * n]))
+        let expected: Vec<DecodeOutcome> = q
+            .chunks_exact(n)
+            .map(|frame| reference_decode(&dec, frame, &mut Registry::new()))
             .collect();
-        let serial_reused = dec.decode_quantized_with(&q[..n], &mut scratch);
-        assert_eq!(serial_reused, expected[0]);
-        let batched = dec.decode_batch_quantized_with(&q, 3, &mut scratch);
-        assert_eq!(batched, expected);
-        let serial_again = dec.decode_quantized_with(&q[2 * n..], &mut scratch);
-        assert_eq!(serial_again, expected[2]);
+        assert_eq!(decode_one(&dec, &q[..n]), expected[0]);
+        assert_eq!(dec.decode_quantized(&q, &mut NoopRecorder), expected);
+        assert_eq!(decode_one(&dec, &q[2 * n..]), expected[2]);
     }
 
     proptest! {
@@ -1169,9 +980,9 @@ mod tests {
             let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
             let batch = frames.len();
             let flat: Vec<i16> = frames.concat();
-            let batched = dec.decode_batch_quantized(&flat, batch);
+            let batched = dec.decode_quantized(&flat, &mut NoopRecorder);
             for (f, frame) in frames.iter().enumerate() {
-                let serial = dec.decode_quantized(frame);
+                let serial = decode_one(&dec, frame);
                 prop_assert!(batched[f] == serial, "lane {} of batch {} diverged", f, batch);
             }
         }
@@ -1206,16 +1017,12 @@ mod tests {
                 for frame in &frames {
                     let mut reg = Registry::new();
                     let out = reference_decode(&dec, frame, &mut reg);
-                    prop_assert!(dec.decode_quantized(frame) == out, "serial decode under {:?}", cfg);
+                    prop_assert!(decode_one(&dec, frame) == out, "serial decode under {:?}", cfg);
                     reference.push((out, reg));
                 }
                 for batch in 1..=frames.len() {
                     let mut got_counts = Registry::new();
-                    let got = dec.decode_batch_quantized_recorded(
-                        &frames[..batch].concat(),
-                        batch,
-                        &mut got_counts,
-                    );
+                    let got = dec.decode_quantized(&frames[..batch].concat(), &mut got_counts);
                     let mut want_counts = Registry::new();
                     for (f, (want, counts)) in reference[..batch].iter().enumerate() {
                         prop_assert!(got[f] == *want, "lane {} of batch {} under {:?}", f, batch, cfg);

@@ -10,7 +10,7 @@ mod meu;
 
 pub use flooding::{FloodingConfig, FloodingDecoder, FloodingKind};
 pub use layered::{LayeredConfig, LayeredDecoder};
-pub use layered_fixed::{FixedLayeredConfig, FixedLayeredDecoder, FixedScratch};
+pub use layered_fixed::{FixedLayeredConfig, FixedLayeredDecoder};
 pub use meu::{MinimumExtractionUnit, TwoMinScan};
 
 /// Result of a decoding attempt.

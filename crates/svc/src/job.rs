@@ -21,6 +21,7 @@ use decoder_bench::{
     CodecClass, LdpcFlavor,
 };
 use fec_channel::sim::{FecCodec, SimulationEngine};
+use fec_channel::{AwgnChannel, EbN0};
 use fec_json::{Json, ToJson};
 use fec_sched::Priority;
 use noc_decoder::{run_multi_compliance_sharded, ComplianceScope, DecoderConfig};
@@ -95,7 +96,7 @@ pub struct BerSpec {
     pub lambda_bits: u32,
     /// Frames per point (exact in fixed mode, a cap in adaptive mode).
     pub frames: u64,
-    /// Frames per lockstep batch decode call.
+    /// Frames per decode call (`FecCodec::decode_frames`).
     pub batch_frames: usize,
     /// Optional confidence-targeted stop rule.
     pub adaptive: Option<AdaptiveFlags>,
@@ -285,7 +286,20 @@ fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
     // Reuse the engine's own validation for the stop-rule ranges so the
     // daemon rejects exactly what the CLI would panic on.
     spec.engine_config_for_validation().validate()?;
-    let label = spec.build_codec().name();
+    let codec = spec.build_codec();
+    // 10^(dB/10) overflows above about 3083 dB and underflows to 0 below
+    // about -3233 dB (the exact rails depend on the code rate); the AWGN
+    // channel needs a finite, positive noise variance.
+    for &ebn0_db in &snrs {
+        let sigma2 =
+            AwgnChannel::for_code_rate(EbN0::from_db(ebn0_db), codec.rate()).noise_variance();
+        if !(sigma2.is_finite() && sigma2 > 0.0) {
+            return Err(format!(
+                "\"snrs\" value {ebn0_db:?} dB has no finite noise variance"
+            ));
+        }
+    }
+    let label = codec.name();
     let units = snrs
         .into_iter()
         .map(|ebn0_db| Unit::Ber {

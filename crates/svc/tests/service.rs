@@ -210,6 +210,33 @@ fn bad_requests_get_error_or_rejected_replies() {
     assert!(lines[3].contains("unknown job id 99"));
 }
 
+/// An Eb/N0 whose linear ratio overflows (+3100 dB) or underflows to zero
+/// (-3300 dB) gives the AWGN channel no finite noise variance; such a job is
+/// rejected up front, naming the value, instead of panicking a pool worker
+/// or reporting a meaningless curve.
+#[test]
+fn snrs_without_a_finite_noise_variance_are_rejected() {
+    let svc = service("extreme_snrs", 1, 8);
+    let sink = RecordingSink::default();
+    for (standard, snr) in [("dvbrcs", "3100"), ("lte", "3100"), ("dvbrcs", "-3300")] {
+        let line = format!(
+            r#"{{"type":"submit","job":"ber","standard":"{standard}","frames":2,"snrs":[{snr}]}}"#
+        );
+        assert!(svc.handle_line(&line, &sink));
+    }
+    let lines = sink.lines();
+    assert_eq!(lines.len(), 3);
+    for (line, value) in lines.iter().zip(["3100.0", "3100.0", "-3300.0"]) {
+        assert_eq!(event_type(line), "rejected", "{line}");
+        assert!(
+            line.contains(&format!("value {value} dB has no finite noise variance")),
+            "{line}"
+        );
+    }
+    svc.drain();
+    assert_eq!(sink.lines().len(), 3, "no job was admitted");
+}
+
 /// A request nested deeper than the JSON parser's limit (but short enough
 /// to pass the line cap) is answered with exactly one `error` event instead
 /// of overflowing the reader thread's stack.

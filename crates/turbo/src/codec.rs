@@ -5,6 +5,7 @@ use crate::decoder::{ExtrinsicExchange, TurboDecoder, TurboDecoderConfig};
 use crate::encoder::{CtcCode, TurboEncoder};
 use fec_channel::sim::{DecodedFrame, FecCodec};
 use fec_fixed::Llr;
+use fec_obs::Registry;
 
 /// The iterative duo-binary turbo decoder behind the [`FecCodec`]
 /// interface; the extrinsic-exchange mode (symbol- or bit-level) comes from
@@ -52,16 +53,21 @@ impl FecCodec for TurboCodec {
             .expect("info length matches the code")
     }
 
-    fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        let out = self
-            .decoder
-            .decode(llrs)
-            .expect("LLR length matches the punctured codeword");
-        DecodedFrame {
-            info_bits: out.info_bits,
-            iterations: out.iterations,
-            converged: out.converged,
-        }
+    fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+        frames
+            .iter()
+            .map(|llrs| {
+                let out = self
+                    .decoder
+                    .decode(llrs)
+                    .expect("LLR length matches the punctured codeword");
+                DecodedFrame {
+                    info_bits: out.info_bits,
+                    iterations: out.iterations,
+                    converged: out.converged,
+                }
+            })
+            .collect()
     }
 }
 

@@ -1,9 +1,11 @@
-//! Steady-state heap-allocation counts of the f64 LDPC frame path.
+//! Steady-state heap-allocation counts of the LDPC frame path.
 //!
-//! The serial [`LayeredDecoder::decode`] keeps λ, the `R` message memory and
-//! the `Q` row in a per-thread scratch — the software image of the
-//! processing element's fixed λ/`R_lk` memories — so a decode allocates only
-//! the two vectors of its outcome, however many iterations it runs.  The
+//! Both layered decoders keep λ, the `R` message memory and the `Q` row in
+//! a per-thread scratch — the software image of the processing element's
+//! fixed λ/`R_lk` memories — so a decode allocates only its outcomes,
+//! however many iterations it runs: two vectors per frame, plus the
+//! outcome list of the fixed datapath.  The fixed datapath's instrumented
+//! entry point must stay within that bound with a [`NoopRecorder`].  The
 //! [`QcEncoder`] computes its parity blocks in place in the returned
 //! codeword.  Counts are taken per thread (see `common`).
 
@@ -11,8 +13,9 @@ mod common;
 
 use common::allocations;
 use fec_fixed::Llr;
+use fec_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
-use wimax_ldpc::decoder::{LayeredConfig, LayeredDecoder};
+use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder};
 use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
 
 const BLOCK_LENGTHS: [usize; 2] = [576, 2304];
@@ -43,6 +46,49 @@ fn layered_decode_allocations_do_not_grow_with_iterations() {
             one_allocs <= 2,
             "n{n}: a decode should allocate only its outcome, made {one_allocs}"
         );
+    }
+}
+
+#[test]
+fn fixed_decode_allocations_do_not_grow_with_iterations() {
+    for n in BLOCK_LENGTHS {
+        let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
+        let decoder = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
+        // λ = +4 LSB everywhere is a clean all-zero frame that converges in
+        // one iteration; small random λ is pure noise that runs every
+        // iteration without converging.
+        let clean = vec![4i16; n];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        let noise: Vec<i16> = (0..n).map(|_| rng.gen_range(-4i16..=4)).collect();
+        for frames in [1usize, 8] {
+            let (clean, noise) = (clean.repeat(frames), noise.repeat(frames));
+            // Warm-up: grow the per-thread scratch to this code and width.
+            let _ = decoder.decode_quantized(&noise, &mut NoopRecorder);
+
+            let (one_allocs, one) =
+                allocations(|| decoder.decode_quantized(&clean, &mut NoopRecorder));
+            let (all_allocs, all) =
+                allocations(|| decoder.decode_quantized(&noise, &mut NoopRecorder));
+            assert!(
+                one.iter().all(|o| (o.iterations, o.converged) == (1, true)),
+                "n{n} x{frames}"
+            );
+            assert!(
+                all.iter()
+                    .all(|o| (o.iterations, o.converged) == (10, false)),
+                "n{n} x{frames}"
+            );
+            assert_eq!(
+                one_allocs, all_allocs,
+                "n{n} x{frames}: 1 iteration made {one_allocs} allocations, 10 made {all_allocs}"
+            );
+            let outcomes = 1 + 2 * frames as u64;
+            assert!(
+                one_allocs <= outcomes,
+                "n{n} x{frames}: a decode should allocate only its {outcomes} outcome \
+                 vectors, made {one_allocs}"
+            );
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! BER entry point.
 
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
-use fec_channel::MonteCarloConfig;
+use fec_channel::StopRule;
 use noc_decoder::{DecoderConfig, NocDecoder};
 use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
 use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec};
@@ -31,13 +31,13 @@ fn turbo_codec() -> TurboCodec {
     )
 }
 
-fn engine(workers: usize, stop: MonteCarloConfig) -> SimulationEngine {
+fn engine(workers: usize, frames: u64) -> SimulationEngine {
     SimulationEngine::new(
         EngineConfig {
             shards: 16,
             frames_per_shard_round: 2,
             seed: 2012,
-            stop,
+            stop_rule: StopRule::FixedBudget { frames },
             ..EngineConfig::default()
         }
         .with_workers(workers),
@@ -49,14 +49,10 @@ fn engine(workers: usize, stop: MonteCarloConfig) -> SimulationEngine {
 #[test]
 fn ldpc_counts_are_identical_for_1_2_and_8_workers() {
     let codec = ldpc_codec();
-    let stop = MonteCarloConfig {
-        max_frames: 60,
-        target_frame_errors: 10,
-        min_frames: 20,
-    };
-    let reference = engine(1, stop).run_point(&codec, 1.5);
+    let frames = 60;
+    let reference = engine(1, frames).run_point(&codec, 1.5);
     for workers in [2, 8] {
-        let point = engine(workers, stop).run_point(&codec, 1.5);
+        let point = engine(workers, frames).run_point(&codec, 1.5);
         assert_eq!(point, reference, "workers = {workers}");
     }
 }
@@ -66,14 +62,10 @@ fn ldpc_counts_are_identical_for_1_2_and_8_workers() {
 #[test]
 fn quantized_ldpc_counts_are_identical_for_1_2_and_8_workers() {
     let codec = quantized_ldpc_codec();
-    let stop = MonteCarloConfig {
-        max_frames: 60,
-        target_frame_errors: 10,
-        min_frames: 20,
-    };
-    let reference = engine(1, stop).run_point(&codec, 1.5);
+    let frames = 60;
+    let reference = engine(1, frames).run_point(&codec, 1.5);
     for workers in [2, 8] {
-        let point = engine(workers, stop).run_point(&codec, 1.5);
+        let point = engine(workers, frames).run_point(&codec, 1.5);
         assert_eq!(point, reference, "workers = {workers}");
     }
 }
@@ -86,25 +78,12 @@ fn quantized_ldpc_counts_are_identical_for_1_2_and_8_workers() {
 #[test]
 fn quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() {
     let codec = quantized_ldpc_codec();
-    let stop = MonteCarloConfig {
-        max_frames: 60,
-        target_frame_errors: 10,
-        min_frames: 20,
-    };
-    let reference = engine(1, stop).run_point(&codec, 1.5);
+    let frames = 60;
+    let reference = engine(1, frames).run_point(&codec, 1.5);
     for workers in [1, 2, 8] {
         for batch in [1, 4, 8] {
-            let eng = SimulationEngine::new(
-                EngineConfig {
-                    shards: 16,
-                    frames_per_shard_round: 2,
-                    seed: 2012,
-                    stop,
-                    ..EngineConfig::default()
-                }
-                .with_workers(workers)
-                .with_batch_frames(batch),
-            );
+            let eng =
+                SimulationEngine::new(engine(workers, frames).config().with_batch_frames(batch));
             let point = eng.run_point(&codec, 1.5);
             assert_eq!(point, reference, "workers = {workers}, batch = {batch}");
         }
@@ -143,60 +122,30 @@ fn adaptive_quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() 
     }
 }
 
-/// An adaptive multi-point curve under a global frame cap stays bit-exact
-/// across worker counts with the real codec: rebalancing happens only at
-/// deterministic curve-wide round barriers.
-#[test]
-fn adaptive_curve_with_global_cap_is_identical_for_1_2_and_8_workers() {
-    let codec = quantized_ldpc_codec();
-    let run = |workers: usize| {
-        let engine = SimulationEngine::new(
-            EngineConfig::adaptive(512, 0.35, 0.9, 2012)
-                .with_global_frame_cap(Some(768))
-                .with_workers(workers),
-        );
-        engine.run_curve(&codec, &[1.0, 1.5, 2.0])
-    };
-    let reference = run(1);
-    let total: u64 = reference.points.iter().map(|p| p.frames).sum();
-    assert!(total <= 768, "global cap violated: {total} frames");
-    for workers in [2, 8] {
-        assert_eq!(run(workers), reference, "workers = {workers}");
-    }
-}
-
 /// The turbo codec satisfies the same worker-count invariance.
 #[test]
 fn turbo_counts_are_identical_for_1_2_and_8_workers() {
     let codec = turbo_codec();
-    let stop = MonteCarloConfig {
-        max_frames: 40,
-        target_frame_errors: 8,
-        min_frames: 10,
-    };
-    let reference = engine(1, stop).run_point(&codec, 0.5);
+    let frames = 40;
+    let reference = engine(1, frames).run_point(&codec, 0.5);
     for workers in [2, 8] {
-        let point = engine(workers, stop).run_point(&codec, 0.5);
+        let point = engine(workers, frames).run_point(&codec, 0.5);
         assert_eq!(point, reference, "workers = {workers}");
     }
 }
 
 /// A multi-point curve on the shared (point, shard) work pool: every point
-/// must be bit-identical at 1, 2 and 8 workers, with early stopping active
-/// and the real layered LDPC decoder in the loop.
+/// must be bit-identical at 1, 2 and 8 workers, with the real layered LDPC
+/// decoder in the loop.
 #[test]
 fn ldpc_curve_counts_are_identical_for_1_2_and_8_workers() {
     let codec = ldpc_codec();
-    let stop = MonteCarloConfig {
-        max_frames: 48,
-        target_frame_errors: 8,
-        min_frames: 16,
-    };
+    let frames = 48;
     let snrs = [0.5, 1.5, 2.5];
-    let reference = engine(1, stop).run_curve(&codec, &snrs);
+    let reference = engine(1, frames).run_curve(&codec, &snrs);
     assert_eq!(reference.points.len(), 3);
     for workers in [2, 8] {
-        let curve = engine(workers, stop).run_curve(&codec, &snrs);
+        let curve = engine(workers, frames).run_curve(&codec, &snrs);
         assert_eq!(curve, reference, "workers = {workers}");
     }
 }
@@ -206,31 +155,32 @@ fn ldpc_curve_counts_are_identical_for_1_2_and_8_workers() {
 #[test]
 fn pooled_curve_matches_point_at_a_time_runs() {
     let codec = ldpc_codec();
-    let stop = MonteCarloConfig {
-        max_frames: 40,
-        target_frame_errors: 6,
-        min_frames: 10,
-    };
+    let frames = 40;
     let snrs = [1.0, 2.0];
-    let eng = engine(4, stop);
+    let eng = engine(4, frames);
     let curve = eng.run_curve(&codec, &snrs);
     let pointwise: Vec<_> = snrs.iter().map(|&e| eng.run_point(&codec, e)).collect();
     assert_eq!(curve.points, pointwise);
 }
 
-/// Early stopping must never undershoot `min_frames`, even when the error
-/// target is reached in the very first scheduling round.
+/// Early stopping must never undershoot the adaptive minimum of
+/// `ADAPTIVE_MIN_FRAMES` frames, even when the width target is reached in
+/// the very first scheduling round.
 #[test]
 fn early_stopping_respects_min_frames_with_a_real_codec() {
     let codec = ldpc_codec();
-    let stop = MonteCarloConfig {
-        max_frames: 5_000,
-        target_frame_errors: 1,
-        min_frames: 48,
-    };
-    // 0 dB is noisy enough that frame errors appear almost immediately.
-    let point = engine(2, stop).run_point(&codec, 0.0);
-    assert!(point.frames >= 48, "frames = {}", point.frames);
+    let mut cfg = EngineConfig::adaptive(5_000, 0.35, 0.9, 2012)
+        .with_shards(16)
+        .with_workers(2);
+    cfg.frames_per_shard_round = 1; // a 16-frame first round
+                                    // At -1 dB nearly every frame errs, so the first round alone already
+                                    // meets the width target.
+    let point = SimulationEngine::new(cfg).run_point(&codec, -1.0);
+    assert!(
+        point.frames >= EngineConfig::ADAPTIVE_MIN_FRAMES,
+        "frames = {}",
+        point.frames
+    );
     assert!(
         point.frames < 5_000,
         "early stopping should fire long before max_frames"

@@ -3,8 +3,8 @@
 //! worker count, and the architectural layer must evaluate codes from all
 //! five standards in one compliance sweep.
 
-use fec_channel::ber::MonteCarloConfig;
 use fec_channel::sim::{EngineConfig, SimulationEngine};
+use fec_channel::StopRule;
 use noc_decoder::{registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, Standard};
 
 /// The smallest corner code of a standard (fast enough for Monte-Carlo in a
@@ -24,12 +24,7 @@ fn engine(workers: usize) -> SimulationEngine {
         frames_per_shard_round: 2,
         seed: 0xC0DE5,
         batch_frames: 1,
-        stop: MonteCarloConfig {
-            max_frames: 24,
-            target_frame_errors: u64::MAX,
-            min_frames: 24,
-        },
-        ..EngineConfig::default()
+        stop_rule: StopRule::FixedBudget { frames: 24 },
     })
 }
 
