@@ -1014,6 +1014,27 @@ mod tests {
     }
 
     #[test]
+    fn early_stopping_never_undershoots_min_frames() {
+        // Every frame errs, so the width target is met within a few 3-frame
+        // rounds; the point must still run ADAPTIVE_MIN_FRAMES frames.
+        let run = |max_frames| {
+            let mut cfg = EngineConfig::adaptive(max_frames, 0.3, 0.9, 99).with_shards(3);
+            cfg.frames_per_shard_round = 1; // a 3-frame base round
+            SimulationEngine::new(cfg).run_point(&AlwaysWrong, 0.0)
+        };
+        let point = run(10_000);
+        assert!(
+            point.frames >= EngineConfig::ADAPTIVE_MIN_FRAMES,
+            "frames = {}",
+            point.frames
+        );
+        assert!(point.frames < 10_000, "early stopping should fire");
+        assert_eq!(point.fer, 1.0);
+        // A cap below the minimum is the minimum: the point runs all of it.
+        assert_eq!(run(20).frames, 20);
+    }
+
+    #[test]
     fn max_frames_is_never_exceeded() {
         let codec = Repetition { k: 8 };
         let point = engine(3, 41).run_point(&codec, 1.0);

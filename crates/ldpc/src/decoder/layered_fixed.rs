@@ -944,6 +944,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "whole frames")]
+    fn zero_batch_of_quantized_frames_panics() {
+        // Fewer values than one frame is zero whole frames plus a ragged
+        // tail: it must panic, not decode to no outcomes like `&[]`.
+        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
+        let _ = dec.decode_quantized(&vec![0i16; code.n() - 1], &mut NoopRecorder);
+    }
+
+    #[test]
     #[should_panic(expected = "batch * n")]
     fn ragged_quantized_batch_panics() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
