@@ -3,9 +3,12 @@
 //! worker count, and the architectural layer must evaluate codes from all
 //! five standards in one compliance sweep.
 
-use fec_channel::sim::{EngineConfig, SimulationEngine};
-use fec_channel::StopRule;
+use code_tables::dvb_rcs_ctc;
+use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
+use fec_channel::{AwgnChannel, BpskModulator, EbN0, StopRule};
 use noc_decoder::{registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, Standard};
+use rand::{Rng, SeedableRng};
+use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
 
 /// The smallest corner code of a standard (fast enough for Monte-Carlo in a
 /// test).
@@ -140,4 +143,129 @@ fn registries_expose_disjoint_standards() {
     unique.sort();
     unique.dedup();
     assert_eq!(unique.len(), labels.len(), "duplicate code labels");
+}
+
+/// One short fixed-seed curve of a turbo codec, pinned point by point as
+/// `(Eb/N0 dB, bit errors, frame errors, total iterations)`.
+struct TurboGolden {
+    codec: Box<dyn FecCodec>,
+    frames: u64,
+    points: &'static [(f64, u64, u64, u64)],
+    /// FNV-1a hash of the decoded bits of [`HASHED_FRAMES`] noisy frames at
+    /// the first point.
+    decoded_hash: u64,
+}
+
+/// Frames whose decoded bits are hashed per codec.
+const HASHED_FRAMES: u64 = 3;
+
+fn registry_codec(standard: Standard, info_bits: usize) -> Box<dyn FecCodec> {
+    registry_for(standard)
+        .full_codes()
+        .into_iter()
+        .find(|c| c.info_bits() == info_bits)
+        .expect("registry has the block size")
+        .codec()
+}
+
+fn ctc_codec(code: CtcCode, exchange: ExtrinsicExchange) -> Box<dyn FecCodec> {
+    Box::new(TurboCodec::new(
+        &code,
+        TurboDecoderConfig {
+            exchange,
+            ..TurboDecoderConfig::default()
+        },
+    ))
+}
+
+/// FNV-1a over the decoded bits and iteration counts of `frames` frames
+/// sent through an AWGN channel at `ebn0_db`.
+fn decoded_bits_hash(codec: &dyn FecCodec, ebn0_db: f64, frames: u64, seed: u64) -> u64 {
+    let channel = AwgnChannel::for_code_rate(EbN0::from_db(ebn0_db), codec.rate());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |byte: u8| hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    for _ in 0..frames {
+        let info: Vec<u8> = (0..codec.info_bits())
+            .map(|_| rng.gen_range(0..=1))
+            .collect();
+        let tx = BpskModulator::new().modulate(&codec.encode(&info));
+        let llrs = channel.llrs(&channel.transmit(&tx, &mut rng));
+        let decoded = codec.decode(&llrs);
+        decoded.info_bits.iter().for_each(|&b| mix(b));
+        mix(decoded.iterations as u8);
+    }
+    hash
+}
+
+/// Committed golden outputs of every turbo decoder, taken inside each
+/// waterfall where one changed rounding in the SISO or in the extrinsic
+/// exchange moves the counts.  Any change of the turbo decoders must keep
+/// these bytes.
+#[test]
+fn turbo_decoders_reproduce_their_golden_outputs() {
+    let goldens = [
+        TurboGolden {
+            codec: registry_codec(Standard::Lte, 1024),
+            frames: 8,
+            points: &[(0.0, 497, 5, 62), (0.25, 408, 3, 60), (0.5, 129, 1, 47)],
+            decoded_hash: 0xe7f1_43ee_9785_da7c,
+        },
+        TurboGolden {
+            codec: registry_codec(Standard::Lte, 104),
+            frames: 16,
+            points: &[(0.0, 241, 11, 98), (0.5, 128, 7, 92)],
+            decoded_hash: 0xfdc5_549d_7f4a_89f9,
+        },
+        TurboGolden {
+            codec: ctc_codec(
+                dvb_rcs_ctc(212).expect("ATM size"),
+                ExtrinsicExchange::BitLevel,
+            ),
+            frames: 8,
+            points: &[(1.0, 168, 6, 60), (1.25, 178, 5, 55), (1.5, 70, 3, 52)],
+            decoded_hash: 0x1272_b58d_fb99_3931,
+        },
+        TurboGolden {
+            codec: ctc_codec(
+                dvb_rcs_ctc(212).expect("ATM size"),
+                ExtrinsicExchange::SymbolLevel,
+            ),
+            frames: 8,
+            points: &[(1.0, 45, 3, 48), (1.25, 84, 3, 43), (1.5, 0, 0, 35)],
+            decoded_hash: 0xc2fc_5278_6128_d925,
+        },
+        TurboGolden {
+            codec: ctc_codec(
+                CtcCode::wimax(240).expect("WiMAX size"),
+                ExtrinsicExchange::BitLevel,
+            ),
+            frames: 8,
+            points: &[(1.0, 187, 7, 64), (1.25, 110, 6, 55), (1.5, 53, 5, 50)],
+            decoded_hash: 0x7576_717e_6486_b4f2,
+        },
+    ];
+    let mut mismatches = Vec::new();
+    for golden in &goldens {
+        let codec = golden.codec.as_ref();
+        let engine = SimulationEngine::new(EngineConfig::fixed_frames(golden.frames, 0x7E4B0));
+        let snrs: Vec<f64> = golden.points.iter().map(|p| p.0).collect();
+        let measured: Vec<(f64, u64, u64, u64)> = engine
+            .run_curve(codec, &snrs)
+            .points
+            .iter()
+            .map(|p| {
+                let iterations = (p.average_iterations * p.frames as f64).round() as u64;
+                (p.ebn0_db, p.bit_errors, p.frame_errors, iterations)
+            })
+            .collect();
+        let hash = decoded_bits_hash(codec, snrs[0], HASHED_FRAMES, 0x5A17);
+        if measured != golden.points || hash != golden.decoded_hash {
+            mismatches.push(format!(
+                "{}: points {measured:?}, decoded hash {hash:#018x}",
+                codec.name()
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
