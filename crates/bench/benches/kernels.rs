@@ -27,8 +27,7 @@ use wimax_ldpc::decoder::{
     LayeredDecoder, MinimumExtractionUnit,
 };
 use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
-use wimax_turbo::siso::SisoInput;
-use wimax_turbo::{SisoConfig, SisoUnit};
+use wimax_turbo::{DuoBinaryTrellis, LteTrellis, SisoUnit};
 
 fn noisy_ldpc_llrs(code: &QcLdpcCode, seed: u64) -> Vec<Llr> {
     let enc = QcEncoder::new(code);
@@ -231,14 +230,37 @@ fn main() {
         }),
     );
 
+    // One SISO half-iteration of the one Max-Log kernel on both trellis
+    // shapes: the paper's duo-binary N = 2400 couples (circular, with the
+    // wrap-around training passes) and LTE's largest block, K = 6144 plus
+    // the 3 tail steps (binary, terminated).
+    let mut siso = SisoUnit::new();
     let n = 2400usize;
-    let input = SisoInput::new(vec![1.0; n], vec![-1.0; n], vec![0.7; n], vec![0.0; n]);
-    let siso = SisoUnit::new(SisoConfig::default());
+    let channel = vec![[1.0, -1.0, 0.7, 0.0]; n];
+    let apriori = vec![[0.0; 3]; n];
+    let (mut ext, mut apo) = (vec![[0.0; 3]; n], vec![[0.0; 3]; n]);
     run(
         &mut reports,
         bench("turbo_siso_half_iteration_n2400/max_log_map", 2, 20, || {
-            std::hint::black_box(siso.run(&input));
+            siso.run::<DuoBinaryTrellis, 4, 16>(&channel, &apriori, &mut ext, &mut apo);
+            std::hint::black_box(&ext);
         }),
+    );
+    let steps = 6144 + 3;
+    let channel = vec![[1.0, 0.7]; steps];
+    let apriori = vec![0.0; steps];
+    let (mut ext, mut apo) = (vec![0.0; steps], vec![0.0; steps]);
+    run(
+        &mut reports,
+        bench(
+            "turbo_binary_siso_half_iteration_k6144/max_log_map",
+            2,
+            20,
+            || {
+                siso.run::<LteTrellis, 2, 4>(&channel, &apriori, &mut ext, &mut apo);
+                std::hint::black_box(&ext);
+            },
+        ),
     );
 
     let mapping = LdpcMapping::new(&code, 22, MappingConfig::default());

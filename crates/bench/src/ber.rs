@@ -8,8 +8,7 @@
 //! gone.
 
 use code_tables::{
-    dvb_rcs_ctc, wifi_ldpc, wran_ldpc, LteTurboCode, LteTurboCodec, LteTurboDecoderConfig,
-    NamedCodec, Standard,
+    dvb_rcs_ctc, wifi_ldpc, wran_ldpc, LteTurboCode, LteTurboCodec, NamedCodec, Standard,
 };
 pub use fec_channel::sim::{BerCurve, BerPoint};
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
@@ -110,7 +109,7 @@ pub fn wifi_ldpc_codec(n: usize, flavor: LdpcFlavor) -> Box<dyn FecCodec> {
 /// Panics if `k` is not in the LTE QPP table.
 pub fn lte_turbo_codec(k: usize) -> Box<dyn FecCodec> {
     let code = LteTurboCode::new(k).expect("valid LTE block size");
-    Box::new(LteTurboCodec::new(&code, LteTurboDecoderConfig::default()))
+    Box::new(LteTurboCodec::new(&code, TurboDecoderConfig::default()))
 }
 
 /// Builds the [`FecCodec`] for the 802.22 `r = 1/2` WRAN LDPC code of

@@ -11,9 +11,9 @@
 //!   1296 / 1944 x rates 1/2, 2/3, 3/4, 5/6) built on the generalized
 //!   [`wimax_ldpc::BaseMatrix`] with direct (per-`z`) shift tables;
 //! * [`lte`] — the 3GPP LTE rate-1/3 binary turbo code: QPP interleaver
-//!   table, tail-bit-terminated encoder, iterative binary Max-Log-MAP
-//!   decoder (reusing `wimax_turbo::binary`) and its
-//!   [`fec_channel::sim::FecCodec`] adapter;
+//!   table, tail-bit-terminated encoder and the
+//!   [`fec_channel::sim::FecCodec`] adapter over `wimax_turbo`'s binary
+//!   decoder (the same Max-Log SISO kernel and iterative loop as the CTC);
 //! * [`wran`] — the IEEE 802.22 WRAN QC-LDPC tables (n = 384 … 2304 x
 //!   rates 1/2, 2/3, 3/4) on the same 24-column base layout and floor
 //!   shift-scaling rule as 802.16e;
@@ -52,8 +52,8 @@ pub use dvb_rcs::{
     DVB_RCS_COUPLE_SIZES,
 };
 pub use lte::{
-    lte_block_sizes, LteTurboCode, LteTurboCodec, LteTurboDecoder, LteTurboDecoderConfig,
-    LteTurboEncoder, LteTurboError, QppInterleaver, QppParameters, LTE_QPP_TABLE,
+    lte_block_sizes, LteTurboCode, LteTurboCodec, LteTurboEncoder, LteTurboError, QppInterleaver,
+    QppParameters, LTE_QPP_TABLE,
 };
 pub use registry::{
     registry_for, DvbRcsRegistry, LteRegistry, NamedCodec, StandardCode, StandardRegistry,

@@ -3,11 +3,12 @@
 //! parity `1 + D + D^3`) concatenated through the quadratic permutation
 //! polynomial (QPP) interleaver, each terminated with three tail bits.
 //!
-//! The SISO machinery (binary trellis + binary Max-Log-MAP BCJR) comes from
-//! [`wimax_turbo::binary`]; this module adds the LTE specifics: the QPP
-//! parameter table for a representative set of block sizes `K`, the
-//! tail-bit-terminated encoder, the iterative decoder and the
-//! [`FecCodec`] adapter plugging it into the unified Monte-Carlo engine.
+//! The decoder — the binary Max-Log SISO kernel and the iterative loop —
+//! is [`wimax_turbo::BinaryTurboDecoder`], the same loop that decodes the
+//! duo-binary CTC; this module adds the LTE specifics: the QPP parameter
+//! table for a representative set of block sizes `K`, the
+//! tail-bit-terminated encoder and the [`FecCodec`] adapter plugging the
+//! decoder into the unified Monte-Carlo engine.
 //!
 //! The QPP law is `pi(i) = (f1 * i + f2 * i^2) mod K`: output position `i`
 //! of the interleaver reads input position `pi(i)`.  Every table entry is
@@ -18,12 +19,11 @@ use fec_channel::sim::{DecodedFrame, FecCodec};
 use fec_fixed::Llr;
 use fec_obs::Registry;
 use std::fmt;
-use wimax_turbo::binary::{
-    BinarySiso, BinarySisoConfig, BinarySisoInput, BinaryTrellis, TrellisBoundary,
-};
+use wimax_turbo::binary::TAIL_STEPS;
+use wimax_turbo::{lte_rsc_step, BinaryTurboDecoder, TurboDecoderConfig};
 
 /// Number of tail steps per constituent encoder (the encoder memory).
-pub const LTE_TAIL_STEPS: usize = 3;
+pub const LTE_TAIL_STEPS: usize = TAIL_STEPS;
 
 /// Total number of tail bits appended to a frame (systematic + parity for
 /// both constituent encoders).
@@ -250,22 +250,6 @@ impl QppInterleaver {
     }
 }
 
-/// The LTE/UMTS 8-state RSC transition: feedback `1 + D^2 + D^3`, parity
-/// `1 + D + D^3`.  Returns `(next state, parity bit)`.
-pub fn lte_rsc_step(state: u8, bit: u8) -> (u8, u8) {
-    let r1 = (state >> 2) & 1;
-    let r2 = (state >> 1) & 1;
-    let r3 = state & 1;
-    let d = (bit & 1) ^ r2 ^ r3;
-    let parity = d ^ r1 ^ r3;
-    ((d << 2) | (r1 << 1) | r2, parity)
-}
-
-/// The LTE constituent trellis.
-pub fn lte_trellis() -> BinaryTrellis {
-    BinaryTrellis::from_step(8, lte_rsc_step)
-}
-
 /// An LTE rate-1/3 turbo code: block size plus its QPP interleaver.
 ///
 /// # Example
@@ -328,11 +312,11 @@ struct ConstituentOutput {
 
 /// Encodes `bits` with the LTE RSC from state 0 and terminates the trellis
 /// with [`LTE_TAIL_STEPS`] feedback-cancelling tail bits.
-fn encode_constituent(trellis: &BinaryTrellis, bits: &[u8]) -> ConstituentOutput {
+fn encode_constituent(bits: &[u8]) -> ConstituentOutput {
     let mut state = 0u8;
     let mut parity = Vec::with_capacity(bits.len());
     for &b in bits {
-        let (ns, p) = trellis.step(state, b & 1);
+        let (ns, p) = lte_rsc_step(state, b & 1);
         state = ns;
         parity.push(p);
     }
@@ -343,7 +327,7 @@ fn encode_constituent(trellis: &BinaryTrellis, bits: &[u8]) -> ConstituentOutput
         let r2 = (state >> 1) & 1;
         let r3 = state & 1;
         let c = r2 ^ r3; // makes d = c ^ r2 ^ r3 = 0
-        let (ns, p) = trellis.step(state, c);
+        let (ns, p) = lte_rsc_step(state, c);
         state = ns;
         tail.push((c, p));
     }
@@ -362,16 +346,12 @@ fn encode_constituent(trellis: &BinaryTrellis, bits: &[u8]) -> ConstituentOutput
 #[derive(Debug, Clone)]
 pub struct LteTurboEncoder {
     code: LteTurboCode,
-    trellis: BinaryTrellis,
 }
 
 impl LteTurboEncoder {
     /// Creates an encoder for `code`.
     pub fn new(code: &LteTurboCode) -> Self {
-        LteTurboEncoder {
-            code: code.clone(),
-            trellis: lte_trellis(),
-        }
+        LteTurboEncoder { code: code.clone() }
     }
 
     /// Encodes `info` (length `K`) into the `3K + 12` transmitted bits.
@@ -390,8 +370,8 @@ impl LteTurboEncoder {
         }
         let pi = self.code.interleaver();
         let interleaved: Vec<u8> = (0..k).map(|i| info[pi.permute(i)]).collect();
-        let c1 = encode_constituent(&self.trellis, info);
-        let c2 = encode_constituent(&self.trellis, &interleaved);
+        let c1 = encode_constituent(info);
+        let c2 = encode_constituent(&interleaved);
 
         let mut out = Vec::with_capacity(self.code.coded_bits());
         out.extend_from_slice(info);
@@ -414,175 +394,31 @@ impl LteTurboEncoder {
     }
 }
 
-/// Configuration of the iterative LTE turbo decoder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LteTurboDecoderConfig {
-    /// Number of full iterations (8, matching the paper's turbo budget).
-    pub max_iterations: usize,
-    /// SISO configuration shared by both constituent decoders.
-    pub siso: BinarySisoConfig,
-    /// Stop early when the hard decisions are stable across an iteration.
-    pub early_termination: bool,
-}
-
-impl Default for LteTurboDecoderConfig {
-    fn default() -> Self {
-        LteTurboDecoderConfig {
-            max_iterations: 8,
-            siso: BinarySisoConfig::default(),
-            early_termination: true,
-        }
-    }
-}
-
-/// Result of an LTE turbo decoding attempt.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LteTurboDecodeOutcome {
-    /// Decoded information bits (length `K`).
-    pub info_bits: Vec<u8>,
-    /// Number of full iterations performed.
-    pub iterations: usize,
-    /// `true` if early termination fired.
-    pub converged: bool,
-}
-
-/// The iterative LTE turbo decoder: two binary Max-Log-MAP SISOs exchanging
-/// extrinsic LLRs through the QPP interleaver, both running on terminated
-/// trellises.
-#[derive(Debug, Clone)]
-pub struct LteTurboDecoder {
-    code: LteTurboCode,
-    config: LteTurboDecoderConfig,
-    siso: BinarySiso,
-}
-
-impl LteTurboDecoder {
-    /// Creates a decoder for `code`.
-    pub fn new(code: &LteTurboCode, config: LteTurboDecoderConfig) -> Self {
-        LteTurboDecoder {
-            code: code.clone(),
-            config,
-            siso: BinarySiso::new(lte_trellis(), config.siso),
-        }
-    }
-
-    /// The decoder configuration.
-    pub fn config(&self) -> &LteTurboDecoderConfig {
-        &self.config
-    }
-
-    /// The code being decoded.
-    pub fn code(&self) -> &LteTurboCode {
-        &self.code
-    }
-
-    /// Decodes one frame of channel LLRs in the encoder's output order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LteTurboError::InvalidLength`] on a wrong LLR count.
-    pub fn decode(&self, llrs: &[Llr]) -> Result<LteTurboDecodeOutcome, LteTurboError> {
-        let k = self.code.info_bits();
-        if llrs.len() != self.code.coded_bits() {
-            return Err(LteTurboError::InvalidLength {
-                what: "channel LLRs",
-                expected: self.code.coded_bits(),
-                actual: llrs.len(),
-            });
-        }
-        let v = |i: usize| llrs[i].value();
-        let sys: Vec<f64> = (0..k).map(v).collect();
-        let par1: Vec<f64> = (k..2 * k).map(v).collect();
-        let par2: Vec<f64> = (2 * k..3 * k).map(v).collect();
-        let tail = &llrs[3 * k..];
-        let tail1_sys: Vec<f64> = (0..LTE_TAIL_STEPS).map(|t| tail[2 * t].value()).collect();
-        let tail1_par: Vec<f64> = (0..LTE_TAIL_STEPS)
-            .map(|t| tail[2 * t + 1].value())
-            .collect();
-        let tail2_sys: Vec<f64> = (0..LTE_TAIL_STEPS)
-            .map(|t| tail[2 * LTE_TAIL_STEPS + 2 * t].value())
-            .collect();
-        let tail2_par: Vec<f64> = (0..LTE_TAIL_STEPS)
-            .map(|t| tail[2 * LTE_TAIL_STEPS + 2 * t + 1].value())
-            .collect();
-
-        let pi = self.code.interleaver();
-        let sys2: Vec<f64> = (0..k).map(|i| sys[pi.permute(i)]).collect();
-
-        let steps = k + LTE_TAIL_STEPS;
-        let mut input1 = BinarySisoInput {
-            sys: sys.iter().chain(&tail1_sys).copied().collect(),
-            par: par1.iter().chain(&tail1_par).copied().collect(),
-            apriori: vec![0.0; steps],
-        };
-        let mut input2 = BinarySisoInput {
-            sys: sys2.iter().chain(&tail2_sys).copied().collect(),
-            par: par2.iter().chain(&tail2_par).copied().collect(),
-            apriori: vec![0.0; steps],
-        };
-
-        let mut decisions = vec![0u8; k];
-        let mut prev_decisions: Option<Vec<u8>> = None;
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for it in 0..self.config.max_iterations {
-            iterations = it + 1;
-
-            // ---- SISO 1: natural order ----
-            let out1 = self.siso.run(&input1, TrellisBoundary::Terminated);
-            for i in 0..k {
-                input2.apriori[i] = out1.extrinsic[pi.permute(i)];
-            }
-
-            // ---- SISO 2: interleaved order ----
-            let out2 = self.siso.run(&input2, TrellisBoundary::Terminated);
-            for i in 0..k {
-                input1.apriori[pi.permute(i)] = out2.extrinsic[i];
-            }
-
-            // Decisions from SISO2's a-posteriori, mapped back to natural
-            // order.
-            for i in 0..k {
-                decisions[pi.permute(i)] = out2.hard_bit(i);
-            }
-
-            if self.config.early_termination {
-                if let Some(prev) = &prev_decisions {
-                    if *prev == decisions {
-                        converged = true;
-                        break;
-                    }
-                }
-                prev_decisions = Some(decisions.clone());
-            }
-        }
-
-        Ok(LteTurboDecodeOutcome {
-            info_bits: decisions,
-            iterations,
-            converged,
-        })
-    }
-}
-
 /// The LTE turbo codec behind the [`FecCodec`] interface, so the unified
 /// Monte-Carlo engine can run LTE curves unchanged.
 #[derive(Debug, Clone)]
 pub struct LteTurboCodec {
     code: LteTurboCode,
     encoder: LteTurboEncoder,
-    decoder: LteTurboDecoder,
+    decoder: BinaryTurboDecoder,
 }
 
 impl LteTurboCodec {
     /// Builds the codec for `code` with the given decoder configuration.
-    pub fn new(code: &LteTurboCode, config: LteTurboDecoderConfig) -> Self {
+    pub fn new(code: &LteTurboCode, config: TurboDecoderConfig) -> Self {
+        let pi = code.interleaver();
+        let permutation: Vec<usize> = (0..pi.len()).map(|i| pi.permute(i)).collect();
         LteTurboCodec {
             code: code.clone(),
             encoder: LteTurboEncoder::new(code),
-            decoder: LteTurboDecoder::new(code, config),
+            decoder: BinaryTurboDecoder::new(&permutation, config)
+                .expect("the QPP interleaver is a validated permutation"),
         }
+    }
+
+    /// The iterative decoder.
+    pub fn decoder(&self) -> &BinaryTurboDecoder {
+        &self.decoder
     }
 }
 
@@ -709,7 +545,8 @@ mod tests {
     fn noiseless_roundtrip() {
         let code = LteTurboCode::new(104).unwrap();
         let enc = LteTurboEncoder::new(&code);
-        let dec = LteTurboDecoder::new(&code, LteTurboDecoderConfig::default());
+        let codec = LteTurboCodec::new(&code, TurboDecoderConfig::default());
+        let dec = codec.decoder();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let info: Vec<u8> = (0..code.info_bits())
             .map(|_| rng.gen_range(0..=1))
@@ -729,7 +566,8 @@ mod tests {
     fn decodes_noisy_frame_at_moderate_snr() {
         let code = LteTurboCode::new(208).unwrap();
         let enc = LteTurboEncoder::new(&code);
-        let dec = LteTurboDecoder::new(&code, LteTurboDecoderConfig::default());
+        let codec = LteTurboCodec::new(&code, TurboDecoderConfig::default());
+        let dec = codec.decoder();
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let info: Vec<u8> = (0..code.info_bits())
             .map(|_| rng.gen_range(0..=1))
@@ -754,17 +592,18 @@ mod tests {
     #[test]
     fn wrong_llr_length_is_rejected() {
         let code = LteTurboCode::new(40).unwrap();
-        let dec = LteTurboDecoder::new(&code, LteTurboDecoderConfig::default());
+        let codec = LteTurboCodec::new(&code, TurboDecoderConfig::default());
+        let dec = codec.decoder();
         assert!(matches!(
             dec.decode(&[Llr::new(0.0); 10]),
-            Err(LteTurboError::InvalidLength { .. })
+            Err(wimax_turbo::TurboError::InvalidLength { .. })
         ));
     }
 
     #[test]
     fn codec_reports_code_dimensions() {
         let code = LteTurboCode::new(512).unwrap();
-        let codec = LteTurboCodec::new(&code, LteTurboDecoderConfig::default());
+        let codec = LteTurboCodec::new(&code, TurboDecoderConfig::default());
         assert_eq!(codec.info_bits(), 512);
         assert_eq!(codec.codeword_bits(), 3 * 512 + 12);
         assert_eq!(codec.name(), "lte-turbo-k512");

@@ -7,7 +7,7 @@
 //! registry implementation here, not touching the sweeps.
 
 use crate::dvb_rcs::{dvb_rcs_ctc, DVB_RCS_COUPLE_SIZES};
-use crate::lte::{lte_block_sizes, LteTurboCode, LteTurboCodec, LteTurboDecoderConfig};
+use crate::lte::{lte_block_sizes, LteTurboCode, LteTurboCodec};
 use crate::standard::Standard;
 use crate::wifi::{wifi_ldpc, wifi_rates, WIFI_BLOCK_LENGTHS};
 use crate::wran::{wran_ldpc, wran_rates, WRAN_BLOCK_LENGTHS};
@@ -121,7 +121,7 @@ impl StandardCode {
                 Box::new(TurboCodec::new(code, TurboDecoderConfig::default()))
             }
             StandardCode::LteTurbo { code } => {
-                Box::new(LteTurboCodec::new(code, LteTurboDecoderConfig::default()))
+                Box::new(LteTurboCodec::new(code, TurboDecoderConfig::default()))
             }
             StandardCode::DvbRcsTurbo { code } => Box::new(NamedCodec::new(
                 TurboCodec::new(code, TurboDecoderConfig::default()),

@@ -237,6 +237,47 @@ fn snrs_without_a_finite_noise_variance_are_rejected() {
     assert_eq!(sink.lines().len(), 3, "no job was admitted");
 }
 
+/// At 3070 and 3080 dB — accepted values, just below the range where the
+/// noise variance stops being finite — the channel LLRs reach ~1e308.  The
+/// turbo decoders clamp them to the certain-LLR magnitude, so both turbo
+/// standards decode every frame instead of overflowing their state metrics
+/// (a DVB-RCS unit used to panic, LTE used to report FER 1).
+#[test]
+fn turbo_jobs_decode_error_free_at_extreme_snrs() {
+    let svc = service("extreme_turbo", 2, 8);
+    let sink = RecordingSink::default();
+    for standard in ["lte", "dvbrcs"] {
+        let line = format!(
+            r#"{{"type":"submit","job":"ber","standard":"{standard}","frames":2,"snrs":[3070,3080]}}"#
+        );
+        assert!(svc.handle_line(&line, &sink));
+    }
+    svc.drain();
+    let lines = sink.lines();
+    for job_id in [1, 2] {
+        assert_eq!(
+            done_status(&lines, job_id).as_deref(),
+            Some("completed"),
+            "job {job_id}: {lines:?}"
+        );
+    }
+    let rows = rows_of(&lines);
+    assert_eq!(rows.len(), 4, "{lines:?}");
+    for (job_id, _, data) in &rows {
+        let point = Json::parse(data).unwrap();
+        let fer = point
+            .get("point")
+            .and_then(|p| p.get("fer"))
+            .and_then(Json::as_f64);
+        assert_eq!(
+            fer,
+            Some(0.0),
+            "job {job_id} at {} dB: {data}",
+            ebn0_of(data)
+        );
+    }
+}
+
 /// A request nested deeper than the JSON parser's limit (but short enough
 /// to pass the line cap) is answered with exactly one `error` event instead
 /// of overflowing the reader thread's stack.

@@ -1,384 +1,239 @@
-//! Generic single-binary recursive systematic convolutional (RSC) trellises
-//! and the binary Max-Log-MAP SISO.
+//! Single-binary turbo codes: the tail-terminated iterative decoder of the
+//! 3GPP LTE rate-1/3 code.
 //!
-//! The duo-binary SISO of [`crate::siso`] is hardwired to the 802.16e CRSC
-//! trellis; this module factors the same BCJR machinery (branch metrics,
-//! normalized forward/backward recursions, `max*` accumulation from
-//! [`fec_fixed::MaxStar`]) into a form driven by an arbitrary binary trellis,
-//! so that single-binary turbo codes — the 3GPP LTE rate-1/3 code in the
-//! `code-tables` crate — can reuse it instead of carrying their own BCJR.
-//!
-//! Unlike the circular WiMAX trellis, LTE terminates both constituent
-//! trellises with tail bits, so the SISO supports fixed boundary states
-//! ([`TrellisBoundary::Terminated`]) next to the uniform boundary used for
-//! unterminated windows.
+//! LTE's two constituent encoders are the 8-state RSC of [`LteTrellis`]
+//! (feedback `1 + D^2 + D^3`, parity `1 + D + D^3`), each terminated with
+//! three tail bits.  [`BinaryTurboDecoder`] runs them through the same SISO
+//! kernel and iterative loop as the duo-binary CTC; the `code-tables` crate
+//! supplies the QPP interleaver, the encoder and the codec adapter.
 
-use fec_fixed::{MaxStar, MaxStarMode};
+use crate::decoder::{
+    channel_llr, iterate, Iterated, Scratch, TurboDecodeOutcome, TurboDecoderConfig,
+};
+use crate::trellis::LteTrellis;
+use crate::{ExtrinsicExchange, TurboError};
+use fec_fixed::Llr;
+use std::cell::RefCell;
 
-/// One branch of a binary trellis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BinaryBranch {
-    /// Starting state.
-    pub from: u8,
-    /// Ending state.
-    pub to: u8,
-    /// Input (systematic) bit of the branch.
-    pub input: u8,
-    /// Parity bit emitted on the branch.
-    pub parity: u8,
-}
+/// Number of tail steps per constituent encoder (the encoder memory).
+pub const TAIL_STEPS: usize = 3;
 
-/// A pre-computed binary trellis: `states x 2` branches.
-#[derive(Debug, Clone)]
-pub struct BinaryTrellis {
-    states: usize,
-    branches: Vec<BinaryBranch>,
-}
-
-impl BinaryTrellis {
-    /// Builds the trellis from a transition function mapping
-    /// `(state, input bit)` to `(next state, parity bit)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is zero or the transition function leaves the
-    /// state range.
-    pub fn from_step(states: usize, step: impl Fn(u8, u8) -> (u8, u8)) -> Self {
-        assert!(states > 0, "need at least one state");
-        let mut branches = Vec::with_capacity(2 * states);
-        for state in 0..states as u8 {
-            for bit in 0..2u8 {
-                let (to, parity) = step(state, bit);
-                assert!(
-                    (to as usize) < states,
-                    "transition from state {state} leaves the state range"
-                );
-                branches.push(BinaryBranch {
-                    from: state,
-                    to,
-                    input: bit,
-                    parity: parity & 1,
-                });
-            }
+impl Iterated<2, 4> for LteTrellis {
+    fn with_scratch<R>(f: impl FnOnce(&mut Scratch<[f64; 2], f64>) -> R) -> R {
+        thread_local! {
+            static SCRATCH: RefCell<Scratch<[f64; 2], f64>> =
+                const { RefCell::new(Scratch::new()) };
         }
-        BinaryTrellis { states, branches }
+        SCRATCH.with(|s| f(&mut s.borrow_mut()))
     }
 
-    /// Number of trellis states.
-    pub fn states(&self) -> usize {
-        self.states
+    fn exchange(message: f64, _mode: ExtrinsicExchange) -> f64 {
+        message
     }
 
-    /// All `2 * states` branches, ordered by `(from, input)`.
-    pub fn branches(&self) -> &[BinaryBranch] {
-        &self.branches
+    fn swap(message: f64) -> f64 {
+        message
     }
 
-    /// Convenience for encoders: the `(next state, parity)` of feeding
-    /// `bit` in `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` or `bit` is out of range.
-    pub fn step(&self, state: u8, bit: u8) -> (u8, u8) {
-        assert!((state as usize) < self.states, "state out of range");
-        assert!(bit < 2, "bit out of range");
-        let br = self.branches[2 * state as usize + bit as usize];
-        (br.to, br.parity)
+    fn decide(aposteriori: &f64) -> u8 {
+        u8::from(*aposteriori < 0.0)
     }
 }
 
-/// Boundary condition of a SISO run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrellisBoundary {
-    /// Both ends pinned to state 0 (tail-bit terminated trellis, as in LTE).
-    Terminated,
-    /// Uniform metrics at both ends (unterminated window).
-    Open,
-}
-
-/// Configuration of the binary SISO.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BinarySisoConfig {
-    /// Which `max*` flavour to use (Max-Log-MAP by default, matching the
-    /// duo-binary SISO).
-    pub max_star: MaxStarMode,
-    /// Extrinsic scaling factor `sigma <= 1` compensating the Max-Log
-    /// optimism.
-    pub scale: f64,
-}
-
-impl Default for BinarySisoConfig {
-    fn default() -> Self {
-        BinarySisoConfig {
-            max_star: MaxStarMode::MaxLog,
-            scale: 0.75,
-        }
-    }
-}
-
-/// Soft inputs of one binary SISO half-iteration.  All vectors share one
-/// length (the trellis-step count, including any tail steps) and use the
-/// crate's LLR convention: positive favours bit 0.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BinarySisoInput {
-    /// Channel LLRs of the systematic bits.
-    pub sys: Vec<f64>,
-    /// Channel LLRs of the parity bits (0 where punctured).
-    pub par: Vec<f64>,
-    /// A-priori LLRs (extrinsic from the other SISO; 0 on tail steps).
-    pub apriori: Vec<f64>,
-}
-
-impl BinarySisoInput {
-    /// Creates an input with neutral a-priori information.
-    pub fn new(sys: Vec<f64>, par: Vec<f64>) -> Self {
-        let n = sys.len();
-        BinarySisoInput {
-            sys,
-            par,
-            apriori: vec![0.0; n],
-        }
-    }
-
-    /// Number of trellis steps.
-    pub fn len(&self) -> usize {
-        self.sys.len()
-    }
-
-    /// True for an empty frame.
-    pub fn is_empty(&self) -> bool {
-        self.sys.is_empty()
-    }
-}
-
-/// Soft outputs of one binary SISO half-iteration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BinarySisoOutput {
-    /// Extrinsic LLRs (already scaled), one per trellis step.
-    pub extrinsic: Vec<f64>,
-    /// A-posteriori LLRs, one per trellis step (positive favours bit 0).
-    pub aposteriori: Vec<f64>,
-}
-
-impl BinarySisoOutput {
-    /// Hard decision for step `j` (0 when the a-posteriori LLR is
-    /// non-negative, matching [`fec_fixed::Llr::hard_bit`]).
-    pub fn hard_bit(&self, j: usize) -> u8 {
-        u8::from(self.aposteriori[j] < 0.0)
-    }
-}
-
-/// A binary SISO unit bound to one trellis.
+/// The iterative binary turbo decoder of the LTE code: two Max-Log SISOs on
+/// tail-terminated [`LteTrellis`] constituents, exchanging bit LLRs through
+/// an interleaver.
+///
+/// A frame of `K` information bits arrives as `3K + 12` channel LLRs: `K`
+/// systematic, `K` parity-1 and `K` parity-2 values, then the tail as
+/// `(systematic, parity)` pairs, three of encoder 1 followed by three of
+/// encoder 2.
 ///
 /// # Example
 ///
 /// ```
-/// use wimax_turbo::binary::{
-///     BinarySiso, BinarySisoConfig, BinarySisoInput, BinaryTrellis, TrellisBoundary,
-/// };
+/// use fec_fixed::Llr;
+/// use wimax_turbo::{BinaryTurboDecoder, TurboDecoderConfig};
 ///
-/// // A 2-state accumulator: parity is the running XOR of the inputs.
-/// let trellis = BinaryTrellis::from_step(2, |s, b| (s ^ b, s ^ b));
-/// let siso = BinarySiso::new(trellis, BinarySisoConfig::default());
-/// let input = BinarySisoInput::new(vec![4.0; 8], vec![4.0; 8]);
-/// let out = siso.run(&input, TrellisBoundary::Open);
-/// assert!((0..8).all(|j| out.hard_bit(j) == 0));
+/// // K = 8 with the identity interleaver; the all-zero frame is a codeword
+/// let decoder = BinaryTurboDecoder::new(&(0..8).collect::<Vec<_>>(), TurboDecoderConfig::default())?;
+/// let out = decoder.decode(&vec![Llr::new(4.0); decoder.coded_bits()])?;
+/// assert_eq!(out.info_bits, vec![0; 8]);
+/// # Ok::<(), wimax_turbo::TurboError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct BinarySiso {
-    trellis: BinaryTrellis,
-    config: BinarySisoConfig,
-    max_star: MaxStar,
+pub struct BinaryTurboDecoder {
+    config: TurboDecoderConfig,
+    /// Interleaved position of every natural bit (never swapped).
+    interleaver: Vec<(usize, bool)>,
 }
 
-impl BinarySiso {
-    /// Creates a SISO for `trellis` with the given configuration.
-    pub fn new(trellis: BinaryTrellis, config: BinarySisoConfig) -> Self {
-        let max_star = MaxStar::new(config.max_star);
-        BinarySiso {
-            trellis,
-            config,
-            max_star,
+impl BinaryTurboDecoder {
+    /// Creates a decoder for the interleaver that reads natural position
+    /// `permutation[i]` at interleaved position `i` (LTE's QPP `pi(i)`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TurboError::InvalidInterleaver`] if `permutation` is not a
+    /// permutation of `0..K`.
+    pub fn new(permutation: &[usize], config: TurboDecoderConfig) -> Result<Self, TurboError> {
+        let k = permutation.len();
+        let mut interleaver = vec![(usize::MAX, false); k];
+        for (i, &j) in permutation.iter().enumerate() {
+            match interleaver.get_mut(j) {
+                Some(slot) if slot.0 == usize::MAX => slot.0 = i,
+                _ => return Err(TurboError::InvalidInterleaver),
+            }
         }
+        Ok(BinaryTurboDecoder {
+            config,
+            interleaver,
+        })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BinarySisoConfig {
+    /// The decoder configuration.
+    pub fn config(&self) -> &TurboDecoderConfig {
         &self.config
     }
 
-    /// The trellis.
-    pub fn trellis(&self) -> &BinaryTrellis {
-        &self.trellis
+    /// Number of information bits `K`.
+    pub fn info_bits(&self) -> usize {
+        self.interleaver.len()
     }
 
-    /// Runs one half-iteration over the whole frame.
+    /// Number of channel LLRs per frame: `3K + 12`.
+    pub fn coded_bits(&self) -> usize {
+        3 * self.info_bits() + 4 * TAIL_STEPS
+    }
+
+    /// Decodes one frame of channel LLRs in the layout described on the
+    /// type.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the input vectors do not all have the same length.
-    pub fn run(&self, input: &BinarySisoInput, boundary: TrellisBoundary) -> BinarySisoOutput {
-        let n = input.len();
-        assert!(
-            input.par.len() == n && input.apriori.len() == n,
-            "SISO input vectors must have equal length"
-        );
-        let states = self.trellis.states();
-        let ms = &self.max_star;
-
-        // Branch metrics: gamma[j][branch].
-        let branches = self.trellis.branches();
-        let gammas: Vec<Vec<f64>> = (0..n)
-            .map(|j| {
-                let lu = input.sys[j] + input.apriori[j];
-                let lp = input.par[j];
-                branches
-                    .iter()
-                    .map(|br| {
-                        0.5 * ((1.0 - 2.0 * f64::from(br.input)) * lu
-                            + (1.0 - 2.0 * f64::from(br.parity)) * lp)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let boundary_metrics = |pinned: bool| -> Vec<f64> {
-            if pinned {
-                let mut m = vec![f64::NEG_INFINITY; states];
-                m[0] = 0.0;
-                m
-            } else {
-                vec![0.0; states]
-            }
-        };
-        let pinned = boundary == TrellisBoundary::Terminated;
-
-        // Forward recursion.
-        let mut alpha = vec![boundary_metrics(pinned)];
-        for j in 0..n {
-            let mut next = vec![f64::NEG_INFINITY; states];
-            for (idx, br) in branches.iter().enumerate() {
-                let v = alpha[j][br.from as usize] + gammas[j][idx];
-                next[br.to as usize] = ms.apply(next[br.to as usize], v);
-            }
-            normalize(&mut next);
-            alpha.push(next);
+    /// Returns [`TurboError::InvalidLength`] on a wrong LLR count.
+    pub fn decode(&self, llrs: &[Llr]) -> Result<TurboDecodeOutcome, TurboError> {
+        if llrs.len() != self.coded_bits() {
+            return Err(TurboError::InvalidLength {
+                what: "channel LLRs",
+                expected: self.coded_bits(),
+                actual: llrs.len(),
+            });
         }
-
-        // Backward recursion.
-        let mut beta = vec![vec![0.0f64; states]; n + 1];
-        beta[n] = boundary_metrics(pinned);
-        for j in (0..n).rev() {
-            let mut prev = vec![f64::NEG_INFINITY; states];
-            for (idx, br) in branches.iter().enumerate() {
-                let v = beta[j + 1][br.to as usize] + gammas[j][idx];
-                prev[br.from as usize] = ms.apply(prev[br.from as usize], v);
+        Ok(LteTrellis::with_scratch(|scratch| {
+            demap(&self.interleaver, llrs, &mut scratch.channel);
+            let (iterations, converged) =
+                iterate::<LteTrellis, 2, 4>(scratch, &self.interleaver, &self.config);
+            TurboDecodeOutcome {
+                info_bits: scratch.decisions.clone(),
+                iterations,
+                converged,
             }
-            normalize(&mut prev);
-            beta[j] = prev;
-        }
-
-        // A-posteriori and extrinsic LLRs (positive favours bit 0).
-        let mut extrinsic = Vec::with_capacity(n);
-        let mut aposteriori = Vec::with_capacity(n);
-        for j in 0..n {
-            let mut m0 = f64::NEG_INFINITY;
-            let mut m1 = f64::NEG_INFINITY;
-            for (idx, br) in branches.iter().enumerate() {
-                let b_e = alpha[j][br.from as usize] + gammas[j][idx] + beta[j + 1][br.to as usize];
-                if br.input == 0 {
-                    m0 = ms.apply(m0, b_e);
-                } else {
-                    m1 = ms.apply(m1, b_e);
-                }
-            }
-            let app = m0 - m1;
-            aposteriori.push(app);
-            extrinsic.push(self.config.scale * (app - input.sys[j] - input.apriori[j]));
-        }
-
-        BinarySisoOutput {
-            extrinsic,
-            aposteriori,
-        }
+        }))
     }
 }
 
-fn normalize(metrics: &mut [f64]) {
-    let max = metrics.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if max.is_finite() {
-        for m in metrics.iter_mut() {
-            *m -= max;
-        }
+/// Splits a frame of `3K + 12` channel LLRs (length already checked) into
+/// the two constituents' `[systematic, parity]` values, tail steps last:
+/// natural order for SISO 1, interleaved order for SISO 2.
+fn demap(interleaver: &[(usize, bool)], llrs: &[Llr], channel: &mut [Vec<[f64; 2]>; 2]) {
+    let k = interleaver.len();
+    let value = |i: usize| channel_llr(&llrs[i]);
+    let [natural, interleaved] = channel;
+    natural.resize(k + TAIL_STEPS, [0.0; 2]);
+    interleaved.resize(k + TAIL_STEPS, [0.0; 2]);
+    for (j, &(p, _)) in interleaver.iter().enumerate() {
+        natural[j] = [value(j), value(k + j)];
+        interleaved[p][0] = natural[j][0];
+    }
+    for (p, ch) in interleaved[..k].iter_mut().enumerate() {
+        ch[1] = value(2 * k + p);
+    }
+    for t in 0..TAIL_STEPS {
+        let tail = 3 * k + 2 * t;
+        natural[k + t] = [value(tail), value(tail + 1)];
+        interleaved[k + t] = [
+            value(tail + 2 * TAIL_STEPS),
+            value(tail + 2 * TAIL_STEPS + 1),
+        ];
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::siso::{Constituent, SisoUnit};
+    use crate::trellis::lte_rsc_step;
+    use crate::ConstTrellis;
 
-    /// The LTE/UMTS 8-state RSC: feedback 1 + D^2 + D^3, parity 1 + D + D^3.
-    fn lte_step(state: u8, bit: u8) -> (u8, u8) {
-        let r1 = (state >> 2) & 1;
-        let r2 = (state >> 1) & 1;
-        let r3 = state & 1;
-        let d = bit ^ r2 ^ r3;
-        let parity = d ^ r1 ^ r3;
-        ((d << 2) | (r1 << 1) | r2, parity)
+    /// Runs one terminated LTE half-iteration: `(extrinsic, a-posteriori)`.
+    fn run(sys: &[f64], par: &[f64], apriori: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let channel: Vec<[f64; 2]> = sys.iter().zip(par).map(|(&s, &p)| [s, p]).collect();
+        let (mut ext, mut apo) = (vec![0.0; apriori.len()], vec![0.0; apriori.len()]);
+        SisoUnit::new().run::<LteTrellis, 2, 4>(&channel, apriori, &mut ext, &mut apo);
+        (ext, apo)
     }
 
-    fn lte_trellis() -> BinaryTrellis {
-        BinaryTrellis::from_step(8, lte_step)
+    /// Encodes `bits` from state 0 and terminates the trellis: the input
+    /// and parity bits of every step, tail steps included.
+    fn terminated(bits: &[u8]) -> (Vec<u8>, Vec<u8>) {
+        let (mut inputs, mut parity) = (bits.to_vec(), Vec::new());
+        let mut state = 0u8;
+        for &b in bits {
+            let (next, p) = lte_rsc_step(state, b);
+            state = next;
+            parity.push(p);
+        }
+        for _ in 0..TAIL_STEPS {
+            let feedback = ((state >> 1) & 1) ^ (state & 1);
+            let (next, p) = lte_rsc_step(state, feedback);
+            state = next;
+            inputs.push(feedback);
+            parity.push(p);
+        }
+        assert_eq!(state, 0, "tail bits terminate the trellis");
+        (inputs, parity)
+    }
+
+    fn hard_bit(app: f64) -> u8 {
+        u8::from(app < 0.0)
     }
 
     #[test]
     fn trellis_connectivity_is_uniform() {
-        let t = lte_trellis();
-        assert_eq!(t.branches().len(), 16);
+        let t = LteTrellis::TRELLIS;
         let mut incoming = [0usize; 8];
-        for br in t.branches() {
-            incoming[br.to as usize] += 1;
+        for s in 0..8 {
+            for u in 0..2 {
+                let (to, parity) = lte_rsc_step(s as u8, u as u8);
+                assert_eq!(t.next[s][u], to);
+                assert_eq!(t.label[s][u], 2 * u as u8 + parity);
+                incoming[usize::from(to)] += 1;
+            }
+            // the two branches out of a state reach distinct next states
+            assert_ne!(t.next[s][0], t.next[s][1], "state {s}");
         }
         assert!(incoming.iter().all(|&c| c == 2));
-        // the two branches out of a state reach distinct next states
-        for s in 0..8u8 {
-            assert_ne!(t.step(s, 0).0, t.step(s, 1).0, "state {s}");
-        }
     }
 
     #[test]
     fn noiseless_all_zero_decodes_to_zero() {
-        let siso = BinarySiso::new(lte_trellis(), BinarySisoConfig::default());
         let n = 16;
-        let input = BinarySisoInput::new(vec![5.0; n], vec![5.0; n]);
-        for boundary in [TrellisBoundary::Open, TrellisBoundary::Terminated] {
-            let out = siso.run(&input, boundary);
-            assert!((0..n).all(|j| out.hard_bit(j) == 0));
-            assert!(out.extrinsic.iter().all(|e| e.is_finite()));
-        }
+        let (ext, apo) = run(&[5.0; 16], &[5.0; 16], &[0.0; 16]);
+        assert!((0..n).all(|j| hard_bit(apo[j]) == 0));
+        assert!(ext.iter().all(|e| e.is_finite()));
     }
 
     #[test]
     fn noiseless_random_frame_is_recovered() {
-        let t = lte_trellis();
-        let siso = BinarySiso::new(lte_trellis(), BinarySisoConfig::default());
         let bits: Vec<u8> = (0..40).map(|i| ((i * 5 + 1) % 3 % 2) as u8).collect();
-        let mut state = 0u8;
-        let mut parity = Vec::new();
-        for &b in &bits {
-            let (ns, p) = t.step(state, b);
-            state = ns;
-            parity.push(p);
-        }
-        let llr = |b: u8| 6.0 * (1.0 - 2.0 * f64::from(b));
-        let input = BinarySisoInput::new(
-            bits.iter().map(|&b| llr(b)).collect(),
-            parity.iter().map(|&p| llr(p)).collect(),
-        );
-        let out = siso.run(&input, TrellisBoundary::Open);
-        for (j, &b) in bits.iter().enumerate() {
-            assert_eq!(out.hard_bit(j), b, "bit {j}");
+        let (inputs, parity) = terminated(&bits);
+        let llr = |b: &u8| 6.0 * (1.0 - 2.0 * f64::from(*b));
+        let sys: Vec<f64> = inputs.iter().map(llr).collect();
+        let par: Vec<f64> = parity.iter().map(llr).collect();
+        let (_, apo) = run(&sys, &par, &vec![0.0; sys.len()]);
+        for (j, &b) in inputs.iter().enumerate() {
+            assert_eq!(hard_bit(apo[j]), b, "bit {j}");
         }
     }
 
@@ -386,41 +241,52 @@ mod tests {
     fn parity_alone_carries_information_on_terminated_trellis() {
         // Erased systematic bits: the recursion plus termination still pins
         // the all-zero path.
-        let siso = BinarySiso::new(lte_trellis(), BinarySisoConfig::default());
         let n = 20;
-        let input = BinarySisoInput::new(vec![0.0; n], vec![6.0; n]);
-        let out = siso.run(&input, TrellisBoundary::Terminated);
-        let energy: f64 = out.extrinsic.iter().map(|e| e.abs()).sum();
+        let (ext, apo) = run(&[0.0; 20], &[6.0; 20], &[0.0; 20]);
+        let energy: f64 = ext.iter().map(|e| e.abs()).sum();
         assert!(energy > 1.0, "extrinsic energy {energy}");
-        assert!((0..n).all(|j| out.hard_bit(j) == 0));
+        assert!((0..n).all(|j| hard_bit(apo[j]) == 0));
     }
 
     #[test]
     fn apriori_shifts_the_decision() {
-        let siso = BinarySiso::new(lte_trellis(), BinarySisoConfig::default());
-        let n = 8;
         // weak channel evidence for 1, strong a-priori for 0 on every bit
-        let mut input = BinarySisoInput::new(vec![-0.2; n], vec![0.0; n]);
-        input.apriori = vec![4.0; n];
-        let out = siso.run(&input, TrellisBoundary::Open);
-        assert!((0..n).all(|j| out.hard_bit(j) == 0));
+        let n = 8;
+        let (_, apo) = run(&[-0.2; 8], &[0.0; 8], &[4.0; 8]);
+        assert!((0..n).all(|j| hard_bit(apo[j]) == 0));
     }
 
     #[test]
     #[should_panic(expected = "equal length")]
     fn mismatched_inputs_panic() {
-        let siso = BinarySiso::new(lte_trellis(), BinarySisoConfig::default());
-        let input = BinarySisoInput {
-            sys: vec![0.0; 4],
-            par: vec![0.0; 3],
-            apriori: vec![0.0; 4],
-        };
-        let _ = siso.run(&input, TrellisBoundary::Open);
+        let _ = run(&[0.0; 4], &[0.0; 4], &[0.0; 3]);
     }
 
     #[test]
     #[should_panic(expected = "leaves the state range")]
     fn bad_transition_function_panics() {
-        let _ = BinaryTrellis::from_step(2, |_, _| (7, 0));
+        let _ = ConstTrellis::<2>::new([[7, 8]; 8], [[0, 1]; 8]);
+    }
+
+    #[test]
+    fn non_permutations_are_rejected() {
+        let config = TurboDecoderConfig::default();
+        assert!(BinaryTurboDecoder::new(&[0, 2, 1], config).is_ok());
+        for bad in [&[0, 0, 1][..], &[0, 1, 3]] {
+            assert_eq!(
+                BinaryTurboDecoder::new(bad, config).unwrap_err(),
+                TurboError::InvalidInterleaver
+            );
+        }
+    }
+
+    #[test]
+    fn wrong_llr_length_is_rejected() {
+        let decoder = BinaryTurboDecoder::new(&[1, 0], TurboDecoderConfig::default()).unwrap();
+        assert_eq!(decoder.coded_bits(), 18);
+        assert!(matches!(
+            decoder.decode(&[Llr::new(0.0); 10]),
+            Err(TurboError::InvalidLength { expected: 18, .. })
+        ));
     }
 }

@@ -6,9 +6,10 @@
 //! at the cost of about 0.2 dB of BER performance (refs [23], [24]).  The
 //! STB unit compresses a symbol-level extrinsic vector into two bit LLRs
 //! before transmission; the BTS unit expands the received bit LLRs back into
-//! a symbol-level a-priori vector.
+//! a symbol-level a-priori vector.  Both units use the Max-Log `max*` of the
+//! SISO kernel.
 
-use fec_fixed::MaxStar;
+use crate::siso::max;
 
 /// A symbol-level LLR vector for one couple: `lambda[u] = ln P(u)/P(0)` for
 /// `u = 1, 2, 3` (the value for `u = 0` is zero by definition).
@@ -23,20 +24,18 @@ pub type SymbolLlr = [f64; 3];
 ///
 /// ```
 /// use wimax_turbo::bitlevel::symbol_to_bits;
-/// use fec_fixed::{MaxStar, MaxStarMode};
 ///
 /// // strongly favour symbol 3 (A = 1, B = 1)
-/// let ms = MaxStar::new(MaxStarMode::MaxLog);
-/// let (la, lb) = symbol_to_bits(&[-5.0, -5.0, 10.0], &ms);
+/// let (la, lb) = symbol_to_bits(&[-5.0, -5.0, 10.0]);
 /// assert!(la < 0.0 && lb < 0.0);
 /// ```
-pub fn symbol_to_bits(symbol: &SymbolLlr, max_star: &MaxStar) -> (f64, f64) {
+pub fn symbol_to_bits(symbol: &SymbolLlr) -> (f64, f64) {
     // metrics for u = 0..3 with metric(0) = 0
     let m = [0.0, symbol[0], symbol[1], symbol[2]];
     // A = 0 for u in {0,1}; A = 1 for u in {2,3}
-    let la = max_star.apply(m[0], m[1]) - max_star.apply(m[2], m[3]);
+    let la = max(m[0], m[1]) - max(m[2], m[3]);
     // B = 0 for u in {0,2}; B = 1 for u in {1,3}
-    let lb = max_star.apply(m[0], m[2]) - max_star.apply(m[1], m[3]);
+    let lb = max(m[0], m[2]) - max(m[1], m[3]);
     (la, lb)
 }
 
@@ -65,8 +64,8 @@ pub fn bits_to_symbol(lambda_a: f64, lambda_b: f64) -> SymbolLlr {
 
 /// Round-trips a symbol extrinsic through the bit-level exchange, modelling
 /// what the receiving SISO actually sees when bit-level messages are used.
-pub fn bitlevel_roundtrip(symbol: &SymbolLlr, max_star: &MaxStar) -> SymbolLlr {
-    let (la, lb) = symbol_to_bits(symbol, max_star);
+pub fn bitlevel_roundtrip(symbol: &SymbolLlr) -> SymbolLlr {
+    let (la, lb) = symbol_to_bits(symbol);
     bits_to_symbol(la, lb)
 }
 
@@ -79,16 +78,11 @@ pub const BIT_LEVEL_VALUES_PER_COUPLE: usize = 2;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fec_fixed::MaxStarMode;
     use proptest::prelude::*;
-
-    fn exact() -> MaxStar {
-        MaxStar::new(MaxStarMode::Exact)
-    }
 
     #[test]
     fn neutral_symbol_gives_neutral_bits() {
-        let (la, lb) = symbol_to_bits(&[0.0, 0.0, 0.0], &exact());
+        let (la, lb) = symbol_to_bits(&[0.0, 0.0, 0.0]);
         assert!(la.abs() < 1e-12);
         assert!(lb.abs() < 1e-12);
     }
@@ -96,7 +90,7 @@ mod tests {
     #[test]
     fn certain_symbol_maps_to_consistent_bits() {
         // strongly favour u = 2 (A = 1, B = 0)
-        let (la, lb) = symbol_to_bits(&[-20.0, 20.0, -20.0], &exact());
+        let (la, lb) = symbol_to_bits(&[-20.0, 20.0, -20.0]);
         assert!(la < -5.0, "A should favour 1 (negative LLR), got {la}");
         assert!(lb > 5.0, "B should favour 0 (positive LLR), got {lb}");
     }
@@ -109,7 +103,6 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_hard_decision() {
-        let ms = exact();
         for (idx, sym) in [
             [5.0, -2.0, -3.0],  // favours u=1
             [-2.0, 6.0, -1.0],  // favours u=2
@@ -119,7 +112,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let rt = bitlevel_roundtrip(sym, &ms);
+            let rt = bitlevel_roundtrip(sym);
             let best_before = best_symbol(sym);
             let best_after = best_symbol(&rt);
             assert_eq!(best_before, best_after, "case {idx}");
@@ -144,9 +137,10 @@ mod tests {
         #[test]
         fn roundtrip_is_lossless_for_product_form_inputs(la in -8.0f64..8.0, lb in -8.0f64..8.0) {
             // If the symbol distribution is already a product of independent
-            // bit marginals, STB followed by BTS is exact (with the exact max*).
+            // bit marginals, STB followed by BTS is exact: Max-Log commutes
+            // with the common offset of each bit's two metrics.
             let s = bits_to_symbol(la, lb);
-            let rt = bitlevel_roundtrip(&s, &exact());
+            let rt = bitlevel_roundtrip(&s);
             for (x, y) in s.iter().zip(&rt) {
                 prop_assert!((x - y).abs() < 1e-9);
             }
@@ -154,7 +148,7 @@ mod tests {
 
         #[test]
         fn stb_output_is_bounded_by_symbol_range(s1 in -10.0f64..10.0, s2 in -10.0f64..10.0, s3 in -10.0f64..10.0) {
-            let (la, lb) = symbol_to_bits(&[s1, s2, s3], &exact());
+            let (la, lb) = symbol_to_bits(&[s1, s2, s3]);
             let bound = 2.0 * s1.abs().max(s2.abs()).max(s3.abs()) + 2.0;
             prop_assert!(la.abs() <= bound);
             prop_assert!(lb.abs() <= bound);

@@ -1,17 +1,25 @@
-//! The iterative double-binary turbo decoder: two SISO units exchanging
-//! extrinsic information through the ARP interleaver.
+//! The iterative turbo decoder: two SISO units exchanging extrinsic
+//! information through the interleaver.  One loop ([`iterate`]) serves every
+//! turbo code — the duo-binary CTCs of 802.16e and DVB-RCS
+//! ([`TurboDecoder`]) and the binary LTE code
+//! ([`crate::BinaryTurboDecoder`]): interleaving with couple swaps, symbol- or
+//! bit-level exchange, decisions and early stop all work on borrowed slices
+//! of a per-thread scratch, so a decode allocates only its outcome.
 
 use crate::bitlevel::{bitlevel_roundtrip, SymbolLlr};
-use crate::encoder::CtcCode;
-use crate::siso::{SisoConfig, SisoInput, SisoUnit};
+use crate::encoder::{CtcCode, PunctureRate};
+use crate::siso::{Constituent, SisoUnit};
+use crate::trellis::DuoBinaryTrellis;
 use crate::TurboError;
-use fec_fixed::{Llr, MaxStar};
+use fec_fixed::Llr;
+use std::cell::RefCell;
 
 /// How extrinsic information travels between the two SISOs.
 ///
 /// The paper (Sec. IV.B) uses bit-level exchange over the NoC to cut the
 /// payload by one third at a ~0.2 dB BER cost; symbol-level exchange is the
-/// lossless reference.
+/// lossless reference.  A binary code carries one bit per symbol, so both
+/// modes exchange the same message there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExtrinsicExchange {
     /// Three symbol LLRs per couple (reference).
@@ -21,13 +29,11 @@ pub enum ExtrinsicExchange {
     BitLevel,
 }
 
-/// Configuration of the iterative decoder.
+/// Configuration of the iterative decoder, shared by every turbo code.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TurboDecoderConfig {
     /// Number of full iterations (the paper uses 8 for DBTC).
     pub max_iterations: usize,
-    /// SISO configuration shared by both constituent decoders.
-    pub siso: SisoConfig,
     /// Extrinsic exchange mode.
     pub exchange: ExtrinsicExchange,
     /// Stop early when the hard decisions are stable across an iteration.
@@ -38,7 +44,6 @@ impl Default for TurboDecoderConfig {
     fn default() -> Self {
         TurboDecoderConfig {
             max_iterations: 8,
-            siso: SisoConfig::default(),
             exchange: ExtrinsicExchange::default(),
             early_termination: true,
         }
@@ -48,7 +53,7 @@ impl Default for TurboDecoderConfig {
 /// Result of a turbo decoding attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TurboDecodeOutcome {
-    /// Decoded information bits (length `2 * couples`).
+    /// Decoded information bits.
     pub info_bits: Vec<u8>,
     /// Number of full iterations performed.
     pub iterations: usize,
@@ -56,40 +61,188 @@ pub struct TurboDecodeOutcome {
     pub converged: bool,
 }
 
-/// The iterative turbo decoder.
+/// A channel LLR as the iterative loop sees it: clamped to
+/// ±[`Llr::CERTAIN_MAGNITUDE`], so that no state metric can overflow however
+/// large the channel reliability.  At rate 1/2 the bound is only reached
+/// beyond about 117 dB Eb/N0.
+pub(crate) fn channel_llr(llr: &Llr) -> f64 {
+    llr.value()
+        .clamp(-Llr::CERTAIN_MAGNITUDE, Llr::CERTAIN_MAGNITUDE)
+}
+
+/// Per-thread working memory of the iterative loop for one constituent
+/// code.  Buffers only grow, so a thread decoding one code repeatedly never
+/// reallocates them.
+#[derive(Debug)]
+pub(crate) struct Scratch<Ch, M> {
+    siso: SisoUnit,
+    /// Channel values of SISO 1 (natural order) and SISO 2 (interleaved
+    /// order), tail steps last.
+    pub(crate) channel: [Vec<Ch>; 2],
+    apriori: [Vec<M>; 2],
+    extrinsic: Vec<M>,
+    aposteriori: Vec<M>,
+    /// Hard decisions of the last iteration, in natural order.
+    pub(crate) decisions: Vec<u8>,
+    previous: Vec<u8>,
+}
+
+impl<Ch, M> Scratch<Ch, M> {
+    pub(crate) const fn new() -> Self {
+        Scratch {
+            siso: SisoUnit::new(),
+            channel: [Vec::new(), Vec::new()],
+            apriori: [Vec::new(), Vec::new()],
+            extrinsic: Vec::new(),
+            aposteriori: Vec::new(),
+            decisions: Vec::new(),
+            previous: Vec::new(),
+        }
+    }
+}
+
+/// A constituent code the iterative loop can run: how its messages cross
+/// the interleaver and turn into decisions, and where its scratch lives.
+pub(crate) trait Iterated<const U: usize, const L: usize>: Constituent<U, L> {
+    /// Runs `f` on this code's per-thread loop memory.
+    fn with_scratch<R>(f: impl FnOnce(&mut Scratch<Self::Channel, Self::Message>) -> R) -> R;
+
+    /// The extrinsic message as the other SISO receives it.
+    fn exchange(message: Self::Message, mode: ExtrinsicExchange) -> Self::Message;
+
+    /// The message with the two bits of its symbol swapped.
+    fn swap(message: Self::Message) -> Self::Message;
+
+    /// The hard decision of an a-posteriori message.
+    fn decide(aposteriori: &Self::Message) -> u8;
+}
+
+/// Runs the iterations on the channel values already in
+/// `scratch.channel`, leaving the hard decisions in `scratch.decisions`:
+/// `(iterations, converged)`.
+///
+/// `interleaver[j]` is the interleaved position of natural step `j` and
+/// whether its symbol is swapped on the way.  Steps past the interleaver
+/// length are tail steps; they get no a-priori information.
+pub(crate) fn iterate<C: Iterated<U, L>, const U: usize, const L: usize>(
+    scratch: &mut Scratch<C::Channel, C::Message>,
+    interleaver: &[(usize, bool)],
+    config: &TurboDecoderConfig,
+) -> (usize, bool) {
+    let Scratch {
+        siso,
+        channel,
+        apriori,
+        extrinsic,
+        aposteriori,
+        decisions,
+        previous,
+    } = scratch;
+    let steps = channel[0].len();
+    let [apriori_1, apriori_2] = apriori;
+    for messages in [&mut *apriori_1, &mut *apriori_2, extrinsic, aposteriori] {
+        messages.clear();
+        messages.resize(steps, C::Message::default());
+    }
+    for bits in [&mut *decisions, &mut *previous] {
+        bits.clear();
+        bits.resize(interleaver.len(), 0);
+    }
+    let cross = |message: C::Message, swapped: bool| {
+        let message = C::exchange(message, config.exchange);
+        if swapped {
+            C::swap(message)
+        } else {
+            message
+        }
+    };
+
+    let mut iterations = 0;
+    let mut converged = false;
+    for it in 0..config.max_iterations {
+        iterations = it + 1;
+
+        // ---- SISO 1: natural order ----
+        siso.run::<C, U, L>(&channel[0], apriori_1, extrinsic, aposteriori);
+        for (&ext, &(p, swapped)) in extrinsic.iter().zip(interleaver) {
+            apriori_2[p] = cross(ext, swapped);
+        }
+
+        // ---- SISO 2: interleaved order ----
+        siso.run::<C, U, L>(&channel[1], apriori_2, extrinsic, aposteriori);
+        // extrinsic 2 -> a-priori 1, and decisions from SISO 2's
+        // a-posteriori, both back in natural order
+        for (j, &(p, swapped)) in interleaver.iter().enumerate() {
+            apriori_1[j] = cross(extrinsic[p], swapped);
+            let apo = if swapped {
+                C::swap(aposteriori[p])
+            } else {
+                aposteriori[p]
+            };
+            decisions[j] = C::decide(&apo);
+        }
+
+        if config.early_termination {
+            if it > 0 && previous == decisions {
+                converged = true;
+                break;
+            }
+            previous.copy_from_slice(decisions);
+        }
+    }
+    (iterations, converged)
+}
+
+impl Iterated<4, 16> for DuoBinaryTrellis {
+    fn with_scratch<R>(f: impl FnOnce(&mut Scratch<[f64; 4], SymbolLlr>) -> R) -> R {
+        thread_local! {
+            static SCRATCH: RefCell<Scratch<[f64; 4], SymbolLlr>> =
+                const { RefCell::new(Scratch::new()) };
+        }
+        SCRATCH.with(|s| f(&mut s.borrow_mut()))
+    }
+
+    fn exchange(message: SymbolLlr, mode: ExtrinsicExchange) -> SymbolLlr {
+        match mode {
+            ExtrinsicExchange::SymbolLevel => message,
+            ExtrinsicExchange::BitLevel => bitlevel_roundtrip(&message),
+        }
+    }
+
+    /// Symbols 1 and 2 trade places under the `A <-> B` swap; symbol 3 is
+    /// invariant.
+    fn swap(message: SymbolLlr) -> SymbolLlr {
+        [message[1], message[0], message[2]]
+    }
+
+    /// The most likely couple; ties go to the larger symbol.
+    fn decide(aposteriori: &SymbolLlr) -> u8 {
+        let m = [0.0, aposteriori[0], aposteriori[1], aposteriori[2]];
+        (1..4).fold(0, |best, u| if m[u] >= m[best] { u } else { best }) as u8
+    }
+}
+
+/// The iterative double-binary turbo decoder.
 ///
 /// See the crate-level example for end-to-end usage.
 #[derive(Debug, Clone)]
 pub struct TurboDecoder {
     code: CtcCode,
     config: TurboDecoderConfig,
-    siso: SisoUnit,
-}
-
-/// Channel LLRs split into the six sub-blocks of the CTC.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelLlrs {
-    /// LLRs of the systematic `A` bits.
-    pub sys_a: Vec<f64>,
-    /// LLRs of the systematic `B` bits.
-    pub sys_b: Vec<f64>,
-    /// LLRs of parity `Y1` (0 where punctured).
-    pub par_y1: Vec<f64>,
-    /// LLRs of parity `W1` (0 where punctured).
-    pub par_w1: Vec<f64>,
-    /// LLRs of parity `Y2` (0 where punctured).
-    pub par_y2: Vec<f64>,
-    /// LLRs of parity `W2` (0 where punctured).
-    pub par_w2: Vec<f64>,
+    /// Interleaved position and bit swap of every natural couple.
+    interleaver: Vec<(usize, bool)>,
 }
 
 impl TurboDecoder {
     /// Creates a decoder for `code`.
     pub fn new(code: &CtcCode, config: TurboDecoderConfig) -> Self {
+        let pi = code.interleaver();
         TurboDecoder {
             code: code.clone(),
             config,
-            siso: SisoUnit::new(config.siso),
+            interleaver: (0..code.couples())
+                .map(|j| (pi.permute(j), pi.swaps_couple(j)))
+                .collect(),
         }
     }
 
@@ -103,52 +256,6 @@ impl TurboDecoder {
         &self.code
     }
 
-    /// Splits a flat channel-LLR vector (in the encoder's transmitted order)
-    /// into the six sub-blocks, inserting zeros at punctured positions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TurboError::InvalidLength`] if `llrs.len()` does not match
-    /// the punctured codeword length.
-    pub fn demap_channel(&self, llrs: &[Llr]) -> Result<ChannelLlrs, TurboError> {
-        let n = self.code.couples();
-        let expected = self.code.coded_bits();
-        if llrs.len() != expected {
-            return Err(TurboError::InvalidLength {
-                what: "channel LLRs",
-                expected,
-                actual: llrs.len(),
-            });
-        }
-        let rate = self.code.rate();
-        let mut it = llrs.iter().map(|l| l.value());
-        let sys_a: Vec<f64> = (0..n).map(|_| it.next().expect("length checked")).collect();
-        let sys_b: Vec<f64> = (0..n).map(|_| it.next().expect("length checked")).collect();
-        let mut take_kept = |keep: &dyn Fn(usize) -> bool| -> Vec<f64> {
-            (0..n)
-                .map(|j| {
-                    if keep(j) {
-                        it.next().expect("length checked")
-                    } else {
-                        0.0
-                    }
-                })
-                .collect()
-        };
-        let par_y1 = take_kept(&|j| rate.keeps_y1(j));
-        let par_w1 = take_kept(&|j| rate.keeps_w1(j));
-        let par_y2 = take_kept(&|j| rate.keeps_y2(j));
-        let par_w2 = take_kept(&|j| rate.keeps_w2(j));
-        Ok(ChannelLlrs {
-            sys_a,
-            sys_b,
-            par_y1,
-            par_w1,
-            par_y2,
-            par_w2,
-        })
-    }
-
     /// Decodes a frame of channel LLRs (one value per transmitted bit, in the
     /// encoder's output order).
     ///
@@ -157,139 +264,93 @@ impl TurboDecoder {
     /// Returns [`TurboError::InvalidLength`] if the LLR vector has the wrong
     /// length.
     pub fn decode(&self, llrs: &[Llr]) -> Result<TurboDecodeOutcome, TurboError> {
-        let ch = self.demap_channel(llrs)?;
-        Ok(self.decode_channel(&ch))
-    }
-
-    /// Decodes pre-split channel LLRs.
-    pub fn decode_channel(&self, ch: &ChannelLlrs) -> TurboDecodeOutcome {
-        let n = self.code.couples();
-        let pi = self.code.interleaver();
-        let ms = MaxStar::new(self.config.siso.max_star);
-
-        // Systematic LLRs as seen by SISO2 (interleaved order, couple swap applied).
-        let mut sys_a2 = vec![0.0; n];
-        let mut sys_b2 = vec![0.0; n];
-        for j in 0..n {
-            let p = pi.permute(j);
-            if pi.swaps_couple(j) {
-                sys_a2[p] = ch.sys_b[j];
-                sys_b2[p] = ch.sys_a[j];
-            } else {
-                sys_a2[p] = ch.sys_a[j];
-                sys_b2[p] = ch.sys_b[j];
-            }
+        let expected = self.code.coded_bits();
+        if llrs.len() != expected {
+            return Err(TurboError::InvalidLength {
+                what: "channel LLRs",
+                expected,
+                actual: llrs.len(),
+            });
         }
-
-        let mut apriori1: Vec<SymbolLlr> = vec![[0.0; 3]; n];
-        let mut prev_decisions: Option<Vec<u8>> = None;
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut decisions = vec![0u8; n];
-
-        for it in 0..self.config.max_iterations {
-            iterations = it + 1;
-
-            // ---- SISO 1: natural order ----
-            let input1 = SisoInput {
-                sys_a: ch.sys_a.clone(),
-                sys_b: ch.sys_b.clone(),
-                par_y: ch.par_y1.clone(),
-                par_w: ch.par_w1.clone(),
-                apriori: apriori1.clone(),
-            };
-            let out1 = self.siso.run(&input1);
-
-            // extrinsic 1 -> a-priori 2 (interleave, swap-aware, optional bit-level compression)
-            let mut apriori2: Vec<SymbolLlr> = vec![[0.0; 3]; n];
-            for j in 0..n {
-                let ext = self.exchange(&out1.extrinsic[j], &ms);
-                let p = pi.permute(j);
-                apriori2[p] = if pi.swaps_couple(j) {
-                    swap_symbol(&ext)
-                } else {
-                    ext
-                };
+        Ok(DuoBinaryTrellis::with_scratch(|scratch| {
+            demap(
+                self.code.rate(),
+                &self.interleaver,
+                llrs,
+                &mut scratch.channel,
+            );
+            let (iterations, converged) =
+                iterate::<DuoBinaryTrellis, 4, 16>(scratch, &self.interleaver, &self.config);
+            let mut info_bits = Vec::with_capacity(self.code.info_bits());
+            for &u in &scratch.decisions {
+                info_bits.push((u >> 1) & 1);
+                info_bits.push(u & 1);
             }
-
-            // ---- SISO 2: interleaved order ----
-            let input2 = SisoInput {
-                sys_a: sys_a2.clone(),
-                sys_b: sys_b2.clone(),
-                par_y: ch.par_y2.clone(),
-                par_w: ch.par_w2.clone(),
-                apriori: apriori2,
-            };
-            let out2 = self.siso.run(&input2);
-
-            // extrinsic 2 -> a-priori 1 (de-interleave)
-            for (j, apriori) in apriori1.iter_mut().enumerate() {
-                let p = pi.permute(j);
-                let ext = self.exchange(&out2.extrinsic[p], &ms);
-                *apriori = if pi.swaps_couple(j) {
-                    swap_symbol(&ext)
-                } else {
-                    ext
-                };
+            TurboDecodeOutcome {
+                info_bits,
+                iterations,
+                converged,
             }
-
-            // decisions from SISO2's a-posteriori, mapped back to natural order
-            #[allow(clippy::needless_range_loop)] // `j` also feeds `pi.permute(j)`
-            for j in 0..n {
-                let p = pi.permute(j);
-                let apo = if pi.swaps_couple(j) {
-                    swap_symbol(&out2.aposteriori[p])
-                } else {
-                    out2.aposteriori[p]
-                };
-                let m = [0.0, apo[0], apo[1], apo[2]];
-                decisions[j] = (0..4)
-                    .max_by(|&a, &b| m[a].partial_cmp(&m[b]).expect("finite"))
-                    .expect("non-empty") as u8;
-            }
-
-            if self.config.early_termination {
-                if let Some(prev) = &prev_decisions {
-                    if *prev == decisions {
-                        converged = true;
-                        break;
-                    }
-                }
-                prev_decisions = Some(decisions.clone());
-            }
-        }
-
-        let mut info_bits = Vec::with_capacity(2 * n);
-        for &u in &decisions {
-            info_bits.push((u >> 1) & 1);
-            info_bits.push(u & 1);
-        }
-        TurboDecodeOutcome {
-            info_bits,
-            iterations,
-            converged,
-        }
-    }
-
-    fn exchange(&self, ext: &SymbolLlr, ms: &MaxStar) -> SymbolLlr {
-        match self.config.exchange {
-            ExtrinsicExchange::SymbolLevel => *ext,
-            ExtrinsicExchange::BitLevel => bitlevel_roundtrip(ext, ms),
-        }
+        }))
     }
 }
 
-/// Remaps a symbol LLR vector under the `A <-> B` swap (symbols 1 and 2 trade
-/// places, symbol 3 is invariant).
-fn swap_symbol(s: &SymbolLlr) -> SymbolLlr {
-    [s[1], s[0], s[2]]
+/// Splits a flat channel-LLR vector of `interleaver.len()` couples (in the
+/// encoder's transmitted order, length already checked) into the two
+/// constituents' `[A, B, Y, W]` values, with zeros at punctured positions:
+/// natural order for SISO 1, interleaved order with the couple swap for
+/// SISO 2.
+fn demap(
+    rate: PunctureRate,
+    interleaver: &[(usize, bool)],
+    llrs: &[Llr],
+    channel: &mut [Vec<[f64; 4]>; 2],
+) {
+    let n = interleaver.len();
+    let [natural, interleaved] = channel;
+    natural.resize(n, [0.0; 4]);
+    interleaved.resize(n, [0.0; 4]);
+    let mut values = llrs.iter().map(channel_llr);
+    let mut take = |kept: bool| {
+        if kept {
+            values.next().expect("length checked")
+        } else {
+            0.0
+        }
+    };
+    for ch in natural.iter_mut() {
+        ch[0] = take(true);
+    }
+    for ch in natural.iter_mut() {
+        ch[1] = take(true);
+    }
+    for (j, ch) in natural.iter_mut().enumerate() {
+        ch[2] = take(rate.keeps_y1(j));
+    }
+    for (j, ch) in natural.iter_mut().enumerate() {
+        ch[3] = take(rate.keeps_w1(j));
+    }
+    for (p, ch) in interleaved.iter_mut().enumerate() {
+        ch[2] = take(rate.keeps_y2(p));
+    }
+    for (p, ch) in interleaved.iter_mut().enumerate() {
+        ch[3] = take(rate.keeps_w2(p));
+    }
+    for (ch, &(p, swapped)) in natural.iter().zip(interleaver) {
+        let (a, b) = if swapped {
+            (ch[1], ch[0])
+        } else {
+            (ch[0], ch[1])
+        };
+        interleaved[p][0] = a;
+        interleaved[p][1] = b;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::TurboEncoder;
-    use crate::PunctureRate;
     use rand::{Rng, SeedableRng};
 
     fn bpsk(bit: u8) -> f64 {
@@ -314,9 +375,10 @@ mod tests {
 
     #[test]
     fn swap_symbol_is_involution() {
+        let swap = <DuoBinaryTrellis as Iterated<4, 16>>::swap;
         let s = [1.0, 2.0, 3.0];
-        assert_eq!(swap_symbol(&swap_symbol(&s)), s);
-        assert_eq!(swap_symbol(&s), [2.0, 1.0, 3.0]);
+        assert_eq!(swap(swap(s)), s);
+        assert_eq!(swap(s), [2.0, 1.0, 3.0]);
     }
 
     #[test]
@@ -437,13 +499,59 @@ mod tests {
         let code = CtcCode::with_rate(24, PunctureRate::R23).unwrap();
         let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
         let llrs = vec![Llr::new(1.0); code.coded_bits()];
-        let ch = dec.demap_channel(&llrs).unwrap();
+        let mut channel = [Vec::new(), Vec::new()];
+        demap(code.rate(), &dec.interleaver, &llrs, &mut channel);
+        let [natural, interleaved] = &channel;
+        // systematic bits are never punctured
+        assert!(natural
+            .iter()
+            .chain(interleaved)
+            .all(|ch| ch[..2] == [1.0; 2]));
         // W1/W2 fully punctured at rate 2/3
-        assert!(ch.par_w1.iter().all(|&v| v == 0.0));
-        assert!(ch.par_w2.iter().all(|&v| v == 0.0));
-        // Y1 present only on even couples
-        assert!(ch.par_y1.iter().step_by(2).all(|&v| v == 1.0));
-        assert!(ch.par_y1.iter().skip(1).step_by(2).all(|&v| v == 0.0));
+        assert!(natural.iter().chain(interleaved).all(|ch| ch[3] == 0.0));
+        // Y1 present only on even couples, Y2 only on odd interleaved ones
+        for (j, (ch1, ch2)) in natural.iter().zip(interleaved).enumerate() {
+            assert_eq!(ch1[2], if j % 2 == 0 { 1.0 } else { 0.0 }, "couple {j}");
+            assert_eq!(ch2[2], if j % 2 == 1 { 1.0 } else { 0.0 }, "couple {j}");
+        }
+    }
+
+    #[test]
+    fn every_puncture_rate_decodes_a_noiseless_frame() {
+        for rate in [
+            PunctureRate::R13,
+            PunctureRate::R12,
+            PunctureRate::R23,
+            PunctureRate::R34,
+        ] {
+            let code = CtcCode::with_rate(48, rate).unwrap();
+            let info: Vec<u8> = (0..code.info_bits()).map(|i| (i % 3 % 2) as u8).collect();
+            let cw = TurboEncoder::new(&code).encode(&info).unwrap();
+            let llrs: Vec<Llr> = cw.iter().map(|&b| Llr::new(8.0 * bpsk(b))).collect();
+            let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
+            assert_eq!(dec.decode(&llrs).unwrap().info_bits, info, "{rate:?}");
+        }
+    }
+
+    #[test]
+    fn channel_llrs_beyond_the_certain_magnitude_are_clamped() {
+        // LLRs of a channel at ~3080 dB overflow the state metrics unless
+        // the loop bounds them; clamped, they decode like any clean frame.
+        let code = CtcCode::wimax(48).unwrap();
+        let info: Vec<u8> = (0..code.info_bits()).map(|i| (i % 5 % 2) as u8).collect();
+        let cw = TurboEncoder::new(&code).encode(&info).unwrap();
+        for magnitude in [1e300, f64::INFINITY] {
+            let llrs: Vec<Llr> = cw.iter().map(|&b| Llr::new(magnitude * bpsk(b))).collect();
+            for exchange in [ExtrinsicExchange::SymbolLevel, ExtrinsicExchange::BitLevel] {
+                let config = TurboDecoderConfig {
+                    exchange,
+                    ..TurboDecoderConfig::default()
+                };
+                let out = TurboDecoder::new(&code, config).decode(&llrs).unwrap();
+                assert_eq!(out.info_bits, info, "{magnitude:e} {exchange:?}");
+                assert!(out.converged);
+            }
+        }
     }
 
     #[test]

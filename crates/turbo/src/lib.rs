@@ -1,22 +1,25 @@
-//! IEEE 802.16e (WiMAX) double-binary convolutional turbo codes (CTC) and
-//! their Max-Log-MAP / Log-MAP decoders.
+//! IEEE 802.16e (WiMAX) double-binary convolutional turbo codes (CTC), and
+//! the one Max-Log-MAP turbo decoder that also runs DVB-RCS and LTE.
 //!
 //! This crate provides the turbo-code substrate of the NoC-based decoder of
 //! Condo, Martina and Masera (DATE 2012):
 //!
 //! * [`trellis`] — the 8-state duo-binary circular recursive systematic
-//!   convolutional (CRSC) constituent encoder, its trellis and the
-//!   circulation-state computation (solved algebraically over GF(2) instead
-//!   of using the standard's lookup table).
+//!   convolutional (CRSC) constituent encoder, the binary LTE RSC, their
+//!   compile-time trellis tables and the circulation-state computation
+//!   (solved algebraically over GF(2) instead of using the standard's lookup
+//!   table).
 //! * [`interleaver`] — the almost-regular-permutation (ARP) two-step CTC
 //!   interleaver with the WiMAX parameter set for all frame sizes.
 //! * [`encoder`] — the parallel concatenation of two CRSC encoders with
 //!   puncturing to the transmitted code rates.
-//! * [`siso`] — the Soft-In-Soft-Out unit implementing the BCJR recursion of
-//!   Eq. (1)–(5) of the paper with selectable `max*` operator.
-//! * [`decoder`] — the full iterative turbo decoder, including the
-//!   symbol-level / bit-level extrinsic exchange trade-off (paper Sec. IV.B,
-//!   refs [23] and [24]).
+//! * [`siso`] — the Soft-In-Soft-Out kernel implementing the Max-Log BCJR
+//!   recursion of Eq. (1)–(5) of the paper for any constituent trellis known
+//!   at compile time.
+//! * [`decoder`] — the iterative loop shared by every turbo code and the
+//!   duo-binary decoder, including the symbol-level / bit-level extrinsic
+//!   exchange trade-off (paper Sec. IV.B, refs [23] and [24]).
+//! * [`binary`] — the tail-terminated binary decoder of the LTE code.
 //! * [`bitlevel`] — the Symbol-To-Bit (STB) and Bit-To-Symbol (BTS)
 //!   conversion units.
 //!
@@ -58,13 +61,15 @@ pub mod interleaver;
 pub mod siso;
 pub mod trellis;
 
-pub use binary::{BinarySiso, BinarySisoConfig, BinarySisoInput, BinaryTrellis, TrellisBoundary};
+pub use binary::BinaryTurboDecoder;
 pub use codec::TurboCodec;
 pub use decoder::{ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig};
 pub use encoder::{CtcCode, PunctureRate, TurboEncoder};
 pub use interleaver::{ArpInterleaver, ArpParameters};
-pub use siso::{SisoConfig, SisoUnit};
-pub use trellis::{CirculationState, DuoBinaryTrellis, NUM_STATES, SYMBOLS};
+pub use siso::{Constituent, SisoUnit};
+pub use trellis::{
+    lte_rsc_step, CirculationState, ConstTrellis, DuoBinaryTrellis, LteTrellis, NUM_STATES, SYMBOLS,
+};
 
 use std::fmt;
 

@@ -16,9 +16,12 @@
 //! ```
 //!
 //! The encoder and the decoder trellis are both generated from this single
-//! transition function, so they are consistent by construction.
+//! transition function, so they are consistent by construction.  The same
+//! holds for the binary LTE constituent ([`lte_rsc_step`]): the SISO kernel's
+//! branch and incoming-state tables ([`ConstTrellis`]) are built from the two
+//! transition functions by `const fn` at compile time.
 
-/// Number of trellis states (3 memory bits).
+/// Number of trellis states (3 memory bits) of both constituent codes.
 pub const NUM_STATES: usize = 8;
 
 /// Number of input symbols per trellis step (a couple of bits `A`, `B`).
@@ -42,7 +45,7 @@ pub struct StepOutput {
 /// # Panics
 ///
 /// Panics if `state >= 8` or `symbol >= 4`.
-pub fn step(state: u8, symbol: u8) -> StepOutput {
+pub const fn step(state: u8, symbol: u8) -> StepOutput {
     assert!((state as usize) < NUM_STATES, "state out of range");
     assert!((symbol as usize) < SYMBOLS, "symbol out of range");
     let s1 = (state >> 2) & 1;
@@ -65,93 +68,126 @@ pub fn step(state: u8, symbol: u8) -> StepOutput {
     }
 }
 
-/// A single trellis branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Branch {
-    /// Starting state `s^S(e)`.
-    pub from: u8,
-    /// Ending state `s^E(e)`.
-    pub to: u8,
-    /// Uncoded symbol `u(e)` (couple `2A + B`).
-    pub symbol: u8,
-    /// Parity bit Y of the branch.
-    pub parity_y: u8,
-    /// Parity bit W of the branch.
-    pub parity_w: u8,
+/// The LTE/UMTS 8-state RSC transition (3GPP 36.212 §5.1.3): feedback
+/// `1 + D^2 + D^3`, parity `1 + D + D^3`.  Returns `(next state, parity
+/// bit)`.
+pub const fn lte_rsc_step(state: u8, bit: u8) -> (u8, u8) {
+    let r1 = (state >> 2) & 1;
+    let r2 = (state >> 1) & 1;
+    let r3 = state & 1;
+    let d = (bit & 1) ^ r2 ^ r3;
+    let parity = d ^ r1 ^ r3;
+    ((d << 2) | (r1 << 1) | r2, parity)
 }
 
-/// Pre-computed duo-binary trellis.
+/// A trellis known at compile time: [`NUM_STATES`] states, each left and
+/// entered by `U` branches.
+///
+/// Branch `(s, u)` leaves state `s` on input symbol `u`.  Its *label*
+/// `u * P + parity` indexes the `L = U * P` distinct branch metrics of a
+/// trellis step (`P` parity patterns), so a SISO computes each distinct
+/// metric once per step and the recursions only index them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConstTrellis<const U: usize> {
+    /// `next[s][u]`: the state reached from `s` on symbol `u`.
+    pub next: [[u8; U]; NUM_STATES],
+    /// `label[s][u]`: the branch-metric label of that branch.
+    pub label: [[u8; U]; NUM_STATES],
+    /// `prev[s]`: `(from state, label)` of the `U` branches entering `s`,
+    /// in increasing `(from, u)` order.
+    pub prev: [[(u8, u8); U]; NUM_STATES],
+}
+
+impl<const U: usize> ConstTrellis<U> {
+    /// Derives the incoming-branch table from the outgoing one.
+    ///
+    /// # Panics
+    ///
+    /// Panics — at compile time when building a `const` — if a transition
+    /// leaves the state range or a state is entered by more than `U`
+    /// branches (then another is entered by fewer).
+    pub const fn new(next: [[u8; U]; NUM_STATES], label: [[u8; U]; NUM_STATES]) -> Self {
+        let mut prev = [[(0u8, 0u8); U]; NUM_STATES];
+        let mut entering = [0usize; NUM_STATES];
+        let mut s = 0;
+        while s < NUM_STATES {
+            let mut u = 0;
+            while u < U {
+                let to = next[s][u] as usize;
+                assert!(to < NUM_STATES, "transition leaves the state range");
+                assert!(entering[to] < U, "state entered by more than U branches");
+                prev[to][entering[to]] = (s as u8, label[s][u]);
+                entering[to] += 1;
+                u += 1;
+            }
+            s += 1;
+        }
+        ConstTrellis { next, label, prev }
+    }
+}
+
+/// The duo-binary CRSC trellis of 802.16e and DVB-RCS as a constituent code
+/// of the SISO kernel ([`crate::siso::Constituent`]): 8 states, 4 symbols,
+/// circular, with its tables built from [`step`] at compile time.  Branch
+/// labels are `4u + 2Y + W`.
 ///
 /// # Example
 ///
 /// ```
+/// use wimax_turbo::siso::Constituent;
 /// use wimax_turbo::DuoBinaryTrellis;
 ///
-/// let t = DuoBinaryTrellis::new();
-/// // 8 states x 4 symbols = 32 branches
-/// assert_eq!(t.branches().len(), 32);
-/// // every state has exactly 4 incoming branches
-/// assert!( (0..8).all(|s| t.incoming(s).len() == 4) );
+/// let t = DuoBinaryTrellis::TRELLIS;
+/// // 8 states x 4 symbols = 32 branches, four entering every state
+/// assert_eq!(t.next.iter().flatten().count(), 32);
+/// assert!(t.prev.iter().all(|entering| entering.len() == 4));
 /// ```
-#[derive(Debug, Clone)]
-pub struct DuoBinaryTrellis {
-    branches: Vec<Branch>,
-    outgoing: Vec<Vec<usize>>,
-    incoming: Vec<Vec<usize>>,
-}
-
-impl Default for DuoBinaryTrellis {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DuoBinaryTrellis;
 
 impl DuoBinaryTrellis {
-    /// Builds the trellis from the constituent-encoder transition function.
-    pub fn new() -> Self {
-        let mut branches = Vec::with_capacity(NUM_STATES * SYMBOLS);
-        let mut outgoing: Vec<Vec<usize>> = (0..NUM_STATES)
-            .map(|_| Vec::with_capacity(SYMBOLS))
-            .collect();
-        let mut incoming: Vec<Vec<usize>> = (0..NUM_STATES)
-            .map(|_| Vec::with_capacity(SYMBOLS))
-            .collect();
-        for state in 0..NUM_STATES as u8 {
-            for symbol in 0..SYMBOLS as u8 {
-                let out = step(state, symbol);
-                let idx = branches.len();
-                branches.push(Branch {
-                    from: state,
-                    to: out.next_state,
-                    symbol,
-                    parity_y: out.parity_y,
-                    parity_w: out.parity_w,
-                });
-                outgoing[state as usize].push(idx);
-                incoming[out.next_state as usize].push(idx);
+    pub(crate) const TABLE: ConstTrellis<SYMBOLS> = {
+        let mut next = [[0u8; SYMBOLS]; NUM_STATES];
+        let mut label = [[0u8; SYMBOLS]; NUM_STATES];
+        let mut s = 0;
+        while s < NUM_STATES {
+            let mut u = 0;
+            while u < SYMBOLS {
+                let out = step(s as u8, u as u8);
+                next[s][u] = out.next_state;
+                label[s][u] = 4 * u as u8 + 2 * out.parity_y + out.parity_w;
+                u += 1;
             }
+            s += 1;
         }
-        DuoBinaryTrellis {
-            branches,
-            outgoing,
-            incoming,
+        ConstTrellis::new(next, label)
+    };
+}
+
+/// The binary LTE/UMTS RSC trellis as a constituent code of the SISO kernel
+/// ([`crate::siso::Constituent`]): 8 states, 2 symbols, tail-terminated,
+/// with its tables built from [`lte_rsc_step`] at compile time.  Branch
+/// labels are `2u + parity`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LteTrellis;
+
+impl LteTrellis {
+    pub(crate) const TABLE: ConstTrellis<2> = {
+        let mut next = [[0u8; 2]; NUM_STATES];
+        let mut label = [[0u8; 2]; NUM_STATES];
+        let mut s = 0;
+        while s < NUM_STATES {
+            let mut u = 0;
+            while u < 2 {
+                let (to, parity) = lte_rsc_step(s as u8, u as u8);
+                next[s][u] = to;
+                label[s][u] = 2 * u as u8 + parity;
+                u += 1;
+            }
+            s += 1;
         }
-    }
-
-    /// All 32 branches.
-    pub fn branches(&self) -> &[Branch] {
-        &self.branches
-    }
-
-    /// Indices of the branches leaving `state`.
-    pub fn outgoing(&self, state: u8) -> &[usize] {
-        &self.outgoing[state as usize]
-    }
-
-    /// Indices of the branches entering `state`.
-    pub fn incoming(&self, state: u8) -> &[usize] {
-        &self.incoming[state as usize]
-    }
+        ConstTrellis::new(next, label)
+    };
 }
 
 /// 3x3 binary matrix used for the circulation-state computation.
@@ -290,24 +326,25 @@ mod tests {
 
     #[test]
     fn trellis_has_uniform_connectivity() {
-        let t = DuoBinaryTrellis::new();
-        assert_eq!(t.branches().len(), 32);
-        for s in 0..NUM_STATES as u8 {
-            assert_eq!(t.outgoing(s).len(), 4);
-            assert_eq!(t.incoming(s).len(), 4);
-            // the four outgoing branches carry the four distinct symbols
-            let mut symbols: Vec<u8> = t
-                .outgoing(s)
-                .iter()
-                .map(|&i| t.branches()[i].symbol)
-                .collect();
-            symbols.sort_unstable();
-            assert_eq!(symbols, vec![0, 1, 2, 3]);
-            // and reach four distinct next states (the code is recursive and non-catastrophic)
-            let mut tos: Vec<u8> = t.outgoing(s).iter().map(|&i| t.branches()[i].to).collect();
+        let t = DuoBinaryTrellis::TABLE;
+        for s in 0..NUM_STATES {
+            // the four outgoing branches reach four distinct next states
+            // (the code is recursive and non-catastrophic)
+            let mut tos = t.next[s].to_vec();
             tos.sort_unstable();
             tos.dedup();
             assert_eq!(tos.len(), 4);
+            // and carry the four distinct symbols, one label block each
+            for (u, &label) in t.label[s].iter().enumerate() {
+                assert_eq!(usize::from(label) / 4, u);
+                let out = step(s as u8, u as u8);
+                assert_eq!(label % 4, 2 * out.parity_y + out.parity_w);
+            }
+            // every incoming entry is a branch that really reaches `s`
+            for &(from, label) in &t.prev[s] {
+                let u = usize::from(label) / 4;
+                assert_eq!(usize::from(t.next[usize::from(from)][u]), s);
+            }
         }
     }
 
@@ -386,8 +423,7 @@ mod tests {
 
         #[test]
         fn distinct_symbols_give_distinct_next_states(state in 0u8..8) {
-            let t = DuoBinaryTrellis::new();
-            let mut tos: Vec<u8> = t.outgoing(state).iter().map(|&i| t.branches()[i].to).collect();
+            let mut tos: Vec<u8> = (0..4).map(|u| step(state, u).next_state).collect();
             tos.sort_unstable();
             tos.dedup();
             prop_assert_eq!(tos.len(), 4);

@@ -1,4 +1,4 @@
-//! Steady-state heap-allocation counts of the LDPC frame path.
+//! Steady-state heap-allocation counts of the LDPC and turbo frame paths.
 //!
 //! Both layered decoders keep λ, the `R` message memory and the `Q` row in
 //! a per-thread scratch — the software image of the processing element's
@@ -7,16 +7,21 @@
 //! outcome list of the fixed datapath.  The fixed datapath's instrumented
 //! entry point must stay within that bound with a [`NoopRecorder`].  The
 //! [`QcEncoder`] computes its parity blocks in place in the returned
-//! codeword.  Counts are taken per thread (see `common`).
+//! codeword.  The turbo decoders keep their channel values, messages and
+//! the SISO's γ/α memories in a per-thread scratch too, so a turbo decode
+//! allocates only its decoded bits.  Counts are taken per thread (see
+//! `common`).
 
 mod common;
 
+use code_tables::{dvb_rcs_ctc, LteTurboCode, LteTurboCodec};
 use common::allocations;
 use fec_fixed::Llr;
 use fec_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder};
 use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
+use wimax_turbo::{ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig};
 
 const BLOCK_LENGTHS: [usize; 2] = [576, 2304];
 
@@ -105,4 +110,61 @@ fn qc_encode_allocates_at_most_twice() {
         assert!(code.is_codeword(&codeword.expect("info length matches")));
         assert!(allocs <= 2, "n{n}: encode made {allocs} allocations");
     }
+}
+
+/// A turbo configuration that runs exactly `iterations` iterations.
+fn turbo_config(iterations: usize) -> TurboDecoderConfig {
+    TurboDecoderConfig {
+        max_iterations: iterations,
+        exchange: ExtrinsicExchange::BitLevel,
+        early_termination: false,
+    }
+}
+
+/// Warms the per-thread scratch up with `decode[0]`, then checks that a
+/// decode at 1 and at 8 iterations makes the same number of allocations,
+/// at most the one vector of decoded bits.
+fn check_turbo_allocations(name: &str, decode: [&dyn Fn() -> TurboDecodeOutcome; 2]) {
+    let _ = decode[0]();
+    let (one_allocs, one) = allocations(decode[0]);
+    let (all_allocs, all) = allocations(decode[1]);
+    assert_eq!((one.iterations, one.converged), (1, false), "{name}");
+    assert_eq!((all.iterations, all.converged), (8, false), "{name}");
+    assert_eq!(
+        one_allocs, all_allocs,
+        "{name}: 1 iteration made {one_allocs} allocations, 8 made {all_allocs}"
+    );
+    assert!(
+        one_allocs <= 1,
+        "{name}: a decode should allocate only its decoded bits, made {one_allocs}"
+    );
+}
+
+#[test]
+fn turbo_decode_allocations_do_not_grow_with_iterations() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(78);
+    let mut noise =
+        |n: usize| -> Vec<Llr> { (0..n).map(|_| Llr::new(rng.gen_range(-1.0..1.0))).collect() };
+
+    let lte = LteTurboCode::new(1024).expect("valid LTE block size");
+    let lte_codecs = [1, 8].map(|it| LteTurboCodec::new(&lte, turbo_config(it)));
+    let lte_noise = noise(lte.coded_bits());
+    check_turbo_allocations(
+        "LTE K1024",
+        [
+            &|| lte_codecs[0].decoder().decode(&lte_noise).expect("length"),
+            &|| lte_codecs[1].decoder().decode(&lte_noise).expect("length"),
+        ],
+    );
+
+    let dvb = dvb_rcs_ctc(212).expect("valid DVB-RCS couple size");
+    let dvb_decoders = [1, 8].map(|it| TurboDecoder::new(&dvb, turbo_config(it)));
+    let dvb_noise = noise(dvb.coded_bits());
+    check_turbo_allocations(
+        "DVB-RCS 212 couples",
+        [
+            &|| dvb_decoders[0].decode(&dvb_noise).expect("length"),
+            &|| dvb_decoders[1].decode(&dvb_noise).expect("length"),
+        ],
+    );
 }
