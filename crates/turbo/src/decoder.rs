@@ -246,16 +246,6 @@ impl TurboDecoder {
         }
     }
 
-    /// The decoder configuration.
-    pub fn config(&self) -> &TurboDecoderConfig {
-        &self.config
-    }
-
-    /// The code being decoded.
-    pub fn code(&self) -> &CtcCode {
-        &self.code
-    }
-
     /// Decodes a frame of channel LLRs (one value per transmitted bit, in the
     /// encoder's output order).
     ///

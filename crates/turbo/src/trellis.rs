@@ -106,7 +106,7 @@ impl<const U: usize> ConstTrellis<U> {
     /// Panics — at compile time when building a `const` — if a transition
     /// leaves the state range or a state is entered by more than `U`
     /// branches (then another is entered by fewer).
-    pub const fn new(next: [[u8; U]; NUM_STATES], label: [[u8; U]; NUM_STATES]) -> Self {
+    pub(crate) const fn new(next: [[u8; U]; NUM_STATES], label: [[u8; U]; NUM_STATES]) -> Self {
         let mut prev = [[(0u8, 0u8); U]; NUM_STATES];
         let mut entering = [0usize; NUM_STATES];
         let mut s = 0;
