@@ -1,5 +1,5 @@
 //! The iterative turbo decoder: two SISO units exchanging extrinsic
-//! information through the interleaver.  One loop ([`iterate`]) serves every
+//! information through the interleaver.  One loop (`iterate`) serves every
 //! turbo code — the duo-binary CTCs of 802.16e and DVB-RCS
 //! ([`TurboDecoder`]) and the binary LTE code
 //! ([`crate::BinaryTurboDecoder`]): interleaving with couple swaps, symbol- or
