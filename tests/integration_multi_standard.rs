@@ -1,7 +1,8 @@
 //! Multi-standard integration tests: every standard's codes must decode
 //! through the unified Monte-Carlo engine with bit-identical counts at any
-//! worker count, and the architectural layer must evaluate codes from all
-//! five standards in one compliance sweep.
+//! worker count, the turbo decoders must reproduce committed golden
+//! outputs, and the architectural layer must evaluate codes from all five
+//! standards in one compliance sweep.
 
 use code_tables::dvb_rcs_ctc;
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
