@@ -38,6 +38,7 @@ impl LdpcMapping {
             code.m()
         );
         let graph = Self::row_graph(code);
+        let cols = code.parity_check().column_lists();
         let mut best: Option<LdpcMapping> = None;
         for candidate in 0..config.candidates.max(1) {
             let pconf = PartitionerConfig {
@@ -46,7 +47,7 @@ impl LdpcMapping {
                 seed: config.seed.wrapping_add(candidate as u64 * 7919),
             };
             let partition = Partitioner::new(pconf).partition(&graph, pes);
-            let (trace, quality) = Self::build_traffic(code, &partition, pes);
+            let (trace, quality) = Self::build_traffic(code, &graph, &cols, &partition, pes);
             let current = LdpcMapping {
                 pes,
                 partition,
@@ -76,14 +77,18 @@ impl LdpcMapping {
         )
     }
 
+    /// The traffic and quality of one candidate `partition`; `graph` is the
+    /// code's [`row_graph`](Self::row_graph) and `cols` the row lists of its
+    /// parity-check columns, both built once per mapping.
     fn build_traffic(
         code: &QcLdpcCode,
+        graph: &WeightedGraph,
+        cols: &[Vec<usize>],
         partition: &Partition,
         pes: usize,
     ) -> (TrafficTrace, MappingQuality) {
         let h = code.parity_check();
         let m = code.m();
-        let cols = h.column_lists();
 
         // For every H entry (row, col): after processing `row`, the updated
         // bit LLR of `col` must reach the PE owning the *next* row (in the
@@ -118,7 +123,7 @@ impl LdpcMapping {
             remote_messages: remote,
             max_per_pe: counts.iter().copied().max().unwrap_or(0),
             min_per_pe: counts.iter().copied().min().unwrap_or(0),
-            edge_cut: Self::row_graph(code).edge_cut(partition.assignment()),
+            edge_cut: graph.edge_cut(partition.assignment()),
         };
         (TrafficTrace::new(per_source), quality)
     }

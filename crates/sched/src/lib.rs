@@ -9,7 +9,7 @@
 //! # Submission API
 //!
 //! A run is configured with the [`PoolRun`] builder returned by
-//! [`WorkPool::run`] and finished with one of three terminal methods:
+//! [`WorkPool::run`] and finished with one of four terminal methods:
 //!
 //! * [`PoolRun::indexed`] — `count` independent tasks, results returned
 //!   in **index order**;
@@ -18,12 +18,18 @@
 //! * [`PoolRun::jobs`] — a *dynamic* job set: explicit [`Job`] values
 //!   carrying an id, a [`Priority`] and an optional [`CancelToken`], with a
 //!   completion handler that may submit follow-up jobs into the running
-//!   pool.
+//!   pool;
+//! * [`PoolRun::served`] — an *open* job set: jobs arrive from any thread
+//!   through an [`Admission`] handle and each starts on the next free
+//!   worker; the run ends once the handle is closed and every admitted job
+//!   has been handed to the completion handler.
+//!
+//! All four share one coordinator: a `jobs` run is a served run whose
+//! handle is closed before it starts, and the indexed runs are `jobs` runs.
 //!
 //! Builder knobs: [`PoolRun::observed`] injects a [`Clock`] and collects
-//! [`PoolObs`] pool observability, [`PoolRun::with_cancel`] attaches a
-//! run-level cancellation token, and [`PoolRun::concurrency_hint`] widens
-//! the worker head-count for job sets that start small and grow.
+//! [`PoolObs`] pool observability, and [`PoolRun::with_cancel`] attaches a
+//! run-level cancellation token.
 //!
 //! # Determinism contract
 //!
@@ -64,40 +70,13 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use fec_obs::{Class, Clock, Registry, TimingStat};
-
-/// Per-worker completed-task counters, threaded into the run core when a
-/// run is observed.  Workers increment their own slot, so the counters
-/// never contend.
-struct WorkerProbe {
-    counts: Vec<AtomicU64>,
-}
-
-impl WorkerProbe {
-    fn new(workers: usize) -> Self {
-        WorkerProbe {
-            counts: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn mark(&self, worker: usize) {
-        self.counts[worker].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn fold_into(&self, totals: &mut Vec<u64>) {
-        if totals.len() < self.counts.len() {
-            totals.resize(self.counts.len(), 0);
-        }
-        for (t, c) in totals.iter_mut().zip(&self.counts) {
-            *t += c.load(Ordering::Relaxed);
-        }
-    }
-}
 
 /// Aggregated observability of one or more pool runs.
 ///
@@ -108,8 +87,8 @@ impl WorkerProbe {
 /// (schedule-dependent); wait/run spans are timing-class.
 #[derive(Debug, Default)]
 pub struct PoolObs {
-    /// Total tasks submitted (initial + continuations), whether executed
-    /// or retired by cancellation.
+    /// Total tasks submitted (initial or admitted, plus continuations),
+    /// whether executed or retired by cancellation.
     pub tasks: u64,
     /// Continuation jobs submitted by completion handlers.
     pub continuations: u64,
@@ -166,6 +145,22 @@ impl PoolObs {
         }
         reg.timing_stat(&format!("{prefix}.task_wait_ns"), &self.wait);
         reg.timing_stat(&format!("{prefix}.task_run_ns"), &self.run);
+    }
+
+    /// Adds the tally of one more run.
+    fn absorb(&mut self, run: &PoolObs) {
+        self.tasks += run.tasks;
+        self.continuations += run.continuations;
+        self.cancelled += run.cancelled;
+        self.queue_high_water = self.queue_high_water.max(run.queue_high_water);
+        if self.per_worker_tasks.len() < run.per_worker_tasks.len() {
+            self.per_worker_tasks.resize(run.per_worker_tasks.len(), 0);
+        }
+        for (total, tasks) in self.per_worker_tasks.iter_mut().zip(&run.per_worker_tasks) {
+            *total += tasks;
+        }
+        self.wait.merge(&run.wait);
+        self.run.merge(&run.run);
     }
 }
 
@@ -300,6 +295,8 @@ pub struct Job<'env, T> {
     id: usize,
     priority: Priority,
     cancel: Option<CancelToken>,
+    /// When the job entered the queue, by the observing run's clock.
+    queued_ns: u64,
     work: Box<dyn FnOnce() -> T + Send + 'env>,
 }
 
@@ -313,6 +310,7 @@ impl<'env, T> Job<'env, T> {
             id,
             priority: Priority::Normal,
             cancel: None,
+            queued_ns: 0,
             work: Box::new(work),
         }
     }
@@ -394,36 +392,6 @@ impl<T> std::fmt::Debug for JobSink<'_, T> {
     }
 }
 
-/// Wraps a job so it reports `(value, wait_ns, run_ns)`: the submission
-/// timestamp is captured here (call time == enqueue time for both initial
-/// jobs and continuations), the start/end stamps on the executing worker.
-/// Priority and cancel token carry over to the wrapper.
-fn wrap_job<'env, T: Send + 'env>(
-    job: Job<'env, T>,
-    clock: &'env dyn Clock,
-) -> Job<'env, (T, u64, u64)> {
-    let submit_ns = clock.now_ns();
-    let Job {
-        id,
-        priority,
-        cancel,
-        work,
-    } = job;
-    let mut wrapped = Job::new(id, move || {
-        let start_ns = clock.now_ns();
-        let value = work();
-        let end_ns = clock.now_ns();
-        (
-            value,
-            start_ns.saturating_sub(submit_ns),
-            end_ns.saturating_sub(start_ns),
-        )
-    })
-    .with_priority(priority);
-    wrapped.cancel = cancel;
-    wrapped
-}
-
 /// Ready jobs bucketed by [`Priority`]: strict priority dispatch, FIFO
 /// within a level.
 struct PendingQueues<'env, T> {
@@ -441,12 +409,6 @@ impl<'env, T> PendingQueues<'env, T> {
         self.ranks[job.priority.rank()].push_back(job);
     }
 
-    fn extend(&mut self, jobs: impl IntoIterator<Item = Job<'env, T>>) {
-        for job in jobs {
-            self.push(job);
-        }
-    }
-
     fn pop(&mut self) -> Option<Job<'env, T>> {
         self.ranks.iter_mut().find_map(VecDeque::pop_front)
     }
@@ -458,30 +420,140 @@ impl<'env, T> PendingQueues<'env, T> {
     }
 }
 
-/// State shared between the coordinator and the workers of one
-/// [`PoolRun::jobs`] call.
-struct JobQueue<'env, T> {
-    state: Mutex<JobQueueState<'env, T>>,
+/// What a worker reports for one job: the value with its `(wait_ns,
+/// run_ns)` spans if it executed, `None` if it was retired, or the panic
+/// payload.
+type Finished<T> = Result<Option<(T, u64, u64)>, Box<dyn Any + Send>>;
+
+/// The queue behind an [`Admission`] handle, shared by the submitting
+/// threads and by the workers and coordinator of the run serving it.
+struct Shared<'env, T> {
+    state: Mutex<Queue<'env, T>>,
+    /// Wakes idle workers (or an inline run): a job was queued, the handle
+    /// closed or the run ended.
     ready: Condvar,
+    /// Wakes the coordinator: a job finished or the handle closed.
+    progress: Condvar,
 }
 
-struct JobQueueState<'env, T> {
+struct Queue<'env, T> {
     pending: PendingQueues<'env, T>,
+    /// Jobs that left a worker, in completion order, not yet handed to the
+    /// completion handler.
+    finished: VecDeque<(usize, Finished<T>)>,
+    /// Jobs admitted and not yet handed to the completion handler.
+    outstanding: usize,
+    /// The serving run's high-water mark of `outstanding`.
+    high_water: usize,
+    /// No more admissions through the handle (continuations still join).
     closed: bool,
+    /// The serving run has ended or is unwinding: idle workers exit.
+    stopped: bool,
+    /// The serving run's clock, when it is observed.
+    clock: Option<&'env dyn Clock>,
 }
 
-/// Closes the queue on drop so workers blocked on the condvar exit even if
-/// the coordinator unwinds; otherwise the scope join would deadlock.
-struct CloseGuard<'queue, 'env, T> {
-    queue: &'queue JobQueue<'env, T>,
+impl<'env, T> Queue<'env, T> {
+    fn enqueue(&mut self, mut job: Job<'env, T>) {
+        job.queued_ns = self.clock.map_or(0, |clock| clock.now_ns());
+        self.outstanding += 1;
+        self.high_water = self.high_water.max(self.outstanding);
+        self.pending.push(job);
+    }
 }
 
-impl<T> Drop for CloseGuard<'_, '_, T> {
-    fn drop(&mut self) {
-        if let Ok(mut state) = self.queue.state.lock() {
-            state.closed = true;
+impl<'env, T> Shared<'env, T> {
+    fn lock(&self) -> MutexGuard<'_, Queue<'env, T>> {
+        self.state.lock().expect("job queue poisoned")
+    }
+}
+
+/// The admission handle of a served run ([`PoolRun::served`]).
+///
+/// Jobs submitted here, from any thread and before or while a run serves
+/// the handle, are queued with their [`Priority`] and start on the next
+/// free worker.  Jobs admitted before the run starts are all queued before
+/// its first dispatch.  Cloning yields another handle to the same queue.
+pub struct Admission<'env, T> {
+    shared: Arc<Shared<'env, T>>,
+}
+
+impl<'env, T> Admission<'env, T> {
+    /// An open handle with an empty queue.
+    pub fn new() -> Self {
+        Admission {
+            shared: Arc::new(Shared {
+                state: Mutex::new(Queue {
+                    pending: PendingQueues::new(),
+                    finished: VecDeque::new(),
+                    outstanding: 0,
+                    high_water: 0,
+                    closed: false,
+                    stopped: false,
+                    clock: None,
+                }),
+                ready: Condvar::new(),
+                progress: Condvar::new(),
+            }),
         }
-        self.queue.ready.notify_all();
+    }
+
+    /// Queues `job`, or hands it back if the handle is closed.
+    pub fn submit(&self, job: Job<'env, T>) -> Result<(), Job<'env, T>> {
+        let mut queue = self.shared.lock();
+        if queue.closed {
+            return Err(job);
+        }
+        queue.enqueue(job);
+        drop(queue);
+        self.shared.ready.notify_one();
+        Ok(())
+    }
+
+    /// Closes the handle: later submissions are refused, and the run
+    /// serving it ends once every admitted job has been handed to its
+    /// completion handler.
+    pub fn close(&self) {
+        self.shared.lock().closed = true;
+        self.shared.ready.notify_all();
+        self.shared.progress.notify_all();
+    }
+}
+
+impl<T> Default for Admission<'_, T> {
+    fn default() -> Self {
+        Admission::new()
+    }
+}
+
+impl<T> Clone for Admission<'_, T> {
+    fn clone(&self) -> Self {
+        Admission {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<T> std::fmt::Debug for Admission<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Admission").finish_non_exhaustive()
+    }
+}
+
+/// Ends a run on drop, also when the coordinator unwinds: idle workers
+/// exit, so the scope join cannot deadlock, and the run's clock is
+/// released.
+struct RunGuard<'queue, 'env, T> {
+    shared: &'queue Shared<'env, T>,
+}
+
+impl<T> Drop for RunGuard<'_, '_, T> {
+    fn drop(&mut self) {
+        if let Ok(mut queue) = self.shared.state.lock() {
+            queue.stopped = true;
+            queue.clock = None;
+        }
+        self.shared.ready.notify_all();
     }
 }
 
@@ -492,140 +564,184 @@ fn retired(run_cancel: Option<&CancelToken>, job_cancel: &Option<CancelToken>) -
         || job_cancel.as_ref().is_some_and(CancelToken::is_cancelled)
 }
 
+/// Runs one popped job, or retires it if its token or the run's is set.
+/// An executed job bumps `executed` and reports its `(wait_ns, run_ns)`
+/// spans (zero unless the run is observed).
+fn execute<T>(
+    job: Job<'_, T>,
+    run_cancel: Option<&CancelToken>,
+    clock: Option<&dyn Clock>,
+    executed: &AtomicU64,
+) -> Option<(T, u64, u64)> {
+    if retired(run_cancel, &job.cancel) {
+        return None;
+    }
+    let now = || clock.map_or(0, |clock| clock.now_ns());
+    let start_ns = now();
+    let value = (job.work)();
+    let end_ns = now();
+    executed.fetch_add(1, Ordering::Relaxed);
+    Some((
+        value,
+        start_ns.saturating_sub(job.queued_ns),
+        end_ns.saturating_sub(start_ns),
+    ))
+}
+
 /// The single execution engine behind every [`PoolRun`] terminal method:
-/// a priority ready-queue drained by `workers` scoped threads (or inline
-/// when `workers == 1`), results handed to `on_complete` on the calling
-/// thread in completion order, continuations fed back into the queue.
+/// serves `admission` with `workers` scoped threads (or inline when
+/// `workers == 1`) until the handle is closed and no job is outstanding.
+/// Each job leaves through `on_complete` on the calling thread, in
+/// completion order; the continuations it submits join the same queue.
+/// Returns the run's tally.
 ///
-/// Cancellation is checked when a worker pops a job: a retired job is
-/// reported as [`JobOutcome::Cancelled`] without running (and without
-/// counting in `probe`); jobs already running complete normally, so the
-/// cut is always at the queue barrier.
+/// Cancellation is checked when a job is popped: a retired job is reported
+/// as [`JobOutcome::Cancelled`] without running; jobs already running
+/// complete normally, so the cut is always at the queue barrier.  At one
+/// worker the completion handler runs before the next pop.
 fn run_core<'env, T, F>(
     workers: usize,
     run_cancel: Option<&CancelToken>,
-    initial: Vec<Job<'env, T>>,
+    clock: Option<&'env dyn Clock>,
+    admission: &Admission<'env, T>,
     mut on_complete: F,
-    probe: Option<&WorkerProbe>,
-) where
-    T: Send,
+) -> PoolObs
+where
+    T: Send + 'env,
     F: FnMut(usize, JobOutcome<T>, &mut JobSink<'env, T>),
 {
-    if initial.is_empty() {
-        return;
-    }
-    if workers == 1 {
-        let mut pending = PendingQueues::new();
-        pending.extend(initial);
-        while let Some(job) = pending.pop() {
-            let Job {
-                id, cancel, work, ..
-            } = job;
-            let outcome = if retired(run_cancel, &cancel) {
-                JobOutcome::Cancelled
-            } else {
-                let value = work();
-                if let Some(p) = probe {
-                    p.mark(0);
-                }
-                JobOutcome::Done(value)
-            };
-            let mut sink = JobSink {
-                buffered: Vec::new(),
-            };
-            on_complete(id, outcome, &mut sink);
-            pending.extend(sink.buffered);
-        }
-        return;
-    }
-
-    let mut outstanding = initial.len();
-    let mut pending = PendingQueues::new();
-    pending.extend(initial);
-    let queue = JobQueue {
-        state: Mutex::new(JobQueueState {
-            pending,
-            closed: false,
-        }),
-        ready: Condvar::new(),
-    };
-    let (tx, rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        let _guard = CloseGuard { queue: &queue };
-        // Owned by the scope closure so an unwind drops it *before* the
-        // scope joins: pending sends then fail and workers exit early.
-        let rx = rx;
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let queue = &queue;
-            scope.spawn(move || loop {
-                let job = {
-                    let mut state = queue.state.lock().expect("job queue poisoned");
-                    loop {
-                        if let Some(job) = state.pending.pop() {
-                            break Some(job);
-                        }
-                        if state.closed {
-                            break None;
-                        }
-                        state = queue.ready.wait(state).expect("job queue poisoned");
-                    }
-                };
-                let Some(job) = job else { return };
-                let Job {
-                    id, cancel, work, ..
-                } = job;
-                let message = if retired(run_cancel, &cancel) {
-                    Ok(None)
-                } else {
-                    let result = catch_unwind(AssertUnwindSafe(work));
-                    if let Some(p) = probe {
-                        p.mark(worker);
-                    }
-                    result.map(Some)
-                };
-                if tx.send((id, message)).is_err() {
-                    return;
-                }
-            });
-        }
-        drop(tx);
-        while outstanding > 0 {
-            let (id, message) = rx.recv().expect("pool workers exited early");
-            outstanding -= 1;
-            match message {
-                Ok(executed) => {
-                    let outcome = match executed {
-                        Some(value) => JobOutcome::Done(value),
-                        None => JobOutcome::Cancelled,
-                    };
-                    let mut sink = JobSink {
-                        buffered: Vec::new(),
-                    };
-                    on_complete(id, outcome, &mut sink);
-                    if !sink.buffered.is_empty() {
-                        outstanding += sink.buffered.len();
-                        let mut state = queue.state.lock().expect("job queue poisoned");
-                        state.pending.extend(sink.buffered);
-                        drop(state);
-                        queue.ready.notify_all();
-                    }
-                }
-                Err(payload) => {
-                    // Cancel the queued work, then unwind: `_guard` closes
-                    // the (now empty) queue and the dropped `rx` makes
-                    // in-flight sends fail, so the scope join returns
-                    // promptly instead of draining every job.
-                    if let Ok(mut state) = queue.state.lock() {
-                        state.pending.clear();
-                    }
-                    resume_unwind(payload)
-                }
+    let shared = &*admission.shared;
+    {
+        let mut queue = shared.lock();
+        queue.stopped = false;
+        queue.clock = clock;
+        queue.high_water = queue.outstanding;
+        if let Some(clock) = clock {
+            let now = clock.now_ns();
+            for job in queue.pending.ranks.iter_mut().flatten() {
+                job.queued_ns = now;
             }
         }
-        // `_guard` drops here: closes the queue and wakes idle workers
-        // so the scope join returns.
-    });
+    }
+    let executed: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+    let mut tally = PoolObs::new();
+    // Books one finished job, hands it to `on_complete` and queues its
+    // continuations; the job stops counting as outstanding only then.
+    let mut complete = |id: usize, result: Option<(T, u64, u64)>| {
+        tally.tasks += 1;
+        let outcome = match result {
+            Some((value, wait_ns, run_ns)) => {
+                tally.wait.record(wait_ns);
+                tally.run.record(run_ns);
+                JobOutcome::Done(value)
+            }
+            None => {
+                tally.cancelled += 1;
+                JobOutcome::Cancelled
+            }
+        };
+        let mut sink = JobSink {
+            buffered: Vec::new(),
+        };
+        on_complete(id, outcome, &mut sink);
+        tally.continuations += sink.buffered.len() as u64;
+        let submitted = !sink.buffered.is_empty();
+        let mut queue = shared.lock();
+        queue.outstanding -= 1;
+        for job in sink.buffered {
+            queue.enqueue(job);
+        }
+        drop(queue);
+        if submitted {
+            shared.ready.notify_all();
+        }
+    };
+
+    if workers == 1 {
+        let _end = RunGuard { shared };
+        loop {
+            let job = {
+                let mut queue = shared.lock();
+                loop {
+                    if let Some(job) = queue.pending.pop() {
+                        break Some(job);
+                    }
+                    if queue.closed && queue.outstanding == 0 {
+                        break None;
+                    }
+                    queue = shared.ready.wait(queue).expect("job queue poisoned");
+                }
+            };
+            let Some(job) = job else { break };
+            let id = job.id;
+            complete(id, execute(job, run_cancel, clock, &executed[0]));
+        }
+    } else {
+        std::thread::scope(|scope| {
+            // Dropped before the scope joins, also on unwind.
+            let _end = RunGuard { shared };
+            // Workers start with the first admission, so a served run that
+            // waits for work holds no idle threads.
+            {
+                let mut queue = shared.lock();
+                while queue.outstanding == 0 && !queue.closed {
+                    queue = shared.ready.wait(queue).expect("job queue poisoned");
+                }
+                if queue.outstanding == 0 {
+                    return;
+                }
+            }
+            for executed in &executed {
+                scope.spawn(move || loop {
+                    let job = {
+                        let mut queue = shared.lock();
+                        loop {
+                            if let Some(job) = queue.pending.pop() {
+                                break Some(job);
+                            }
+                            if queue.stopped {
+                                break None;
+                            }
+                            queue = shared.ready.wait(queue).expect("job queue poisoned");
+                        }
+                    };
+                    let Some(job) = job else { return };
+                    let id = job.id;
+                    let finished = catch_unwind(AssertUnwindSafe(|| {
+                        execute(job, run_cancel, clock, executed)
+                    }));
+                    shared.lock().finished.push_back((id, finished));
+                    shared.progress.notify_one();
+                });
+            }
+            loop {
+                let (id, finished) = {
+                    let mut queue = shared.lock();
+                    loop {
+                        if let Some(done) = queue.finished.pop_front() {
+                            break done;
+                        }
+                        if queue.closed && queue.outstanding == 0 {
+                            return;
+                        }
+                        queue = shared.progress.wait(queue).expect("job queue poisoned");
+                    }
+                };
+                match finished {
+                    Ok(result) => complete(id, result),
+                    Err(payload) => {
+                        // Drop the queued work, then unwind: `_end` sends
+                        // the workers home once their current job ends.
+                        shared.lock().pending.clear();
+                        resume_unwind(payload)
+                    }
+                }
+            }
+        });
+    }
+    tally.queue_high_water = shared.lock().high_water as u64;
+    tally.per_worker_tasks = executed.iter().map(|n| n.load(Ordering::Relaxed)).collect();
+    tally
 }
 
 /// A fixed-size scoped worker pool executing task sets with id-order
@@ -665,18 +781,17 @@ impl WorkPool {
 
     /// Starts configuring a run.  The returned [`PoolRun`] is consumed by
     /// one of its terminal methods ([`indexed`], [`indexed_streamed`],
-    /// [`jobs`]).
+    /// [`jobs`], [`served`]).
     ///
     /// [`indexed`]: PoolRun::indexed
     /// [`indexed_streamed`]: PoolRun::indexed_streamed
     /// [`jobs`]: PoolRun::jobs
+    /// [`served`]: PoolRun::served
     pub fn run<'env>(&self) -> PoolRun<'env> {
         PoolRun {
             pool: *self,
             cancel: None,
-            concurrency_hint: 0,
-            clock: None,
-            obs: None,
+            observed: None,
         }
     }
 }
@@ -690,22 +805,19 @@ impl Default for WorkPool {
 
 /// Builder for one pool run, created by [`WorkPool::run`].
 ///
-/// Chain [`observed`], [`with_cancel`] and [`concurrency_hint`] as needed,
-/// then consume the builder with [`indexed`], [`indexed_streamed`] or
-/// [`jobs`].
+/// Chain [`observed`] and [`with_cancel`] as needed, then consume the
+/// builder with [`indexed`], [`indexed_streamed`], [`jobs`] or [`served`].
 ///
 /// [`observed`]: PoolRun::observed
 /// [`with_cancel`]: PoolRun::with_cancel
-/// [`concurrency_hint`]: PoolRun::concurrency_hint
 /// [`indexed`]: PoolRun::indexed
 /// [`indexed_streamed`]: PoolRun::indexed_streamed
 /// [`jobs`]: PoolRun::jobs
+/// [`served`]: PoolRun::served
 pub struct PoolRun<'env> {
     pool: WorkPool,
     cancel: Option<CancelToken>,
-    concurrency_hint: usize,
-    clock: Option<&'env dyn Clock>,
-    obs: Option<&'env mut PoolObs>,
+    observed: Option<(&'env dyn Clock, &'env mut PoolObs)>,
 }
 
 impl std::fmt::Debug for PoolRun<'_> {
@@ -713,8 +825,7 @@ impl std::fmt::Debug for PoolRun<'_> {
         f.debug_struct("PoolRun")
             .field("pool", &self.pool)
             .field("cancellable", &self.cancel.is_some())
-            .field("concurrency_hint", &self.concurrency_hint)
-            .field("observed", &self.obs.is_some())
+            .field("observed", &self.observed.is_some())
             .finish()
     }
 }
@@ -722,22 +833,14 @@ impl std::fmt::Debug for PoolRun<'_> {
 impl<'env> PoolRun<'env> {
     /// Attaches a run-level cancellation token: once set, every job not yet
     /// started is retired as [`JobOutcome::Cancelled`] at the queue barrier.
-    /// Only meaningful for [`jobs`] runs — [`indexed`] runs must produce
-    /// every index and panic if a token is attached.
+    /// Only meaningful for [`jobs`] and [`served`] runs — [`indexed`] runs
+    /// must produce every index and panic if a token is attached.
     ///
     /// [`jobs`]: PoolRun::jobs
+    /// [`served`]: PoolRun::served
     /// [`indexed`]: PoolRun::indexed
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Sizes the worker head-count as if the run started with at least
-    /// `tasks` concurrent tasks.  Job sets that start with a few seed jobs
-    /// and fan out through continuations (e.g. a daemon draining a deep job
-    /// queue) would otherwise be clamped to `initial.len()` workers.
-    pub fn concurrency_hint(mut self, tasks: usize) -> Self {
-        self.concurrency_hint = tasks;
         self
     }
 
@@ -745,8 +848,7 @@ impl<'env> PoolRun<'env> {
     /// by `clock`: task/continuation/cancellation totals, the in-flight
     /// high-water mark and per-worker completion counts.
     pub fn observed(mut self, clock: &'env dyn Clock, obs: &'env mut PoolObs) -> Self {
-        self.clock = Some(clock);
-        self.obs = Some(obs);
+        self.observed = Some((clock, obs));
         self
     }
 
@@ -816,7 +918,8 @@ impl<'env> PoolRun<'env> {
     /// `on_complete(id, outcome, sink)` on the calling thread (completion
     /// order), which may submit follow-up jobs into the running pool.
     /// Returns once every job (initial and submitted) has been handed to
-    /// `on_complete`.
+    /// `on_complete`.  This is a [`served`] run whose handle is closed
+    /// before it starts, on at most `initial.len()` workers.
     ///
     /// Determinism is the caller's half of the contract: merge results by
     /// `id` (not arrival order) and derive follow-up jobs only from merged
@@ -825,80 +928,63 @@ impl<'env> PoolRun<'env> {
     /// # Panics
     ///
     /// Re-raises the panic of the first failing job on the calling thread.
-    pub fn jobs<T, F>(self, initial: Vec<Job<'env, T>>, mut on_complete: F)
+    ///
+    /// [`served`]: PoolRun::served
+    pub fn jobs<T, F>(self, initial: Vec<Job<'env, T>>, on_complete: F)
     where
         T: Send + 'env,
         F: FnMut(usize, JobOutcome<T>, &mut JobSink<'env, T>),
     {
-        if initial.is_empty() {
-            return;
-        }
-        let PoolRun {
-            pool,
-            cancel,
-            concurrency_hint,
-            clock,
-            obs,
-        } = self;
-        let workers = pool.effective_workers(initial.len().max(concurrency_hint));
-        match (clock, obs) {
-            (Some(clock), Some(obs)) => {
-                let probe = WorkerProbe::new(workers);
-                let mut in_flight = initial.len() as u64;
-                let mut high_water = in_flight;
-                let mut tasks = in_flight;
-                let mut continuations = 0u64;
-                let mut cancelled = 0u64;
-                let mut wait = TimingStat::new();
-                let mut run = TimingStat::new();
-                let wrapped: Vec<Job<'env, (T, u64, u64)>> = initial
-                    .into_iter()
-                    .map(|job| wrap_job(job, clock))
-                    .collect();
-                run_core(
-                    workers,
-                    cancel.as_ref(),
-                    wrapped,
-                    |id, timed, sink| {
-                        in_flight -= 1;
-                        let outcome = match timed {
-                            JobOutcome::Done((value, wait_ns, run_ns)) => {
-                                wait.record(wait_ns);
-                                run.record(run_ns);
-                                JobOutcome::Done(value)
-                            }
-                            JobOutcome::Cancelled => {
-                                cancelled += 1;
-                                JobOutcome::Cancelled
-                            }
-                        };
-                        let mut user_sink = JobSink {
-                            buffered: Vec::new(),
-                        };
-                        on_complete(id, outcome, &mut user_sink);
-                        let submitted = user_sink.buffered.len() as u64;
-                        continuations += submitted;
-                        tasks += submitted;
-                        in_flight += submitted;
-                        high_water = high_water.max(in_flight);
-                        sink.submit_all(
-                            user_sink
-                                .buffered
-                                .into_iter()
-                                .map(|job| wrap_job(job, clock)),
-                        );
-                    },
-                    Some(&probe),
-                );
-                obs.tasks += tasks;
-                obs.continuations += continuations;
-                obs.cancelled += cancelled;
-                obs.queue_high_water = obs.queue_high_water.max(high_water);
-                obs.wait.merge(&wait);
-                obs.run.merge(&run);
-                probe.fold_into(&mut obs.per_worker_tasks);
+        let workers = self.pool.effective_workers(initial.len());
+        let admission = Admission::new();
+        {
+            let mut queue = admission.shared.lock();
+            for job in initial {
+                queue.enqueue(job);
             }
-            _ => run_core(workers, cancel.as_ref(), initial, on_complete, None),
+            queue.closed = true;
+        }
+        self.serve(workers, &admission, on_complete);
+    }
+
+    /// Serves an open job set: every job submitted to `admission` — before
+    /// the run starts or from any thread while it runs — starts on the next
+    /// free worker, by [`Priority`] and then in submission order, and is
+    /// handed to `on_complete` on the calling thread when it finishes or is
+    /// retired by cancellation.  The handler may submit follow-up jobs as in
+    /// [`jobs`].  Returns once the handle is [closed](Admission::close) and
+    /// no job is outstanding.
+    ///
+    /// The run uses the pool's full worker count and starts its threads
+    /// with the first admission.  At one worker it executes jobs inline on
+    /// the calling thread, each completion handled before the next pop.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of the first failing job on the calling thread.
+    ///
+    /// [`jobs`]: PoolRun::jobs
+    pub fn served<T, F>(self, admission: &Admission<'env, T>, on_complete: F)
+    where
+        T: Send + 'env,
+        F: FnMut(usize, JobOutcome<T>, &mut JobSink<'env, T>),
+    {
+        let workers = self.pool.effective_workers(usize::MAX);
+        self.serve(workers, admission, on_complete);
+    }
+
+    fn serve<T, F>(self, workers: usize, admission: &Admission<'env, T>, on_complete: F)
+    where
+        T: Send + 'env,
+        F: FnMut(usize, JobOutcome<T>, &mut JobSink<'env, T>),
+    {
+        let PoolRun {
+            cancel, observed, ..
+        } = self;
+        let (clock, obs) = observed.unzip();
+        let tally = run_core(workers, cancel.as_ref(), clock, admission, on_complete);
+        if let Some(obs) = obs {
+            obs.absorb(&tally);
         }
     }
 }
@@ -1136,35 +1222,80 @@ mod tests {
     }
 
     #[test]
-    fn concurrency_hint_widens_a_seed_job_run() {
-        use fec_obs::ManualClock;
-        // One seed job fanning out through continuations: without a hint the
-        // pool clamps to 1 worker; the hint sizes it for the eventual width.
-        let clock = ManualClock::new();
-        let chain = |id: usize| Job::new(id, move || id);
-        let mut narrow = PoolObs::new();
-        WorkPool::new(4)
-            .run()
-            .observed(&clock, &mut narrow)
-            .jobs(vec![chain(0)], |id, _, sink| {
-                if id < 7 {
-                    sink.submit(chain(id + 1));
-                }
+    fn served_run_starts_a_job_admitted_while_another_runs() {
+        // Job A holds one of two workers until job B, admitted from this
+        // thread only after A started, has run: B must start on the free
+        // worker, not wait for A to finish.
+        let timeout = Duration::from_secs(10);
+        let admission = Admission::new();
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+        let a = Job::new(0, move || {
+            started_tx.send(()).unwrap();
+            ran_rx
+                .recv_timeout(timeout)
+                .expect("job B did not run while job A was running");
+        });
+        admission.submit(a).unwrap();
+        let mut done = std::thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                let mut done = Vec::new();
+                WorkPool::new(2)
+                    .run()
+                    .served(&admission, |id, outcome, _| done.push((id, outcome)));
+                done
             });
-        assert_eq!(narrow.per_worker_tasks.len(), 1);
+            started_rx
+                .recv_timeout(timeout)
+                .expect("job A never started");
+            admission
+                .submit(Job::new(1, move || ran_tx.send(()).unwrap()))
+                .unwrap();
+            admission.close();
+            server.join().unwrap()
+        });
+        done.sort_by_key(|&(id, _)| id);
+        assert_eq!(done, [(0, JobOutcome::Done(())), (1, JobOutcome::Done(()))]);
+    }
 
-        let mut wide = PoolObs::new();
-        WorkPool::new(4)
+    #[test]
+    fn served_run_at_one_worker_runs_inline_until_closed() {
+        // Jobs admitted before the run are all queued before its first
+        // dispatch, so priority orders them; a closed handle refuses new
+        // jobs, but the handler's continuations still join the queue.
+        let caller = std::thread::current().id();
+        let on_caller = move || std::thread::current().id() == caller;
+        let admission = Admission::new();
+        admission
+            .submit(Job::new(0, on_caller).with_priority(Priority::Low))
+            .unwrap();
+        admission
+            .submit(Job::new(1, on_caller).with_priority(Priority::High))
+            .unwrap();
+        admission.close();
+        assert!(admission.submit(Job::new(9, on_caller)).is_err());
+        let mut order = Vec::new();
+        WorkPool::new(1)
             .run()
-            .observed(&clock, &mut wide)
-            .concurrency_hint(64)
-            .jobs(vec![chain(0)], |id, _, sink| {
-                if id < 7 {
-                    sink.submit(chain(id + 1));
+            .served(&admission, |id, outcome, sink| {
+                assert_eq!(outcome, JobOutcome::Done(true), "job {id} ran inline");
+                order.push(id);
+                if id == 1 {
+                    sink.submit(Job::new(2, on_caller));
                 }
             });
-        assert_eq!(wide.per_worker_tasks.len(), 4);
-        assert_eq!(wide.tasks, 8);
+        assert_eq!(order, [1, 2, 0]);
+    }
+
+    #[test]
+    fn served_run_on_a_closed_empty_handle_returns_at_once() {
+        for workers in [1, 2] {
+            let admission: Admission<'_, ()> = Admission::new();
+            admission.close();
+            WorkPool::new(workers)
+                .run()
+                .served(&admission, |_, _, _| unreachable!("no job was admitted"));
+        }
     }
 
     #[test]

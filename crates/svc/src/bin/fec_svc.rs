@@ -45,33 +45,48 @@ enum Transport {
     Socket(PathBuf),
 }
 
-fn main() {
+const USAGE: &str =
+    "usage: fec_svc [--stdio | --socket <path>] [--workers <n>] [--max-jobs <n>] [--log-dir <dir>]";
+
+/// Reads the command line; a bad flag or value is an error naming it.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Transport, ServiceConfig), String> {
     let mut transport = Transport::Stdio;
     let mut cfg = ServiceConfig::default();
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or(format!("{arg} requires {what}"));
         match arg.as_str() {
             "--stdio" => transport = Transport::Stdio,
-            "--socket" => {
-                let path = args.next().expect("--socket requires a path");
-                transport = Transport::Socket(PathBuf::from(path));
-            }
-            "--workers" => {
-                let value = args.next().expect("--workers requires a thread count");
-                cfg.workers = value.parse().expect("--workers takes an integer");
-            }
+            "--socket" => transport = Transport::Socket(PathBuf::from(value("a path")?)),
+            "--workers" => cfg.workers = count(&arg, &value("a thread count")?)?,
             "--max-jobs" => {
-                let value = args.next().expect("--max-jobs requires a job count");
-                cfg.max_jobs = value.parse().expect("--max-jobs takes an integer");
-                assert!(cfg.max_jobs > 0, "--max-jobs must be at least 1");
+                cfg.max_jobs = count(&arg, &value("a job count")?)?;
+                if cfg.max_jobs == 0 {
+                    return Err("--max-jobs must be at least 1".into());
+                }
             }
-            "--log-dir" => {
-                let value = args.next().expect("--log-dir requires a directory");
-                cfg.log_dir = PathBuf::from(value);
-            }
-            other => panic!("unrecognised argument: {other}"),
+            "--log-dir" => cfg.log_dir = PathBuf::from(value("a directory")?),
+            other => return Err(format!("unrecognised argument: {other}")),
         }
     }
+    Ok((transport, cfg))
+}
+
+fn count(flag: &str, value: &str) -> Result<usize, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes a non-negative integer, not {value:?}"))
+}
+
+fn main() {
+    let (transport, cfg) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("fec_svc: {message}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let service = match Service::new(cfg) {
         Ok(service) => service,
         Err(message) => {

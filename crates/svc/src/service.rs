@@ -3,11 +3,15 @@
 //!
 //! [`Service`] is transport-agnostic: readers (stdio, unix socket, tests)
 //! feed request lines into [`Service::handle_line`] from any thread, while
-//! one thread runs the scheduler loop ([`Service::run`]).  All admitted
-//! jobs share ONE [`WorkPool`]: their units are submitted with the job's
-//! [`Priority`] and [`CancelToken`], so a high-priority job's units
-//! dispatch first even while a low-priority job is mid-curve, and newly
-//! admitted jobs join the running pool at the next completion barrier.
+//! one thread runs the scheduler ([`Service::run`]).  All admitted jobs
+//! share ONE long-lived served run of the [`WorkPool`]
+//! ([`PoolRun::served`](fec_sched::PoolRun::served)): `submit` hands a
+//! job's units to it under the state lock, with the job's
+//! [`Priority`](fec_sched::Priority) and [`CancelToken`], and each unit
+//! starts on the next free worker.  A high-priority job's units dispatch
+//! first even while a low-priority job is mid-curve, and a job admitted
+//! while a long unit runs starts on an idle worker at once.  The completion
+//! handler books each unit's rows on the scheduler thread.
 //!
 //! Every event of a job is appended (and flushed) to
 //! `<log_dir>/job_<id>.ndjson` *before* it is delivered to the client, and
@@ -26,12 +30,12 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, ErrorKind, Write};
 use std::path::PathBuf;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 use fec_json::{Json, StreamedRows};
-use fec_sched::{CancelToken, Job, JobOutcome, Priority, WorkPool};
+use fec_sched::{Admission, CancelToken, Job, JobOutcome, WorkPool};
 
-use crate::job::{self, Unit};
+use crate::job;
 use crate::protocol::{self, Request};
 
 /// Longest request line [`Service::serve`] accepts, in bytes (newline
@@ -72,10 +76,7 @@ impl Default for ServiceConfig {
 
 /// The admission state of one job.
 struct JobEntry {
-    priority: Priority,
     cancel: CancelToken,
-    /// Units not yet handed to the pool (drained when the job is staged).
-    units: Vec<Unit>,
     units_total: usize,
     units_finished: usize,
     units_cancelled: usize,
@@ -157,10 +158,11 @@ impl JobEntry {
 
 struct State {
     next_job_id: u64,
-    /// Admitted jobs not yet handed to the pool, in submission order.
-    queue: Vec<u64>,
     jobs: BTreeMap<u64, JobEntry>,
     shutdown: bool,
+    /// Where `submit` hands each unit, keyed by its job id: the queue of
+    /// the scheduler's served run.  Closed once shutdown is requested.
+    admission: Admission<'static, UnitResult>,
 }
 
 /// The decode service: shared by the transport reader threads and the
@@ -168,7 +170,6 @@ struct State {
 pub struct Service {
     cfg: ServiceConfig,
     state: Mutex<State>,
-    wake: Condvar,
 }
 
 impl std::fmt::Debug for Service {
@@ -196,11 +197,10 @@ impl Service {
             cfg,
             state: Mutex::new(State {
                 next_job_id: 1,
-                queue: Vec::new(),
                 jobs: BTreeMap::new(),
                 shutdown: false,
+                admission: Admission::new(),
             }),
-            wake: Condvar::new(),
         })
     }
 
@@ -306,7 +306,9 @@ impl Service {
     }
 
     /// Validates and admits one job, replying `accepted` or `rejected` on
-    /// `sink`; the sink stays attached for the job's events.
+    /// `sink`; the sink stays attached for the job's events.  The job's
+    /// units go to the scheduler's run before the state lock is released,
+    /// so the shutdown check and the close cannot interleave with them.
     fn submit(&self, spec: &Json, mut sink: Box<dyn EventSink>) {
         let parsed = match job::parse(spec) {
             Ok(parsed) => parsed,
@@ -366,10 +368,8 @@ impl Service {
             parsed.priority.name(),
         );
         let mut entry = JobEntry {
-            priority: parsed.priority,
             cancel: CancelToken::new(),
             units_total: parsed.units.len(),
-            units: parsed.units,
             units_finished: 0,
             units_cancelled: 0,
             rows: 0,
@@ -381,10 +381,15 @@ impl Service {
             artifact: Some(artifact),
         };
         entry.emit(&accepted);
+        for unit in parsed.units {
+            let unit = Job::new(id as usize, move || job::run_unit(&unit))
+                .with_priority(parsed.priority)
+                .with_cancel(entry.cancel.clone());
+            st.admission
+                .submit(unit)
+                .expect("the scheduler's run closes only at shutdown");
+        }
         st.jobs.insert(id, entry);
-        st.queue.push(id);
-        drop(st);
-        self.wake.notify_all();
     }
 
     /// The cancel token of an admitted job (set it to stop the job at the
@@ -472,10 +477,12 @@ impl Service {
         }
     }
 
-    /// Asks the scheduler loop to exit once the admitted work is finished.
+    /// Asks the scheduler to exit once the admitted work is finished: sets
+    /// `shutdown`, so nothing more is admitted, then closes the run.
     pub fn request_shutdown(&self) {
-        self.lock().shutdown = true;
-        self.wake.notify_all();
+        let mut st = self.lock();
+        st.shutdown = true;
+        st.admission.close();
     }
 
     /// Whether shutdown has been requested.
@@ -483,106 +490,37 @@ impl Service {
         self.lock().shutdown
     }
 
-    /// The scheduler loop: waits for admitted jobs, runs each batch on the
-    /// shared pool (newly admitted jobs join at completion barriers), and
-    /// returns once shutdown is requested and the queue is drained.
+    /// The scheduler: serves every admitted job on one pool run for the
+    /// service's whole life, each unit starting on the next free worker,
+    /// and returns once shutdown is requested and the admitted work is
+    /// finished.
     pub fn run(&self) {
-        loop {
-            let ready = {
-                let mut st = self.lock();
-                loop {
-                    if !st.queue.is_empty() {
-                        break std::mem::take(&mut st.queue);
-                    }
-                    if st.shutdown {
-                        return;
-                    }
-                    st = self.wake.wait(st).expect("service state poisoned");
-                }
-            };
-            self.run_batch(ready);
-        }
+        let admission = self.lock().admission.clone();
+        self.serve_units(&admission);
     }
 
-    /// Runs the currently queued jobs to completion and returns (does not
-    /// wait for shutdown) — the scheduler entry point for tests.
+    /// Runs the jobs admitted so far to completion and returns (does not
+    /// wait for shutdown) — the scheduler entry point for tests.  Jobs
+    /// admitted meanwhile wait for the next call.
     pub fn drain(&self) {
-        let ready = std::mem::take(&mut self.lock().queue);
-        if !ready.is_empty() {
-            self.run_batch(ready);
-        }
-    }
-
-    fn run_batch(&self, ready: Vec<u64>) {
-        let pool = WorkPool::new(self.cfg.workers);
-        let mut next_pid = 0usize;
-        let mut pid_to_job: BTreeMap<usize, u64> = BTreeMap::new();
-        let initial = {
+        let admitted = {
             let mut st = self.lock();
-            let mut initial = Vec::new();
-            for job_id in ready {
-                stage(
-                    &mut st,
-                    job_id,
-                    &mut next_pid,
-                    &mut pid_to_job,
-                    &mut initial,
-                );
+            let next = Admission::new();
+            if st.shutdown {
+                next.close();
             }
-            initial
+            std::mem::replace(&mut st.admission, next)
         };
-        if initial.is_empty() {
-            return;
-        }
-        // The hint widens the pool beyond the first batch's unit count so
-        // later-admitted jobs can still fan out over all workers.
-        let hint = 4 * initial.len().max(64);
-        pool.run()
-            .concurrency_hint(hint)
-            .jobs(initial, |pid, outcome, pool_sink| {
-                let mut st = self.lock();
-                let job_id = pid_to_job.remove(&pid).expect("unit maps to a job");
-                record_outcome(&mut st, job_id, outcome);
-                // Admission barrier: jobs submitted while the pool was busy
-                // join here, with their own priority and cancel token.
-                let newly = std::mem::take(&mut st.queue);
-                let mut continuations = Vec::new();
-                for job_id in newly {
-                    stage(
-                        &mut st,
-                        job_id,
-                        &mut next_pid,
-                        &mut pid_to_job,
-                        &mut continuations,
-                    );
-                }
-                drop(st);
-                pool_sink.submit_all(continuations);
-            });
+        admitted.close();
+        self.serve_units(&admitted);
     }
-}
 
-/// Hands a queued job's units to the pool with the job's priority and
-/// cancel token.
-fn stage<'env>(
-    st: &mut State,
-    job_id: u64,
-    next_pid: &mut usize,
-    pid_to_job: &mut BTreeMap<usize, u64>,
-    out: &mut Vec<Job<'env, UnitResult>>,
-) {
-    let Some(entry) = st.jobs.get_mut(&job_id) else {
-        return;
-    };
-    for unit in std::mem::take(&mut entry.units) {
-        let pid = *next_pid;
-        *next_pid += 1;
-        pid_to_job.insert(pid, job_id);
-        out.push(
-            Job::new(pid, move || job::run_unit(&unit))
-                .with_priority(entry.priority)
-                .with_cancel(entry.cancel.clone()),
-        );
+    fn serve_units(&self, admission: &Admission<'static, UnitResult>) {
+        WorkPool::new(self.cfg.workers)
+            .run()
+            .served(admission, |job_id, outcome, _| {
+                record_outcome(&mut self.lock(), job_id as u64, outcome);
+            });
     }
 }
 

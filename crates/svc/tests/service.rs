@@ -1,11 +1,13 @@
 //! End-to-end tests of the decode service against an in-process transport:
 //! protocol round-trips, cancellation determinism, disconnect → replay-log
-//! → resume equivalence, priorities and admission control — all without
-//! spawning threads (the scheduler runs via [`Service::drain`]).
+//! → resume equivalence, priorities and admission control.  Most run the
+//! scheduler via [`Service::drain`] on the test thread; the scheduling test
+//! runs [`Service::run`] on a thread of its own.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use fec_json::Json;
 use fec_sched::CancelToken;
@@ -501,6 +503,78 @@ fn shutdown_acknowledges_stops_reading_and_rejects_new_jobs() {
     svc.run();
 }
 
+/// Forwards every delivered line to a channel, so a test can wait for
+/// events while the scheduler runs on another thread.
+#[derive(Clone)]
+struct ChannelSink(mpsc::Sender<String>);
+
+impl EventSink for ChannelSink {
+    fn deliver(&mut self, line: &str) -> bool {
+        self.0.send(line.to_string()).is_ok()
+    }
+}
+
+/// Whether `line` is the event `ty` of job `job_id`.
+fn is_event(line: &str, ty: &str, job_id: u64) -> bool {
+    Json::parse(line).is_ok_and(|event| {
+        event.get("type").and_then(Json::as_str) == Some(ty)
+            && event.get("job_id").and_then(fec_svc::protocol::as_u64) == Some(job_id)
+    })
+}
+
+/// Acceptance: a job admitted while a long unit runs starts on the idle
+/// worker at once.  Job 1 is one slow compliance unit and job 2 a fast BER
+/// unit; once job 2 is done, job 3 (fast) is submitted, and it must finish
+/// before job 1's unit ends — job 1's first row arrives only then.
+#[test]
+fn a_job_admitted_while_a_long_unit_runs_starts_on_an_idle_worker() {
+    let svc = service("idle-worker", 2, 8);
+    let (tx, rx) = mpsc::channel();
+    let sink = ChannelSink(tx);
+    let slow = r#"{"type":"submit","job":"compliance","standard":"wimax","scope":"corners"}"#;
+    let fast = r#"{"type":"submit","job":"ber","standard":"wimax","codec":"layered","frames":1,"snrs":[3.0]}"#;
+    let mut lines: Vec<String> = Vec::new();
+    // fec-lint: allow(no-thread-spawn, the test runs the daemon's scheduler on its own thread, as the socket transport does; decode work stays on the WorkPool)
+    std::thread::scope(|scope| {
+        // fec-lint: allow(no-thread-spawn, scheduler thread of the test transport)
+        scope.spawn(|| svc.run());
+        // Nothing here may panic before the shutdown request: the scope
+        // joins the scheduler thread, which returns only after it.
+        svc.handle_line(slow, &sink);
+        svc.handle_line(fast, &sink);
+        let mut wait_until = |events: &[(&str, u64)]| {
+            while !events
+                .iter()
+                .all(|&(ty, id)| lines.iter().any(|line| is_event(line, ty, id)))
+            {
+                match rx.recv_timeout(Duration::from_secs(60)) {
+                    Ok(line) => lines.push(line),
+                    Err(_) => return false,
+                }
+            }
+            true
+        };
+        if wait_until(&[("done", 2)]) {
+            svc.handle_line(fast, &sink);
+            wait_until(&[("done", 1), ("done", 3)]);
+        }
+        svc.request_shutdown();
+    });
+    let position = |ty: &str, job_id: u64| {
+        lines
+            .iter()
+            .position(|line| is_event(line, ty, job_id))
+            .unwrap_or_else(|| panic!("no {ty} event of job {job_id}: {lines:?}"))
+    };
+    assert!(
+        position("done", 3) < position("row", 1),
+        "the fast job waited for the slow unit: {lines:?}"
+    );
+    for job_id in [1, 2, 3] {
+        assert_eq!(done_status(&lines, job_id).as_deref(), Some("completed"));
+    }
+}
+
 /// A compliance job decomposes per standard and streams one row per
 /// compliance entry.
 #[test]
@@ -596,6 +670,30 @@ fn log_dir_under_a_regular_file_fails_startup_with_a_message() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("log directory"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A bad flag or flag value ends the daemon binary with exit status 2, a
+/// message naming the flag and the usage line, never a panic.
+#[test]
+fn bad_flags_exit_with_a_usage_line_not_a_panic() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--workers", "abc"], "--workers"),
+        (&["--max-jobs", "0"], "--max-jobs"),
+        (&["--bogus"], "--bogus"),
+        (&["--socket"], "--socket"),
+    ];
+    for (args, flag) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fec_svc"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: fec_svc"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
 
 /// A job log whose writes fail (a symlink to `/dev/full`, which answers
