@@ -29,7 +29,10 @@ use wimax_ldpc::decoder::{
 use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
 use wimax_turbo::{DuoBinaryTrellis, LteTrellis, SisoUnit};
 
-fn noisy_ldpc_llrs(code: &QcLdpcCode, seed: u64) -> Vec<Llr> {
+/// Channel LLRs of a random codeword of `code` over BPSK + AWGN with noise
+/// variance `noise_var`.
+fn noisy_ldpc_llrs(code: &QcLdpcCode, noise_var: f64, seed: u64) -> Vec<Llr> {
+    let sigma = noise_var.sqrt();
     let enc = QcEncoder::new(code);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let info: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..=1)).collect();
@@ -40,7 +43,7 @@ fn noisy_ldpc_llrs(code: &QcLdpcCode, seed: u64) -> Vec<Llr> {
             let u1: f64 = rng.gen::<f64>().max(1e-12);
             let u2: f64 = rng.gen();
             let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            Llr::new(2.0 * (s + 0.8 * n) / 0.64)
+            Llr::new(2.0 * (s + sigma * n) / noise_var)
         })
         .collect()
 }
@@ -77,7 +80,7 @@ fn main() {
     print_header();
 
     let code = QcLdpcCode::wimax(2304, CodeRate::R12).expect("valid code");
-    let llrs = noisy_ldpc_llrs(&code, 1);
+    let llrs = noisy_ldpc_llrs(&code, 0.64, 1);
     let (layered, layered_fixed) = layered_pair(&code);
     let flooding = FloodingDecoder::new(
         &code,
@@ -109,7 +112,7 @@ fn main() {
     // One serial layered iteration on the 576/R12 code (fixed iteration
     // count so both paths do identical work), float vs fixed.
     let code576 = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid code");
-    let llrs576 = noisy_ldpc_llrs(&code576, 2);
+    let llrs576 = noisy_ldpc_llrs(&code576, 0.64, 2);
     let (layered576, fixed576) = layered_pair(&code576);
     let float_report = bench("ldpc_iteration_n576_r12/layered_nms_f64", 10, 200, || {
         std::hint::black_box(layered576.decode(&llrs576));
@@ -199,6 +202,28 @@ fn main() {
         "    -> fixed layered n576 frames/s (10 it, no ET): b1 {:.0}, b8 {:.0}, b16 {:.0}; \
          b8 speedup {batch_speedup_b8:.2}x (min/min)",
         rates[0], rates[1], rates[2]
+    );
+
+    // The path the engine runs on the waterfall: the default decoder (early
+    // termination on) over AWGN frames at 1.0-1.75 dB in 8-frame chunks, so
+    // most blocks run on after some lanes have converged.
+    let rate = code576.k() as f64 / n576 as f64;
+    let awgn_frames: Vec<Vec<Llr>> = (0..64u64)
+        .map(|i| {
+            let ebn0_db = 1.0 + 0.25 * (i % 4) as f64;
+            let noise_var = (2.0 * rate * 10f64.powf(ebn0_db / 10.0)).recip();
+            noisy_ldpc_llrs(&code576, noise_var, 100 + i)
+        })
+        .collect();
+    let awgn_refs: Vec<&[Llr]> = awgn_frames.iter().map(Vec::as_slice).collect();
+    let fixed_default = FixedLayeredDecoder::new(&code576, FixedLayeredConfig::default());
+    run(
+        &mut reports,
+        bench("fixed_layered_n576_awgn_x64f/lockstep_b8", 2, 12, || {
+            for chunk in awgn_refs.chunks(8) {
+                std::hint::black_box(fixed_default.decode_batch(chunk, &mut NoopRecorder));
+            }
+        }),
     );
 
     // The pooled (point, shard) Monte-Carlo path end to end: a short-budget

@@ -90,15 +90,27 @@ impl Quantizer {
         SatFixed::min_value(self.bits) as f64 / self.scale()
     }
 
-    /// Quantizes a single value.
+    /// Quantizes a single value: `round(x * 2^frac_bits)` with halves away
+    /// from zero, as [`f64::round`], saturated to the register range; NaN
+    /// maps to 0.
+    ///
+    /// Inlined, and free of `f64::round`, which is a libm call on baseline
+    /// x86-64: the scaled value is clamped to one step past the rails (NaN
+    /// passes, and the cast maps it to 0), truncated, and moved one step
+    /// away from zero where its exact fraction reaches a half.
+    #[inline]
     pub fn quantize(&self, x: f64) -> SatFixed {
-        let v = (x * self.scale()).round();
-        let v = if v.is_nan() { 0.0 } else { v };
-        let clamped = v.clamp(i32::MIN as f64, i32::MAX as f64) as i32;
-        SatFixed::new(clamped, self.bits)
+        let lo = f64::from(SatFixed::min_value(self.bits) - 1);
+        let hi = f64::from(SatFixed::max_value(self.bits) + 1);
+        let v = (x * self.scale()).clamp(lo, hi);
+        let truncated = v as i32;
+        let frac = v - f64::from(truncated);
+        let rounded = truncated + i32::from(frac >= 0.5) - i32::from(frac <= -0.5);
+        SatFixed::new(rounded, self.bits)
     }
 
     /// Quantizes a single value while updating saturation statistics.
+    #[inline]
     pub fn quantize_tracked(&self, x: f64, stats: &mut QuantStats) -> SatFixed {
         let q = self.quantize(x);
         stats.total += 1;
@@ -158,6 +170,26 @@ mod tests {
     }
 
     #[test]
+    fn halves_round_away_from_zero_and_infinities_saturate() {
+        let q = Quantizer::new(7, 1);
+        let cases = [
+            (0.25, 1),
+            (-0.25, -1),
+            (0.2499999999999999, 0),
+            (-0.2499999999999999, 0),
+            (0.75, 2),
+            (-0.75, -2),
+            (31.25, 63),
+            (-32.25, -64),
+            (f64::INFINITY, 63),
+            (f64::NEG_INFINITY, -64),
+        ];
+        for (x, want) in cases {
+            assert_eq!(q.quantize(x).value(), want, "x = {x}");
+        }
+    }
+
+    #[test]
     fn stats_track_saturation() {
         let q = Quantizer::new(5, 0);
         let mut stats = QuantStats::default();
@@ -207,6 +239,23 @@ mod tests {
             } else {
                 // saturated: result is one of the rails
                 prop_assert!(dq == q.max_real() || dq == q.min_real());
+            }
+        }
+
+        #[test]
+        fn quantize_matches_rounding_then_saturating(
+            wide in -1e12f64..1e12,
+            near in -200.0f64..200.0,
+            quarters in -800i32..800,
+            bits in 2u32..=31,
+            frac in 0u32..8,
+        ) {
+            let q = Quantizer::new(bits, frac.min(bits - 1));
+            // Quarter steps put exact halves before the rounding at
+            // `frac_bits` 0 and 1.
+            for x in [wide, near, f64::from(quarters) / 4.0] {
+                let rounded = (x * q.scale()).round().clamp(f64::from(i32::MIN), f64::from(i32::MAX));
+                prop_assert_eq!(q.quantize(x), SatFixed::new(rounded as i32, bits));
             }
         }
 

@@ -35,6 +35,7 @@ impl SatFixed {
     /// # Panics
     ///
     /// Panics if `bits` is zero or greater than 31.
+    #[inline]
     pub fn new(value: i32, bits: u32) -> Self {
         assert!((1..=31).contains(&bits), "bit width must be in 1..=31");
         let mut s = SatFixed { value: 0, bits };
@@ -57,6 +58,7 @@ impl SatFixed {
         -(1i32 << (bits - 1))
     }
 
+    #[inline]
     fn clamp_raw(&self, v: i32) -> i32 {
         v.clamp(Self::min_value(self.bits), Self::max_value(self.bits))
     }

@@ -320,8 +320,8 @@ mod tests {
         let mut batch_obs = Registry::new();
         let batched = codec.decode_frames(&refs, Some(&mut batch_obs));
         assert_eq!(batched, plain);
-        // Count-class metrics (fixed.* saturation counters included) are
-        // active-lane gated in the lockstep path, so batch == serial.
+        // Count-class metrics (fixed.* saturation counters included) skip
+        // decided lanes in the lockstep path, so batch == serial.
         assert_eq!(batch_obs.render_counts(), serial_obs.render_counts());
         assert_eq!(serial_obs.counter("fixed.frames"), Some(5));
         assert!(serial_obs.get("fixed.iterations").is_some());
@@ -334,13 +334,17 @@ mod tests {
 
     #[test]
     fn engine_point_is_identical_at_any_batch_size() {
+        // 4 shards × 16 frames: every shard job holds 16 frames, so each
+        // batch size builds blocks as wide as it asks for.
+        let config = EngineConfig {
+            frames_per_shard_round: 16,
+            ..EngineConfig::fixed_frames(64, 7).with_shards(4)
+        };
         let codec = QuantizedLayeredLdpcCodec::new(&code(), FixedLayeredConfig::default());
-        let reference =
-            SimulationEngine::new(EngineConfig::fixed_frames(12, 7)).run_point(&codec, 2.0);
-        for batch in [4, 8] {
-            let engine =
-                SimulationEngine::new(EngineConfig::fixed_frames(12, 7).with_batch_frames(batch));
-            assert_eq!(engine.run_point(&codec, 2.0), reference, "batch = {batch}");
+        let reference = SimulationEngine::new(config).run_point(&codec, 1.0);
+        for batch in [5, 8, 16] {
+            let engine = SimulationEngine::new(config.with_batch_frames(batch));
+            assert_eq!(engine.run_point(&codec, 1.0), reference, "batch = {batch}");
         }
     }
 }

@@ -343,6 +343,23 @@ impl FixedLayeredDecoder {
         (lo, hi)
     }
 
+    /// The outcome of lane `f` from the λ registers as they stand.
+    fn lane_outcome<const B: usize>(
+        &self,
+        lambda: &[[i16; B]],
+        f: usize,
+        iterations: usize,
+        converged: bool,
+    ) -> DecodeOutcome {
+        let scale = self.quantizer.scale();
+        DecodeOutcome {
+            hard_bits: lambda.iter().map(|l| u8::from(l[f] < 0)).collect(),
+            posterior: lambda.iter().map(|l| f64::from(l[f]) / scale).collect(),
+            iterations,
+            converged,
+        }
+    }
+
     /// Per-frame count metrics of one decoded lane.  They depend only on
     /// the frame, so they stay part of the determinism contract at any
     /// batch size.
@@ -361,11 +378,12 @@ impl FixedLayeredDecoder {
     /// variable `v` given by `lambda_of(f, v)`.  Returns the per-lane
     /// outcomes and the number of iterations the block executed.
     ///
-    /// Early termination is per lane: a lane whose hard decisions satisfy
-    /// every check leaves the active mask, which freezes its λ and `R`
-    /// lanes, so its result — and every other lane's — matches a decode of
-    /// that frame alone bit for bit.  The block stops once no lane is
-    /// active.
+    /// Early termination is per lane: the iteration in which a lane's hard
+    /// decisions first satisfy every check takes that lane's outcome, so it
+    /// matches a decode of that frame alone bit for bit.  The lane then
+    /// keeps running with the others, unobserved: lanes never interact, and
+    /// one sweep body serves any mix of decided and undecided lanes.  The
+    /// block stops once every lane is decided.
     ///
     /// Generic over [`Recorder`]: every recording site sits behind
     /// `R::ENABLED`, an associated `const`, so the [`NoopRecorder`]
@@ -394,51 +412,35 @@ impl FixedLayeredDecoder {
             }
         }
 
-        // Lane masks are all-ones (live) or zero (frozen), the form the
-        // update pass blends with.
-        let mut active = [-1i16; B];
-        let mut iterations = [0usize; B];
-        let mut converged = [false; B];
+        // Lane masks are all-ones while a lane is undecided and zero once
+        // its outcome is taken.
+        let mut undecided = [-1i16; B];
+        let mut decided: [Option<DecodeOutcome>; B] = [const { None }; B];
         let mut sat = SatCounts::default();
         let mut exec = 0;
         for it in 1..=self.config.max_iterations {
             exec = it;
-            for (count, &live) in iterations.iter_mut().zip(&active) {
-                if live != 0 {
-                    *count = it;
-                }
-            }
-            // The blend is wasted work while every lane is live, so that
-            // common case runs an unmasked sweep.
-            if active == [-1; B] {
-                self.sweep::<B, R, false>(lambda, r, q, active, &mut sat);
-            } else {
-                self.sweep::<B, R, true>(lambda, r, q, active, &mut sat);
-            }
+            self.sweep::<B, R>(lambda, r, q, undecided, &mut sat);
             if self.config.early_termination {
-                let satisfied = self.parity_satisfied(lambda, active);
+                let satisfied = self.parity_satisfied(lambda, undecided);
                 for f in 0..B {
                     if satisfied[f] {
-                        converged[f] = true;
-                        active[f] = 0;
+                        decided[f] = Some(self.lane_outcome(lambda, f, it, true));
+                        undecided[f] = 0;
                     }
                 }
-                if active == [0; B] {
+                if undecided == [0; B] {
                     break;
                 }
             }
         }
-        // Lanes that never stopped early get one syndrome check of their
-        // final hard decisions.
-        let unconverged = converged.map(|c| if c { 0 } else { -1 });
-        let satisfied = self.parity_satisfied(lambda, unconverged);
-
-        let scale = self.quantizer.scale();
-        let outcomes = std::array::from_fn(|f| DecodeOutcome {
-            hard_bits: lambda.iter().map(|l| u8::from(l[f] < 0)).collect(),
-            posterior: lambda.iter().map(|l| f64::from(l[f]) / scale).collect(),
-            iterations: iterations[f],
-            converged: converged[f] || satisfied[f],
+        // Lanes that never stopped early ran every iteration; they get one
+        // syndrome check of their final hard decisions.
+        let satisfied = self.parity_satisfied(lambda, undecided);
+        let outcomes = std::array::from_fn(|f| {
+            decided[f]
+                .take()
+                .unwrap_or_else(|| self.lane_outcome(lambda, f, exec, satisfied[f]))
         });
         if R::ENABLED {
             for out in &outcomes {
@@ -451,22 +453,22 @@ impl FixedLayeredDecoder {
         (outcomes, exec)
     }
 
-    /// One layered iteration over every check row, Eq. (6)–(11), for `B`
-    /// lanes.  With `MASKED`, lanes whose `active` mask is zero keep their
-    /// λ and `R`; without it every lane must be active.
+    /// One layered iteration over every check row, Eq. (6)–(11), for all
+    /// `B` lanes, decided or not.  The saturation counters skip the lanes
+    /// whose `undecided` mask is zero.
     ///
-    /// Kept out of line, one body per lane width and mask, so the
+    /// Kept out of line, one body per lane width and recorder, so the
     /// vectorization of each `[i16; B]` operation does not depend on the
     /// iteration loop around it.  Check the `B = 8` codegen (not only
     /// `B = 16`) when changing the lane loops: a loop body too large to
     /// unroll stays a scalar loop over the lanes.
     #[inline(never)]
-    fn sweep<const B: usize, R: Recorder, const MASKED: bool>(
+    fn sweep<const B: usize, R: Recorder>(
         &self,
         lambda: &mut [[i16; B]],
         r: &mut [[i16; B]],
         q: &mut [[i16; B]],
-        active: [i16; B],
+        undecided: [i16; B],
         sat: &mut SatCounts,
     ) {
         let arith = &self.arith;
@@ -476,56 +478,66 @@ impl FixedLayeredDecoder {
             let cols = &self.cols[start..end];
             let r_row = &mut r[start..end];
             let q_row = &mut q[..cols.len()];
+            let mut sat_q = [0u16; B];
+            let mut r_clip = [0u16; B];
+            let mut sat_lambda = [0u16; B];
 
             // Fused pass: Q_lk = sat(λ - R_old), Eq. (6), streamed through
             // the lane MEU (two minima, first position, sign parity).
             let mut meu = LaneScan::<B>::default();
             for (pos, ((qj, &col), rj)) in (0u16..).zip(q_row.iter_mut().zip(cols).zip(&*r_row)) {
                 let lam = lambda[col as usize];
+                *qj = arith.q_message_array(lam, *rj);
                 if R::ENABLED {
-                    sat.sat_q += lanes_where(active, |f| {
-                        arith.q_saturates(i32::from(lam[f]), i32::from(rj[f]))
+                    // Saturated where the clamp moved the exact difference
+                    // (at legal widths the `i16` difference never saturates;
+                    // see `MinSumArith::q_message_array`).
+                    count_lanes(&mut sat_q, undecided, |f| {
+                        qj[f] != lam[f].saturating_sub(rj[f])
                     });
                 }
-                *qj = arith.q_message_array(lam, *rj);
                 meu.push(pos, *qj);
             }
             if R::ENABLED {
-                sat.r_clip += lanes_where(active, |f| arith.r_clips(i32::from(meu.min1[f])));
-                sat.r_clip += lanes_where(active, |f| arith.r_clips(i32::from(meu.min2[f])));
+                count_lanes(&mut r_clip, undecided, |f| {
+                    arith.r_clips(i32::from(meu.min1[f]))
+                });
+                count_lanes(&mut r_clip, undecided, |f| {
+                    arith.r_clips(i32::from(meu.min2[f]))
+                });
             }
+
+            // Update pass: R_new and λ, Eq. (9)-(11).  The 3/4 scaling runs
+            // once per row: the first position holding min1 gets the scaled
+            // min2 (mag1 ^ swap), every other one the scaled min1, negated
+            // as `(mag ^ s) - s`, with `s` all ones where the other inputs'
+            // signs multiply to -1.
             let mag1 = arith.scaled_magnitude_array(meu.min1);
             let mag2 = arith.scaled_magnitude_array(meu.min2);
-
-            // Update pass: R_new and λ, Eq. (9)-(11).  The position holding
-            // the minimum gets min2, every other one min1; the sign excludes
-            // the position's own Q_lk.
+            let swap: [i16; B] = std::array::from_fn(|f| mag1[f] ^ mag2[f]);
             for (pos, ((qj, &col), rj)) in (0u16..).zip(q_row.iter().zip(cols).zip(r_row)) {
-                let mut r_new = [0i16; B];
-                for f in 0..B {
-                    let mag = if meu.min1_pos[f] == pos {
-                        mag2[f]
-                    } else {
-                        mag1[f]
-                    };
-                    r_new[f] = if (qj[f] ^ meu.sign[f]) < 0 { -mag } else { mag };
+                // One short loop per step, like `LaneScan::push`.
+                let mut r_new = mag1;
+                for ((r, swap), first) in r_new.iter_mut().zip(swap).zip(meu.min1_pos) {
+                    *r ^= swap & -i16::from(first == pos);
                 }
-                if R::ENABLED {
-                    sat.sat_lambda += lanes_where(active, |f| {
-                        arith.lambda_saturates(i32::from(qj[f]), i32::from(r_new[f]))
-                    });
+                for ((r, q), sign) in r_new.iter_mut().zip(*qj).zip(meu.sign) {
+                    let s = (q ^ sign) >> 15;
+                    // Never wraps: magnitudes are non-negative.
+                    *r = (*r ^ s).wrapping_sub(s);
                 }
                 let lam_new = arith.lambda_update_array(*qj, r_new);
-                let lam = &mut lambda[col as usize];
-                if MASKED {
-                    for f in 0..B {
-                        lam[f] = (lam_new[f] & active[f]) | (lam[f] & !active[f]);
-                        rj[f] = (r_new[f] & active[f]) | (rj[f] & !active[f]);
-                    }
-                } else {
-                    *lam = lam_new;
-                    *rj = r_new;
+                if R::ENABLED {
+                    // As for `sat_q`: the clamp moved the exact sum.
+                    count_lanes(&mut sat_lambda, undecided, |f| {
+                        lam_new[f] != qj[f].saturating_add(r_new[f])
+                    });
                 }
+                lambda[col as usize] = lam_new;
+                *rj = r_new;
+            }
+            if R::ENABLED {
+                sat.add_row(sat_q, r_clip, sat_lambda);
             }
         }
     }
@@ -557,12 +569,22 @@ impl FixedLayeredDecoder {
     }
 }
 
-/// Saturation-event counts of one block, summed over its active lanes.
+/// Saturation-event counts of one block, summed over its undecided lanes.
 #[derive(Default)]
 struct SatCounts {
     sat_q: u64,
     r_clip: u64,
     sat_lambda: u64,
+}
+
+impl SatCounts {
+    /// Adds one check row's per-lane counts, summing the lanes.
+    fn add_row<const B: usize>(&mut self, sat_q: [u16; B], r_clip: [u16; B], sat_lambda: [u16; B]) {
+        let sum = |lanes: [u16; B]| lanes.iter().map(|&n| u64::from(n)).sum::<u64>();
+        self.sat_q += sum(sat_q);
+        self.r_clip += sum(r_clip);
+        self.sat_lambda += sum(sat_lambda);
+    }
 }
 
 /// Records the quantizer saturation counts of the frames just loaded.
@@ -573,15 +595,20 @@ fn record_quant_stats<R: Recorder>(rec: &mut R, quant: &QuantStats) {
     }
 }
 
-/// Number of lanes with a set `active` mask for which `event` holds.
-/// Branch-free (`&`, not `&&`), so the lane predicates vectorize.
+/// Adds one to `counts[f]` for every lane `f` whose `lanes` mask is set
+/// and for which `event` holds.  Branch-free and lane by lane, with no sum
+/// across lanes, so predicates and counts stay vector operations.  A check
+/// row holds at most `u16::MAX` messages (checked in `new`), so a row's
+/// counts never wrap.
 #[inline(always)]
-fn lanes_where<const B: usize>(active: [i16; B], event: impl Fn(usize) -> bool) -> u64 {
-    let mut count = 0u16;
-    for (f, &live) in active.iter().enumerate() {
-        count += u16::from((live != 0) & event(f));
+fn count_lanes<const B: usize>(
+    counts: &mut [u16; B],
+    lanes: [i16; B],
+    event: impl Fn(usize) -> bool,
+) {
+    for (f, (count, mask)) in counts.iter_mut().zip(lanes).enumerate() {
+        *count += u16::from(event(f)) & mask.cast_unsigned();
     }
-    u64::from(count)
 }
 
 #[cfg(test)]
@@ -677,8 +704,8 @@ mod tests {
     /// Quantized λ frames of the all-zero codeword, each with its own sign
     /// flip rate from clean to hopeless, so one batch mixes lanes that stop
     /// early, late and never.  Magnitudes are mostly small, so a converged
-    /// lane's λ would still move if it were not frozen; one in twenty
-    /// reaches half again past the rail.
+    /// lane's λ still moves in the sweeps it runs after its outcome is
+    /// taken; one in twenty reaches half again past the rail.
     fn random_lambda_frames(n: usize, hi: i16, seed: u64) -> Vec<Vec<i16>> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..17)
@@ -886,8 +913,9 @@ mod tests {
 
     #[test]
     fn batch_lanes_with_mixed_convergence_match_serial() {
-        // Lanes that converge at different iterations freeze at different
-        // times; every frozen lane must still equal its own serial run.
+        // Lanes that converge at different iterations are decided at
+        // different times and keep running after that; every lane must
+        // still equal its own serial run.
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let enc = QcEncoder::new(&code);
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
