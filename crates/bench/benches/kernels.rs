@@ -226,6 +226,27 @@ fn main() {
         }),
     );
 
+    // The path `ldpc_high_snr` runs: the default f64 decoder over AWGN
+    // frames at 3.5-5.0 dB, one after another.  The frames differ, so the
+    // branch predictor cannot learn one frame's compares as it does in the
+    // repeated-frame `ldpc_iteration_*` rows.
+    let high_snr_frames: Vec<Vec<Llr>> = (0..64u64)
+        .map(|i| {
+            let ebn0_db = 3.5 + 0.5 * (i % 4) as f64;
+            let noise_var = (2.0 * rate * 10f64.powf(ebn0_db / 10.0)).recip();
+            noisy_ldpc_llrs(&code576, noise_var, 200 + i)
+        })
+        .collect();
+    let float_default = LayeredDecoder::new(&code576, LayeredConfig::default());
+    run(
+        &mut reports,
+        bench("layered_f64_n576_awgn_x64f/serial", 2, 12, || {
+            for frame in &high_snr_frames {
+                std::hint::black_box(float_default.decode(frame));
+            }
+        }),
+    );
+
     // The pooled (point, shard) Monte-Carlo path end to end: a short-budget
     // multi-point curve on the n576 layered codec, so BENCH_kernels.json
     // tracks the shared work-pool scheduler's throughput across commits.

@@ -227,7 +227,146 @@ mod tests {
     use super::*;
     use crate::base_matrix::CodeRate;
     use crate::encoder::QcEncoder;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The serial loop with a branching check-node update, kept as the
+    /// oracle of the branch-free one: a sequential two-minimum scan that
+    /// compares magnitudes as floats, and one signed message computed per
+    /// edge.
+    fn reference_decode(dec: &LayeredDecoder, channel: &[Llr]) -> DecodeOutcome {
+        let h = dec.code.parity_check();
+        let LayeredConfig { scale, offset, .. } = dec.config;
+        let mut lambda: Vec<f64> = channel.iter().map(|l| l.value()).collect();
+        let mut r = vec![0.0; dec.cols.len()];
+        let hard = |lambda: &[f64]| -> Vec<u8> {
+            lambda.iter().map(|&l| Llr::new(l).hard_bit()).collect()
+        };
+        let mut iterations = 0;
+        let mut converged = false;
+        for it in 0..dec.config.max_iterations {
+            iterations = it + 1;
+            for rows in dec.row_ptr.windows(2) {
+                let (start, end) = (rows[0] as usize, rows[1] as usize);
+                let cols = &dec.cols[start..end];
+                let q: Vec<f64> = cols
+                    .iter()
+                    .zip(&r[start..end])
+                    .map(|(&col, &rj)| lambda[col as usize] - rj)
+                    .collect();
+                let (mut min1, mut min2, mut min_pos, mut sign) =
+                    (f64::INFINITY, f64::INFINITY, None, 1.0);
+                for (j, &qj) in q.iter().enumerate() {
+                    let mag = qj.abs();
+                    if qj < 0.0 {
+                        sign = -sign;
+                    }
+                    if mag < min1 {
+                        min2 = min1;
+                        min1 = mag;
+                        min_pos = Some(j);
+                    } else if mag < min2 {
+                        min2 = mag;
+                    }
+                }
+                for (j, (&qj, &col)) in q.iter().zip(cols).enumerate() {
+                    let sign_excl = if qj < 0.0 { -sign } else { sign };
+                    let min = if Some(j) == min_pos { min2 } else { min1 };
+                    let min = if min.is_finite() { min } else { 0.0 };
+                    let r_new = scale * sign_excl * (min - offset).max(0.0);
+                    lambda[col as usize] = qj + r_new;
+                    r[start + j] = r_new;
+                }
+            }
+            if dec.config.early_termination && h.is_codeword(&hard(&lambda)) {
+                converged = true;
+                break;
+            }
+        }
+        if !converged {
+            converged = h.is_codeword(&hard(&lambda));
+        }
+        DecodeOutcome {
+            hard_bits: hard(&lambda),
+            posterior: lambda,
+            iterations,
+            converged,
+        }
+    }
+
+    /// LLRs that sit at or past the edges of f64 arithmetic.
+    const SPECIAL_LLRS: [f64; 10] = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e308,
+        -1e308,
+        5e-324,
+        -2.5e-310,
+    ];
+
+    /// Noisy all-zero frames, from clean to hopeless, each with its own
+    /// share (0–50%) of positions replaced by [`SPECIAL_LLRS`].
+    fn frames_with_special_llrs(n: usize, seed: u64) -> Vec<Vec<Llr>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..6u64)
+            .map(|f| {
+                let sigma = rng.gen_range(0.5..1.2);
+                // Cubed, so most frames carry few specials and some converge.
+                let special_share = if f == 0 {
+                    0.0
+                } else {
+                    0.5 * rng.gen::<f64>().powi(3)
+                };
+                let mut frame = noisy_llrs(&vec![0; n], sigma, seed ^ (f << 40));
+                for llr in &mut frame {
+                    if rng.gen::<f64>() < special_share {
+                        *llr = Llr::new(SPECIAL_LLRS[rng.gen_range(0..SPECIAL_LLRS.len())]);
+                    }
+                }
+                frame
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// The decoder equals its branching oracle bit for bit, posterior
+        /// included, on frames mixing NaN, signed zeros, infinities, huge
+        /// and subnormal LLRs into noise, under min-sum, offset-min-sum and
+        /// a fixed budget without early stop.
+        #[test]
+        fn decode_matches_the_branching_reference(seed in 0u64..1 << 32) {
+            let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+            let configs = [
+                LayeredConfig::default(),
+                LayeredConfig {
+                    scale: 1.0,
+                    offset: 0.3,
+                    ..LayeredConfig::default()
+                },
+                LayeredConfig {
+                    max_iterations: 4,
+                    early_termination: false,
+                    ..LayeredConfig::default()
+                },
+            ];
+            for cfg in configs {
+                let dec = LayeredDecoder::new(&code, cfg);
+                for (f, frame) in frames_with_special_llrs(code.n(), seed).iter().enumerate() {
+                    let (got, want) = (dec.decode(frame), reference_decode(&dec, frame));
+                    prop_assert!(got.hard_bits == want.hard_bits, "frame {} hard bits under {:?}", f, cfg);
+                    prop_assert_eq!(got.iterations, want.iterations);
+                    prop_assert_eq!(got.converged, want.converged);
+                    let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert!(bits(&got.posterior) == bits(&want.posterior), "frame {} posterior under {:?}", f, cfg);
+                }
+            }
+        }
+    }
 
     fn noisy_llrs(cw: &[u8], sigma: f64, seed: u64) -> Vec<Llr> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

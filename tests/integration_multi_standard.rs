@@ -1,14 +1,19 @@
 //! Multi-standard integration tests: every standard's codes must decode
 //! through the unified Monte-Carlo engine with bit-identical counts at any
-//! worker count, the turbo decoders must reproduce committed golden
-//! outputs, and the architectural layer must evaluate codes from all five
-//! standards in one compliance sweep.
+//! worker count, the turbo and f64 LDPC decoders must reproduce committed
+//! golden outputs, and the architectural layer must evaluate codes from all
+//! five standards in one compliance sweep.
 
-use code_tables::dvb_rcs_ctc;
+use code_tables::{dvb_rcs_ctc, wifi_ldpc, wran_ldpc};
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
 use fec_channel::{AwgnChannel, BpskModulator, EbN0, StopRule};
+use fec_fixed::Llr;
 use noc_decoder::{registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, Standard};
 use rand::{Rng, SeedableRng};
+use wimax_ldpc::{
+    CodeRate, DecodeOutcome, FloodingConfig, FloodingDecoder, FloodingLdpcCodec, LayeredConfig,
+    LayeredDecoder, LayeredLdpcCodec, QcLdpcCode,
+};
 use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
 
 /// The smallest corner code of a standard (fast enough for Monte-Carlo in a
@@ -179,24 +184,55 @@ fn ctc_codec(code: CtcCode, exchange: ExtrinsicExchange) -> Box<dyn FecCodec> {
     ))
 }
 
-/// FNV-1a over the decoded bits and iteration counts of `frames` frames
-/// sent through an AWGN channel at `ebn0_db`.
-fn decoded_bits_hash(codec: &dyn FecCodec, ebn0_db: f64, frames: u64, seed: u64) -> u64 {
+/// FNV-1a over the bytes `digest` takes from each of `frames` frames of
+/// `codec` sent through an AWGN channel at `ebn0_db`.
+fn noisy_frames_hash(
+    codec: &dyn FecCodec,
+    ebn0_db: f64,
+    frames: u64,
+    seed: u64,
+    digest: impl Fn(&[Llr]) -> Vec<u8>,
+) -> u64 {
     let channel = AwgnChannel::for_code_rate(EbN0::from_db(ebn0_db), codec.rate());
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |byte: u8| hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
     for _ in 0..frames {
         let info: Vec<u8> = (0..codec.info_bits())
             .map(|_| rng.gen_range(0..=1))
             .collect();
         let tx = BpskModulator::new().modulate(&codec.encode(&info));
         let llrs = channel.llrs(&channel.transmit(&tx, &mut rng));
-        let decoded = codec.decode(&llrs);
-        decoded.info_bits.iter().for_each(|&b| mix(b));
-        mix(decoded.iterations as u8);
+        for byte in digest(&llrs) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
     }
     hash
+}
+
+/// FNV-1a over the decoded bits and iteration counts of `frames` frames
+/// sent through an AWGN channel at `ebn0_db`.
+fn decoded_bits_hash(codec: &dyn FecCodec, ebn0_db: f64, frames: u64, seed: u64) -> u64 {
+    noisy_frames_hash(codec, ebn0_db, frames, seed, |llrs| {
+        let decoded = codec.decode(llrs);
+        let mut bytes = decoded.info_bits;
+        bytes.push(decoded.iterations as u8);
+        bytes
+    })
+}
+
+/// `(Eb/N0 dB, bit errors, frame errors, total iterations)` of a short
+/// fixed-seed curve of `frames` frames per point.
+fn golden_points(codec: &dyn FecCodec, frames: u64, snrs: &[f64]) -> Vec<(f64, u64, u64, u64)> {
+    let engine = SimulationEngine::new(EngineConfig::fixed_frames(frames, 0x7E4B0));
+    engine
+        .run_curve(codec, snrs)
+        .points
+        .iter()
+        .map(|p| {
+            let iterations = (p.average_iterations * p.frames as f64).round() as u64;
+            (p.ebn0_db, p.bit_errors, p.frame_errors, iterations)
+        })
+        .collect()
 }
 
 /// Committed golden outputs of every turbo decoder, taken inside each
@@ -249,21 +285,107 @@ fn turbo_decoders_reproduce_their_golden_outputs() {
     let mut mismatches = Vec::new();
     for golden in &goldens {
         let codec = golden.codec.as_ref();
-        let engine = SimulationEngine::new(EngineConfig::fixed_frames(golden.frames, 0x7E4B0));
         let snrs: Vec<f64> = golden.points.iter().map(|p| p.0).collect();
-        let measured: Vec<(f64, u64, u64, u64)> = engine
-            .run_curve(codec, &snrs)
-            .points
-            .iter()
-            .map(|p| {
-                let iterations = (p.average_iterations * p.frames as f64).round() as u64;
-                (p.ebn0_db, p.bit_errors, p.frame_errors, iterations)
-            })
-            .collect();
+        let measured = golden_points(codec, golden.frames, &snrs);
         let hash = decoded_bits_hash(codec, snrs[0], HASHED_FRAMES, 0x5A17);
         if measured != golden.points || hash != golden.decoded_hash {
             mismatches.push(format!(
                 "{}: points {measured:?}, decoded hash {hash:#018x}",
+                codec.name()
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// An f64 LDPC decoder: its codec, and the decoder itself, whose posterior
+/// LLRs the codec drops.
+type F64Ldpc = (Box<dyn FecCodec>, Box<dyn Fn(&[Llr]) -> DecodeOutcome>);
+
+/// The default layered decoder of `code`, as `ber_study` runs it.
+fn layered(code: &QcLdpcCode) -> F64Ldpc {
+    let config = LayeredConfig::default();
+    let decoder = LayeredDecoder::new(code, config);
+    (
+        Box::new(LayeredLdpcCodec::new(code, config)),
+        Box::new(move |llrs: &[Llr]| decoder.decode(llrs)),
+    )
+}
+
+/// The flooding decoder of `code` with `ber_study`'s 10-iteration budget.
+fn flooding(code: &QcLdpcCode) -> F64Ldpc {
+    let config = FloodingConfig {
+        max_iterations: 10,
+        ..FloodingConfig::default()
+    };
+    let decoder = FloodingDecoder::new(code, config);
+    (
+        Box::new(FloodingLdpcCodec::new(code, config)),
+        Box::new(move |llrs: &[Llr]| decoder.decode(llrs)),
+    )
+}
+
+/// One f64 LDPC decoder's short fixed-seed curve, pinned like
+/// [`TurboGolden`]'s.
+struct LdpcGolden {
+    decoder: F64Ldpc,
+    frames: u64,
+    points: &'static [(f64, u64, u64, u64)],
+    /// FNV-1a hash of the hard decisions, iteration count and posterior
+    /// LLR bits of [`HASHED_FRAMES`] noisy frames at the first point.
+    outcome_hash: u64,
+}
+
+/// Committed golden outputs of the f64 LDPC decoders: layered on the
+/// WiMAX, 802.11n and 802.22 codes `ber_study` runs, and flooding on
+/// WiMAX, inside each waterfall.  The hash covers every posterior LLR bit
+/// for bit.  Any change of the f64 decoders must keep these bytes.
+#[test]
+fn f64_ldpc_decoders_reproduce_their_golden_outputs() {
+    let wimax = QcLdpcCode::wimax(576, CodeRate::R12).expect("WiMAX n576");
+    let wifi = wifi_ldpc(648, CodeRate::R12).expect("802.11n n648");
+    let wran = wran_ldpc(480, CodeRate::R12).expect("802.22 n480");
+    let goldens = [
+        LdpcGolden {
+            decoder: layered(&wimax),
+            frames: 16,
+            points: &[(1.0, 165, 7, 143), (1.5, 100, 7, 127), (2.0, 3, 1, 69)],
+            outcome_hash: 0xa7c0_a223_0e0f_7ba4,
+        },
+        LdpcGolden {
+            decoder: layered(&wifi),
+            frames: 16,
+            points: &[(1.0, 249, 9, 142), (1.5, 295, 9, 142), (1.75, 1, 1, 96)],
+            outcome_hash: 0x14fc_4c6a_d270_2acc,
+        },
+        LdpcGolden {
+            decoder: layered(&wran),
+            frames: 16,
+            points: &[(1.0, 250, 13, 152), (1.5, 66, 6, 115), (1.75, 23, 1, 94)],
+            outcome_hash: 0x5ef6_53d1_2170_232d,
+        },
+        LdpcGolden {
+            decoder: flooding(&wimax),
+            frames: 16,
+            points: &[(1.5, 147, 11, 154), (2.0, 10, 2, 116), (2.5, 1, 1, 103)],
+            outcome_hash: 0x70a8_198e_e1cc_c1fe,
+        },
+    ];
+    let mut mismatches = Vec::new();
+    for golden in &goldens {
+        let (codec, decode) = (golden.decoder.0.as_ref(), &golden.decoder.1);
+        let snrs: Vec<f64> = golden.points.iter().map(|p| p.0).collect();
+        let measured = golden_points(codec, golden.frames, &snrs);
+        let hash = noisy_frames_hash(codec, snrs[0], HASHED_FRAMES, 0x5A17, |llrs| {
+            let out = decode(llrs);
+            let mut bytes = out.hard_bits;
+            bytes.push(out.iterations as u8);
+            bytes.extend(out.posterior.iter().flat_map(|p| p.to_bits().to_le_bytes()));
+            bytes
+        });
+        if measured != golden.points || hash != golden.outcome_hash {
+            mismatches.push(format!(
+                "{}: points {measured:?}, outcome hash {hash:#018x}",
                 codec.name()
             ));
         }
