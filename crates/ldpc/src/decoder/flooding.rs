@@ -61,14 +61,35 @@ impl Default for FloodingConfig {
 pub struct FloodingDecoder {
     code: QcLdpcCode,
     config: FloodingConfig,
+    /// For each column, the (row, position-within-row) pairs of its entries.
+    col_entries: Vec<Vec<(usize, usize)>>,
 }
 
 impl FloodingDecoder {
     /// Creates a decoder for `code`.
     pub fn new(code: &QcLdpcCode, config: FloodingConfig) -> Self {
+        let h = code.parity_check();
+        let col_entries = h
+            .column_lists()
+            .iter()
+            .enumerate()
+            .map(|(c, rows)| {
+                rows.iter()
+                    .map(|&row| {
+                        let pos = h
+                            .row(row)
+                            .iter()
+                            .position(|&x| x == c)
+                            .expect("entry exists");
+                        (row, pos)
+                    })
+                    .collect()
+            })
+            .collect();
         FloodingDecoder {
             code: code.clone(),
             config,
+            col_entries,
         }
     }
 
@@ -91,7 +112,6 @@ impl FloodingDecoder {
         let code = &self.code;
         let h = code.parity_check();
         let m = code.m();
-        let n = code.n();
 
         let ch: Vec<f64> = channel.iter().map(|l| l.value()).collect();
         // Variable-to-check messages, indexed per row entry; initialised to the channel LLR.
@@ -100,24 +120,6 @@ impl FloodingDecoder {
             .collect();
         // Check-to-variable messages.
         let mut c2v: Vec<Vec<f64>> = (0..m).map(|row| vec![0.0; h.row_degree(row)]).collect();
-
-        let cols = h.column_lists();
-        // For each column, the (row, position-within-row) pairs of its entries.
-        let col_entries: Vec<Vec<(usize, usize)>> = (0..n)
-            .map(|c| {
-                cols[c]
-                    .iter()
-                    .map(|&row| {
-                        let pos = h
-                            .row(row)
-                            .iter()
-                            .position(|&x| x == c)
-                            .expect("entry exists");
-                        (row, pos)
-                    })
-                    .collect()
-            })
-            .collect();
 
         let mut posterior = ch.clone();
         let mut iterations = 0;
@@ -170,10 +172,10 @@ impl FloodingDecoder {
             }
 
             // Variable-node phase and posterior computation.
-            for c in 0..n {
-                let total: f64 = col_entries[c].iter().map(|&(row, pos)| c2v[row][pos]).sum();
+            for (c, entries) in self.col_entries.iter().enumerate() {
+                let total: f64 = entries.iter().map(|&(row, pos)| c2v[row][pos]).sum();
                 posterior[c] = ch[c] + total;
-                for &(row, pos) in &col_entries[c] {
+                for &(row, pos) in entries {
                     v2c[row][pos] = posterior[c] - c2v[row][pos];
                 }
             }
