@@ -177,18 +177,29 @@ impl LayeredDecoder {
                 }
                 // R_new and lambda update, Eq. (9)-(10), with the optional
                 // offset-min-sum correction applied before normalization.
-                for (j, ((&qj, &col), rj)) in
-                    q_row.iter().zip(cols).zip(r_row.iter_mut()).enumerate()
-                {
-                    let sign_excl = if qj < 0.0 {
-                        -meu.sign_product()
-                    } else {
-                        meu.sign_product()
-                    };
-                    let magnitude = (meu.magnitude_for(j) - offset).max(0.0);
-                    let r_new = scale * sign_excl * magnitude;
-                    lambda[col as usize] = qj + r_new;
-                    *rj = r_new;
+                // A row sends two messages, signed by the product of all its
+                // signs: `min2` to the minimum's position and `min1` to every
+                // other one.  Every edge takes the second, then the minimum's
+                // edge is updated again with the first, so no edge selects
+                // between them.  An edge excludes its own sign by negating
+                // when its `Q` is negative.  IEEE rounding is sign-symmetric,
+                // so this equals multiplying by the excluded sign bit for bit
+                // whenever the message is not NaN (a finite scale and a
+                // non-negative offset).
+                let signed_scale = scale * meu.sign_product();
+                let message = |pos| signed_scale * (meu.magnitude_for(pos) - offset).max(0.0);
+                let excluding = |qj: f64, m: f64| if qj < 0.0 { -m } else { m };
+                // Position `cols.len()` is past the row, so it receives
+                // `min1`, like every position but the minimum's.
+                let to_rest = message(cols.len());
+                for ((&qj, &col), rj) in q_row.iter().zip(cols).zip(r_row.iter_mut()) {
+                    *rj = excluding(qj, to_rest);
+                    lambda[col as usize] = qj + *rj;
+                }
+                if let Some(pos) = meu.min1_index() {
+                    let qj = q_row[pos];
+                    r_row[pos] = excluding(qj, message(pos));
+                    lambda[cols[pos] as usize] = qj + r_row[pos];
                 }
             }
 

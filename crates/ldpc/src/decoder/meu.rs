@@ -53,18 +53,32 @@ impl MinimumExtractionUnit {
     }
 
     /// Feeds one `Q_lk` value (signed) into the unit.
+    ///
+    /// Like the hardware comparators, the unit has no data-dependent
+    /// control: magnitudes are compared and selected as their bit patterns,
+    /// which compiles to integer compares feeding `cmov` on x86-64 (as
+    /// floats, each compare was a `ucomisd` and a conditional jump).
+    /// Non-negative f64 values order like their bits, and a NaN magnitude
+    /// sorts above `INFINITY`, so, as with a float `<`, it never becomes a
+    /// minimum.
+    #[inline]
     pub fn push(&mut self, index: usize, q: f64) {
-        let mag = q.abs();
-        if q < 0.0 {
-            self.sign_product = -self.sign_product;
-        }
-        if mag < self.min1 {
-            self.min2 = self.min1;
-            self.min1 = mag;
-            self.min1_index = Some(index);
-        } else if mag < self.min2 {
-            self.min2 = mag;
-        }
+        let mag = q.abs().to_bits();
+        let (min1, min2) = (self.min1.to_bits(), self.min2.to_bits());
+        let below_min1 = mag < min1;
+        // A new minimum hands the old one down to `min2`.
+        self.min2 = f64::from_bits(min2.min(mag.max(min1)));
+        self.min1 = f64::from_bits(min1.min(mag));
+        self.min1_index = if below_min1 {
+            Some(index)
+        } else {
+            self.min1_index
+        };
+        self.sign_product = if q < 0.0 {
+            -self.sign_product
+        } else {
+            self.sign_product
+        };
         self.count += 1;
     }
 
