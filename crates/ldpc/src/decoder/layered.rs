@@ -237,6 +237,7 @@ fn hard_decisions(lambda: &[f64], hard: &mut [u8]) {
 mod tests {
     use super::*;
     use crate::base_matrix::CodeRate;
+    use crate::decoder::meu::SPECIAL_VALUES;
     use crate::encoder::QcEncoder;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -305,22 +306,8 @@ mod tests {
         }
     }
 
-    /// LLRs that sit at or past the edges of f64 arithmetic.
-    const SPECIAL_LLRS: [f64; 10] = [
-        f64::NAN,
-        -f64::NAN,
-        0.0,
-        -0.0,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        1e308,
-        -1e308,
-        5e-324,
-        -2.5e-310,
-    ];
-
     /// Noisy all-zero frames, from clean to hopeless, each with its own
-    /// share (0–50%) of positions replaced by [`SPECIAL_LLRS`].
+    /// share (0–50%) of positions replaced by [`SPECIAL_VALUES`].
     fn frames_with_special_llrs(n: usize, seed: u64) -> Vec<Vec<Llr>> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..6u64)
@@ -335,7 +322,7 @@ mod tests {
                 let mut frame = noisy_llrs(&vec![0; n], sigma, seed ^ (f << 40));
                 for llr in &mut frame {
                     if rng.gen::<f64>() < special_share {
-                        *llr = Llr::new(SPECIAL_LLRS[rng.gen_range(0..SPECIAL_LLRS.len())]);
+                        *llr = Llr::new(SPECIAL_VALUES[rng.gen_range(0..SPECIAL_VALUES.len())]);
                     }
                 }
                 frame

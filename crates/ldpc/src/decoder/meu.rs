@@ -278,6 +278,22 @@ impl TwoMinScan {
     }
 }
 
+/// Inputs at or past the edges of f64 arithmetic, for the MEU's and the
+/// decoder's tests.
+#[cfg(test)]
+pub(super) const SPECIAL_VALUES: [f64; 10] = [
+    f64::NAN,
+    -f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1e308,
+    -1e308,
+    5e-324,
+    -2.5e-310,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,20 +407,6 @@ mod tests {
         assert_eq!(scan.min2, i16::MAX);
         assert!(scan.negative_parity);
     }
-
-    /// Inputs at or past the edges of f64 arithmetic.
-    const SPECIAL_VALUES: [f64; 10] = [
-        f64::NAN,
-        -f64::NAN,
-        0.0,
-        -0.0,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        1e308,
-        -1e308,
-        5e-324,
-        -2.5e-310,
-    ];
 
     /// Replaces `values[i]` by `SPECIAL_VALUES[picks[i]]` wherever that
     /// index exists, so about half the positions carry a special value.
