@@ -56,8 +56,8 @@ impl MinimumExtractionUnit {
     ///
     /// Like the hardware comparators, the unit has no data-dependent
     /// control: magnitudes are compared and selected as their bit patterns,
-    /// which compiles to integer compares feeding `cmov` on x86-64 (as
-    /// floats, each compare was a `ucomisd` and a conditional jump).
+    /// which compiles to integer compares feeding `cmov` on x86-64, where
+    /// float compares here compile to a `ucomisd` and a conditional jump.
     /// Non-negative f64 values order like their bits, and a NaN magnitude
     /// sorts above `INFINITY`, so, as with a float `<`, it never becomes a
     /// minimum.
