@@ -2,7 +2,8 @@
 //! Sections II and IV: layered vs flooding scheduling, bit-level vs
 //! symbol-level extrinsic exchange).
 
-use decoder_bench::{print_curve, run_ldpc_ber, run_turbo_ber, LdpcFlavor};
+use code_tables::DecoderKind;
+use decoder_bench::{print_curve, run_ldpc_ber, run_turbo_ber};
 use wimax_turbo::ExtrinsicExchange;
 
 fn main() {
@@ -12,11 +13,11 @@ fn main() {
     println!("== BER studies ({frames} frames per point) ==\n");
     print_curve(
         "WiMAX LDPC N=576 r=1/2 — layered normalized min-sum",
-        &run_ldpc_ber(576, LdpcFlavor::Layered, &snrs, frames, 21),
+        &run_ldpc_ber(576, DecoderKind::Layered, &snrs, frames, 21),
     );
     print_curve(
         "WiMAX LDPC N=576 r=1/2 — two-phase (flooding) min-sum",
-        &run_ldpc_ber(576, LdpcFlavor::Flooding, &snrs, frames, 21),
+        &run_ldpc_ber(576, DecoderKind::Flooding, &snrs, frames, 21),
     );
     print_curve(
         "WiMAX DBTC 240 couples r=1/2 — symbol-level extrinsic exchange",

@@ -16,14 +16,22 @@
 //! `--json <path>` to emit the adaptive-vs-uniform row as machine-readable
 //! JSON (`BENCH_engine_scaling.json` in CI) for trajectory tracking.
 
-use decoder_bench::{json_flag_from_args, ldpc_codec, write_json, LdpcFlavor};
-use fec_channel::sim::{BerCurve, BerPoint, EngineConfig, SimulationEngine};
+use code_tables::{DecoderKind, Standard, StandardCode};
+use decoder_bench::{exit_with_usage, json_flag_from_args, write_json};
+use fec_channel::sim::{BerCurve, BerPoint, EngineConfig, FecCodec, SimulationEngine};
 use fec_channel::{normal_quantile, wilson_interval};
 use fec_json::Json;
 use std::time::Instant;
 
+/// The WiMAX n576 layered codec every scenario decodes.
+fn n576_layered() -> Box<dyn FecCodec> {
+    StandardCode::resolve(Standard::Wimax, DecoderKind::Layered, 576)
+        .and_then(|code| code.codec(DecoderKind::Layered))
+        .expect("WiMAX n576 layered codec")
+}
+
 fn sweep(workers: usize) -> (BerCurve, f64) {
-    let codec = ldpc_codec(576, LdpcFlavor::Layered);
+    let codec = n576_layered();
     let engine = SimulationEngine::new(EngineConfig::fixed_frames(200, 11).with_workers(workers));
     let snrs = [1.0, 1.5, 2.0, 2.5];
     let t0 = Instant::now();
@@ -47,7 +55,7 @@ fn short_budget_engine(workers: usize) -> SimulationEngine {
 /// The serial-point baseline: one pool per point, points in sequence —
 /// exactly what `run_curve` did before the shared-pool refactor.
 fn serial_points(workers: usize) -> (Vec<BerPoint>, f64) {
-    let codec = ldpc_codec(576, LdpcFlavor::Layered);
+    let codec = n576_layered();
     let engine = short_budget_engine(workers);
     let t0 = Instant::now();
     let points = SHORT_SNRS
@@ -59,7 +67,7 @@ fn serial_points(workers: usize) -> (Vec<BerPoint>, f64) {
 
 /// The pooled schedule: all (point, shard) units of the curve on one pool.
 fn pooled_curve(workers: usize) -> (Vec<BerPoint>, f64) {
-    let codec = ldpc_codec(576, LdpcFlavor::Layered);
+    let codec = n576_layered();
     let engine = short_budget_engine(workers);
     let t0 = Instant::now();
     let curve = engine.run_curve(codec.as_ref(), &SHORT_SNRS);
@@ -78,7 +86,7 @@ const ADAPTIVE_CONFIDENCE: f64 = 0.95;
 /// Runs the uniform-budget and the adaptive sweep over the reference curve
 /// and returns `(uniform, adaptive, t_uniform, t_adaptive)`.
 fn adaptive_vs_uniform(workers: usize) -> (BerCurve, BerCurve, f64, f64) {
-    let codec = ldpc_codec(576, LdpcFlavor::Layered);
+    let codec = n576_layered();
     let uniform_engine =
         SimulationEngine::new(EngineConfig::fixed_frames(ADAPTIVE_CAP, 11).with_workers(workers));
     let t0 = Instant::now();
@@ -96,7 +104,13 @@ fn adaptive_vs_uniform(workers: usize) -> (BerCurve, BerCurve, f64, f64) {
 }
 
 fn main() {
-    let (json_path, _rest) = json_flag_from_args(std::env::args().skip(1));
+    let (json_path, _rest) = json_flag_from_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        exit_with_usage(
+            "engine_scaling",
+            &e,
+            "usage: engine_scaling [--json <path>]",
+        )
+    });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("engine scaling: WiMAX LDPC N=576 r=1/2, 4 points x 200 frames ({cores} cores)\n");
     println!("{:>8} {:>12} {:>10}", "workers", "wall [s]", "speedup");

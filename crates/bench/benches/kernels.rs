@@ -10,10 +10,9 @@
 //! Pass `--json <path>` to additionally emit the rows as machine-readable
 //! JSON (`BENCH_kernels.json` in CI) for trajectory tracking.
 
+use code_tables::{DecoderKind, Standard, StandardCode};
 use decoder_bench::harness::{bench, print_header, BenchReport};
-use decoder_bench::{
-    json_flag_from_args, ldpc_codec, quantized_ldpc_codec, write_json, LdpcFlavor,
-};
+use decoder_bench::{exit_with_usage, json_flag_from_args, write_json};
 use fec_channel::sim::{EngineConfig, SimulationEngine};
 use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
@@ -75,7 +74,8 @@ fn run(reports: &mut Vec<BenchReport>, report: BenchReport) {
 }
 
 fn main() {
-    let (json_path, _rest) = json_flag_from_args(std::env::args().skip(1));
+    let (json_path, _rest) = json_flag_from_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| exit_with_usage("kernels", &e, "usage: kernels [--json <path>]"));
     let mut reports = Vec::new();
     print_header();
 
@@ -251,7 +251,12 @@ fn main() {
     // multi-point curve on the n576 layered codec, so BENCH_kernels.json
     // tracks the shared work-pool scheduler's throughput across commits.
     // Fixed worker count so the row is comparable between runners.
-    let engine_codec = ldpc_codec(576, LdpcFlavor::Layered);
+    let n576 = |decoder| {
+        StandardCode::resolve(Standard::Wimax, decoder, 576)
+            .and_then(|code| code.codec(decoder))
+            .expect("WiMAX n576 codec")
+    };
+    let engine_codec = n576(DecoderKind::Layered);
     let engine = SimulationEngine::new(EngineConfig::fixed_frames(24, 11).with_workers(4));
     let engine_snrs = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5];
     run(
@@ -263,7 +268,7 @@ fn main() {
 
     // The same pooled curve on the quantized codec with 8-frame lockstep
     // batches: the engine-level face of the batch datapath.
-    let batch_codec = quantized_ldpc_codec(576, 7);
+    let batch_codec = n576(DecoderKind::Quantized { lambda_bits: 7 });
     let batch_engine = SimulationEngine::new(
         EngineConfig::fixed_frames(24, 11)
             .with_workers(4)

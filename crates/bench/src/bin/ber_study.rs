@@ -54,55 +54,187 @@
 //! combination.  `--metrics-report` prints the ASCII report instead of (or
 //! next to) the file.
 
-use code_tables::Standard;
+use code_tables::{DecoderKind, Standard, StandardCode};
 use decoder_bench::{
-    dvb_rcs_turbo_codec, ldpc_codec, lte_turbo_codec, print_curve, quantized_ldpc_codec,
-    run_curve_maybe_observed as run_observed, standard_snrs, study_engine_config, study_seed,
-    turbo_codec, wifi_ldpc_codec, wran_ldpc_codec, write_json, AdaptiveFlags, BerCurve, CodecClass,
-    CommonFlags, LdpcFlavor, ObsCollector,
+    exit_with_usage, print_curve, run_curve_maybe_observed as run_observed, standard_snrs,
+    study_engine_config, study_seed, write_json, CommonFlags, ObsCollector,
 };
-use fec_channel::sim::SimulationEngine;
+use fec_channel::sim::{FecCodec, SimulationEngine};
 use fec_json::{Json, ToJson};
-use wimax_turbo::ExtrinsicExchange;
+use wimax_turbo::ExtrinsicExchange::{BitLevel, SymbolLevel};
 
-fn main() {
-    let flags = CommonFlags::parse(std::env::args().skip(1));
-    let CommonFlags {
-        json: json_path,
-        metrics,
-        standard,
-        workers,
-        batch_frames: batch,
-        adaptive,
-        rest,
-    } = flags;
-    let standard = standard.unwrap_or(Standard::Wimax);
+const USAGE: &str = "usage: ber_study [frames] [--standard wimax|80211n|lte|80222|dvbrcs] \
+                     [--quantized] [--lambda-bits <n>] [--workers <n>] [--batch-frames <n>] \
+                     [--adaptive] [--target-rel-width <f>] [--confidence <f>] [--json <path>] \
+                     [--metrics <path>] [--metrics-report]";
+
+/// The options `ber_study` reads beyond the shared [`CommonFlags`].
+struct StudyArgs {
+    flags: CommonFlags,
+    /// `--lambda-bits` (default 7), when `--quantized` or `--lambda-bits`
+    /// asks for the fixed-point curve.
+    quantized: Option<u32>,
+    /// Frames per point: exact in fixed mode, a cap in adaptive mode.
+    frames: u64,
+}
+
+fn parse_args(args: impl Iterator<Item = String>) -> Result<StudyArgs, String> {
+    let mut flags = CommonFlags::parse(args)?;
     let mut quantized = false;
-    let mut lambda_bits: u32 = 7;
-    let mut frames: u64 = 60;
-    let mut rest = rest.into_iter();
+    let mut lambda_bits = 7;
+    let mut frames = 60;
+    let mut rest = std::mem::take(&mut flags.rest).into_iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
             "--quantized" => quantized = true,
             "--lambda-bits" => {
-                let value = rest.next().expect("--lambda-bits requires a bit width");
-                lambda_bits = value.parse().expect("--lambda-bits takes an integer");
+                let value = rest.next().ok_or("--lambda-bits requires a bit width")?;
+                lambda_bits = value
+                    .parse()
+                    .map_err(|_| format!("--lambda-bits takes a bit width, not {value:?}"))?;
                 quantized = true;
             }
             other => {
                 frames = other
                     .parse()
-                    .unwrap_or_else(|_| panic!("unrecognised argument: {other}"));
+                    .map_err(|_| format!("unrecognised argument: {other}"))?;
             }
         }
     }
-
-    let study = StudyCfg {
+    Ok(StudyArgs {
+        flags,
+        quantized: quantized.then_some(lambda_bits),
         frames,
-        workers,
-        batch,
-        adaptive,
+    })
+}
+
+/// One curve of a study: the code heading it opens (if any), its title,
+/// and the decoder and block the catalogue builds its codec from.
+struct CurveSpec {
+    heading: Option<String>,
+    title: String,
+    decoder: DecoderKind,
+    block: usize,
+}
+
+fn curve(
+    heading: Option<String>,
+    title: impl Into<String>,
+    decoder: DecoderKind,
+    block: usize,
+) -> CurveSpec {
+    CurveSpec {
+        heading,
+        title: title.into(),
+        decoder,
+        block,
+    }
+}
+
+/// The curves of `standard`'s study, in output order.
+fn study_curves(standard: Standard, quantized: Option<u32>) -> Vec<CurveSpec> {
+    use DecoderKind::{Ctc, Flooding, Layered, Quantized, Turbo};
+    let flooding = "Two-phase (flooding) normalized min-sum (Itmax = 10)";
+    let fixed = |bits: u32| format!("Fixed-point layered min-sum, {bits}-bit lambda (Itmax = 10)");
+    let symbol = "Symbol-level extrinsic exchange (Max-Log-MAP, Itmax = 8)";
+    let bit = "Bit-level extrinsic exchange (Max-Log-MAP, Itmax = 8)";
+    // 802.11n and 802.22: both datapaths and the flooding baseline on the
+    // default length, the f64 reference on a larger one.
+    let ldpc_family = |name: &str, n: usize, large: usize| {
+        let layered = "Layered normalized min-sum, f64 reference (Itmax = 10)";
+        vec![
+            curve(
+                Some(format!("{name} LDPC N = {n}, r = 1/2")),
+                layered,
+                Layered,
+                n,
+            ),
+            curve(None, fixed(7), Quantized { lambda_bits: 7 }, n),
+            curve(None, flooding, Flooding, n),
+            curve(
+                Some(format!("{name} LDPC N = {large}, r = 1/2")),
+                layered,
+                Layered,
+                large,
+            ),
+        ]
     };
+    match standard {
+        Standard::Wimax => {
+            let layered = "Layered normalized min-sum (Itmax = 10)";
+            let mut curves = vec![
+                curve(
+                    Some("WiMAX LDPC N = 576, r = 1/2".into()),
+                    layered,
+                    Layered,
+                    576,
+                ),
+                curve(None, flooding, Flooding, 576),
+            ];
+            curves.extend(quantized.map(|lambda_bits| {
+                curve(None, fixed(lambda_bits), Quantized { lambda_bits }, 576)
+            }));
+            let heading = "WiMAX DBTC 240 couples, rate 1/2";
+            curves.push(curve(Some(heading.into()), symbol, Ctc(SymbolLevel), 240));
+            curves.push(curve(None, bit, Ctc(BitLevel), 240));
+            curves
+        }
+        Standard::Wifi80211n => ldpc_family("802.11n", 648, 1296),
+        Standard::Wran80222 => ldpc_family("802.22", 480, 1440),
+        Standard::Lte => {
+            let title = "QPP + binary Max-Log-MAP (Itmax = 8)";
+            [1024, 104]
+                .map(|k| curve(Some(format!("LTE turbo K = {k}, r = 1/3")), title, Turbo, k))
+                .into()
+        }
+        Standard::DvbRcs => vec![
+            curve(
+                Some("DVB-RCS CTC 212 couples (ATM cell), rate 1/2".into()),
+                bit,
+                Ctc(BitLevel),
+                212,
+            ),
+            curve(None, symbol, Ctc(SymbolLevel), 212),
+            curve(
+                Some("DVB-RCS CTC 48 couples (signalling burst), rate 1/2".into()),
+                bit,
+                Ctc(BitLevel),
+                48,
+            ),
+        ],
+    }
+}
+
+fn main() {
+    let fail = |message: String| -> ! { exit_with_usage("ber_study", &message, USAGE) };
+    let StudyArgs {
+        flags,
+        quantized,
+        frames,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| fail(e));
+    let standard = flags.standard.unwrap_or(Standard::Wimax);
+    let adaptive = flags.adaptive;
+    let config = |decoder| {
+        study_engine_config(
+            frames,
+            flags.workers,
+            flags.batch_frames,
+            adaptive,
+            study_seed(standard, decoder),
+        )
+    };
+    // Every curve's engine settings and codec are checked before the first
+    // frame is simulated, so a bad value never costs a finished curve.
+    let specs = study_curves(standard, quantized);
+    let codecs: Vec<Box<dyn FecCodec>> = specs
+        .iter()
+        .map(|c| {
+            config(c.decoder).validate()?;
+            StandardCode::resolve(standard, c.decoder, c.block)?.codec(c.decoder)
+        })
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| fail(e));
+
     if let Some(a) = adaptive {
         println!(
             "adaptive stop rule: target relative half-width {} at {}% confidence, \
@@ -111,19 +243,28 @@ fn main() {
             100.0 * a.confidence
         );
     }
-    let mut obs = metrics.enabled().then(ObsCollector::new);
-    let curves = match standard {
-        Standard::Wimax => wimax_study(&study, quantized, lambda_bits, &mut obs),
-        Standard::Wifi80211n => wifi_study(&study, &mut obs),
-        Standard::Lte => lte_study(&study, &mut obs),
-        Standard::Wran80222 => wran_study(&study, &mut obs),
-        Standard::DvbRcs => dvbrcs_study(&study, &mut obs),
-    };
+    let mut obs = flags.metrics.enabled().then(ObsCollector::new);
+    let snrs = standard_snrs(standard);
+    let curves: Vec<_> = specs
+        .iter()
+        .zip(&codecs)
+        .map(|(spec, codec)| {
+            if let Some(heading) = &spec.heading {
+                println!("{heading} ({frames} frames per point)\n");
+            }
+            // The engine assembly the `fec-svc` daemon uses too, so CLI and
+            // daemon outputs are identical.
+            let engine = SimulationEngine::new(config(spec.decoder));
+            let curve = run_observed(&engine, codec.as_ref(), snrs, &mut obs);
+            print_curve(&spec.title, &curve.points);
+            curve
+        })
+        .collect();
     if let Some(collector) = &obs {
-        metrics.emit(&collector.registry);
+        flags.metrics.emit(&collector.registry);
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = flags.json {
         let mut pairs = vec![
             ("study", Json::str("ber_study")),
             ("standard", Json::str(standard.name())),
@@ -142,268 +283,6 @@ fn main() {
             pairs.push(("confidence", Json::from(a.confidence)));
         }
         pairs.push(("curves", Json::arr(curves.iter().map(ToJson::to_json))));
-        let json = Json::obj(pairs);
-        write_json(&path, &json);
+        write_json(&path, &Json::obj(pairs));
     }
-}
-
-/// Per-study engine settings shared by all five standards: the frame
-/// budget (exact in fixed mode, a cap in adaptive mode), pool workers,
-/// decode batch size and the optional adaptive stop rule.
-#[derive(Debug, Clone, Copy)]
-struct StudyCfg {
-    frames: u64,
-    workers: usize,
-    batch: usize,
-    adaptive: Option<AdaptiveFlags>,
-}
-
-impl StudyCfg {
-    /// Builds the engine for one curve family, with the standard-specific
-    /// RNG `seed` (fixed seeds keep the CI trajectory byte-identical).
-    /// Routes through [`study_engine_config`] — the same assembly the
-    /// `fec-svc` daemon uses — so CLI and daemon outputs are identical.
-    fn engine(&self, seed: u64) -> SimulationEngine {
-        SimulationEngine::new(study_engine_config(
-            self.frames,
-            self.workers,
-            self.batch,
-            self.adaptive,
-            seed,
-        ))
-    }
-}
-
-fn wimax_study(
-    study: &StudyCfg,
-    quantized: bool,
-    lambda_bits: u32,
-    obs: &mut Option<ObsCollector>,
-) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::Wimax);
-    let ldpc_engine = study.engine(study_seed(Standard::Wimax, CodecClass::Ldpc));
-    let turbo_engine = study.engine(study_seed(Standard::Wimax, CodecClass::Turbo));
-
-    println!("WiMAX LDPC N = 576, r = 1/2 ({frames} frames per point)\n");
-    let layered = run_observed(
-        &ldpc_engine,
-        ldpc_codec(576, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve("Layered normalized min-sum (Itmax = 10)", &layered.points);
-    let flooding = run_observed(
-        &ldpc_engine,
-        ldpc_codec(576, LdpcFlavor::Flooding).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Two-phase (flooding) normalized min-sum (Itmax = 10)",
-        &flooding.points,
-    );
-    let quantized_curve = quantized.then(|| {
-        let curve = run_observed(
-            &ldpc_engine,
-            quantized_ldpc_codec(576, lambda_bits).as_ref(),
-            snrs,
-            obs,
-        );
-        print_curve(
-            &format!("Fixed-point layered min-sum, {lambda_bits}-bit lambda (Itmax = 10)"),
-            &curve.points,
-        );
-        curve
-    });
-
-    println!("WiMAX DBTC 240 couples, rate 1/2 ({frames} frames per point)\n");
-    let symbol = run_observed(
-        &turbo_engine,
-        turbo_codec(240, ExtrinsicExchange::SymbolLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Symbol-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &symbol.points,
-    );
-    let bit = run_observed(
-        &turbo_engine,
-        turbo_codec(240, ExtrinsicExchange::BitLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Bit-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &bit.points,
-    );
-
-    let mut curves = vec![layered, flooding];
-    curves.extend(quantized_curve);
-    curves.push(symbol);
-    curves.push(bit);
-    curves
-}
-
-fn wifi_study(study: &StudyCfg, obs: &mut Option<ObsCollector>) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::Wifi80211n);
-    let engine = study.engine(study_seed(Standard::Wifi80211n, CodecClass::Ldpc));
-
-    println!("802.11n LDPC N = 648, r = 1/2 ({frames} frames per point)\n");
-    let layered = run_observed(
-        &engine,
-        wifi_ldpc_codec(648, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Layered normalized min-sum, f64 reference (Itmax = 10)",
-        &layered.points,
-    );
-    let fixed = run_observed(
-        &engine,
-        wifi_ldpc_codec(648, LdpcFlavor::Quantized).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Fixed-point layered min-sum, 7-bit lambda (Itmax = 10)",
-        &fixed.points,
-    );
-    let flooding = run_observed(
-        &engine,
-        wifi_ldpc_codec(648, LdpcFlavor::Flooding).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Two-phase (flooding) normalized min-sum (Itmax = 10)",
-        &flooding.points,
-    );
-
-    println!("802.11n LDPC N = 1296, r = 1/2 ({frames} frames per point)\n");
-    let layered_1296 = run_observed(
-        &engine,
-        wifi_ldpc_codec(1296, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Layered normalized min-sum, f64 reference (Itmax = 10)",
-        &layered_1296.points,
-    );
-
-    vec![layered, fixed, flooding, layered_1296]
-}
-
-fn wran_study(study: &StudyCfg, obs: &mut Option<ObsCollector>) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::Wran80222);
-    let engine = study.engine(study_seed(Standard::Wran80222, CodecClass::Ldpc));
-
-    println!("802.22 LDPC N = 480, r = 1/2 ({frames} frames per point)\n");
-    let layered = run_observed(
-        &engine,
-        wran_ldpc_codec(480, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Layered normalized min-sum, f64 reference (Itmax = 10)",
-        &layered.points,
-    );
-    let fixed = run_observed(
-        &engine,
-        wran_ldpc_codec(480, LdpcFlavor::Quantized).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Fixed-point layered min-sum, 7-bit lambda (Itmax = 10)",
-        &fixed.points,
-    );
-    let flooding = run_observed(
-        &engine,
-        wran_ldpc_codec(480, LdpcFlavor::Flooding).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Two-phase (flooding) normalized min-sum (Itmax = 10)",
-        &flooding.points,
-    );
-
-    println!("802.22 LDPC N = 1440, r = 1/2 ({frames} frames per point)\n");
-    let layered_1440 = run_observed(
-        &engine,
-        wran_ldpc_codec(1440, LdpcFlavor::Layered).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Layered normalized min-sum, f64 reference (Itmax = 10)",
-        &layered_1440.points,
-    );
-
-    vec![layered, fixed, flooding, layered_1440]
-}
-
-fn dvbrcs_study(study: &StudyCfg, obs: &mut Option<ObsCollector>) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::DvbRcs);
-    let engine = study.engine(study_seed(Standard::DvbRcs, CodecClass::Turbo));
-
-    println!("DVB-RCS CTC 212 couples (ATM cell), rate 1/2 ({frames} frames per point)\n");
-    let bit = run_observed(
-        &engine,
-        dvb_rcs_turbo_codec(212, ExtrinsicExchange::BitLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Bit-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &bit.points,
-    );
-    let symbol = run_observed(
-        &engine,
-        dvb_rcs_turbo_codec(212, ExtrinsicExchange::SymbolLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Symbol-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &symbol.points,
-    );
-
-    println!("DVB-RCS CTC 48 couples (signalling burst), rate 1/2 ({frames} frames per point)\n");
-    let small = run_observed(
-        &engine,
-        dvb_rcs_turbo_codec(48, ExtrinsicExchange::BitLevel).as_ref(),
-        snrs,
-        obs,
-    );
-    print_curve(
-        "Bit-level extrinsic exchange (Max-Log-MAP, Itmax = 8)",
-        &small.points,
-    );
-
-    vec![bit, symbol, small]
-}
-
-fn lte_study(study: &StudyCfg, obs: &mut Option<ObsCollector>) -> Vec<BerCurve> {
-    let frames = study.frames;
-    let snrs = standard_snrs(Standard::Lte);
-    let engine = study.engine(study_seed(Standard::Lte, CodecClass::Turbo));
-
-    println!("LTE turbo K = 1024, r = 1/3 ({frames} frames per point)\n");
-    let k1024 = run_observed(&engine, lte_turbo_codec(1024).as_ref(), snrs, obs);
-    print_curve("QPP + binary Max-Log-MAP (Itmax = 8)", &k1024.points);
-
-    println!("LTE turbo K = 104, r = 1/3 ({frames} frames per point)\n");
-    let k104 = run_observed(&engine, lte_turbo_codec(104).as_ref(), snrs, obs);
-    print_curve("QPP + binary Max-Log-MAP (Itmax = 8)", &k104.points);
-
-    vec![k1024, k104]
 }

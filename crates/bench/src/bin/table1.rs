@@ -22,25 +22,28 @@
 
 use code_tables::Standard;
 use decoder_bench::{
-    json_flag_from_args, metrics_flags_from_args, print_table1, run_table1_for,
+    exit_with_usage, json_flag_from_args, metrics_flags_from_args, print_table1, run_table1_for,
     run_table1_observed, standard_flag_from_args, table1_code, workers_flag_from_args,
     ObsCollector, StreamedRows,
 };
 use fec_json::Json;
 
+const USAGE: &str = "usage: table1 [--quick] [--standard wimax|80211n|lte|80222|dvbrcs] \
+                     [--workers <n>] [--json <path>] [--metrics <path>] [--metrics-report]";
+
 fn main() {
-    let (json_path, rest) = json_flag_from_args(std::env::args().skip(1));
-    let (metrics, rest) = metrics_flags_from_args(rest.into_iter());
-    let (standard, rest) = standard_flag_from_args(rest.into_iter());
-    let (workers, rest) = workers_flag_from_args(rest.into_iter());
-    let standard = standard.unwrap_or(Standard::Wimax);
-    let mut quick = false;
-    for arg in rest {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => panic!("unrecognised argument: {other}"),
+    let parsed = json_flag_from_args(std::env::args().skip(1)).and_then(|(json_path, rest)| {
+        let (metrics, rest) = metrics_flags_from_args(rest.into_iter())?;
+        let (standard, rest) = standard_flag_from_args(rest.into_iter())?;
+        let (workers, rest) = workers_flag_from_args(rest.into_iter())?;
+        match rest.iter().find(|a| *a != "--quick") {
+            Some(other) => Err(format!("unrecognised argument: {other}")),
+            None => Ok((json_path, metrics, standard, workers, !rest.is_empty())),
         }
-    }
+    });
+    let (json_path, metrics, standard, workers, quick) =
+        parsed.unwrap_or_else(|e| exit_with_usage("table1", &e, USAGE));
+    let standard = standard.unwrap_or(Standard::Wimax);
 
     let code = table1_code(standard, quick);
     println!(

@@ -17,15 +17,22 @@
 
 use code_tables::Standard;
 use decoder_bench::{
-    json_flag_from_args, metrics_flags_from_args, print_table2, rows_json, run_table2_for,
-    standard_flag_from_args, table2_codes, write_json,
+    exit_with_usage, json_flag_from_args, metrics_flags_from_args, print_table2, rows_json,
+    run_table2_for, standard_flag_from_args, table2_codes, write_json,
 };
 use fec_obs::{Class, Clock, Registry, WallClock};
 
+const USAGE: &str = "usage: table2 [--quick] [--standard wimax|80211n|lte|80222|dvbrcs] \
+                     [--json <path>] [--metrics <path>] [--metrics-report]";
+
 fn main() {
-    let (json_path, rest) = json_flag_from_args(std::env::args().skip(1));
-    let (metrics, rest) = metrics_flags_from_args(rest.into_iter());
-    let (standard, rest) = standard_flag_from_args(rest.into_iter());
+    let parsed = json_flag_from_args(std::env::args().skip(1)).and_then(|(json_path, rest)| {
+        let (metrics, rest) = metrics_flags_from_args(rest.into_iter())?;
+        let (standard, rest) = standard_flag_from_args(rest.into_iter())?;
+        Ok((json_path, metrics, standard, rest))
+    });
+    let (json_path, metrics, standard, rest) =
+        parsed.unwrap_or_else(|e| exit_with_usage("table2", &e, USAGE));
     let standard = standard.unwrap_or(Standard::Wimax);
     let quick = rest.iter().any(|a| a == "--quick");
 

@@ -6,10 +6,13 @@
 //! Usage: `cargo run -p decoder-bench --bin table3 --release --
 //! [--json <path>]`
 
-use decoder_bench::{json_flag_from_args, print_table3, rows_json, table3_rows, write_json};
+use decoder_bench::{
+    exit_with_usage, json_flag_from_args, print_table3, rows_json, table3_rows, write_json,
+};
 
 fn main() {
-    let (json_path, _rest) = json_flag_from_args(std::env::args().skip(1));
+    let (json_path, _rest) = json_flag_from_args(std::env::args().skip(1))
+        .unwrap_or_else(|e| exit_with_usage("table3", &e, "usage: table3 [--json <path>]"));
     let rows = table3_rows();
     print_table3(&rows);
     println!("\nRows marked \"measured\" are regenerated by this repository;");

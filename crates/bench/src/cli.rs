@@ -8,62 +8,90 @@
 //! its flags from the raw argument list and returns the remaining
 //! arguments in order, so binaries can chain the parsers and then consume
 //! their own positional/extra flags; [`CommonFlags::parse`] runs the whole
-//! chain in the canonical order.
+//! chain in the canonical order.  A malformed flag is an `Err` naming it,
+//! which the binaries report through [`exit_with_usage`].
 //!
 //! The study RNG seeds ([`study_seed`]) and the engine assembly
 //! ([`study_engine_config`]) also live here: a daemon BER job and a
 //! `ber_study` run built from the same options are byte-identical because
 //! they are literally the same configuration.
 
-use code_tables::Standard;
+use code_tables::{DecoderKind, Standard};
 use fec_channel::sim::EngineConfig;
 use std::path::PathBuf;
 
 use crate::obs::ObsOptions;
 
+/// Prints `message` and `usage` to stderr and exits with status 2: how the
+/// study binaries answer a bad flag or value, never with a panic.
+pub fn exit_with_usage(binary: &str, message: &str, usage: &str) -> ! {
+    eprintln!("{binary}: {message}\n{usage}");
+    std::process::exit(2)
+}
+
+/// The value following `flag`, or an error naming what it requires.
+fn value_of(
+    flag: &str,
+    what: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} requires {what}"))
+}
+
+/// The value following `flag`, parsed, or an error naming the flag.
+fn parsed_value_of<T: std::str::FromStr>(
+    flag: &str,
+    what: &str,
+    args: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let value = value_of(flag, what, args)?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes {what}, not {value:?}"))
+}
+
 /// Extracts a `--json <path>` flag from a raw argument list, returning the
 /// path (if present) and the remaining arguments in order.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `--json` is given without a following path.
-pub fn json_flag_from_args(args: impl Iterator<Item = String>) -> (Option<PathBuf>, Vec<String>) {
+/// `--json` without a following path.
+pub fn json_flag_from_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<PathBuf>, Vec<String>), String> {
     let mut path = None;
     let mut rest = Vec::new();
-    let mut args = args;
     while let Some(arg) = args.next() {
         if arg == "--json" {
-            let value = args.next().expect("--json requires a file path argument");
-            path = Some(PathBuf::from(value));
+            path = Some(PathBuf::from(value_of(&arg, "a file path", &mut args)?));
         } else {
             rest.push(arg);
         }
     }
-    (path, rest)
+    Ok((path, rest))
 }
 
 /// Extracts a `--standard <name>` flag from a raw argument list, returning
 /// the parsed standard (if present) and the remaining arguments in order —
 /// the shared parser behind every binary's `--standard` support.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `--standard` is given without a name or with an unknown one.
+/// `--standard` without a name or with an unknown one.
 pub fn standard_flag_from_args(
-    args: impl Iterator<Item = String>,
-) -> (Option<Standard>, Vec<String>) {
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<Standard>, Vec<String>), String> {
     let mut standard = None;
     let mut rest = Vec::new();
-    let mut args = args;
     while let Some(arg) = args.next() {
         if arg == "--standard" {
-            let value = args.next().expect("--standard requires a name");
-            standard = Some(value.parse().unwrap_or_else(|e| panic!("{e}")));
+            let value = value_of(&arg, "a name", &mut args)?;
+            standard = Some(value.parse().map_err(|e| format!("{e}"))?);
         } else {
             rest.push(arg);
         }
     }
-    (standard, rest)
+    Ok((standard, rest))
 }
 
 /// Extracts a `--workers <n>` flag from a raw argument list, returning the
@@ -71,22 +99,22 @@ pub fn standard_flag_from_args(
 /// absent) and the remaining arguments in order — the shared parser behind
 /// every binary's work-pool `--workers` support.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `--workers` is given without a count or with a non-integer.
-pub fn workers_flag_from_args(args: impl Iterator<Item = String>) -> (usize, Vec<String>) {
+/// `--workers` without a count or with a non-integer.
+pub fn workers_flag_from_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(usize, Vec<String>), String> {
     let mut workers = 0usize;
     let mut rest = Vec::new();
-    let mut args = args;
     while let Some(arg) = args.next() {
         if arg == "--workers" {
-            let value = args.next().expect("--workers requires a thread count");
-            workers = value.parse().expect("--workers takes an integer");
+            workers = parsed_value_of(&arg, "a thread count", &mut args)?;
         } else {
             rest.push(arg);
         }
     }
-    (workers, rest)
+    Ok((workers, rest))
 }
 
 /// Extracts a `--batch-frames <n>` flag from a raw argument list, returning
@@ -94,24 +122,26 @@ pub fn workers_flag_from_args(args: impl Iterator<Item = String>) -> (usize, Vec
 /// byte-for-byte identical output) and the remaining arguments in order —
 /// the shared parser behind every binary's batched-decode support.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `--batch-frames` is given without a count, with a non-integer,
-/// or with `0` (a batch must hold at least one frame).
-pub fn batch_frames_flag_from_args(args: impl Iterator<Item = String>) -> (usize, Vec<String>) {
+/// `--batch-frames` without a count, with a non-integer, or with `0` (a
+/// batch must hold at least one frame).
+pub fn batch_frames_flag_from_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(usize, Vec<String>), String> {
     let mut batch = 1usize;
     let mut rest = Vec::new();
-    let mut args = args;
     while let Some(arg) = args.next() {
         if arg == "--batch-frames" {
-            let value = args.next().expect("--batch-frames requires a frame count");
-            batch = value.parse().expect("--batch-frames takes an integer");
-            assert!(batch > 0, "--batch-frames must be at least 1");
+            batch = parsed_value_of(&arg, "a frame count", &mut args)?;
+            if batch == 0 {
+                return Err("--batch-frames must be at least 1".to_string());
+            }
         } else {
             rest.push(arg);
         }
     }
-    (batch, rest)
+    Ok((batch, rest))
 }
 
 /// Adaptive stop-rule settings parsed from the command line: the study
@@ -142,38 +172,37 @@ impl Default for AdaptiveFlags {
 /// remaining arguments when no adaptive flag is present — the shared parser
 /// behind every binary's adaptive-mode support.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `--target-rel-width` / `--confidence` is given without a value
-/// or with a non-number.  (Range validation happens in
-/// `EngineConfig::validate`, which names the offending field.)
+/// `--target-rel-width` / `--confidence` without a value or with a
+/// non-number.  (Range validation happens in `EngineConfig::validate`,
+/// which names the offending field.)
 pub fn adaptive_flags_from_args(
-    args: impl Iterator<Item = String>,
-) -> (Option<AdaptiveFlags>, Vec<String>) {
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<AdaptiveFlags>, Vec<String>), String> {
     let mut adaptive = None;
     let mut rest = Vec::new();
-    let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--adaptive" => {
                 adaptive.get_or_insert_with(AdaptiveFlags::default);
             }
             "--target-rel-width" => {
-                let value = args.next().expect("--target-rel-width requires a fraction");
+                let width = parsed_value_of(&arg, "a fraction", &mut args)?;
                 adaptive
                     .get_or_insert_with(AdaptiveFlags::default)
-                    .target_rel_width = value.parse().expect("--target-rel-width takes a number");
+                    .target_rel_width = width;
             }
             "--confidence" => {
-                let value = args.next().expect("--confidence requires a level");
+                let level = parsed_value_of(&arg, "a level", &mut args)?;
                 adaptive
                     .get_or_insert_with(AdaptiveFlags::default)
-                    .confidence = value.parse().expect("--confidence takes a number");
+                    .confidence = level;
             }
             _ => rest.push(arg),
         }
     }
-    (adaptive, rest)
+    Ok((adaptive, rest))
 }
 
 /// Extracts the `--metrics <path>` and `--metrics-report` flags from a raw
@@ -181,26 +210,24 @@ pub fn adaptive_flags_from_args(
 /// in order — the shared parser behind every binary's observability
 /// support.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `--metrics` is given without a following path.
-pub fn metrics_flags_from_args(args: impl Iterator<Item = String>) -> (ObsOptions, Vec<String>) {
+/// `--metrics` without a following path.
+pub fn metrics_flags_from_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(ObsOptions, Vec<String>), String> {
     let mut opts = ObsOptions::default();
     let mut rest = Vec::new();
-    let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--metrics" => {
-                let value = args
-                    .next()
-                    .expect("--metrics requires a file path argument");
-                opts.path = Some(PathBuf::from(value));
+                opts.path = Some(PathBuf::from(value_of(&arg, "a file path", &mut args)?));
             }
             "--metrics-report" => opts.report = true,
             _ => rest.push(arg),
         }
     }
-    (opts, rest)
+    Ok((opts, rest))
 }
 
 /// The flag set shared by the study binaries and the daemon job schema,
@@ -228,17 +255,17 @@ impl CommonFlags {
     /// `--workers`, `--batch-frames`, adaptive flags) over `args`; the
     /// caller consumes `rest` for its own positionals and extra flags.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with the individual parsers' messages on malformed flags.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
-        let (json, rest) = json_flag_from_args(args);
-        let (metrics, rest) = metrics_flags_from_args(rest.into_iter());
-        let (standard, rest) = standard_flag_from_args(rest.into_iter());
-        let (workers, rest) = workers_flag_from_args(rest.into_iter());
-        let (batch_frames, rest) = batch_frames_flag_from_args(rest.into_iter());
-        let (adaptive, rest) = adaptive_flags_from_args(rest.into_iter());
-        CommonFlags {
+    /// The individual parsers' messages on malformed flags.
+    pub fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let (json, rest) = json_flag_from_args(args)?;
+        let (metrics, rest) = metrics_flags_from_args(rest.into_iter())?;
+        let (standard, rest) = standard_flag_from_args(rest.into_iter())?;
+        let (workers, rest) = workers_flag_from_args(rest.into_iter())?;
+        let (batch_frames, rest) = batch_frames_flag_from_args(rest.into_iter())?;
+        let (adaptive, rest) = adaptive_flags_from_args(rest.into_iter())?;
+        Ok(CommonFlags {
             json,
             metrics,
             standard,
@@ -246,28 +273,18 @@ impl CommonFlags {
             batch_frames,
             adaptive,
             rest,
-        }
+        })
     }
 }
 
-/// Which codec family a study curve belongs to, for seed selection: each
-/// standard's LDPC and turbo studies run on distinct fixed RNG seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CodecClass {
-    /// LDPC decoders (layered, flooding, fixed-point).
-    Ldpc,
-    /// Turbo decoders (binary and duo-binary).
-    Turbo,
-}
-
 /// The fixed per-study RNG seed used by `ber_study` and the daemon's BER
-/// jobs: one seed per `(standard, codec class)` family keeps the CI
-/// trajectory byte-identical and lets a daemon job reproduce the exact
-/// one-shot CLI output.
-pub fn study_seed(standard: Standard, class: CodecClass) -> u64 {
-    match (standard, class) {
-        (Standard::Wimax, CodecClass::Ldpc) => 11,
-        (Standard::Wimax, CodecClass::Turbo) => 13,
+/// jobs: one seed per standard, and on WiMAX one for the LDPC decoders and
+/// one for the CTC.  Fixed seeds keep the CI trajectory byte-identical and
+/// let a daemon job reproduce the exact one-shot CLI output.
+pub fn study_seed(standard: Standard, decoder: DecoderKind) -> u64 {
+    match (standard, decoder) {
+        (Standard::Wimax, DecoderKind::Turbo | DecoderKind::Ctc(_)) => 13,
+        (Standard::Wimax, _) => 11,
         (Standard::Wifi80211n, _) => 17,
         (Standard::Lte, _) => 19,
         (Standard::Wran80222, _) => 23,
@@ -304,7 +321,8 @@ mod tests {
             ["--quick", "--json", "out/x.json", "60"]
                 .map(String::from)
                 .into_iter(),
-        );
+        )
+        .unwrap();
         assert_eq!(path.unwrap(), PathBuf::from("out/x.json"));
         assert_eq!(rest, vec!["--quick".to_string(), "60".to_string()]);
     }
@@ -315,10 +333,12 @@ mod tests {
             ["--quick", "--standard", "80211n", "60"]
                 .map(String::from)
                 .into_iter(),
-        );
+        )
+        .unwrap();
         assert_eq!(standard, Some(Standard::Wifi80211n));
         assert_eq!(rest, vec!["--quick".to_string(), "60".to_string()]);
-        let (standard, rest) = standard_flag_from_args(["60"].map(String::from).into_iter());
+        let (standard, rest) =
+            standard_flag_from_args(["60"].map(String::from).into_iter()).unwrap();
         assert_eq!(standard, None);
         assert_eq!(rest, vec!["60".to_string()]);
     }
@@ -329,18 +349,22 @@ mod tests {
             ["--quick", "--workers", "8", "60"]
                 .map(String::from)
                 .into_iter(),
-        );
+        )
+        .unwrap();
         assert_eq!(workers, 8);
         assert_eq!(rest, vec!["--quick".to_string(), "60".to_string()]);
-        let (workers, rest) = workers_flag_from_args(["60"].map(String::from).into_iter());
+        let (workers, rest) = workers_flag_from_args(["60"].map(String::from).into_iter()).unwrap();
         assert_eq!(workers, 0);
         assert_eq!(rest, vec!["60".to_string()]);
     }
 
     #[test]
-    #[should_panic(expected = "--workers requires")]
-    fn dangling_workers_flag_panics() {
-        let _ = workers_flag_from_args(["--workers"].map(String::from).into_iter());
+    fn dangling_workers_flag_is_an_error() {
+        let err = workers_flag_from_args(["--workers"].map(String::from).into_iter()).unwrap_err();
+        assert!(err.contains("--workers requires"), "{err}");
+        let err =
+            workers_flag_from_args(["--workers", "x"].map(String::from).into_iter()).unwrap_err();
+        assert_eq!(err, "--workers takes a thread count, not \"x\"");
     }
 
     #[test]
@@ -349,7 +373,8 @@ mod tests {
             ["--quick", "--adaptive", "60"]
                 .map(String::from)
                 .into_iter(),
-        );
+        )
+        .unwrap();
         assert_eq!(adaptive, Some(AdaptiveFlags::default()));
         assert_eq!(rest, vec!["--quick".to_string(), "60".to_string()]);
 
@@ -358,21 +383,24 @@ mod tests {
             ["--target-rel-width", "0.1", "--confidence", "0.99", "60"]
                 .map(String::from)
                 .into_iter(),
-        );
+        )
+        .unwrap();
         let adaptive = adaptive.unwrap();
         assert_eq!(adaptive.target_rel_width, 0.1);
         assert_eq!(adaptive.confidence, 0.99);
         assert_eq!(rest, vec!["60".to_string()]);
 
-        let (adaptive, rest) = adaptive_flags_from_args(["60"].map(String::from).into_iter());
+        let (adaptive, rest) =
+            adaptive_flags_from_args(["60"].map(String::from).into_iter()).unwrap();
         assert_eq!(adaptive, None);
         assert_eq!(rest, vec!["60".to_string()]);
     }
 
     #[test]
-    #[should_panic(expected = "--target-rel-width requires")]
-    fn dangling_target_rel_width_flag_panics() {
-        let _ = adaptive_flags_from_args(["--target-rel-width"].map(String::from).into_iter());
+    fn dangling_target_rel_width_flag_is_an_error() {
+        let err = adaptive_flags_from_args(["--target-rel-width"].map(String::from).into_iter())
+            .unwrap_err();
+        assert!(err.contains("--target-rel-width requires"), "{err}");
     }
 
     #[test]
@@ -381,49 +409,56 @@ mod tests {
             ["--quick", "--batch-frames", "8", "60"]
                 .map(String::from)
                 .into_iter(),
-        );
+        )
+        .unwrap();
         assert_eq!(batch, 8);
         assert_eq!(rest, vec!["--quick".to_string(), "60".to_string()]);
-        let (batch, rest) = batch_frames_flag_from_args(["60"].map(String::from).into_iter());
+        let (batch, rest) =
+            batch_frames_flag_from_args(["60"].map(String::from).into_iter()).unwrap();
         assert_eq!(batch, 1);
         assert_eq!(rest, vec!["60".to_string()]);
     }
 
     #[test]
-    #[should_panic(expected = "--batch-frames requires")]
-    fn dangling_batch_frames_flag_panics() {
-        let _ = batch_frames_flag_from_args(["--batch-frames"].map(String::from).into_iter());
+    fn dangling_batch_frames_flag_is_an_error() {
+        let err = batch_frames_flag_from_args(["--batch-frames"].map(String::from).into_iter())
+            .unwrap_err();
+        assert!(err.contains("--batch-frames requires"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_batch_frames_panics() {
-        let _ = batch_frames_flag_from_args(["--batch-frames", "0"].map(String::from).into_iter());
+    fn zero_batch_frames_is_an_error() {
+        let err =
+            batch_frames_flag_from_args(["--batch-frames", "0"].map(String::from).into_iter())
+                .unwrap_err();
+        assert!(err.contains("at least 1"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "--standard requires")]
-    fn dangling_standard_flag_panics() {
-        let _ = standard_flag_from_args(["--standard"].map(String::from).into_iter());
+    fn dangling_standard_flag_is_an_error() {
+        let err =
+            standard_flag_from_args(["--standard"].map(String::from).into_iter()).unwrap_err();
+        assert!(err.contains("--standard requires"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "unknown standard")]
-    fn unknown_standard_panics() {
-        let _ = standard_flag_from_args(["--standard", "gsm"].map(String::from).into_iter());
+    fn unknown_standard_is_an_error() {
+        let err = standard_flag_from_args(["--standard", "gsm"].map(String::from).into_iter())
+            .unwrap_err();
+        assert!(err.contains("unknown standard"), "{err}");
     }
 
     #[test]
     fn missing_flag_returns_none() {
-        let (path, rest) = json_flag_from_args(["abc"].map(String::from).into_iter());
+        let (path, rest) = json_flag_from_args(["abc"].map(String::from).into_iter()).unwrap();
         assert!(path.is_none());
         assert_eq!(rest, vec!["abc".to_string()]);
     }
 
     #[test]
-    #[should_panic(expected = "--json requires")]
-    fn dangling_flag_panics() {
-        let _ = json_flag_from_args(["--json"].map(String::from).into_iter());
+    fn dangling_json_flag_is_an_error() {
+        let err = json_flag_from_args(["--json"].map(String::from).into_iter()).unwrap_err();
+        assert!(err.contains("--json requires"), "{err}");
     }
 
     #[test]
@@ -432,19 +467,20 @@ mod tests {
             ["--quick", "--metrics", "OBS.json", "--metrics-report", "60"]
                 .map(String::from)
                 .into_iter(),
-        );
+        )
+        .unwrap();
         assert_eq!(opts.path.as_deref(), Some(std::path::Path::new("OBS.json")));
         assert!(opts.report);
         assert!(opts.enabled());
         assert_eq!(rest, vec!["--quick".to_string(), "60".to_string()]);
-        let (opts, _) = metrics_flags_from_args(["60"].map(String::from).into_iter());
+        let (opts, _) = metrics_flags_from_args(["60"].map(String::from).into_iter()).unwrap();
         assert!(!opts.enabled());
     }
 
     #[test]
-    #[should_panic(expected = "--metrics requires")]
-    fn dangling_metrics_flag_panics() {
-        let _ = metrics_flags_from_args(["--metrics"].map(String::from).into_iter());
+    fn dangling_metrics_flag_is_an_error() {
+        let err = metrics_flags_from_args(["--metrics"].map(String::from).into_iter()).unwrap_err();
+        assert!(err.contains("--metrics requires"), "{err}");
     }
 
     #[test]
@@ -465,7 +501,8 @@ mod tests {
             ]
             .map(String::from)
             .into_iter(),
-        );
+        )
+        .unwrap();
         assert_eq!(flags.standard, Some(Standard::Wimax));
         assert_eq!(flags.workers, 4);
         assert_eq!(flags.batch_frames, 8);
@@ -483,7 +520,7 @@ mod tests {
 
     #[test]
     fn common_flags_defaults_match_the_individual_parsers() {
-        let flags = CommonFlags::parse(std::iter::empty());
+        let flags = CommonFlags::parse(std::iter::empty()).unwrap();
         assert_eq!(flags.standard, None);
         assert_eq!(flags.workers, 0);
         assert_eq!(flags.batch_frames, 1);
@@ -494,12 +531,16 @@ mod tests {
 
     #[test]
     fn study_seeds_are_the_documented_per_family_constants() {
-        assert_eq!(study_seed(Standard::Wimax, CodecClass::Ldpc), 11);
-        assert_eq!(study_seed(Standard::Wimax, CodecClass::Turbo), 13);
-        assert_eq!(study_seed(Standard::Wifi80211n, CodecClass::Ldpc), 17);
-        assert_eq!(study_seed(Standard::Lte, CodecClass::Turbo), 19);
-        assert_eq!(study_seed(Standard::Wran80222, CodecClass::Ldpc), 23);
-        assert_eq!(study_seed(Standard::DvbRcs, CodecClass::Turbo), 29);
+        let q7 = DecoderKind::Quantized { lambda_bits: 7 };
+        let ctc = DecoderKind::Ctc(wimax_turbo::ExtrinsicExchange::BitLevel);
+        for ldpc in [DecoderKind::Layered, DecoderKind::Flooding, q7] {
+            assert_eq!(study_seed(Standard::Wimax, ldpc), 11);
+            assert_eq!(study_seed(Standard::Wifi80211n, ldpc), 17);
+            assert_eq!(study_seed(Standard::Wran80222, ldpc), 23);
+        }
+        assert_eq!(study_seed(Standard::Wimax, ctc), 13);
+        assert_eq!(study_seed(Standard::Lte, DecoderKind::Turbo), 19);
+        assert_eq!(study_seed(Standard::DvbRcs, ctc), 29);
     }
 
     #[test]

@@ -22,19 +22,19 @@ pub mod table3;
 
 pub use ber::{
     dvb_rcs_turbo_codec, ldpc_codec, lte_turbo_codec, print_curve, quantized_ldpc_codec,
-    run_ldpc_ber, run_turbo_ber, standard_snrs, turbo_codec, wifi_ldpc_codec, wran_ldpc_codec,
-    BerCurve, BerPoint, LdpcFlavor,
+    run_ldpc_ber, run_turbo_ber, standard_snrs, BerCurve, BerPoint, LdpcFlavor,
 };
-pub use cli::{study_engine_config, study_seed, CodecClass, CommonFlags};
+pub use cli::{
+    adaptive_flags_from_args, batch_frames_flag_from_args, exit_with_usage, json_flag_from_args,
+    metrics_flags_from_args, standard_flag_from_args, study_engine_config, study_seed,
+    workers_flag_from_args, AdaptiveFlags, CommonFlags,
+};
 pub use harness::{bench, BenchReport};
 pub use obs::{
-    check_obs_json, metrics_flags_from_args, registry_json, run_curve_maybe_observed, ObsCollector,
-    ObsOptions, REQUIRED_COUNT_METRICS,
+    check_obs_json, registry_json, run_curve_maybe_observed, ObsCollector, ObsOptions,
+    REQUIRED_COUNT_METRICS,
 };
-pub use results::{
-    adaptive_flags_from_args, batch_frames_flag_from_args, json_flag_from_args, rows_json,
-    standard_flag_from_args, workers_flag_from_args, write_json, AdaptiveFlags, StreamedRows,
-};
+pub use results::{rows_json, write_json, StreamedRows};
 pub use table1::{print_table1, run_table1, run_table1_for, run_table1_observed, table1_code};
 pub use table2::{print_table2, run_table2, run_table2_for, table2_codes};
 pub use table3::{print_table3, table3_rows, Table3Row};

@@ -92,8 +92,3 @@ pub fn run_curve_maybe_observed(
         None => engine.run_curve(codec, snrs),
     }
 }
-
-/// The `--metrics` / `--metrics-report` parser, hosted in [`crate::cli`]
-/// with the rest of the shared flag parsers (re-exported here for
-/// compatibility).
-pub use crate::cli::metrics_flags_from_args;

@@ -2,17 +2,11 @@
 //!
 //! Every `decoder-bench` binary accepts `--json <path>`: the produced rows
 //! (BER curves, table rows) are then written as pretty-printed JSON for
-//! trajectory tracking across commits.  The flag parsers formerly hosted
-//! here live in [`crate::cli`] (re-exported below for compatibility).
+//! trajectory tracking across commits.
 
 use fec_json::{Json, ToJson};
 use std::io::Write;
 use std::path::Path;
-
-pub use crate::cli::{
-    adaptive_flags_from_args, batch_frames_flag_from_args, json_flag_from_args,
-    standard_flag_from_args, workers_flag_from_args, AdaptiveFlags,
-};
 
 /// Writes `value` to `path` as pretty-printed JSON (with a trailing
 /// newline), creating parent directories as needed.

@@ -23,7 +23,10 @@
 //!   SISO;
 //! * [`registry`] — [`StandardCode`] + the [`StandardRegistry`] trait, the
 //!   interface the compliance sweep, the design-space explorer and the BER
-//!   binaries use to enumerate and decode codes per standard.
+//!   binaries use to enumerate codes per standard, and the one codec
+//!   constructor: [`StandardCode::resolve`] finds the code a
+//!   `(standard, decoder, block)` names and [`StandardCode::codec`] builds
+//!   its [`DecoderKind`] behind [`fec_channel::sim::FecCodec`].
 //!
 //! # Example
 //!
@@ -34,6 +37,14 @@
 //! assert_eq!(wifi.full_codes().len(), 12);
 //! let worst = wifi.worst_ldpc().unwrap();
 //! assert_eq!(worst.label(), "802.11n LDPC 1944 r=1/2");
+//!
+//! use code_tables::{DecoderKind, StandardCode};
+//!
+//! let q7 = DecoderKind::Quantized { lambda_bits: 7 };
+//! let codec = StandardCode::resolve(Standard::Wifi80211n, q7, 648)?.codec(q7)?;
+//! assert_eq!(codec.name(), "80211n-ldpc-n648-layered-q7");
+//! assert!(StandardCode::resolve(Standard::Lte, q7, 1024).is_err());
+//! # Ok::<(), String>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,7 +67,7 @@ pub use lte::{
     QppParameters, LTE_QPP_TABLE,
 };
 pub use registry::{
-    registry_for, DvbRcsRegistry, LteRegistry, NamedCodec, StandardCode, StandardRegistry,
+    registry_for, DecoderKind, DvbRcsRegistry, LteRegistry, StandardCode, StandardRegistry,
     WifiRegistry, WimaxRegistry, WranRegistry,
 };
 pub use standard::{Standard, UnknownStandard};

@@ -1,10 +1,16 @@
-//! The multi-standard code registry: one [`StandardCode`] per channel code,
-//! grouped per [`Standard`] behind the [`StandardRegistry`] trait.
+//! The multi-standard code catalogue: one [`StandardCode`] per channel code,
+//! grouped per [`Standard`] behind the [`StandardRegistry`] trait, and the
+//! one constructor of every codec in the workspace.
 //!
 //! The registry is the single place the evaluation layer (compliance sweep,
-//! design-space exploration, BER studies) asks "which codes does standard X
-//! define, and how do I decode them?" — so adding a standard means adding a
-//! registry implementation here, not touching the sweeps.
+//! design-space exploration, BER studies, the decode daemon) asks "which
+//! codes does standard X define, and how do I decode them?".  A
+//! `(standard, decoder, block)` request goes through
+//! [`StandardCode::resolve`], which builds only the code it names, and
+//! [`StandardCode::codec`], which picks the decoder configuration and the
+//! label.  Both return `Err` for a combination the tables do not define, so
+//! a bad request never panics.  Adding a standard means adding a registry
+//! implementation and its arms here, not touching the sweeps.
 
 use crate::dvb_rcs::{dvb_rcs_ctc, DVB_RCS_COUPLE_SIZES};
 use crate::lte::{lte_block_sizes, LteTurboCode, LteTurboCodec};
@@ -14,11 +20,12 @@ use crate::wran::{wran_ldpc, wran_rates, WRAN_BLOCK_LENGTHS};
 use fec_channel::sim::{DecodedFrame, FecCodec};
 use fec_fixed::Llr;
 use fec_obs::Registry;
-use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
+use wimax_ldpc::decoder::{FixedLayeredConfig, FloodingConfig, LayeredConfig};
 use wimax_ldpc::{
-    wimax_block_lengths, CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec,
+    wimax_block_lengths, CodeRate, FloodingLdpcCodec, LayeredLdpcCodec, QcLdpcCode,
+    QuantizedLayeredLdpcCodec,
 };
-use wimax_turbo::{CtcCode, TurboCodec, TurboDecoderConfig, WIMAX_FRAME_SIZES};
+use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig, WIMAX_FRAME_SIZES};
 
 /// One channel code of one standard, carrying everything the functional and
 /// architectural layers need.
@@ -108,64 +115,148 @@ impl StandardCode {
         }
     }
 
-    /// Builds the default functional decoder for this code behind the
-    /// unified [`FecCodec`] interface (f64 reference datapath for LDPC,
-    /// Max-Log-MAP for turbo), with the label prefixed by the standard.
-    pub fn codec(&self) -> Box<dyn FecCodec> {
-        match self {
-            StandardCode::Ldpc { standard, code } => Box::new(NamedCodec::new(
-                LayeredLdpcCodec::new(code, LayeredConfig::default()),
-                format!("{}-ldpc-n{}-layered", standard.flag(), code.n()),
-            )),
-            StandardCode::WimaxTurbo { code } => {
-                Box::new(TurboCodec::new(code, TurboDecoderConfig::default()))
-            }
-            StandardCode::LteTurbo { code } => {
-                Box::new(LteTurboCodec::new(code, TurboDecoderConfig::default()))
-            }
-            StandardCode::DvbRcsTurbo { code } => Box::new(NamedCodec::new(
-                TurboCodec::new(code, TurboDecoderConfig::default()),
-                format!("dvbrcs-ctc-{}c-bit", code.couples()),
-            )),
-        }
+    /// The code of `standard` that `decoder` runs at size `block`: the
+    /// rate-1/2 LDPC code of length `block` for the LDPC decoders, the LTE
+    /// turbo code of `block` information bits, or the CTC of `block`
+    /// couples.  Only that one code is built.
+    ///
+    /// # Errors
+    ///
+    /// `decoder` does not fit `standard`, or `block` is not one of the
+    /// standard's sizes for it.
+    pub fn resolve(standard: Standard, decoder: DecoderKind, block: usize) -> Result<Self, String> {
+        let invalid = |e: &dyn std::fmt::Debug| {
+            format!("invalid block {block} for {}: {e:?}", standard.flag())
+        };
+        let ldpc = matches!(
+            decoder,
+            DecoderKind::Layered | DecoderKind::Flooding | DecoderKind::Quantized { .. }
+        );
+        Ok(match (standard, decoder) {
+            (Standard::Wimax, _) if ldpc => StandardCode::Ldpc {
+                standard,
+                code: QcLdpcCode::wimax(block, CodeRate::R12).map_err(|e| invalid(&e))?,
+            },
+            (Standard::Wifi80211n, _) if ldpc => StandardCode::Ldpc {
+                standard,
+                code: wifi_ldpc(block, CodeRate::R12).map_err(|e| invalid(&e))?,
+            },
+            (Standard::Wran80222, _) if ldpc => StandardCode::Ldpc {
+                standard,
+                code: wran_ldpc(block, CodeRate::R12).map_err(|e| invalid(&e))?,
+            },
+            (Standard::Wimax, DecoderKind::Ctc(_)) => StandardCode::WimaxTurbo {
+                code: CtcCode::wimax(block).map_err(|e| invalid(&e))?,
+            },
+            (Standard::DvbRcs, DecoderKind::Ctc(_)) => StandardCode::DvbRcsTurbo {
+                code: dvb_rcs_ctc(block).map_err(|e| invalid(&e))?,
+            },
+            (Standard::Lte, DecoderKind::Turbo) => StandardCode::LteTurbo {
+                code: LteTurboCode::new(block).map_err(|e| invalid(&e))?,
+            },
+            _ => return Err(not_available(standard)),
+        })
     }
 
-    /// The fixed-point hardware-datapath codec for LDPC codes (`None` for
-    /// turbo codes, which model the datapath inside the SISO).
-    pub fn quantized_codec(&self) -> Option<Box<dyn FecCodec>> {
-        match self {
-            StandardCode::Ldpc { standard, code } => Some(Box::new(NamedCodec::new(
-                QuantizedLayeredLdpcCodec::new(code, FixedLayeredConfig::default()),
-                format!("{}-ldpc-n{}-layered-q7", standard.flag(), code.n()),
-            ))),
-            _ => None,
-        }
+    /// Builds `decoder` for this code behind the unified [`FecCodec`]
+    /// interface, labelled `<standard>-ldpc-n<n>-<schedule>`,
+    /// `<standard>-ctc-<couples>c-<exchange>` or `lte-turbo-k<k>`.
+    ///
+    /// # Errors
+    ///
+    /// `decoder` does not fit this code, or its `lambda_bits` is outside
+    /// `2..=15`.
+    pub fn codec(&self, decoder: DecoderKind) -> Result<Box<dyn FecCodec>, String> {
+        let standard = self.standard().flag();
+        let turbo = |exchange| TurboDecoderConfig {
+            exchange,
+            ..TurboDecoderConfig::default()
+        };
+        Ok(match (self, decoder) {
+            (StandardCode::Ldpc { code, .. }, DecoderKind::Layered) => named(
+                LayeredLdpcCodec::new(code, LayeredConfig::default()),
+                format!("{standard}-ldpc-n{}-layered", code.n()),
+            ),
+            (StandardCode::Ldpc { code, .. }, DecoderKind::Flooding) => named(
+                FloodingLdpcCodec::new(
+                    code,
+                    FloodingConfig {
+                        max_iterations: 10,
+                        ..FloodingConfig::default()
+                    },
+                ),
+                format!("{standard}-ldpc-n{}-flooding", code.n()),
+            ),
+            (StandardCode::Ldpc { code, .. }, DecoderKind::Quantized { lambda_bits }) => {
+                if !(2..=15).contains(&lambda_bits) {
+                    return Err("\"lambda_bits\" must be in 2..=15".to_string());
+                }
+                named(
+                    QuantizedLayeredLdpcCodec::new(
+                        code,
+                        FixedLayeredConfig::default().with_lambda_bits(lambda_bits),
+                    ),
+                    format!("{standard}-ldpc-n{}-layered-q{lambda_bits}", code.n()),
+                )
+            }
+            (
+                StandardCode::WimaxTurbo { code } | StandardCode::DvbRcsTurbo { code },
+                DecoderKind::Ctc(exchange),
+            ) => {
+                let mode = match exchange {
+                    ExtrinsicExchange::SymbolLevel => "symbol",
+                    ExtrinsicExchange::BitLevel => "bit",
+                };
+                named(
+                    TurboCodec::new(code, turbo(exchange)),
+                    format!("{standard}-ctc-{}c-{mode}", code.couples()),
+                )
+            }
+            (StandardCode::LteTurbo { code }, DecoderKind::Turbo) => named(
+                LteTurboCodec::new(code, TurboDecoderConfig::default()),
+                format!("{standard}-turbo-k{}", code.info_bits()),
+            ),
+            _ => return Err(not_available(self.standard())),
+        })
     }
 }
 
-/// A [`FecCodec`] wrapper overriding the report label, so registry codecs
-/// carry standard-accurate names without touching the underlying adapters.
-pub struct NamedCodec<C: FecCodec> {
+/// Which decoder a codec runs.  A `(standard, decoder, block)` triple names
+/// at most one codec: [`StandardCode::resolve`] finds its code and
+/// [`StandardCode::codec`] builds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecoderKind {
+    /// Layered normalized min-sum on the f64 reference datapath
+    /// (`Itmax = 10`).
+    Layered,
+    /// Two-phase (flooding) normalized min-sum (`Itmax = 10`).
+    Flooding,
+    /// Fixed-point layered normalized min-sum, the hardware datapath model
+    /// (`Itmax = 10`).
+    Quantized {
+        /// Width of the λ (and `R`) registers, `2..=15`; the paper uses 7.
+        lambda_bits: u32,
+    },
+    /// The binary Max-Log-MAP turbo decoder of LTE (`Itmax = 8`).
+    Turbo,
+    /// The duo-binary Max-Log-MAP CTC decoder of 802.16e and DVB-RCS with
+    /// the given extrinsic exchange (`Itmax = 8`).
+    Ctc(ExtrinsicExchange),
+}
+
+fn not_available(standard: Standard) -> String {
+    format!("codec is not available for standard {}", standard.flag())
+}
+
+fn named<C: FecCodec + 'static>(inner: C, name: String) -> Box<dyn FecCodec> {
+    Box::new(NamedCodec { inner, name })
+}
+
+/// A [`FecCodec`] reporting the catalogue's label, so every codec carries a
+/// standard-accurate name without touching the underlying adapters.
+struct NamedCodec<C> {
     inner: C,
     name: String,
-}
-
-impl<C: FecCodec> NamedCodec<C> {
-    /// Wraps `inner`, reporting `name` from [`FecCodec::name`].
-    pub fn new(inner: C, name: impl Into<String>) -> Self {
-        NamedCodec {
-            inner,
-            name: name.into(),
-        }
-    }
-}
-
-impl<C: FecCodec> std::fmt::Debug for NamedCodec<C> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NamedCodec")
-            .field("name", &self.name)
-            .finish()
-    }
 }
 
 impl<C: FecCodec> FecCodec for NamedCodec<C> {
@@ -454,49 +545,112 @@ mod tests {
         assert!(DvbRcsRegistry.corner_codes()[0].label().contains("DVB-RCS"));
     }
 
+    /// Every `(standard, decoder, block)` that `ber_study` and the decode
+    /// daemon run, plus the blocks and λ widths older per-builder tests
+    /// pinned: each builds its labelled codec, round-trips a noiseless
+    /// frame and decodes a 5-frame point at 6 dB error-free.
     #[test]
-    fn dvb_rcs_codec_reuses_the_duo_binary_substrate_with_its_own_name() {
-        let code = &DvbRcsRegistry.corner_codes()[0];
-        assert!(!code.is_ldpc());
-        assert_eq!(code.info_bits(), 96);
-        assert_eq!(code.mapping_units(), 48);
-        let codec = code.codec();
-        assert_eq!(codec.name(), "dvbrcs-ctc-48c-bit");
-        assert!(code.quantized_codec().is_none());
-    }
+    fn the_catalogue_builds_every_study_codec_and_rejects_the_rest() {
+        use fec_channel::sim::{EngineConfig, SimulationEngine};
+        use DecoderKind::{Ctc, Flooding, Layered, Quantized, Turbo};
+        use ExtrinsicExchange::{BitLevel, SymbolLevel};
+        use Standard::{DvbRcs, Lte, Wifi80211n, Wimax, Wran80222};
+        let q7 = Quantized { lambda_bits: 7 };
+        let cases = [
+            (Wimax, Layered, 576, "wimax-ldpc-n576-layered"),
+            (Wimax, Flooding, 576, "wimax-ldpc-n576-flooding"),
+            (Wimax, q7, 576, "wimax-ldpc-n576-layered-q7"),
+            (Wimax, Ctc(SymbolLevel), 240, "wimax-ctc-240c-symbol"),
+            (Wimax, Ctc(BitLevel), 240, "wimax-ctc-240c-bit"),
+            (Wifi80211n, Layered, 648, "80211n-ldpc-n648-layered"),
+            (Wifi80211n, Flooding, 648, "80211n-ldpc-n648-flooding"),
+            (Wifi80211n, q7, 648, "80211n-ldpc-n648-layered-q7"),
+            (Wran80222, Layered, 480, "80222-ldpc-n480-layered"),
+            (Wran80222, Flooding, 480, "80222-ldpc-n480-flooding"),
+            (Wran80222, q7, 480, "80222-ldpc-n480-layered-q7"),
+            (Lte, Turbo, 1024, "lte-turbo-k1024"),
+            (DvbRcs, Ctc(SymbolLevel), 212, "dvbrcs-ctc-212c-symbol"),
+            (DvbRcs, Ctc(BitLevel), 212, "dvbrcs-ctc-212c-bit"),
+            // Sizes and widths outside the study defaults.
+            (
+                Wimax,
+                Quantized { lambda_bits: 6 },
+                576,
+                "wimax-ldpc-n576-layered-q6",
+            ),
+            (Wifi80211n, q7, 1296, "80211n-ldpc-n1296-layered-q7"),
+            (Wran80222, Layered, 384, "80222-ldpc-n384-layered"),
+            (Wran80222, q7, 384, "80222-ldpc-n384-layered-q7"),
+            (Wran80222, q7, 960, "80222-ldpc-n960-layered-q7"),
+            (Lte, Turbo, 40, "lte-turbo-k40"),
+            (Lte, Turbo, 104, "lte-turbo-k104"),
+            (DvbRcs, Ctc(BitLevel), 48, "dvbrcs-ctc-48c-bit"),
+        ];
+        let engine = SimulationEngine::new(EngineConfig::fixed_frames(5, 4));
+        for (standard, decoder, block, label) in cases {
+            let code = StandardCode::resolve(standard, decoder, block).unwrap();
+            assert_eq!(code.standard(), standard, "{label}");
+            assert_eq!(
+                code.is_ldpc(),
+                !matches!(decoder, Turbo | Ctc(_)),
+                "{label}"
+            );
+            let codec = code.codec(decoder).unwrap();
+            assert_eq!(codec.name(), label);
 
-    #[test]
-    fn wran_codes_run_both_datapaths() {
-        let code = &WranRegistry.corner_codes()[0];
-        assert!(code.is_ldpc());
-        assert!(code.codec().name().contains("80222-ldpc-n384"));
-        let q = code.quantized_codec().expect("LDPC has a quantized path");
-        assert!(q.name().contains("80222"), "{}", q.name());
-        assert!(q.name().contains("q7"), "{}", q.name());
-    }
-
-    #[test]
-    fn codecs_roundtrip_noiselessly() {
-        for standard in Standard::all() {
-            let code = &registry_for(standard).corner_codes()[0];
-            let codec = code.codec();
             let info: Vec<u8> = (0..codec.info_bits()).map(|i| (i % 2) as u8).collect();
             let cw = codec.encode(&info);
-            assert_eq!(cw.len(), codec.codeword_bits());
+            assert_eq!(cw.len(), codec.codeword_bits(), "{label}");
             let llrs: Vec<Llr> = cw
                 .iter()
                 .map(|&b| Llr::new(8.0 * (1.0 - 2.0 * f64::from(b))))
                 .collect();
-            let out = codec.decode(&llrs);
-            assert_eq!(out.info_bits, info, "{}", codec.name());
-        }
-    }
+            assert_eq!(codec.decode(&llrs).info_bits, info, "{label}");
 
-    #[test]
-    fn quantized_codec_exists_only_for_ldpc() {
-        let wifi = &WifiRegistry.corner_codes()[0];
-        let q = wifi.quantized_codec().unwrap();
-        assert!(q.name().contains("q7"), "{}", q.name());
-        assert!(LteRegistry.corner_codes()[0].quantized_codec().is_none());
+            let point = engine.run_point(codec.as_ref(), 6.0);
+            assert_eq!(point.frames, 5, "{label}");
+            assert_eq!(point.bit_errors, 0, "{label}");
+        }
+
+        // The DVB-RCS CTC reuses the duo-binary substrate: 48 couples carry
+        // 96 information bits over 48 trellis sections.
+        let dvb = &DvbRcsRegistry.corner_codes()[0];
+        assert_eq!((dvb.info_bits(), dvb.mapping_units()), (96, 48));
+        assert_eq!(
+            dvb.codec(Ctc(BitLevel)).unwrap().name(),
+            "dvbrcs-ctc-48c-bit"
+        );
+
+        let err = |standard, decoder, block| {
+            StandardCode::resolve(standard, decoder, block)
+                .and_then(|code| code.codec(decoder))
+                .map(|codec| codec.name())
+                .unwrap_err()
+        };
+        assert_eq!(
+            err(Lte, Layered, 1024),
+            "codec is not available for standard lte"
+        );
+        assert!(err(Wifi80211n, Turbo, 648).contains("not available"));
+        assert!(err(Wifi80211n, Ctc(BitLevel), 648).contains("not available"));
+        assert!(err(Wimax, Turbo, 240).contains("not available"));
+        assert!(err(DvbRcs, q7, 212).contains("not available"));
+        assert_eq!(
+            err(Wimax, Layered, 577),
+            "invalid block 577 for wimax: InvalidBlockLength { n: 577 }"
+        );
+        assert!(err(Wimax, Ctc(BitLevel), 576).starts_with("invalid block 576 for wimax"));
+        assert!(err(Lte, Turbo, 41).starts_with("invalid block 41 for lte"));
+        for lambda_bits in [0, 1, 16, u32::MAX] {
+            assert_eq!(
+                err(Wimax, Quantized { lambda_bits }, 576),
+                "\"lambda_bits\" must be in 2..=15"
+            );
+        }
+        // A decoder that does not fit a registry code is refused by the
+        // constructor too, not only by the resolver.
+        assert!(dvb.codec(q7).is_err());
+        assert!(LteRegistry.corner_codes()[0].codec(Layered).is_err());
+        assert!(WifiRegistry.corner_codes()[0].codec(Turbo).is_err());
     }
 }

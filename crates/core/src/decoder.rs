@@ -4,13 +4,10 @@ use crate::config::DecoderConfig;
 use crate::evaluation::{evaluate_ldpc, evaluate_turbo, DecoderError, DesignEvaluation};
 use asic_model::power::OperatingMode;
 use asic_model::{PowerModel, Technology};
-use fec_channel::sim::{BerCurve, FecCodec, SimulationEngine};
 use fec_fixed::Llr;
 use wimax_ldpc::decoder::{LayeredConfig, LayeredDecoder};
-use wimax_ldpc::{DecodeOutcome, LayeredLdpcCodec, QcLdpcCode};
-use wimax_turbo::{
-    CtcCode, TurboCodec, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig, TurboError,
-};
+use wimax_ldpc::{DecodeOutcome, QcLdpcCode};
+use wimax_turbo::{CtcCode, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig, TurboError};
 
 /// The flexible NoC-based turbo/LDPC decoder.
 ///
@@ -70,56 +67,6 @@ impl NocDecoder {
             ..TurboDecoderConfig::default()
         };
         TurboDecoder::new(code, cfg).decode(llrs)
-    }
-
-    /// Runs a Monte-Carlo BER curve for an arbitrary [`FecCodec`] on the
-    /// unified parallel [`SimulationEngine`] — the single entry point behind
-    /// every BER study in this repository (bench harness, examples and this
-    /// decoder object all route through it).
-    pub fn ber_curve(
-        &self,
-        codec: &dyn FecCodec,
-        ebn0_dbs: &[f64],
-        engine: &SimulationEngine,
-    ) -> BerCurve {
-        engine.run_curve(codec, ebn0_dbs)
-    }
-
-    /// [`NocDecoder::ber_curve`] for this decoder's LDPC mode: the layered
-    /// normalized-min-sum decoder with the configured iteration limit.
-    pub fn ldpc_ber_curve(
-        &self,
-        code: &QcLdpcCode,
-        ebn0_dbs: &[f64],
-        engine: &SimulationEngine,
-    ) -> BerCurve {
-        let codec = LayeredLdpcCodec::new(
-            code,
-            LayeredConfig {
-                max_iterations: self.config.ldpc_iterations,
-                ..LayeredConfig::default()
-            },
-        );
-        self.ber_curve(&codec, ebn0_dbs, engine)
-    }
-
-    /// [`NocDecoder::ber_curve`] for this decoder's turbo mode: Max-Log-MAP
-    /// with bit-level extrinsic exchange (the paper's configuration) and the
-    /// configured iteration limit.
-    pub fn turbo_ber_curve(
-        &self,
-        code: &CtcCode,
-        ebn0_dbs: &[f64],
-        engine: &SimulationEngine,
-    ) -> BerCurve {
-        let codec = TurboCodec::new(
-            code,
-            TurboDecoderConfig {
-                max_iterations: self.config.turbo_iterations,
-                ..TurboDecoderConfig::default()
-            },
-        );
-        self.ber_curve(&codec, ebn0_dbs, engine)
     }
 
     /// Evaluates this configuration in LDPC mode on the given code.
@@ -206,23 +153,6 @@ mod tests {
             .collect();
         let out = decoder.decode_turbo_frame(&code, &llrs).unwrap();
         assert_eq!(out.info_bits, info);
-    }
-
-    #[test]
-    fn ber_curves_route_through_the_engine() {
-        use fec_channel::sim::EngineConfig;
-        let decoder = NocDecoder::default();
-        let engine = SimulationEngine::new(EngineConfig::fixed_frames(4, 7));
-        let ldpc = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let curve = decoder.ldpc_ber_curve(&ldpc, &[6.0], &engine);
-        assert_eq!(curve.points.len(), 1);
-        assert_eq!(curve.points[0].frames, 4);
-        assert_eq!(curve.points[0].bit_errors, 0, "6 dB should be error free");
-
-        let turbo = CtcCode::wimax(24).unwrap();
-        let curve = decoder.turbo_ber_curve(&turbo, &[6.0], &engine);
-        assert_eq!(curve.points[0].bit_errors, 0);
-        assert!(curve.label.starts_with("wimax-ctc-24c"));
     }
 
     #[test]

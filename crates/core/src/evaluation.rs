@@ -94,16 +94,6 @@ impl DesignEvaluation {
     pub fn total_area_mm2(&self) -> f64 {
         self.noc_area_mm2 + self.core_area_mm2
     }
-
-    /// Throughput-to-area ratio in Mb/s per mm² (NoC area only, the figure of
-    /// merit used to compare topologies in Section III.C).
-    pub fn throughput_per_noc_area(&self) -> f64 {
-        if self.noc_area_mm2 == 0.0 {
-            0.0
-        } else {
-            self.throughput_mbps / self.noc_area_mm2
-        }
-    }
 }
 
 /// Evaluates one design point in LDPC mode.

@@ -11,8 +11,6 @@
 //! * [`minsum`] — saturating integer message arithmetic for the
 //!   normalized-min-sum check-node update (Eq. (11)), the substrate of the
 //!   fixed-point layered decoder.
-//! * [`maxstar`] — the `max*` operator family used by the BCJR recursion:
-//!   exact (Log-MAP), look-up-table corrected, and plain `max` (Max-Log-MAP).
 //! * [`Llr`] — a thin newtype over `f64` used throughout the algorithmic
 //!   (floating-point) reference decoders.
 //!
@@ -54,13 +52,11 @@
 #![warn(missing_docs)]
 
 pub mod llr;
-pub mod maxstar;
 pub mod minsum;
 pub mod quantizer;
 pub mod sat;
 
 pub use llr::Llr;
-pub use maxstar::{max_log, max_star_exact, max_star_lut, MaxStar, MaxStarMode};
 pub use minsum::MinSumArith;
 pub use quantizer::{QuantStats, Quantizer};
 pub use sat::SatFixed;

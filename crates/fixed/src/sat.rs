@@ -78,11 +78,6 @@ impl SatFixed {
         SatFixed::new(self.value, bits)
     }
 
-    /// Saturating addition of a raw integer.
-    pub fn saturating_add_raw(self, rhs: i32) -> Self {
-        SatFixed::new(self.value.saturating_add(rhs), self.bits)
-    }
-
     /// Absolute value (saturating: `|-2^(b-1)|` clamps to `2^(b-1)-1`).
     pub fn abs(self) -> Self {
         SatFixed::new(self.value.saturating_abs(), self.bits)

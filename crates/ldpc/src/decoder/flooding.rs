@@ -8,24 +8,13 @@ use super::DecodeOutcome;
 use crate::code::QcLdpcCode;
 use fec_fixed::Llr;
 
-/// Check-node update rule used by the flooding decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FloodingKind {
-    /// Exact sum-product (tanh rule).
-    SumProduct,
-    /// Normalized min-sum with the configured scale factor.
-    #[default]
-    NormalizedMinSum,
-}
-
-/// Configuration of the flooding decoder.
+/// Configuration of the flooding decoder (normalized min-sum check-node
+/// rule).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FloodingConfig {
     /// Maximum number of iterations.
     pub max_iterations: usize,
-    /// Check-node rule.
-    pub kind: FloodingKind,
-    /// Normalization factor used by [`FloodingKind::NormalizedMinSum`].
+    /// Normalization factor of the min-sum check-node rule.
     pub scale: f64,
     /// Stop as soon as the hard decisions satisfy all parity checks.
     pub early_termination: bool,
@@ -35,7 +24,6 @@ impl Default for FloodingConfig {
     fn default() -> Self {
         FloodingConfig {
             max_iterations: 20,
-            kind: FloodingKind::NormalizedMinSum,
             scale: 0.75,
             early_termination: true,
         }
@@ -130,44 +118,27 @@ impl FloodingDecoder {
 
             // Check-node phase.
             for row in 0..m {
-                match self.config.kind {
-                    FloodingKind::NormalizedMinSum => {
-                        let mut min1 = f64::INFINITY;
-                        let mut min2 = f64::INFINITY;
-                        let mut min_pos = 0;
-                        let mut sign = 1.0;
-                        for (j, &v) in v2c[row].iter().enumerate() {
-                            let mag = v.abs();
-                            if v < 0.0 {
-                                sign = -sign;
-                            }
-                            if mag < min1 {
-                                min2 = min1;
-                                min1 = mag;
-                                min_pos = j;
-                            } else if mag < min2 {
-                                min2 = mag;
-                            }
-                        }
-                        for j in 0..c2v[row].len() {
-                            let mag = if j == min_pos { min2 } else { min1 };
-                            let s = if v2c[row][j] < 0.0 { -sign } else { sign };
-                            c2v[row][j] = self.config.scale * s * mag;
-                        }
+                let mut min1 = f64::INFINITY;
+                let mut min2 = f64::INFINITY;
+                let mut min_pos = 0;
+                let mut sign = 1.0;
+                for (j, &v) in v2c[row].iter().enumerate() {
+                    let mag = v.abs();
+                    if v < 0.0 {
+                        sign = -sign;
                     }
-                    FloodingKind::SumProduct => {
-                        // tanh rule with exclusion via division-free recomputation
-                        let deg = v2c[row].len();
-                        for (j, c2v_j) in c2v[row].iter_mut().enumerate().take(deg) {
-                            let mut prod = 1.0f64;
-                            for (i, &v) in v2c[row].iter().enumerate() {
-                                if i != j {
-                                    prod *= (v / 2.0).tanh().clamp(-0.999_999_999, 0.999_999_999);
-                                }
-                            }
-                            *c2v_j = 2.0 * prod.atanh();
-                        }
+                    if mag < min1 {
+                        min2 = min1;
+                        min1 = mag;
+                        min_pos = j;
+                    } else if mag < min2 {
+                        min2 = mag;
                     }
+                }
+                for j in 0..c2v[row].len() {
+                    let mag = if j == min_pos { min2 } else { min1 };
+                    let s = if v2c[row][j] < 0.0 { -sign } else { sign };
+                    c2v[row][j] = self.config.scale * s * mag;
                 }
             }
 
@@ -229,16 +200,10 @@ mod tests {
     #[test]
     fn noiseless_all_zero_converges() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        for kind in [FloodingKind::NormalizedMinSum, FloodingKind::SumProduct] {
-            let cfg = FloodingConfig {
-                kind,
-                ..FloodingConfig::default()
-            };
-            let dec = FloodingDecoder::new(&code, cfg);
-            let out = dec.decode(&vec![Llr::new(5.0); code.n()]);
-            assert!(out.converged);
-            assert!(out.hard_bits.iter().all(|&b| b == 0));
-        }
+        let dec = FloodingDecoder::new(&code, FloodingConfig::default());
+        let out = dec.decode(&vec![Llr::new(5.0); code.n()]);
+        assert!(out.converged);
+        assert!(out.hard_bits.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -250,23 +215,6 @@ mod tests {
         let info: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..=1)).collect();
         let cw = enc.encode(&info).unwrap();
         let out = dec.decode(&noisy_llrs(&cw, 0.63f64.sqrt(), 4));
-        assert!(out.converged);
-        assert_eq!(out.hard_bits, cw);
-    }
-
-    #[test]
-    fn decodes_noisy_codeword_sum_product() {
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let enc = QcEncoder::new(&code);
-        let cfg = FloodingConfig {
-            kind: FloodingKind::SumProduct,
-            ..FloodingConfig::default()
-        };
-        let dec = FloodingDecoder::new(&code, cfg);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let info: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..=1)).collect();
-        let cw = enc.encode(&info).unwrap();
-        let out = dec.decode(&noisy_llrs(&cw, 0.63f64.sqrt(), 8));
         assert!(out.converged);
         assert_eq!(out.hard_bits, cw);
     }

@@ -8,7 +8,7 @@ mod layered;
 mod layered_fixed;
 mod meu;
 
-pub use flooding::{FloodingConfig, FloodingDecoder, FloodingKind};
+pub use flooding::{FloodingConfig, FloodingDecoder};
 pub use layered::{LayeredConfig, LayeredDecoder};
 pub use layered_fixed::{FixedLayeredConfig, FixedLayeredDecoder};
 pub use meu::{MinimumExtractionUnit, TwoMinScan};

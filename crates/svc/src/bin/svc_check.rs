@@ -1,8 +1,9 @@
 //! `svc_check`: CI verifier for a daemon reply stream.
 //!
-//! Reads the line-delimited events a `fec_svc` run wrote to stdout and a
-//! one-shot `ber_study --json` reference file, and checks that
+//! Reads the line-delimited events a `fec_svc` run wrote to stdout and one
+//! or more one-shot `ber_study --json` reference files, and checks that
 //!
+//! * no label appears in two reference files;
 //! * every BER job's rows are row-for-row byte-identical to the reference
 //!   curve with the job's label (matched per `Eb/N0` point, since daemon
 //!   rows stream in completion order), with no duplicated or missing rows;
@@ -12,9 +13,10 @@
 //! * with `--log-dir`, each job's replay log carries exactly the rows the
 //!   live stream delivered, byte for byte.
 //!
-//! Usage: `svc_check <replies.ndjson> <BER_reference.json> [--log-dir <dir>]`
+//! Usage: `svc_check <replies.ndjson> <BER_reference.json>... [--log-dir <dir>]`
 //!
-//! Exits non-zero with a description on the first mismatch.
+//! Exits 1 with a description on the first mismatch, and 2 on a bad
+//! command line.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -36,32 +38,49 @@ fn fail(message: &str) -> ! {
     exit(1);
 }
 
+const USAGE: &str = "usage: svc_check <replies.ndjson> <BER_reference.json>... [--log-dir <dir>]";
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let replies_path = PathBuf::from(args.next().expect("usage: svc_check <replies> <reference>"));
-    let reference_path =
-        PathBuf::from(args.next().expect("usage: svc_check <replies> <reference>"));
+    let mut paths = Vec::new();
     let mut log_dir = None;
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--log-dir" => {
-                log_dir = Some(PathBuf::from(
-                    args.next().expect("--log-dir requires a directory"),
-                ));
-            }
-            other => panic!("unrecognised argument: {other}"),
+        if arg == "--log-dir" {
+            let Some(dir) = args.next() else {
+                eprintln!("svc_check: --log-dir requires a directory\n{USAGE}");
+                exit(2);
+            };
+            log_dir = Some(PathBuf::from(dir));
+        } else {
+            paths.push(PathBuf::from(arg));
         }
     }
+    if paths.len() < 2 {
+        eprintln!("svc_check: needs a reply stream and at least one reference file\n{USAGE}");
+        exit(2);
+    }
+    let reference_paths = paths.split_off(1);
+    let replies_path = &paths[0];
 
-    let replies = std::fs::read_to_string(&replies_path).expect("read replies file");
+    let replies = read(replies_path);
     let jobs = collect_jobs(&replies);
     if jobs.is_empty() {
         fail("reply stream accepted no jobs");
     }
 
-    let reference = std::fs::read_to_string(&reference_path).expect("read reference file");
-    let reference = Json::parse(&reference).expect("parse reference file");
-    let curves = curves_by_label(&reference);
+    let mut curves = BTreeMap::new();
+    for path in &reference_paths {
+        let reference = Json::parse(&read(path))
+            .unwrap_or_else(|e| fail(&format!("parse {}: {e}", path.display())));
+        for (label, points) in curves_by_label(&reference) {
+            if curves.insert(label.clone(), points).is_some() {
+                fail(&format!(
+                    "label {label:?} appears in two reference files (again in {})",
+                    path.display()
+                ));
+            }
+        }
+    }
 
     let mut ber_rows = 0usize;
     let mut compliance_done = 0usize;
@@ -104,11 +123,15 @@ fn main() {
         }
     }
     println!(
-        "svc_check: {} jobs verified ({ber_rows} BER rows byte-identical to {}, \
-         {compliance_done} compliance jobs)",
+        "svc_check: {} jobs verified ({ber_rows} BER rows byte-identical to {} \
+         reference curves, {compliance_done} compliance jobs)",
         jobs.len(),
-        reference_path.display()
+        curves.len()
     );
+}
+
+fn read(path: &std::path::Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {}: {e}", path.display())))
 }
 
 /// Groups the reply stream's events per job, failing on any error events.

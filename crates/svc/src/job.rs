@@ -11,22 +11,19 @@
 //! multi-worker curve run).
 //!
 //! Validation is fallible end to end: a bad standard, codec key, block
-//! length or stop-rule setting turns into a `rejected` reason, never a
-//! daemon panic.
+//! length, λ width or stop-rule setting turns into a `rejected` reason,
+//! never a daemon panic.  Codecs and their block checks come from the
+//! `code-tables` catalogue ([`StandardCode::resolve`] and
+//! [`StandardCode::codec`]), the same constructor `ber_study` uses.
 
-use code_tables::{dvb_rcs_ctc, wifi_ldpc, wran_ldpc, LteTurboCode, Standard};
-use decoder_bench::{
-    dvb_rcs_turbo_codec, ldpc_codec, lte_turbo_codec, quantized_ldpc_codec, standard_snrs,
-    study_engine_config, study_seed, turbo_codec, wifi_ldpc_codec, wran_ldpc_codec, AdaptiveFlags,
-    CodecClass, LdpcFlavor,
-};
-use fec_channel::sim::{FecCodec, SimulationEngine};
+use code_tables::{DecoderKind, Standard, StandardCode};
+use decoder_bench::{standard_snrs, study_engine_config, study_seed, AdaptiveFlags};
+use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
 use fec_channel::{AwgnChannel, EbN0};
 use fec_json::{Json, ToJson};
 use fec_sched::Priority;
 use noc_decoder::{run_multi_compliance_sharded, ComplianceScope, DecoderConfig};
-use wimax_ldpc::{CodeRate, QcLdpcCode};
-use wimax_turbo::{CtcCode, ExtrinsicExchange};
+use wimax_turbo::ExtrinsicExchange;
 
 use crate::protocol::as_u64;
 
@@ -65,35 +62,16 @@ pub enum Unit {
     },
 }
 
-/// Which decoder a BER job runs, named like the CLI flags that select it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecKey {
-    /// Layered normalized min-sum, f64 reference datapath.
-    Layered,
-    /// Two-phase flooding normalized min-sum.
-    Flooding,
-    /// Fixed-point layered min-sum (the hardware datapath model).
-    Quantized,
-    /// Binary turbo (LTE only).
-    Turbo,
-    /// Duo-binary CTC with symbol-level extrinsic exchange.
-    TurboSymbol,
-    /// Duo-binary CTC with bit-level extrinsic exchange.
-    TurboBit,
-}
-
 /// The settings of one BER curve family, identical to a `ber_study` run
 /// with the same options (same seed, same engine assembly).
 #[derive(Debug, Clone)]
 pub struct BerSpec {
     /// The standard whose code is decoded.
     pub standard: Standard,
-    /// The decoder flavour.
-    pub codec: CodecKey,
+    /// The decoder, with its λ width on the fixed-point datapath.
+    pub decoder: DecoderKind,
     /// Block size: LDPC length `n`, turbo info bits `k`, or CTC couples.
     pub block: usize,
-    /// λ quantization width for the WiMAX fixed-point datapath.
-    pub lambda_bits: u32,
     /// Frames per point (exact in fixed mode, a cap in adaptive mode).
     pub frames: u64,
     /// Frames per decode call (`FecCodec::decode_frames`).
@@ -103,53 +81,22 @@ pub struct BerSpec {
 }
 
 impl BerSpec {
-    fn class(&self) -> CodecClass {
-        match self.codec {
-            CodecKey::Layered | CodecKey::Flooding | CodecKey::Quantized => CodecClass::Ldpc,
-            CodecKey::Turbo | CodecKey::TurboSymbol | CodecKey::TurboBit => CodecClass::Turbo,
-        }
+    /// The catalogue codec of the spec.
+    fn codec(&self) -> Result<Box<dyn FecCodec>, String> {
+        StandardCode::resolve(self.standard, self.decoder, self.block)?.codec(self.decoder)
     }
 
-    /// Builds the codec.  Infallible after [`parse`] validated the block.
-    fn build_codec(&self) -> Box<dyn FecCodec> {
-        let flavor = match self.codec {
-            CodecKey::Layered => Some(LdpcFlavor::Layered),
-            CodecKey::Flooding => Some(LdpcFlavor::Flooding),
-            CodecKey::Quantized => Some(LdpcFlavor::Quantized),
-            _ => None,
-        };
-        match (self.standard, self.codec) {
-            (Standard::Wimax, CodecKey::Quantized) => {
-                quantized_ldpc_codec(self.block, self.lambda_bits)
-            }
-            (Standard::Wimax, CodecKey::TurboSymbol) => {
-                turbo_codec(self.block, ExtrinsicExchange::SymbolLevel)
-            }
-            (Standard::Wimax, CodecKey::TurboBit) => {
-                turbo_codec(self.block, ExtrinsicExchange::BitLevel)
-            }
-            (Standard::Wimax, _) => ldpc_codec(self.block, flavor.expect("ldpc key")),
-            (Standard::Wifi80211n, _) => wifi_ldpc_codec(self.block, flavor.expect("ldpc key")),
-            (Standard::Wran80222, _) => wran_ldpc_codec(self.block, flavor.expect("ldpc key")),
-            (Standard::Lte, _) => lte_turbo_codec(self.block),
-            (Standard::DvbRcs, CodecKey::TurboSymbol) => {
-                dvb_rcs_turbo_codec(self.block, ExtrinsicExchange::SymbolLevel)
-            }
-            (Standard::DvbRcs, _) => dvb_rcs_turbo_codec(self.block, ExtrinsicExchange::BitLevel),
-        }
-    }
-
-    fn engine(&self) -> SimulationEngine {
-        // One worker: the unit runs serial inline on the pool worker it was
-        // scheduled on — no nested thread fan-out — and its counts are
-        // byte-identical to any multi-worker one-shot run of the same point.
-        SimulationEngine::new(study_engine_config(
+    /// One worker: the unit runs serial inline on the pool worker it was
+    /// scheduled on — no nested thread fan-out — and its counts are
+    /// byte-identical to any multi-worker one-shot run of the same point.
+    fn engine_config(&self) -> EngineConfig {
+        study_engine_config(
             self.frames,
             1,
             self.batch_frames,
             self.adaptive,
-            study_seed(self.standard, self.class()),
-        ))
+            study_seed(self.standard, self.decoder),
+        )
     }
 }
 
@@ -185,47 +132,43 @@ fn parse_standard(request: &Json) -> Result<Option<Standard>, String> {
 
 fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
     let standard = parse_standard(request)?.unwrap_or(Standard::Wimax);
-    let codec = match request.get("codec").map(|v| v.as_str()) {
-        None => Ok(match standard {
-            Standard::Lte => CodecKey::Turbo,
-            Standard::DvbRcs => CodecKey::TurboBit,
-            _ => CodecKey::Layered,
-        }),
-        Some(Some("layered")) => Ok(CodecKey::Layered),
-        Some(Some("flooding")) => Ok(CodecKey::Flooding),
-        Some(Some("quantized")) => Ok(CodecKey::Quantized),
-        Some(Some("turbo")) => Ok(CodecKey::Turbo),
-        Some(Some("turbo-symbol")) => Ok(CodecKey::TurboSymbol),
-        Some(Some("turbo-bit")) => Ok(CodecKey::TurboBit),
-        Some(_) => Err(
-            "\"codec\" must be one of layered, flooding, quantized, turbo, \
+    let mut decoder = match request.get("codec").map(|v| v.as_str()) {
+        None => match standard {
+            Standard::Lte => DecoderKind::Turbo,
+            Standard::DvbRcs => DecoderKind::Ctc(ExtrinsicExchange::BitLevel),
+            _ => DecoderKind::Layered,
+        },
+        Some(Some("layered")) => DecoderKind::Layered,
+        Some(Some("flooding")) => DecoderKind::Flooding,
+        Some(Some("quantized")) => DecoderKind::Quantized { lambda_bits: 7 },
+        Some(Some("turbo")) => DecoderKind::Turbo,
+        Some(Some("turbo-symbol")) => DecoderKind::Ctc(ExtrinsicExchange::SymbolLevel),
+        Some(Some("turbo-bit")) => DecoderKind::Ctc(ExtrinsicExchange::BitLevel),
+        Some(_) => {
+            return Err(
+                "\"codec\" must be one of layered, flooding, quantized, turbo, \
                         turbo-symbol, turbo-bit"
-                .to_string(),
-        ),
-    }?;
-    validate_combo(standard, codec)?;
-
-    let block = match request.get("block") {
-        None => default_block(standard, codec),
-        Some(v) => as_u64(v).ok_or("\"block\" must be a positive integer")? as usize,
-    };
-    validate_block(standard, codec, block)?;
-
-    let lambda_bits = match request.get("lambda_bits") {
-        None => 7,
-        Some(v) => {
-            if !(standard == Standard::Wimax && codec == CodecKey::Quantized) {
-                return Err(
-                    "\"lambda_bits\" is only meaningful for the wimax quantized codec".to_string(),
-                );
-            }
-            let bits = as_u64(v).ok_or("\"lambda_bits\" must be a positive integer")?;
-            if !(2..=15).contains(&bits) {
-                return Err("\"lambda_bits\" must be in 2..=15".to_string());
-            }
-            bits as u32
+                    .to_string(),
+            )
         }
     };
+    let block = match request.get("block") {
+        None => default_block(standard, decoder),
+        Some(v) => as_u64(v).ok_or("\"block\" must be a positive integer")? as usize,
+    };
+    let code = StandardCode::resolve(standard, decoder, block)?;
+    if let Some(v) = request.get("lambda_bits") {
+        if !(standard == Standard::Wimax && matches!(decoder, DecoderKind::Quantized { .. })) {
+            return Err(
+                "\"lambda_bits\" is only meaningful for the wimax quantized codec".to_string(),
+            );
+        }
+        let bits = as_u64(v).ok_or("\"lambda_bits\" must be a positive integer")?;
+        // A width beyond `u32` is outside the catalogue's range as well.
+        let lambda_bits = u32::try_from(bits).unwrap_or(u32::MAX);
+        decoder = DecoderKind::Quantized { lambda_bits };
+    }
+    let codec = code.codec(decoder)?;
 
     let frames = match request.get("frames") {
         None => 60,
@@ -276,17 +219,15 @@ fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
 
     let spec = BerSpec {
         standard,
-        codec,
+        decoder,
         block,
-        lambda_bits,
         frames,
         batch_frames,
         adaptive,
     };
     // Reuse the engine's own validation for the stop-rule ranges so the
-    // daemon rejects exactly what the CLI would panic on.
-    spec.engine_config_for_validation().validate()?;
-    let codec = spec.build_codec();
+    // daemon rejects exactly what `ber_study` rejects.
+    spec.engine_config().validate()?;
     // 10^(dB/10) overflows above about 3083 dB and underflows to 0 below
     // about -3233 dB (the exact rails depend on the code rate); the AWGN
     // channel needs a finite, positive noise variance.
@@ -313,18 +254,6 @@ fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
         priority,
         units,
     })
-}
-
-impl BerSpec {
-    fn engine_config_for_validation(&self) -> fec_channel::sim::EngineConfig {
-        study_engine_config(
-            self.frames,
-            1,
-            self.batch_frames,
-            self.adaptive,
-            study_seed(self.standard, self.class()),
-        )
-    }
 }
 
 fn parse_compliance(request: &Json, priority: Priority) -> Result<JobSpec, String> {
@@ -355,61 +284,16 @@ fn parse_compliance(request: &Json, priority: Priority) -> Result<JobSpec, Strin
     })
 }
 
-/// Standard/codec combinations the registries can actually build.
-fn validate_combo(standard: Standard, codec: CodecKey) -> Result<(), String> {
-    let ok = match standard {
-        Standard::Wimax => codec != CodecKey::Turbo,
-        Standard::Wifi80211n | Standard::Wran80222 => matches!(
-            codec,
-            CodecKey::Layered | CodecKey::Flooding | CodecKey::Quantized
-        ),
-        Standard::Lte => codec == CodecKey::Turbo,
-        Standard::DvbRcs => matches!(codec, CodecKey::TurboSymbol | CodecKey::TurboBit),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(format!(
-            "codec is not available for standard {}",
-            standard.flag()
-        ))
-    }
-}
-
-/// The `ber_study` default block per `(standard, codec class)` family.
-fn default_block(standard: Standard, codec: CodecKey) -> usize {
-    match (standard, codec) {
-        (Standard::Wimax, CodecKey::TurboSymbol | CodecKey::TurboBit) => 240,
+/// The `ber_study` default block per `(standard, decoder)` family.
+fn default_block(standard: Standard, decoder: DecoderKind) -> usize {
+    match (standard, decoder) {
+        (Standard::Wimax, DecoderKind::Ctc(_)) => 240,
         (Standard::Wimax, _) => 576,
         (Standard::Wifi80211n, _) => 648,
         (Standard::Wran80222, _) => 480,
         (Standard::Lte, _) => 1024,
         (Standard::DvbRcs, _) => 212,
     }
-}
-
-/// Checks the block against the standard's code registry without
-/// constructing a decoder (the same tables the codec builders `expect` on).
-fn validate_block(standard: Standard, codec: CodecKey, block: usize) -> Result<(), String> {
-    let result = match (standard, codec) {
-        (Standard::Wimax, CodecKey::TurboSymbol | CodecKey::TurboBit) => CtcCode::wimax(block)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::Wimax, _) => QcLdpcCode::wimax(block, CodeRate::R12)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::Wifi80211n, _) => wifi_ldpc(block, CodeRate::R12)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::Wran80222, _) => wran_ldpc(block, CodeRate::R12)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::Lte, _) => LteTurboCode::new(block)
-            .map(|_| ())
-            .map_err(|e| format!("{e:?}")),
-        (Standard::DvbRcs, _) => dvb_rcs_ctc(block).map(|_| ()).map_err(|e| format!("{e:?}")),
-    };
-    result.map_err(|e| format!("invalid block {block} for {}: {e}", standard.flag()))
 }
 
 /// Executes one work unit, returning its result rows in order.  Panics in
@@ -426,8 +310,9 @@ pub fn run_unit(unit: &Unit) -> Result<Vec<Json>, String> {
 fn run_unit_inner(unit: &Unit) -> Result<Vec<Json>, String> {
     match unit {
         Unit::Ber { spec, ebn0_db } => {
-            let codec = spec.build_codec();
-            let point = spec.engine().run_point(codec.as_ref(), *ebn0_db);
+            let codec = spec.codec()?;
+            let engine = SimulationEngine::new(spec.engine_config());
+            let point = engine.run_point(codec.as_ref(), *ebn0_db);
             Ok(vec![Json::obj([
                 ("label", Json::str(codec.name())),
                 ("point", point.to_json()),
@@ -515,8 +400,20 @@ mod tests {
                 "not available",
             ),
             (
+                r#"{"type":"submit","job":"ber","standard":"80211n","codec":"turbo-bit"}"#,
+                "not available",
+            ),
+            (
                 r#"{"type":"submit","job":"ber","block":577}"#,
                 "invalid block 577",
+            ),
+            (
+                r#"{"type":"submit","job":"ber","codec":"quantized","lambda_bits":16}"#,
+                "\"lambda_bits\" must be in 2..=15",
+            ),
+            (
+                r#"{"type":"submit","job":"ber","standard":"80211n","codec":"quantized","lambda_bits":6}"#,
+                "only meaningful",
             ),
             (r#"{"type":"submit","job":"ber","frames":0}"#, "\"frames\""),
             (
@@ -552,35 +449,113 @@ mod tests {
         assert_eq!(one.units.len(), 1);
     }
 
+    /// Every accepted `(standard, codec)` combination, at its default
+    /// block: the unit's row is the one-shot engine point of the catalogue
+    /// codec, at a different worker count — bit-identical by the engine
+    /// contract.
     #[test]
     fn ber_unit_rows_match_the_one_shot_engine_point() {
-        let spec = parse(&submit(
-            r#"{"type":"submit","job":"ber","frames":5,"snrs":[2.0]}"#,
-        ))
-        .unwrap();
-        let rows = run_unit(&spec.units[0]).unwrap();
-        assert_eq!(rows.len(), 1);
-        // The reference: the same engine assembly the CLI uses, at a
-        // different worker count — bit-identical by the engine contract.
-        let engine = SimulationEngine::new(study_engine_config(
-            5,
-            4,
-            1,
-            None,
-            study_seed(Standard::Wimax, CodecClass::Ldpc),
-        ));
-        let reference = engine.run_point(
-            decoder_bench::ldpc_codec(576, LdpcFlavor::Layered).as_ref(),
-            2.0,
-        );
-        assert_eq!(
-            rows[0].get("point").unwrap().to_string(),
-            reference.to_json().to_string()
-        );
-        assert_eq!(
-            rows[0].get("label").and_then(Json::as_str),
-            Some("wimax-ldpc-n576-layered")
-        );
+        use DecoderKind::{Ctc, Flooding, Layered, Quantized, Turbo};
+        use ExtrinsicExchange::{BitLevel, SymbolLevel};
+        let q7 = Quantized { lambda_bits: 7 };
+        let combos = [
+            ("wimax", "layered", Layered, 576, "wimax-ldpc-n576-layered"),
+            (
+                "wimax",
+                "flooding",
+                Flooding,
+                576,
+                "wimax-ldpc-n576-flooding",
+            ),
+            ("wimax", "quantized", q7, 576, "wimax-ldpc-n576-layered-q7"),
+            (
+                "wimax",
+                "turbo-symbol",
+                Ctc(SymbolLevel),
+                240,
+                "wimax-ctc-240c-symbol",
+            ),
+            (
+                "wimax",
+                "turbo-bit",
+                Ctc(BitLevel),
+                240,
+                "wimax-ctc-240c-bit",
+            ),
+            (
+                "80211n",
+                "layered",
+                Layered,
+                648,
+                "80211n-ldpc-n648-layered",
+            ),
+            (
+                "80211n",
+                "flooding",
+                Flooding,
+                648,
+                "80211n-ldpc-n648-flooding",
+            ),
+            (
+                "80211n",
+                "quantized",
+                q7,
+                648,
+                "80211n-ldpc-n648-layered-q7",
+            ),
+            ("80222", "layered", Layered, 480, "80222-ldpc-n480-layered"),
+            (
+                "80222",
+                "flooding",
+                Flooding,
+                480,
+                "80222-ldpc-n480-flooding",
+            ),
+            ("80222", "quantized", q7, 480, "80222-ldpc-n480-layered-q7"),
+            ("lte", "turbo", Turbo, 1024, "lte-turbo-k1024"),
+            (
+                "dvbrcs",
+                "turbo-symbol",
+                Ctc(SymbolLevel),
+                212,
+                "dvbrcs-ctc-212c-symbol",
+            ),
+            (
+                "dvbrcs",
+                "turbo-bit",
+                Ctc(BitLevel),
+                212,
+                "dvbrcs-ctc-212c-bit",
+            ),
+        ];
+        for (flag, key, decoder, block, label) in combos {
+            let spec = parse(&submit(&format!(
+                r#"{{"type":"submit","job":"ber","standard":"{flag}","codec":"{key}",
+                   "frames":2,"snrs":[2.0]}}"#
+            )))
+            .unwrap();
+            assert_eq!(spec.label, label);
+            let rows = run_unit(&spec.units[0]).unwrap();
+            assert_eq!(rows.len(), 1, "{label}");
+            let standard: Standard = flag.parse().unwrap();
+            let engine = SimulationEngine::new(study_engine_config(
+                2,
+                4,
+                1,
+                None,
+                study_seed(standard, decoder),
+            ));
+            let codec = StandardCode::resolve(standard, decoder, block)
+                .and_then(|code| code.codec(decoder))
+                .unwrap();
+            let reference = engine.run_point(codec.as_ref(), 2.0);
+            assert_eq!(
+                rows[0].get("point").unwrap().to_string(),
+                reference.to_json().to_string(),
+                "{label}"
+            );
+            assert_eq!(rows[0].get("label").and_then(Json::as_str), Some(label));
+        }
     }
 
     #[test]

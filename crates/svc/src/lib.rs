@@ -14,8 +14,8 @@
 //! # Determinism
 //!
 //! A daemon BER job is built by [`decoder_bench::study_engine_config`] with
-//! the [`decoder_bench::study_seed`] of its `(standard, codec-class)`
-//! family — literally the same engine assembly as a `ber_study` run with
+//! the [`decoder_bench::study_seed`] of its `(standard, decoder)` family —
+//! literally the same engine assembly as a `ber_study` run with
 //! the same options — and each `Eb/N0` point runs as one single-worker
 //! engine unit whose RNG stream is keyed on `(seed, shard, ebn0_db)`.  A
 //! job's rows are therefore byte-identical to the one-shot CLI output for

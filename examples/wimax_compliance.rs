@@ -19,7 +19,7 @@
 //! schema ([`noc_decoder::obs_export`]); `--metrics-report` prints the
 //! ASCII report.
 
-use decoder_bench::CommonFlags;
+use decoder_bench::{exit_with_usage, CommonFlags};
 use fec_json::{Json, StreamedRows};
 use fec_obs::{Registry, WallClock};
 use noc_decoder::{
@@ -27,12 +27,19 @@ use noc_decoder::{
     DecoderConfig,
 };
 
+const USAGE: &str = "usage: wimax_compliance [--full] \
+                     [--standard wimax|80211n|lte|80222|dvbrcs] [--workers <n>] \
+                     [--json <path>] [--metrics <path>] [--metrics-report]";
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let flags = CommonFlags::parse(std::env::args().skip(1));
+    let parsed = CommonFlags::parse(std::env::args().skip(1)).and_then(|flags| {
+        match flags.rest.iter().find(|a| *a != "--full") {
+            Some(extra) => Err(format!("unrecognised argument: {extra}")),
+            None => Ok(flags),
+        }
+    });
+    let flags = parsed.unwrap_or_else(|e| exit_with_usage("wimax_compliance", &e, USAGE));
     let full = flags.rest.iter().any(|a| a == "--full");
-    if let Some(extra) = flags.rest.iter().find(|a| *a != "--full") {
-        panic!("unrecognised argument: {extra}");
-    }
     let standard = flags.standard;
     let workers = flags.workers;
     let json_path = flags.json;

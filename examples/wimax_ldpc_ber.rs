@@ -1,15 +1,16 @@
 //! BER study of the WiMAX LDPC decoders: layered normalized-min-sum versus
 //! two-phase flooding, over a small Eb/N0 sweep.
 //!
-//! Both curves run on the unified parallel Monte-Carlo engine
+//! Both codecs come from the `code-tables` catalogue and both curves run
+//! on the unified parallel Monte-Carlo engine
 //! (`fec_channel::sim::SimulationEngine`) — this example only selects the
-//! two codec flavours and formats the comparison table.
+//! two decoders and formats the comparison table.
 //!
 //! Run with `cargo run --example wimax_ldpc_ber --release -- [frames]`.
 
+use code_tables::DecoderKind;
 use fec_channel::sim::{EngineConfig, SimulationEngine};
-use wimax_ldpc::decoder::{FloodingConfig, LayeredConfig};
-use wimax_ldpc::{CodeRate, FloodingLdpcCodec, LayeredLdpcCodec, QcLdpcCode};
+use noc_decoder::{Standard, StandardCode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frames: u64 = std::env::args()
@@ -17,20 +18,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|a| a.parse().ok())
         .unwrap_or(40);
 
-    let code = QcLdpcCode::wimax(576, CodeRate::R12)?;
-    let layered = LayeredLdpcCodec::new(&code, LayeredConfig::default());
-    let flooding = FloodingLdpcCodec::new(
-        &code,
-        FloodingConfig {
-            max_iterations: 10,
-            ..FloodingConfig::default()
-        },
-    );
+    let code = StandardCode::resolve(Standard::Wimax, DecoderKind::Layered, 576)?;
+    let layered = code.codec(DecoderKind::Layered)?;
+    let flooding = code.codec(DecoderKind::Flooding)?;
 
     let engine = SimulationEngine::new(EngineConfig::fixed_frames(frames, 42));
     let snrs = [1.0f64, 1.5, 2.0, 2.5];
-    let lay = engine.run_curve(&layered, &snrs);
-    let flo = engine.run_curve(&flooding, &snrs);
+    let lay = engine.run_curve(layered.as_ref(), &snrs);
+    let flo = engine.run_curve(flooding.as_ref(), &snrs);
 
     println!(
         "WiMAX LDPC N=576 r=1/2, {frames} frames per point, {} worker threads",

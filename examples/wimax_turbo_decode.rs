@@ -1,14 +1,17 @@
 //! Double-binary turbo decoding example: compares symbol-level and bit-level
 //! extrinsic exchange (the paper's NoC payload reduction, Section IV.B).
 //!
-//! Both curves run on the unified parallel Monte-Carlo engine
+//! Both codecs come from the `code-tables` catalogue and both curves run
+//! on the unified parallel Monte-Carlo engine
 //! (`fec_channel::sim::SimulationEngine`) — this example only selects the
 //! two exchange modes and formats the comparison table.
 //!
 //! Run with `cargo run --example wimax_turbo_decode --release -- [frames]`.
 
+use code_tables::DecoderKind;
 use fec_channel::sim::{EngineConfig, SimulationEngine};
-use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
+use noc_decoder::{Standard, StandardCode};
+use wimax_turbo::ExtrinsicExchange::{BitLevel, SymbolLevel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let frames: u64 = std::env::args()
@@ -16,27 +19,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(|a| a.parse().ok())
         .unwrap_or(30);
 
-    let code = CtcCode::wimax(240)?; // 480 information bits, rate 1/2
-    let codec_for = |exchange| {
-        TurboCodec::new(
-            &code,
-            TurboDecoderConfig {
-                exchange,
-                ..TurboDecoderConfig::default()
-            },
-        )
-    };
-    let symbol = codec_for(ExtrinsicExchange::SymbolLevel);
-    let bit = codec_for(ExtrinsicExchange::BitLevel);
+    // 240 couples: 480 information bits, rate 1/2.
+    let code = StandardCode::resolve(Standard::Wimax, DecoderKind::Ctc(BitLevel), 240)?;
+    let symbol = code.codec(DecoderKind::Ctc(SymbolLevel))?;
+    let bit = code.codec(DecoderKind::Ctc(BitLevel))?;
 
     let engine = SimulationEngine::new(EngineConfig::fixed_frames(frames, 7));
     let snrs = [1.0f64, 1.5, 2.0, 2.5];
-    let sym_curve = engine.run_curve(&symbol, &snrs);
-    let bit_curve = engine.run_curve(&bit, &snrs);
+    let sym_curve = engine.run_curve(symbol.as_ref(), &snrs);
+    let bit_curve = engine.run_curve(bit.as_ref(), &snrs);
 
     println!(
         "WiMAX DBTC, {} couples ({} info bits), rate 1/2, {frames} frames per point, {} worker threads",
-        code.couples(),
+        code.mapping_units(),
         code.info_bits(),
         engine.effective_workers()
     );

@@ -1,26 +1,24 @@
 //! Integration tests of the unified Monte-Carlo simulation engine with the
 //! real WiMAX codecs: worker-count invariance (the determinism contract of
-//! `fec_channel::sim`), early-stopping bounds, and the `NocDecoder`
-//! BER entry point.
+//! `fec_channel::sim`) and early-stopping bounds.
 
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
 use fec_channel::StopRule;
-use noc_decoder::{DecoderConfig, NocDecoder};
 use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
 use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec};
 use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
 
-fn ldpc_codec() -> LayeredLdpcCodec {
+fn layered_codec() -> LayeredLdpcCodec {
     let code = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length");
     LayeredLdpcCodec::new(&code, LayeredConfig::default())
 }
 
-fn quantized_ldpc_codec() -> QuantizedLayeredLdpcCodec {
+fn q7_codec() -> QuantizedLayeredLdpcCodec {
     let code = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length");
     QuantizedLayeredLdpcCodec::new(&code, FixedLayeredConfig::default())
 }
 
-fn turbo_codec() -> TurboCodec {
+fn ctc_codec() -> TurboCodec {
     let code = CtcCode::wimax(24).expect("valid WiMAX frame size");
     TurboCodec::new(
         &code,
@@ -48,7 +46,7 @@ fn engine(workers: usize, frames: u64) -> SimulationEngine {
 /// with the real layered LDPC decoder in the loop.
 #[test]
 fn ldpc_counts_are_identical_for_1_2_and_8_workers() {
-    let codec = ldpc_codec();
+    let codec = layered_codec();
     let frames = 60;
     let reference = engine(1, frames).run_point(&codec, 1.5);
     for workers in [2, 8] {
@@ -61,7 +59,7 @@ fn ldpc_counts_are_identical_for_1_2_and_8_workers() {
 /// contract: bit-identical counts for 1, 2 and 8 workers.
 #[test]
 fn quantized_ldpc_counts_are_identical_for_1_2_and_8_workers() {
-    let codec = quantized_ldpc_codec();
+    let codec = q7_codec();
     let frames = 60;
     let reference = engine(1, frames).run_point(&codec, 1.5);
     for workers in [2, 8] {
@@ -79,7 +77,7 @@ fn quantized_ldpc_counts_are_identical_for_1_2_and_8_workers() {
 /// wide, and at 1.0 dB a block's lanes converge at different iterations.
 #[test]
 fn quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() {
-    let codec = quantized_ldpc_codec();
+    let codec = q7_codec();
     let engine = |workers: usize, batch: usize| {
         SimulationEngine::new(
             EngineConfig {
@@ -110,7 +108,7 @@ fn quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() {
 /// early stop.
 #[test]
 fn adaptive_quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() {
-    let codec = quantized_ldpc_codec();
+    let codec = q7_codec();
     let adaptive = |workers: usize, batch: usize| {
         SimulationEngine::new(
             EngineConfig::adaptive(512, 0.35, 0.9, 2012)
@@ -137,7 +135,7 @@ fn adaptive_quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() 
 /// The turbo codec satisfies the same worker-count invariance.
 #[test]
 fn turbo_counts_are_identical_for_1_2_and_8_workers() {
-    let codec = turbo_codec();
+    let codec = ctc_codec();
     let frames = 40;
     let reference = engine(1, frames).run_point(&codec, 0.5);
     for workers in [2, 8] {
@@ -151,7 +149,7 @@ fn turbo_counts_are_identical_for_1_2_and_8_workers() {
 /// decoder in the loop.
 #[test]
 fn ldpc_curve_counts_are_identical_for_1_2_and_8_workers() {
-    let codec = ldpc_codec();
+    let codec = layered_codec();
     let frames = 48;
     let snrs = [0.5, 1.5, 2.5];
     let reference = engine(1, frames).run_curve(&codec, &snrs);
@@ -166,7 +164,7 @@ fn ldpc_curve_counts_are_identical_for_1_2_and_8_workers() {
 /// points one at a time (the pre-pool `run_curve` behaviour).
 #[test]
 fn pooled_curve_matches_point_at_a_time_runs() {
-    let codec = ldpc_codec();
+    let codec = layered_codec();
     let frames = 40;
     let snrs = [1.0, 2.0];
     let eng = engine(4, frames);
@@ -180,7 +178,7 @@ fn pooled_curve_matches_point_at_a_time_runs() {
 /// the very first scheduling round.
 #[test]
 fn early_stopping_respects_min_frames_with_a_real_codec() {
-    let codec = ldpc_codec();
+    let codec = layered_codec();
     let mut cfg = EngineConfig::adaptive(5_000, 0.35, 0.9, 2012)
         .with_shards(16)
         .with_workers(2);
@@ -199,32 +197,14 @@ fn early_stopping_respects_min_frames_with_a_real_codec() {
     );
 }
 
-/// A full curve through the `NocDecoder` entry point is reproducible and
-/// worker-count independent end to end.
-#[test]
-fn noc_decoder_ber_curve_is_reproducible() {
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
-    let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-    let snrs = [1.0, 2.0];
-    let run = |workers| {
-        let engine = SimulationEngine::new(EngineConfig::fixed_frames(30, 9).with_workers(workers));
-        decoder.ldpc_ber_curve(&code, &snrs, &engine)
-    };
-    let single = run(1);
-    assert_eq!(single, run(4));
-    assert_eq!(single.points.len(), 2);
-    assert!(single.points.iter().all(|p| p.frames == 30));
-    assert!(single.points[0].ber >= single.points[1].ber);
-}
-
 /// The object-safe `FecCodec` interface reports consistent dimensions for
 /// every adapter.
 #[test]
 fn codec_dimensions_are_consistent() {
     let codecs: Vec<Box<dyn FecCodec>> = vec![
-        Box::new(ldpc_codec()),
-        Box::new(quantized_ldpc_codec()),
-        Box::new(turbo_codec()),
+        Box::new(layered_codec()),
+        Box::new(q7_codec()),
+        Box::new(ctc_codec()),
     ];
     for codec in &codecs {
         assert!(codec.info_bits() > 0);

@@ -4,11 +4,13 @@
 //! golden outputs, and the architectural layer must evaluate codes from all
 //! five standards in one compliance sweep.
 
-use code_tables::{dvb_rcs_ctc, wifi_ldpc, wran_ldpc};
+use code_tables::{dvb_rcs_ctc, wifi_ldpc, wran_ldpc, DecoderKind};
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
 use fec_channel::{AwgnChannel, BpskModulator, EbN0, StopRule};
 use fec_fixed::Llr;
-use noc_decoder::{registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, Standard};
+use noc_decoder::{
+    registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, Standard, StandardCode,
+};
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::{
     CodeRate, DecodeOutcome, FloodingConfig, FloodingDecoder, FloodingLdpcCodec, LayeredConfig,
@@ -24,6 +26,18 @@ fn smallest_corner(standard: Standard) -> noc_decoder::StandardCode {
         .into_iter()
         .min_by_key(|c| c.info_bits())
         .expect("registry has corner codes")
+}
+
+/// The catalogue codec of a registry code: layered for LDPC, Max-Log-MAP
+/// with the default bit-level exchange for the CTCs.
+fn codec_of(code: &StandardCode, ldpc: DecoderKind) -> Box<dyn FecCodec> {
+    let decoder = match code.standard() {
+        Standard::Lte => DecoderKind::Turbo,
+        _ if code.is_ldpc() => ldpc,
+        _ => DecoderKind::Ctc(ExtrinsicExchange::BitLevel),
+    };
+    code.codec(decoder)
+        .expect("the catalogue builds every registry code")
 }
 
 fn engine(workers: usize) -> SimulationEngine {
@@ -44,7 +58,7 @@ fn per_standard_round_trip_is_error_free_and_worker_invariant() {
     // channel must be clean enough that every frame decodes.
     for standard in Standard::all() {
         let code = smallest_corner(standard);
-        let codec = code.codec();
+        let codec = codec_of(&code, DecoderKind::Layered);
         let reference = engine(1).run_point(codec.as_ref(), 5.0);
         assert_eq!(reference.frames, 24, "{}", codec.name());
         assert_eq!(
@@ -71,7 +85,7 @@ fn quantized_datapath_is_also_worker_invariant_on_ldpc_standards() {
     // tables through the engine unchanged.
     for standard in [Standard::Wifi80211n, Standard::Wran80222] {
         let code = smallest_corner(standard);
-        let codec = code.quantized_codec().expect("LDPC has a quantized path");
+        let codec = codec_of(&code, DecoderKind::Quantized { lambda_bits: 7 });
         let reference = engine(1).run_point(codec.as_ref(), 5.0);
         assert_eq!(reference.bit_errors, 0, "{}", codec.name());
         for workers in [2usize, 8] {
@@ -121,7 +135,7 @@ fn new_standard_round_trips_are_bit_identical_at_1_2_and_8_workers() {
             .expect("DVB-RCS defines turbo"),
     ];
     for code in codes {
-        let codec = code.codec();
+        let codec = codec_of(&code, DecoderKind::Layered);
         let reference = engine(1).run_point(codec.as_ref(), 5.0);
         assert_eq!(reference.frames, 24, "{}", codec.name());
         assert_eq!(reference.bit_errors, 0, "{}", codec.name());
@@ -166,12 +180,12 @@ struct TurboGolden {
 const HASHED_FRAMES: u64 = 3;
 
 fn registry_codec(standard: Standard, info_bits: usize) -> Box<dyn FecCodec> {
-    registry_for(standard)
+    let code = registry_for(standard)
         .full_codes()
         .into_iter()
         .find(|c| c.info_bits() == info_bits)
-        .expect("registry has the block size")
-        .codec()
+        .expect("registry has the block size");
+    codec_of(&code, DecoderKind::Layered)
 }
 
 fn ctc_codec(code: CtcCode, exchange: ExtrinsicExchange) -> Box<dyn FecCodec> {

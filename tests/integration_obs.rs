@@ -10,7 +10,7 @@ use fec_obs::{ManualClock, MetricValue, Registry};
 use wimax_ldpc::decoder::FixedLayeredConfig;
 use wimax_ldpc::{CodeRate, QcLdpcCode, QuantizedLayeredLdpcCodec};
 
-fn quantized_codec() -> QuantizedLayeredLdpcCodec {
+fn q7_codec() -> QuantizedLayeredLdpcCodec {
     let code = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length");
     QuantizedLayeredLdpcCodec::new(&code, FixedLayeredConfig::default())
 }
@@ -49,7 +49,7 @@ fn lockstep_blocks(obs: &Registry) -> u64 {
 /// 1.0 dB a block's lanes converge at different iterations.
 #[test]
 fn observed_counts_are_byte_identical_for_any_worker_and_batch_size() {
-    let codec = quantized_codec();
+    let codec = q7_codec();
     let snrs = [1.0, 2.0];
     let clock = ManualClock::default();
     // Blocks per 16-frame job: chunks of 5 run as 4 + 1 three times, then 1.
