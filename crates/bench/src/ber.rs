@@ -151,6 +151,64 @@ mod tests {
         let fixed = run_ldpc_ber(576, Q7, &[3.0], 10, 1);
         assert_eq!(float[0].frames, fixed[0].frames);
         assert_eq!(fixed[0].ber, 0.0, "7-bit datapath must be clean at 3 dB");
+        let custom = catalogue_codec(
+            Standard::Wimax,
+            DecoderKind::Quantized { lambda_bits: 6 },
+            576,
+        );
+        assert_eq!(custom.name(), "wimax-ldpc-n576-layered-q6");
+    }
+
+    #[test]
+    fn wifi_codecs_run_on_both_datapaths() {
+        for decoder in [DecoderKind::Layered, Q7] {
+            let codec = catalogue_codec(Standard::Wifi80211n, decoder, 648);
+            let engine = SimulationEngine::new(EngineConfig::fixed_frames(5, 4));
+            let point = engine.run_point(codec.as_ref(), 6.0);
+            assert_eq!(point.bit_errors, 0, "{}", codec.name());
+        }
+        assert_eq!(
+            catalogue_codec(Standard::Wifi80211n, Q7, 1296).name(),
+            "80211n-ldpc-n1296-layered-q7"
+        );
+    }
+
+    #[test]
+    fn lte_codec_runs_through_the_engine() {
+        let codec = catalogue_codec(Standard::Lte, DecoderKind::Turbo, 104);
+        let engine = SimulationEngine::new(EngineConfig::fixed_frames(5, 6));
+        let point = engine.run_point(codec.as_ref(), 4.0);
+        assert_eq!(point.bit_errors, 0);
+        assert_eq!(codec.name(), "lte-turbo-k104");
+    }
+
+    #[test]
+    fn wran_codecs_run_on_both_datapaths() {
+        for decoder in [DecoderKind::Layered, Q7] {
+            let codec = catalogue_codec(Standard::Wran80222, decoder, 384);
+            let engine = SimulationEngine::new(EngineConfig::fixed_frames(5, 21));
+            let point = engine.run_point(codec.as_ref(), 6.0);
+            assert_eq!(point.bit_errors, 0, "{}", codec.name());
+        }
+        assert_eq!(
+            catalogue_codec(Standard::Wran80222, Q7, 960).name(),
+            "80222-ldpc-n960-layered-q7"
+        );
+    }
+
+    #[test]
+    fn dvb_rcs_codec_runs_through_the_engine() {
+        let bit = DecoderKind::Ctc(ExtrinsicExchange::BitLevel);
+        let codec = catalogue_codec(Standard::DvbRcs, bit, 48);
+        let engine = SimulationEngine::new(EngineConfig::fixed_frames(5, 22));
+        let point = engine.run_point(codec.as_ref(), 6.0);
+        assert_eq!(point.bit_errors, 0);
+        assert_eq!(codec.name(), "dvbrcs-ctc-48c-bit");
+        let symbol = DecoderKind::Ctc(ExtrinsicExchange::SymbolLevel);
+        assert_eq!(
+            catalogue_codec(Standard::DvbRcs, symbol, 212).name(),
+            "dvbrcs-ctc-212c-symbol"
+        );
     }
 
     #[test]

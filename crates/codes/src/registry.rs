@@ -545,10 +545,74 @@ mod tests {
         assert!(DvbRcsRegistry.corner_codes()[0].label().contains("DVB-RCS"));
     }
 
+    #[test]
+    fn dvb_rcs_codec_reuses_the_duo_binary_substrate_with_its_own_name() {
+        let code = &DvbRcsRegistry.corner_codes()[0];
+        assert!(!code.is_ldpc());
+        assert_eq!(code.info_bits(), 96);
+        assert_eq!(code.mapping_units(), 48);
+        let codec = code.codec(DecoderKind::Ctc(ExtrinsicExchange::BitLevel));
+        assert_eq!(codec.unwrap().name(), "dvbrcs-ctc-48c-bit");
+        assert!(code
+            .codec(DecoderKind::Quantized { lambda_bits: 7 })
+            .is_err());
+    }
+
+    #[test]
+    fn wran_codes_run_both_datapaths() {
+        let code = &WranRegistry.corner_codes()[0];
+        assert!(code.is_ldpc());
+        let layered = code.codec(DecoderKind::Layered).unwrap();
+        assert!(layered.name().contains("80222-ldpc-n384"));
+        let q = code
+            .codec(DecoderKind::Quantized { lambda_bits: 7 })
+            .unwrap();
+        assert!(q.name().contains("80222"), "{}", q.name());
+        assert!(q.name().contains("q7"), "{}", q.name());
+    }
+
+    #[test]
+    fn codecs_roundtrip_noiselessly() {
+        for standard in Standard::all() {
+            let code = &registry_for(standard).corner_codes()[0];
+            let decoder = match code {
+                StandardCode::Ldpc { .. } => DecoderKind::Layered,
+                StandardCode::LteTurbo { .. } => DecoderKind::Turbo,
+                StandardCode::WimaxTurbo { .. } | StandardCode::DvbRcsTurbo { .. } => {
+                    DecoderKind::Ctc(ExtrinsicExchange::default())
+                }
+            };
+            let codec = code.codec(decoder).unwrap();
+            let info: Vec<u8> = (0..codec.info_bits()).map(|i| (i % 2) as u8).collect();
+            let cw = codec.encode(&info);
+            assert_eq!(cw.len(), codec.codeword_bits());
+            let llrs: Vec<Llr> = cw
+                .iter()
+                .map(|&b| Llr::new(8.0 * (1.0 - 2.0 * f64::from(b))))
+                .collect();
+            let out = codec.decode(&llrs);
+            assert_eq!(out.info_bits, info, "{}", codec.name());
+        }
+    }
+
+    #[test]
+    fn quantized_codec_exists_only_for_ldpc() {
+        let q7 = DecoderKind::Quantized { lambda_bits: 7 };
+        let wifi = &WifiRegistry.corner_codes()[0];
+        let q = wifi.codec(q7).unwrap();
+        assert!(q.name().contains("q7"), "{}", q.name());
+        let lte = &LteRegistry.corner_codes()[0];
+        assert!(lte.codec(q7).is_err());
+        // A decoder that does not fit a registry code is refused by the
+        // constructor too, not only by the resolver.
+        assert!(lte.codec(DecoderKind::Layered).is_err());
+        assert!(wifi.codec(DecoderKind::Turbo).is_err());
+    }
+
     /// Every `(standard, decoder, block)` that `ber_study` and the decode
-    /// daemon run, plus the blocks and λ widths older per-builder tests
-    /// pinned: each builds its labelled codec, round-trips a noiseless
-    /// frame and decodes a 5-frame point at 6 dB error-free.
+    /// daemon run: each builds its labelled codec, round-trips a noiseless
+    /// frame and decodes a 5-frame point at 6 dB error-free.  Every other
+    /// combination is refused with a reason.
     #[test]
     fn the_catalogue_builds_every_study_codec_and_rejects_the_rest() {
         use fec_channel::sim::{EngineConfig, SimulationEngine};
@@ -571,20 +635,6 @@ mod tests {
             (Lte, Turbo, 1024, "lte-turbo-k1024"),
             (DvbRcs, Ctc(SymbolLevel), 212, "dvbrcs-ctc-212c-symbol"),
             (DvbRcs, Ctc(BitLevel), 212, "dvbrcs-ctc-212c-bit"),
-            // Sizes and widths outside the study defaults.
-            (
-                Wimax,
-                Quantized { lambda_bits: 6 },
-                576,
-                "wimax-ldpc-n576-layered-q6",
-            ),
-            (Wifi80211n, q7, 1296, "80211n-ldpc-n1296-layered-q7"),
-            (Wran80222, Layered, 384, "80222-ldpc-n384-layered"),
-            (Wran80222, q7, 384, "80222-ldpc-n384-layered-q7"),
-            (Wran80222, q7, 960, "80222-ldpc-n960-layered-q7"),
-            (Lte, Turbo, 40, "lte-turbo-k40"),
-            (Lte, Turbo, 104, "lte-turbo-k104"),
-            (DvbRcs, Ctc(BitLevel), 48, "dvbrcs-ctc-48c-bit"),
         ];
         let engine = SimulationEngine::new(EngineConfig::fixed_frames(5, 4));
         for (standard, decoder, block, label) in cases {
@@ -612,15 +662,6 @@ mod tests {
             assert_eq!(point.bit_errors, 0, "{label}");
         }
 
-        // The DVB-RCS CTC reuses the duo-binary substrate: 48 couples carry
-        // 96 information bits over 48 trellis sections.
-        let dvb = &DvbRcsRegistry.corner_codes()[0];
-        assert_eq!((dvb.info_bits(), dvb.mapping_units()), (96, 48));
-        assert_eq!(
-            dvb.codec(Ctc(BitLevel)).unwrap().name(),
-            "dvbrcs-ctc-48c-bit"
-        );
-
         let err = |standard, decoder, block| {
             StandardCode::resolve(standard, decoder, block)
                 .and_then(|code| code.codec(decoder))
@@ -647,10 +688,5 @@ mod tests {
                 "\"lambda_bits\" must be in 2..=15"
             );
         }
-        // A decoder that does not fit a registry code is refused by the
-        // constructor too, not only by the resolver.
-        assert!(dvb.codec(q7).is_err());
-        assert!(LteRegistry.corner_codes()[0].codec(Layered).is_err());
-        assert!(WifiRegistry.corner_codes()[0].codec(Turbo).is_err());
     }
 }
