@@ -3,9 +3,16 @@
 //! by every topology/routing combination, and the resulting phase duration
 //! must respect the structural lower bounds.
 
-use noc_decoder::MappingConfig;
+use fec_json::ToJson;
+use noc_decoder::{
+    registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, MappingConfig, Standard,
+    StandardCode,
+};
 use noc_mapping::{LdpcMapping, TurboMapping};
-use noc_sim::{CollisionPolicy, NocConfig, NocSimulator, RoutingAlgorithm, Topology, TopologyKind};
+use noc_sim::{
+    CollisionPolicy, NocConfig, NocSimulator, NocStats, NodeArchitecture, RoutingAlgorithm,
+    Topology, TopologyKind,
+};
 use wimax_ldpc::{CodeRate, QcLdpcCode};
 use wimax_turbo::CtcCode;
 
@@ -109,4 +116,261 @@ fn mapping_locality_reduces_network_load() {
         partitioned_locality > 2.0 / pes as f64,
         "partitioned locality {partitioned_locality:.3} is not better than ~random"
     );
+}
+
+// Golden outputs of the mapping flow and the NoC phase.  `svc_check` and the
+// benchmark's row check compare two runs of the same code, so only these
+// committed values catch a change to the partitioner, the trace builder or
+// the simulator that moves an output bit; every compliance row, Table I-III
+// number and DSE number derives from them.
+
+/// FNV-1a over `words`, each fed as its 8 little-endian bytes.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+        word.to_le_bytes().iter().fold(hash, |h, &byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    })
+}
+
+/// FNV-1a over the partition assignment, every message of the traffic
+/// trace (source by source: src, dst, location, sequence) and the quality
+/// fields of `mapping`.
+fn mapping_hash(mapping: &LdpcMapping) -> u64 {
+    let assignment = mapping.partition().assignment().iter().map(|&p| p as u64);
+    let trace = mapping.traffic_trace();
+    let messages = (0..trace.nodes())
+        .flat_map(|pe| trace.messages(pe))
+        .flat_map(|m| [m.src, m.dst, m.location, m.sequence])
+        .map(|x| x as u64);
+    let q = mapping.quality();
+    let quality = [
+        q.pes as u64,
+        q.total_messages as u64,
+        q.remote_messages as u64,
+        q.max_per_pe as u64,
+        q.min_per_pe as u64,
+        q.edge_cut,
+    ];
+    fnv1a(assignment.chain(messages).chain(quality))
+}
+
+/// FNV-1a over every field of `stats`, the averages by their `f64` bits.
+fn noc_stats_hash(stats: &NocStats) -> u64 {
+    let scalars = [
+        stats.cycles,
+        stats.delivered as u64,
+        stats.local_bypassed as u64,
+        stats.average_latency.to_bits(),
+        stats.max_latency,
+        stats.average_hops.to_bits(),
+        stats.max_fifo_occupancy as u64,
+        stats.collisions,
+        stats.misrouted,
+    ];
+    let per_node = (stats.per_node_max_fifo.iter().map(|&f| f as u64))
+        .chain(stats.forwarded_per_node.iter().copied());
+    fnv1a(scalars.into_iter().chain(per_node))
+}
+
+/// `(label, code)` of every LDPC code in `codes`, in registry order.
+fn ldpc_codes(codes: Vec<StandardCode>) -> Vec<(String, QcLdpcCode)> {
+    codes
+        .into_iter()
+        .filter_map(|code| {
+            let label = code.label();
+            match code {
+                StandardCode::Ldpc { code, .. } => Some((label, code)),
+                _ => None,
+            }
+        })
+        .collect()
+}
+
+/// [`mapping_hash`] of every LDPC corner code at `P = 22`.
+const CORNER_MAPPING_HASHES: [(&str, u64); 12] = [
+    ("802.16e LDPC 576 r=1/2", 0x1b0c_a109_7701_7d2c),
+    ("802.16e LDPC 576 r=5/6", 0xce03_f9ab_b07d_7a8c),
+    ("802.16e LDPC 2304 r=1/2", 0x97dd_8ae2_f004_a5d4),
+    ("802.16e LDPC 2304 r=5/6", 0x3fb1_6286_7cc0_1e96),
+    ("802.11n LDPC 648 r=1/2", 0xdf49_1e82_004d_7610),
+    ("802.11n LDPC 648 r=5/6", 0x42f3_ecbe_be06_9b87),
+    ("802.11n LDPC 1944 r=1/2", 0x492a_1ba7_faab_3677),
+    ("802.11n LDPC 1944 r=5/6", 0x657e_3d6d_732f_4ab3),
+    ("802.22 LDPC 384 r=1/2", 0x67d2_6d7a_0491_be8b),
+    ("802.22 LDPC 384 r=3/4", 0x91fa_8cec_3f1e_a895),
+    ("802.22 LDPC 2304 r=1/2", 0x97dd_8ae2_f004_a5d4),
+    ("802.22 LDPC 2304 r=3/4", 0x72f0_49bd_ab21_1887),
+];
+
+#[test]
+fn ldpc_corner_mappings_reproduce_their_golden_hashes() {
+    let mut hashes = Vec::new();
+    for standard in Standard::all() {
+        for (label, code) in ldpc_codes(registry_for(standard).corner_codes()) {
+            let mapping = LdpcMapping::new(&code, 22, MappingConfig::default());
+            hashes.push((label, mapping_hash(&mapping)));
+        }
+    }
+    let golden: Vec<(String, u64)> = CORNER_MAPPING_HASHES
+        .iter()
+        .map(|&(label, hash)| (label.to_string(), hash))
+        .collect();
+    assert_eq!(hashes, golden);
+}
+
+/// `(cycles, delivered, collisions, misrouted, noc_stats_hash)` of one NoC
+/// phase.
+type PhaseGolden = (u64, usize, u64, u64, u64);
+
+/// The NoC phase of the WiMAX rate-1/2 mappings of length `n` at the paper
+/// design point (`P = 22` generalized Kautz, `D = 3`), for every routing
+/// algorithm × {DCM, SCM} × {AP, PP} in that loop order.
+const NOC_PHASE_GOLDENS: [(usize, [PhaseGolden; 12]); 2] = [
+    (
+        576,
+        [
+            (164, 1824, 898, 0, 0x633f_d3be_d737_a774), // SSP-RR DCM AP
+            (164, 1824, 898, 0, 0x633f_d3be_d737_a774), // SSP-RR DCM PP
+            (164, 1824, 1465, 1090, 0x3142_f2f8_8246_792b), // SSP-RR SCM AP
+            (164, 1824, 1465, 1090, 0x3142_f2f8_8246_792b), // SSP-RR SCM PP
+            (164, 1824, 926, 0, 0x7893_fb8f_4d92_4429), // SSP-FL DCM AP
+            (164, 1824, 926, 0, 0x7893_fb8f_4d92_4429), // SSP-FL DCM PP
+            (164, 1824, 1328, 912, 0xb4ca_2922_f434_e0c3), // SSP-FL SCM AP
+            (164, 1824, 1328, 912, 0xb4ca_2922_f434_e0c3), // SSP-FL SCM PP
+            (164, 1824, 931, 0, 0x90ea_e31b_040f_d6d1), // ASP-FT DCM AP
+            (164, 1824, 931, 0, 0x90ea_e31b_040f_d6d1), // ASP-FT DCM PP
+            (164, 1824, 1208, 855, 0x2103_5075_c00b_bf98), // ASP-FT SCM AP
+            (164, 1824, 1208, 855, 0x2103_5075_c00b_bf98), // ASP-FT SCM PP
+        ],
+    ),
+    (
+        2304,
+        [
+            (549, 7296, 3628, 0, 0x6463_01c2_5102_13e3), // SSP-RR DCM AP
+            (549, 7296, 3628, 0, 0x6463_01c2_5102_13e3), // SSP-RR DCM PP
+            (549, 7296, 5648, 4085, 0xa9bf_e92c_3557_deec), // SSP-RR SCM AP
+            (549, 7296, 5648, 4085, 0xa9bf_e92c_3557_deec), // SSP-RR SCM PP
+            (549, 7296, 3774, 0, 0x38bf_bd68_4d26_9a1b), // SSP-FL DCM AP
+            (549, 7296, 3774, 0, 0x38bf_bd68_4d26_9a1b), // SSP-FL DCM PP
+            (549, 7296, 4987, 3503, 0xabd9_94e7_254e_980a), // SSP-FL SCM AP
+            (549, 7296, 4987, 3503, 0xabd9_94e7_254e_980a), // SSP-FL SCM PP
+            (549, 7296, 3687, 0, 0x105d_51d3_6881_5c21), // ASP-FT DCM AP
+            (549, 7296, 3687, 0, 0x105d_51d3_6881_5c21), // ASP-FT DCM PP
+            (549, 7296, 5011, 3453, 0xdad9_58bf_3b86_5b38), // ASP-FT SCM AP
+            (549, 7296, 5011, 3453, 0xdad9_58bf_3b86_5b38), // ASP-FT SCM PP
+        ],
+    ),
+];
+
+#[test]
+fn noc_phases_reproduce_their_golden_stats() {
+    let paper = DecoderConfig::paper_design_point();
+    for (n, goldens) in NOC_PHASE_GOLDENS {
+        let code = QcLdpcCode::wimax(n, CodeRate::R12).unwrap();
+        let mapping = LdpcMapping::new(&code, paper.pes, paper.mapping);
+        let mut goldens = goldens.into_iter();
+        for routing in RoutingAlgorithm::all() {
+            for collision in [CollisionPolicy::Dcm, CollisionPolicy::Scm] {
+                for architecture in [
+                    NodeArchitecture::AllPrecalculated,
+                    NodeArchitecture::PartiallyPrecalculated,
+                ] {
+                    let topology = Topology::new(paper.topology, paper.pes, paper.degree).unwrap();
+                    let config = NocConfig::new(topology, routing)
+                        .with_collision(collision)
+                        .with_architecture(architecture)
+                        .with_output_rate(paper.ldpc_output_rate)
+                        .with_seed(paper.seed);
+                    let stats = NocSimulator::new(config)
+                        .unwrap()
+                        .run(mapping.traffic_trace());
+                    let phase = (
+                        stats.cycles,
+                        stats.delivered,
+                        stats.collisions,
+                        stats.misrouted,
+                        noc_stats_hash(&stats),
+                    );
+                    assert_eq!(
+                        Some(phase),
+                        goldens.next(),
+                        "n = {n}, {routing} {} {}",
+                        collision.name(),
+                        architecture.name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The JSON rows of the five corner scopes at the paper design point.
+const CORNER_COMPLIANCE_ROWS: [&str; 18] = [
+    r#"{"standard":"802.16e","code":"802.16e LDPC 576 r=1/2","info_bits":288,"throughput_mbps":48.26815642458101,"phase_cycles":164,"required_mbps":70.0,"compliant":false}"#,
+    r#"{"standard":"802.16e","code":"802.16e LDPC 576 r=5/6","info_bits":480,"throughput_mbps":64.86486486486487,"phase_cycles":207,"required_mbps":70.0,"compliant":false}"#,
+    r#"{"standard":"802.16e","code":"802.16e LDPC 2304 r=1/2","info_bits":1152,"throughput_mbps":61.276595744680854,"phase_cycles":549,"required_mbps":70.0,"compliant":false}"#,
+    r#"{"standard":"802.16e","code":"802.16e LDPC 2304 r=5/6","info_bits":1920,"throughput_mbps":84.83063328424153,"phase_cycles":664,"required_mbps":70.0,"compliant":true}"#,
+    r#"{"standard":"802.16e","code":"802.16e DBTC 48 r=1/2","info_bits":48,"throughput_mbps":4.411764705882353,"phase_cycles":36,"required_mbps":70.0,"compliant":false}"#,
+    r#"{"standard":"802.16e","code":"802.16e DBTC 4800 r=1/2","info_bits":4800,"throughput_mbps":60.0,"phase_cycles":360,"required_mbps":70.0,"compliant":false}"#,
+    r#"{"standard":"802.11n","code":"802.11n LDPC 648 r=1/2","info_bits":324,"throughput_mbps":42.63157894736842,"phase_cycles":213,"required_mbps":450.0,"compliant":false}"#,
+    r#"{"standard":"802.11n","code":"802.11n LDPC 648 r=5/6","info_bits":540,"throughput_mbps":71.68141592920354,"phase_cycles":211,"required_mbps":450.0,"compliant":false}"#,
+    r#"{"standard":"802.11n","code":"802.11n LDPC 1944 r=1/2","info_bits":972,"throughput_mbps":56.731517509727624,"phase_cycles":499,"required_mbps":450.0,"compliant":false}"#,
+    r#"{"standard":"802.11n","code":"802.11n LDPC 1944 r=5/6","info_bits":1620,"throughput_mbps":85.56338028169014,"phase_cycles":553,"required_mbps":450.0,"compliant":false}"#,
+    r#"{"standard":"LTE","code":"LTE TC K=40 r=1/3","info_bits":40,"throughput_mbps":3.676470588235294,"phase_cycles":36,"required_mbps":150.0,"compliant":false}"#,
+    r#"{"standard":"LTE","code":"LTE TC K=6144 r=1/3","info_bits":6144,"throughput_mbps":32.54237288135593,"phase_cycles":870,"required_mbps":150.0,"compliant":false}"#,
+    r#"{"standard":"802.22","code":"802.22 LDPC 384 r=1/2","info_bits":192,"throughput_mbps":45.354330708661415,"phase_cycles":112,"required_mbps":23.0,"compliant":true}"#,
+    r#"{"standard":"802.22","code":"802.22 LDPC 384 r=3/4","info_bits":288,"throughput_mbps":50.526315789473685,"phase_cycles":156,"required_mbps":23.0,"compliant":true}"#,
+    r#"{"standard":"802.22","code":"802.22 LDPC 2304 r=1/2","info_bits":1152,"throughput_mbps":61.276595744680854,"phase_cycles":549,"required_mbps":23.0,"compliant":true}"#,
+    r#"{"standard":"802.22","code":"802.22 LDPC 2304 r=3/4","info_bits":1728,"throughput_mbps":70.6267029972752,"phase_cycles":719,"required_mbps":23.0,"compliant":true}"#,
+    r#"{"standard":"DVB-RCS","code":"DVB-RCS CTC 96 r=1/2","info_bits":96,"throughput_mbps":7.894736842105263,"phase_cycles":42,"required_mbps":8.0,"compliant":false}"#,
+    r#"{"standard":"DVB-RCS","code":"DVB-RCS CTC 1728 r=1/2","info_bits":1728,"throughput_mbps":49.09090909090909,"phase_cycles":150,"required_mbps":8.0,"compliant":true}"#,
+];
+
+#[test]
+fn corner_compliance_rows_reproduce_their_golden_json() {
+    let report = run_multi_compliance(
+        &DecoderConfig::paper_design_point(),
+        &ComplianceScope::all_corners(),
+    )
+    .unwrap();
+    let rows: Vec<String> = report
+        .entries
+        .iter()
+        .map(|e| e.to_json().to_string())
+        .collect();
+    assert_eq!(rows, CORNER_COMPLIANCE_ROWS);
+}
+
+/// `(standard, P, LDPC codes, FNV-1a over their mapping hashes in registry
+/// order)` for every LDPC code of the five full registries.
+const FULL_REGISTRY_MAPPING_HASHES: [(&str, usize, usize, u64); 9] = [
+    ("802.16e", 4, 114, 0x3929_63a0_f0b2_89dd),
+    ("802.16e", 22, 114, 0xe360_3b7a_67d0_b37d),
+    ("802.16e", 37, 114, 0x3fdc_9f35_432d_1ceb),
+    ("802.11n", 4, 12, 0x8cf9_e574_10fc_8709),
+    ("802.11n", 22, 12, 0xa23d_5d6f_81a2_3054),
+    ("802.11n", 37, 12, 0x153d_ed85_34a6_4397),
+    ("802.22", 4, 18, 0x1dfc_0505_cda4_7a5c),
+    ("802.22", 22, 18, 0xe526_b514_8959_7190),
+    ("802.22", 37, 18, 0xf057_3bfb_722d_4472),
+];
+
+#[test]
+#[ignore = "432 mappings: run in release with `-- --ignored`"]
+fn full_registry_mappings_reproduce_their_golden_hashes() {
+    let mut hashes = Vec::new();
+    for standard in Standard::all() {
+        let codes = ldpc_codes(registry_for(standard).full_codes());
+        if codes.is_empty() {
+            continue;
+        }
+        for pes in [4, 22, 37] {
+            let per_code = codes.iter().map(|(_, code)| {
+                mapping_hash(&LdpcMapping::new(code, pes, MappingConfig::default()))
+            });
+            hashes.push((standard.name(), pes, codes.len(), fnv1a(per_code)));
+        }
+    }
+    assert_eq!(hashes, FULL_REGISTRY_MAPPING_HASHES);
 }
