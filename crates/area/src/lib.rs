@@ -3,7 +3,7 @@
 //! The paper reports post-synthesis results obtained with Synopsys Design
 //! Compiler on a 90 nm CMOS library; that flow cannot be reproduced without
 //! the proprietary library, so this crate substitutes it with an analytical
-//! model (see the substitution table in `DESIGN.md`):
+//! model:
 //!
 //! * component areas are computed from bit counts and per-bit unit areas
 //!   (flip-flop, SRAM, crossbar multiplexer, random logic) calibrated so that

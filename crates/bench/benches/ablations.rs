@@ -1,4 +1,4 @@
-//! `cargo bench` target for the ablations called out in `DESIGN.md`:
+//! `cargo bench` target for the NoC parameter ablations of Section III.A:
 //! collision management (DCM vs SCM), the Route-Local flag, the node
 //! architecture (AP vs PP) and the routing algorithm, all evaluated at the
 //! paper's design point.

@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the computational kernels: one layered LDPC
 //! iteration (f64 reference vs the fixed-point datapath), the MEU
 //! two-minimum extraction (sequential push vs two-pass scan), one flooding
-//! iteration, one SISO half iteration, one NoC message-passing phase and one
-//! graph partitioning run.
+//! iteration, one SISO half iteration, one NoC message-passing phase, one
+//! graph partitioning run and the corner compliance sweep of a daemon
+//! compliance unit.
 //!
 //! Uses the crate's own timing harness (`decoder_bench::harness`); the
 //! workspace builds offline, so criterion is unavailable.
@@ -17,7 +18,7 @@ use fec_channel::sim::{EngineConfig, SimulationEngine};
 use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
 use fec_obs::NoopRecorder;
-use noc_decoder::MappingConfig;
+use noc_decoder::{run_multi_compliance, ComplianceScope, DecoderConfig, MappingConfig};
 use noc_mapping::LdpcMapping;
 use noc_sim::{NocConfig, NocSimulator, RoutingAlgorithm, Topology, TopologyKind};
 use rand::{Rng, SeedableRng};
@@ -335,6 +336,17 @@ fn main() {
                 std::hint::black_box(LdpcMapping::new(&code, 22, MappingConfig::default()));
             },
         ),
+    );
+
+    // The five corner scopes at the paper design point on one worker: the
+    // work of one `fec_svc` compliance unit per standard.
+    let paper = DecoderConfig::paper_design_point();
+    let corners = ComplianceScope::all_corners();
+    run(
+        &mut reports,
+        bench("compliance_corners_p22/five_standards", 1, 5, || {
+            std::hint::black_box(run_multi_compliance(&paper, &corners).expect("corner sweep"));
+        }),
     );
 
     if let Some(path) = json_path {

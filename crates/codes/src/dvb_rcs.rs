@@ -18,8 +18,8 @@
 //! The twelve couple sizes cover the standard's ATM (53-byte) and MPEG
 //! (188-byte) payloads plus the surrounding signalling frames.
 //!
-//! Transcription of the parameter quadruples is best-effort (see
-//! `DESIGN.md` in `wimax-ldpc` for the repository's substitution policy);
+//! Transcription of the parameter quadruples is best-effort (the README's
+//! "Supported standards" table lists every standard's substitutions);
 //! as with the WiMAX ARP and LTE QPP tables, **every entry is validated to
 //! be a bijection at construction time**, so a transcription slip can only
 //! shift BER performance marginally, never break correctness.

@@ -8,8 +8,8 @@
 //! exactly the [`ShiftScaling::Direct`] rule of the generalized
 //! [`BaseMatrix`].
 //!
-//! Following the repository's substitution policy (see `DESIGN.md` in
-//! `wimax-ldpc`), the rate-1/2 `z = 27` matrix below reproduces the
+//! Following the repository's substitution policy (the README's "Supported
+//! standards" table), the rate-1/2 `z = 27` matrix below reproduces the
 //! standard's published shift coefficients; the remaining eleven tables are
 //! *structured surrogates* sharing the standard's dimensions, parity
 //! structure (weight-3 `h_b` column with equal top/bottom shifts followed by

@@ -8,8 +8,8 @@
 //! repository supports the rates 1/2, 2/3 and 3/4 over six block lengths
 //! between 384 and 2304 bits (`z` = 16 … 96).
 //!
-//! Following the repository's substitution policy (see `DESIGN.md` in
-//! `wimax-ldpc`), the rate-1/2 table reuses the *published* 802.16e rate-1/2
+//! Following the repository's substitution policy (the README's "Supported
+//! standards" table), the rate-1/2 table reuses the *published* 802.16e rate-1/2
 //! shift coefficients — 802.22 adopts the 802.16e LDPC design, so that
 //! matrix is transcribable from the already-verified table — while the
 //! rate-2/3 and rate-3/4 matrices are clearly-labeled *structured

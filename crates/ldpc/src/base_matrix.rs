@@ -18,7 +18,8 @@
 //! every architectural quantity used by the paper (number of check nodes,
 //! row degrees, message counts, memory sizing) identical while avoiding the
 //! transcription of three hundred further coefficients; BER curves for those
-//! rates are representative rather than bit-exact (see `DESIGN.md`).  The
+//! rates are representative rather than bit-exact (the README's "Supported
+//! standards" table lists the published and surrogate tables).  The
 //! `code-tables` crate builds the 802.11n matrices on the same foundation
 //! via [`BaseMatrix::from_entries`] and [`BaseMatrix::structured`].
 

@@ -7,7 +7,8 @@
 //!   2/3A, 2/3B, 3/4A, 3/4B and 5/6.  The rate-1/2 matrix uses the standard's
 //!   published shift coefficients; the remaining rates use structured
 //!   surrogates with the standard's dimensions, parity structure and degree
-//!   profile (see `DESIGN.md`, substitution table).
+//!   profile (the README's "Supported standards" table lists the published
+//!   and surrogate tables of every standard).
 //! * [`code`] — expansion of a base matrix into a full parity-check matrix
 //!   for any of the 19 WiMAX block lengths (576..=2304 bits in steps of 96).
 //! * [`encoder`] — the efficient two-stage QC encoder exploiting the

@@ -9,7 +9,6 @@
 
 use crate::code::QcLdpcCode;
 use crate::sparse::SparseBinaryMatrix;
-use std::collections::BTreeSet;
 
 /// Bipartite Tanner graph plus the derived row-adjacency graph.
 #[derive(Debug, Clone)]
@@ -59,37 +58,37 @@ impl TannerGraph {
         self.check_to_vars.iter().map(|v| v.len()).sum()
     }
 
-    /// The row-adjacency graph used for NoC mapping: returns, for every check
-    /// node, the sorted set of other check nodes sharing at least one
-    /// variable with it.
-    pub fn row_adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.num_checks()];
-        for checks in &self.var_to_checks {
-            for (i, &a) in checks.iter().enumerate() {
-                for &b in &checks[i + 1..] {
-                    adj[a].insert(b);
-                    adj[b].insert(a);
-                }
-            }
-        }
-        adj.into_iter().map(|s| s.into_iter().collect()).collect()
-    }
-
-    /// Edge-weighted row adjacency: for every pair of adjacent checks the
-    /// weight is the number of shared variables (i.e. the number of LLR
-    /// messages exchanged between the two rows per iteration).
+    /// Edge-weighted row adjacency, the graph used for NoC mapping: for every
+    /// check node, the other check nodes sharing at least one variable with
+    /// it, in increasing order, each with the number of shared variables
+    /// (i.e. the number of LLR messages exchanged between the two rows per
+    /// iteration).
     pub fn weighted_row_adjacency(&self) -> Vec<Vec<(usize, usize)>> {
-        let mut maps: Vec<std::collections::BTreeMap<usize, usize>> =
-            vec![std::collections::BTreeMap::new(); self.num_checks()];
-        for checks in &self.var_to_checks {
-            for (i, &a) in checks.iter().enumerate() {
-                for &b in &checks[i + 1..] {
-                    *maps[a].entry(b).or_insert(0) += 1;
-                    *maps[b].entry(a).or_insert(0) += 1;
+        // `shared[b]`: variables the current row shares with row `b`;
+        // `touched`: the rows with a non-zero count
+        let mut shared = vec![0usize; self.num_checks()];
+        let mut touched = Vec::new();
+        self.check_to_vars
+            .iter()
+            .enumerate()
+            .map(|(a, vars)| {
+                for &v in vars {
+                    for &b in &self.var_to_checks[v] {
+                        if b != a {
+                            if shared[b] == 0 {
+                                touched.push(b);
+                            }
+                            shared[b] += 1;
+                        }
+                    }
                 }
-            }
-        }
-        maps.into_iter().map(|m| m.into_iter().collect()).collect()
+                touched.sort_unstable();
+                touched
+                    .drain(..)
+                    .map(|b| (b, std::mem::take(&mut shared[b])))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Computes the girth (length of the shortest cycle) of the bipartite
@@ -133,6 +132,25 @@ impl TannerGraph {
 mod tests {
     use super::*;
     use crate::base_matrix::CodeRate;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// The row adjacency as first written, kept as the oracle of
+    /// [`TannerGraph::weighted_row_adjacency`]: every pair of checks in every
+    /// column list, counted in one map per row.
+    fn reference_weighted_row_adjacency(g: &TannerGraph) -> Vec<Vec<(usize, usize)>> {
+        let mut maps: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); g.num_checks()];
+        for checks in &g.var_to_checks {
+            for (i, &a) in checks.iter().enumerate() {
+                for &b in &checks[i + 1..] {
+                    *maps[a].entry(b).or_insert(0) += 1;
+                    *maps[b].entry(a).or_insert(0) += 1;
+                }
+            }
+        }
+        maps.into_iter().map(|m| m.into_iter().collect()).collect()
+    }
 
     fn tiny_matrix() -> SparseBinaryMatrix {
         // checks: c0 = {0,1}, c1 = {1,2}, c2 = {3}
@@ -158,9 +176,9 @@ mod tests {
     #[test]
     fn row_adjacency_links_rows_sharing_columns() {
         let g = TannerGraph::from_matrix(&tiny_matrix());
-        let adj = g.row_adjacency();
-        assert_eq!(adj[0], vec![1]);
-        assert_eq!(adj[1], vec![0]);
+        let adj = g.weighted_row_adjacency();
+        assert_eq!(adj[0], vec![(1, 1)]);
+        assert_eq!(adj[1], vec![(0, 1)]);
         assert!(adj[2].is_empty());
     }
 
@@ -202,13 +220,13 @@ mod tests {
         let g = TannerGraph::from_code(&code);
         assert_eq!(g.num_checks(), code.m());
         assert_eq!(g.num_variables(), code.n());
-        let adj = g.row_adjacency();
-        // symmetry
+        let adj = g.weighted_row_adjacency();
+        // symmetry, weights included
         for (i, neigh) in adj.iter().enumerate() {
-            for &j in neigh {
-                assert!(adj[j].contains(&i));
+            for &(j, w) in neigh {
+                assert!(adj[j].contains(&(i, w)));
+                assert_ne!(j, i, "no self loops");
             }
-            assert!(!neigh.contains(&i), "no self loops");
         }
         // every check row shares variables with several other rows
         let avg: f64 = adj.iter().map(|n| n.len() as f64).sum::<f64>() / adj.len() as f64;
@@ -220,5 +238,38 @@ mod tests {
         // The standard's rate-1/2 matrix is 4-cycle free.
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         assert_eq!(code.parity_check().count_four_cycles(), 0);
+    }
+
+    #[test]
+    fn weighted_adjacency_matches_the_reference_on_every_wimax_code() {
+        for n in crate::wimax_block_lengths() {
+            for rate in CodeRate::all() {
+                let g = TannerGraph::from_code(&QcLdpcCode::wimax(n, rate).unwrap());
+                assert_eq!(
+                    g.weighted_row_adjacency(),
+                    reference_weighted_row_adjacency(&g),
+                    "n = {n}, rate {rate}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn weighted_adjacency_matches_the_reference(
+            rows in 1usize..40,
+            cols in 1usize..60,
+            ones in 0usize..400,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut h = SparseBinaryMatrix::new(rows, cols);
+            for _ in 0..ones {
+                h.set(rng.gen_range(0..rows), rng.gen_range(0..cols));
+            }
+            let g = TannerGraph::from_matrix(&h);
+            prop_assert_eq!(g.weighted_row_adjacency(), reference_weighted_row_adjacency(&g));
+        }
     }
 }

@@ -38,8 +38,10 @@ impl LdpcMapping {
             code.m()
         );
         let graph = Self::row_graph(code);
-        let cols = code.parity_check().column_lists();
-        let mut best: Option<LdpcMapping> = None;
+        let successors = Self::successor_rows(code);
+        // rank the candidates on their quality alone; only the kept one
+        // needs its messages
+        let mut best: Option<(Partition, MappingQuality)> = None;
         for candidate in 0..config.candidates.max(1) {
             let pconf = PartitionerConfig {
                 refinement_passes: config.refinement_passes,
@@ -47,22 +49,19 @@ impl LdpcMapping {
                 seed: config.seed.wrapping_add(candidate as u64 * 7919),
             };
             let partition = Partitioner::new(pconf).partition(&graph, pes);
-            let (trace, quality) = Self::build_traffic(code, &graph, &cols, &partition, pes);
-            let current = LdpcMapping {
-                pes,
-                partition,
-                trace,
-                quality,
-            };
-            let better = match &best {
-                None => true,
-                Some(b) => current.quality.cost() < b.quality.cost(),
-            };
-            if better {
-                best = Some(current);
+            let quality = Self::quality_of(code, &graph, &successors, &partition, pes);
+            if best.as_ref().is_none_or(|(_, b)| quality.cost() < b.cost()) {
+                best = Some((partition, quality));
             }
         }
-        best.expect("at least one candidate is generated")
+        let (partition, quality) = best.expect("at least one candidate is generated");
+        let trace = Self::build_trace(code, &successors, &partition, pes);
+        LdpcMapping {
+            pes,
+            partition,
+            trace,
+            quality,
+        }
     }
 
     /// The weighted row-adjacency graph of the code under layered scheduling.
@@ -77,55 +76,83 @@ impl LdpcMapping {
         )
     }
 
-    /// The traffic and quality of one candidate `partition`; `graph` is the
-    /// code's [`row_graph`](Self::row_graph) and `cols` the row lists of its
-    /// parity-check columns, both built once per mapping.
-    fn build_traffic(
-        code: &QcLdpcCode,
-        graph: &WeightedGraph,
-        cols: &[Vec<usize>],
-        partition: &Partition,
-        pes: usize,
-    ) -> (TrafficTrace, MappingQuality) {
+    /// For every H entry `(row, col)`, in row order: the *next* row (in the
+    /// layered schedule, i.e. natural row order, cyclically) that also
+    /// contains `col`.  After processing `row`, the updated bit LLR of `col`
+    /// must reach the PE owning that row.
+    fn successor_rows(code: &QcLdpcCode) -> Vec<usize> {
         let h = code.parity_check();
-        let m = code.m();
-
-        // For every H entry (row, col): after processing `row`, the updated
-        // bit LLR of `col` must reach the PE owning the *next* row (in the
-        // layered schedule, i.e. natural row order, cyclically) that also
-        // contains `col`.
-        let mut per_source: Vec<Vec<Message>> = vec![Vec::new(); pes];
-        let mut sequence = vec![0usize; pes];
-        let mut remote = 0usize;
-        for row in 0..m {
-            let src = partition.part_of(row);
+        let cols = h.column_lists();
+        let mut successors = Vec::with_capacity(code.edge_count());
+        for row in 0..code.m() {
             for &col in h.row(row) {
                 let rows_of_col = &cols[col];
                 let pos = rows_of_col
                     .binary_search(&row)
                     .expect("entry must be present in its own column list");
-                let next_row = rows_of_col[(pos + 1) % rows_of_col.len()];
-                let dst = partition.part_of(next_row);
-                if src != dst {
-                    remote += 1;
-                }
-                let seq = sequence[src];
-                sequence[src] += 1;
-                per_source[src].push(Message::new(src, dst, col, seq));
+                successors.push(rows_of_col[(pos + 1) % rows_of_col.len()]);
             }
         }
+        successors
+    }
 
-        let counts: Vec<usize> = per_source.iter().map(|v| v.len()).collect();
-        let total: usize = counts.iter().sum();
-        let quality = MappingQuality {
+    /// `(row, col, successor row)` for every H entry, in row order.
+    fn entries<'a>(
+        code: &'a QcLdpcCode,
+        successors: &'a [usize],
+    ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+        let h = code.parity_check();
+        (0..code.m())
+            .flat_map(move |row| h.row(row).iter().map(move |&col| (row, col)))
+            .zip(successors)
+            .map(|((row, col), &next_row)| (row, col, next_row))
+    }
+
+    /// The quality of one candidate `partition`; `graph` is the code's
+    /// [`row_graph`](Self::row_graph) and `successors` its
+    /// [`successor_rows`](Self::successor_rows), both built once per mapping.
+    fn quality_of(
+        code: &QcLdpcCode,
+        graph: &WeightedGraph,
+        successors: &[usize],
+        partition: &Partition,
+        pes: usize,
+    ) -> MappingQuality {
+        let mut counts = vec![0usize; pes];
+        let mut remote = 0usize;
+        for (row, _, next_row) in Self::entries(code, successors) {
+            let src = partition.part_of(row);
+            counts[src] += 1;
+            if src != partition.part_of(next_row) {
+                remote += 1;
+            }
+        }
+        MappingQuality {
             pes,
-            total_messages: total,
+            total_messages: counts.iter().sum(),
             remote_messages: remote,
             max_per_pe: counts.iter().copied().max().unwrap_or(0),
             min_per_pe: counts.iter().copied().min().unwrap_or(0),
             edge_cut: graph.edge_cut(partition.assignment()),
-        };
-        (TrafficTrace::new(per_source), quality)
+        }
+    }
+
+    /// The equivalent interleaver of `partition`: one message per H entry,
+    /// from the PE owning its row to the PE owning its successor row,
+    /// numbered in injection order per source.
+    fn build_trace(
+        code: &QcLdpcCode,
+        successors: &[usize],
+        partition: &Partition,
+        pes: usize,
+    ) -> TrafficTrace {
+        let mut per_source: Vec<Vec<Message>> = vec![Vec::new(); pes];
+        for (row, col, next_row) in Self::entries(code, successors) {
+            let src = partition.part_of(row);
+            let seq = per_source[src].len();
+            per_source[src].push(Message::new(src, partition.part_of(next_row), col, seq));
+        }
+        TrafficTrace::new(per_source)
     }
 
     /// Number of PEs.

@@ -7,9 +7,10 @@
 //!    layered decoding schedule (one node per check row, an edge between two
 //!    rows whenever they share a column);
 //! 2. partition the graph over the `P` NoC nodes with a balanced, low-cut
-//!    partitioner (the paper uses the Metis bundle; here a multilevel greedy
-//!    partitioner with Kernighan–Lin-style refinement plays that role — see
-//!    `DESIGN.md`);
+//!    partitioner (the paper uses the Metis bundle; here greedy region
+//!    growing with Kernighan–Lin-style refinement plays that role, on the
+//!    graph itself: unlike Metis it has no coarsening phase, so it is not
+//!    multilevel);
 //! 3. construct the *equivalent interleaver*, i.e. the per-PE ordered list of
 //!    messages exchanged during one message-passing phase, and check it for
 //!    minimum length and uniform message distribution, keeping the best

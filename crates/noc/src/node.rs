@@ -127,19 +127,20 @@ impl NodeState {
             + self.output_registers.iter().filter(|r| r.is_some()).count()
     }
 
-    /// The order in which input ports are served this cycle.
+    /// Writes into `order` the order in which input ports are served this
+    /// cycle (the simulator reuses one buffer for every node and cycle).
     ///
     /// * Round-robin: start from the rotating pointer.
     /// * FIFO-length: longest FIFO first (ties broken by port index).
-    pub fn serving_order(&self, longest_first: bool) -> Vec<usize> {
+    pub(crate) fn fill_serving_order(&self, longest_first: bool, order: &mut Vec<usize>) {
         let ports = self.ports();
-        let mut order: Vec<usize> = (0..ports).collect();
+        order.clear();
+        order.extend(0..ports);
         if longest_first {
             order.sort_by_key(|&p| std::cmp::Reverse(self.input_fifos[p].len()));
         } else {
             order.rotate_left(self.rr_pointer % ports);
         }
-        order
     }
 }
 
@@ -190,14 +191,21 @@ mod tests {
         assert_eq!(node.queued(), 3);
     }
 
+    fn serving_order(node: &NodeState, longest_first: bool) -> Vec<usize> {
+        // a stale, longer buffer must be overwritten
+        let mut order = vec![9; 7];
+        node.fill_serving_order(longest_first, &mut order);
+        order
+    }
+
     #[test]
     fn round_robin_order_rotates() {
         let mut node = NodeState::new(3);
-        assert_eq!(node.serving_order(false), vec![0, 1, 2]);
+        assert_eq!(serving_order(&node, false), vec![0, 1, 2]);
         node.rr_pointer = 1;
-        assert_eq!(node.serving_order(false), vec![1, 2, 0]);
+        assert_eq!(serving_order(&node, false), vec![1, 2, 0]);
         node.rr_pointer = 5; // wraps modulo 3
-        assert_eq!(node.serving_order(false), vec![2, 0, 1]);
+        assert_eq!(serving_order(&node, false), vec![2, 0, 1]);
     }
 
     #[test]
@@ -206,6 +214,6 @@ mod tests {
         node.enqueue(1, msg(0));
         node.enqueue(1, msg(1));
         node.enqueue(2, msg(2));
-        assert_eq!(node.serving_order(true), vec![1, 2, 0]);
+        assert_eq!(serving_order(&node, true), vec![1, 2, 0]);
     }
 }

@@ -192,6 +192,14 @@ impl NocSimulator {
         let mut hop_sum: u64 = 0;
         let mut routed_delivered: u64 = 0;
 
+        let longest_first = matches!(
+            self.config.routing,
+            RoutingAlgorithm::SspFl | RoutingAlgorithm::AspFt
+        );
+        // per-node scratch, reused across nodes and cycles
+        let mut order: Vec<usize> = Vec::new();
+        let mut output_taken: Vec<bool> = Vec::new();
+
         let mut cycle: u64 = 0;
         while delivered < total && cycle < MAX_CYCLES {
             // -------- 1. injection --------
@@ -223,12 +231,9 @@ impl NocSimulator {
             for node_idx in 0..p {
                 let out_ports = topo.neighbors(node_idx).len();
                 let local_out = out_ports; // delivery port index
-                let longest_first = matches!(
-                    self.config.routing,
-                    RoutingAlgorithm::SspFl | RoutingAlgorithm::AspFt
-                );
-                let order = nodes[node_idx].serving_order(longest_first);
-                let mut output_taken = vec![false; out_ports + 1];
+                nodes[node_idx].fill_serving_order(longest_first, &mut order);
+                output_taken.clear();
+                output_taken.resize(out_ports + 1, false);
 
                 for &in_port in &order {
                     let Some(head) = nodes[node_idx].input_fifos[in_port].front().copied() else {
@@ -263,14 +268,15 @@ impl NocSimulator {
                             match self.config.collision {
                                 CollisionPolicy::Dcm => None,
                                 CollisionPolicy::Scm => {
-                                    // misroute to any free *network* port
-                                    let free: Vec<usize> =
-                                        (0..out_ports).filter(|&q| !output_taken[q]).collect();
-                                    if free.is_empty() || dst == node_idx {
+                                    // misroute to a uniformly drawn free *network* port
+                                    let mut free_ports =
+                                        (0..out_ports).filter(|&q| !output_taken[q]);
+                                    let free = free_ports.clone().count();
+                                    if free == 0 || dst == node_idx {
                                         None
                                     } else {
                                         stats.misrouted += 1;
-                                        Some(free[rng.gen_range(0..free.len())])
+                                        free_ports.nth(rng.gen_range(0..free))
                                     }
                                 }
                             }

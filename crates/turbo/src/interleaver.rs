@@ -13,9 +13,9 @@
 //!
 //! The `(P0, P1, P2, P3)` parameters per frame size follow the 802.16e CTC
 //! channel-coding table.  Transcription of the larger sizes is best-effort
-//! (see `DESIGN.md`); every parameter set is validated to be a permutation at
-//! construction time, so a transcription slip can only shift BER performance
-//! marginally, never break correctness.
+//! (not checked against the standard's text); every parameter set is
+//! validated to be a permutation at construction time, so a transcription
+//! slip can only shift BER performance marginally, never break correctness.
 
 use crate::TurboError;
 
