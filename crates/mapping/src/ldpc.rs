@@ -38,7 +38,7 @@ impl LdpcMapping {
             code.m()
         );
         let graph = Self::row_graph(code);
-        let successors = Self::successor_rows(code);
+        let entries = Self::schedule_entries(code);
         // rank the candidates on their quality alone; only the kept one
         // needs its messages
         let mut best: Option<(Partition, MappingQuality)> = None;
@@ -49,13 +49,13 @@ impl LdpcMapping {
                 seed: config.seed.wrapping_add(candidate as u64 * 7919),
             };
             let partition = Partitioner::new(pconf).partition(&graph, pes);
-            let quality = Self::quality_of(code, &graph, &successors, &partition, pes);
+            let quality = Self::quality_of(&graph, &entries, &partition, pes);
             if best.as_ref().is_none_or(|(_, b)| quality.cost() < b.cost()) {
                 best = Some((partition, quality));
             }
         }
         let (partition, quality) = best.expect("at least one candidate is generated");
-        let trace = Self::build_trace(code, &successors, &partition, pes);
+        let trace = Self::build_trace(&entries, &partition, pes);
         LdpcMapping {
             pes,
             partition,
@@ -76,51 +76,39 @@ impl LdpcMapping {
         )
     }
 
-    /// For every H entry `(row, col)`, in row order: the *next* row (in the
-    /// layered schedule, i.e. natural row order, cyclically) that also
-    /// contains `col`.  After processing `row`, the updated bit LLR of `col`
-    /// must reach the PE owning that row.
-    fn successor_rows(code: &QcLdpcCode) -> Vec<usize> {
+    /// `(row, col, next_row)` for every H entry, in row order: after
+    /// processing `row`, the updated bit LLR of `col` must reach the PE
+    /// owning `next_row`, the *next* row (in the layered schedule, i.e.
+    /// natural row order, cyclically) that also contains `col`.
+    fn schedule_entries(code: &QcLdpcCode) -> Vec<(usize, usize, usize)> {
         let h = code.parity_check();
         let cols = h.column_lists();
-        let mut successors = Vec::with_capacity(code.edge_count());
+        let mut entries = Vec::with_capacity(code.edge_count());
         for row in 0..code.m() {
             for &col in h.row(row) {
                 let rows_of_col = &cols[col];
                 let pos = rows_of_col
                     .binary_search(&row)
                     .expect("entry must be present in its own column list");
-                successors.push(rows_of_col[(pos + 1) % rows_of_col.len()]);
+                entries.push((row, col, rows_of_col[(pos + 1) % rows_of_col.len()]));
             }
         }
-        successors
-    }
-
-    /// `(row, col, successor row)` for every H entry, in row order.
-    fn entries<'a>(
-        code: &'a QcLdpcCode,
-        successors: &'a [usize],
-    ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
-        let h = code.parity_check();
-        (0..code.m())
-            .flat_map(move |row| h.row(row).iter().map(move |&col| (row, col)))
-            .zip(successors)
-            .map(|((row, col), &next_row)| (row, col, next_row))
+        entries
     }
 
     /// The quality of one candidate `partition`; `graph` is the code's
-    /// [`row_graph`](Self::row_graph) and `successors` its
-    /// [`successor_rows`](Self::successor_rows), both built once per mapping.
+    /// [`row_graph`](Self::row_graph) and `entries` its
+    /// [`schedule_entries`](Self::schedule_entries), both built once per
+    /// mapping.
     fn quality_of(
-        code: &QcLdpcCode,
         graph: &WeightedGraph,
-        successors: &[usize],
+        entries: &[(usize, usize, usize)],
         partition: &Partition,
         pes: usize,
     ) -> MappingQuality {
         let mut counts = vec![0usize; pes];
         let mut remote = 0usize;
-        for (row, _, next_row) in Self::entries(code, successors) {
+        for &(row, _, next_row) in entries {
             let src = partition.part_of(row);
             counts[src] += 1;
             if src != partition.part_of(next_row) {
@@ -138,16 +126,15 @@ impl LdpcMapping {
     }
 
     /// The equivalent interleaver of `partition`: one message per H entry,
-    /// from the PE owning its row to the PE owning its successor row,
-    /// numbered in injection order per source.
+    /// from the PE owning its row to the PE owning its next row, numbered in
+    /// injection order per source.
     fn build_trace(
-        code: &QcLdpcCode,
-        successors: &[usize],
+        entries: &[(usize, usize, usize)],
         partition: &Partition,
         pes: usize,
     ) -> TrafficTrace {
         let mut per_source: Vec<Vec<Message>> = vec![Vec::new(); pes];
-        for (row, col, next_row) in Self::entries(code, successors) {
+        for &(row, col, next_row) in entries {
             let src = partition.part_of(row);
             let seq = per_source[src].len();
             per_source[src].push(Message::new(src, partition.part_of(next_row), col, seq));
