@@ -32,16 +32,40 @@ impl WeightedGraph {
     /// Builds a graph from an adjacency-list description
     /// (`lists[u]` = `(v, weight)` pairs; both directions must be present or
     /// will be merged).
+    ///
+    /// Only the `u < v` entries are read, so the result equals
+    /// [`add_edge`](Self::add_edge)`(u, v, w)` for each of them: repeated
+    /// pairs add their weights and self-loop entries are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a neighbour index is out of range.
     pub fn from_adjacency(lists: Vec<Vec<(usize, u64)>>) -> Self {
-        let mut g = WeightedGraph::new(lists.len());
+        let n = lists.len();
+        let mut adjacency: Vec<Vec<(usize, u64)>> = lists
+            .iter()
+            .map(|neigh| Vec::with_capacity(neigh.len()))
+            .collect();
         for (u, neigh) in lists.iter().enumerate() {
             for &(v, w) in neigh {
                 if u < v {
-                    g.add_edge(u, v, w);
+                    assert!(v < n, "node out of range");
+                    adjacency[u].push((v, w));
+                    adjacency[v].push((u, w));
                 }
             }
         }
-        g
+        for neigh in &mut adjacency {
+            neigh.sort_unstable_by_key(|&(v, _)| v);
+            neigh.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
+        }
+        WeightedGraph { adjacency }
     }
 
     /// Number of nodes.
@@ -118,6 +142,8 @@ impl WeightedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     fn triangle() -> WeightedGraph {
         let mut g = WeightedGraph::new(3);
@@ -169,5 +195,52 @@ mod tests {
         ];
         let g = WeightedGraph::from_adjacency(lists);
         assert_eq!(g, triangle());
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range")]
+    fn from_adjacency_rejects_an_out_of_range_neighbour() {
+        let _ = WeightedGraph::from_adjacency(vec![vec![(2, 1)], vec![]]);
+    }
+
+    /// The construction `from_adjacency` replaced: one `add_edge` per
+    /// `u < v` entry.
+    fn add_edge_construction(lists: &[Vec<(usize, u64)>]) -> WeightedGraph {
+        let mut g = WeightedGraph::new(lists.len());
+        for (u, neigh) in lists.iter().enumerate() {
+            for &(v, w) in neigh {
+                if u < v {
+                    g.add_edge(u, v, w);
+                }
+            }
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn from_adjacency_equals_the_add_edge_construction(
+            nodes in 1usize..40,
+            entries in 0usize..160,
+            weight_bits in 0u32..=8,
+            mirrored_pct in 0u32..=100,
+            seed in 0u64..1_000_000,
+        ) {
+            // Random lists with repeated pairs, one-sided entries, zero
+            // weights and self loops, in no particular order.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut lists = vec![Vec::new(); nodes];
+            for _ in 0..entries {
+                let (u, v) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
+                let w = rng.gen_range(0..(1u64 << weight_bits));
+                lists[u].push((v, w));
+                if rng.gen_range(0..100u32) < mirrored_pct {
+                    lists[v].push((u, w));
+                }
+            }
+            let expected = add_edge_construction(&lists);
+            prop_assert_eq!(WeightedGraph::from_adjacency(lists), expected);
+        }
     }
 }
