@@ -5,12 +5,15 @@
 
 use noc_decoder::evaluation::evaluate_ldpc;
 use noc_decoder::{
-    CodeRate, CollisionPolicy, DecoderConfig, NodeArchitecture, QcLdpcCode, RoutingAlgorithm,
+    CodeRate, CollisionPolicy, DecoderConfig, MappingStore, NodeArchitecture, QcLdpcCode,
+    RoutingAlgorithm,
 };
 
 fn main() {
     let code = QcLdpcCode::wimax(1152, CodeRate::R12).expect("valid code");
     let base = DecoderConfig::paper_design_point();
+    // every variant maps the code onto the same P = 22 PEs
+    let mappings = MappingStore::new();
 
     println!("== Ablations at the P = 22, D = 3 generalized-Kautz design point ==");
     println!("(WiMAX LDPC N = 1152, r = 1/2)\n");
@@ -20,7 +23,7 @@ fn main() {
     );
 
     let report = |label: &str, config: DecoderConfig| {
-        let eval = evaluate_ldpc(&config, &code).expect("evaluation succeeds");
+        let eval = evaluate_ldpc(&config, &code, &mappings).expect("evaluation succeeds");
         println!(
             "{:<34} {:>10} {:>12.2} {:>12.3} {:>10}",
             label, eval.phase_cycles, eval.throughput_mbps, eval.noc_area_mm2, eval.fifo_depth

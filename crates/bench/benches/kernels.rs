@@ -18,7 +18,10 @@ use fec_channel::sim::{EngineConfig, SimulationEngine};
 use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
 use fec_obs::NoopRecorder;
-use noc_decoder::{run_multi_compliance, ComplianceScope, DecoderConfig, MappingConfig};
+use noc_decoder::{
+    run_multi_compliance, run_multi_compliance_with_store, ComplianceScope, DecoderConfig,
+    MappingConfig, MappingStore,
+};
 use noc_mapping::LdpcMapping;
 use noc_sim::{NocConfig, NocSimulator, RoutingAlgorithm, Topology, TopologyKind};
 use rand::{Rng, SeedableRng};
@@ -339,13 +342,26 @@ fn main() {
     );
 
     // The five corner scopes at the paper design point on one worker: the
-    // work of one `fec_svc` compliance unit per standard.
+    // work of one `fec_svc` compliance unit per standard, first mapping
+    // every code (each sweep call starts from an empty store), then with a
+    // store that already holds the mappings, as the daemon's repeated
+    // compliance units run.
     let paper = DecoderConfig::paper_design_point();
     let corners = ComplianceScope::all_corners();
     run(
         &mut reports,
         bench("compliance_corners_p22/five_standards", 1, 5, || {
             std::hint::black_box(run_multi_compliance(&paper, &corners).expect("corner sweep"));
+        }),
+    );
+    let kept = MappingStore::new();
+    run(
+        &mut reports,
+        bench("compliance_corners_p22/five_standards_reused", 1, 5, || {
+            std::hint::black_box(
+                run_multi_compliance_with_store(&paper, &corners, 1, &kept, |_, _| {})
+                    .expect("corner sweep"),
+            );
         }),
     );
 

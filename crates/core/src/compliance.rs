@@ -15,6 +15,7 @@ use code_tables::{registry_for, Standard, StandardCode};
 use fec_json::{Json, ToJson};
 use fec_obs::{Class, Clock, Registry};
 use fec_sched::{PoolObs, WorkPool};
+use noc_mapping::MappingStore;
 
 /// The result of evaluating one code of a compliance sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,6 +180,10 @@ pub fn run_multi_compliance(
 /// (131+ codes for 802.16e) can stream rows to disk while still running.
 /// Codes skipped by the mapping guard never reach `on_entry`.
 ///
+/// The sweep keeps its LDPC mappings in a [`MappingStore`] of its own, so a
+/// code that two scopes share (802.22's rate-1/2 table is 802.16e's) is
+/// mapped once per call; every call starts from an empty store.
+///
 /// # Errors
 ///
 /// Same contract as [`run_compliance`]: the first non-skippable evaluation
@@ -189,7 +194,25 @@ pub fn run_multi_compliance_sharded(
     workers: usize,
     on_entry: impl FnMut(usize, &ComplianceEntry),
 ) -> Result<ComplianceReport, DecoderError> {
-    run_multi_compliance_inner(config, scopes, workers, on_entry, None)
+    run_multi_compliance_with_store(config, scopes, workers, &MappingStore::new(), on_entry)
+}
+
+/// Runs [`run_multi_compliance_sharded`] with the LDPC mappings taken from
+/// `mappings`, and the codes it has not mapped yet added to it: a sweep on
+/// a store that already holds its mappings only simulates their NoC
+/// phases.  The report is the same as with an empty store.
+///
+/// # Errors
+///
+/// Same contract as [`run_compliance`].
+pub fn run_multi_compliance_with_store(
+    config: &DecoderConfig,
+    scopes: &[ComplianceScope],
+    workers: usize,
+    mappings: &MappingStore,
+    on_entry: impl FnMut(usize, &ComplianceEntry),
+) -> Result<ComplianceReport, DecoderError> {
+    run_multi_compliance_inner(config, scopes, workers, mappings, on_entry, None)
 }
 
 /// Runs [`run_multi_compliance_sharded`] while filling `obs`: the pool
@@ -209,13 +232,22 @@ pub fn run_multi_compliance_observed(
     clock: &dyn Clock,
     obs: &mut Registry,
 ) -> Result<ComplianceReport, DecoderError> {
-    run_multi_compliance_inner(config, scopes, workers, on_entry, Some((clock, obs)))
+    let mappings = MappingStore::new();
+    run_multi_compliance_inner(
+        config,
+        scopes,
+        workers,
+        &mappings,
+        on_entry,
+        Some((clock, obs)),
+    )
 }
 
 fn run_multi_compliance_inner(
     config: &DecoderConfig,
     scopes: &[ComplianceScope],
     workers: usize,
+    mappings: &MappingStore,
     mut on_entry: impl FnMut(usize, &ComplianceEntry),
     mut observe: Option<(&dyn Clock, &mut Registry)>,
 ) -> Result<ComplianceReport, DecoderError> {
@@ -235,7 +267,7 @@ fn run_multi_compliance_inner(
 
     let task = |index: usize| {
         let (standard, code) = cells[index];
-        let eval = match evaluate_standard_code(config, code) {
+        let eval = match evaluate_standard_code(config, code, mappings) {
             Ok(eval) => eval,
             Err(DecoderError::InvalidConfiguration { .. }) => return Ok(None),
             Err(e) => return Err(e),
@@ -402,6 +434,22 @@ mod tests {
             .unwrap();
             assert_eq!(report, reference, "workers = {workers}");
             assert_eq!(streamed, report.entries.len(), "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn a_kept_store_gives_the_same_report_without_mapping_again() {
+        let config = DecoderConfig::paper_design_point();
+        let scopes = ComplianceScope::all_corners();
+        let reference = run_multi_compliance(&config, &scopes).unwrap();
+        let mappings = MappingStore::new();
+        for workers in [1usize, 2] {
+            let report =
+                run_multi_compliance_with_store(&config, &scopes, workers, &mappings, |_, _| {})
+                    .unwrap();
+            assert_eq!(report, reference, "workers = {workers}");
+            // 12 LDPC corner codes; 802.22's n2304 r1/2 is 802.16e's
+            assert_eq!(mappings.len(), 11, "workers = {workers}");
         }
     }
 

@@ -5,6 +5,7 @@ use crate::evaluation::{evaluate_ldpc, evaluate_turbo, DecoderError, DesignEvalu
 use asic_model::power::OperatingMode;
 use asic_model::{PowerModel, Technology};
 use fec_fixed::Llr;
+use noc_mapping::MappingStore;
 use wimax_ldpc::decoder::{LayeredConfig, LayeredDecoder};
 use wimax_ldpc::{DecodeOutcome, QcLdpcCode};
 use wimax_turbo::{CtcCode, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig, TurboError};
@@ -69,13 +70,14 @@ impl NocDecoder {
         TurboDecoder::new(code, cfg).decode(llrs)
     }
 
-    /// Evaluates this configuration in LDPC mode on the given code.
+    /// Evaluates this configuration in LDPC mode on the given code, mapping
+    /// the code anew.
     ///
     /// # Errors
     ///
     /// Returns a [`DecoderError`] if the configuration cannot be realised.
     pub fn evaluate_ldpc(&self, code: &QcLdpcCode) -> Result<DesignEvaluation, DecoderError> {
-        evaluate_ldpc(&self.config, code)
+        evaluate_ldpc(&self.config, code, &MappingStore::new())
     }
 
     /// Evaluates this configuration in turbo mode on the given code.

@@ -7,6 +7,7 @@ use code_tables::{Standard, StandardCode};
 use fec_json::{Json, ToJson};
 use fec_obs::{Class, Clock, Registry};
 use fec_sched::{PoolObs, WorkPool};
+use noc_mapping::MappingStore;
 use noc_sim::{NodeArchitecture, RoutingAlgorithm, TopologyKind};
 use wimax_ldpc::QcLdpcCode;
 use wimax_turbo::CtcCode;
@@ -140,14 +141,7 @@ impl DesignSpaceExplorer {
         pes: usize,
         row: (RoutingAlgorithm, NodeArchitecture),
     ) -> Result<Table1Row, DecoderError> {
-        let config = self
-            .base
-            .with_topology(family.0, family.1)
-            .with_pes(pes)
-            .with_routing(row.0)
-            .with_architecture(row.1);
-        let eval = evaluate_ldpc(&config, code)?;
-        Ok(Self::table1_row(eval, family.1, pes))
+        self.table1_cell_for(&Self::wimax_ldpc(code), family, pes, row)
     }
 
     /// Evaluates one cell of Table I on any registry code (LDPC or turbo
@@ -159,14 +153,35 @@ impl DesignSpaceExplorer {
         pes: usize,
         row: (RoutingAlgorithm, NodeArchitecture),
     ) -> Result<Table1Row, DecoderError> {
+        self.table1_cell_in(code, (family, pes, row), &MappingStore::new())
+    }
+
+    /// One Table I cell, the LDPC mapping taken from `mappings`: the cells
+    /// of one sweep share a store, so each `(code, P)` is mapped once for
+    /// its 18 NoC configurations.
+    fn table1_cell_in(
+        &self,
+        code: &StandardCode,
+        (family, pes, row): Table1Point,
+        mappings: &MappingStore,
+    ) -> Result<Table1Row, DecoderError> {
         let config = self
             .base
             .with_topology(family.0, family.1)
             .with_pes(pes)
             .with_routing(row.0)
             .with_architecture(row.1);
-        let eval = evaluate_standard_code(&config, code)?;
+        let eval = evaluate_standard_code(&config, code, mappings)?;
         Ok(Self::table1_row(eval, family.1, pes))
+    }
+
+    /// A WiMAX LDPC code as a registry code (the evaluation does not read
+    /// the standard).
+    fn wimax_ldpc(code: &QcLdpcCode) -> StandardCode {
+        StandardCode::Ldpc {
+            standard: Standard::Wimax,
+            code: code.clone(),
+        }
     }
 
     fn table1_row(eval: DesignEvaluation, degree: usize, pes: usize) -> Table1Row {
@@ -201,24 +216,22 @@ impl DesignSpaceExplorer {
     ///
     /// Propagates the first evaluation error encountered.
     pub fn table1(&self, code: &QcLdpcCode) -> Result<Vec<Table1Row>, DecoderError> {
-        let mut rows = Vec::new();
-        for (family, pes, row) in Self::table1_points() {
-            rows.push(self.table1_cell(code, family, pes, row)?);
-        }
-        Ok(rows)
+        self.table1_for(&Self::wimax_ldpc(code))
     }
 
-    /// Regenerates the full Table I sweep for any registry code.
+    /// Regenerates the full Table I sweep for any registry code.  The sweep
+    /// maps an LDPC code once per parallelism value: its cells share a
+    /// [`MappingStore`] for the length of the call.
     ///
     /// # Errors
     ///
     /// Propagates the first evaluation error encountered.
     pub fn table1_for(&self, code: &StandardCode) -> Result<Vec<Table1Row>, DecoderError> {
-        let mut rows = Vec::new();
-        for (family, pes, row) in Self::table1_points() {
-            rows.push(self.table1_cell_for(code, family, pes, row)?);
-        }
-        Ok(rows)
+        let mappings = MappingStore::new();
+        Self::table1_points()
+            .into_iter()
+            .map(|point| self.table1_cell_in(code, point, &mappings))
+            .collect()
     }
 
     /// Runs the Table I sweep with the 72 design points sharded over a
@@ -227,7 +240,8 @@ impl DesignSpaceExplorer {
     /// sweeps run on.  Every point evaluation is independent and seeded by
     /// the base configuration, and the pool merges results by sweep index,
     /// so the returned rows are in sweep order — bit-identical for any
-    /// worker count.
+    /// worker count.  As in [`table1_for`](Self::table1_for), an LDPC code
+    /// is mapped once per parallelism value.
     ///
     /// `on_row` is invoked from the calling thread as each row *finishes*
     /// (completion order), so callers can stream rows to disk or a progress
@@ -244,14 +258,12 @@ impl DesignSpaceExplorer {
         mut on_row: impl FnMut(usize, &Table1Row),
     ) -> Result<Vec<Table1Row>, DecoderError> {
         let points = Self::table1_points();
+        let mappings = MappingStore::new();
         WorkPool::new(workers)
             .run()
             .indexed_streamed(
                 points.len(),
-                |index| {
-                    let (family, pes, row) = points[index];
-                    self.table1_cell_for(code, family, pes, row)
-                },
+                |index| self.table1_cell_in(code, points[index], &mappings),
                 |index, result| {
                     if let Ok(row) = result {
                         on_row(index, row);
@@ -281,16 +293,14 @@ impl DesignSpaceExplorer {
         obs: &mut Registry,
     ) -> Result<Vec<Table1Row>, DecoderError> {
         let points = Self::table1_points();
+        let mappings = MappingStore::new();
         let mut pool_obs = PoolObs::new();
         let rows: Result<Vec<Table1Row>, DecoderError> = WorkPool::new(workers)
             .run()
             .observed(clock, &mut pool_obs)
             .indexed_streamed(
                 points.len(),
-                |index| {
-                    let (family, pes, row) = points[index];
-                    self.table1_cell_for(code, family, pes, row)
-                },
+                |index| self.table1_cell_in(code, points[index], &mappings),
                 |index, result| {
                     if let Ok(row) = result {
                         on_row(index, row);
@@ -320,10 +330,7 @@ impl DesignSpaceExplorer {
         turbo_code: &CtcCode,
     ) -> Result<Vec<Table2Row>, DecoderError> {
         self.table2_for(
-            &StandardCode::Ldpc {
-                standard: Standard::Wimax,
-                code: ldpc_code.clone(),
-            },
+            &Self::wimax_ldpc(ldpc_code),
             &StandardCode::WimaxTurbo {
                 code: turbo_code.clone(),
             },
@@ -349,6 +356,7 @@ impl DesignSpaceExplorer {
                 reason: "table2_for expects (LDPC, turbo) codes in that order".into(),
             });
         }
+        let mappings = MappingStore::new();
         let mut rows = Vec::new();
         for (routing, architecture) in TABLE_ROUTING_ROWS {
             let config = self
@@ -357,8 +365,8 @@ impl DesignSpaceExplorer {
                 .with_pes(22)
                 .with_routing(routing)
                 .with_architecture(architecture);
-            let ldpc = evaluate_standard_code(&config, ldpc_code)?;
-            let turbo = evaluate_standard_code(&config, turbo_code)?;
+            let ldpc = evaluate_standard_code(&config, ldpc_code, &mappings)?;
+            let turbo = evaluate_standard_code(&config, turbo_code, &mappings)?;
             rows.push(Table2Row {
                 routing: routing.name().to_string(),
                 architecture: architecture.name().to_string(),
@@ -385,9 +393,10 @@ impl DesignSpaceExplorer {
     ) -> Result<Option<(usize, DesignEvaluation)>, DecoderError> {
         let mut sorted: Vec<usize> = candidates.to_vec();
         sorted.sort_unstable();
+        let mappings = MappingStore::new();
         for pes in sorted {
             let config = self.base.with_pes(pes);
-            let eval = evaluate_ldpc(&config, code)?;
+            let eval = evaluate_ldpc(&config, code, &mappings)?;
             if eval.throughput_mbps >= target_mbps {
                 return Ok(Some((pes, eval)));
             }

@@ -7,7 +7,7 @@ use asic_model::{NocAreaInputs, NocAreaModel, PeAreaInputs, PeAreaModel};
 use code_tables::StandardCode;
 use decoder_pe::{LdpcCoreModel, SharedMemoryPlan, SisoCoreModel};
 use noc_mapping::turbo::HalfIteration;
-use noc_mapping::{LdpcMapping, TurboMapping};
+use noc_mapping::{MappingStore, TurboMapping};
 use noc_sim::{NocConfig, NocError, NocSimulator, NocStats, Topology};
 use std::fmt;
 use wimax_ldpc::QcLdpcCode;
@@ -96,10 +96,13 @@ impl DesignEvaluation {
     }
 }
 
-/// Evaluates one design point in LDPC mode.
+/// Evaluates one design point in LDPC mode, taking the code's mapping from
+/// `mappings` (or adding it there): evaluations that share a store map each
+/// `(code, P)` once.
 pub fn evaluate_ldpc(
     config: &DecoderConfig,
     code: &QcLdpcCode,
+    mappings: &MappingStore,
 ) -> Result<DesignEvaluation, DecoderError> {
     if config.pes > code.m() {
         return Err(DecoderError::InvalidConfiguration {
@@ -109,7 +112,7 @@ pub fn evaluate_ldpc(
     let topology = Topology::new(config.topology, config.pes, config.degree)?;
     let degree = topology.degree();
 
-    let mapping = LdpcMapping::new(code, config.pes, config.mapping);
+    let mapping = mappings.mapping(code, config.pes, config.mapping);
     let quality = mapping.quality();
 
     let noc_config = NocConfig::new(topology, config.routing)
@@ -191,14 +194,15 @@ pub fn evaluate_turbo_generic(
 }
 
 /// Evaluates one design point for any code of the multi-standard registry,
-/// dispatching LDPC codes to [`evaluate_ldpc`] and turbo codes to the
-/// matching turbo evaluation.
+/// dispatching LDPC codes to [`evaluate_ldpc`] (with `mappings`) and turbo
+/// codes to the matching turbo evaluation.
 pub fn evaluate_standard_code(
     config: &DecoderConfig,
     code: &StandardCode,
+    mappings: &MappingStore,
 ) -> Result<DesignEvaluation, DecoderError> {
     match code {
-        StandardCode::Ldpc { code, .. } => evaluate_ldpc(config, code),
+        StandardCode::Ldpc { code, .. } => evaluate_ldpc(config, code, mappings),
         // The DVB-RCS CTC shares the duo-binary trellis and the couple-level
         // extrinsic traffic of the 802.16e CTC; only its interleaver (and
         // hence the NoC traffic pattern) differs, which `CtcCode` carries.
@@ -328,7 +332,7 @@ mod tests {
     #[test]
     fn ldpc_evaluation_produces_consistent_numbers() {
         let config = DecoderConfig::paper_design_point().with_pes(8);
-        let eval = evaluate_ldpc(&config, &small_code()).unwrap();
+        let eval = evaluate_ldpc(&config, &small_code(), &MappingStore::new()).unwrap();
         assert_eq!(eval.mode, Mode::Ldpc);
         assert_eq!(eval.pes, 8);
         assert!(eval.phase_cycles > 0);
@@ -355,8 +359,19 @@ mod tests {
     #[test]
     fn more_pes_gives_higher_ldpc_throughput() {
         let code = small_code();
-        let slow = evaluate_ldpc(&DecoderConfig::paper_design_point().with_pes(4), &code).unwrap();
-        let fast = evaluate_ldpc(&DecoderConfig::paper_design_point().with_pes(16), &code).unwrap();
+        let mappings = MappingStore::new();
+        let slow = evaluate_ldpc(
+            &DecoderConfig::paper_design_point().with_pes(4),
+            &code,
+            &mappings,
+        )
+        .unwrap();
+        let fast = evaluate_ldpc(
+            &DecoderConfig::paper_design_point().with_pes(16),
+            &code,
+            &mappings,
+        )
+        .unwrap();
         assert!(
             fast.throughput_mbps > slow.throughput_mbps,
             "P=16 {} <= P=4 {}",
@@ -369,7 +384,7 @@ mod tests {
     fn too_many_pes_is_rejected() {
         let config = DecoderConfig::paper_design_point().with_pes(2000);
         assert!(matches!(
-            evaluate_ldpc(&config, &small_code()),
+            evaluate_ldpc(&config, &small_code(), &MappingStore::new()),
             Err(DecoderError::InvalidConfiguration { .. })
         ));
         let code = CtcCode::wimax(24).unwrap();
@@ -379,11 +394,13 @@ mod tests {
     #[test]
     fn ap_architecture_has_no_header_but_routing_memory() {
         let code = small_code();
+        let mappings = MappingStore::new();
         let pp = evaluate_ldpc(
             &DecoderConfig::paper_design_point()
                 .with_pes(8)
                 .with_architecture(noc_sim::NodeArchitecture::PartiallyPrecalculated),
             &code,
+            &mappings,
         )
         .unwrap();
         let ap = evaluate_ldpc(
@@ -391,6 +408,7 @@ mod tests {
                 .with_pes(8)
                 .with_architecture(noc_sim::NodeArchitecture::AllPrecalculated),
             &code,
+            &mappings,
         )
         .unwrap();
         // cycle counts are identical (same routing), areas differ
@@ -409,7 +427,7 @@ mod tests {
         use code_tables::{registry_for, Standard};
         let config = DecoderConfig::paper_design_point().with_pes(8);
         let code = registry_for(Standard::Lte).worst_turbo().unwrap();
-        let eval = evaluate_standard_code(&config, &code).unwrap();
+        let eval = evaluate_standard_code(&config, &code, &MappingStore::new()).unwrap();
         assert_eq!(eval.mode, Mode::Turbo);
         assert_eq!(eval.info_bits, 6144);
         assert_eq!(eval.messages_per_phase, 6144);
@@ -422,7 +440,7 @@ mod tests {
         use code_tables::{registry_for, Standard};
         let config = DecoderConfig::paper_design_point().with_pes(8);
         let code = registry_for(Standard::Wifi80211n).worst_ldpc().unwrap();
-        let eval = evaluate_standard_code(&config, &code).unwrap();
+        let eval = evaluate_standard_code(&config, &code, &MappingStore::new()).unwrap();
         assert_eq!(eval.mode, Mode::Ldpc);
         assert_eq!(eval.info_bits, 972);
         assert!(eval.throughput_mbps > 0.0);
@@ -431,13 +449,14 @@ mod tests {
     #[test]
     fn standard_dispatch_matches_the_direct_paths() {
         let config = DecoderConfig::paper_design_point().with_pes(8);
-        let direct = evaluate_ldpc(&config, &small_code()).unwrap();
+        let direct = evaluate_ldpc(&config, &small_code(), &MappingStore::new()).unwrap();
         let via = evaluate_standard_code(
             &config,
             &code_tables::StandardCode::Ldpc {
                 standard: code_tables::Standard::Wimax,
                 code: small_code(),
             },
+            &MappingStore::new(),
         )
         .unwrap();
         assert_eq!(direct, via);
@@ -447,6 +466,7 @@ mod tests {
         let via = evaluate_standard_code(
             &config,
             &code_tables::StandardCode::WimaxTurbo { code: ctc },
+            &MappingStore::new(),
         )
         .unwrap();
         assert_eq!(direct, via);
@@ -463,8 +483,12 @@ mod tests {
         let pi = code.interleaver();
         let natural_to_interleaved: Vec<usize> = (0..104).map(|j| pi.inverse(j)).collect();
         let expected = evaluate_turbo_generic(&config, 104, &natural_to_interleaved, 7).unwrap();
-        let via =
-            evaluate_standard_code(&config, &code_tables::StandardCode::LteTurbo { code }).unwrap();
+        let via = evaluate_standard_code(
+            &config,
+            &code_tables::StandardCode::LteTurbo { code },
+            &MappingStore::new(),
+        )
+        .unwrap();
         assert_eq!(via, expected);
     }
 
@@ -473,7 +497,7 @@ mod tests {
         use code_tables::{registry_for, Standard};
         let config = DecoderConfig::paper_design_point().with_pes(8);
         let code = registry_for(Standard::Wran80222).worst_ldpc().unwrap();
-        let eval = evaluate_standard_code(&config, &code).unwrap();
+        let eval = evaluate_standard_code(&config, &code, &MappingStore::new()).unwrap();
         assert_eq!(eval.mode, Mode::Ldpc);
         assert_eq!(eval.info_bits, 1152);
         assert!(eval.throughput_mbps > 0.0);
@@ -489,6 +513,7 @@ mod tests {
         let via = evaluate_standard_code(
             &config,
             &code_tables::StandardCode::DvbRcsTurbo { code: code.clone() },
+            &MappingStore::new(),
         )
         .unwrap();
         assert_eq!(direct, via);

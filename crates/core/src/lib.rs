@@ -45,7 +45,8 @@ pub mod throughput;
 
 pub use compliance::{
     run_compliance, run_multi_compliance, run_multi_compliance_observed,
-    run_multi_compliance_sharded, ComplianceEntry, ComplianceReport, ComplianceScope,
+    run_multi_compliance_sharded, run_multi_compliance_with_store, ComplianceEntry,
+    ComplianceReport, ComplianceScope,
 };
 pub use config::DecoderConfig;
 pub use decoder::NocDecoder;
@@ -60,7 +61,7 @@ pub use asic_model::{PowerModel, Technology};
 pub use code_tables::{registry_for, Standard, StandardCode, StandardRegistry};
 pub use fec_channel::sim::{BerCurve, BerPoint, EngineConfig, FecCodec, SimulationEngine};
 pub use fec_sched::WorkPool;
-pub use noc_mapping::MappingConfig;
+pub use noc_mapping::{MappingConfig, MappingStore};
 pub use noc_sim::{CollisionPolicy, NodeArchitecture, RoutingAlgorithm, TopologyKind};
 pub use wimax_ldpc::{CodeRate, QcLdpcCode};
 pub use wimax_turbo::CtcCode;

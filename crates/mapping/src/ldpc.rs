@@ -4,7 +4,13 @@
 use crate::partition::{Partition, Partitioner, PartitionerConfig};
 use crate::{MappingConfig, MappingQuality, WeightedGraph};
 use noc_sim::{Message, TrafficTrace};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use wimax_ldpc::{QcLdpcCode, TannerGraph};
+
+/// What a [`MappingStore`] keeps of a mapping: the selected partition and
+/// its quality.  The traffic trace is rebuilt from them on every lookup.
+type Kept = (Partition, MappingQuality);
 
 /// A mapping of the check rows of one LDPC code onto `P` processing elements,
 /// together with the equivalent interleaver (the traffic of one layered
@@ -25,23 +31,29 @@ impl LdpcMapping {
     /// Several partitioning candidates are generated (see
     /// [`MappingConfig::candidates`]) and the one with the lowest cost
     /// (remote traffic, then imbalance) is kept, mirroring the candidate
-    /// selection loop of the paper's flow.
+    /// selection loop of the paper's flow.  Every call partitions the code
+    /// anew; a [`MappingStore`] keeps the partitions for later calls.
     ///
     /// # Panics
     ///
     /// Panics if `pes` is zero or exceeds the number of check rows.
     pub fn new(code: &QcLdpcCode, pes: usize, config: MappingConfig) -> Self {
-        assert!(pes >= 1, "need at least one PE");
-        assert!(
-            pes <= code.m(),
-            "cannot map {} check rows onto {pes} PEs",
-            code.m()
-        );
+        MappingStore::new().mapping(code, pes, config)
+    }
+
+    /// The kept candidate: the partition of the code's
+    /// [`row_graph`](Self::row_graph) with the lowest cost, and its quality;
+    /// `entries` are the code's [`schedule_entries`](Self::schedule_entries).
+    fn select(
+        code: &QcLdpcCode,
+        entries: &[(usize, usize, usize)],
+        pes: usize,
+        config: MappingConfig,
+    ) -> Kept {
         let graph = Self::row_graph(code);
-        let entries = Self::schedule_entries(code);
         // rank the candidates on their quality alone; only the kept one
         // needs its messages
-        let mut best: Option<(Partition, MappingQuality)> = None;
+        let mut best: Option<Kept> = None;
         for candidate in 0..config.candidates.max(1) {
             let pconf = PartitionerConfig {
                 refinement_passes: config.refinement_passes,
@@ -49,19 +61,12 @@ impl LdpcMapping {
                 seed: config.seed.wrapping_add(candidate as u64 * 7919),
             };
             let partition = Partitioner::new(pconf).partition(&graph, pes);
-            let quality = Self::quality_of(&graph, &entries, &partition, pes);
+            let quality = Self::quality_of(&graph, entries, &partition, pes);
             if best.as_ref().is_none_or(|(_, b)| quality.cost() < b.cost()) {
                 best = Some((partition, quality));
             }
         }
-        let (partition, quality) = best.expect("at least one candidate is generated");
-        let trace = Self::build_trace(&entries, &partition, pes);
-        LdpcMapping {
-            pes,
-            partition,
-            trace,
-            quality,
-        }
+        best.expect("at least one candidate is generated")
     }
 
     /// The weighted row-adjacency graph of the code under layered scheduling.
@@ -174,6 +179,138 @@ impl LdpcMapping {
     }
 }
 
+/// The key of a kept mapping (see [`MappingStore`]).  The base matrix's
+/// shape, `z` and the block shifts at `z` determine the parity-check
+/// matrix.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct MappingKey {
+    base_rows: usize,
+    base_cols: usize,
+    z: usize,
+    /// `(block row, block column, shift)` of every non-zero block.
+    blocks: Vec<(usize, usize, usize)>,
+    pes: usize,
+    candidates: usize,
+    refinement_passes: usize,
+    seed: u64,
+}
+
+impl MappingKey {
+    fn new(code: &QcLdpcCode, pes: usize, config: MappingConfig) -> Self {
+        let base = code.base();
+        let z = code.expansion();
+        MappingKey {
+            base_rows: base.rows(),
+            base_cols: base.cols(),
+            z,
+            blocks: base
+                .iter_blocks()
+                .map(|(row, col, entry)| (row, col, base.scaling().apply(entry as usize, z)))
+                .collect(),
+            pes,
+            candidates: config.candidates,
+            refinement_passes: config.refinement_passes,
+            seed: config.seed,
+        }
+    }
+}
+
+/// LDPC mappings kept for reuse: like the paper's decoder, which maps each
+/// supported code once at design time and stores its location sequences in
+/// the nodes, a store partitions each code once per `P` and
+/// [`MappingConfig`].
+///
+/// An entry holds the selected [`Partition`] and its [`MappingQuality`],
+/// keyed on everything the mapping flow reads: the code's parity-check
+/// matrix (the base matrix's shape and each non-zero block's shift at `z`,
+/// i.e. its entries under its shift scaling), `P` and the
+/// [`MappingConfig`].  A lookup that finds its key rebuilds only the
+/// traffic trace, with the code a first mapping uses, so every lookup
+/// equals [`LdpcMapping::new`] bit for bit.  The trace is not kept; it is
+/// several times the size of the partition.
+///
+/// The store is shared by reference across threads.  When several threads
+/// miss the same key, one of them partitions the code and the others wait
+/// for its result; no lock is held while partitioning, so different keys
+/// are mapped in parallel.  Entries are never evicted: the owner bounds the
+/// store, a one-shot sweep by building one for its call, a daemon by
+/// mapping a fixed set of codes at one design point.
+#[derive(Default)]
+pub struct MappingStore {
+    slots: Mutex<BTreeMap<MappingKey, Arc<OnceLock<Kept>>>>,
+}
+
+impl std::fmt::Debug for MappingStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MappingStore")
+            .field("mappings", &self.len())
+            .finish()
+    }
+}
+
+impl MappingStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The number of kept mappings.
+    pub fn len(&self) -> usize {
+        self.slots()
+            .values()
+            .filter(|slot| slot.get().is_some())
+            .count()
+    }
+
+    /// Returns `true` if no mapping is kept.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Maps `code` onto `pes` processing elements, as [`LdpcMapping::new`]
+    /// does, but partitions the code only if this store has not mapped it
+    /// with the same `pes` and `config` before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pes` is zero or exceeds the number of check rows.
+    pub fn mapping(&self, code: &QcLdpcCode, pes: usize, config: MappingConfig) -> LdpcMapping {
+        assert!(pes >= 1, "need at least one PE");
+        assert!(
+            pes <= code.m(),
+            "cannot map {} check rows onto {pes} PEs",
+            code.m()
+        );
+        let entries = LdpcMapping::schedule_entries(code);
+        // the first caller that misses the key selects the partition;
+        // callers that miss it meanwhile wait for that result
+        let (partition, quality) = self
+            .slot(MappingKey::new(code, pes, config))
+            .get_or_init(|| LdpcMapping::select(code, &entries, pes, config))
+            .clone();
+        let trace = LdpcMapping::build_trace(&entries, &partition, pes);
+        LdpcMapping {
+            pes,
+            partition,
+            trace,
+            quality,
+        }
+    }
+
+    /// The cell that holds the mapping of `key`, added empty if the key is
+    /// new.  The map is locked only for this lookup, never while a mapping
+    /// is selected.
+    fn slot(&self, key: MappingKey) -> Arc<OnceLock<Kept>> {
+        Arc::clone(self.slots().entry(key).or_default())
+    }
+
+    fn slots(&self) -> MutexGuard<'_, BTreeMap<MappingKey, Arc<OnceLock<Kept>>>> {
+        // the map is only ever extended by one whole entry under the lock,
+        // so a panicking holder cannot leave it half-updated
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,5 +411,71 @@ mod tests {
         let mapping = LdpcMapping::new(&code, 1, MappingConfig::default());
         assert_eq!(mapping.quality().remote_messages, 0);
         assert_eq!(mapping.quality().locality(), 1.0);
+    }
+
+    #[test]
+    fn a_store_keeps_one_entry_per_code_pe_count_and_config() {
+        let store = MappingStore::new();
+        assert!(store.is_empty());
+        let code = small_code();
+        let config = MappingConfig::default();
+        let first = store.mapping(&code, 8, config);
+        let again = store.mapping(&code, 8, config);
+        assert_eq!(store.len(), 1);
+        assert_eq!(again.partition(), first.partition());
+        assert_eq!(again.traffic_trace(), first.traffic_trace());
+        assert_eq!(again.quality(), first.quality());
+        store.mapping(&code, 12, config);
+        store.mapping(&code, 8, MappingConfig { seed: 1, ..config });
+        store.mapping(&QcLdpcCode::wimax(672, CodeRate::R12).unwrap(), 8, config);
+        assert_eq!(store.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot map 288 check rows onto 289 PEs")]
+    fn a_store_rejects_more_pes_than_check_rows() {
+        let _ = MappingStore::new().mapping(&small_code(), 289, MappingConfig::default());
+    }
+
+    #[test]
+    fn two_threads_that_miss_the_same_key_compute_it_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc;
+        let store = MappingStore::new();
+        let code = small_code();
+        let config = MappingConfig::default();
+        let key = MappingKey::new(&code, 8, config);
+        let entries = LdpcMapping::schedule_entries(&code);
+        let computed = AtomicUsize::new(0);
+        let select = || {
+            computed.fetch_add(1, Ordering::SeqCst);
+            LdpcMapping::select(&code, &entries, 8, config)
+        };
+        let (selecting, first_is_selecting) = mpsc::channel();
+        let (missed, second_has_missed) = mpsc::channel();
+        let (store, key, select) = (&store, &key, &select);
+        // fec-lint: allow(no-thread-spawn, two threads race on one store key; no decode work runs here)
+        let (first, second) = std::thread::scope(|scope| {
+            // fec-lint: allow(no-thread-spawn, the first of the two racing threads selects the mapping)
+            let first = scope.spawn(move || {
+                store.slot(key.clone()).get_or_init(|| {
+                    selecting.send(()).unwrap();
+                    // hold the selection open until the second thread has
+                    // looked the key up and found no mapping
+                    second_has_missed.recv().unwrap();
+                    select()
+                });
+            });
+            first_is_selecting.recv().unwrap();
+            let slot = store.slot(key.clone());
+            assert!(slot.get().is_none(), "the second lookup must miss");
+            missed.send(()).unwrap();
+            let second = slot.get_or_init(select).clone();
+            first.join().unwrap();
+            (store.slot(key.clone()).get().cloned(), second)
+        });
+        assert_eq!(computed.load(Ordering::SeqCst), 1);
+        assert_eq!(first, Some(second));
+        assert_eq!(store.len(), 1);
     }
 }

@@ -16,6 +16,10 @@
 //!    minimum length and uniform message distribution, keeping the best
 //!    candidate.
 //!
+//! A [`MappingStore`] keeps the selected partitions, so a sweep or a
+//! long-lived service maps each code once per `P` and rebuilds only the
+//! traffic of a code it has mapped before.
+//!
 //! Turbo codes follow the simpler contiguous-window mapping of the Turbo NoC
 //! framework: couples are split evenly across the SISOs and the traffic is
 //! the ARP permutation itself.
@@ -45,7 +49,7 @@ pub mod partition;
 pub mod turbo;
 
 pub use graph::WeightedGraph;
-pub use ldpc::LdpcMapping;
+pub use ldpc::{LdpcMapping, MappingStore};
 pub use partition::{Partition, Partitioner, PartitionerConfig};
 pub use turbo::TurboMapping;
 

@@ -3,12 +3,14 @@
 //!
 //! A job is decomposed into independent [`Unit`]s at admission time — one
 //! unit per `Eb/N0` point for a BER job, one unit per standard scope for a
-//! compliance job — and every unit is plain owned data, so it can be moved
-//! into the shared pool as one [`fec_sched::Job`].  Units construct their
-//! codec in the worker and run a **single-worker** engine (the engine's
-//! per-shard RNG streams are keyed on `(seed, shard, ebn0_db)`, so a
-//! point's counts are byte-identical to the same point of a one-shot
-//! multi-worker curve run).
+//! compliance job — and every unit is owned data, so it can be moved into
+//! the shared pool as one [`fec_sched::Job`].  A BER job's units share the
+//! codec built once at validation, and each runs a **single-worker** engine
+//! (the engine's per-shard RNG streams are keyed on `(seed, shard,
+//! ebn0_db)`, so a point's counts are byte-identical to the same point of a
+//! one-shot multi-worker curve run).  A compliance unit takes its LDPC
+//! mappings from the [`MappingStore`] it runs with, so a daemon that keeps
+//! one store maps each code once.
 //!
 //! Validation is fallible end to end: a bad standard, codec key, block
 //! length, λ width or stop-rule setting turns into a `rejected` reason,
@@ -16,13 +18,15 @@
 //! `code-tables` catalogue ([`StandardCode::resolve`] and
 //! [`StandardCode::codec`]), the same constructor `ber_study` uses.
 
+use std::sync::Arc;
+
 use code_tables::{DecoderKind, Standard, StandardCode};
 use decoder_bench::{standard_snrs, study_engine_config, study_seed, AdaptiveFlags};
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
 use fec_channel::{AwgnChannel, EbN0};
 use fec_json::{Json, ToJson};
 use fec_sched::Priority;
-use noc_decoder::{run_multi_compliance_sharded, ComplianceScope, DecoderConfig};
+use noc_decoder::{run_multi_compliance_with_store, ComplianceScope, DecoderConfig, MappingStore};
 use wimax_turbo::ExtrinsicExchange;
 
 use crate::protocol::as_u64;
@@ -42,8 +46,8 @@ pub struct JobSpec {
     pub units: Vec<Unit>,
 }
 
-/// One independent work unit of a job; plain owned data, safe to move into
-/// a pool worker.
+/// One independent work unit of a job; owned data, safe to move into a
+/// pool worker.
 #[derive(Debug, Clone)]
 pub enum Unit {
     /// One `Eb/N0` point of a BER study curve.
@@ -64,14 +68,15 @@ pub enum Unit {
 
 /// The settings of one BER curve family, identical to a `ber_study` run
 /// with the same options (same seed, same engine assembly).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct BerSpec {
     /// The standard whose code is decoded.
     pub standard: Standard,
     /// The decoder, with its λ width on the fixed-point datapath.
     pub decoder: DecoderKind,
-    /// Block size: LDPC length `n`, turbo info bits `k`, or CTC couples.
-    pub block: usize,
+    /// The catalogue codec, built once when the job is validated and
+    /// shared by its units.
+    pub codec: Arc<dyn FecCodec>,
     /// Frames per point (exact in fixed mode, a cap in adaptive mode).
     pub frames: u64,
     /// Frames per decode call (`FecCodec::decode_frames`).
@@ -80,12 +85,20 @@ pub struct BerSpec {
     pub adaptive: Option<AdaptiveFlags>,
 }
 
-impl BerSpec {
-    /// The catalogue codec of the spec.
-    fn codec(&self) -> Result<Box<dyn FecCodec>, String> {
-        StandardCode::resolve(self.standard, self.decoder, self.block)?.codec(self.decoder)
+impl std::fmt::Debug for BerSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BerSpec")
+            .field("standard", &self.standard)
+            .field("decoder", &self.decoder)
+            .field("codec", &self.codec.name())
+            .field("frames", &self.frames)
+            .field("batch_frames", &self.batch_frames)
+            .field("adaptive", &self.adaptive)
+            .finish()
     }
+}
 
+impl BerSpec {
     /// One worker: the unit runs serial inline on the pool worker it was
     /// scheduled on — no nested thread fan-out — and its counts are
     /// byte-identical to any multi-worker one-shot run of the same point.
@@ -168,7 +181,7 @@ fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
         let lambda_bits = u32::try_from(bits).unwrap_or(u32::MAX);
         decoder = DecoderKind::Quantized { lambda_bits };
     }
-    let codec = code.codec(decoder)?;
+    let codec: Arc<dyn FecCodec> = Arc::from(code.codec(decoder)?);
 
     let frames = match request.get("frames") {
         None => 60,
@@ -217,10 +230,11 @@ fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
         }
     };
 
+    let label = codec.name();
     let spec = BerSpec {
         standard,
         decoder,
-        block,
+        codec,
         frames,
         batch_frames,
         adaptive,
@@ -233,14 +247,13 @@ fn parse_ber(request: &Json, priority: Priority) -> Result<JobSpec, String> {
     // channel needs a finite, positive noise variance.
     for &ebn0_db in &snrs {
         let sigma2 =
-            AwgnChannel::for_code_rate(EbN0::from_db(ebn0_db), codec.rate()).noise_variance();
+            AwgnChannel::for_code_rate(EbN0::from_db(ebn0_db), spec.codec.rate()).noise_variance();
         if !(sigma2.is_finite() && sigma2 > 0.0) {
             return Err(format!(
                 "\"snrs\" value {ebn0_db:?} dB has no finite noise variance"
             ));
         }
     }
-    let label = codec.name();
     let units = snrs
         .into_iter()
         .map(|ebn0_db| Unit::Ber {
@@ -296,25 +309,33 @@ fn default_block(standard: Standard, decoder: DecoderKind) -> usize {
     }
 }
 
-/// Executes one work unit, returning its result rows in order.  Panics in
-/// the decode path (none are expected after validation) are caught and
-/// turned into an error string, so a failing job never takes the daemon or
-/// its pool down.
+/// Executes one work unit, returning its result rows in order.  A
+/// compliance unit maps its LDPC codes anew; see [`run_unit_with_store`].
 pub fn run_unit(unit: &Unit) -> Result<Vec<Json>, String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_unit_inner(unit))) {
+    run_unit_with_store(unit, &MappingStore::new())
+}
+
+/// Executes one work unit, a compliance unit taking its LDPC mappings from
+/// `mappings` and adding the codes it is the first to map.  The rows are
+/// those of [`run_unit`].  Panics in the decode path (none are expected
+/// after validation) are caught and turned into an error string, so a
+/// failing job never takes the daemon or its pool down.
+pub fn run_unit_with_store(unit: &Unit, mappings: &MappingStore) -> Result<Vec<Json>, String> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_unit_inner(unit, mappings)
+    })) {
         Ok(result) => result,
         Err(panic) => Err(panic_message(&panic)),
     }
 }
 
-fn run_unit_inner(unit: &Unit) -> Result<Vec<Json>, String> {
+fn run_unit_inner(unit: &Unit, mappings: &MappingStore) -> Result<Vec<Json>, String> {
     match unit {
         Unit::Ber { spec, ebn0_db } => {
-            let codec = spec.codec()?;
             let engine = SimulationEngine::new(spec.engine_config());
-            let point = engine.run_point(codec.as_ref(), *ebn0_db);
+            let point = engine.run_point(spec.codec.as_ref(), *ebn0_db);
             Ok(vec![Json::obj([
-                ("label", Json::str(codec.name())),
+                ("label", Json::str(spec.codec.name())),
                 ("point", point.to_json()),
             ])])
         }
@@ -325,10 +346,11 @@ fn run_unit_inner(unit: &Unit) -> Result<Vec<Json>, String> {
                 ComplianceScope::corners(*standard)
             };
             let mut rows = Vec::new();
-            run_multi_compliance_sharded(
+            run_multi_compliance_with_store(
                 &DecoderConfig::paper_design_point(),
                 &[scope],
                 1,
+                mappings,
                 |_, entry| rows.push(entry.to_json()),
             )
             .map_err(|e| format!("{e}"))?;

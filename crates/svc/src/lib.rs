@@ -37,6 +37,6 @@ pub mod job;
 pub mod protocol;
 pub mod service;
 
-pub use job::{run_unit, JobSpec, Unit};
+pub use job::{run_unit, run_unit_with_store, JobSpec, Unit};
 pub use protocol::Request;
 pub use service::{EventSink, Service, ServiceConfig, MAX_REQUEST_LINE};

@@ -11,7 +11,9 @@
 //! starts on the next free worker.  A high-priority job's units dispatch
 //! first even while a low-priority job is mid-curve, and a job admitted
 //! while a long unit runs starts on an idle worker at once.  The completion
-//! handler books each unit's rows on the scheduler thread.
+//! handler books each unit's rows on the scheduler thread.  Compliance
+//! units share the service's [`MappingStore`], so a code is mapped by the
+//! first unit that needs it and only its NoC phase runs after that.
 //!
 //! Every event of a job is appended (and flushed) to
 //! `<log_dir>/job_<id>.ndjson` *before* it is delivered to the client, and
@@ -30,10 +32,11 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, ErrorKind, Write};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use fec_json::{Json, StreamedRows};
 use fec_sched::{Admission, CancelToken, Job, JobOutcome, WorkPool};
+use noc_decoder::MappingStore;
 
 use crate::job;
 use crate::protocol::{self, Request};
@@ -170,6 +173,10 @@ struct State {
 pub struct Service {
     cfg: ServiceConfig,
     state: Mutex<State>,
+    /// The LDPC mappings of every compliance unit run so far, kept for the
+    /// service's life.  Compliance units run only at the paper design
+    /// point, so it holds at most one entry per registry LDPC code.
+    mappings: Arc<MappingStore>,
 }
 
 impl std::fmt::Debug for Service {
@@ -201,7 +208,13 @@ impl Service {
                 shutdown: false,
                 admission: Admission::new(),
             }),
+            mappings: Arc::new(MappingStore::new()),
         })
+    }
+
+    /// The LDPC mappings the service keeps across compliance units.
+    pub fn mappings(&self) -> &MappingStore {
+        &self.mappings
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
@@ -382,9 +395,12 @@ impl Service {
         };
         entry.emit(&accepted);
         for unit in parsed.units {
-            let unit = Job::new(id as usize, move || job::run_unit(&unit))
-                .with_priority(parsed.priority)
-                .with_cancel(entry.cancel.clone());
+            let mappings = Arc::clone(&self.mappings);
+            let unit = Job::new(id as usize, move || {
+                job::run_unit_with_store(&unit, &mappings)
+            })
+            .with_priority(parsed.priority)
+            .with_cancel(entry.cancel.clone());
             st.admission
                 .submit(unit)
                 .expect("the scheduler's run closes only at shutdown");

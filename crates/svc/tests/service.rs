@@ -601,6 +601,68 @@ fn compliance_job_streams_entries() {
     assert_eq!(done_status(&lines, 1).as_deref(), Some("completed"));
 }
 
+/// Compliance units share the service's mapping store.  The five corner
+/// jobs, WiMAX and 802.22 first so that both start at once and race on the
+/// n2304 r1/2 code they share, run twice on 2 workers: every job streams
+/// the one-shot rows of its standard, and the store holds one entry per
+/// distinct LDPC code.  A third pass maps nothing new.
+#[test]
+fn repeated_compliance_jobs_reuse_the_services_mappings() {
+    use fec_json::ToJson;
+    use noc_decoder::{run_multi_compliance_sharded, ComplianceScope, DecoderConfig, Standard};
+    let flags = ["wimax", "80222", "80211n", "lte", "dvbrcs"];
+    let one_shot: BTreeMap<&str, Vec<String>> = flags
+        .iter()
+        .map(|&flag| {
+            let standard: Standard = flag.parse().unwrap();
+            let mut rows = Vec::new();
+            run_multi_compliance_sharded(
+                &DecoderConfig::paper_design_point(),
+                &[ComplianceScope::corners(standard)],
+                2,
+                |_, entry| rows.push(entry.to_json().to_string()),
+            )
+            .unwrap();
+            rows.sort();
+            (flag, rows)
+        })
+        .collect();
+
+    let svc = service("mapping-reuse", 2, 16);
+    let sink = RecordingSink::default();
+    let mut submitted = Vec::new();
+    let mut pass = |passes: usize| {
+        for _ in 0..passes {
+            for flag in flags {
+                let submit = format!(
+                    r#"{{"type":"submit","job":"compliance","standard":"{flag}","scope":"corners"}}"#
+                );
+                assert!(svc.handle_line(&submit, &sink));
+                submitted.push(flag);
+            }
+        }
+        svc.drain();
+    };
+    pass(2);
+    // 12 LDPC corner codes at P = 22, one of them in two standards
+    assert_eq!(svc.mappings().len(), 11);
+    pass(1);
+    assert_eq!(svc.mappings().len(), 11);
+
+    let lines = sink.lines();
+    let mut rows: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+    for (job_id, _, data) in rows_of(&lines) {
+        rows.entry(job_id).or_default().push(data);
+    }
+    for (index, flag) in submitted.into_iter().enumerate() {
+        let job_id = index as u64 + 1;
+        assert_eq!(done_status(&lines, job_id).as_deref(), Some("completed"));
+        let mut job_rows = rows.remove(&job_id).unwrap_or_default();
+        job_rows.sort();
+        assert_eq!(job_rows, one_shot[flag], "job {job_id} ({flag})");
+    }
+}
+
 /// The per-job result artifact is valid JSON carrying exactly the streamed
 /// rows, and the replay log matches the live stream byte for byte.
 #[test]

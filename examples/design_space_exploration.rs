@@ -9,8 +9,8 @@
 
 use noc_decoder::dse::TABLE_ROUTING_ROWS;
 use noc_decoder::{
-    CodeRate, DecoderConfig, DesignSpaceExplorer, QcLdpcCode, RoutingAlgorithm, Standard,
-    TopologyKind,
+    CodeRate, DecoderConfig, DesignSpaceExplorer, MappingStore, QcLdpcCode, RoutingAlgorithm,
+    Standard, TopologyKind,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,13 +69,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Routing-algorithm sensitivity at the paper's design point.
     println!("\nRouting-algorithm sensitivity at P = 22 (D = 3 generalized Kautz):");
+    // the three evaluations share one P = 22 mapping of the code
+    let mappings = MappingStore::new();
     for routing in [
         RoutingAlgorithm::SspRr,
         RoutingAlgorithm::SspFl,
         RoutingAlgorithm::AspFt,
     ] {
         let config = DecoderConfig::paper_design_point().with_routing(routing);
-        let eval = noc_decoder::evaluation::evaluate_ldpc(&config, &code)?;
+        let eval = noc_decoder::evaluation::evaluate_ldpc(&config, &code, &mappings)?;
         println!(
             "  {:<8} {:>8.2} Mb/s   fifo depth {:>3}   locality {:>5.2}",
             eval.routing, eval.throughput_mbps, eval.fifo_depth, eval.locality

@@ -8,7 +8,7 @@ use noc_decoder::{
     registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, MappingConfig, Standard,
     StandardCode,
 };
-use noc_mapping::{LdpcMapping, TurboMapping};
+use noc_mapping::{LdpcMapping, MappingStore, TurboMapping};
 use noc_sim::{
     CollisionPolicy, NocConfig, NocSimulator, NocStats, NodeArchitecture, RoutingAlgorithm,
     Topology, TopologyKind,
@@ -217,6 +217,43 @@ fn ldpc_corner_mappings_reproduce_their_golden_hashes() {
         .map(|&(label, hash)| (label.to_string(), hash))
         .collect();
     assert_eq!(hashes, golden);
+}
+
+/// A mapping rebuilt from a store hit is the fresh mapping: every corner
+/// code looked up a second time reproduces its golden hash, and the store
+/// keeps one entry per distinct code.
+#[test]
+fn store_hits_reproduce_the_golden_corner_mappings() {
+    let corners: Vec<(String, QcLdpcCode)> = Standard::all()
+        .into_iter()
+        .flat_map(|standard| ldpc_codes(registry_for(standard).corner_codes()))
+        .collect();
+    let store = MappingStore::new();
+    for (_, code) in &corners {
+        store.mapping(code, 22, MappingConfig::default());
+    }
+    // 802.22's rate-1/2 n2304 code is 802.16e's
+    assert_eq!(store.len(), corners.len() - 1);
+    let hits: Vec<(String, u64)> = corners
+        .iter()
+        .map(|(label, code)| {
+            let hit = store.mapping(code, 22, MappingConfig::default());
+            (label.clone(), mapping_hash(&hit))
+        })
+        .collect();
+    assert_eq!(store.len(), corners.len() - 1);
+    let golden: Vec<(String, u64)> = CORNER_MAPPING_HASHES
+        .iter()
+        .map(|&(label, hash)| (label.to_string(), hash))
+        .collect();
+    assert_eq!(hits, golden);
+
+    let (_, code) = &corners[0];
+    let hit = store.mapping(code, 22, MappingConfig::default());
+    let fresh = LdpcMapping::new(code, 22, MappingConfig::default());
+    assert_eq!(hit.partition(), fresh.partition());
+    assert_eq!(hit.traffic_trace(), fresh.traffic_trace());
+    assert_eq!(hit.quality(), fresh.quality());
 }
 
 /// `(cycles, delivered, collisions, misrouted, noc_stats_hash)` of one NoC
