@@ -1,19 +1,22 @@
 //! `svc_check`: CI verifier for a daemon reply stream.
 //!
 //! Reads the line-delimited events a `fec_svc` run wrote to stdout and one
-//! or more one-shot `ber_study --json` reference files, and checks that
+//! or more one-shot reference files — `ber_study --json` curves and
+//! `wimax_compliance --standard <s> [--full] --json` rows — and checks that
 //!
 //! * no label appears in two reference files;
 //! * every BER job's rows are row-for-row byte-identical to the reference
 //!   curve with the job's label (matched per `Eb/N0` point, since daemon
 //!   rows stream in completion order), with no duplicated or missing rows;
-//! * every BER job finished with `status: "completed"`;
-//! * at least one compliance job completed with at least one row;
+//! * every compliance job's rows, as a sorted set, are byte-identical to
+//!   the reference rows of its scope and standard;
+//! * every job finished with `status: "completed"`;
+//! * at least one BER and one compliance job were verified;
 //! * no `error`/`rejected` events appear in the stream;
 //! * with `--log-dir`, each job's replay log carries exactly the rows the
 //!   live stream delivered, byte for byte.
 //!
-//! Usage: `svc_check <replies.ndjson> <BER_reference.json>... [--log-dir <dir>]`
+//! Usage: `svc_check <replies.ndjson> <reference.json>... [--log-dir <dir>]`
 //!
 //! Exits 1 with a description on the first mismatch, and 2 on a bad
 //! command line.
@@ -22,6 +25,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::exit;
 
+use code_tables::Standard;
 use fec_json::Json;
 use fec_svc::protocol::as_u64;
 
@@ -38,7 +42,7 @@ fn fail(message: &str) -> ! {
     exit(1);
 }
 
-const USAGE: &str = "usage: svc_check <replies.ndjson> <BER_reference.json>... [--log-dir <dir>]";
+const USAGE: &str = "usage: svc_check <replies.ndjson> <reference.json>... [--log-dir <dir>]";
 
 fn main() {
     let mut paths = Vec::new();
@@ -69,15 +73,26 @@ fn main() {
     }
 
     let mut curves = BTreeMap::new();
+    let mut compliance = BTreeMap::new();
     for path in &reference_paths {
         let reference = Json::parse(&read(path))
             .unwrap_or_else(|e| fail(&format!("parse {}: {e}", path.display())));
+        let duplicate = |label: &str| -> ! {
+            fail(&format!(
+                "label {label:?} appears in two reference files (again in {})",
+                path.display()
+            ))
+        };
+        if reference.get("table").and_then(Json::as_str) == Some("compliance") {
+            let (label, rows) = compliance_rows(&reference);
+            if compliance.insert(label.clone(), rows).is_some() {
+                duplicate(&label);
+            }
+            continue;
+        }
         for (label, points) in curves_by_label(&reference) {
             if curves.insert(label.clone(), points).is_some() {
-                fail(&format!(
-                    "label {label:?} appears in two reference files (again in {})",
-                    path.display()
-                ));
+                duplicate(&label);
             }
         }
     }
@@ -103,9 +118,7 @@ fn main() {
         match job.kind.as_str() {
             "ber" => ber_rows += check_ber_job(*job_id, job, &curves),
             "compliance" => {
-                if job.rows.is_empty() {
-                    fail(&format!("compliance job {job_id} produced no rows"));
-                }
+                check_compliance_job(*job_id, job, &compliance);
                 compliance_done += 1;
             }
             other => fail(&format!("job {job_id} has unknown kind {other:?}")),
@@ -124,9 +137,11 @@ fn main() {
     }
     println!(
         "svc_check: {} jobs verified ({ber_rows} BER rows byte-identical to {} \
-         reference curves, {compliance_done} compliance jobs)",
+         reference curves, {compliance_done} compliance jobs matching {} \
+         reference row sets)",
         jobs.len(),
-        curves.len()
+        curves.len(),
+        compliance.len()
     );
 }
 
@@ -230,6 +245,67 @@ fn curves_by_label(reference: &Json) -> BTreeMap<String, Vec<Json>> {
         curves.insert(label.to_string(), points.to_vec());
     }
     curves
+}
+
+/// The job label a `wimax_compliance --json` file answers
+/// (`compliance-<scope>-<standard flag>`, as the daemon labels the same
+/// request) and its rows, rendered and sorted.
+fn compliance_rows(reference: &Json) -> (String, Vec<String>) {
+    let meta = |key: &str| {
+        reference
+            .get(key)
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| fail(&format!("compliance reference without {key:?}")))
+    };
+    let scope = meta("scope");
+    let standard = match meta("standard") {
+        "all" => "all".to_string(),
+        name => Standard::all()
+            .into_iter()
+            .find(|s| s.name() == name)
+            .unwrap_or_else(|| {
+                fail(&format!(
+                    "compliance reference for unknown standard {name:?}"
+                ))
+            })
+            .flag()
+            .to_string(),
+    };
+    let mut rows: Vec<String> = reference
+        .get("rows")
+        .and_then(Json::as_array)
+        .unwrap_or_else(|| fail("compliance reference has no rows array"))
+        .iter()
+        .map(Json::to_string)
+        .collect();
+    rows.sort();
+    (format!("compliance-{scope}-{standard}"), rows)
+}
+
+/// Verifies one compliance job: its rows, as a sorted set, must be the
+/// reference rows of its label byte for byte.
+fn check_compliance_job(job_id: u64, job: &JobCheck, references: &BTreeMap<String, Vec<String>>) {
+    let want = references.get(&job.label).unwrap_or_else(|| {
+        fail(&format!(
+            "no compliance reference for {:?} (job {job_id})",
+            job.label
+        ))
+    });
+    let mut got: Vec<String> = job.rows.iter().map(|(_, data)| data.to_string()).collect();
+    got.sort();
+    if &got != want {
+        let missing = want.iter().find(|row| !got.contains(row));
+        let extra = got.iter().find(|row| !want.contains(row));
+        fail(&format!(
+            "compliance job {job_id} ({}) rows differ from the one-shot run \
+             ({} rows vs {}):\n\
+             missing: {missing:?}\n\
+             extra  : {extra:?}",
+            job.label,
+            got.len(),
+            want.len()
+        ));
+    }
 }
 
 /// Verifies one BER job against its reference curve; returns the number of
