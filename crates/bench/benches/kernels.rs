@@ -19,7 +19,7 @@ use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
 use fec_obs::NoopRecorder;
 use noc_decoder::{
-    run_multi_compliance, run_multi_compliance_with_store, ComplianceScope, DecoderConfig,
+    run_multi_compliance_sharded, run_multi_compliance_with_store, ComplianceScope, DecoderConfig,
     MappingConfig, MappingStore,
 };
 use noc_mapping::LdpcMapping;
@@ -351,7 +351,9 @@ fn main() {
     run(
         &mut reports,
         bench("compliance_corners_p22/five_standards", 1, 5, || {
-            std::hint::black_box(run_multi_compliance(&paper, &corners).expect("corner sweep"));
+            std::hint::black_box(
+                run_multi_compliance_sharded(&paper, &corners, 1, |_, _| {}).expect("corner sweep"),
+            );
         }),
     );
     let kept = MappingStore::new();
@@ -359,7 +361,7 @@ fn main() {
         &mut reports,
         bench("compliance_corners_p22/five_standards_reused", 1, 5, || {
             std::hint::black_box(
-                run_multi_compliance_with_store(&paper, &corners, 1, &kept, |_, _| {})
+                run_multi_compliance_with_store(&paper, &corners, 1, &kept, None, |_, _| {})
                     .expect("corner sweep"),
             );
         }),

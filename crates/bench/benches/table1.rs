@@ -5,7 +5,8 @@
 //! the table the paper reports.  Timing micro-benchmarks live in
 //! `benches/kernels.rs`.
 
-use decoder_bench::{print_table1, run_table1};
+use decoder_bench::print_table1;
+use noc_decoder::{CodeRate, DesignSpaceExplorer, QcLdpcCode, Standard, StandardCode};
 
 fn main() {
     // The paper's code length; set TABLE1_N to sweep a different WiMAX length.
@@ -14,6 +15,12 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2304);
     println!("== Table I reproduction (N = {n}, r = 1/2) ==\n");
-    let rows = run_table1(n);
+    let code = StandardCode::Ldpc {
+        standard: Standard::Wimax,
+        code: QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length"),
+    };
+    let rows = DesignSpaceExplorer::default()
+        .table1(&code, 0, None, |_, _| {})
+        .expect("Table I sweep evaluates");
     print_table1(&rows);
 }

@@ -2,12 +2,22 @@
 //! flexible decoder, turbo N = 2400 couples @ 75 MHz and LDPC N = 2304
 //! @ 300 MHz).
 
-use decoder_bench::{print_table2, run_table2};
+use decoder_bench::print_table2;
+use noc_decoder::{CodeRate, CtcCode, DesignSpaceExplorer, QcLdpcCode, Standard, StandardCode};
 
 fn main() {
     let (ldpc_n, turbo_couples) = (2304, 2400);
     println!("== Table II reproduction ==\n");
-    let rows = run_table2(ldpc_n, turbo_couples);
+    let ldpc = StandardCode::Ldpc {
+        standard: Standard::Wimax,
+        code: QcLdpcCode::wimax(ldpc_n, CodeRate::R12).expect("valid WiMAX LDPC length"),
+    };
+    let turbo = StandardCode::WimaxTurbo {
+        code: CtcCode::wimax(turbo_couples).expect("valid WiMAX CTC size"),
+    };
+    let rows = DesignSpaceExplorer::default()
+        .table2(&ldpc, &turbo)
+        .expect("Table II evaluates");
     print_table2(&rows, ldpc_n, turbo_couples);
 
     println!("\n== Table III reproduction ==\n");

@@ -22,11 +22,12 @@
 
 use code_tables::Standard;
 use decoder_bench::{
-    exit_with_usage, json_flag_from_args, metrics_flags_from_args, print_table1, run_table1_for,
-    run_table1_observed, standard_flag_from_args, table1_code, workers_flag_from_args,
-    ObsCollector, StreamedRows,
+    exit_with_usage, json_flag_from_args, metrics_flags_from_args, print_table1,
+    standard_flag_from_args, table1_code, workers_flag_from_args, ObsCollector, StreamedRows,
 };
 use fec_json::Json;
+use fec_obs::Clock;
+use noc_decoder::{DecoderConfig, DesignSpaceExplorer};
 
 const USAGE: &str = "usage: table1 [--quick] [--standard wimax|80211n|lte|80222|dvbrcs] \
                      [--workers <n>] [--json <path>] [--metrics <path>] [--metrics-report]";
@@ -79,16 +80,12 @@ fn main() {
             row.topology, row.degree, row.pes, row.routing, row.architecture, row.throughput_mbps
         );
     };
-    let rows = match &mut obs {
-        Some(collector) => run_table1_observed(
-            &code,
-            workers,
-            on_row,
-            &collector.clock,
-            &mut collector.registry,
-        ),
-        None => run_table1_for(&code, workers, on_row),
-    };
+    let observe = obs
+        .as_mut()
+        .map(|c| (&c.clock as &dyn Clock, &mut c.registry));
+    let rows = DesignSpaceExplorer::new(DecoderConfig::paper_design_point())
+        .table1(&code, workers, observe, on_row)
+        .expect("Table I sweep evaluates");
     if let Some(collector) = &obs {
         metrics.emit(&collector.registry);
     }

@@ -18,9 +18,10 @@
 use code_tables::Standard;
 use decoder_bench::{
     exit_with_usage, json_flag_from_args, metrics_flags_from_args, print_table2, rows_json,
-    run_table2_for, standard_flag_from_args, table2_codes, write_json,
+    standard_flag_from_args, table2_codes, write_json,
 };
 use fec_obs::{Class, Clock, Registry, WallClock};
+use noc_decoder::{DecoderConfig, DesignSpaceExplorer};
 
 const USAGE: &str = "usage: table2 [--quick] [--standard wimax|80211n|lte|80222|dvbrcs] \
                      [--json <path>] [--metrics <path>] [--metrics-report]";
@@ -29,12 +30,14 @@ fn main() {
     let parsed = json_flag_from_args(std::env::args().skip(1)).and_then(|(json_path, rest)| {
         let (metrics, rest) = metrics_flags_from_args(rest.into_iter())?;
         let (standard, rest) = standard_flag_from_args(rest.into_iter())?;
-        Ok((json_path, metrics, standard, rest))
+        match rest.iter().find(|a| *a != "--quick") {
+            Some(other) => Err(format!("unrecognised argument: {other}")),
+            None => Ok((json_path, metrics, standard, !rest.is_empty())),
+        }
     });
-    let (json_path, metrics, standard, rest) =
+    let (json_path, metrics, standard, quick) =
         parsed.unwrap_or_else(|e| exit_with_usage("table2", &e, USAGE));
     let standard = standard.unwrap_or(Standard::Wimax);
-    let quick = rest.iter().any(|a| a == "--quick");
 
     let (ldpc, turbo) = table2_codes(standard, quick);
     println!(
@@ -44,7 +47,9 @@ fn main() {
     );
     let clock = WallClock::new();
     let t0 = clock.now_ns();
-    let rows = run_table2_for(&ldpc, &turbo);
+    let rows = DesignSpaceExplorer::new(DecoderConfig::paper_design_point())
+        .table2(&ldpc, &turbo)
+        .expect("Table II evaluates");
     // print_table2 labels columns by LDPC block length (k + m) and turbo
     // info bits (2 * couples).
     print_table2(

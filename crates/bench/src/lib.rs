@@ -35,6 +35,6 @@ pub use obs::{
     REQUIRED_COUNT_METRICS,
 };
 pub use results::{rows_json, write_json, StreamedRows};
-pub use table1::{print_table1, run_table1, run_table1_for, run_table1_observed, table1_code};
-pub use table2::{print_table2, run_table2, run_table2_for, table2_codes};
+pub use table1::{print_table1, table1_code};
+pub use table2::{print_table2, table2_codes};
 pub use table3::{print_table3, table3_rows, Table3Row};

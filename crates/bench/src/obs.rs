@@ -66,17 +66,6 @@ impl ObsCollector {
     pub fn new() -> Self {
         ObsCollector::default()
     }
-
-    /// Runs [`SimulationEngine::run_curve_observed`] against this
-    /// collector's clock and registry.
-    pub fn run_curve(
-        &mut self,
-        engine: &SimulationEngine,
-        codec: &dyn FecCodec,
-        snrs: &[f64],
-    ) -> BerCurve {
-        engine.run_curve_observed(codec, snrs, &self.clock, &mut self.registry)
-    }
 }
 
 /// Runs a curve observed when a collector is present, plain otherwise —
@@ -88,7 +77,9 @@ pub fn run_curve_maybe_observed(
     obs: &mut Option<ObsCollector>,
 ) -> BerCurve {
     match obs.as_mut() {
-        Some(collector) => collector.run_curve(engine, codec, snrs),
+        Some(collector) => {
+            engine.run_curve_observed(codec, snrs, &collector.clock, &mut collector.registry)
+        }
         None => engine.run_curve(codec, snrs),
     }
 }

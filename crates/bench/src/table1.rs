@@ -3,63 +3,8 @@
 //! degrees, routing algorithms and node architectures
 //! (`RL = 0`, `SCM`, `R = 0.5`, 300 MHz, `It_max = 10`, `lat_core = 15`).
 
-use code_tables::{registry_for, Standard, StandardCode};
+use code_tables::{Standard, StandardCode};
 use noc_decoder::dse::{Table1Row, TABLE1_FAMILIES, TABLE1_PARALLELISM, TABLE_ROUTING_ROWS};
-use noc_decoder::{CodeRate, DecoderConfig, DesignSpaceExplorer, QcLdpcCode};
-
-/// Runs the Table I sweep on the WiMAX LDPC code of length `block_length`
-/// (2304 for the paper's table; smaller lengths give a faster, smoke-test
-/// version of the same sweep).  The 72 design points are sharded over one
-/// worker thread per core; the rows are identical to the serial sweep.
-///
-/// # Panics
-///
-/// Panics if the block length is not a WiMAX length or an evaluation fails.
-pub fn run_table1(block_length: usize) -> Vec<Table1Row> {
-    let code = StandardCode::Ldpc {
-        standard: Standard::Wimax,
-        code: QcLdpcCode::wimax(block_length, CodeRate::R12).expect("valid WiMAX length"),
-    };
-    run_table1_for(&code, 0, |_, _| {})
-}
-
-/// Runs the Table I sweep on any registry code with the design points
-/// sharded over `workers` threads (0 = one per core), invoking `on_row` from
-/// the calling thread as each `(sweep index, row)` finishes.  The returned
-/// rows are in sweep order and bit-identical for any worker count.
-///
-/// # Panics
-///
-/// Panics if an evaluation fails.
-pub fn run_table1_for(
-    code: &StandardCode,
-    workers: usize,
-    on_row: impl FnMut(usize, &Table1Row),
-) -> Vec<Table1Row> {
-    let dse = DesignSpaceExplorer::new(DecoderConfig::paper_design_point());
-    dse.table1_sharded(code, workers, on_row)
-        .expect("Table I sweep evaluates")
-}
-
-/// [`run_table1_for`] with observability: fills `obs` with the sweep's
-/// `dse.*` counters and the work pool's `pool.*` spans (timed with the
-/// injected `clock`).  Rows and Count-class metrics stay bit-identical for
-/// any worker count.
-///
-/// # Panics
-///
-/// Panics if an evaluation fails.
-pub fn run_table1_observed(
-    code: &StandardCode,
-    workers: usize,
-    on_row: impl FnMut(usize, &Table1Row),
-    clock: &dyn fec_obs::Clock,
-    obs: &mut fec_obs::Registry,
-) -> Vec<Table1Row> {
-    let dse = DesignSpaceExplorer::new(DecoderConfig::paper_design_point());
-    dse.table1_sharded_observed(code, workers, on_row, clock, obs)
-        .expect("Table I sweep evaluates")
-}
 
 /// The code a `--standard` Table I sweep exercises: the standard's
 /// worst-case (largest) code — LDPC where the standard defines LDPC, its
@@ -68,19 +13,18 @@ pub fn run_table1_observed(
 /// `max(TABLE1_PARALLELISM)` PEs, so smaller codes would fail evaluation —
 /// the WiMAX DBTC 48 corner has only 24 couples, for example).
 pub fn table1_code(standard: Standard, quick: bool) -> StandardCode {
-    let registry = registry_for(standard);
     if quick {
         let max_pes = TABLE1_PARALLELISM.into_iter().max().unwrap_or(0);
-        registry
+        standard
             .corner_codes()
             .into_iter()
             .filter(|c| c.mapping_units() >= max_pes)
             .min_by_key(|c| c.mapping_units())
             .expect("registry has a corner code mappable at the swept parallelism")
     } else {
-        registry
+        standard
             .worst_ldpc()
-            .or_else(|| registry.worst_turbo())
+            .or_else(|| standard.worst_turbo())
             .expect("registry has codes")
     }
 }
@@ -124,10 +68,17 @@ pub fn print_table1(rows: &[Table1Row]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_decoder::{CodeRate, DesignSpaceExplorer, QcLdpcCode};
 
     #[test]
     fn smoke_sweep_on_the_smallest_code_has_72_points() {
-        let rows = run_table1(576);
+        let code = StandardCode::Ldpc {
+            standard: Standard::Wimax,
+            code: QcLdpcCode::wimax(576, CodeRate::R12).unwrap(),
+        };
+        let rows = DesignSpaceExplorer::default()
+            .table1(&code, 0, None, |_, _| {})
+            .unwrap();
         assert_eq!(rows.len(), 6 * 4 * 3);
         assert!(rows
             .iter()
@@ -179,7 +130,9 @@ mod tests {
     fn sweep_streams_each_point_once_on_a_wifi_code() {
         let code = table1_code(Standard::Wifi80211n, true);
         let mut streamed = 0;
-        let rows = run_table1_for(&code, 2, |_, _| streamed += 1);
+        let rows = DesignSpaceExplorer::default()
+            .table1(&code, 2, None, |_, _| streamed += 1)
+            .unwrap();
         assert_eq!(rows.len(), 72);
         assert_eq!(streamed, 72);
     }

@@ -2,23 +2,8 @@
 //! supporting all WiMAX turbo and LDPC codes — turbo `N = 2400` couples at
 //! 75 MHz, LDPC `N = 2304, r = 1/2` at 300 MHz, for the three routing rows.
 
-use code_tables::{registry_for, Standard, StandardCode};
+use code_tables::{Standard, StandardCode};
 use noc_decoder::dse::Table2Row;
-use noc_decoder::{CodeRate, CtcCode, DecoderConfig, DesignSpaceExplorer, QcLdpcCode};
-
-/// Runs the Table II evaluation.  `ldpc_length` and `turbo_couples` default
-/// to the paper's worst-case codes (2304 bits, 2400 couples); smaller values
-/// give a fast smoke-test version.
-///
-/// # Panics
-///
-/// Panics if the code parameters are invalid or an evaluation fails.
-pub fn run_table2(ldpc_length: usize, turbo_couples: usize) -> Vec<Table2Row> {
-    let ldpc = QcLdpcCode::wimax(ldpc_length, CodeRate::R12).expect("valid WiMAX LDPC length");
-    let turbo = CtcCode::wimax(turbo_couples).expect("valid WiMAX CTC size");
-    let dse = DesignSpaceExplorer::new(DecoderConfig::paper_design_point());
-    dse.table2(&ldpc, &turbo).expect("Table II evaluates")
-}
 
 /// The (LDPC, turbo) pair a `--standard` Table II evaluation exercises on
 /// the flexible `P = 22` fabric: the standard's worst-case (largest) codes,
@@ -28,17 +13,16 @@ pub fn run_table2(ldpc_length: usize, turbo_couples: usize) -> Vec<Table2Row> {
 pub fn table2_codes(standard: Standard, quick: bool) -> (StandardCode, StandardCode) {
     let pick = |want_ldpc: bool| -> StandardCode {
         let from = |standard: Standard| -> Option<StandardCode> {
-            let registry = registry_for(standard);
             if quick {
-                registry
+                standard
                     .corner_codes()
                     .into_iter()
                     .filter(|c| c.is_ldpc() == want_ldpc)
                     .min_by_key(|c| c.mapping_units())
             } else if want_ldpc {
-                registry.worst_ldpc()
+                standard.worst_ldpc()
             } else {
-                registry.worst_turbo()
+                standard.worst_turbo()
             }
         };
         from(standard)
@@ -46,16 +30,6 @@ pub fn table2_codes(standard: Standard, quick: bool) -> (StandardCode, StandardC
             .expect("the WiMAX registry has both families")
     };
     (pick(true), pick(false))
-}
-
-/// Runs the Table II evaluation on an explicit registry-code pair.
-///
-/// # Panics
-///
-/// Panics if an evaluation fails or the codes are in the wrong roles.
-pub fn run_table2_for(ldpc: &StandardCode, turbo: &StandardCode) -> Vec<Table2Row> {
-    let dse = DesignSpaceExplorer::new(DecoderConfig::paper_design_point());
-    dse.table2_for(ldpc, turbo).expect("Table II evaluates")
 }
 
 /// Pretty-prints Table II in the paper's layout.
@@ -90,10 +64,23 @@ pub fn print_table2(rows: &[Table2Row], ldpc_length: usize, turbo_couples: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_decoder::{CodeRate, CtcCode, DesignSpaceExplorer, QcLdpcCode};
+
+    fn table2(ldpc: &StandardCode, turbo: &StandardCode) -> Vec<Table2Row> {
+        DesignSpaceExplorer::default().table2(ldpc, turbo).unwrap()
+    }
 
     #[test]
     fn smoke_table2_on_small_codes() {
-        let rows = run_table2(576, 240);
+        let rows = table2(
+            &StandardCode::Ldpc {
+                standard: Standard::Wimax,
+                code: QcLdpcCode::wimax(576, CodeRate::R12).unwrap(),
+            },
+            &StandardCode::WimaxTurbo {
+                code: CtcCode::wimax(240).unwrap(),
+            },
+        );
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(r.ldpc_throughput_mbps > 0.0);
@@ -152,7 +139,7 @@ mod tests {
         );
         assert!(turbo.label().contains("K=40"), "{}", turbo.label());
         // and the quick rows still evaluate (P = 22 fits the smallest codes)
-        let rows = run_table2_for(&ldpc, &turbo);
+        let rows = table2(&ldpc, &turbo);
         assert_eq!(rows.len(), 3);
         // DVB-RCS quick: its own smallest CTC plus a borrowed WiMAX LDPC.
         let (ldpc, turbo) = table2_codes(Standard::DvbRcs, true);
@@ -162,7 +149,7 @@ mod tests {
             "{}",
             turbo.label()
         );
-        let rows = run_table2_for(&ldpc, &turbo);
+        let rows = table2(&ldpc, &turbo);
         assert_eq!(rows.len(), 3);
     }
 }

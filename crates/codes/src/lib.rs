@@ -21,9 +21,11 @@
 //!   interleaver parameter table per couple size (validated bijective at
 //!   construction) over the shared `wimax_turbo` 8-state CRSC trellis and
 //!   SISO;
-//! * [`registry`] — [`StandardCode`] + the [`StandardRegistry`] trait, the
-//!   interface the compliance sweep, the design-space explorer and the BER
-//!   binaries use to enumerate codes per standard, and the one codec
+//! * [`registry`] — [`StandardCode`] and the code sets of each [`Standard`]
+//!   ([`Standard::full_codes`], [`Standard::corner_codes`],
+//!   [`Standard::worst_ldpc`], [`Standard::worst_turbo`]), which the
+//!   compliance sweep, the design-space explorer and the BER binaries use
+//!   to enumerate codes per standard, and the one codec
 //!   constructor: [`StandardCode::resolve`] finds the code a
 //!   `(standard, decoder, block)` names and [`StandardCode::codec`] builds
 //!   its [`DecoderKind`] behind [`fec_channel::sim::FecCodec`].
@@ -31,9 +33,9 @@
 //! # Example
 //!
 //! ```
-//! use code_tables::{registry_for, Standard};
+//! use code_tables::Standard;
 //!
-//! let wifi = registry_for(Standard::Wifi80211n);
+//! let wifi = Standard::Wifi80211n;
 //! assert_eq!(wifi.full_codes().len(), 12);
 //! let worst = wifi.worst_ldpc().unwrap();
 //! assert_eq!(worst.label(), "802.11n LDPC 1944 r=1/2");
@@ -66,10 +68,7 @@ pub use lte::{
     lte_block_sizes, LteTurboCode, LteTurboCodec, LteTurboEncoder, LteTurboError, QppInterleaver,
     QppParameters, LTE_QPP_TABLE,
 };
-pub use registry::{
-    registry_for, DecoderKind, DvbRcsRegistry, LteRegistry, StandardCode, StandardRegistry,
-    WifiRegistry, WimaxRegistry, WranRegistry,
-};
+pub use registry::{DecoderKind, StandardCode};
 pub use standard::{Standard, UnknownStandard};
 pub use wifi::{wifi_base_matrix, wifi_ldpc, wifi_rates, WIFI_BLOCK_LENGTHS};
 pub use wran::{wran_base_matrix, wran_ldpc, wran_rates, WRAN_BLOCK_LENGTHS};

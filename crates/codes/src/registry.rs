@@ -1,6 +1,7 @@
 //! The multi-standard code catalogue: one [`StandardCode`] per channel code,
-//! grouped per [`Standard`] behind the [`StandardRegistry`] trait, and the
-//! one constructor of every codec in the workspace.
+//! grouped per [`Standard`] by [`Standard::full_codes`] and
+//! [`Standard::corner_codes`], and the one constructor of every codec in the
+//! workspace.
 //!
 //! The registry is the single place the evaluation layer (compliance sweep,
 //! design-space exploration, BER studies, the decode daemon) asks "which
@@ -9,8 +10,8 @@
 //! [`StandardCode::resolve`], which builds only the code it names, and
 //! [`StandardCode::codec`], which picks the decoder configuration and the
 //! label.  Both return `Err` for a combination the tables do not define, so
-//! a bad request never panics.  Adding a standard means adding a registry
-//! implementation and its arms here, not touching the sweeps.
+//! a bad request never panics.  Adding a standard means adding its arms
+//! here, not touching the sweeps.
 
 use crate::dvb_rcs::{dvb_rcs_ctc, DVB_RCS_COUPLE_SIZES};
 use crate::lte::{lte_block_sizes, LteTurboCode, LteTurboCodec};
@@ -281,217 +282,95 @@ impl<C: FecCodec> FecCodec for NamedCodec<C> {
     }
 }
 
-/// A standard's code set: the full list (compliance sweeps) and the corner
-/// subset (tests and quick runs).
-pub trait StandardRegistry {
-    /// The standard this registry describes.
-    fn standard(&self) -> Standard;
+/// A standard's code sets: the full list (compliance sweeps), the corner
+/// subset (tests and quick runs) and its worst-case (largest) codes.
+impl Standard {
+    /// Every code the standard defines within this repository's tables:
+    /// 802.16e's 19 LDPC lengths x 6 rates and 17 CTC frame sizes, 802.11n's
+    /// 3 lengths x 4 rates, LTE's representative QPP block sizes, 802.22's
+    /// 6 lengths x 3 rates and DVB-RCS's twelve couple sizes.
+    pub fn full_codes(self) -> Vec<StandardCode> {
+        match self {
+            Standard::Wimax => {
+                let mut codes = self.ldpc_codes(&wimax_block_lengths(), &CodeRate::all());
+                codes.extend(WIMAX_FRAME_SIZES.map(wimax_ctc));
+                codes
+            }
+            Standard::Wifi80211n => self.ldpc_codes(&WIFI_BLOCK_LENGTHS, &wifi_rates()),
+            Standard::Lte => lte_block_sizes().into_iter().map(lte_turbo).collect(),
+            Standard::Wran80222 => self.ldpc_codes(&WRAN_BLOCK_LENGTHS, &wran_rates()),
+            Standard::DvbRcs => DVB_RCS_COUPLE_SIZES.map(dvb_rcs_turbo).into(),
+        }
+    }
 
-    /// Every code the standard defines (within this repository's tables).
-    fn full_codes(&self) -> Vec<StandardCode>;
-
-    /// The corner cases: smallest and largest codes at the extreme rates.
-    fn corner_codes(&self) -> Vec<StandardCode>;
+    /// The corner cases: the smallest and largest codes at the extreme
+    /// rates.
+    pub fn corner_codes(self) -> Vec<StandardCode> {
+        match self {
+            Standard::Wimax => {
+                let mut codes = self.ldpc_codes(&[576, 2304], &[CodeRate::R12, CodeRate::R56]);
+                codes.extend([24, 2400].map(wimax_ctc));
+                codes
+            }
+            Standard::Wifi80211n => self.ldpc_codes(&[648, 1944], &[CodeRate::R12, CodeRate::R56]),
+            Standard::Lte => [40, 6144].map(lte_turbo).into(),
+            Standard::Wran80222 => self.ldpc_codes(&[384, 2304], &[CodeRate::R12, CodeRate::R34]),
+            Standard::DvbRcs => [48, 864].map(dvb_rcs_turbo).into(),
+        }
+    }
 
     /// The standard's worst-case (largest) LDPC code, if it defines LDPC.
-    fn worst_ldpc(&self) -> Option<StandardCode> {
-        self.full_codes()
-            .into_iter()
-            .filter(|c| c.is_ldpc())
-            .max_by_key(|c| c.mapping_units())
+    pub fn worst_ldpc(self) -> Option<StandardCode> {
+        self.largest_code(true)
     }
 
     /// The standard's worst-case (largest) turbo code, if it defines turbo.
-    fn worst_turbo(&self) -> Option<StandardCode> {
+    pub fn worst_turbo(self) -> Option<StandardCode> {
+        self.largest_code(false)
+    }
+
+    fn largest_code(self, ldpc: bool) -> Option<StandardCode> {
         self.full_codes()
             .into_iter()
-            .filter(|c| !c.is_ldpc())
-            .max_by_key(|c| c.mapping_units())
-    }
-}
-
-/// The 802.16e registry: 19 LDPC lengths x 6 rates plus 17 CTC frame sizes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WimaxRegistry;
-
-impl StandardRegistry for WimaxRegistry {
-    fn standard(&self) -> Standard {
-        Standard::Wimax
+            .filter(|c| c.is_ldpc() == ldpc)
+            .max_by_key(StandardCode::mapping_units)
     }
 
-    fn full_codes(&self) -> Vec<StandardCode> {
-        let mut codes = Vec::new();
-        for n in wimax_block_lengths() {
-            for rate in CodeRate::all() {
-                codes.push(StandardCode::Ldpc {
-                    standard: Standard::Wimax,
-                    code: QcLdpcCode::wimax(n, rate).expect("valid WiMAX length"),
-                });
-            }
-        }
-        for &couples in &WIMAX_FRAME_SIZES {
-            codes.push(StandardCode::WimaxTurbo {
-                code: CtcCode::wimax(couples).expect("valid WiMAX frame size"),
-            });
-        }
-        codes
-    }
-
-    fn corner_codes(&self) -> Vec<StandardCode> {
-        let mut codes = Vec::new();
-        for n in [576, 2304] {
-            for rate in [CodeRate::R12, CodeRate::R56] {
-                codes.push(StandardCode::Ldpc {
-                    standard: Standard::Wimax,
-                    code: QcLdpcCode::wimax(n, rate).expect("valid WiMAX length"),
-                });
-            }
-        }
-        for couples in [24, 2400] {
-            codes.push(StandardCode::WimaxTurbo {
-                code: CtcCode::wimax(couples).expect("valid WiMAX frame size"),
-            });
-        }
-        codes
-    }
-}
-
-/// The 802.11n registry: 3 block lengths x 4 rates, LDPC only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WifiRegistry;
-
-impl StandardRegistry for WifiRegistry {
-    fn standard(&self) -> Standard {
-        Standard::Wifi80211n
-    }
-
-    fn full_codes(&self) -> Vec<StandardCode> {
-        let mut codes = Vec::new();
-        for &n in &WIFI_BLOCK_LENGTHS {
-            for rate in wifi_rates() {
-                codes.push(StandardCode::Ldpc {
-                    standard: Standard::Wifi80211n,
-                    code: wifi_ldpc(n, rate).expect("valid 802.11n length"),
-                });
-            }
-        }
-        codes
-    }
-
-    fn corner_codes(&self) -> Vec<StandardCode> {
-        let mut codes = Vec::new();
-        for n in [648, 1944] {
-            for rate in [CodeRate::R12, CodeRate::R56] {
-                codes.push(StandardCode::Ldpc {
-                    standard: Standard::Wifi80211n,
-                    code: wifi_ldpc(n, rate).expect("valid 802.11n length"),
-                });
-            }
-        }
-        codes
-    }
-}
-
-/// The LTE registry: the representative QPP block sizes, turbo only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LteRegistry;
-
-impl StandardRegistry for LteRegistry {
-    fn standard(&self) -> Standard {
-        Standard::Lte
-    }
-
-    fn full_codes(&self) -> Vec<StandardCode> {
-        lte_block_sizes()
-            .into_iter()
-            .map(|k| StandardCode::LteTurbo {
-                code: LteTurboCode::new(k).expect("valid LTE block size"),
-            })
-            .collect()
-    }
-
-    fn corner_codes(&self) -> Vec<StandardCode> {
-        [40usize, 6144]
-            .into_iter()
-            .map(|k| StandardCode::LteTurbo {
-                code: LteTurboCode::new(k).expect("valid LTE block size"),
-            })
-            .collect()
-    }
-}
-
-/// The 802.22 registry: 6 block lengths x 3 rates, LDPC only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WranRegistry;
-
-impl StandardRegistry for WranRegistry {
-    fn standard(&self) -> Standard {
-        Standard::Wran80222
-    }
-
-    fn full_codes(&self) -> Vec<StandardCode> {
-        let mut codes = Vec::new();
-        for &n in &WRAN_BLOCK_LENGTHS {
-            for rate in wran_rates() {
-                codes.push(StandardCode::Ldpc {
-                    standard: Standard::Wran80222,
-                    code: wran_ldpc(n, rate).expect("valid 802.22 length"),
-                });
-            }
-        }
-        codes
-    }
-
-    fn corner_codes(&self) -> Vec<StandardCode> {
-        let mut codes = Vec::new();
-        for n in [384, 2304] {
-            for rate in [CodeRate::R12, CodeRate::R34] {
-                codes.push(StandardCode::Ldpc {
-                    standard: Standard::Wran80222,
-                    code: wran_ldpc(n, rate).expect("valid 802.22 length"),
-                });
-            }
-        }
-        codes
-    }
-}
-
-/// The DVB-RCS registry: the twelve couple sizes, duo-binary CTC only.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DvbRcsRegistry;
-
-impl StandardRegistry for DvbRcsRegistry {
-    fn standard(&self) -> Standard {
-        Standard::DvbRcs
-    }
-
-    fn full_codes(&self) -> Vec<StandardCode> {
-        DVB_RCS_COUPLE_SIZES
+    /// The standard's LDPC codes of every length in `lengths` at every rate
+    /// in `rates`, length-major.
+    fn ldpc_codes(self, lengths: &[usize], rates: &[CodeRate]) -> Vec<StandardCode> {
+        let build = match self {
+            Standard::Wimax => QcLdpcCode::wimax,
+            Standard::Wifi80211n => wifi_ldpc,
+            Standard::Wran80222 => wran_ldpc,
+            Standard::Lte | Standard::DvbRcs => return Vec::new(),
+        };
+        lengths
             .iter()
-            .map(|&couples| StandardCode::DvbRcsTurbo {
-                code: dvb_rcs_ctc(couples).expect("valid DVB-RCS couple size"),
-            })
-            .collect()
-    }
-
-    fn corner_codes(&self) -> Vec<StandardCode> {
-        [48usize, 864]
-            .into_iter()
-            .map(|couples| StandardCode::DvbRcsTurbo {
-                code: dvb_rcs_ctc(couples).expect("valid DVB-RCS couple size"),
+            .flat_map(|&n| rates.iter().map(move |&rate| (n, rate)))
+            .map(|(n, rate)| StandardCode::Ldpc {
+                standard: self,
+                code: build(n, rate).expect("a length and rate of the standard's table"),
             })
             .collect()
     }
 }
 
-/// Returns the registry for `standard`.
-pub fn registry_for(standard: Standard) -> Box<dyn StandardRegistry> {
-    match standard {
-        Standard::Wimax => Box::new(WimaxRegistry),
-        Standard::Wifi80211n => Box::new(WifiRegistry),
-        Standard::Lte => Box::new(LteRegistry),
-        Standard::Wran80222 => Box::new(WranRegistry),
-        Standard::DvbRcs => Box::new(DvbRcsRegistry),
+fn wimax_ctc(couples: usize) -> StandardCode {
+    StandardCode::WimaxTurbo {
+        code: CtcCode::wimax(couples).expect("valid WiMAX frame size"),
+    }
+}
+
+fn lte_turbo(k: usize) -> StandardCode {
+    StandardCode::LteTurbo {
+        code: LteTurboCode::new(k).expect("valid LTE block size"),
+    }
+}
+
+fn dvb_rcs_turbo(couples: usize) -> StandardCode {
+    StandardCode::DvbRcsTurbo {
+        code: dvb_rcs_ctc(couples).expect("valid DVB-RCS couple size"),
     }
 }
 
@@ -501,16 +380,14 @@ mod tests {
 
     #[test]
     fn registry_sizes_match_the_standards() {
-        assert_eq!(WimaxRegistry.full_codes().len(), 19 * 6 + 17);
-        assert_eq!(WifiRegistry.full_codes().len(), 3 * 4);
-        assert_eq!(LteRegistry.full_codes().len(), lte_block_sizes().len());
-        assert_eq!(WranRegistry.full_codes().len(), 6 * 3);
-        assert_eq!(DvbRcsRegistry.full_codes().len(), 12);
+        assert_eq!(Standard::Wimax.full_codes().len(), 19 * 6 + 17);
+        assert_eq!(Standard::Wifi80211n.full_codes().len(), 3 * 4);
+        assert_eq!(Standard::Lte.full_codes().len(), lte_block_sizes().len());
+        assert_eq!(Standard::Wran80222.full_codes().len(), 6 * 3);
+        assert_eq!(Standard::DvbRcs.full_codes().len(), 12);
         for standard in Standard::all() {
-            let reg = registry_for(standard);
-            assert_eq!(reg.standard(), standard);
-            assert!(!reg.corner_codes().is_empty());
-            for code in reg.corner_codes() {
+            assert!(!standard.corner_codes().is_empty());
+            for code in standard.corner_codes() {
                 assert_eq!(code.standard(), standard);
                 assert!(code.info_bits() > 0);
                 assert!(code.mapping_units() > 0);
@@ -520,34 +397,42 @@ mod tests {
 
     #[test]
     fn worst_case_codes_are_the_largest() {
-        let worst = WimaxRegistry.worst_ldpc().unwrap();
+        let worst = Standard::Wimax.worst_ldpc().unwrap();
         assert_eq!(worst.mapping_units(), 1152); // N = 2304, r = 1/2
-        let worst = WifiRegistry.worst_ldpc().unwrap();
+        let worst = Standard::Wifi80211n.worst_ldpc().unwrap();
         assert_eq!(worst.mapping_units(), 972); // N = 1944, r = 1/2
-        let worst = LteRegistry.worst_turbo().unwrap();
+        let worst = Standard::Lte.worst_turbo().unwrap();
         assert_eq!(worst.mapping_units(), 6144);
-        let worst = WranRegistry.worst_ldpc().unwrap();
+        let worst = Standard::Wran80222.worst_ldpc().unwrap();
         assert_eq!(worst.mapping_units(), 1152); // N = 2304, r = 1/2
-        let worst = DvbRcsRegistry.worst_turbo().unwrap();
+        let worst = Standard::DvbRcs.worst_turbo().unwrap();
         assert_eq!(worst.mapping_units(), 864);
-        assert!(WifiRegistry.worst_turbo().is_none());
-        assert!(LteRegistry.worst_ldpc().is_none());
-        assert!(WranRegistry.worst_turbo().is_none());
-        assert!(DvbRcsRegistry.worst_ldpc().is_none());
+        assert!(Standard::Wifi80211n.worst_turbo().is_none());
+        assert!(Standard::Lte.worst_ldpc().is_none());
+        assert!(Standard::Wran80222.worst_turbo().is_none());
+        assert!(Standard::DvbRcs.worst_ldpc().is_none());
     }
 
     #[test]
     fn labels_name_the_standard() {
-        assert!(WifiRegistry.corner_codes()[0].label().contains("802.11n"));
-        assert!(LteRegistry.corner_codes()[0].label().contains("LTE"));
-        assert!(WimaxRegistry.corner_codes()[0].label().contains("802.16e"));
-        assert!(WranRegistry.corner_codes()[0].label().contains("802.22"));
-        assert!(DvbRcsRegistry.corner_codes()[0].label().contains("DVB-RCS"));
+        assert!(Standard::Wifi80211n.corner_codes()[0]
+            .label()
+            .contains("802.11n"));
+        assert!(Standard::Lte.corner_codes()[0].label().contains("LTE"));
+        assert!(Standard::Wimax.corner_codes()[0]
+            .label()
+            .contains("802.16e"));
+        assert!(Standard::Wran80222.corner_codes()[0]
+            .label()
+            .contains("802.22"));
+        assert!(Standard::DvbRcs.corner_codes()[0]
+            .label()
+            .contains("DVB-RCS"));
     }
 
     #[test]
     fn dvb_rcs_codec_reuses_the_duo_binary_substrate_with_its_own_name() {
-        let code = &DvbRcsRegistry.corner_codes()[0];
+        let code = &Standard::DvbRcs.corner_codes()[0];
         assert!(!code.is_ldpc());
         assert_eq!(code.info_bits(), 96);
         assert_eq!(code.mapping_units(), 48);
@@ -560,7 +445,7 @@ mod tests {
 
     #[test]
     fn wran_codes_run_both_datapaths() {
-        let code = &WranRegistry.corner_codes()[0];
+        let code = &Standard::Wran80222.corner_codes()[0];
         assert!(code.is_ldpc());
         let layered = code.codec(DecoderKind::Layered).unwrap();
         assert!(layered.name().contains("80222-ldpc-n384"));
@@ -574,7 +459,7 @@ mod tests {
     #[test]
     fn codecs_roundtrip_noiselessly() {
         for standard in Standard::all() {
-            let code = &registry_for(standard).corner_codes()[0];
+            let code = &standard.corner_codes()[0];
             let decoder = match code {
                 StandardCode::Ldpc { .. } => DecoderKind::Layered,
                 StandardCode::LteTurbo { .. } => DecoderKind::Turbo,
@@ -598,10 +483,10 @@ mod tests {
     #[test]
     fn quantized_codec_exists_only_for_ldpc() {
         let q7 = DecoderKind::Quantized { lambda_bits: 7 };
-        let wifi = &WifiRegistry.corner_codes()[0];
+        let wifi = &Standard::Wifi80211n.corner_codes()[0];
         let q = wifi.codec(q7).unwrap();
         assert!(q.name().contains("q7"), "{}", q.name());
-        let lte = &LteRegistry.corner_codes()[0];
+        let lte = &Standard::Lte.corner_codes()[0];
         assert!(lte.codec(q7).is_err());
         // A decoder that does not fit a registry code is refused by the
         // constructor too, not only by the resolver.
@@ -699,7 +584,7 @@ mod tests {
         let shared =
             |a: &[usize], b: &[usize]| a.iter().filter(|c| b.binary_search(c).is_ok()).count();
         for standard in Standard::all() {
-            for code in registry_for(standard).full_codes() {
+            for code in standard.full_codes() {
                 let StandardCode::Ldpc { code, .. } = code else {
                     continue;
                 };

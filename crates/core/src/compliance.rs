@@ -11,7 +11,7 @@
 
 use crate::config::DecoderConfig;
 use crate::evaluation::{evaluate_standard_code, DecoderError};
-use code_tables::{registry_for, Standard, StandardCode};
+use code_tables::{Standard, StandardCode};
 use fec_json::{Json, ToJson};
 use fec_obs::{Class, Clock, Registry};
 use fec_sched::{PoolObs, WorkPool};
@@ -102,7 +102,7 @@ impl ComplianceScope {
     pub fn full(standard: Standard) -> Self {
         ComplianceScope {
             standard,
-            codes: registry_for(standard).full_codes(),
+            codes: standard.full_codes(),
         }
     }
 
@@ -112,7 +112,7 @@ impl ComplianceScope {
     pub fn corners(standard: Standard) -> Self {
         ComplianceScope {
             standard,
-            codes: registry_for(standard).corner_codes(),
+            codes: standard.corner_codes(),
         }
     }
 
@@ -137,43 +137,17 @@ impl ComplianceScope {
     }
 }
 
-/// Runs a compliance sweep of `config` over one scope.
+/// Runs a compliance sweep of `config` over several scopes (typically one
+/// per standard), concatenating the entries, with the per-code evaluations
+/// sharded over a deterministic [`WorkPool`] of `workers` threads (0 = one
+/// per available core) — the same scheduler the simulation engine and the
+/// Table I sweep run on.  Results are merged by sweep-cell index, so the
+/// report is **bit-identical** for any worker count.
 ///
 /// Codes that cannot be mapped on the configured parallelism (fewer parity
 /// checks or trellis sections than PEs) are skipped: the real decoder would
 /// fold such small codes onto a subset of the PEs and is trivially fast on
 /// them.
-///
-/// # Errors
-///
-/// Propagates the first evaluation error other than an
-/// invalid-configuration (too-few-rows) one.
-pub fn run_compliance(
-    config: &DecoderConfig,
-    scope: &ComplianceScope,
-) -> Result<ComplianceReport, DecoderError> {
-    run_multi_compliance(config, std::slice::from_ref(scope))
-}
-
-/// Runs a compliance sweep of `config` over several scopes (typically one
-/// per standard), concatenating the entries.  Equivalent to
-/// [`run_multi_compliance_sharded`] with one worker.
-///
-/// # Errors
-///
-/// Same contract as [`run_compliance`].
-pub fn run_multi_compliance(
-    config: &DecoderConfig,
-    scopes: &[ComplianceScope],
-) -> Result<ComplianceReport, DecoderError> {
-    run_multi_compliance_sharded(config, scopes, 1, |_, _| {})
-}
-
-/// Runs a compliance sweep with the per-code evaluations sharded over a
-/// deterministic [`WorkPool`] of `workers` threads (0 = one per available
-/// core) — the same scheduler the simulation engine and the Table I sweep
-/// run on.  Results are merged by sweep-cell index, so the report is
-/// **bit-identical** to the serial sweep for any worker count.
 ///
 /// `on_entry` is invoked from the calling thread as each code *finishes*
 /// (completion order) with the cell's sweep index, so long full-scope sweeps
@@ -186,15 +160,23 @@ pub fn run_multi_compliance(
 ///
 /// # Errors
 ///
-/// Same contract as [`run_compliance`]: the first non-skippable evaluation
-/// error in sweep order, after all workers have drained.
+/// The first evaluation error in sweep order other than an
+/// invalid-configuration (too-few-rows) one, after all workers have
+/// drained.
 pub fn run_multi_compliance_sharded(
     config: &DecoderConfig,
     scopes: &[ComplianceScope],
     workers: usize,
     on_entry: impl FnMut(usize, &ComplianceEntry),
 ) -> Result<ComplianceReport, DecoderError> {
-    run_multi_compliance_with_store(config, scopes, workers, &MappingStore::new(), on_entry)
+    run_multi_compliance_with_store(
+        config,
+        scopes,
+        workers,
+        &MappingStore::new(),
+        None,
+        on_entry,
+    )
 }
 
 /// Runs [`run_multi_compliance_sharded`] with the LDPC mappings taken from
@@ -202,54 +184,22 @@ pub fn run_multi_compliance_sharded(
 /// a store that already holds its mappings only simulates their NoC
 /// phases.  The report is the same as with an empty store.
 ///
+/// With `observe`, the sweep fills its registry: the pool reports `pool.*`
+/// spans (timed with its clock) and the sweep emits `compliance.*` counters
+/// (cells scheduled, entries produced, codes skipped by the mapping guard,
+/// compliant codes).  The report and every Count-class metric are
+/// bit-identical for any worker count.
+///
 /// # Errors
 ///
-/// Same contract as [`run_compliance`].
+/// Same contract as [`run_multi_compliance_sharded`].
 pub fn run_multi_compliance_with_store(
     config: &DecoderConfig,
     scopes: &[ComplianceScope],
     workers: usize,
     mappings: &MappingStore,
-    on_entry: impl FnMut(usize, &ComplianceEntry),
-) -> Result<ComplianceReport, DecoderError> {
-    run_multi_compliance_inner(config, scopes, workers, mappings, on_entry, None)
-}
-
-/// Runs [`run_multi_compliance_sharded`] while filling `obs`: the pool
-/// reports `pool.*` spans (timed with the injected `clock`) and the sweep
-/// emits `compliance.*` counters (cells scheduled, entries produced, codes
-/// skipped by the mapping guard, compliant codes).  The report and every
-/// Count-class metric are bit-identical for any worker count.
-///
-/// # Errors
-///
-/// Same contract as [`run_compliance`].
-pub fn run_multi_compliance_observed(
-    config: &DecoderConfig,
-    scopes: &[ComplianceScope],
-    workers: usize,
-    on_entry: impl FnMut(usize, &ComplianceEntry),
-    clock: &dyn Clock,
-    obs: &mut Registry,
-) -> Result<ComplianceReport, DecoderError> {
-    let mappings = MappingStore::new();
-    run_multi_compliance_inner(
-        config,
-        scopes,
-        workers,
-        &mappings,
-        on_entry,
-        Some((clock, obs)),
-    )
-}
-
-fn run_multi_compliance_inner(
-    config: &DecoderConfig,
-    scopes: &[ComplianceScope],
-    workers: usize,
-    mappings: &MappingStore,
-    mut on_entry: impl FnMut(usize, &ComplianceEntry),
     mut observe: Option<(&dyn Clock, &mut Registry)>,
+    mut on_entry: impl FnMut(usize, &ComplianceEntry),
 ) -> Result<ComplianceReport, DecoderError> {
     // Enumerate the sweep cells up front: the indexed task set the pool
     // executes.  The mapping-size guard is part of the schedule (not the
@@ -288,20 +238,15 @@ fn run_multi_compliance_inner(
             on_entry(index, entry);
         }
     };
-    let results = match observe.as_mut() {
-        None => WorkPool::new(workers)
-            .run()
-            .indexed_streamed(cells.len(), task, &mut on_done),
-        Some((clock, obs)) => {
-            let mut pool_obs = PoolObs::new();
-            let results = WorkPool::new(workers)
-                .run()
-                .observed(*clock, &mut pool_obs)
-                .indexed_streamed(cells.len(), task, &mut on_done);
-            pool_obs.record_into(obs, "pool");
-            results
-        }
-    };
+    let mut pool_obs = PoolObs::new();
+    let mut pool = WorkPool::new(workers).run();
+    if let Some((clock, _)) = &observe {
+        pool = pool.observed(*clock, &mut pool_obs);
+    }
+    let results = pool.indexed_streamed(cells.len(), task, &mut on_done);
+    if let Some((_, obs)) = observe.as_mut() {
+        pool_obs.record_into(obs, "pool");
+    }
 
     let mut entries = Vec::new();
     let mut worst_ldpc = f64::INFINITY;
@@ -351,13 +296,17 @@ fn run_multi_compliance_inner(
 mod tests {
     use super::*;
 
+    /// The sweep of `scopes` on one worker.
+    fn sweep(config: &DecoderConfig, scopes: &[ComplianceScope]) -> ComplianceReport {
+        run_multi_compliance_sharded(config, scopes, 1, |_, _| {}).unwrap()
+    }
+
     #[test]
     fn corner_scope_runs_on_the_paper_design_point() {
-        let report = run_compliance(
+        let report = sweep(
             &DecoderConfig::paper_design_point(),
-            &ComplianceScope::corners(Standard::Wimax),
-        )
-        .unwrap();
+            &[ComplianceScope::corners(Standard::Wimax)],
+        );
         // 2 lengths x 2 rates LDPC + both CTC sizes (24 couples >= P = 22).
         assert!(
             report.entries.len() >= 5,
@@ -384,7 +333,7 @@ mod tests {
         // With P = 128 the 576-bit rate-5/6 code has only 96 checks and must
         // be skipped rather than failing the sweep.
         let config = DecoderConfig::paper_design_point().with_pes(128);
-        let report = run_compliance(&config, &ComplianceScope::corners(Standard::Wimax)).unwrap();
+        let report = sweep(&config, &[ComplianceScope::corners(Standard::Wimax)]);
         assert!(report.entries.iter().all(|e| !e.code.contains("576 r=5/6")));
     }
 
@@ -424,7 +373,7 @@ mod tests {
     fn sharded_sweep_is_bit_identical_at_1_2_and_8_workers() {
         let config = DecoderConfig::paper_design_point();
         let scopes = ComplianceScope::all_corners();
-        let reference = run_multi_compliance(&config, &scopes).unwrap();
+        let reference = sweep(&config, &scopes);
         for workers in [1usize, 2, 8] {
             let mut streamed = 0usize;
             let report = run_multi_compliance_sharded(&config, &scopes, workers, |_, entry| {
@@ -441,12 +390,18 @@ mod tests {
     fn a_kept_store_gives_the_same_report_without_mapping_again() {
         let config = DecoderConfig::paper_design_point();
         let scopes = ComplianceScope::all_corners();
-        let reference = run_multi_compliance(&config, &scopes).unwrap();
+        let reference = sweep(&config, &scopes);
         let mappings = MappingStore::new();
         for workers in [1usize, 2] {
-            let report =
-                run_multi_compliance_with_store(&config, &scopes, workers, &mappings, |_, _| {})
-                    .unwrap();
+            let report = run_multi_compliance_with_store(
+                &config,
+                &scopes,
+                workers,
+                &mappings,
+                None,
+                |_, _| {},
+            )
+            .unwrap();
             assert_eq!(report, reference, "workers = {workers}");
             // 12 LDPC corner codes; 802.22's n2304 r1/2 is 802.16e's
             assert_eq!(mappings.len(), 11, "workers = {workers}");
@@ -469,18 +424,18 @@ mod tests {
     fn observed_sweep_matches_and_counts_are_worker_invariant() {
         let config = DecoderConfig::paper_design_point();
         let scopes = ComplianceScope::all_corners();
-        let reference = run_multi_compliance(&config, &scopes).unwrap();
+        let reference = sweep(&config, &scopes);
         let clock = fec_obs::ManualClock::new();
         let mut reference_counts = None;
         for workers in [1usize, 4] {
             let mut obs = Registry::new();
-            let report = run_multi_compliance_observed(
+            let report = run_multi_compliance_with_store(
                 &config,
                 &scopes,
                 workers,
+                &MappingStore::new(),
+                Some((&clock, &mut obs)),
                 |_, _| {},
-                &clock,
-                &mut obs,
             )
             .unwrap();
             assert_eq!(report, reference, "workers = {workers}");
@@ -501,7 +456,7 @@ mod tests {
     #[test]
     fn compliance_entry_serializes_to_json() {
         let config = DecoderConfig::paper_design_point();
-        let report = run_compliance(&config, &ComplianceScope::corners(Standard::Wimax)).unwrap();
+        let report = sweep(&config, &[ComplianceScope::corners(Standard::Wimax)]);
         let json = report.entries[0].to_json().to_string();
         assert!(json.contains("\"standard\":\"802.16e\""), "{json}");
         assert!(json.contains("\"throughput_mbps\":"), "{json}");
@@ -513,11 +468,10 @@ mod tests {
 
     #[test]
     fn multi_standard_sweep_reports_entries_for_all_five_standards() {
-        let report = run_multi_compliance(
+        let report = sweep(
             &DecoderConfig::paper_design_point(),
             &ComplianceScope::all_corners(),
-        )
-        .unwrap();
+        );
         let standards = report.standards();
         assert_eq!(
             standards,
@@ -535,7 +489,7 @@ mod tests {
         let config = DecoderConfig::paper_design_point();
         for standard in [Standard::Wran80222, Standard::DvbRcs] {
             let scope = ComplianceScope::corners(standard);
-            let report = run_compliance(&config, &scope).unwrap();
+            let report = sweep(&config, std::slice::from_ref(&scope));
             assert_eq!(
                 report.entries.len(),
                 scope.codes().len(),
@@ -555,11 +509,10 @@ mod tests {
 
     #[test]
     fn compliance_flag_follows_the_per_standard_threshold() {
-        let report = run_multi_compliance(
+        let report = sweep(
             &DecoderConfig::paper_design_point(),
             &ComplianceScope::all_corners(),
-        )
-        .unwrap();
+        );
         for e in &report.entries {
             assert_eq!(
                 e.compliant,

@@ -174,7 +174,7 @@ pub fn evaluate_turbo(
 /// permutation (`permutation[j]` = interleaved position of trellis section
 /// `j`).  Single-binary codes such as the LTE turbo code exchange one 7-bit
 /// extrinsic per message (`payload_bits = 7`).
-pub fn evaluate_turbo_generic(
+fn evaluate_turbo_generic(
     config: &DecoderConfig,
     info_bits: usize,
     permutation: &[usize],
@@ -424,9 +424,9 @@ mod tests {
 
     #[test]
     fn lte_turbo_evaluation_through_the_registry() {
-        use code_tables::{registry_for, Standard};
+        use code_tables::Standard;
         let config = DecoderConfig::paper_design_point().with_pes(8);
-        let code = registry_for(Standard::Lte).worst_turbo().unwrap();
+        let code = Standard::Lte.worst_turbo().unwrap();
         let eval = evaluate_standard_code(&config, &code, &MappingStore::new()).unwrap();
         assert_eq!(eval.mode, Mode::Turbo);
         assert_eq!(eval.info_bits, 6144);
@@ -437,9 +437,9 @@ mod tests {
 
     #[test]
     fn wifi_ldpc_evaluation_through_the_registry() {
-        use code_tables::{registry_for, Standard};
+        use code_tables::Standard;
         let config = DecoderConfig::paper_design_point().with_pes(8);
-        let code = registry_for(Standard::Wifi80211n).worst_ldpc().unwrap();
+        let code = Standard::Wifi80211n.worst_ldpc().unwrap();
         let eval = evaluate_standard_code(&config, &code, &MappingStore::new()).unwrap();
         assert_eq!(eval.mode, Mode::Ldpc);
         assert_eq!(eval.info_bits, 972);
@@ -494,9 +494,9 @@ mod tests {
 
     #[test]
     fn wran_ldpc_evaluation_through_the_registry() {
-        use code_tables::{registry_for, Standard};
+        use code_tables::Standard;
         let config = DecoderConfig::paper_design_point().with_pes(8);
-        let code = registry_for(Standard::Wran80222).worst_ldpc().unwrap();
+        let code = Standard::Wran80222.worst_ldpc().unwrap();
         let eval = evaluate_standard_code(&config, &code, &MappingStore::new()).unwrap();
         assert_eq!(eval.mode, Mode::Ldpc);
         assert_eq!(eval.info_bits, 1152);

@@ -44,7 +44,6 @@ pub mod obs_export;
 pub mod throughput;
 
 pub use compliance::{
-    run_compliance, run_multi_compliance, run_multi_compliance_observed,
     run_multi_compliance_sharded, run_multi_compliance_with_store, ComplianceEntry,
     ComplianceReport, ComplianceScope,
 };
@@ -58,7 +57,7 @@ pub use throughput::{ldpc_throughput_mbps, turbo_throughput_mbps};
 // Re-export the main substrate types so that downstream users (examples,
 // benches) can depend on `noc-decoder` alone.
 pub use asic_model::{PowerModel, Technology};
-pub use code_tables::{registry_for, Standard, StandardCode, StandardRegistry};
+pub use code_tables::{Standard, StandardCode};
 pub use fec_channel::sim::{BerCurve, BerPoint, EngineConfig, FecCodec, SimulationEngine};
 pub use fec_sched::WorkPool;
 pub use noc_mapping::{MappingConfig, MappingStore};

@@ -9,12 +9,11 @@
 //! # Submission API
 //!
 //! A run is configured with the [`PoolRun`] builder returned by
-//! [`WorkPool::run`] and finished with one of four terminal methods:
+//! [`WorkPool::run`] and finished with one of three terminal methods:
 //!
-//! * [`PoolRun::indexed`] — `count` independent tasks, results returned
-//!   in **index order**;
-//! * [`PoolRun::indexed_streamed`] — the same, plus a completion-order
-//!   callback on the calling thread for progress streaming;
+//! * [`PoolRun::indexed_streamed`] — `count` independent tasks, results
+//!   returned in **index order**, plus a completion-order callback on the
+//!   calling thread for progress streaming;
 //! * [`PoolRun::jobs`] — a *dynamic* job set: explicit [`Job`] values
 //!   carrying an id, a [`Priority`] and an optional [`CancelToken`], with a
 //!   completion handler that may submit follow-up jobs into the running
@@ -24,17 +23,17 @@
 //!   worker; the run ends once the handle is closed and every admitted job
 //!   has been handed to the completion handler.
 //!
-//! All four share one coordinator: a `jobs` run is a served run whose
-//! handle is closed before it starts, and the indexed runs are `jobs` runs.
+//! All three share one coordinator: a `jobs` run is a served run whose
+//! handle is closed before it starts, and an indexed run is a `jobs` run.
 //!
-//! Builder knobs: [`PoolRun::observed`] injects a [`Clock`] and collects
-//! [`PoolObs`] pool observability, and [`PoolRun::with_cancel`] attaches a
-//! run-level cancellation token.
+//! Builder knob: [`PoolRun::observed`] injects a [`Clock`] and collects
+//! [`PoolObs`] pool observability.
 //!
 //! # Determinism contract
 //!
 //! The pool executes tasks and merges results **by task id / index, never
-//! by completion order**: the vector returned by [`PoolRun::indexed`] is in
+//! by completion order**: the vector returned by
+//! [`PoolRun::indexed_streamed`] is in
 //! index order for any worker count, so a caller whose task `i` is a pure
 //! function of `i` gets bit-identical output at 1, 2 or 64 workers.  Which
 //! worker executes which task is dynamic (a shared ready-queue, so long
@@ -62,7 +61,7 @@
 //! ```
 //! use fec_sched::WorkPool;
 //!
-//! let squares = WorkPool::new(4).run().indexed(8, |i| i * i);
+//! let squares = WorkPool::new(4).run().indexed_streamed(8, |i| i * i, |_, _| {});
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
@@ -96,8 +95,8 @@ pub struct PoolObs {
     pub queue_high_water: u64,
     /// Tasks completed per worker index.
     pub per_worker_tasks: Vec<u64>,
-    /// Jobs retired without executing because their cancel token (or the
-    /// run's) was set.  Execution-class: when cancellation fires relative
+    /// Jobs retired without executing because their cancel token was set.
+    /// Execution-class: when cancellation fires relative
     /// to the schedule is external to the pool.
     pub cancelled: u64,
     /// Span from job submission to execution start.
@@ -199,7 +198,8 @@ impl Priority {
     }
 }
 
-/// Shared cancellation flag for a [`Job`] or a whole [`PoolRun`].
+/// Shared cancellation flag for one [`Job`] or for every job it is attached
+/// to.
 ///
 /// Cloning yields another handle to the *same* flag.  Cancellation is
 /// cooperative and takes effect at the pool's queue barrier: a job whose
@@ -264,7 +264,7 @@ impl JobHandle {
 }
 
 /// How a [`Job`] left the pool: executed to completion, or retired at the
-/// queue barrier because its cancel token (or the run's) was set.
+/// queue barrier because its cancel token was set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobOutcome<T> {
     /// The job executed; here is its result.
@@ -557,23 +557,15 @@ impl<T> Drop for RunGuard<'_, '_, T> {
     }
 }
 
-/// Whether a job should be retired unexecuted: its own token or the
-/// run-level token is set.
-fn retired(run_cancel: Option<&CancelToken>, job_cancel: &Option<CancelToken>) -> bool {
-    run_cancel.is_some_and(CancelToken::is_cancelled)
-        || job_cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-}
-
-/// Runs one popped job, or retires it if its token or the run's is set.
+/// Runs one popped job, or retires it if its token is set.
 /// An executed job bumps `executed` and reports its `(wait_ns, run_ns)`
 /// spans (zero unless the run is observed).
 fn execute<T>(
     job: Job<'_, T>,
-    run_cancel: Option<&CancelToken>,
     clock: Option<&dyn Clock>,
     executed: &AtomicU64,
 ) -> Option<(T, u64, u64)> {
-    if retired(run_cancel, &job.cancel) {
+    if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
         return None;
     }
     let now = || clock.map_or(0, |clock| clock.now_ns());
@@ -601,7 +593,6 @@ fn execute<T>(
 /// worker the completion handler runs before the next pop.
 fn run_core<'env, T, F>(
     workers: usize,
-    run_cancel: Option<&CancelToken>,
     clock: Option<&'env dyn Clock>,
     admission: &Admission<'env, T>,
     mut on_complete: F,
@@ -674,7 +665,7 @@ where
             };
             let Some(job) = job else { break };
             let id = job.id;
-            complete(id, execute(job, run_cancel, clock, &executed[0]));
+            complete(id, execute(job, clock, &executed[0]));
         }
     } else {
         std::thread::scope(|scope| {
@@ -707,9 +698,7 @@ where
                     };
                     let Some(job) = job else { return };
                     let id = job.id;
-                    let finished = catch_unwind(AssertUnwindSafe(|| {
-                        execute(job, run_cancel, clock, executed)
-                    }));
+                    let finished = catch_unwind(AssertUnwindSafe(|| execute(job, clock, executed)));
                     shared.lock().finished.push_back((id, finished));
                     shared.progress.notify_one();
                 });
@@ -760,13 +749,6 @@ impl WorkPool {
         WorkPool { workers }
     }
 
-    /// The configured worker count (`0` = per core), as given to [`new`].
-    ///
-    /// [`new`]: WorkPool::new
-    pub const fn requested_workers(&self) -> usize {
-        self.workers
-    }
-
     /// The number of threads a run over `tasks` concurrent tasks will use:
     /// the configured count (or one per core for `0`), clamped to the task
     /// count so no thread is spawned just to find an empty queue.
@@ -780,17 +762,15 @@ impl WorkPool {
     }
 
     /// Starts configuring a run.  The returned [`PoolRun`] is consumed by
-    /// one of its terminal methods ([`indexed`], [`indexed_streamed`],
-    /// [`jobs`], [`served`]).
+    /// one of its terminal methods ([`indexed_streamed`], [`jobs`],
+    /// [`served`]).
     ///
-    /// [`indexed`]: PoolRun::indexed
     /// [`indexed_streamed`]: PoolRun::indexed_streamed
     /// [`jobs`]: PoolRun::jobs
     /// [`served`]: PoolRun::served
     pub fn run<'env>(&self) -> PoolRun<'env> {
         PoolRun {
             pool: *self,
-            cancel: None,
             observed: None,
         }
     }
@@ -805,18 +785,15 @@ impl Default for WorkPool {
 
 /// Builder for one pool run, created by [`WorkPool::run`].
 ///
-/// Chain [`observed`] and [`with_cancel`] as needed, then consume the
-/// builder with [`indexed`], [`indexed_streamed`], [`jobs`] or [`served`].
+/// Chain [`observed`] as needed, then consume the builder with
+/// [`indexed_streamed`], [`jobs`] or [`served`].
 ///
 /// [`observed`]: PoolRun::observed
-/// [`with_cancel`]: PoolRun::with_cancel
-/// [`indexed`]: PoolRun::indexed
 /// [`indexed_streamed`]: PoolRun::indexed_streamed
 /// [`jobs`]: PoolRun::jobs
 /// [`served`]: PoolRun::served
 pub struct PoolRun<'env> {
     pool: WorkPool,
-    cancel: Option<CancelToken>,
     observed: Option<(&'env dyn Clock, &'env mut PoolObs)>,
 }
 
@@ -824,26 +801,12 @@ impl std::fmt::Debug for PoolRun<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolRun")
             .field("pool", &self.pool)
-            .field("cancellable", &self.cancel.is_some())
             .field("observed", &self.observed.is_some())
             .finish()
     }
 }
 
 impl<'env> PoolRun<'env> {
-    /// Attaches a run-level cancellation token: once set, every job not yet
-    /// started is retired as [`JobOutcome::Cancelled`] at the queue barrier.
-    /// Only meaningful for [`jobs`] and [`served`] runs — [`indexed`] runs
-    /// must produce every index and panic if a token is attached.
-    ///
-    /// [`jobs`]: PoolRun::jobs
-    /// [`served`]: PoolRun::served
-    /// [`indexed`]: PoolRun::indexed
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Collects pool observability into `obs`, with wait/run spans measured
     /// by `clock`: task/continuation/cancellation totals, the in-flight
     /// high-water mark and per-worker completion counts.
@@ -853,44 +816,20 @@ impl<'env> PoolRun<'env> {
     }
 
     /// Executes `count` independent tasks and returns their results in
-    /// **index order** regardless of completion order or worker count.
+    /// **index order** regardless of completion order or worker count,
+    /// invoking `on_done` from the calling thread as each task finishes
+    /// (**completion order**), so callers can stream progress while the set
+    /// is still running.
     ///
     /// # Panics
     ///
     /// Re-raises the panic of the first failing task on the calling thread.
-    /// Panics if a cancel token was attached (see [`with_cancel`]).
-    ///
-    /// [`with_cancel`]: PoolRun::with_cancel
-    pub fn indexed<T, F>(self, count: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.indexed_streamed(count, task, |_, _| {})
-    }
-
-    /// Like [`indexed`], but additionally invokes `on_done` from the
-    /// calling thread as each task finishes (**completion order**), so
-    /// callers can stream progress while the set is still running.
-    ///
-    /// [`indexed`]: PoolRun::indexed
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the panic of the first failing task on the calling thread.
-    /// Panics if a cancel token was attached (see [`with_cancel`]).
-    ///
-    /// [`with_cancel`]: PoolRun::with_cancel
     pub fn indexed_streamed<T, F, C>(self, count: usize, task: F, mut on_done: C) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
         C: FnMut(usize, &T),
     {
-        assert!(
-            self.cancel.is_none(),
-            "indexed runs do not support cancellation: every index must produce a result"
-        );
         if count == 0 {
             return Vec::new();
         }
@@ -978,11 +917,8 @@ impl<'env> PoolRun<'env> {
         T: Send + 'env,
         F: FnMut(usize, JobOutcome<T>, &mut JobSink<'env, T>),
     {
-        let PoolRun {
-            cancel, observed, ..
-        } = self;
-        let (clock, obs) = observed.unzip();
-        let tally = run_core(workers, cancel.as_ref(), clock, admission, on_complete);
+        let (clock, obs) = self.observed.unzip();
+        let tally = run_core(workers, clock, admission, on_complete);
         if let Some(obs) = obs {
             obs.absorb(&tally);
         }
@@ -998,7 +934,9 @@ mod tests {
     #[test]
     fn results_arrive_in_index_order_for_any_worker_count() {
         for workers in [1, 2, 8] {
-            let out = WorkPool::new(workers).run().indexed(17, |i| 3 * i + 1);
+            let out = WorkPool::new(workers)
+                .run()
+                .indexed_streamed(17, |i| 3 * i + 1, |_, _| {});
             assert_eq!(out, (0..17).map(|i| 3 * i + 1).collect::<Vec<_>>());
         }
     }
@@ -1043,7 +981,10 @@ mod tests {
 
     #[test]
     fn zero_tasks_run_nowhere() {
-        let out: Vec<u32> = WorkPool::new(4).run().indexed(0, |_| unreachable!());
+        let out: Vec<u32> =
+            WorkPool::new(4)
+                .run()
+                .indexed_streamed(0, |_| unreachable!(), |_, _| {});
         assert!(out.is_empty());
     }
 
@@ -1053,7 +994,6 @@ mod tests {
         assert_eq!(WorkPool::new(3).effective_workers(100), 3);
         assert_eq!(WorkPool::new(5).effective_workers(0), 1);
         assert!(WorkPool::default().effective_workers(100) >= 1);
-        assert_eq!(WorkPool::new(2).requested_workers(), 2);
     }
 
     #[test]
@@ -1160,22 +1100,23 @@ mod tests {
 
     #[test]
     fn run_level_cancel_cuts_at_the_queue_barrier() {
-        // The handler cancels the whole run after the first completion; at
-        // one worker exactly the remaining three jobs are retired, and the
-        // completed prefix is bit-identical to an uncancelled run's.
+        // Every job carries the same token, cancelled by the handler after
+        // the first completion: at one worker exactly the remaining three
+        // jobs are retired, and the completed prefix is bit-identical to an
+        // uncancelled run's.
         let token = CancelToken::new();
-        let tok = token.clone();
-        let initial = (0..4).map(|id| Job::new(id, move || id * id)).collect();
+        let initial = (0..4)
+            .map(|id| Job::new(id, move || id * id).with_cancel(token.clone()))
+            .collect();
         let mut done = Vec::new();
         let mut cancelled = 0;
         WorkPool::new(1)
             .run()
-            .with_cancel(token)
             .jobs(initial, |id, outcome, _| match outcome {
                 JobOutcome::Done(value) => {
                     assert_eq!(value, id * id);
                     done.push(id);
-                    tok.cancel();
+                    token.cancel();
                 }
                 JobOutcome::Cancelled => cancelled += 1,
             });
@@ -1188,21 +1129,22 @@ mod tests {
         // Cancelling mid-run changes *which* jobs complete, never *what* a
         // completed job returns: every Done value must still be the pure
         // function of its id, and every job is accounted for exactly once.
+        // All jobs share one token, cancelled after the second completion.
         for workers in [1, 2, 4] {
             let token = CancelToken::new();
-            let tok = token.clone();
-            let initial = (0..8).map(|id| Job::new(id, move || id * 10)).collect();
+            let initial = (0..8)
+                .map(|id| Job::new(id, move || id * 10).with_cancel(token.clone()))
+                .collect();
             let mut done = 0usize;
             let mut cancelled = 0usize;
             WorkPool::new(workers)
                 .run()
-                .with_cancel(token)
                 .jobs(initial, |id, outcome, _| match outcome {
                     JobOutcome::Done(value) => {
                         assert_eq!(value, id * 10, "workers = {workers}");
                         done += 1;
                         if done == 2 {
-                            tok.cancel();
+                            token.cancel();
                         }
                     }
                     JobOutcome::Cancelled => cancelled += 1,
@@ -1210,15 +1152,6 @@ mod tests {
             assert!(done >= 2, "workers = {workers}");
             assert_eq!(done + cancelled, 8, "workers = {workers}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "indexed runs do not support cancellation")]
-    fn indexed_runs_reject_cancel_tokens() {
-        WorkPool::new(1)
-            .run()
-            .with_cancel(CancelToken::new())
-            .indexed(1, |i| i);
     }
 
     #[test]
@@ -1407,12 +1340,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "task 3 exploded")]
     fn task_panics_propagate_to_the_caller() {
-        WorkPool::new(4).run().indexed(8, |i| {
-            if i == 3 {
-                panic!("task 3 exploded");
-            }
-            i
-        });
+        WorkPool::new(4).run().indexed_streamed(
+            8,
+            |i| {
+                if i == 3 {
+                    panic!("task 3 exploded");
+                }
+                i
+            },
+            |_, _| {},
+        );
     }
 
     #[test]

@@ -351,6 +351,7 @@ fn run_unit_inner(unit: &Unit, mappings: &MappingStore) -> Result<Vec<Json>, Str
                 &[scope],
                 1,
                 mappings,
+                None,
                 |_, entry| rows.push(entry.to_json()),
             )
             .map_err(|e| format!("{e}"))?;

@@ -10,7 +10,7 @@
 use noc_decoder::dse::TABLE_ROUTING_ROWS;
 use noc_decoder::{
     CodeRate, DecoderConfig, DesignSpaceExplorer, MappingStore, QcLdpcCode, RoutingAlgorithm,
-    Standard, TopologyKind,
+    Standard, StandardCode, TopologyKind,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,6 +26,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "topology", "D", "P", "routing", "T [Mb/s]", "NoC [mm2]"
     );
 
+    // the sweep cells share one mapping of the code per P
+    let cell_code = StandardCode::Ldpc {
+        standard: Standard::Wimax,
+        code: code.clone(),
+    };
+    let cell_mappings = MappingStore::new();
     let families = [
         (TopologyKind::GeneralizedDeBruijn, 2),
         (TopologyKind::GeneralizedKautz, 2),
@@ -38,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for pes in [16usize, 32] {
             // use the SSP-FL (PP) row, the paper's preferred flexible choice
             let row = TABLE_ROUTING_ROWS[1];
-            let cell = dse.table1_cell(&code, family, pes, row)?;
+            let cell = dse.table1_cell(&cell_code, (family, pes, row), &cell_mappings)?;
             println!(
                 "{:<16} {:>2} {:>3} {:>8} {:>12.2} {:>12.3}",
                 cell.topology,
@@ -56,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let candidates: Vec<usize> = (16..=36).step_by(2).collect();
     for standard in Standard::all() {
         let target = standard.required_throughput_mbps();
-        match dse.minimum_parallelism_for_standard(standard, &code, &candidates)? {
+        match dse.minimum_parallelism(&code, &candidates, target)? {
             Some((pes, eval)) => println!(
                 "  {standard:<8} P = {pes} reaches {:.2} Mb/s (>= {target:.0} Mb/s requirement)",
                 eval.throughput_mbps

@@ -19,32 +19,30 @@
 //! schema ([`noc_decoder::obs_export`]); `--metrics-report` prints the
 //! ASCII report.
 
-use decoder_bench::{exit_with_usage, CommonFlags};
-use fec_json::{Json, StreamedRows};
-use fec_obs::{Registry, WallClock};
-use noc_decoder::{
-    registry_json, run_multi_compliance_observed, run_multi_compliance_sharded, ComplianceScope,
-    DecoderConfig,
+use decoder_bench::{
+    exit_with_usage, json_flag_from_args, metrics_flags_from_args, standard_flag_from_args,
+    workers_flag_from_args, ObsCollector,
 };
+use fec_json::{Json, StreamedRows};
+use fec_obs::Clock;
+use noc_decoder::{run_multi_compliance_with_store, ComplianceScope, DecoderConfig, MappingStore};
 
 const USAGE: &str = "usage: wimax_compliance [--full] \
                      [--standard wimax|80211n|lte|80222|dvbrcs] [--workers <n>] \
                      [--json <path>] [--metrics <path>] [--metrics-report]";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let parsed = CommonFlags::parse(std::env::args().skip(1)).and_then(|flags| {
-        match flags.rest.iter().find(|a| *a != "--full") {
-            Some(extra) => Err(format!("unrecognised argument: {extra}")),
-            None => Ok(flags),
+    let parsed = json_flag_from_args(std::env::args().skip(1)).and_then(|(json_path, rest)| {
+        let (metrics, rest) = metrics_flags_from_args(rest.into_iter())?;
+        let (standard, rest) = standard_flag_from_args(rest.into_iter())?;
+        let (workers, rest) = workers_flag_from_args(rest.into_iter())?;
+        match rest.iter().find(|a| *a != "--full") {
+            Some(other) => Err(format!("unrecognised argument: {other}")),
+            None => Ok((json_path, metrics, standard, workers, !rest.is_empty())),
         }
     });
-    let flags = parsed.unwrap_or_else(|e| exit_with_usage("wimax_compliance", &e, USAGE));
-    let full = flags.rest.iter().any(|a| a == "--full");
-    let standard = flags.standard;
-    let workers = flags.workers;
-    let json_path = flags.json;
-    let metrics_path = flags.metrics.path.clone();
-    let metrics_report = flags.metrics.report;
+    let (json_path, metrics, standard, workers, full) =
+        parsed.unwrap_or_else(|e| exit_with_usage("wimax_compliance", &e, USAGE));
 
     let scopes = match (standard, full) {
         (Some(s), true) => vec![ComplianceScope::full(s)],
@@ -84,22 +82,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             stream.push(entry).expect("write result row");
         }
     };
-    let mut obs = (metrics_path.is_some() || metrics_report).then(Registry::new);
-    let report = match &mut obs {
-        Some(obs) => {
-            let clock = WallClock::new();
-            run_multi_compliance_observed(&config, &scopes, workers, &mut on_entry, &clock, obs)?
-        }
-        None => run_multi_compliance_sharded(&config, &scopes, workers, &mut on_entry)?,
-    };
-    if let Some(obs) = &obs {
-        if let Some(path) = &metrics_path {
-            std::fs::write(path, registry_json(obs).to_string_pretty())?;
-            eprintln!("wrote {}", path.display());
-        }
-        if metrics_report {
-            println!("{}", fec_obs::render_report(obs));
-        }
+    let mut obs = metrics.enabled().then(ObsCollector::new);
+    let observe = obs
+        .as_mut()
+        .map(|c| (&c.clock as &dyn Clock, &mut c.registry));
+    let report = run_multi_compliance_with_store(
+        &config,
+        &scopes,
+        workers,
+        &MappingStore::new(),
+        observe,
+        &mut on_entry,
+    )?;
+    if let Some(collector) = &obs {
+        metrics.emit(&collector.registry);
     }
     if let Some(stream) = stream {
         let path = stream.path().to_path_buf();

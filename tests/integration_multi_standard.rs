@@ -9,7 +9,7 @@ use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
 use fec_channel::{AwgnChannel, BpskModulator, EbN0, StopRule};
 use fec_fixed::Llr;
 use noc_decoder::{
-    registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, Standard, StandardCode,
+    run_multi_compliance_sharded, ComplianceScope, DecoderConfig, Standard, StandardCode,
 };
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::{
@@ -21,7 +21,7 @@ use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
 /// The smallest corner code of a standard (fast enough for Monte-Carlo in a
 /// test).
 fn smallest_corner(standard: Standard) -> noc_decoder::StandardCode {
-    registry_for(standard)
+    standard
         .corner_codes()
         .into_iter()
         .min_by_key(|c| c.info_bits())
@@ -101,9 +101,11 @@ fn quantized_datapath_is_also_worker_invariant_on_ldpc_standards() {
 
 #[test]
 fn corners_compliance_sweep_covers_all_five_standards() {
-    let report = run_multi_compliance(
+    let report = run_multi_compliance_sharded(
         &DecoderConfig::paper_design_point(),
         &ComplianceScope::all_corners(),
+        1,
+        |_, _| {},
     )
     .expect("multi-standard sweep evaluates");
     assert_eq!(
@@ -127,10 +129,10 @@ fn new_standard_round_trips_are_bit_identical_at_1_2_and_8_workers() {
     // corner codes too (the per-standard loop above only covers the
     // smallest): the counts must not depend on the worker count.
     let codes = [
-        registry_for(Standard::Wran80222)
+        Standard::Wran80222
             .worst_ldpc()
             .expect("802.22 defines LDPC"),
-        registry_for(Standard::DvbRcs)
+        Standard::DvbRcs
             .worst_turbo()
             .expect("DVB-RCS defines turbo"),
     ];
@@ -154,7 +156,7 @@ fn new_standard_round_trips_are_bit_identical_at_1_2_and_8_workers() {
 fn registries_expose_disjoint_standards() {
     let mut labels = Vec::new();
     for standard in Standard::all() {
-        for code in registry_for(standard).corner_codes() {
+        for code in standard.corner_codes() {
             assert_eq!(code.standard(), standard);
             labels.push(code.label());
         }
@@ -180,7 +182,7 @@ struct TurboGolden {
 const HASHED_FRAMES: u64 = 3;
 
 fn registry_codec(standard: Standard, info_bits: usize) -> Box<dyn FecCodec> {
-    let code = registry_for(standard)
+    let code = standard
         .full_codes()
         .into_iter()
         .find(|c| c.info_bits() == info_bits)

@@ -5,7 +5,7 @@
 
 use fec_json::ToJson;
 use noc_decoder::{
-    registry_for, run_multi_compliance, ComplianceScope, DecoderConfig, MappingConfig, Standard,
+    run_multi_compliance_sharded, ComplianceScope, DecoderConfig, MappingConfig, Standard,
     StandardCode,
 };
 use noc_mapping::{LdpcMapping, MappingStore, TurboMapping};
@@ -207,7 +207,7 @@ const CORNER_MAPPING_HASHES: [(&str, u64); 12] = [
 fn ldpc_corner_mappings_reproduce_their_golden_hashes() {
     let mut hashes = Vec::new();
     for standard in Standard::all() {
-        for (label, code) in ldpc_codes(registry_for(standard).corner_codes()) {
+        for (label, code) in ldpc_codes(standard.corner_codes()) {
             let mapping = LdpcMapping::new(&code, 22, MappingConfig::default());
             hashes.push((label, mapping_hash(&mapping)));
         }
@@ -226,7 +226,7 @@ fn ldpc_corner_mappings_reproduce_their_golden_hashes() {
 fn store_hits_reproduce_the_golden_corner_mappings() {
     let corners: Vec<(String, QcLdpcCode)> = Standard::all()
         .into_iter()
-        .flat_map(|standard| ldpc_codes(registry_for(standard).corner_codes()))
+        .flat_map(|standard| ldpc_codes(standard.corner_codes()))
         .collect();
     let store = MappingStore::new();
     for (_, code) in &corners {
@@ -366,9 +366,11 @@ const CORNER_COMPLIANCE_ROWS: [&str; 18] = [
 
 #[test]
 fn corner_compliance_rows_reproduce_their_golden_json() {
-    let report = run_multi_compliance(
+    let report = run_multi_compliance_sharded(
         &DecoderConfig::paper_design_point(),
         &ComplianceScope::all_corners(),
+        1,
+        |_, _| {},
     )
     .unwrap();
     let rows: Vec<String> = report
@@ -398,7 +400,7 @@ const FULL_REGISTRY_MAPPING_HASHES: [(&str, usize, usize, u64); 9] = [
 fn full_registry_mappings_reproduce_their_golden_hashes() {
     let mut hashes = Vec::new();
     for standard in Standard::all() {
-        let codes = ldpc_codes(registry_for(standard).full_codes());
+        let codes = ldpc_codes(standard.full_codes());
         if codes.is_empty() {
             continue;
         }

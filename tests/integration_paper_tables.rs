@@ -6,11 +6,12 @@
 //! a change that moves any byte of a paper table fails here.
 
 use code_tables::Standard;
-use decoder_bench::{
-    run_table1_for, run_table2, run_table2_for, table1_code, table2_codes, table3_rows,
-};
+use decoder_bench::{table1_code, table2_codes, table3_rows};
 use fec_json::ToJson;
-use noc_decoder::{CodeRate, DecoderConfig, DesignSpaceExplorer, QcLdpcCode, StandardCode};
+use noc_decoder::dse::{Table1Row, Table2Row};
+use noc_decoder::{
+    CodeRate, CtcCode, DecoderConfig, DesignSpaceExplorer, QcLdpcCode, StandardCode,
+};
 
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -78,13 +79,25 @@ fn wimax_ldpc(n: usize) -> QcLdpcCode {
     QcLdpcCode::wimax(n, CodeRate::R12).unwrap()
 }
 
+fn explorer() -> DesignSpaceExplorer {
+    DesignSpaceExplorer::new(DecoderConfig::paper_design_point())
+}
+
+fn table1(code: &StandardCode) -> Vec<Table1Row> {
+    explorer().table1(code, 1, None, |_, _| {}).unwrap()
+}
+
+fn table2(ldpc: &StandardCode, turbo: &StandardCode) -> Vec<Table2Row> {
+    explorer().table2(ldpc, turbo).unwrap()
+}
+
 #[test]
 fn paper_table1_reproduces_its_golden_rows() {
     let code = StandardCode::Ldpc {
         standard: Standard::Wimax,
         code: wimax_ldpc(2304),
     };
-    let rows = run_table1_for(&code, 1, |_, _| {});
+    let rows = table1(&code);
     assert_eq!(rows_hash(&rows), TABLE1_PAPER);
 }
 
@@ -93,7 +106,7 @@ fn quick_table1_sweeps_reproduce_their_golden_rows() {
     let hashes: Vec<(&str, usize, u64)> = Standard::all()
         .into_iter()
         .map(|standard| {
-            let rows = run_table1_for(&table1_code(standard, true), 1, |_, _| {});
+            let rows = table1(&table1_code(standard, true));
             let (count, hash) = rows_hash(&rows);
             (standard.flag(), count, hash)
         })
@@ -103,12 +116,19 @@ fn quick_table1_sweeps_reproduce_their_golden_rows() {
 
 #[test]
 fn table2_reproduces_its_golden_rows() {
-    assert_eq!(rows_hash(&run_table2(2304, 2400)), TABLE2_PAPER);
+    let ldpc = StandardCode::Ldpc {
+        standard: Standard::Wimax,
+        code: wimax_ldpc(2304),
+    };
+    let turbo = StandardCode::WimaxTurbo {
+        code: CtcCode::wimax(2400).unwrap(),
+    };
+    assert_eq!(rows_hash(&table2(&ldpc, &turbo)), TABLE2_PAPER);
     let hashes: Vec<(&str, usize, u64)> = Standard::all()
         .into_iter()
         .map(|standard| {
             let (ldpc, turbo) = table2_codes(standard, true);
-            let (count, hash) = rows_hash(&run_table2_for(&ldpc, &turbo));
+            let (count, hash) = rows_hash(&table2(&ldpc, &turbo));
             (standard.flag(), count, hash)
         })
         .collect();
@@ -122,15 +142,14 @@ fn table3_reproduces_its_golden_rows() {
 
 #[test]
 fn minimum_parallelism_search_reproduces_its_golden_results() {
-    let dse = DesignSpaceExplorer::new(DecoderConfig::paper_design_point());
+    let dse = explorer();
     let code = wimax_ldpc(1152);
     let candidates: Vec<usize> = (16..=36).step_by(2).collect();
     let results: Vec<(&str, Option<usize>, u64)> = Standard::all()
         .into_iter()
         .map(|standard| {
-            let found = dse
-                .minimum_parallelism_for_standard(standard, &code, &candidates)
-                .unwrap();
+            let target = standard.required_throughput_mbps();
+            let found = dse.minimum_parallelism(&code, &candidates, target).unwrap();
             let pes = found.as_ref().map(|(pes, _)| *pes);
             (standard.flag(), pes, text_hash([format!("{found:?}")]))
         })
