@@ -5,8 +5,9 @@
 //! the table the paper reports.  Timing micro-benchmarks live in
 //! `benches/kernels.rs`.
 
+use code_tables::DecoderKind;
 use decoder_bench::print_table1;
-use noc_decoder::{CodeRate, DesignSpaceExplorer, QcLdpcCode, Standard, StandardCode};
+use noc_decoder::{DesignSpaceExplorer, Standard, StandardCode};
 
 fn main() {
     // The paper's code length; set TABLE1_N to sweep a different WiMAX length.
@@ -15,10 +16,8 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(2304);
     println!("== Table I reproduction (N = {n}, r = 1/2) ==\n");
-    let code = StandardCode::Ldpc {
-        standard: Standard::Wimax,
-        code: QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length"),
-    };
+    let code = StandardCode::resolve(Standard::Wimax, DecoderKind::Layered, n)
+        .expect("valid WiMAX length");
     let rows = DesignSpaceExplorer::default()
         .table1(&code, 0, None, |_, _| {})
         .expect("Table I sweep evaluates");

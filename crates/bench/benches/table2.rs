@@ -2,23 +2,17 @@
 //! flexible decoder, turbo N = 2400 couples @ 75 MHz and LDPC N = 2304
 //! @ 300 MHz).
 
-use decoder_bench::print_table2;
-use noc_decoder::{CodeRate, CtcCode, DesignSpaceExplorer, QcLdpcCode, Standard, StandardCode};
+use decoder_bench::{print_table2, table2_codes};
+use noc_decoder::{DesignSpaceExplorer, Standard};
 
 fn main() {
-    let (ldpc_n, turbo_couples) = (2304, 2400);
     println!("== Table II reproduction ==\n");
-    let ldpc = StandardCode::Ldpc {
-        standard: Standard::Wimax,
-        code: QcLdpcCode::wimax(ldpc_n, CodeRate::R12).expect("valid WiMAX LDPC length"),
-    };
-    let turbo = StandardCode::WimaxTurbo {
-        code: CtcCode::wimax(turbo_couples).expect("valid WiMAX CTC size"),
-    };
+    // the paper's pair: WiMAX LDPC N = 2304 and the 2400-couple CTC
+    let (ldpc, turbo) = table2_codes(Standard::Wimax, false);
     let rows = DesignSpaceExplorer::default()
         .table2(&ldpc, &turbo)
         .expect("Table II evaluates");
-    print_table2(&rows, ldpc_n, turbo_couples);
+    print_table2(&rows, 2304, 2400);
 
     println!("\n== Table III reproduction ==\n");
     decoder_bench::print_table3(&decoder_bench::table3_rows());

@@ -33,12 +33,11 @@
 //!
 //! The pool executes tasks and merges results **by task id / index, never
 //! by completion order**: the vector returned by
-//! [`PoolRun::indexed_streamed`] is in
-//! index order for any worker count, so a caller whose task `i` is a pure
-//! function of `i` gets bit-identical output at 1, 2 or 64 workers.  Which
-//! worker executes which task is dynamic (a shared ready-queue, so long
-//! tasks do not straggle a static chunk), but that assignment is invisible
-//! in the merged result.
+//! [`PoolRun::indexed_streamed`] is in index order for any worker count, so
+//! a caller whose task `i` is a pure function of `i` gets bit-identical
+//! output at 1, 2 or 64 workers.  Which worker executes which task is
+//! dynamic (a shared ready-queue, so long tasks do not straggle a static
+//! chunk), but that assignment is invisible in the merged result.
 //!
 //! Cancellation keeps the contract: a cancelled job is retired **at the
 //! queue barrier** — it either runs to completion or is never started, so
@@ -96,8 +95,8 @@ pub struct PoolObs {
     /// Tasks completed per worker index.
     pub per_worker_tasks: Vec<u64>,
     /// Jobs retired without executing because their cancel token was set.
-    /// Execution-class: when cancellation fires relative
-    /// to the schedule is external to the pool.
+    /// Execution-class: when cancellation fires relative to the schedule is
+    /// external to the pool.
     pub cancelled: u64,
     /// Span from job submission to execution start.
     pub wait: TimingStat,

@@ -26,12 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "topology", "D", "P", "routing", "T [Mb/s]", "NoC [mm2]"
     );
 
-    // the sweep cells share one mapping of the code per P
+    // the Table I cells and the routing evaluations map the code once per
+    // P into this store
+    let mappings = MappingStore::new();
     let cell_code = StandardCode::Ldpc {
         standard: Standard::Wimax,
         code: code.clone(),
     };
-    let cell_mappings = MappingStore::new();
     let families = [
         (TopologyKind::GeneralizedDeBruijn, 2),
         (TopologyKind::GeneralizedKautz, 2),
@@ -44,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for pes in [16usize, 32] {
             // use the SSP-FL (PP) row, the paper's preferred flexible choice
             let row = TABLE_ROUTING_ROWS[1];
-            let cell = dse.table1_cell(&cell_code, (family, pes, row), &cell_mappings)?;
+            let cell = dse.table1_cell(&cell_code, (family, pes, row), &mappings)?;
             println!(
                 "{:<16} {:>2} {:>3} {:>8} {:>12.2} {:>12.3}",
                 cell.topology,
@@ -75,8 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Routing-algorithm sensitivity at the paper's design point.
     println!("\nRouting-algorithm sensitivity at P = 22 (D = 3 generalized Kautz):");
-    // the three evaluations share one P = 22 mapping of the code
-    let mappings = MappingStore::new();
     for routing in [
         RoutingAlgorithm::SspRr,
         RoutingAlgorithm::SspFl,

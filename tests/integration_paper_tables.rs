@@ -9,9 +9,7 @@ use code_tables::Standard;
 use decoder_bench::{table1_code, table2_codes, table3_rows};
 use fec_json::ToJson;
 use noc_decoder::dse::{Table1Row, Table2Row};
-use noc_decoder::{
-    CodeRate, CtcCode, DecoderConfig, DesignSpaceExplorer, QcLdpcCode, StandardCode,
-};
+use noc_decoder::{CodeRate, DecoderConfig, DesignSpaceExplorer, QcLdpcCode, StandardCode};
 
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -75,10 +73,6 @@ const MINIMUM_P: [(&str, Option<usize>, u64); 5] = [
     ("dvbrcs", Some(16), 0x11c1_45c6_e9ed_1551),
 ];
 
-fn wimax_ldpc(n: usize) -> QcLdpcCode {
-    QcLdpcCode::wimax(n, CodeRate::R12).unwrap()
-}
-
 fn explorer() -> DesignSpaceExplorer {
     DesignSpaceExplorer::new(DecoderConfig::paper_design_point())
 }
@@ -93,11 +87,7 @@ fn table2(ldpc: &StandardCode, turbo: &StandardCode) -> Vec<Table2Row> {
 
 #[test]
 fn paper_table1_reproduces_its_golden_rows() {
-    let code = StandardCode::Ldpc {
-        standard: Standard::Wimax,
-        code: wimax_ldpc(2304),
-    };
-    let rows = table1(&code);
+    let rows = table1(&table1_code(Standard::Wimax, false));
     assert_eq!(rows_hash(&rows), TABLE1_PAPER);
 }
 
@@ -116,13 +106,7 @@ fn quick_table1_sweeps_reproduce_their_golden_rows() {
 
 #[test]
 fn table2_reproduces_its_golden_rows() {
-    let ldpc = StandardCode::Ldpc {
-        standard: Standard::Wimax,
-        code: wimax_ldpc(2304),
-    };
-    let turbo = StandardCode::WimaxTurbo {
-        code: CtcCode::wimax(2400).unwrap(),
-    };
+    let (ldpc, turbo) = table2_codes(Standard::Wimax, false);
     assert_eq!(rows_hash(&table2(&ldpc, &turbo)), TABLE2_PAPER);
     let hashes: Vec<(&str, usize, u64)> = Standard::all()
         .into_iter()
@@ -143,7 +127,7 @@ fn table3_reproduces_its_golden_rows() {
 #[test]
 fn minimum_parallelism_search_reproduces_its_golden_results() {
     let dse = explorer();
-    let code = wimax_ldpc(1152);
+    let code = QcLdpcCode::wimax(1152, CodeRate::R12).unwrap();
     let candidates: Vec<usize> = (16..=36).step_by(2).collect();
     let results: Vec<(&str, Option<usize>, u64)> = Standard::all()
         .into_iter()

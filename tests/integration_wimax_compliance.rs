@@ -62,7 +62,7 @@ fn paper_design_point_sustains_the_worst_case_ldpc_workload() {
     // The P = 22 generalized-Kautz decoder must be evaluable on the
     // worst-case code and deliver a throughput within the order of magnitude
     // of the paper's 72 Mb/s (the exact value depends on the partitioner and
-    // the simulator details; see EXPERIMENTS.md).
+    // the simulator details; see README, "Reproducing the paper").
     let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
     let code = QcLdpcCode::wimax(2304, CodeRate::R12).unwrap();
     let eval = decoder.evaluate_ldpc(&code).unwrap();
