@@ -1,6 +1,6 @@
 //! Wall-clock scaling of the unified Monte-Carlo simulation engine on the
 //! shared deterministic work pool, plus the acceptance scenario of the
-//! (point, shard) curve scheduler: a multi-point sweep with a *short*
+//! pooled curve scheduler: a multi-point sweep with a *short*
 //! per-point budget, timed point-at-a-time (`run_point` in a loop — the old
 //! per-point round barrier) against the pooled `run_curve` schedule at the
 //! same worker count, with a bit-exactness cross-check between all runs.
@@ -65,7 +65,7 @@ fn serial_points(workers: usize) -> (Vec<BerPoint>, f64) {
     (points, t0.elapsed().as_secs_f64())
 }
 
-/// The pooled schedule: all (point, shard) units of the curve on one pool.
+/// The pooled schedule: the point-round jobs of the whole curve on one pool.
 fn pooled_curve(workers: usize) -> (Vec<BerPoint>, f64) {
     let codec = n576_layered();
     let engine = short_budget_engine(workers);
@@ -133,7 +133,7 @@ fn main() {
     println!("\nall runs produced bit-identical error counts");
 
     // Point-parallel acceptance: short per-point budgets, where the pooled
-    // (point, shard) schedule overlaps points instead of barriering on each.
+    // schedule overlaps points instead of barriering on each.
     let workers = cores.clamp(2, 8);
     println!(
         "\npoint-parallel curve: {} points x {} frames, {workers} workers",
@@ -152,7 +152,7 @@ fn main() {
     println!("{:>24} {:>12.3} s", "serial-point baseline", t_serial);
     println!(
         "{:>24} {:>12.3} s   ({:.2}x vs serial-point)",
-        "pooled (point, shard)",
+        "pooled curve",
         t_pooled,
         t_serial / t_pooled
     );

@@ -14,7 +14,7 @@
 use code_tables::{DecoderKind, Standard, StandardCode};
 use decoder_bench::harness::{bench, print_header, BenchReport};
 use decoder_bench::{exit_with_usage, json_flag_from_args, write_json};
-use fec_channel::sim::{EngineConfig, SimulationEngine};
+use fec_channel::sim::{EngineConfig, FrameSlice, SimulationEngine};
 use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
 use fec_obs::NoopRecorder;
@@ -208,9 +208,11 @@ fn main() {
         rates[0], rates[1], rates[2]
     );
 
-    // The path the engine runs on the waterfall: the default decoder (early
-    // termination on) over AWGN frames at 1.0-1.75 dB in 8-frame chunks, so
-    // most blocks run on after some lanes have converged.
+    // The waterfall frames on the default decoder (early termination on):
+    // AWGN frames at 1.0-1.75 dB, in 8-frame chunks (most blocks run on
+    // after some lanes have converged), then as one 8-lane stream, the
+    // path the engine runs, where a lane takes the next frame as soon as
+    // its frame is decided.
     let rate = code576.k() as f64 / n576 as f64;
     let awgn_frames: Vec<Vec<Llr>> = (0..64u64)
         .map(|i| {
@@ -227,6 +229,14 @@ fn main() {
             for chunk in awgn_refs.chunks(8) {
                 std::hint::black_box(fixed_default.decode_batch(chunk, &mut NoopRecorder));
             }
+        }),
+    );
+    run(
+        &mut reports,
+        bench("fixed_layered_n576_awgn_x64f/stream_b8", 2, 12, || {
+            let mut stream = FrameSlice::new(&awgn_refs, 8);
+            fixed_default.decode_stream(&mut stream, &mut NoopRecorder);
+            std::hint::black_box(stream.into_decoded());
         }),
     );
 
@@ -251,7 +261,7 @@ fn main() {
         }),
     );
 
-    // The pooled (point, shard) Monte-Carlo path end to end: a short-budget
+    // The pooled Monte-Carlo path end to end: a short-budget
     // multi-point curve on the n576 layered codec, so BENCH_kernels.json
     // tracks the shared work-pool scheduler's throughput across commits.
     // Fixed worker count so the row is comparable between runners.

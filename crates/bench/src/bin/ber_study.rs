@@ -28,16 +28,18 @@
 //! LLRs to `--lambda-bits` bits (default 7, the paper's λ width).
 //!
 //! `--workers` sets the worker count of the shared simulation pool (default
-//! one per core); every curve schedules its `(point, shard)` work units
-//! onto one pool, and the counts are bit-identical for any worker count.
+//! one per core); every curve runs each point-round as one job per worker
+//! on one pool, and the counts are bit-identical for any worker count.
 //!
-//! `--batch-frames` hands that many frames per call to the codec's one
-//! decode method, `FecCodec::decode_frames` (default 1, one frame at a
-//! time).  The fixed-point codec decodes them as lockstep lanes; the other
-//! codecs decode them one after another.  Channel noise is drawn frame by
-//! frame before decoding and decodes are bit-identical per frame, so every
-//! count — and the `--json` output — is byte-for-byte independent of the
-//! batch size.
+//! `--batch-frames` is the most frames the codec's one decode method,
+//! `FecCodec::decode_frames`, holds in flight (default 1, one frame at a
+//! time): the fixed-point codec streams a job's frames through that many
+//! lockstep lanes (the widest of 1, 2, 4, 8 and 16 not above it), loading
+//! the next frame into a lane as soon as the lane's frame is decided; the
+//! other codecs decode one frame after another.  Each shard's channel noise
+//! is drawn frame by frame in its own order and decodes are bit-identical
+//! per frame, so every count — and the `--json` output — is byte-for-byte
+//! independent of the batch size.
 //!
 //! `--adaptive` switches every curve to the confidence-targeted stop rule:
 //! a point keeps running continuation rounds until the Wilson relative

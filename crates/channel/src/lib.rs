@@ -39,5 +39,8 @@ pub mod stats;
 pub use awgn::{AwgnChannel, EbN0};
 pub use ber::{ErrorCounter, StopRule};
 pub use modulation::BpskModulator;
-pub use sim::{BerCurve, BerPoint, DecodedFrame, EngineConfig, FecCodec, SimulationEngine};
+pub use sim::{
+    BerCurve, BerPoint, DecodedFrame, EngineConfig, FecCodec, FrameSlice, FrameStream,
+    SimulationEngine,
+};
 pub use stats::{normal_quantile, wilson_interval, WilsonInterval};

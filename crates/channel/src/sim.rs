@@ -6,7 +6,8 @@
 //!
 //! * [`FecCodec`] — an object-safe encode/decode abstraction implemented by
 //!   every decoder flavour (`wimax_ldpc::codec`, `wimax_turbo::codec`), with
-//!   one decode method, [`FecCodec::decode_frames`], over a chunk of frames;
+//!   one decode method, [`FecCodec::decode_frames`], which pulls frames from
+//!   a [`FrameStream`] and hands each frame's decision back to it;
 //! * [`SimulationEngine`] — shards frames across worker threads, gives every
 //!   shard an independent deterministic RNG stream, aggregates via
 //!   [`ErrorCounter::merge`] and ends each point by its [`StopRule`], which
@@ -23,44 +24,49 @@
 //! [`ErrorCounter`] is a sum of integers, so a run with 8 workers produces
 //! **bit-identical** error counts to a run with 1 worker and the same seed.
 //!
-//! A shard simulates its frames in chunks of
-//! [`EngineConfig::batch_frames`] through one frame function: the chunk's
-//! frames are generated, encoded and sent through the channel one after
-//! another, then decoded with one [`FecCodec::decode_frames`] call (a batch
-//! of 1 is a chunk of one frame).  The RNG is consumed frame by frame before
-//! any decode, so the counts do not depend on the chunk size either.
+//! A shard's frames are generated, encoded and sent through the channel one
+//! at a time, when the codec asks for its next frame, so each shard's RNG is
+//! consumed frame by frame in its own order whatever the codec does in
+//! between.  A codec may hold up to [`EngineConfig::batch_frames`] frames
+//! in flight (the lane width of the lockstep q7 decoder) and may decide them
+//! in any order; decodes are bit-identical per frame, so the counts do not
+//! depend on the batch size either.
 //!
 //! # Scheduling
 //!
 //! All fan-out runs on the shared deterministic
-//! [`fec_sched::WorkPool`]: a curve is enumerated as `(point, shard)` work
-//! units over **one** pool, so a 10-point sweep keeps every core busy across
-//! points instead of barriering per round per point.  Adaptive stopping
-//! stays exact because each point's next round is submitted as continuation
-//! jobs only after its previous round has been merged — but shards of other
-//! points fill the gap in the meantime.  Per-shard RNG streams are keyed on
+//! [`fec_sched::WorkPool`].  Each point-round is one job per worker
+//! ([`SimulationEngine::effective_workers`]): a job claims the round's
+//! shards one at a time and streams their frames through one
+//! [`FecCodec::decode_frames`] call, so a lockstep codec keeps its lanes
+//! busy across shard boundaries.  The jobs of every point go into **one**
+//! pool, so a 10-point sweep keeps every core busy across points instead of
+//! barriering per round per point.  Adaptive stopping stays exact because
+//! each point's next round is submitted as continuation jobs only after its
+//! previous round has been merged — but jobs of other points fill the gap
+//! in the meantime.  Per-shard RNG streams are keyed on
 //! `(seed, shard, ebn0_db)`, so the counts are bit-identical to the
 //! point-at-a-time schedule.
 //!
 //! # Observability
 //!
 //! [`run_curve_observed`] runs the same schedule while filling a
-//! [`fec_obs::Registry`]: every shard job records into a private registry
-//! that is merged on completion (the merge is commutative, so Count-class
-//! metrics stay bit-identical for any worker count and batch size), the
-//! engine records the `codec.*` family of every decoded frame and per-point
+//! [`fec_obs::Registry`]: every job records into a private registry that is
+//! merged on completion (the merge is commutative, so Count-class metrics
+//! stay bit-identical for any worker count and batch size), the engine
+//! records the `codec.*` family of every decoded frame and per-point
 //! `engine.p{i}.*` counters, instrumented codecs add their datapath metrics,
-//! and the pool contributes `pool.*` spans via [`fec_sched::PoolObs`].
-//! Timing spans use the injected [`fec_obs::Clock`] and are excluded from
-//! determinism gating.
+//! and the pool contributes `pool.*` metrics via [`fec_sched::PoolObs`]
+//! (its task totals are Execution-class here: the engine runs one job per
+//! worker).  Timing spans use the injected [`fec_obs::Clock`] and are
+//! excluded from determinism gating.
 //!
 //! [`run_curve_observed`]: SimulationEngine::run_curve_observed
 //!
 //! # Example
 //!
 //! ```
-//! use fec_channel::sim::{DecodedFrame, EngineConfig, FecCodec, SimulationEngine};
-//! use fec_fixed::Llr;
+//! use fec_channel::sim::{decode_serially, EngineConfig, FecCodec, FrameStream, SimulationEngine};
 //! use fec_obs::Registry;
 //!
 //! /// A rate-1/2 repetition code: good enough to show the engine at work.
@@ -73,18 +79,14 @@
 //!     fn encode(&self, info: &[u8]) -> Vec<u8> {
 //!         info.iter().chain(info).copied().collect()
 //!     }
-//!     fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
+//!     fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
 //!         let k = self.info_bits();
-//!         frames
-//!             .iter()
-//!             .map(|llrs| DecodedFrame {
-//!                 info_bits: (0..k)
-//!                     .map(|i| u8::from(llrs[i].value() + llrs[i + k].value() < 0.0))
-//!                     .collect(),
-//!                 iterations: 1,
-//!                 converged: true,
-//!             })
-//!             .collect()
+//!         decode_serially(self, frames, |llrs| {
+//!             let bits: Vec<u8> = (0..k)
+//!                 .map(|i| u8::from(llrs[i].value() + llrs[i + k].value() < 0.0))
+//!                 .collect();
+//!             (bits, 1, true)
+//!         });
 //!     }
 //! }
 //!
@@ -103,6 +105,7 @@ use fec_obs::{Class, Clock, Registry};
 use fec_sched::{Job, JobOutcome, PoolObs, WorkPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex};
 
 /// The result of decoding one frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,6 +117,31 @@ pub struct DecodedFrame {
     /// Whether the decoder's stopping rule fired (syndrome zero / decisions
     /// stable) before the iteration limit.
     pub converged: bool,
+}
+
+/// The frames of one [`FecCodec::decode_frames`] call and the sink of their
+/// decisions.
+///
+/// The codec pulls a frame's channel LLRs into its own buffer when it has
+/// room for the frame, and hands the frame's decision back once it is
+/// decided.  It may hold up to [`max_in_flight`](FrameStream::max_in_flight)
+/// frames at once and decide them in any order, but must pull until
+/// [`next_frame`](FrameStream::next_frame) returns `None` and decide every
+/// frame it pulled exactly once.
+pub trait FrameStream {
+    /// The most frames the codec may hold undecided at once (at least 1):
+    /// the lane width a lockstep codec may use.
+    fn max_in_flight(&self) -> usize;
+
+    /// Writes the next frame's channel LLRs into `llrs` (its length is the
+    /// codec's `codeword_bits()`) and returns the frame's tag, or `None` once
+    /// the stream is exhausted, and on every call after that.
+    fn next_frame(&mut self, llrs: &mut [Llr]) -> Option<usize>;
+
+    /// Takes the decision on the frame tagged `frame`: its `info_bits()`
+    /// hard decisions, the decoder iterations it took and whether the
+    /// decoder's stopping rule fired before the iteration limit.
+    fn decided(&mut self, frame: usize, info_bits: &[u8], iterations: usize, converged: bool);
 }
 
 /// An object-safe forward-error-correction codec: everything the Monte-Carlo
@@ -135,32 +163,125 @@ pub trait FecCodec: Send + Sync {
     /// bits.
     fn encode(&self, info: &[u8]) -> Vec<u8>;
 
-    /// Decodes a chunk of frames of channel LLRs (each of length
-    /// `codeword_bits()`), returning one [`DecodedFrame`] per frame in
-    /// order.  This is the codec's one decode path.
+    /// Decodes every frame of `frames` (channel LLRs, `codeword_bits()` per
+    /// frame) and hands each frame's decision back to the stream.  This is
+    /// the codec's one decode path.
     ///
-    /// Results must be **bit-identical** to decoding each frame alone: the
-    /// engine's determinism contract extends to the chunk size.  With `obs`
-    /// set, instrumented codecs record their datapath metrics into it (the
-    /// engine itself records the generic `codec.*` family); observation
+    /// Decisions must be **bit-identical** to decoding each frame alone: the
+    /// engine's determinism contract extends to the stream's width.  With
+    /// `obs` set, instrumented codecs record their datapath metrics into it
+    /// (the engine itself records the generic `codec.*` family); observation
     /// never changes results, and Count-class metrics must be a pure
-    /// per-frame function so they too are independent of the chunk size.
-    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame>;
+    /// per-frame function so they too are independent of the width.
+    fn decode_frames(&self, frames: &mut dyn FrameStream, obs: Option<&mut Registry>);
 
-    /// Decodes one frame: a chunk of one, without observation.
+    /// Decodes one frame: a stream of one, without observation.
     fn decode(&self, llrs: &[Llr]) -> DecodedFrame {
-        self.decode_frames(&[llrs], None).remove(0)
+        self.decode_batch(&[llrs]).remove(0)
     }
 
-    /// Decodes a chunk of frames without observation.
+    /// Decodes a chunk of frames without observation, all of them in flight
+    /// at once, and returns their decisions in input order.
     fn decode_batch(&self, frames: &[&[Llr]]) -> Vec<DecodedFrame> {
-        self.decode_frames(frames, None)
+        let mut slice = FrameSlice::new(frames, frames.len());
+        self.decode_frames(&mut slice, None);
+        slice.into_decoded()
     }
 
     /// Code rate `k / n`, used to set the AWGN noise variance for a target
     /// `Eb/N0`.
     fn rate(&self) -> f64 {
         self.info_bits() as f64 / self.codeword_bits() as f64
+    }
+}
+
+/// The decode loop of a codec without a lockstep datapath: pulls the frames
+/// of `frames` one at a time into one buffer and hands back what `decode`
+/// makes of each — its hard decisions (at least `codec.info_bits()`, the
+/// information bits first), iterations and convergence.
+pub fn decode_serially<B: AsRef<[u8]>>(
+    codec: &dyn FecCodec,
+    frames: &mut dyn FrameStream,
+    mut decode: impl FnMut(&[Llr]) -> (B, usize, bool),
+) {
+    let k = codec.info_bits();
+    let mut llrs = vec![Llr::default(); codec.codeword_bits()];
+    while let Some(frame) = frames.next_frame(&mut llrs) {
+        let (bits, iterations, converged) = decode(&llrs);
+        frames.decided(frame, &bits.as_ref()[..k], iterations, converged);
+    }
+}
+
+/// Frames held in memory as a [`FrameStream`] with at most `width` of them
+/// in flight, their decisions collected in input order.  Panics when a
+/// codec breaks the stream's contract: a frame past the width, a frame
+/// decided twice or never.
+#[derive(Debug)]
+pub struct FrameSlice<'a> {
+    frames: &'a [&'a [Llr]],
+    width: usize,
+    next: usize,
+    in_flight: usize,
+    decoded: Vec<Option<DecodedFrame>>,
+}
+
+impl<'a> FrameSlice<'a> {
+    /// The stream of `frames` with at most `width` (at least 1) in flight.
+    pub fn new(frames: &'a [&'a [Llr]], width: usize) -> Self {
+        FrameSlice {
+            frames,
+            width: width.max(1),
+            next: 0,
+            in_flight: 0,
+            decoded: vec![None; frames.len()],
+        }
+    }
+
+    /// The decisions, in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a frame was never decided.
+    pub fn into_decoded(self) -> Vec<DecodedFrame> {
+        self.decoded
+            .into_iter()
+            .enumerate()
+            .map(|(f, frame)| frame.unwrap_or_else(|| panic!("frame {f} was never decided")))
+            .collect()
+    }
+}
+
+impl FrameStream for FrameSlice<'_> {
+    fn max_in_flight(&self) -> usize {
+        self.width
+    }
+
+    fn next_frame(&mut self, llrs: &mut [Llr]) -> Option<usize> {
+        let frame = self.frames.get(self.next)?;
+        assert!(
+            self.in_flight < self.width,
+            "a codec pulled more than {} frames at once",
+            self.width
+        );
+        assert_eq!(
+            frame.len(),
+            llrs.len(),
+            "LLR vector length must equal the codeword length"
+        );
+        llrs.copy_from_slice(frame);
+        self.in_flight += 1;
+        self.next += 1;
+        Some(self.next - 1)
+    }
+
+    fn decided(&mut self, frame: usize, info_bits: &[u8], iterations: usize, converged: bool) {
+        assert!(self.decoded[frame].is_none(), "frame {frame} decided twice");
+        self.in_flight -= 1;
+        self.decoded[frame] = Some(DecodedFrame {
+            info_bits: info_bits.to_vec(),
+            iterations,
+            converged,
+        });
     }
 }
 
@@ -178,10 +299,13 @@ pub struct EngineConfig {
     pub frames_per_shard_round: u64,
     /// Base seed; each shard stream is derived from it with SplitMix64.
     pub seed: u64,
-    /// Frames handed to [`FecCodec::decode_frames`] per call (`1` = one
-    /// frame at a time).  Because decodes are bit-identical per frame and
-    /// the channel RNG is consumed frame by frame *before* decoding, results
-    /// do not depend on this value.
+    /// The most frames a codec holds in flight in one
+    /// [`FecCodec::decode_frames`] call (`1` = one frame at a time), capped
+    /// by the frames of the round: the lane width of a lockstep codec, which
+    /// runs at the widest width it supports up to this value (the q7 LDPC
+    /// decoder: 1, 2, 4, 8 or 16).  Because decodes are bit-identical per
+    /// frame and each shard's RNG is consumed frame by frame in its own
+    /// order, results do not depend on this value.
     pub batch_frames: usize,
     /// How a point decides it is done, budget included:
     /// [`StopRule::FixedBudget`] runs exactly its frame count;
@@ -388,11 +512,10 @@ impl SimulationEngine {
         &self.config
     }
 
-    /// Number of worker threads a *single-point* run will use: the
-    /// configured count (one per core for `0`) clamped to the shard count.
-    /// A multi-point [`run_curve`] exposes more concurrency — its pool is
-    /// clamped to the whole first round's `(point, shard)` job count, up to
-    /// `shards * points`.
+    /// Number of jobs each point-round runs as, and the number of worker
+    /// threads a *single-point* run uses: the configured count (one per core
+    /// for `0`) clamped to the shard count.  A multi-point [`run_curve`]
+    /// runs the jobs of every point on one pool of this many workers.
     ///
     /// [`run_curve`]: SimulationEngine::run_curve
     pub fn effective_workers(&self) -> usize {
@@ -409,9 +532,9 @@ impl SimulationEngine {
 
     /// Simulates a full curve (one point per `Eb/N0` value, in order).
     ///
-    /// All `(point, shard)` work units of the whole curve are scheduled onto
-    /// **one** deterministic [`WorkPool`], so short per-point budgets no
-    /// longer serialize on a per-point round barrier; see the module docs.
+    /// The point-round jobs of the whole curve are scheduled onto **one**
+    /// deterministic [`WorkPool`], so short per-point budgets no longer
+    /// serialize on a per-point round barrier; see the module docs.
     pub fn run_curve(&self, codec: &dyn FecCodec, ebn0_dbs: &[f64]) -> BerCurve {
         BerCurve {
             label: codec.name(),
@@ -419,9 +542,9 @@ impl SimulationEngine {
         }
     }
 
-    /// Simulates a full curve while filling `obs`: shard jobs record into
+    /// Simulates a full curve while filling `obs`: jobs record into
     /// private registries merged on completion, the pool reports `pool.*`
-    /// spans, and the engine emits per-point `engine.p{i}.*` counters.
+    /// metrics, and the engine emits per-point `engine.p{i}.*` counters.
     ///
     /// Count-class metrics are **bit-identical** for any worker count and
     /// decode batch size (registry merge is commutative and every Count
@@ -441,8 +564,9 @@ impl SimulationEngine {
     }
 
     /// Runs every `Eb/N0` point on one shared pool and returns the points in
-    /// input order (results are merged by `(point, shard)` index, so the
-    /// counts are bit-identical for any worker count).  With
+    /// input order (each job's counts are a sum over the frames of the
+    /// shards it claimed, so the merged counts are bit-identical for any
+    /// worker count).  With
     /// `observe = Some(..)` the same schedule additionally fills the
     /// registry; the plain path pays nothing for the instrumentation.
     fn run_points_inner(
@@ -476,6 +600,7 @@ impl SimulationEngine {
             channels: &channels,
             modulator: &modulator,
             cfg,
+            workers: self.effective_workers(),
             round_quota: (shards as u64).saturating_mul(cfg.frames_per_shard_round),
             z: match cfg.stop_rule {
                 StopRule::FixedBudget { .. } => 0.0,
@@ -486,10 +611,10 @@ impl SimulationEngine {
             observed: observe.is_some(),
         };
 
-        // A round never schedules more jobs per point than there are shards,
-        // so the first round's job count is the concurrency the whole curve
-        // can ever expose (later adaptive rounds grow in frames per job, not
-        // in jobs) — the pool sizes itself from it.
+        // A round never schedules more jobs per point than there are
+        // workers, so the first round's job count is the concurrency the
+        // whole curve can ever expose (later adaptive rounds grow in frames
+        // per job, not in jobs) — the pool sizes itself from it.
         let mut initial = Vec::new();
         for (point, state) in states.iter_mut().enumerate() {
             initial.extend(schedule_round(&ctx, state, point));
@@ -501,15 +626,17 @@ impl SimulationEngine {
             run = run.observed(clock, &mut pool_obs);
         }
         run.jobs(initial, |id, outcome, sink| {
-            let JobOutcome::Done((rng, acc, reg)) = outcome else {
-                unreachable!("engine shard jobs carry no cancel token")
+            let JobOutcome::Done((rngs, acc, reg)) = outcome else {
+                unreachable!("engine jobs carry no cancel token")
             };
             if let (Some(obs), Some(reg)) = (obs.as_deref_mut(), reg) {
                 obs.merge(&reg);
             }
-            let (point, shard) = (id / shards, id % shards);
+            let point = id / shards;
             let state = &mut states[point];
-            state.rngs[shard] = Some(rng);
+            for (shard, rng) in rngs {
+                state.rngs[shard] = Some(rng);
+            }
             state.total.merge(&acc);
             state.in_flight -= 1;
             if state.in_flight == 0 {
@@ -517,7 +644,7 @@ impl SimulationEngine {
             }
         });
         if let Some(obs) = obs {
-            pool_obs.record_into(obs, "pool");
+            pool_obs.record_into(obs, "pool", Class::Execution);
             obs.incr(Class::Count, "engine.points", ebn0_dbs.len() as u64);
             for (i, state) in states.iter().enumerate() {
                 record_point_obs(obs, i, state, cfg, ctx.z);
@@ -593,11 +720,22 @@ fn record_point_obs(
     }
 }
 
-/// The result of one `(point, shard)` job: the shard's RNG stream handed
-/// back for the next round, the counts of the frames it simulated, and —
-/// on observed runs only — the shard's private metric registry (`None`
-/// keeps the plain path allocation-free).
-type ShardResult = (StdRng, PointAccumulator, Option<Box<Registry>>);
+/// The result of one point-round job: the RNG streams of the shards it
+/// claimed, handed back for the next round, the counts of the frames it
+/// simulated, and — on observed runs only — its private metric registry
+/// (`None` keeps the plain path free of it).
+type JobResult = (
+    Vec<(usize, StdRng)>,
+    PointAccumulator,
+    Option<Box<Registry>>,
+);
+
+/// One shard's part of a round: the shard's index, its frames this round
+/// and its RNG stream.
+type ShardWork = (usize, u64, StdRng);
+
+/// The shards of a point-round that no job has claimed yet.
+type Claims = Mutex<std::vec::IntoIter<ShardWork>>;
 
 /// Mutable per-point scheduling state, owned by the pool's calling thread.
 struct PointState {
@@ -611,17 +749,19 @@ struct PointState {
     rounds: u64,
 }
 
-/// The shared immutable context `(point, shard)` jobs capture.
+/// The shared immutable context point-round jobs capture.
 struct CurveCtx<'env> {
     codec: &'env dyn FecCodec,
     channels: &'env [AwgnChannel],
     modulator: &'env BpskModulator,
     cfg: &'env EngineConfig,
+    /// Jobs per point-round.
+    workers: usize,
     round_quota: u64,
     /// Normal quantile matching the adaptive confidence level (unused in
     /// fixed-budget mode).  Derived from the configuration alone.
     z: f64,
-    /// Whether shard jobs should fill a private metric registry.
+    /// Whether jobs should fill a private metric registry.
     observed: bool,
 }
 
@@ -676,50 +816,60 @@ fn next_round_frames(ctx: &CurveCtx<'_>, counter: &ErrorCounter) -> u64 {
     }
 }
 
-/// Builds the `(point, shard)` jobs of `point`'s next scheduling round,
-/// splitting its frames over the point's shard streams — none once its
-/// stopping rule fires.  Round sizes are a pure function of the
+/// Builds the jobs of `point`'s next scheduling round — none once its
+/// stopping rule fires.  The round's frames are split over the point's
+/// shard streams; one job per worker (fewer if fewer shards have frames)
+/// claims those shards one at a time and streams their frames through one
+/// [`FecCodec::decode_frames`] call.  Round sizes are a pure function of the
 /// configuration and the merged counters, never of the worker count.
 fn schedule_round<'env>(
     ctx: &CurveCtx<'env>,
     state: &mut PointState,
     point: usize,
-) -> Vec<Job<'env, ShardResult>> {
+) -> Vec<Job<'env, JobResult>> {
     let round = next_round_frames(ctx, &state.total.counter);
     let shards = state.rngs.len();
-    let codec = ctx.codec;
-    let channel = &ctx.channels[point];
-    let modulator = ctx.modulator;
-    let batch = ctx.cfg.batch_frames as u64;
+    let work: Vec<ShardWork> = split_round(round, shards)
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, n)| n > 0)
+        .map(|(shard, n)| {
+            let rng = state.rngs[shard].take().expect("shard RNG checked back in");
+            (shard, n, rng)
+        })
+        .collect();
+    let count = ctx.workers.min(work.len());
+    let lanes = ctx
+        .cfg
+        .batch_frames
+        .min(usize::try_from(round).unwrap_or(usize::MAX));
+    let claims = Arc::new(Claims::new(work.into_iter()));
+    let (codec, channel, modulator) = (ctx.codec, &ctx.channels[point], ctx.modulator);
     let observed = ctx.observed;
-    let mut jobs = Vec::new();
-    for (shard, n) in split_round(round, shards).into_iter().enumerate() {
-        if n == 0 {
-            continue;
-        }
-        let mut rng = state.rngs[shard].take().expect("shard RNG checked back in");
-        jobs.push(Job::new(point * shards + shard, move || {
-            let mut acc = PointAccumulator::default();
-            let mut reg = observed.then(|| Box::new(Registry::new()));
-            // The final chunk may be ragged; the stream order — and
-            // therefore every count — is independent of `batch`.
-            let mut done = 0;
-            while done < n {
-                let chunk = (n - done).min(batch);
-                simulate_chunk(
+    let jobs: Vec<_> = (0..count)
+        .map(|job| {
+            let claims = Arc::clone(&claims);
+            // Job ids stay below `shards` per point: `workers <= shards`.
+            Job::new(point * shards + job, move || {
+                let mut stream = RoundStream {
                     codec,
                     channel,
                     modulator,
-                    &mut rng,
-                    &mut acc,
-                    chunk as usize,
-                    reg.as_deref_mut(),
-                );
-                done += chunk;
-            }
-            (rng, acc, reg)
-        }));
-    }
+                    claims: &claims,
+                    lanes,
+                    shard: None,
+                    spent: Vec::new(),
+                    infos: Vec::new(),
+                    free: Vec::new(),
+                    acc: PointAccumulator::default(),
+                    obs: observed.then(Registry::new),
+                };
+                let mut reg = observed.then(|| Box::new(Registry::new()));
+                codec.decode_frames(&mut stream, reg.as_deref_mut());
+                stream.finish(reg)
+            })
+        })
+        .collect();
     state.in_flight = jobs.len();
     state.rounds += u64::from(!jobs.is_empty());
     jobs
@@ -743,48 +893,112 @@ fn finish_point(ebn0_db: f64, total: &PointAccumulator) -> BerPoint {
     }
 }
 
-/// Simulates `chunk` frames end to end with one
-/// [`FecCodec::decode_frames`] call and records them into `acc` (and, when
-/// observing, the `codec.*` family into the shard registry `obs`) in
-/// generation order.
+/// The frames of one job: the shards it claims from its point-round, one
+/// at a time, each simulated frame by frame from its own RNG stream when the
+/// codec pulls a frame.  Every decision is counted into the job's
+/// accumulator (and, when observing, the `codec.*` family into `obs`).
 ///
-/// Each frame's channel randomness is drawn **fully, frame by frame, before
-/// any decode**, so the shard's RNG stream (and with it every error count)
-/// is the same for any chunk size.
-fn simulate_chunk(
-    codec: &dyn FecCodec,
-    channel: &AwgnChannel,
-    modulator: &BpskModulator,
-    rng: &mut StdRng,
-    acc: &mut PointAccumulator,
-    chunk: usize,
-    mut obs: Option<&mut Registry>,
-) {
-    let mut infos = Vec::with_capacity(chunk);
-    let mut llr_frames = Vec::with_capacity(chunk);
-    for _ in 0..chunk {
-        let info: Vec<u8> = (0..codec.info_bits())
-            .map(|_| rng.gen_range(0..=1))
-            .collect();
-        let codeword = codec.encode(&info);
-        debug_assert_eq!(codeword.len(), codec.codeword_bits());
-        let received = channel.transmit(&modulator.modulate(&codeword), rng);
-        llr_frames.push(channel.llrs(&received));
-        infos.push(info);
+/// Only the frames in flight are held: their information bits, one vector
+/// per tag, reused once the frame is decided.
+struct RoundStream<'a> {
+    codec: &'a dyn FecCodec,
+    channel: &'a AwgnChannel,
+    modulator: &'a BpskModulator,
+    claims: &'a Claims,
+    lanes: usize,
+    /// The shard being drawn from, with its frames still to simulate.
+    shard: Option<ShardWork>,
+    /// The claimed shards whose frames have all been drawn.
+    spent: Vec<(usize, StdRng)>,
+    /// Information bits by frame tag.
+    infos: Vec<Vec<u8>>,
+    /// The tags not in flight.
+    free: Vec<usize>,
+    acc: PointAccumulator,
+    obs: Option<Registry>,
+}
+
+impl RoundStream<'_> {
+    /// Makes sure the current shard has a frame left, claiming the next
+    /// shard of the round while it has not; `false` once the round is dry.
+    fn claim(&mut self) -> bool {
+        loop {
+            match self.shard.take() {
+                Some(work) if work.1 > 0 => {
+                    self.shard = Some(work);
+                    return true;
+                }
+                Some((shard, _, rng)) => self.spent.push((shard, rng)),
+                None => {}
+            }
+            match self
+                .claims
+                .lock()
+                .expect("no job panics holding the claims")
+                .next()
+            {
+                Some(work) => self.shard = Some(work),
+                None => return false,
+            }
+        }
     }
-    let frames: Vec<&[Llr]> = llr_frames.iter().map(|f| f.as_slice()).collect();
-    let decoded = codec.decode_frames(&frames, obs.as_deref_mut());
-    debug_assert_eq!(decoded.len(), chunk);
-    for (info, frame) in infos.iter().zip(&decoded) {
-        acc.counter.record_frame(info, &frame.info_bits);
-        acc.iterations += frame.iterations as u64;
-        if let Some(obs) = obs.as_deref_mut() {
+
+    /// The job's result, once the codec has drained the stream.
+    fn finish(mut self, mut reg: Option<Box<Registry>>) -> JobResult {
+        assert!(!self.claim(), "the codec pulls every frame of its stream");
+        assert_eq!(
+            self.free.len(),
+            self.infos.len(),
+            "the codec decides every frame it pulls"
+        );
+        if let (Some(reg), Some(obs)) = (reg.as_deref_mut(), &self.obs) {
+            reg.merge(obs);
+        }
+        (self.spent, self.acc, reg)
+    }
+}
+
+impl FrameStream for RoundStream<'_> {
+    fn max_in_flight(&self) -> usize {
+        self.lanes
+    }
+
+    fn next_frame(&mut self, llrs: &mut [Llr]) -> Option<usize> {
+        if !self.claim() {
+            return None;
+        }
+        let frame = self.free.pop().unwrap_or_else(|| {
+            self.infos.push(Vec::new());
+            self.infos.len() - 1
+        });
+        let (_, left, rng) = self.shard.as_mut().expect("claimed above");
+        *left -= 1;
+        let info = &mut self.infos[frame];
+        info.clear();
+        info.extend((0..self.codec.info_bits()).map(|_| rng.gen_range(0..=1u8)));
+        let codeword = self.codec.encode(info);
+        debug_assert_eq!(codeword.len(), self.codec.codeword_bits());
+        let received = self
+            .channel
+            .transmit(&self.modulator.modulate(&codeword), rng);
+        debug_assert_eq!(received.len(), llrs.len());
+        for (llr, &y) in llrs.iter_mut().zip(&received) {
+            *llr = self.channel.llr(y);
+        }
+        Some(frame)
+    }
+
+    fn decided(&mut self, frame: usize, info_bits: &[u8], iterations: usize, converged: bool) {
+        self.acc.counter.record_frame(&self.infos[frame], info_bits);
+        self.acc.iterations += iterations as u64;
+        if let Some(obs) = &mut self.obs {
             obs.incr(Class::Count, "codec.frames", 1);
-            obs.observe(Class::Count, "codec.iterations", frame.iterations as u64);
-            if frame.converged {
+            obs.observe(Class::Count, "codec.iterations", iterations as u64);
+            if converged {
                 obs.incr(Class::Count, "codec.converged", 1);
             }
         }
+        self.free.push(frame);
     }
 }
 
@@ -845,21 +1059,13 @@ mod tests {
             info.iter().chain(info).copied().collect()
         }
 
-        fn decode_frames(
-            &self,
-            frames: &[&[Llr]],
-            _obs: Option<&mut Registry>,
-        ) -> Vec<DecodedFrame> {
-            frames
-                .iter()
-                .map(|llrs| DecodedFrame {
-                    info_bits: (0..self.k)
-                        .map(|i| u8::from(llrs[i].value() + llrs[i + self.k].value() < 0.0))
-                        .collect(),
-                    iterations: 1,
-                    converged: true,
-                })
-                .collect()
+        fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
+            decode_serially(self, frames, |llrs| {
+                let bits: Vec<u8> = (0..self.k)
+                    .map(|i| u8::from(llrs[i].value() + llrs[i + self.k].value() < 0.0))
+                    .collect();
+                (bits, 1, true)
+            });
         }
     }
 
@@ -883,19 +1089,11 @@ mod tests {
             info.to_vec()
         }
 
-        fn decode_frames(
-            &self,
-            frames: &[&[Llr]],
-            _obs: Option<&mut Registry>,
-        ) -> Vec<DecodedFrame> {
-            frames
-                .iter()
-                .map(|llrs| DecodedFrame {
-                    info_bits: llrs.iter().map(|l| u8::from(l.value() >= 0.0)).collect(),
-                    iterations: 1,
-                    converged: false,
-                })
-                .collect()
+        fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
+            decode_serially(self, frames, |llrs| {
+                let bits: Vec<u8> = llrs.iter().map(|l| u8::from(l.value() >= 0.0)).collect();
+                (bits, 1, false)
+            });
         }
     }
 
@@ -922,7 +1120,7 @@ mod tests {
 
     #[test]
     fn curve_counts_are_identical_for_1_2_and_8_workers() {
-        // The (point, shard) pool schedule: every point of the curve must
+        // The pooled curve schedule: every point of the curve must
         // be bit-identical at any worker count.
         let codec = Repetition { k: 24 };
         let snrs = [-1.0, 1.0, 3.0, 5.0];

@@ -15,8 +15,7 @@
 //! validated to be a bijection at construction time, so a transcription
 //! slip can only shift BER performance marginally, never break correctness.
 
-use fec_channel::sim::{DecodedFrame, FecCodec};
-use fec_fixed::Llr;
+use fec_channel::sim::{decode_serially, FecCodec, FrameStream};
 use fec_obs::Registry;
 use std::fmt;
 use wimax_turbo::binary::TAIL_STEPS;
@@ -441,27 +440,21 @@ impl FecCodec for LteTurboCodec {
             .expect("info length matches the code")
     }
 
-    fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
-        frames
-            .iter()
-            .map(|llrs| {
-                let out = self
-                    .decoder
-                    .decode(llrs)
-                    .expect("LLR length matches the codeword");
-                DecodedFrame {
-                    info_bits: out.info_bits,
-                    iterations: out.iterations,
-                    converged: out.converged,
-                }
-            })
-            .collect()
+    fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
+        decode_serially(self, frames, |llrs| {
+            let out = self
+                .decoder
+                .decode(llrs)
+                .expect("LLR length matches the codeword");
+            (out.info_bits, out.iterations, out.converged)
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fec_fixed::Llr;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 

@@ -18,8 +18,7 @@ use crate::lte::{lte_block_sizes, LteTurboCode, LteTurboCodec};
 use crate::standard::Standard;
 use crate::wifi::{wifi_ldpc, wifi_rates, WIFI_BLOCK_LENGTHS};
 use crate::wran::{wran_ldpc, wran_rates, WRAN_BLOCK_LENGTHS};
-use fec_channel::sim::{DecodedFrame, FecCodec};
-use fec_fixed::Llr;
+use fec_channel::sim::{FecCodec, FrameStream};
 use fec_obs::Registry;
 use wimax_ldpc::decoder::{FixedLayeredConfig, FloodingConfig, LayeredConfig};
 use wimax_ldpc::{
@@ -277,8 +276,8 @@ impl<C: FecCodec> FecCodec for NamedCodec<C> {
         self.inner.encode(info)
     }
 
-    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
-        self.inner.decode_frames(frames, obs)
+    fn decode_frames(&self, frames: &mut dyn FrameStream, obs: Option<&mut Registry>) {
+        self.inner.decode_frames(frames, obs);
     }
 }
 
@@ -290,16 +289,34 @@ impl Standard {
     /// 3 lengths x 4 rates, LTE's representative QPP block sizes, 802.22's
     /// 6 lengths x 3 rates and DVB-RCS's twelve couple sizes.
     pub fn full_codes(self) -> Vec<StandardCode> {
+        let mut codes = self.ldpc_table().map_or_else(Vec::new, |(lengths, rates)| {
+            self.ldpc_codes(&lengths, &rates)
+        });
+        if let Some((sizes, build)) = self.turbo_table() {
+            codes.extend(sizes.into_iter().map(build));
+        }
+        codes
+    }
+
+    /// The standard's LDPC block lengths and rates, if it defines LDPC.
+    fn ldpc_table(self) -> Option<(Vec<usize>, Vec<CodeRate>)> {
         match self {
-            Standard::Wimax => {
-                let mut codes = self.ldpc_codes(&wimax_block_lengths(), &CodeRate::all());
-                codes.extend(WIMAX_FRAME_SIZES.map(wimax_ctc));
-                codes
-            }
-            Standard::Wifi80211n => self.ldpc_codes(&WIFI_BLOCK_LENGTHS, &wifi_rates()),
-            Standard::Lte => lte_block_sizes().into_iter().map(lte_turbo).collect(),
-            Standard::Wran80222 => self.ldpc_codes(&WRAN_BLOCK_LENGTHS, &wran_rates()),
-            Standard::DvbRcs => DVB_RCS_COUPLE_SIZES.map(dvb_rcs_turbo).into(),
+            Standard::Wimax => Some((wimax_block_lengths(), CodeRate::all().into())),
+            Standard::Wifi80211n => Some((WIFI_BLOCK_LENGTHS.into(), wifi_rates().into())),
+            Standard::Wran80222 => Some((WRAN_BLOCK_LENGTHS.into(), wran_rates().into())),
+            Standard::Lte | Standard::DvbRcs => None,
+        }
+    }
+
+    /// The standard's turbo sizes (couples, or information bits for LTE:
+    /// the code's mapping units) and the builder of their codes, if it
+    /// defines turbo.
+    fn turbo_table(self) -> Option<(Vec<usize>, BuildTurbo)> {
+        match self {
+            Standard::Wimax => Some((WIMAX_FRAME_SIZES.into(), wimax_ctc)),
+            Standard::Lte => Some((lte_block_sizes(), lte_turbo)),
+            Standard::DvbRcs => Some((DVB_RCS_COUPLE_SIZES.into(), dvb_rcs_turbo)),
+            Standard::Wifi80211n | Standard::Wran80222 => None,
         }
     }
 
@@ -329,11 +346,22 @@ impl Standard {
         self.largest_code(false)
     }
 
+    /// The code with the most mapping units, the last of equals in
+    /// [`full_codes`](Standard::full_codes) order, ranked by the tables
+    /// alone: only the winner is built.
     fn largest_code(self, ldpc: bool) -> Option<StandardCode> {
-        self.full_codes()
-            .into_iter()
-            .filter(|c| c.is_ldpc() == ldpc)
-            .max_by_key(StandardCode::mapping_units)
+        if !ldpc {
+            let (sizes, build) = self.turbo_table()?;
+            return sizes.into_iter().max().map(build);
+        }
+        let (lengths, rates) = self.ldpc_table()?;
+        // Check rows: `base_rows` block rows of `z = n / 24` rows each (every
+        // LDPC table here has 24 base columns).
+        let (n, rate) = lengths
+            .iter()
+            .flat_map(|&n| rates.iter().map(move |&rate| (n, rate)))
+            .max_by_key(|&(n, rate)| n / 24 * rate.base_rows())?;
+        self.ldpc_codes(&[n], &[rate]).pop()
     }
 
     /// The standard's LDPC codes of every length in `lengths` at every rate
@@ -356,6 +384,9 @@ impl Standard {
     }
 }
 
+/// Builds a standard's turbo code of one size.
+type BuildTurbo = fn(usize) -> StandardCode;
+
 fn wimax_ctc(couples: usize) -> StandardCode {
     StandardCode::WimaxTurbo {
         code: CtcCode::wimax(couples).expect("valid WiMAX frame size"),
@@ -377,6 +408,7 @@ fn dvb_rcs_turbo(couples: usize) -> StandardCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fec_fixed::Llr;
 
     #[test]
     fn registry_sizes_match_the_standards() {
@@ -411,6 +443,30 @@ mod tests {
         assert!(Standard::Lte.worst_ldpc().is_none());
         assert!(Standard::Wran80222.worst_turbo().is_none());
         assert!(Standard::DvbRcs.worst_ldpc().is_none());
+    }
+
+    #[test]
+    fn worst_codes_match_the_pick_over_every_built_code() {
+        for standard in Standard::all() {
+            for ldpc in [true, false] {
+                let built = standard
+                    .full_codes()
+                    .into_iter()
+                    .filter(|c| c.is_ldpc() == ldpc)
+                    .max_by_key(StandardCode::mapping_units);
+                let picked = if ldpc {
+                    standard.worst_ldpc()
+                } else {
+                    standard.worst_turbo()
+                };
+                let key = |c: &StandardCode| (c.label(), c.mapping_units(), c.info_bits());
+                assert_eq!(
+                    picked.as_ref().map(key),
+                    built.as_ref().map(key),
+                    "{standard:?}, ldpc = {ldpc}"
+                );
+            }
+        }
     }
 
     #[test]

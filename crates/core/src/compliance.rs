@@ -245,7 +245,7 @@ pub fn run_multi_compliance_with_store(
     }
     let results = pool.indexed_streamed(cells.len(), task, &mut on_done);
     if let Some((_, obs)) = observe.as_mut() {
-        pool_obs.record_into(obs, "pool");
+        pool_obs.record_into(obs, "pool", Class::Count);
     }
 
     let mut entries = Vec::new();

@@ -229,7 +229,7 @@ impl DesignSpaceExplorer {
             .into_iter()
             .collect();
         if let Some((_, obs)) = observe.as_mut() {
-            pool_obs.record_into(obs, "pool");
+            pool_obs.record_into(obs, "pool", Class::Count);
             obs.incr(Class::Count, "dse.table1_points", points.len() as u64);
             if let Ok(rows) = &rows {
                 obs.incr(Class::Count, "dse.table1_rows", rows.len() as u64);
@@ -283,7 +283,8 @@ impl DesignSpaceExplorer {
 
     /// Finds the minimum parallelism `P` (within `candidates`) for which the
     /// LDPC throughput reaches `target_mbps`, as done in Section III.C to
-    /// select `P = 22`.
+    /// select `P = 22`.  Each `(code, P)` mapping is taken from `mappings`
+    /// or added there, so searches that share a store map each `P` once.
     ///
     /// Returns the chosen `P` and its evaluation, or `None` if no candidate
     /// meets the target.
@@ -292,13 +293,13 @@ impl DesignSpaceExplorer {
         code: &QcLdpcCode,
         candidates: &[usize],
         target_mbps: f64,
+        mappings: &MappingStore,
     ) -> Result<Option<(usize, DesignEvaluation)>, DecoderError> {
         let mut sorted: Vec<usize> = candidates.to_vec();
         sorted.sort_unstable();
-        let mappings = MappingStore::new();
         for pes in sorted {
             let config = self.base.with_pes(pes);
-            let eval = evaluate_ldpc(&config, code, &mappings)?;
+            let eval = evaluate_ldpc(&config, code, mappings)?;
             if eval.throughput_mbps >= target_mbps {
                 return Ok(Some((pes, eval)));
             }
@@ -387,10 +388,15 @@ mod tests {
         let dse = DesignSpaceExplorer::default();
         let code = small_ldpc();
         // A generous target should be met by a small P; an absurd target by none.
-        let low = dse.minimum_parallelism(&code, &[4, 8, 16], 1.0).unwrap();
+        let mappings = MappingStore::new();
+        let low = dse
+            .minimum_parallelism(&code, &[4, 8, 16], 1.0, &mappings)
+            .unwrap();
         assert!(low.is_some());
         assert_eq!(low.unwrap().0, 4);
-        let impossible = dse.minimum_parallelism(&code, &[4, 8], 1.0e9).unwrap();
+        let impossible = dse
+            .minimum_parallelism(&code, &[4, 8], 1.0e9, &mappings)
+            .unwrap();
         assert!(impossible.is_none());
     }
 
@@ -477,15 +483,16 @@ mod tests {
         let candidates: Vec<usize> = (4..=24).step_by(4).collect();
         // A trivial target is always met by the smallest candidate; the
         // 802.11n 450 Mb/s target never is on this small fabric.
+        let mappings = MappingStore::new();
         assert_eq!(
-            dse.minimum_parallelism(&code, &candidates, 1.0)
+            dse.minimum_parallelism(&code, &candidates, 1.0, &mappings)
                 .unwrap()
                 .map(|(p, _)| p),
             Some(4)
         );
         let wifi = Standard::Wifi80211n.required_throughput_mbps();
         assert!(dse
-            .minimum_parallelism(&code, &candidates, wifi)
+            .minimum_parallelism(&code, &candidates, wifi, &mappings)
             .unwrap()
             .is_none());
     }

@@ -3,25 +3,12 @@
 
 use crate::code::QcLdpcCode;
 use crate::decoder::{
-    DecodeOutcome, FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder,
-    LayeredConfig, LayeredDecoder,
+    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder, LayeredConfig,
+    LayeredDecoder,
 };
 use crate::encoder::QcEncoder;
-use fec_channel::sim::{DecodedFrame, FecCodec};
-use fec_fixed::Llr;
+use fec_channel::sim::{decode_serially, FecCodec, FrameStream};
 use fec_obs::{NoopRecorder, Registry};
-
-/// The engine's view of a decoder outcome: the first `k` (information) hard
-/// decisions, the iteration count and the convergence flag.
-fn decoded_frame(out: DecodeOutcome, k: usize) -> DecodedFrame {
-    let mut info_bits = out.hard_bits;
-    info_bits.truncate(k);
-    DecodedFrame {
-        info_bits,
-        iterations: out.iterations,
-        converged: out.converged,
-    }
-}
 
 /// The layered normalized-min-sum decoder (the paper's hardware algorithm)
 /// behind the [`FecCodec`] interface.
@@ -67,11 +54,11 @@ impl FecCodec for LayeredLdpcCodec {
     /// Decodes frame after frame with the serial f64 loop: an f64 lockstep
     /// loop measured slower at 8 frames, since its two-minimum scan runs
     /// lane by lane over strided memory (see the README's batch section).
-    fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
-        frames
-            .iter()
-            .map(|llrs| decoded_frame(self.decoder.decode(llrs), self.k))
-            .collect()
+    fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
+        decode_serially(self, frames, |llrs| {
+            let out = self.decoder.decode(llrs);
+            (out.hard_bits, out.iterations, out.converged)
+        });
     }
 }
 
@@ -116,11 +103,11 @@ impl FecCodec for FloodingLdpcCodec {
             .expect("info length matches the code")
     }
 
-    fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
-        frames
-            .iter()
-            .map(|llrs| decoded_frame(self.decoder.decode(llrs), self.k))
-            .collect()
+    fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
+        decode_serially(self, frames, |llrs| {
+            let out = self.decoder.decode(llrs);
+            (out.hard_bits, out.iterations, out.converged)
+        });
     }
 }
 
@@ -176,19 +163,15 @@ impl FecCodec for QuantizedLayeredLdpcCodec {
             .expect("info length matches the code")
     }
 
-    /// Decodes the frames in lockstep blocks (see
-    /// [`FixedLayeredDecoder::decode_batch`]); with `obs` set, the fixed
+    /// Streams the frames through the refilled lanes of
+    /// [`FixedLayeredDecoder::decode_stream`]; with `obs` set, the fixed
     /// datapath records its `fixed.*` quantizer, saturation and lockstep
     /// metrics into it.
-    fn decode_frames(&self, frames: &[&[Llr]], obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
-        let outcomes = match obs {
-            Some(obs) => self.decoder.decode_batch(frames, obs),
-            None => self.decoder.decode_batch(frames, &mut NoopRecorder),
-        };
-        outcomes
-            .into_iter()
-            .map(|out| decoded_frame(out, self.k))
-            .collect()
+    fn decode_frames(&self, frames: &mut dyn FrameStream, obs: Option<&mut Registry>) {
+        match obs {
+            Some(obs) => self.decoder.decode_stream(frames, obs),
+            None => self.decoder.decode_stream(frames, &mut NoopRecorder),
+        }
     }
 }
 
@@ -196,7 +179,8 @@ impl FecCodec for QuantizedLayeredLdpcCodec {
 mod tests {
     use super::*;
     use crate::base_matrix::CodeRate;
-    use fec_channel::sim::{EngineConfig, SimulationEngine};
+    use fec_channel::sim::{DecodedFrame, EngineConfig, FrameSlice, SimulationEngine};
+    use fec_fixed::Llr;
 
     fn code() -> QcLdpcCode {
         QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length")
@@ -274,7 +258,9 @@ mod tests {
         assert_eq!(batched, serial);
         // Observation never changes results.
         let mut obs = Registry::new();
-        assert_eq!(codec.decode_frames(&refs, Some(&mut obs)), serial);
+        let mut stream = FrameSlice::new(&refs, 5);
+        codec.decode_frames(&mut stream, Some(&mut obs));
+        assert_eq!(stream.into_decoded(), serial);
     }
 
     #[test]
@@ -311,31 +297,48 @@ mod tests {
 
         let mut serial_obs = Registry::new();
         let serial: Vec<DecodedFrame> = refs
-            .iter()
-            .flat_map(|f| codec.decode_frames(&[f], Some(&mut serial_obs)))
+            .chunks(1)
+            .flat_map(|frame| {
+                let mut stream = FrameSlice::new(frame, 1);
+                codec.decode_frames(&mut stream, Some(&mut serial_obs));
+                stream.into_decoded()
+            })
             .collect();
         let plain: Vec<DecodedFrame> = frames.iter().map(|f| codec.decode(f)).collect();
         assert_eq!(serial, plain, "observation must not change results");
 
+        // Five frames on four refilled lanes.
         let mut batch_obs = Registry::new();
-        let batched = codec.decode_frames(&refs, Some(&mut batch_obs));
-        assert_eq!(batched, plain);
+        let mut stream = FrameSlice::new(&refs, 5);
+        codec.decode_frames(&mut stream, Some(&mut batch_obs));
+        assert_eq!(stream.into_decoded(), plain);
         // Count-class metrics (fixed.* saturation counters included) skip
-        // decided lanes in the lockstep path, so batch == serial.
+        // emptied lanes in the lockstep path, so batch == serial.
         assert_eq!(batch_obs.render_counts(), serial_obs.render_counts());
         assert_eq!(serial_obs.counter("fixed.frames"), Some(5));
         assert!(serial_obs.get("fixed.iterations").is_some());
-        // Both report the Execution-class lockstep metrics; one-lane
-        // blocks never wait on another lane.
+        // Both report the Execution-class lockstep metrics; a one-lane
+        // stream never waits on another lane.
         assert!(batch_obs.get("fixed.lane_iterations").is_some());
         assert!(serial_obs.get("fixed.lane_iterations").is_some());
         assert_eq!(serial_obs.counter("fixed.overwork_iters"), Some(0));
+        assert_eq!(lane_width(&batch_obs), (1, 4));
+        assert_eq!(lane_width(&serial_obs), (5, 5));
+    }
+
+    /// The `fixed.lane_width` histogram: refill loops run and the sum of
+    /// their lane widths.
+    fn lane_width(obs: &Registry) -> (u64, u64) {
+        match obs.get("fixed.lane_width").map(|m| &m.value) {
+            Some(fec_obs::MetricValue::Histogram(h)) => (h.total(), h.sum()),
+            other => panic!("fixed.lane_width must be a histogram, got {other:?}"),
+        }
     }
 
     #[test]
     fn engine_point_is_identical_at_any_batch_size() {
-        // 4 shards × 16 frames: every shard job holds 16 frames, so each
-        // batch size builds blocks as wide as it asks for.
+        // 4 shards × 16 frames: every round holds 64 frames, so each batch
+        // size runs lanes as wide as it asks for.
         let config = EngineConfig {
             frames_per_shard_round: 16,
             ..EngineConfig::fixed_frames(64, 7).with_shards(4)

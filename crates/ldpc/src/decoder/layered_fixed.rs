@@ -8,12 +8,16 @@
 //! the `3/4` normalization of Eq. (11) is a shift-add, and the `R_lk`
 //! messages are saturated to `r_bits` before being written back.
 //!
-//! There is one decode loop: a lockstep kernel over `B` frame lanes with
-//! `B` a compile-time width, one of 1, 2, 4, 8 and 16.  The three entry
-//! points ([`decode`], [`decode_batch`] and [`decode_quantized`]) split
-//! their frames into those widths (a single frame is `B = 1`; 13 frames
-//! run as 8 + 4 + 1), and lanes never interact, so results do not depend on
-//! the split.  λ and the `R_lk` message memory are
+//! There is one decode loop: a refill loop over `B` frame lanes in
+//! lockstep, with `B` a compile-time width, one of 1, 2, 4, 8 and 16.  When
+//! a lane's frame is decided, the lane hands its decisions out, loads the
+//! next frame, resets its `R_lk` messages and iteration count and sweeps on
+//! with the others, so while frames are left no lane waits for a slower
+//! one.  [`decode`], [`decode_batch`] and [`decode_quantized`] run at the
+//! widest width not above their frame count (13 frames run on 8 lanes,
+//! refilled five times), [`decode_stream`] at the widest width not above its
+//! stream's frames in flight; lanes never interact, so results do not
+//! depend on the width.  λ and the `R_lk` message memory are
 //! struct-of-arrays (`[var][lane]`, `[edge][lane]`) over the CSR structure,
 //! so every message update is one `[i16; B]` vector operation — the batch
 //! analogue of the paper's PE updating `z` check rows in parallel.  See
@@ -23,30 +27,59 @@
 //! [`decode`]: FixedLayeredDecoder::decode
 //! [`decode_batch`]: FixedLayeredDecoder::decode_batch
 //! [`decode_quantized`]: FixedLayeredDecoder::decode_quantized
+//! [`decode_stream`]: FixedLayeredDecoder::decode_stream
 
 use super::meu::LaneScan;
 use super::DecodeOutcome;
 use crate::code::QcLdpcCode;
+use fec_channel::sim::FrameStream;
 use fec_fixed::{Llr, MinSumArith, QuantStats, Quantizer, LAMBDA_BITS, R_BITS};
 use fec_obs::{Class, NoopRecorder, Recorder};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread λ / `R` / `Q` memories of every entry point, so steady-
-    /// state decoding allocates only the returned outcomes.  Buffers only
-    /// grow, so one thread decoding the same code repeatedly never
-    /// reallocates.
+    /// Per-thread lane memories and frame buffers of every entry point, so
+    /// steady-state decoding allocates only the outcomes it returns (nothing
+    /// on the stream path).  Buffers only grow, so one thread decoding the
+    /// same code repeatedly never reallocates.
     static SCRATCH: RefCell<FixedScratch> = const { RefCell::new(FixedScratch::new()) };
 }
 
-/// Working memory of the fixed-point decoder: the λ registers, the `R_lk`
-/// message memory and the `Q_lk` row scratch of one lockstep block.
+/// The widest lane width the kernel is compiled for.
+const MAX_LANES: usize = 16;
+
+/// Working memory of the fixed-point decoder.
+#[derive(Debug)]
+struct FixedScratch {
+    lanes: LaneMemory,
+    /// One frame of channel LLRs, pulled from a stream.
+    frame: Vec<Llr>,
+    /// One frame's information-bit decisions, handed back to a stream.
+    bits: Vec<u8>,
+}
+
+impl FixedScratch {
+    const fn new() -> Self {
+        FixedScratch {
+            lanes: LaneMemory {
+                lambda: Vec::new(),
+                r: Vec::new(),
+                q: Vec::new(),
+            },
+            frame: Vec::new(),
+            bits: Vec::new(),
+        }
+    }
+}
+
+/// The λ registers, the `R_lk` message memory and the `Q_lk` row scratch
+/// of the lanes.
 ///
 /// The buffers hold **struct-of-arrays** data, frame lane innermost:
 /// `lambda[v * B + f]` is variable `v` of lane `f`, `r[e * B + f]` edge `e`
 /// of lane `f`, so every message update runs over `B` contiguous lanes.
 #[derive(Debug)]
-struct FixedScratch {
+struct LaneMemory {
     /// λ registers, `[var][lane]`.
     lambda: Vec<i16>,
     /// `R_lk` message memory, `[edge][lane]`.
@@ -55,13 +88,133 @@ struct FixedScratch {
     q: Vec<i16>,
 }
 
-impl FixedScratch {
-    const fn new() -> Self {
-        FixedScratch {
-            lambda: Vec::new(),
-            r: Vec::new(),
-            q: Vec::new(),
+/// A frame entering a lane.
+enum Input<'a> {
+    /// Channel LLRs, quantized on entry.
+    Llrs(&'a [Llr]),
+    /// λ values already quantized, saturated to the register width on
+    /// entry.
+    Quantized(&'a [i16]),
+}
+
+/// Where the refill loop's frames come from and where their decisions go.
+trait Lanes {
+    /// The next frame for lane `lane`, or `None` once there is none, and on
+    /// every call after that.
+    fn next(&mut self, lane: usize) -> Option<Input<'_>>;
+
+    /// Lane `lane`'s frame is decided, with λ as it stands.
+    fn decided<const B: usize>(
+        &mut self,
+        lambda: &[[i16; B]],
+        lane: usize,
+        iterations: usize,
+        converged: bool,
+    );
+}
+
+/// The frames of a [`FixedLayeredDecoder::decode_batch`] or
+/// [`FixedLayeredDecoder::decode_quantized`] call and their outcomes, in
+/// input order.
+struct Outcomes<'a> {
+    frames: Frames<'a>,
+    next: usize,
+    /// The frame each lane holds.
+    lane_frame: [usize; MAX_LANES],
+    /// The λ quantizer's LSBs per unit LLR.
+    scale: f64,
+    outcomes: Vec<DecodeOutcome>,
+}
+
+/// The frames of an [`Outcomes`] call.
+enum Frames<'a> {
+    Llrs(&'a [&'a [Llr]]),
+    /// Frames of `n` quantized values, back to back.
+    Quantized(&'a [i16], usize),
+}
+
+impl<'a> Outcomes<'a> {
+    fn new(frames: Frames<'a>, count: usize, scale: f64) -> Self {
+        Outcomes {
+            frames,
+            next: 0,
+            lane_frame: [0; MAX_LANES],
+            scale,
+            outcomes: (0..count)
+                .map(|_| DecodeOutcome {
+                    hard_bits: Vec::new(),
+                    posterior: Vec::new(),
+                    iterations: 0,
+                    converged: false,
+                })
+                .collect(),
         }
+    }
+}
+
+impl Lanes for Outcomes<'_> {
+    fn next(&mut self, lane: usize) -> Option<Input<'_>> {
+        let f = self.next;
+        if f == self.outcomes.len() {
+            return None;
+        }
+        self.next += 1;
+        self.lane_frame[lane] = f;
+        Some(match self.frames {
+            Frames::Llrs(frames) => Input::Llrs(frames[f]),
+            Frames::Quantized(values, n) => Input::Quantized(&values[f * n..(f + 1) * n]),
+        })
+    }
+
+    fn decided<const B: usize>(
+        &mut self,
+        lambda: &[[i16; B]],
+        lane: usize,
+        iterations: usize,
+        converged: bool,
+    ) {
+        self.outcomes[self.lane_frame[lane]] = DecodeOutcome {
+            hard_bits: lambda.iter().map(|l| u8::from(l[lane] < 0)).collect(),
+            posterior: lambda
+                .iter()
+                .map(|l| f64::from(l[lane]) / self.scale)
+                .collect(),
+            iterations,
+            converged,
+        };
+    }
+}
+
+/// A [`FrameStream`] feeding the refill loop: each frame is pulled into
+/// `frame`, and each decision goes back as the frame's first `k` hard
+/// decisions, written into `bits`.
+struct StreamLanes<'a> {
+    stream: &'a mut dyn FrameStream,
+    frame: &'a mut [Llr],
+    bits: &'a mut Vec<u8>,
+    k: usize,
+    /// The stream's tag of the frame each lane holds.
+    lane_frame: [usize; MAX_LANES],
+}
+
+impl Lanes for StreamLanes<'_> {
+    fn next(&mut self, lane: usize) -> Option<Input<'_>> {
+        self.lane_frame[lane] = self.stream.next_frame(self.frame)?;
+        Some(Input::Llrs(self.frame))
+    }
+
+    fn decided<const B: usize>(
+        &mut self,
+        lambda: &[[i16; B]],
+        lane: usize,
+        iterations: usize,
+        converged: bool,
+    ) {
+        self.bits.clear();
+        self.bits
+            .extend(lambda[..self.k].iter().map(|l| u8::from(l[lane] < 0)));
+        self.stream
+            .decided(self.lane_frame[lane], self.bits, iterations, converged);
     }
 }
 
@@ -206,16 +359,18 @@ impl FixedLayeredDecoder {
         self.decode_batch(&[channel], &mut NoopRecorder).remove(0)
     }
 
-    /// Quantizes `frames.len()` frames of channel LLRs and decodes them **in
-    /// lockstep** blocks of 16, 8, 4, 2 and 1 lanes over the shared CSR
-    /// structure.  Per-frame results are bit-identical to decoding each
-    /// frame alone.
+    /// Quantizes `frames.len()` frames of channel LLRs and decodes them in
+    /// the refill loop, on the widest lane width not above their count (at
+    /// most 16).  Per-frame results are bit-identical to decoding each frame
+    /// alone.
     ///
     /// `rec` receives the per-frame count metrics (`fixed.frames`,
     /// iterations, convergence, quantizer and min-sum saturation), which
-    /// are bit-identical at any batch size, and the Execution-class lockstep
-    /// metrics of every block (per-lane iteration histogram and over-work).
-    /// With [`NoopRecorder`] every recording site compiles away.
+    /// are bit-identical at any width, and the Execution-class lockstep
+    /// metrics: the per-frame iteration histogram `fixed.lane_iterations`,
+    /// the loop's lane width `fixed.lane_width` and the lane-iterations of
+    /// emptied lanes, `fixed.overwork_iters`.  With [`NoopRecorder`] every
+    /// recording site compiles away.
     ///
     /// # Panics
     ///
@@ -229,16 +384,12 @@ impl FixedLayeredDecoder {
                 "LLR vector length must equal the code length"
             );
         }
-        let mut quant = QuantStats::default();
-        let outcomes = self.decode_frames(frames.len(), rec, |f, v| {
-            self.quantize_lambda::<R>(frames[f][v], &mut quant)
-        });
-        record_quant_stats(rec, &quant);
-        outcomes
+        let io = Outcomes::new(Frames::Llrs(frames), frames.len(), self.quantizer.scale());
+        self.decode_outcomes(io, rec)
     }
 
     /// Decodes already-quantized frames (integer λ values in LSB units) in
-    /// lockstep like [`decode_batch`](FixedLayeredDecoder::decode_batch).
+    /// the refill loop like [`decode_batch`](FixedLayeredDecoder::decode_batch).
     /// `quantized` holds the frames back to back (frame `f` occupies
     /// `quantized[f * n .. (f + 1) * n]`); out-of-range values are
     /// saturated to the register width.  Returns one [`DecodeOutcome`] per
@@ -258,68 +409,62 @@ impl FixedLayeredDecoder {
             0,
             "quantized input must hold whole frames: batch * n LLR values"
         );
-        let (lo, hi) = self.lambda_bounds();
-        self.decode_frames(quantized.len() / n, rec, |f, v| {
-            quantized[f * n + v].clamp(lo, hi)
-        })
+        let frames = Frames::Quantized(quantized, n);
+        let io = Outcomes::new(frames, quantized.len() / n, self.quantizer.scale());
+        self.decode_outcomes(io, rec)
     }
 
-    /// Decodes `count` frames, split greedily into lockstep blocks of 16,
-    /// 8, 4, 2 and 1 lanes, in the per-thread scratch; λ of frame `f` at
-    /// variable `v` is `lambda_of(f, v)`.  Records the lockstep execution
-    /// metrics of every block.
-    fn decode_frames<R: Recorder>(
+    /// Decodes the frames of `io` on as many lanes as it has frames (at
+    /// most 16) and returns their outcomes.
+    fn decode_outcomes<R: Recorder>(
         &self,
-        count: usize,
+        mut io: Outcomes<'_>,
         rec: &mut R,
-        mut lambda_of: impl FnMut(usize, usize) -> i16,
     ) -> Vec<DecodeOutcome> {
-        SCRATCH.with(|scratch| {
-            let scratch = &mut scratch.borrow_mut();
-            let mut outcomes = Vec::with_capacity(count);
-            while outcomes.len() < count {
-                let first = outcomes.len();
-                let lanes = |f, v| lambda_of(first + f, v);
-                match count - first {
-                    16.. => self.push_block::<16, R>(scratch, rec, lanes, &mut outcomes),
-                    8..=15 => self.push_block::<8, R>(scratch, rec, lanes, &mut outcomes),
-                    4..=7 => self.push_block::<4, R>(scratch, rec, lanes, &mut outcomes),
-                    2..=3 => self.push_block::<2, R>(scratch, rec, lanes, &mut outcomes),
-                    _ => self.push_block::<1, R>(scratch, rec, lanes, &mut outcomes),
-                }
-            }
-            outcomes
-        })
+        let width = io.outcomes.len();
+        SCRATCH.with(|scratch| self.run(width, &mut scratch.borrow_mut().lanes, rec, &mut io));
+        io.outcomes
     }
 
-    /// Decodes one `B`-lane block of [`decode_frames`](Self::decode_frames)
-    /// and appends its outcomes.
-    fn push_block<const B: usize, R: Recorder>(
+    /// Decodes every frame of `frames` in the refill loop, on the widest
+    /// lane width not above its
+    /// [`max_in_flight`](FrameStream::max_in_flight) (at most 16), and hands
+    /// each frame's `k` information-bit decisions, iterations and
+    /// convergence back to the stream.  No outcome is built per frame, and
+    /// in steady state nothing is allocated.  `rec` receives the metrics of
+    /// [`decode_batch`](FixedLayeredDecoder::decode_batch).
+    pub fn decode_stream<R: Recorder>(&self, frames: &mut dyn FrameStream, rec: &mut R) {
+        let width = frames.max_in_flight();
+        SCRATCH.with(|scratch| {
+            let FixedScratch { lanes, frame, bits } = &mut *scratch.borrow_mut();
+            frame.resize(self.code.n(), Llr::default());
+            let mut io = StreamLanes {
+                stream: frames,
+                frame,
+                bits,
+                k: self.code.k(),
+                lane_frame: [0; MAX_LANES],
+            };
+            self.run(width, lanes, rec, &mut io);
+        });
+    }
+
+    /// Runs the refill loop on the widest supported lane width not above
+    /// `width`.
+    fn run<R: Recorder>(
         &self,
-        scratch: &mut FixedScratch,
+        width: usize,
+        lanes: &mut LaneMemory,
         rec: &mut R,
-        lambda_of: impl FnMut(usize, usize) -> i16,
-        outcomes: &mut Vec<DecodeOutcome>,
+        io: &mut impl Lanes,
     ) {
-        let (lanes, exec) = self.decode_block::<B, R>(scratch, rec, lambda_of);
-        if R::ENABLED {
-            // Each lane occupies its slot for all `exec` iterations of the
-            // block; `exec - iterations` is the over-work its early
-            // termination could not reclaim.
-            let mut overwork = 0u64;
-            for out in &lanes {
-                rec.observe(
-                    Class::Execution,
-                    "fixed.lane_iterations",
-                    out.iterations as u64,
-                );
-                overwork += (exec - out.iterations) as u64;
-            }
-            rec.observe(Class::Execution, "fixed.batch_exec_iterations", exec as u64);
-            rec.incr(Class::Execution, "fixed.overwork_iters", overwork);
-            rec.incr(Class::Execution, "fixed.lockstep_lanes", B as u64);
+        match width {
+            MAX_LANES.. => self.refill::<MAX_LANES, R>(lanes, rec, io),
+            8..=15 => self.refill::<8, R>(lanes, rec, io),
+            4..=7 => self.refill::<4, R>(lanes, rec, io),
+            2..=3 => self.refill::<2, R>(lanes, rec, io),
+            _ => self.refill::<1, R>(lanes, rec, io),
         }
-        outcomes.extend(lanes);
     }
 
     /// Quantizes one channel LLR into a λ register value, counting
@@ -343,26 +488,43 @@ impl FixedLayeredDecoder {
         (lo, hi)
     }
 
-    /// The outcome of lane `f` from the λ registers as they stand.
-    fn lane_outcome<const B: usize>(
+    /// Loads one frame into lane `f`, counting quantizer saturation into
+    /// `quant` when recording.
+    fn load<const B: usize, R: Recorder>(
         &self,
-        lambda: &[[i16; B]],
+        lambda: &mut [[i16; B]],
         f: usize,
-        iterations: usize,
-        converged: bool,
-    ) -> DecodeOutcome {
-        let scale = self.quantizer.scale();
-        DecodeOutcome {
-            hard_bits: lambda.iter().map(|l| u8::from(l[f] < 0)).collect(),
-            posterior: lambda.iter().map(|l| f64::from(l[f]) / scale).collect(),
-            iterations,
-            converged,
+        input: Input<'_>,
+        quant: &mut QuantStats,
+    ) {
+        match input {
+            Input::Llrs(llrs) => {
+                // Quantize a contiguous block, then scatter it into the
+                // lane: with the lane stride inside the quantizer loop, an
+                // 8-lane decode of waterfall frames took about 8 µs more per
+                // frame.
+                let mut block = [0i16; 64];
+                for (lanes, llrs) in lambda.chunks_mut(block.len()).zip(llrs.chunks(block.len())) {
+                    for (value, &llr) in block.iter_mut().zip(llrs) {
+                        *value = self.quantize_lambda::<R>(llr, quant);
+                    }
+                    for (lane, &value) in lanes.iter_mut().zip(&block) {
+                        lane[f] = value;
+                    }
+                }
+            }
+            Input::Quantized(values) => {
+                let (lo, hi) = self.lambda_bounds();
+                for (lanes, &value) in lambda.iter_mut().zip(values) {
+                    lanes[f] = value.clamp(lo, hi);
+                }
+            }
         }
     }
 
     /// Per-frame count metrics of one decoded lane.  They depend only on
     /// the frame, so they stay part of the determinism contract at any
-    /// batch size.
+    /// lane width.
     fn record_frame_counts<R: Recorder>(&self, rec: &mut R, iterations: usize, converged: bool) {
         rec.incr(Class::Count, "fixed.frames", 1);
         rec.observe(Class::Count, "fixed.iterations", iterations as u64);
@@ -374,28 +536,30 @@ impl FixedLayeredDecoder {
         }
     }
 
-    /// The decode loop: `B` frame lanes in lockstep, with λ of lane `f` at
-    /// variable `v` given by `lambda_of(f, v)`.  Returns the per-lane
-    /// outcomes and the number of iterations the block executed.
+    /// The decode loop: `B` frame lanes in lockstep, each refilled from
+    /// `io` as soon as its frame is decided.
     ///
-    /// Early termination is per lane: the iteration in which a lane's hard
-    /// decisions first satisfy every check takes that lane's outcome, so it
-    /// matches a decode of that frame alone bit for bit.  The lane then
-    /// keeps running with the others, unobserved: lanes never interact, and
-    /// one sweep body serves any mix of decided and undecided lanes.  The
-    /// block stops once every lane is decided.
+    /// A lane's frame is decided after the sweep in which its hard decisions
+    /// first satisfy every check (under early termination) or after its
+    /// last iteration, so its outcome matches a decode of that frame alone
+    /// bit for bit.  The lane hands its decisions to `io`, loads the next
+    /// frame, resets its `R_lk` messages and iteration count, and sweeps on
+    /// with the others: lanes never interact, and one sweep body serves any
+    /// mix of lanes.  Once `io` runs dry, emptied lanes keep running,
+    /// unobserved, until the last frame is decided.
     ///
     /// Generic over [`Recorder`]: every recording site sits behind
     /// `R::ENABLED`, an associated `const`, so the [`NoopRecorder`]
     /// monomorphization carries no instrumentation.
-    fn decode_block<const B: usize, R: Recorder>(
+    fn refill<const B: usize, R: Recorder>(
         &self,
-        scratch: &mut FixedScratch,
+        lanes: &mut LaneMemory,
         rec: &mut R,
-        mut lambda_of: impl FnMut(usize, usize) -> i16,
-    ) -> ([DecodeOutcome; B], usize) {
+        io: &mut impl Lanes,
+    ) {
         let n = self.code.n();
-        let FixedScratch { lambda, r, q } = scratch;
+        let max_iterations = self.config.max_iterations;
+        let LaneMemory { lambda, r, q } = lanes;
         lambda.clear();
         lambda.resize(n * B, 0);
         // `R_lk` starts at zero for every frame.
@@ -406,56 +570,103 @@ impl FixedLayeredDecoder {
         let lambda = lambda.as_chunks_mut::<B>().0;
         let r = r.as_chunks_mut::<B>().0;
         let q = q.as_chunks_mut::<B>().0;
-        for (v, lanes) in lambda.iter_mut().enumerate() {
-            for (f, value) in lanes.iter_mut().enumerate() {
-                *value = lambda_of(f, v);
-            }
+
+        // Lane masks are all-ones while a lane holds an undecided frame and
+        // zero once it is empty.
+        let mut live = [0i16; B];
+        let mut quant = QuantStats::default();
+        let mut dry = false;
+        for (f, lane) in live.iter_mut().enumerate() {
+            let Some(input) = io.next(f) else {
+                dry = true;
+                break;
+            };
+            self.load::<B, R>(lambda, f, input, &mut quant);
+            *lane = -1;
+        }
+        if live == [0; B] {
+            return;
         }
 
-        // Lane masks are all-ones while a lane is undecided and zero once
-        // its outcome is taken.
-        let mut undecided = [-1i16; B];
-        let mut decided: [Option<DecodeOutcome>; B] = [const { None }; B];
+        let mut iterations = [0usize; B];
         let mut sat = SatCounts::default();
-        let mut exec = 0;
-        for it in 1..=self.config.max_iterations {
-            exec = it;
-            self.sweep::<B, R>(lambda, r, q, undecided, &mut sat);
-            if self.config.early_termination {
-                let satisfied = self.parity_satisfied(lambda, undecided);
-                for f in 0..B {
-                    if satisfied[f] {
-                        decided[f] = Some(self.lane_outcome(lambda, f, it, true));
-                        undecided[f] = 0;
-                    }
+        let mut sweeps = 0u64;
+        let mut lane_iterations = 0u64;
+        while live != [0; B] {
+            if max_iterations > 0 {
+                self.sweep::<B, R>(lambda, r, q, live, &mut sat);
+                sweeps += 1;
+                for (it, lane) in iterations.iter_mut().zip(live) {
+                    *it += usize::from(lane != 0);
                 }
-                if undecided == [0; B] {
-                    break;
+            }
+            // Check every live lane under early termination, otherwise only
+            // the lanes that ran their last iteration.
+            let due: [i16; B] = std::array::from_fn(|f| {
+                if self.config.early_termination || iterations[f] == max_iterations {
+                    live[f]
+                } else {
+                    0
+                }
+            });
+            let satisfied = self.parity_satisfied(lambda, due);
+            // All-ones for the lanes that load a frame now.
+            let mut fresh = [0i16; B];
+            for f in 0..B {
+                if live[f] == 0 || !(satisfied[f] || iterations[f] == max_iterations) {
+                    continue;
+                }
+                io.decided(lambda, f, iterations[f], satisfied[f]);
+                if R::ENABLED {
+                    self.record_frame_counts(rec, iterations[f], satisfied[f]);
+                    let it = iterations[f] as u64;
+                    rec.observe(Class::Execution, "fixed.lane_iterations", it);
+                    lane_iterations += it;
+                }
+                iterations[f] = 0;
+                live[f] = 0;
+                if dry {
+                    continue;
+                }
+                match io.next(f) {
+                    Some(input) => {
+                        self.load::<B, R>(lambda, f, input, &mut quant);
+                        live[f] = -1;
+                        fresh[f] = -1;
+                    }
+                    None => dry = true,
+                }
+            }
+            if fresh != [0; B] {
+                for edge in r.iter_mut() {
+                    for (value, lane) in edge.iter_mut().zip(fresh) {
+                        *value &= !lane;
+                    }
                 }
             }
         }
-        // Lanes that never stopped early ran every iteration; they get one
-        // syndrome check of their final hard decisions.
-        let satisfied = self.parity_satisfied(lambda, undecided);
-        let outcomes = std::array::from_fn(|f| {
-            decided[f]
-                .take()
-                .unwrap_or_else(|| self.lane_outcome(lambda, f, exec, satisfied[f]))
-        });
         if R::ENABLED {
-            for out in &outcomes {
-                self.record_frame_counts(rec, out.iterations, out.converged);
-            }
             rec.incr(Class::Count, "fixed.sat_q", sat.sat_q);
             rec.incr(Class::Count, "fixed.r_clip", sat.r_clip);
             rec.incr(Class::Count, "fixed.sat_lambda", sat.sat_lambda);
+            if quant.total > 0 {
+                rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
+                rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
+            }
+            // Every sweep runs all `B` lanes; the lane-iterations not spent
+            // on a frame are the over-work of the emptied lanes.
+            rec.observe(Class::Execution, "fixed.lane_width", B as u64);
+            rec.incr(
+                Class::Execution,
+                "fixed.overwork_iters",
+                B as u64 * sweeps - lane_iterations,
+            );
         }
-        (outcomes, exec)
     }
 
     /// One layered iteration over every check row, Eq. (6)–(11), for all
-    /// `B` lanes, decided or not.  The saturation counters skip the lanes
-    /// whose `undecided` mask is zero.
+    /// `B` lanes, live or not.  The saturation counters skip the lanes
+    /// whose `live` mask is zero.
     ///
     /// Kept out of line, one body per lane width and recorder, so the
     /// vectorization of each `[i16; B]` operation does not depend on the
@@ -468,7 +679,7 @@ impl FixedLayeredDecoder {
         lambda: &mut [[i16; B]],
         r: &mut [[i16; B]],
         q: &mut [[i16; B]],
-        undecided: [i16; B],
+        live: [i16; B],
         sat: &mut SatCounts,
     ) {
         let arith = &self.arith;
@@ -492,19 +703,13 @@ impl FixedLayeredDecoder {
                     // Saturated where the clamp moved the exact difference
                     // (at legal widths the `i16` difference never saturates;
                     // see `MinSumArith::q_message_array`).
-                    count_lanes(&mut sat_q, undecided, |f| {
-                        qj[f] != lam[f].saturating_sub(rj[f])
-                    });
+                    count_lanes(&mut sat_q, live, |f| qj[f] != lam[f].saturating_sub(rj[f]));
                 }
                 meu.push(pos, *qj);
             }
             if R::ENABLED {
-                count_lanes(&mut r_clip, undecided, |f| {
-                    arith.r_clips(i32::from(meu.min1[f]))
-                });
-                count_lanes(&mut r_clip, undecided, |f| {
-                    arith.r_clips(i32::from(meu.min2[f]))
-                });
+                count_lanes(&mut r_clip, live, |f| arith.r_clips(i32::from(meu.min1[f])));
+                count_lanes(&mut r_clip, live, |f| arith.r_clips(i32::from(meu.min2[f])));
             }
 
             // Update pass: R_new and λ, Eq. (9)-(11).  The 3/4 scaling runs
@@ -529,7 +734,7 @@ impl FixedLayeredDecoder {
                 let lam_new = arith.lambda_update_array(*qj, r_new);
                 if R::ENABLED {
                     // As for `sat_q`: the clamp moved the exact sum.
-                    count_lanes(&mut sat_lambda, undecided, |f| {
+                    count_lanes(&mut sat_lambda, live, |f| {
                         lam_new[f] != qj[f].saturating_add(r_new[f])
                     });
                 }
@@ -569,7 +774,7 @@ impl FixedLayeredDecoder {
     }
 }
 
-/// Saturation-event counts of one block, summed over its undecided lanes.
+/// Saturation-event counts of one refill loop, summed over its live lanes.
 #[derive(Default)]
 struct SatCounts {
     sat_q: u64,
@@ -584,14 +789,6 @@ impl SatCounts {
         self.sat_q += sum(sat_q);
         self.r_clip += sum(r_clip);
         self.sat_lambda += sum(sat_lambda);
-    }
-}
-
-/// Records the quantizer saturation counts of the frames just loaded.
-fn record_quant_stats<R: Recorder>(rec: &mut R, quant: &QuantStats) {
-    if R::ENABLED {
-        rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
-        rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
     }
 }
 
@@ -617,6 +814,7 @@ mod tests {
     use crate::base_matrix::CodeRate;
     use crate::decoder::{LayeredConfig, LayeredDecoder, MinimumExtractionUnit};
     use crate::encoder::QcEncoder;
+    use fec_channel::sim::FrameSlice;
     use fec_obs::Registry;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -1070,6 +1268,110 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Channel LLRs that quantize to exactly the λ values of `frame`
+    /// (saturated to the register width, as `reference_decode` clamps).
+    fn llrs_of(dec: &FixedLayeredDecoder, frame: &[i16]) -> Vec<Llr> {
+        let scale = dec.quantizer.scale();
+        frame
+            .iter()
+            .map(|&v| Llr::new(f64::from(v) / scale))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The refill loop against the serial oracle, frame by frame, at
+        /// every lane width: 0..=40 frames per stream (fewer than the lanes
+        /// too), early termination on and off, 1..=10 iterations, 7- and
+        /// 5-bit `R`.  Each frame's information bits, iterations and
+        /// convergence equal `reference_decode`'s, and each stream's
+        /// Count-class `fixed.*` metrics equal those of one-frame streams.
+        #[test]
+        fn refill_stream_matches_the_serial_reference(
+            seed in 0u64..1 << 32,
+            frames in 0usize..=40,
+            max_iterations in 1usize..=10,
+            early_termination in 0u8..=1,
+            paper_r in 0u8..=1,
+        ) {
+            let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+            let base = if paper_r == 1 {
+                FixedLayeredConfig::paper()
+            } else {
+                FixedLayeredConfig::default()
+            };
+            let cfg = FixedLayeredConfig {
+                max_iterations,
+                early_termination: early_termination == 1,
+                ..base
+            };
+            let dec = FixedLayeredDecoder::new(&code, cfg);
+            let hi = dec.lambda_bounds().1;
+            let lambdas: Vec<Vec<i16>> = (seed..)
+                .flat_map(|s| random_lambda_frames(code.n(), hi, s))
+                .take(frames)
+                .collect();
+            let llrs: Vec<Vec<Llr>> = lambdas.iter().map(|f| llrs_of(&dec, f)).collect();
+            let llrs: Vec<&[Llr]> = llrs.iter().map(Vec::as_slice).collect();
+            let mut want = Vec::new();
+            let mut serial_counts = Registry::new();
+            for (lambda, llr) in lambdas.iter().zip(&llrs) {
+                let out = reference_decode(&dec, lambda, &mut Registry::new());
+                want.push((out.info_bits(code.k()).to_vec(), out.iterations, out.converged));
+                let mut stream = FrameSlice::new(std::slice::from_ref(llr), 1);
+                dec.decode_stream(&mut stream, &mut serial_counts);
+                stream.into_decoded();
+            }
+            for width in [1, 2, 4, 8, 16] {
+                let mut counts = Registry::new();
+                let mut stream = FrameSlice::new(&llrs, width);
+                dec.decode_stream(&mut stream, &mut counts);
+                for (f, (got, want)) in stream.into_decoded().iter().zip(&want).enumerate() {
+                    prop_assert!(
+                        (&got.info_bits, got.iterations, got.converged) == (&want.0, want.1, want.2),
+                        "frame {} of {} on {} lanes under {:?}", f, frames, width, cfg
+                    );
+                }
+                prop_assert_eq!(counts.render_counts(), serial_counts.render_counts());
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_wider_than_its_frames_leaves_lanes_empty() {
+        // Three frames on 16 lanes: the empty lanes run as over-work and
+        // record nothing per frame; an empty stream records nothing at all.
+        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
+        let frames: Vec<Vec<Llr>> = random_lambda_frames(code.n(), 63, 3)[..3]
+            .iter()
+            .map(|f| llrs_of(&dec, f))
+            .collect();
+        let frames: Vec<&[Llr]> = frames.iter().map(Vec::as_slice).collect();
+        let mut obs = Registry::new();
+        let mut stream = FrameSlice::new(&frames, 16);
+        dec.decode_stream(&mut stream, &mut obs);
+        let decoded = stream.into_decoded();
+        assert_eq!(obs.counter("fixed.frames"), Some(3));
+        let lanes = match obs.get("fixed.lane_width").map(|m| &m.value) {
+            Some(fec_obs::MetricValue::Histogram(h)) => (h.total(), h.sum()),
+            other => panic!("fixed.lane_width must be a histogram, got {other:?}"),
+        };
+        assert_eq!(lanes, (1, 16));
+        let most = decoded.iter().map(|d| d.iterations as u64).max().unwrap();
+        let useful: u64 = decoded.iter().map(|d| d.iterations as u64).sum();
+        assert_eq!(
+            obs.counter("fixed.overwork_iters"),
+            Some(16 * most - useful)
+        );
+
+        let mut empty = Registry::new();
+        let mut stream = FrameSlice::new(&[], 8);
+        dec.decode_stream(&mut stream, &mut empty);
+        assert!(stream.into_decoded().is_empty());
+        assert!(empty.is_empty(), "{empty:?}");
     }
 
     #[test]

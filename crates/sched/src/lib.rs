@@ -1,7 +1,7 @@
 //! Deterministic scoped work-pool scheduler.
 //!
 //! Every fan-out in the workspace — the Monte-Carlo simulation engine's
-//! `(Eb/N0 point, frame shard)` schedule, the Table I design-space sweep,
+//! point-round jobs, the Table I design-space sweep,
 //! the multi-standard compliance sweeps and the `fec-svc` decode daemon —
 //! runs on the same [`WorkPool`] instead of carrying its own hand-rolled
 //! `std::thread::scope` block.
@@ -50,9 +50,9 @@
 //! The completion handler of [`PoolRun::jobs`] runs on the calling thread
 //! (completion order) and may submit follow-up jobs through its
 //! [`JobSink`].  The simulation engine uses this to keep early stopping
-//! exact — each scheduling round of a point is a batch of `(point, shard)`
-//! jobs, and the next round is only submitted once the previous round's
-//! merged counters pass the stopping rule — while shards of *other* points
+//! exact — each scheduling round of a point is a batch of jobs, one per
+//! worker, and the next round is only submitted once the previous round's
+//! merged counters pass the stopping rule — while jobs of *other* points
 //! keep every worker busy in between.
 //!
 //! # Example
@@ -111,14 +111,18 @@ impl PoolObs {
     }
 
     /// Folds this aggregate into `reg` under `prefix` (e.g. `"pool"`):
-    /// `<prefix>.tasks` / `.continuations` as count-class counters,
+    /// `<prefix>.tasks` / `.continuations` as `tasks`-class counters,
     /// `<prefix>.queue_depth_hw` / `.worker<i>.tasks` (and `.cancelled`,
     /// when any job was cancelled) as execution-class,
     /// `<prefix>.task_wait_ns` / `.task_run_ns` as timing spans.
-    pub fn record_into(&self, reg: &mut Registry, prefix: &str) {
-        reg.incr(Class::Count, &format!("{prefix}.tasks"), self.tasks);
+    ///
+    /// `tasks` is [`Class::Count`] when the caller's job set is a function
+    /// of its input alone, and [`Class::Execution`] when it depends on the
+    /// worker count (the simulation engine runs one job per worker).
+    pub fn record_into(&self, reg: &mut Registry, prefix: &str, tasks: Class) {
+        reg.incr(tasks, &format!("{prefix}.tasks"), self.tasks);
         reg.incr(
-            Class::Count,
+            tasks,
             &format!("{prefix}.continuations"),
             self.continuations,
         );
@@ -303,7 +307,7 @@ impl<'env, T> Job<'env, T> {
     /// Packages `work` under `id` at [`Priority::Normal`] with no cancel
     /// token.  Ids need not be unique or dense — they are opaque to the
     /// pool and only echoed back to the completion handler, which gives
-    /// them meaning (e.g. `point * shards + shard`).
+    /// them meaning (e.g. `point * shards + job`).
     pub fn new(id: usize, work: impl FnOnce() -> T + Send + 'env) -> Self {
         Job {
             id,
@@ -1302,7 +1306,7 @@ mod tests {
         assert_eq!(obs.run.count, 1, "only the executed job has a run span");
 
         let mut reg = Registry::new();
-        obs.record_into(&mut reg, "pool");
+        obs.record_into(&mut reg, "pool", Class::Count);
         assert_eq!(reg.counter("pool.cancelled"), Some(1));
     }
 
@@ -1323,7 +1327,7 @@ mod tests {
         assert_eq!(obs.run.total_ns, 0, "manual clock never advanced");
 
         let mut reg = Registry::new();
-        obs.record_into(&mut reg, "pool");
+        obs.record_into(&mut reg, "pool", Class::Count);
         assert_eq!(reg.counter("pool.tasks"), Some(1));
         assert!(matches!(
             reg.get("pool.queue_depth_hw").map(|m| (&m.value, m.class)),

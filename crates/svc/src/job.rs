@@ -79,7 +79,10 @@ pub struct BerSpec {
     pub codec: Arc<dyn FecCodec>,
     /// Frames per point (exact in fixed mode, a cap in adaptive mode).
     pub frames: u64,
-    /// Frames per decode call (`FecCodec::decode_frames`).
+    /// The most frames one decode call (`FecCodec::decode_frames`) holds
+    /// in flight: the unit streams its point's frames through that many
+    /// lanes of the fixed-point decoder (the widest of 1, 2, 4, 8 and 16 not
+    /// above it); other codecs decode one frame at a time.
     pub batch_frames: usize,
     /// Optional confidence-targeted stop rule.
     pub adaptive: Option<AdaptiveFlags>,
@@ -579,6 +582,49 @@ mod tests {
             );
             assert_eq!(rows[0].get("label").and_then(Json::as_str), Some(label));
         }
+    }
+
+    #[test]
+    fn a_q7_ber_unit_streams_its_frames_through_its_lanes() {
+        // A 24-frame unit runs one round on its 1-worker engine: one stream,
+        // decoded on the 8 lanes its batch size asks for, with the row bytes
+        // of the same point decoded one frame per call on 4 workers.
+        let job = parse(&submit(
+            r#"{"type":"submit","job":"ber","standard":"wimax","codec":"quantized",
+               "frames":24,"batch_frames":8,"snrs":[1.5]}"#,
+        ))
+        .unwrap();
+        let Unit::Ber { spec, ebn0_db } = &job.units[0] else {
+            panic!("expected a BER unit");
+        };
+        let rows = run_unit(&job.units[0]).unwrap();
+        let reference = SimulationEngine::new(study_engine_config(
+            24,
+            4,
+            1,
+            None,
+            study_seed(Standard::Wimax, spec.decoder),
+        ))
+        .run_point(spec.codec.as_ref(), *ebn0_db);
+        assert_eq!(
+            rows[0].get("point").unwrap().to_string(),
+            reference.to_json().to_string()
+        );
+
+        let mut obs = fec_obs::Registry::new();
+        SimulationEngine::new(spec.engine_config()).run_curve_observed(
+            spec.codec.as_ref(),
+            &[*ebn0_db],
+            &fec_obs::ManualClock::new(),
+            &mut obs,
+        );
+        let Some(fec_obs::MetricValue::Histogram(widths)) =
+            obs.get("fixed.lane_width").map(|m| &m.value)
+        else {
+            panic!("the q7 decoder records its lane width");
+        };
+        assert_eq!((widths.total(), widths.sum()), (1, 8));
+        assert_eq!(obs.counter("fixed.frames"), Some(24));
     }
 
     #[test]

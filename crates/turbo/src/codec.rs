@@ -3,8 +3,7 @@
 
 use crate::decoder::{ExtrinsicExchange, TurboDecoder, TurboDecoderConfig};
 use crate::encoder::{CtcCode, TurboEncoder};
-use fec_channel::sim::{DecodedFrame, FecCodec};
-use fec_fixed::Llr;
+use fec_channel::sim::{decode_serially, FecCodec, FrameStream};
 use fec_obs::Registry;
 
 /// The iterative duo-binary turbo decoder behind the [`FecCodec`]
@@ -53,21 +52,14 @@ impl FecCodec for TurboCodec {
             .expect("info length matches the code")
     }
 
-    fn decode_frames(&self, frames: &[&[Llr]], _obs: Option<&mut Registry>) -> Vec<DecodedFrame> {
-        frames
-            .iter()
-            .map(|llrs| {
-                let out = self
-                    .decoder
-                    .decode(llrs)
-                    .expect("LLR length matches the punctured codeword");
-                DecodedFrame {
-                    info_bits: out.info_bits,
-                    iterations: out.iterations,
-                    converged: out.converged,
-                }
-            })
-            .collect()
+    fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
+        decode_serially(self, frames, |llrs| {
+            let out = self
+                .decoder
+                .decode(llrs)
+                .expect("LLR length matches the punctured codeword");
+            (out.info_bits, out.iterations, out.converged)
+        });
     }
 }
 
@@ -75,6 +67,7 @@ impl FecCodec for TurboCodec {
 mod tests {
     use super::*;
     use fec_channel::sim::{EngineConfig, SimulationEngine};
+    use fec_fixed::Llr;
 
     fn codec(exchange: ExtrinsicExchange) -> TurboCodec {
         let code = CtcCode::wimax(24).expect("valid WiMAX frame size");

@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "topology", "D", "P", "routing", "T [Mb/s]", "NoC [mm2]"
     );
 
-    // the Table I cells and the routing evaluations map the code once per
-    // P into this store
+    // the Table I cells, the minimum-P searches and the routing evaluations
+    // map the code once per P into this store
     let mappings = MappingStore::new();
     let cell_code = StandardCode::Ldpc {
         standard: Standard::Wimax,
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let candidates: Vec<usize> = (16..=36).step_by(2).collect();
     for standard in Standard::all() {
         let target = standard.required_throughput_mbps();
-        match dse.minimum_parallelism(&code, &candidates, target)? {
+        match dse.minimum_parallelism(&code, &candidates, target, &mappings)? {
             Some((pes, eval)) => println!(
                 "  {standard:<8} P = {pes} reaches {:.2} Mb/s (>= {target:.0} Mb/s requirement)",
                 eval.throughput_mbps

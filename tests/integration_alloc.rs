@@ -5,7 +5,8 @@
 //! fixed λ/`R_lk` memories — so a decode allocates only its outcomes,
 //! however many iterations it runs: two vectors per frame, plus the
 //! outcome list of the fixed datapath.  The fixed datapath's instrumented
-//! entry point must stay within that bound with a [`NoopRecorder`].  The
+//! entry point must stay within that bound with a [`NoopRecorder`], and its
+//! stream path, which builds no outcomes, allocates nothing at all.  The
 //! [`QcEncoder`] computes its parity blocks in place in the returned
 //! codeword.  The turbo decoders keep their channel values, messages and
 //! the SISO's γ/α memories in a per-thread scratch too, so a turbo decode
@@ -16,11 +17,12 @@ mod common;
 
 use code_tables::{dvb_rcs_ctc, LteTurboCode, LteTurboCodec};
 use common::allocations;
+use fec_channel::sim::{FecCodec, FrameStream};
 use fec_fixed::Llr;
 use fec_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder};
-use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
+use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode, QuantizedLayeredLdpcCodec};
 use wimax_turbo::{ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig};
 
 const BLOCK_LENGTHS: [usize; 2] = [576, 2304];
@@ -94,6 +96,71 @@ fn fixed_decode_allocations_do_not_grow_with_iterations() {
                  vectors, made {one_allocs}"
             );
         }
+    }
+}
+
+/// `count` frames cycling through `frames`, with at most `width` in
+/// flight; counts the decisions it is handed and allocates nothing.
+struct Cycle<'a> {
+    frames: &'a [Vec<Llr>],
+    count: usize,
+    width: usize,
+    pulled: usize,
+    decided: usize,
+}
+
+impl FrameStream for Cycle<'_> {
+    fn max_in_flight(&self) -> usize {
+        self.width
+    }
+
+    fn next_frame(&mut self, llrs: &mut [Llr]) -> Option<usize> {
+        if self.pulled == self.count {
+            return None;
+        }
+        llrs.copy_from_slice(&self.frames[self.pulled % self.frames.len()]);
+        self.pulled += 1;
+        Some(self.pulled - 1)
+    }
+
+    fn decided(&mut self, _frame: usize, _info_bits: &[u8], _iterations: usize, _converged: bool) {
+        self.decided += 1;
+    }
+}
+
+#[test]
+fn q7_stream_decode_allocates_nothing_per_frame() {
+    for n in BLOCK_LENGTHS {
+        let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
+        let codec = QuantizedLayeredLdpcCodec::new(&code, FixedLayeredConfig::default());
+        // Clean frames converge in one iteration and noise runs all ten,
+        // so lanes are refilled at different sweeps.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(79);
+        let frames = [
+            vec![Llr::new(6.0); n],
+            (0..n).map(|_| Llr::new(rng.gen_range(-1.0..1.0))).collect(),
+            vec![Llr::new(6.0); n],
+        ];
+        let decode = |count: usize| {
+            let mut stream = Cycle {
+                frames: &frames,
+                count,
+                width: 8,
+                pulled: 0,
+                decided: 0,
+            };
+            let (allocs, ()) = allocations(|| codec.decode_frames(&mut stream, None));
+            assert_eq!(stream.decided, count, "n{n}");
+            allocs
+        };
+        // Warm-up: grow the per-thread scratch to this code and width.
+        decode(8);
+        let (eight, many) = (decode(8), decode(64));
+        assert_eq!(
+            (eight, many),
+            (0, 0),
+            "n{n}: 8 frames made {eight} allocations, 64 made {many}"
+        );
     }
 }
 

@@ -4,6 +4,7 @@
 
 use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
 use fec_channel::StopRule;
+use fec_obs::{ManualClock, Registry};
 use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
 use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec};
 use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
@@ -132,6 +133,57 @@ fn adaptive_quantized_ldpc_counts_are_identical_for_any_worker_and_batch_size() 
     }
 }
 
+/// One job per worker per point-round streams its shards' frames through
+/// refilled q7 lanes: curves and every OBS Count metric are byte-identical
+/// at workers 1/2/8 × batch 1/5/8/16, fixed budget and adaptive.  Rounds
+/// of eight 3-frame shards make streams cross shard boundaries with frames
+/// in flight, and leave 16 lanes more than a job's frames.
+#[test]
+fn stream_curves_and_counts_are_identical_for_any_worker_and_batch_size() {
+    // Five iterations keep the debug build quick and still mix frames that
+    // converge early, late and never.
+    let code = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length");
+    let datapath = FixedLayeredConfig {
+        max_iterations: 5,
+        ..FixedLayeredConfig::default()
+    };
+    let codec = QuantizedLayeredLdpcCodec::new(&code, datapath);
+    let snrs = [1.5, 2.5];
+    let clock = ManualClock::new();
+    let fixed = EngineConfig {
+        shards: 8,
+        frames_per_shard_round: 3,
+        seed: 2012,
+        stop_rule: StopRule::FixedBudget { frames: 24 },
+        ..EngineConfig::default()
+    };
+    let adaptive = EngineConfig {
+        frames_per_shard_round: 3,
+        ..EngineConfig::adaptive(48, 0.5, 0.9, 2012).with_shards(8)
+    };
+    for config in [fixed, adaptive] {
+        let run = |workers: usize, batch: usize| {
+            let engine =
+                SimulationEngine::new(config.with_workers(workers).with_batch_frames(batch));
+            let mut obs = Registry::new();
+            let curve = engine.run_curve_observed(&codec, &snrs, &clock, &mut obs);
+            (curve, obs.render_counts())
+        };
+        let reference = run(1, 1);
+        assert!(reference.1.contains("fixed.sat_q"), "{}", reference.1);
+        for workers in [1, 2, 8] {
+            for batch in [1, 5, 8, 16] {
+                assert_eq!(
+                    run(workers, batch),
+                    reference,
+                    "{:?} at workers = {workers}, batch = {batch}",
+                    config.stop_rule
+                );
+            }
+        }
+    }
+}
+
 /// The turbo codec satisfies the same worker-count invariance.
 #[test]
 fn turbo_counts_are_identical_for_1_2_and_8_workers() {
@@ -144,7 +196,7 @@ fn turbo_counts_are_identical_for_1_2_and_8_workers() {
     }
 }
 
-/// A multi-point curve on the shared (point, shard) work pool: every point
+/// A multi-point curve on the shared work pool: every point
 /// must be bit-identical at 1, 2 and 8 workers, with the real layered LDPC
 /// decoder in the loop.
 #[test]

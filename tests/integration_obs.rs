@@ -15,8 +15,8 @@ fn q7_codec() -> QuantizedLayeredLdpcCodec {
     QuantizedLayeredLdpcCodec::new(&code, FixedLayeredConfig::default())
 }
 
-/// Every shard job holds 16 frames (2 shards × 16 frames, one round), so a
-/// batch size up to 16 builds lockstep blocks that wide.
+/// Every round holds 32 frames (2 shards × 16 frames, one round per point),
+/// so a batch size up to 16 runs lanes that wide.
 fn observed_engine(workers: usize, batch: usize) -> SimulationEngine {
     SimulationEngine::new(
         EngineConfig {
@@ -31,12 +31,12 @@ fn observed_engine(workers: usize, batch: usize) -> SimulationEngine {
     )
 }
 
-/// Lockstep blocks the fixed decoder ran: one `fixed.batch_exec_iterations`
-/// observation each.
-fn lockstep_blocks(obs: &Registry) -> u64 {
-    match obs.get("fixed.batch_exec_iterations").map(|m| &m.value) {
-        Some(MetricValue::Histogram(blocks)) => blocks.total(),
-        other => panic!("fixed.batch_exec_iterations must be a histogram, got {other:?}"),
+/// The refill loops the fixed decoder ran and the sum of their lane
+/// widths: one `fixed.lane_width` observation per stream that held a frame.
+fn lane_widths(obs: &Registry) -> (u64, u64) {
+    match obs.get("fixed.lane_width").map(|m| &m.value) {
+        Some(MetricValue::Histogram(streams)) => (streams.total(), streams.sum()),
+        other => panic!("fixed.lane_width must be a histogram, got {other:?}"),
     }
 }
 
@@ -45,16 +45,16 @@ fn lockstep_blocks(obs: &Registry) -> u64 {
 /// combination, with the real fixed-point WiMAX codec — the most deeply
 /// instrumented datapath (`codec.*`, `fixed.*`, `engine.*` families) — in
 /// the loop.  Execution/timing sections are deliberately not compared,
-/// except the block count that shows the wide legs ran wide blocks.  At
-/// 1.0 dB a block's lanes converge at different iterations.
+/// except the lane widths that show the wide legs ran wide lanes.  At
+/// 1.0 dB a stream's lanes converge at different iterations.
 #[test]
 fn observed_counts_are_byte_identical_for_any_worker_and_batch_size() {
     let codec = q7_codec();
     let snrs = [1.0, 2.0];
     let clock = ManualClock::default();
-    // Blocks per 16-frame job: chunks of 5 run as 4 + 1 three times, then 1.
-    let blocks_per_job = [(1, 16), (5, 7), (8, 2), (16, 1)];
-    let jobs = 2 * 2;
+    // Lane width per batch size: the widest supported width not above it.
+    let lanes_per_batch = [(1, 1), (5, 4), (8, 8), (16, 16)];
+    let points = 2;
 
     let mut reference = Registry::new();
     let ref_curve = observed_engine(1, 1).run_curve_observed(&codec, &snrs, &clock, &mut reference);
@@ -69,7 +69,7 @@ fn observed_counts_are_byte_identical_for_any_worker_and_batch_size() {
     );
 
     for workers in [1, 2, 8] {
-        for (batch, blocks) in blocks_per_job {
+        for (batch, lanes) in lanes_per_batch {
             let mut obs = Registry::new();
             let curve =
                 observed_engine(workers, batch).run_curve_observed(&codec, &snrs, &clock, &mut obs);
@@ -79,10 +79,23 @@ fn observed_counts_are_byte_identical_for_any_worker_and_batch_size() {
                 ref_counts,
                 "Count metrics must be byte-identical at workers = {workers}, batch = {batch}"
             );
+            // One job per worker (at most one per shard) per point-round;
+            // a job the other job left no shard to is no stream.  Every
+            // stream runs on the lanes its batch size asks for.
+            let (streams, widths) = lane_widths(&obs);
+            let jobs = points * workers.min(2) as u64;
+            if workers == 1 {
+                assert_eq!(streams, points, "streams at batch = {batch}");
+            } else {
+                assert!(
+                    (points..=jobs).contains(&streams),
+                    "{streams} streams at workers = {workers}, batch = {batch}"
+                );
+            }
             assert_eq!(
-                lockstep_blocks(&obs),
-                jobs * blocks,
-                "lockstep blocks at workers = {workers}, batch = {batch}"
+                widths,
+                lanes * streams,
+                "lane widths at workers = {workers}, batch = {batch}"
             );
         }
     }

@@ -9,7 +9,9 @@ use code_tables::Standard;
 use decoder_bench::{table1_code, table2_codes, table3_rows};
 use fec_json::ToJson;
 use noc_decoder::dse::{Table1Row, Table2Row};
-use noc_decoder::{CodeRate, DecoderConfig, DesignSpaceExplorer, QcLdpcCode, StandardCode};
+use noc_decoder::{
+    CodeRate, DecoderConfig, DesignSpaceExplorer, MappingStore, QcLdpcCode, StandardCode,
+};
 
 /// FNV-1a over the little-endian bytes of `words`.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -129,11 +131,14 @@ fn minimum_parallelism_search_reproduces_its_golden_results() {
     let dse = explorer();
     let code = QcLdpcCode::wimax(1152, CodeRate::R12).unwrap();
     let candidates: Vec<usize> = (16..=36).step_by(2).collect();
+    let mappings = MappingStore::new();
     let results: Vec<(&str, Option<usize>, u64)> = Standard::all()
         .into_iter()
         .map(|standard| {
             let target = standard.required_throughput_mbps();
-            let found = dse.minimum_parallelism(&code, &candidates, target).unwrap();
+            let found = dse
+                .minimum_parallelism(&code, &candidates, target, &mappings)
+                .unwrap();
             let pes = found.as_ref().map(|(pes, _)| *pes);
             (standard.flag(), pes, text_hash([format!("{found:?}")]))
         })
