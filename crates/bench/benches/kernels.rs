@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the computational kernels: one layered LDPC
 //! iteration (f64 reference vs the fixed-point datapath), the MEU
-//! two-minimum extraction (sequential push vs two-pass scan), one flooding
+//! two-minimum extraction (the two-pass scan), one flooding
 //! iteration, one SISO half iteration, one NoC message-passing phase, one
 //! graph partitioning run and the corner compliance sweep of a daemon
 //! compliance unit.
@@ -131,25 +131,10 @@ fn main() {
     run(&mut reports, fixed_report);
     println!("    -> fixed-point layered speedup over f64 on n576/R12: {speedup:.2}x (min/min)");
 
-    // The MEU two-minimum extraction in isolation: sequential scalar pushes
-    // vs the branch-light two-pass scan, over WiMAX-typical degree-7 rows.
+    // The MEU two-minimum extraction in isolation: the branch-light
+    // two-pass scan over WiMAX-typical degree-7 rows.
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let q_fixed: Vec<i16> = (0..7 * 4096).map(|_| rng.gen_range(-64i16..=63)).collect();
-    let q_float: Vec<f64> = q_fixed.iter().map(|&v| f64::from(v)).collect();
-    run(
-        &mut reports,
-        bench("meu_two_min_deg7_x4096/scalar_f64_push", 3, 40, || {
-            let mut acc = 0.0f64;
-            for row in q_float.chunks_exact(7) {
-                let mut meu = MinimumExtractionUnit::new();
-                for (i, &v) in row.iter().enumerate() {
-                    meu.push(i, v);
-                }
-                acc += meu.min1() + meu.min2();
-            }
-            std::hint::black_box(acc);
-        }),
-    );
     run(
         &mut reports,
         bench("meu_two_min_deg7_x4096/batch_scan_i16", 3, 40, || {
@@ -243,7 +228,9 @@ fn main() {
     // The path `ldpc_high_snr` runs: the default f64 decoder over AWGN
     // frames at 3.5-5.0 dB, one after another.  The frames differ, so the
     // branch predictor cannot learn one frame's compares as it does in the
-    // repeated-frame `ldpc_iteration_*` rows.
+    // repeated-frame `ldpc_iteration_*` rows.  A run takes about 1 ms; with
+    // 12 runs the row's min spread over 1.45-2.68 ms across three sessions
+    // of one build, so it takes 200.
     let high_snr_frames: Vec<Vec<Llr>> = (0..64u64)
         .map(|i| {
             let ebn0_db = 3.5 + 0.5 * (i % 4) as f64;
@@ -254,7 +241,7 @@ fn main() {
     let float_default = LayeredDecoder::new(&code576, LayeredConfig::default());
     run(
         &mut reports,
-        bench("layered_f64_n576_awgn_x64f/serial", 2, 12, || {
+        bench("layered_f64_n576_awgn_x64f/serial", 2, 200, || {
             for frame in &high_snr_frames {
                 std::hint::black_box(float_default.decode(frame));
             }

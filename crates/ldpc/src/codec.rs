@@ -51,14 +51,13 @@ impl FecCodec for LayeredLdpcCodec {
             .expect("info length matches the code")
     }
 
-    /// Decodes frame after frame with the serial f64 loop: an f64 lockstep
-    /// loop measured slower at 8 frames, since its two-minimum scan runs
-    /// lane by lane over strided memory (see the README's batch section).
+    /// Decodes frame after frame through the decoder's one loop, whose
+    /// lanes are a layer's check rows, not frames, so the stream's width
+    /// changes nothing; each frame's information bits go to the stream
+    /// straight from the decoder's scratch, and no `DecodeOutcome` is
+    /// built.
     fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
-        decode_serially(self, frames, |llrs| {
-            let out = self.decoder.decode(llrs);
-            (out.hard_bits, out.iterations, out.converged)
-        });
+        self.decoder.decode_stream(frames);
     }
 }
 

@@ -3,39 +3,62 @@
 //! Parity checks are grouped into layers (one layer per base-matrix block
 //! row); layers are decoded in sequence and the updated bit LLRs propagate
 //! from one layer to the next within the same iteration, which roughly
-//! doubles convergence speed with respect to two-phase scheduling.
+//! doubles convergence speed with respect to two-phase scheduling.  The `z`
+//! checks of a layer share no bit, so, like the paper's PEs, the decoder
+//! updates them together: one f64 lane per check row.
 
-use super::{DecodeOutcome, MinimumExtractionUnit};
+use super::meu::{LayerScan, ROW_LANES};
+use super::DecodeOutcome;
 use crate::code::QcLdpcCode;
+use fec_channel::sim::FrameStream;
 use fec_fixed::Llr;
 use std::cell::RefCell;
+use std::ops::Range;
 
 thread_local! {
-    /// Per-thread λ / `R` / `Q` memories of the serial
-    /// [`LayeredDecoder::decode`], the f64 counterpart of the fixed-point
-    /// decoder's default scratch.  Buffers only grow, so a thread decoding
-    /// the same code repeatedly never reallocates them.
+    /// Per-thread memories and frame buffers of [`LayeredDecoder`], the f64
+    /// counterpart of the fixed-point decoder's scratch.  Buffers only
+    /// grow, so a thread decoding the same code repeatedly never
+    /// reallocates them.
     static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
 }
 
-/// Working memory of one serial decode, sized once per code like the
-/// processing element's fixed λ and `R_lk` memories.
+/// Working memory of the decoder.
 #[derive(Debug)]
 struct Scratch {
+    memory: Memory,
+    /// One frame of channel LLRs, pulled from a stream.
+    frame: Vec<Llr>,
+    /// One frame's information-bit decisions, handed back to a stream.
+    bits: Vec<u8>,
+}
+
+/// The decode loop's memories, sized once per code like the processing
+/// element's fixed λ and `R_lk` memories.
+#[derive(Debug)]
+struct Memory {
     /// Bit LLRs λ, one per variable.
     lambda: Vec<f64>,
-    /// `R_lk` message memory, one per parity-check edge in CSR order.
+    /// `R_lk` message memory: per non-zero block, one message per check
+    /// row of its layer, padded to a whole number of [`LayerScan`]s.
     r: Vec<f64>,
-    /// `Q_lk` values of the row being updated, up to the maximum degree.
+    /// `Q_lk` values of the layer being updated, laid out like its `R`.
     q: Vec<f64>,
+    /// Per check row, the parity of one layer's hard decisions.
+    syndrome: Vec<u64>,
 }
 
 impl Scratch {
     const fn new() -> Self {
         Scratch {
-            lambda: Vec::new(),
-            r: Vec::new(),
-            q: Vec::new(),
+            memory: Memory {
+                lambda: Vec::new(),
+                r: Vec::new(),
+                q: Vec::new(),
+                syndrome: Vec::new(),
+            },
+            frame: Vec::new(),
+            bits: Vec::new(),
         }
     }
 }
@@ -66,6 +89,30 @@ impl Default for LayeredConfig {
     }
 }
 
+/// A non-zero block of the base matrix: a `z × z` identity shifted right
+/// by `shift`, so check row `r` of its layer meets bit `col + (r + shift)
+/// % z`.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// The first bit of the block column.
+    col: usize,
+    /// The circulant shift at `z`, below `z`.
+    shift: usize,
+}
+
+impl Block {
+    /// The block's check rows and the λ runs they meet, as the two
+    /// contiguous pieces of the rotation: rows `..z - shift` meet bits
+    /// `col + shift..`, the rest meet `col..col + shift`.
+    fn runs(self, z: usize) -> [(Range<usize>, Range<usize>); 2] {
+        let Block { col, shift } = self;
+        [
+            (0..z - shift, col + shift..col + z),
+            (z - shift..z, col..col + shift),
+        ]
+    }
+}
+
 /// Layered normalized-min-sum decoder operating on one code.
 ///
 /// # Example
@@ -85,40 +132,36 @@ impl Default for LayeredConfig {
 pub struct LayeredDecoder {
     code: QcLdpcCode,
     config: LayeredConfig,
-    /// CSR row pointers into `cols` (length `m + 1`), rows stored in the
-    /// layered schedule order.
-    row_ptr: Vec<u32>,
-    /// Flattened column indices of every parity-check entry, schedule order.
-    cols: Vec<u32>,
-    /// Largest check-node degree (`Q` row scratch size).
-    max_degree: usize,
+    /// Every non-zero block, block row by block row: the layer plan.
+    blocks: Vec<Block>,
+    /// Layer `l` is `blocks[layer_ptr[l]..layer_ptr[l + 1]]`.
+    layer_ptr: Vec<usize>,
 }
 
 impl LayeredDecoder {
     /// Creates a decoder for `code` with the given configuration.
     pub fn new(code: &QcLdpcCode, config: LayeredConfig) -> Self {
-        // Flatten the parity-check rows into CSR in the layered schedule
-        // order (layer by layer), mirroring the fixed-point decoder's
-        // layout.
-        let h = code.parity_check();
-        let mut row_ptr = Vec::with_capacity(code.m() + 1);
-        let mut cols = Vec::with_capacity(code.edge_count());
-        let mut max_degree = 0;
-        row_ptr.push(0u32);
-        for layer in code.layers() {
-            for &row in &layer {
-                let entries = h.row(row);
-                max_degree = max_degree.max(entries.len());
-                cols.extend(entries.iter().map(|&c| c as u32));
-                row_ptr.push(cols.len() as u32);
-            }
+        // The blocks and shifts that define H in `QcLdpcCode::from_base`.
+        let (base, z) = (code.base(), code.expansion());
+        let mut blocks = Vec::with_capacity(base.nonzero_blocks());
+        let mut layer_ptr = vec![0];
+        for (br, bc, _) in base.iter_blocks() {
+            // Close every layer before `br`, the empty ones too.
+            layer_ptr.resize(br + 1, blocks.len());
+            let shift = base
+                .shift(br, bc, z)
+                .expect("iter_blocks only yields non-zero blocks");
+            blocks.push(Block {
+                col: bc * z,
+                shift: shift % z,
+            });
         }
+        layer_ptr.resize(base.rows() + 1, blocks.len());
         LayeredDecoder {
             code: code.clone(),
             config,
-            row_ptr,
-            cols,
-            max_degree,
+            blocks,
+            layer_ptr,
         }
     }
 
@@ -129,7 +172,7 @@ impl LayeredDecoder {
 
     /// Decodes a block of channel LLRs.
     ///
-    /// λ, the `R` message memory and the `Q` row live in a per-thread
+    /// λ, the `R` message memory and the `Q` values live in a per-thread
     /// scratch, so in steady state a decode allocates only the two vectors
     /// of the returned [`DecodeOutcome`].
     ///
@@ -142,115 +185,174 @@ impl LayeredDecoder {
             self.code.n(),
             "LLR vector length must equal the code length"
         );
-        SCRATCH.with(|s| self.decode_in(channel, &mut s.borrow_mut()))
+        SCRATCH.with(|scratch| {
+            let memory = &mut scratch.borrow_mut().memory;
+            let (iterations, converged) = self.run(channel, memory);
+            DecodeOutcome {
+                hard_bits: memory
+                    .lambda
+                    .iter()
+                    .map(|&l| Llr::new(l).hard_bit())
+                    .collect(),
+                posterior: memory.lambda.clone(),
+                iterations,
+                converged,
+            }
+        })
     }
 
-    /// The serial layered iteration over the CSR arrays.
-    fn decode_in(&self, channel: &[Llr], scratch: &mut Scratch) -> DecodeOutcome {
-        let h = self.code.parity_check();
-        let LayeredConfig { scale, offset, .. } = self.config;
-        let Scratch { lambda, r, q } = scratch;
+    /// Decodes every frame of `frames`, one after another, and hands each
+    /// frame's `k` information-bit decisions, iterations and convergence
+    /// back to the stream.  No outcome is built per frame, and in steady
+    /// state nothing is allocated.
+    pub(crate) fn decode_stream(&self, frames: &mut dyn FrameStream) {
+        let k = self.code.k();
+        SCRATCH.with(|scratch| {
+            let Scratch {
+                memory,
+                frame,
+                bits,
+            } = &mut *scratch.borrow_mut();
+            frame.resize(self.code.n(), Llr::default());
+            while let Some(tag) = frames.next_frame(frame) {
+                let (iterations, converged) = self.run(frame, memory);
+                bits.clear();
+                bits.extend(memory.lambda[..k].iter().map(|&l| Llr::new(l).hard_bit()));
+                frames.decided(tag, bits, iterations, converged);
+            }
+        });
+    }
+
+    /// The layered iteration: decodes `channel` into `memory.lambda` and
+    /// returns the iterations run and whether the syndrome is zero.
+    fn run(&self, channel: &[Llr], memory: &mut Memory) -> (usize, bool) {
+        let z = self.code.expansion();
+        // A block's slots in `R` and `Q`: one per check row, then padding
+        // up to a whole number of `LayerScan`s, which no bit reads.
+        let stride = z.next_multiple_of(ROW_LANES);
+        let LayeredConfig {
+            max_iterations,
+            scale,
+            offset,
+            early_termination,
+        } = self.config;
+        let Memory {
+            lambda,
+            r,
+            q,
+            syndrome,
+        } = memory;
         lambda.clear();
         lambda.extend(channel.iter().map(|l| l.value()));
         r.clear();
-        r.resize(self.cols.len(), 0.0);
-        q.resize(self.max_degree, 0.0);
-        let mut hard = vec![0u8; lambda.len()];
+        r.resize(self.blocks.len() * stride, 0.0);
+        let widest = self.layer_ptr.windows(2).map(|l| l[1] - l[0]).max();
+        q.resize(widest.unwrap_or(0) * stride, 0.0);
 
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for it in 0..self.config.max_iterations {
-            iterations = it + 1;
-            for rows in self.row_ptr.windows(2) {
-                let (start, end) = (rows[0] as usize, rows[1] as usize);
-                let cols = &self.cols[start..end];
-                let r_row = &mut r[start..end];
-                let q_row = &mut q[..cols.len()];
-                // Q_lk = lambda_old - R_old, Eq. (6); two-minimum extraction, Eq. (11).
-                let mut meu = MinimumExtractionUnit::new();
-                for (j, ((qj, &col), &rj)) in
-                    q_row.iter_mut().zip(cols).zip(r_row.iter()).enumerate()
+        for iteration in 1..=max_iterations {
+            for layer in self.layer_ptr.windows(2) {
+                let blocks = &self.blocks[layer[0]..layer[1]];
+                let r = &mut r[layer[0] * stride..layer[1] * stride];
+                let q = &mut q[..r.len()];
+                // Q_lk = lambda_old - R_old, Eq. (6), gathered into lane
+                // order.
+                for ((block, q), r) in blocks
+                    .iter()
+                    .zip(q.chunks_exact_mut(stride))
+                    .zip(r.chunks_exact(stride))
                 {
-                    *qj = lambda[col as usize] - rj;
-                    meu.push(j, *qj);
+                    for (rows, bits) in block.runs(z) {
+                        let rows = q[rows.clone()].iter_mut().zip(&r[rows]);
+                        for ((q, &r), &l) in rows.zip(&lambda[bits]) {
+                            *q = l - r;
+                        }
+                    }
                 }
-                // R_new and lambda update, Eq. (9)-(10), with the optional
-                // offset-min-sum correction applied before normalization.
-                // A row sends two messages, signed by the product of all its
-                // signs: `min2` to the minimum's position and `min1` to every
-                // other one.  Every edge takes the second, then the minimum's
-                // edge is updated again with the first, so no edge selects
-                // between them.  An edge excludes its own sign by negating
-                // when its `Q` is negative.  IEEE rounding is sign-symmetric,
-                // so this equals multiplying by the excluded sign bit for bit
-                // whenever the message is not NaN (a finite scale and a
-                // non-negative offset).
-                let signed_scale = scale * meu.sign_product();
-                let message = |pos| signed_scale * (meu.magnitude_for(pos) - offset).max(0.0);
-                let excluding = |qj: f64, m: f64| if qj < 0.0 { -m } else { m };
-                // Position `cols.len()` is past the row, so it receives
-                // `min1`, like every position but the minimum's.
-                let to_rest = message(cols.len());
-                for ((&qj, &col), rj) in q_row.iter().zip(cols).zip(r_row.iter_mut()) {
-                    *rj = excluding(qj, to_rest);
-                    lambda[col as usize] = qj + *rj;
+                // Two-minimum extraction, Eq. (11), and the new R, Eq.
+                // (9)-(10), with the optional offset-min-sum correction
+                // applied before normalization, `ROW_LANES` rows at a time.
+                for chunk in 0..stride / ROW_LANES {
+                    let mut scan = LayerScan::default();
+                    for (pos, q) in (0u32..).zip(q.chunks_exact(stride)) {
+                        scan.push(f64::from(pos), &q.as_chunks().0[chunk]);
+                    }
+                    scan.messages(scale, offset);
+                    let blocks = q.chunks_exact(stride).zip(r.chunks_exact_mut(stride));
+                    for (pos, (q, r)) in (0u32..).zip(blocks) {
+                        scan.update(
+                            f64::from(pos),
+                            &q.as_chunks().0[chunk],
+                            &mut r.as_chunks_mut().0[chunk],
+                        );
+                    }
                 }
-                if let Some(pos) = meu.min1_index() {
-                    let qj = q_row[pos];
-                    r_row[pos] = excluding(qj, message(pos));
-                    lambda[cols[pos] as usize] = qj + r_row[pos];
+                // lambda = Q + R_new, scattered back along the rotation.
+                for ((block, q), r) in blocks
+                    .iter()
+                    .zip(q.chunks_exact(stride))
+                    .zip(r.chunks_exact(stride))
+                {
+                    for (rows, bits) in block.runs(z) {
+                        let rows = q[rows.clone()].iter().zip(&r[rows]);
+                        for ((&q, &r), l) in rows.zip(&mut lambda[bits]) {
+                            *l = q + r;
+                        }
+                    }
                 }
             }
-
-            if self.config.early_termination {
-                hard_decisions(lambda, &mut hard);
-                if h.is_codeword(&hard) {
-                    converged = true;
-                    break;
-                }
+            if early_termination && self.satisfied(lambda, syndrome) {
+                return (iteration, true);
             }
         }
-
-        if !converged {
-            hard_decisions(lambda, &mut hard);
-            converged = h.is_codeword(&hard);
-        }
-        DecodeOutcome {
-            hard_bits: hard,
-            posterior: lambda.clone(),
-            iterations,
-            converged,
-        }
+        (max_iterations, self.satisfied(lambda, syndrome))
     }
-}
 
-/// Writes the hard decisions of `lambda` into `hard` through
-/// [`Llr::hard_bit`] (so NaN decodes as bit 0).
-fn hard_decisions(lambda: &[f64], hard: &mut [u8]) {
-    for (hb, &l) in hard.iter_mut().zip(lambda) {
-        *hb = Llr::new(l).hard_bit();
+    /// `true` when the hard decisions of `lambda` satisfy every parity
+    /// check: per layer, each check row XORs the [`Llr::hard_bit`] (`λ <
+    /// 0`) of its bits, block by block along the rotation.
+    fn satisfied(&self, lambda: &[f64], syndrome: &mut Vec<u64>) -> bool {
+        let z = self.code.expansion();
+        self.layer_ptr.windows(2).all(|layer| {
+            syndrome.clear();
+            syndrome.resize(z, 0);
+            for block in &self.blocks[layer[0]..layer[1]] {
+                for (rows, bits) in block.runs(z) {
+                    for (parity, &l) in syndrome[rows].iter_mut().zip(&lambda[bits]) {
+                        *parity ^= u64::from(l < 0.0);
+                    }
+                }
+            }
+            syndrome.iter().all(|&parity| parity == 0)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::base_matrix::CodeRate;
+    use crate::base_matrix::{BaseMatrix, CodeRate};
     use crate::decoder::meu::SPECIAL_VALUES;
     use crate::encoder::QcEncoder;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
     /// The serial loop with a branching check-node update, kept as the
-    /// oracle of the branch-free one: a sequential two-minimum scan that
-    /// compares magnitudes as floats, and one signed message computed per
-    /// edge.
+    /// oracle of the lane loop: row after row of the parity-check matrix
+    /// in layer order, a sequential two-minimum scan that compares
+    /// magnitudes as floats, one signed message computed per edge, and the
+    /// syndrome of `is_codeword`.
     fn reference_decode(dec: &LayeredDecoder, channel: &[Llr]) -> DecodeOutcome {
         let h = dec.code.parity_check();
         let LayeredConfig { scale, offset, .. } = dec.config;
+        // The rows as CSR, with one `R` per entry.
+        let mut row_ptr = vec![0];
+        let mut cols = Vec::new();
+        for row in dec.code.layers().concat() {
+            cols.extend_from_slice(h.row(row));
+            row_ptr.push(cols.len());
+        }
         let mut lambda: Vec<f64> = channel.iter().map(|l| l.value()).collect();
-        let mut r = vec![0.0; dec.cols.len()];
+        let (mut r, mut q) = (vec![0.0; cols.len()], Vec::new());
         let hard = |lambda: &[f64]| -> Vec<u8> {
             lambda.iter().map(|&l| Llr::new(l).hard_bit()).collect()
         };
@@ -258,14 +360,15 @@ mod tests {
         let mut converged = false;
         for it in 0..dec.config.max_iterations {
             iterations = it + 1;
-            for rows in dec.row_ptr.windows(2) {
-                let (start, end) = (rows[0] as usize, rows[1] as usize);
-                let cols = &dec.cols[start..end];
-                let q: Vec<f64> = cols
-                    .iter()
-                    .zip(&r[start..end])
-                    .map(|(&col, &rj)| lambda[col as usize] - rj)
-                    .collect();
+            for rows in row_ptr.windows(2) {
+                let (start, end) = (rows[0], rows[1]);
+                let cols = &cols[start..end];
+                q.clear();
+                q.extend(
+                    cols.iter()
+                        .zip(&r[start..end])
+                        .map(|(&col, &rj)| lambda[col] - rj),
+                );
                 let (mut min1, mut min2, mut min_pos, mut sign) =
                     (f64::INFINITY, f64::INFINITY, None, 1.0);
                 for (j, &qj) in q.iter().enumerate() {
@@ -286,7 +389,7 @@ mod tests {
                     let min = if Some(j) == min_pos { min2 } else { min1 };
                     let min = if min.is_finite() { min } else { 0.0 };
                     let r_new = scale * sign_excl * (min - offset).max(0.0);
-                    lambda[col as usize] = qj + r_new;
+                    lambda[col] = qj + r_new;
                     r[start + j] = r_new;
                 }
             }
@@ -335,10 +438,21 @@ mod tests {
         /// The decoder equals its branching oracle bit for bit, posterior
         /// included, on frames mixing NaN, signed zeros, infinities, huge
         /// and subnormal LLRs into noise, under min-sum, offset-min-sum and
-        /// a fixed budget without early stop.
+        /// a fixed budget without early stop, on every lane width and
+        /// shift pattern the codecs use.
         #[test]
         fn decode_matches_the_branching_reference(seed in 0u64..1 << 32) {
-            let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+            let r12 = BaseMatrix::wimax(CodeRate::R12);
+            let codes = [
+                QcLdpcCode::wimax(576, CodeRate::R12).unwrap(),
+                // An odd z, the shape of 802.11n n648.
+                QcLdpcCode::from_base(r12.clone(), 27),
+                // The shape of 802.22 n480.
+                QcLdpcCode::from_base(r12, 20),
+                QcLdpcCode::wimax(2304, CodeRate::R12).unwrap(),
+                // Rows of about 20 entries.
+                QcLdpcCode::wimax(576, CodeRate::R56).unwrap(),
+            ];
             let configs = [
                 LayeredConfig::default(),
                 LayeredConfig {
@@ -352,15 +466,16 @@ mod tests {
                     ..LayeredConfig::default()
                 },
             ];
-            for cfg in configs {
-                let dec = LayeredDecoder::new(&code, cfg);
-                for (f, frame) in frames_with_special_llrs(code.n(), seed).iter().enumerate() {
+            for (code, cfg) in codes.iter().flat_map(|code| configs.map(|cfg| (code, cfg))) {
+                let dec = LayeredDecoder::new(code, cfg);
+                let n = code.n();
+                for (f, frame) in frames_with_special_llrs(n, seed).iter().enumerate() {
                     let (got, want) = (dec.decode(frame), reference_decode(&dec, frame));
-                    prop_assert!(got.hard_bits == want.hard_bits, "frame {} hard bits under {:?}", f, cfg);
+                    prop_assert!(got.hard_bits == want.hard_bits, "n{} frame {} hard bits under {:?}", n, f, cfg);
                     prop_assert_eq!(got.iterations, want.iterations);
                     prop_assert_eq!(got.converged, want.converged);
                     let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    prop_assert!(bits(&got.posterior) == bits(&want.posterior), "frame {} posterior under {:?}", f, cfg);
+                    prop_assert!(bits(&got.posterior) == bits(&want.posterior), "n{} frame {} posterior under {:?}", n, f, cfg);
                 }
             }
         }

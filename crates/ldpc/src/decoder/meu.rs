@@ -6,147 +6,39 @@
 //! outgoing normalized-min-sum message of the check can be produced
 //! (Eq. (11) of the paper).
 
-/// Sequential two-minimum extractor with sign accumulation.
+/// The paper's MEU on the fixed-point datapath: [`scan`] reduces one
+/// quantized check row to the four quantities of [`TwoMinScan`].  The
+/// decoders run its lane forms: `LaneScan` (q7, one lane per frame) and
+/// `LayerScan` (f64, one lane per check row of a layer).
+///
+/// [`scan`]: MinimumExtractionUnit::scan
 ///
 /// # Example
 ///
 /// ```
 /// use wimax_ldpc::decoder::MinimumExtractionUnit;
 ///
-/// let mut meu = MinimumExtractionUnit::new();
-/// for (i, q) in [3.0, -1.0, 2.0, -5.0].iter().enumerate() {
-///     meu.push(i, *q);
-/// }
-/// assert_eq!(meu.min1(), 1.0);
-/// assert_eq!(meu.min2(), 2.0);
-/// assert_eq!(meu.min1_index(), Some(1));
-/// assert_eq!(meu.sign_product(), 1.0);   // two negatives
-/// // message to the position holding the minimum uses min2:
-/// assert_eq!(meu.magnitude_for(1), 2.0);
-/// assert_eq!(meu.magnitude_for(0), 1.0);
+/// let scan = MinimumExtractionUnit::scan(&[3, -1, 2, -5]);
+/// assert_eq!((scan.min1, scan.min2), (1, 2));
+/// assert_eq!(scan.min1_pos, 1);
+/// assert!(!scan.negative_parity); // two negatives
+/// // The position holding the minimum receives min2, every other min1.
+/// assert_eq!(scan.magnitude_for(1), 2);
+/// assert_eq!(scan.magnitude_for(0), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MinimumExtractionUnit {
-    min1: f64,
-    min2: f64,
-    min1_index: Option<usize>,
-    sign_product: f64,
-    count: usize,
-}
-
-impl Default for MinimumExtractionUnit {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MinimumExtractionUnit;
 
 impl MinimumExtractionUnit {
-    /// Creates an empty MEU.
-    pub fn new() -> Self {
-        MinimumExtractionUnit {
-            min1: f64::INFINITY,
-            min2: f64::INFINITY,
-            min1_index: None,
-            sign_product: 1.0,
-            count: 0,
-        }
-    }
-
-    /// Feeds one `Q_lk` value (signed) into the unit.
-    ///
-    /// Like the hardware comparators, the unit has no data-dependent
-    /// control: magnitudes are compared and selected as their bit patterns,
-    /// which compiles to integer compares feeding `cmov` on x86-64, where
-    /// float compares here compile to a `ucomisd` and a conditional jump.
-    /// Non-negative f64 values order like their bits, and a NaN magnitude
-    /// sorts above `INFINITY`, so, as with a float `<`, it never becomes a
-    /// minimum.
-    #[inline]
-    pub fn push(&mut self, index: usize, q: f64) {
-        let mag = q.abs().to_bits();
-        let (min1, min2) = (self.min1.to_bits(), self.min2.to_bits());
-        let below_min1 = mag < min1;
-        // A new minimum hands the old one down to `min2`.
-        self.min2 = f64::from_bits(min2.min(mag.max(min1)));
-        self.min1 = f64::from_bits(min1.min(mag));
-        self.min1_index = if below_min1 {
-            Some(index)
-        } else {
-            self.min1_index
-        };
-        self.sign_product = if q < 0.0 {
-            -self.sign_product
-        } else {
-            self.sign_product
-        };
-        self.count += 1;
-    }
-
-    /// Smallest magnitude seen so far (infinite if empty).
-    pub fn min1(&self) -> f64 {
-        self.min1
-    }
-
-    /// Second-smallest magnitude seen so far (infinite if fewer than two
-    /// values were pushed).
-    pub fn min2(&self) -> f64 {
-        self.min2
-    }
-
-    /// Index of the smallest-magnitude input.
-    pub fn min1_index(&self) -> Option<usize> {
-        self.min1_index
-    }
-
-    /// Product of the signs of all inputs (`+1.0` or `-1.0`).
-    pub fn sign_product(&self) -> f64 {
-        self.sign_product
-    }
-
-    /// Number of values pushed.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Returns `true` if nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// The outgoing message magnitude for input position `index`
-    /// (min-sum exclusion rule: the position holding the minimum receives the
-    /// second minimum, every other position receives the minimum).
-    ///
-    /// A degree-1 check (or an empty unit) has no leave-one-out partner: the
-    /// corresponding minimum is still at its `INFINITY` sentinel, and
-    /// propagating it would inject non-finite `R` messages into the decoder.
-    /// Such positions receive a `0.0` message instead (the check carries no
-    /// extrinsic information).
-    pub fn magnitude_for(&self, index: usize) -> f64 {
-        let magnitude = if Some(index) == self.min1_index {
-            self.min2
-        } else {
-            self.min1
-        };
-        if magnitude.is_finite() {
-            magnitude
-        } else {
-            0.0
-        }
-    }
-
-    /// Batch two-minimum extraction over a quantized check row — the
-    /// fixed-point, SIMD-friendly counterpart of feeding every `Q_lk` through
-    /// [`push`](MinimumExtractionUnit::push).
+    /// Two-minimum extraction over a quantized check row.
     ///
     /// The scan is written as two branch-light reduction passes (min/select
     /// and compare/count) so the autovectorizer can emit packed integer
     /// min/cmp instructions; `cargo bench -p decoder-bench --bench kernels`
-    /// compares it against the sequential scalar unit.
+    /// times it (`meu_two_min_deg7_x4096/batch_scan_i16`).
     ///
-    /// Degenerate rows follow the same convention as
-    /// [`magnitude_for`](MinimumExtractionUnit::magnitude_for): a degree-1
-    /// row reports `min2 = 0`, an empty row reports all-zero results.
+    /// A degree-1 row has no leave-one-out partner and reports `min2 = 0`;
+    /// an empty row reports all-zero results.
     #[inline]
     pub fn scan(q: &[i16]) -> TwoMinScan {
         if q.is_empty() {
@@ -250,6 +142,108 @@ impl<const B: usize> LaneScan<B> {
     }
 }
 
+/// Check rows per [`LayerScan`]: each of its four quantities fills two
+/// SSE2 registers.
+pub(crate) const ROW_LANES: usize = 4;
+
+/// Two-minimum extraction over [`ROW_LANES`] check rows of one layer, one
+/// f64 lane per row, like the paper's PE updating a block row's checks in
+/// parallel.  It is fed one non-zero block at a time, as the `Q_lk` of
+/// every row at that block's position, and keeps the MEU's four quantities
+/// per lane; [`messages`](LayerScan::messages) then turns them into each
+/// row's two signed messages (Eq. (11)).
+///
+/// Every select is a bit-mask blend ([`select`]): an `if` between f64
+/// values compiles to branches in these loops, a blend to packed SSE2
+/// compares and logic.  SSE2 has no 64-bit integer compare, so magnitudes
+/// are compared as f64 values and the first minimum's position is an f64
+/// lane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LayerScan {
+    /// Smallest input magnitude per lane, `INFINITY` while empty; after
+    /// [`messages`](LayerScan::messages), the signed message to every
+    /// position but the first minimum's.
+    min1: [f64; ROW_LANES],
+    /// Second-smallest input magnitude per lane (equal to `min1` on ties);
+    /// after `messages`, the signed message to the first minimum's
+    /// position.
+    min2: [f64; ROW_LANES],
+    /// Position of the first input holding `min1`, −1 while there is none.
+    first: [f64; ROW_LANES],
+    /// Sign bit set when an odd number of inputs were negative (`< 0.0`).
+    parity: [u64; ROW_LANES],
+}
+
+impl Default for LayerScan {
+    /// An empty scan.
+    fn default() -> Self {
+        LayerScan {
+            min1: [f64::INFINITY; ROW_LANES],
+            min2: [f64::INFINITY; ROW_LANES],
+            first: [-1.0; ROW_LANES],
+            parity: [0; ROW_LANES],
+        }
+    }
+}
+
+impl LayerScan {
+    /// Feeds input position `pos`: `q[lane]` is that lane's `Q_lk`.  In
+    /// this order a NaN magnitude enters neither minimum, since every
+    /// compare with it is false.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, pos: f64, q: &[f64; ROW_LANES]) {
+        for lane in 0..ROW_LANES {
+            let (q, min1) = (q[lane], self.min1[lane]);
+            let mag = q.abs();
+            let below = mag < min1;
+            // A new minimum hands the old one down to `min2`.
+            let demoted = select(below, min1, mag);
+            self.min2[lane] = select(demoted < self.min2[lane], demoted, self.min2[lane]);
+            self.first[lane] = select(below, pos, self.first[lane]);
+            self.min1[lane] = select(below, mag, min1);
+            self.parity[lane] ^= u64::from(q < 0.0) << 63;
+        }
+    }
+
+    /// Replaces every lane's two minima by its two outgoing messages,
+    /// `scale` times the sign product times `(min - offset).max(0.0)`.  A
+    /// minimum still at its `INFINITY` sentinel (a degree-1 row, or NaN
+    /// inputs only) has no leave-one-out partner and sends a `0.0`
+    /// magnitude: a non-finite `R` would poison λ.
+    #[inline(always)]
+    pub(crate) fn messages(&mut self, scale: f64, offset: f64) {
+        for lane in 0..ROW_LANES {
+            // `scale` times the sign product, ±1.0.
+            let signed_scale = scale * f64::from_bits(1f64.to_bits() | self.parity[lane]);
+            let message =
+                |min: f64| signed_scale * (select(min.is_finite(), min, 0.0) - offset).max(0.0);
+            self.min1[lane] = message(self.min1[lane]);
+            self.min2[lane] = message(self.min2[lane]);
+        }
+    }
+
+    /// The new `R_lk` of input position `pos`, given its `Q_lk` values
+    /// `q`: the first minimum's message or the other one, with the lane's
+    /// own sign excluded by a negation when `Q < 0`.  IEEE rounding is
+    /// sign-symmetric, so this equals multiplying by the excluded sign bit
+    /// for bit whenever the message is not NaN (a finite scale and a
+    /// non-negative offset).
+    #[inline(always)]
+    pub(crate) fn update(&self, pos: f64, q: &[f64; ROW_LANES], r: &mut [f64; ROW_LANES]) {
+        for lane in 0..ROW_LANES {
+            let message = select(self.first[lane] == pos, self.min2[lane], self.min1[lane]);
+            r[lane] = f64::from_bits(message.to_bits() ^ (u64::from(q[lane] < 0.0) << 63));
+        }
+    }
+}
+
+/// `if take { a } else { b }` as a bit-mask blend.
+#[inline(always)]
+fn select(take: bool, a: f64, b: f64) -> f64 {
+    let mask = u64::from(take).wrapping_neg();
+    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+}
+
 /// Result of [`MinimumExtractionUnit::scan`]: the four quantities the
 /// hardware MEU keeps per check row (paper Fig. 2), on the integer datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,80 +293,112 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The sign bit of an f64, as `LayerScan` keeps its parity.
+    const SIGN: u64 = 1 << 63;
+
+    /// Feeds `rows[lane]` (at most [`ROW_LANES`] rows, each as long as
+    /// the first) through a `LayerScan`, position by position; lanes
+    /// without a row see zeros.
+    fn layer_scan(rows: &[Vec<f64>]) -> LayerScan {
+        let mut scan = LayerScan::default();
+        for pos in 0..rows[0].len() {
+            scan.push(pos as f64, &lane_values(rows, pos));
+        }
+        scan
+    }
+
+    /// Position `pos` of every lane's row.
+    fn lane_values(rows: &[Vec<f64>], pos: usize) -> [f64; ROW_LANES] {
+        std::array::from_fn(|lane| rows.get(lane).map_or(0.0, |row| row[pos]))
+    }
+
+    /// The `R` messages of every position of `rows` under plain min-sum
+    /// (`scale` 1, no offset): `out[lane][pos]`.
+    fn plain_messages(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let mut scan = layer_scan(rows);
+        scan.messages(1.0, 0.0);
+        let mut out = vec![vec![0.0; rows[0].len()]; rows.len()];
+        for pos in 0..rows[0].len() {
+            let mut r = [0.0; ROW_LANES];
+            scan.update(pos as f64, &lane_values(rows, pos), &mut r);
+            for (lane, out) in out.iter_mut().enumerate() {
+                out[pos] = r[lane];
+            }
+        }
+        out
+    }
+
     #[test]
     fn empty_unit() {
-        let meu = MinimumExtractionUnit::new();
-        assert!(meu.is_empty());
-        assert_eq!(meu.len(), 0);
-        assert_eq!(meu.min1(), f64::INFINITY);
-        assert_eq!(meu.min1_index(), None);
-        assert_eq!(meu.sign_product(), 1.0);
+        let mut scan = LayerScan::default();
+        assert_eq!(scan.min1, [f64::INFINITY; ROW_LANES]);
+        assert_eq!(scan.min2, [f64::INFINITY; ROW_LANES]);
+        assert_eq!(scan.first, [-1.0; ROW_LANES]);
+        assert_eq!(scan.parity, [0; ROW_LANES]);
+        // An empty row has no partner for anyone: zero messages, signed
+        // by the receiving position's own `Q`.
+        scan.messages(0.75, 0.0);
+        let mut r = [1.0; ROW_LANES];
+        scan.update(0.0, &[1.0, -1.0, f64::NAN, -0.0], &mut r);
+        assert_eq!(r.map(f64::to_bits), [0.0, -0.0, 0.0, 0.0].map(f64::to_bits));
     }
 
     #[test]
     fn single_value() {
-        let mut meu = MinimumExtractionUnit::new();
-        meu.push(3, -2.0);
-        assert_eq!(meu.min1(), 2.0);
-        assert_eq!(meu.min2(), f64::INFINITY);
-        assert_eq!(meu.min1_index(), Some(3));
-        assert_eq!(meu.sign_product(), -1.0);
+        let scan = layer_scan(&[vec![-2.0]]);
+        assert_eq!(scan.min1[0], 2.0);
+        assert_eq!(scan.min2[0], f64::INFINITY);
+        assert_eq!(scan.first[0], 0.0);
+        assert_eq!(scan.parity[0], SIGN);
     }
 
     #[test]
     fn duplicate_minimum_values() {
-        let mut meu = MinimumExtractionUnit::new();
-        meu.push(0, 1.5);
-        meu.push(1, 1.5);
-        meu.push(2, 4.0);
-        assert_eq!(meu.min1(), 1.5);
-        assert_eq!(meu.min2(), 1.5);
-        assert_eq!(meu.min1_index(), Some(0));
-        // position 0 holds min1, so it receives min2 == 1.5 as well
-        assert_eq!(meu.magnitude_for(0), 1.5);
-        assert_eq!(meu.magnitude_for(2), 1.5);
+        let row = vec![1.5, 1.5, 4.0];
+        let scan = layer_scan(std::slice::from_ref(&row));
+        assert_eq!((scan.min1[0], scan.min2[0]), (1.5, 1.5));
+        assert_eq!(scan.first[0], 0.0);
+        // Position 0 holds min1, so it receives min2 == 1.5 as well.
+        assert_eq!(plain_messages(&[row]), [[1.5; 3]]);
     }
 
     #[test]
     fn sign_product_tracks_parity_of_negatives() {
-        let mut meu = MinimumExtractionUnit::new();
-        for (i, v) in [-1.0, -2.0, -3.0].iter().enumerate() {
-            meu.push(i, *v);
-        }
-        assert_eq!(meu.sign_product(), -1.0);
-        meu.push(4, -0.5);
-        assert_eq!(meu.sign_product(), 1.0);
+        let scan = layer_scan(&[
+            vec![-1.0, -2.0, -3.0, 7.0],
+            vec![-1.0, -2.0, -3.0, -0.5],
+            // Like `Q < 0`, the parity ignores -0 and a negative NaN.
+            vec![-1.0, -0.0, -f64::NAN, 2.0],
+        ]);
+        assert_eq!(scan.parity[..3], [SIGN, 0, SIGN]);
     }
 
     #[test]
     fn degree_one_check_yields_zero_magnitude() {
-        // Regression: a degree-1 row used to return `f64::INFINITY` from
-        // `magnitude_for`, making the layered/flooding update emit
-        // non-finite R messages.
-        let mut meu = MinimumExtractionUnit::new();
-        meu.push(0, -3.5);
-        assert_eq!(meu.magnitude_for(0), 0.0);
+        // Regression: a degree-1 row used to emit an infinite message to
+        // its one entry, and non-finite R messages into the decoder.
+        let mut scan = layer_scan(&[vec![-3.5]]);
+        scan.messages(1.0, 0.0);
+        let mut r = [f64::NAN; ROW_LANES];
+        scan.update(0.0, &[-3.5; ROW_LANES], &mut r);
+        assert_eq!(r[0].to_bits(), 0.0f64.to_bits());
         // Positions other than the single entry still see the plain minimum.
-        assert_eq!(meu.magnitude_for(1), 3.5);
-        // An empty unit is fully degenerate: every position gets zero.
-        let empty = MinimumExtractionUnit::new();
-        assert_eq!(empty.magnitude_for(0), 0.0);
+        scan.update(1.0, &[2.0; ROW_LANES], &mut r);
+        assert_eq!(r[0], -3.5);
     }
 
     #[test]
     fn scan_matches_sequential_unit() {
         let values: [i16; 6] = [12, -3, 7, -3, 20, 5];
         let scan = MinimumExtractionUnit::scan(&values);
-        let mut meu = MinimumExtractionUnit::new();
-        for (i, &v) in values.iter().enumerate() {
-            meu.push(i, f64::from(v));
-        }
-        assert_eq!(f64::from(scan.min1), meu.min1());
-        assert_eq!(f64::from(scan.min2), meu.min2());
-        assert_eq!(scan.min1_pos as usize, meu.min1_index().unwrap());
-        assert_eq!(scan.negative_parity, meu.sign_product() < 0.0);
-        for i in 0..values.len() {
-            assert_eq!(f64::from(scan.magnitude_for(i)), meu.magnitude_for(i));
+        let row = values.map(f64::from).to_vec();
+        let meu = layer_scan(std::slice::from_ref(&row));
+        assert_eq!(f64::from(scan.min1), meu.min1[0]);
+        assert_eq!(f64::from(scan.min2), meu.min2[0]);
+        assert_eq!(f64::from(scan.min1_pos), meu.first[0]);
+        assert_eq!(scan.negative_parity, meu.parity[0] == SIGN);
+        for (i, r) in plain_messages(&[row]).remove(0).into_iter().enumerate() {
+            assert_eq!(f64::from(scan.magnitude_for(i)), r.abs());
         }
     }
 
@@ -417,6 +443,13 @@ mod tests {
             }
         }
         values
+    }
+
+    /// Up to [`ROW_LANES`] rotations of `values`, one row per lane.
+    fn rotations(values: &[f64]) -> Vec<Vec<f64>> {
+        (0..values.len().min(ROW_LANES))
+            .map(|i| [&values[i..], &values[..i]].concat())
+            .collect()
     }
 
     /// Feeds per-lane rows (`lanes[f]` is lane `f`'s row) through a
@@ -498,38 +531,41 @@ mod tests {
         #[test]
         fn scan_agrees_with_sequential_unit(values in proptest::collection::vec(-64i16..=63, 1..24)) {
             let scan = MinimumExtractionUnit::scan(&values);
-            let mut meu = MinimumExtractionUnit::new();
-            for (i, &v) in values.iter().enumerate() {
-                meu.push(i, f64::from(v));
-            }
-            prop_assert_eq!(f64::from(scan.min1), meu.min1());
-            prop_assert_eq!(scan.min1_pos as usize, meu.min1_index().unwrap());
-            prop_assert_eq!(scan.negative_parity, meu.sign_product() < 0.0);
-            for i in 0..values.len() {
-                prop_assert_eq!(f64::from(scan.magnitude_for(i)), meu.magnitude_for(i));
+            let row: Vec<f64> = values.iter().map(|&v| f64::from(v)).collect();
+            let meu = layer_scan(std::slice::from_ref(&row));
+            prop_assert_eq!(f64::from(scan.min1), meu.min1[0]);
+            prop_assert_eq!(f64::from(scan.min1_pos), meu.first[0]);
+            prop_assert_eq!(scan.negative_parity, meu.parity[0] == SIGN);
+            for (i, r) in plain_messages(&[row]).remove(0).into_iter().enumerate() {
+                prop_assert_eq!(f64::from(scan.magnitude_for(i)), r.abs());
             }
         }
 
+        /// Every lane holds a rotation of the same row, so the lanes agree
+        /// on the minima and parity but not on the first position.
         #[test]
         fn matches_naive_two_minimum(
             values in proptest::collection::vec(-10.0f64..10.0, 2..20),
             picks in proptest::collection::vec(0..2 * SPECIAL_VALUES.len(), 20),
         ) {
             let values = with_special_values(values, &picks);
-            let mut meu = MinimumExtractionUnit::new();
-            for (i, v) in values.iter().enumerate() {
-                meu.push(i, *v);
-            }
+            let rows = rotations(&values);
+            let meu = layer_scan(&rows);
             // A NaN never becomes a minimum, and an infinity only ties the
             // empty unit's `INFINITY`.
             let mut mags: Vec<f64> = values.iter().filter(|v| !v.is_nan()).map(|v| v.abs()).collect();
             mags.sort_by(f64::total_cmp);
             let nth = |i: usize| mags.get(i).copied().unwrap_or(f64::INFINITY);
-            prop_assert_eq!(meu.min1().to_bits(), nth(0).to_bits());
-            prop_assert_eq!(meu.min2().to_bits(), nth(1).to_bits());
             let negs = values.iter().filter(|v| **v < 0.0).count();
-            let expected_sign = if negs % 2 == 0 { 1.0 } else { -1.0 };
-            prop_assert_eq!(meu.sign_product(), expected_sign);
+            for (lane, row) in rows.iter().enumerate() {
+                prop_assert_eq!(meu.min1[lane].to_bits(), nth(0).to_bits());
+                prop_assert_eq!(meu.min2[lane].to_bits(), nth(1).to_bits());
+                prop_assert_eq!(meu.parity[lane] == SIGN, negs % 2 == 1);
+                // Only a magnitude below the `INFINITY` sentinel is a first
+                // minimum.
+                let first = row.iter().position(|v| v.abs() == nth(0) && nth(0).is_finite());
+                prop_assert_eq!(meu.first[lane], first.map_or(-1.0, |p| p as f64));
+            }
         }
 
         #[test]
@@ -538,23 +574,24 @@ mod tests {
             picks in proptest::collection::vec(0..2 * SPECIAL_VALUES.len(), 15),
         ) {
             let values = with_special_values(values, &picks);
-            let mut meu = MinimumExtractionUnit::new();
-            for (i, v) in values.iter().enumerate() {
-                meu.push(i, *v);
-            }
-            for i in 0..values.len() {
-                let naive = values
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, v)| *j != i && !v.is_nan())
-                    .map(|(_, v)| v.abs())
-                    .fold(f64::INFINITY, f64::min);
-                // The MEU reproduces the leave-one-out minimum exactly unless
-                // the excluded position ties with another equal minimum, in
-                // which case both give the same value anyway.  With no finite
-                // partner the message is zero.
-                let naive = if naive.is_finite() { naive } else { 0.0 };
-                prop_assert_eq!(meu.magnitude_for(i).to_bits(), naive.to_bits());
+            let rows = rotations(&values);
+            for (row, messages) in rows.iter().zip(plain_messages(&rows)) {
+                for (i, r) in messages.into_iter().enumerate() {
+                    let others = row.iter().enumerate().filter(|&(j, _)| j != i);
+                    let naive = others
+                        .clone()
+                        .filter(|(_, v)| !v.is_nan())
+                        .map(|(_, v)| v.abs())
+                        .fold(f64::INFINITY, f64::min);
+                    // The MEU reproduces the leave-one-out minimum exactly
+                    // unless the excluded position ties with another equal
+                    // minimum, in which case both give the same value
+                    // anyway.  With no finite partner the message is zero.
+                    let naive = if naive.is_finite() { naive } else { 0.0 };
+                    let negative = others.filter(|(_, v)| **v < 0.0).count() % 2 == 1;
+                    let sign = if negative { -1.0 } else { 1.0 };
+                    prop_assert_eq!(r.to_bits(), (sign * naive).to_bits());
+                }
             }
         }
     }

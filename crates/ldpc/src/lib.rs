@@ -18,7 +18,8 @@
 //!   normalized-min-sum decoder of the paper (Eq. 6–11), including the
 //!   two-minimum extraction performed by the hardware MEU.  The layered
 //!   decoder exists in two flavours: the floating-point reference
-//!   ([`LayeredDecoder`]) and the fixed-point hardware-datapath model
+//!   ([`LayeredDecoder`], which updates a layer's check rows as f64
+//!   lanes) and the fixed-point hardware-datapath model
 //!   ([`FixedLayeredDecoder`]: quantized λ, saturating arithmetic,
 //!   contiguous CSR message buffers and the batch two-minimum scan kernel).
 //! * [`tanner`] — Tanner-graph views and the row-adjacency graph used for

@@ -1,17 +1,17 @@
 //! Steady-state heap-allocation counts of the LDPC and turbo frame paths.
 //!
-//! Both layered decoders keep λ, the `R` message memory and the `Q` row in
-//! a per-thread scratch — the software image of the processing element's
-//! fixed λ/`R_lk` memories — so a decode allocates only its outcomes,
-//! however many iterations it runs: two vectors per frame, plus the
-//! outcome list of the fixed datapath.  The fixed datapath's instrumented
-//! entry point must stay within that bound with a [`NoopRecorder`], and its
-//! stream path, which builds no outcomes, allocates nothing at all.  The
-//! [`QcEncoder`] computes its parity blocks in place in the returned
-//! codeword.  The turbo decoders keep their channel values, messages and
-//! the SISO's γ/α memories in a per-thread scratch too, so a turbo decode
-//! allocates only its decoded bits.  Counts are taken per thread (see
-//! `common`).
+//! Both layered decoders keep λ, the `R` message memory and the `Q` values
+//! in a per-thread scratch — the software image of the processing
+//! element's fixed λ/`R_lk` memories — so a decode allocates only its
+//! outcomes, however many iterations it runs: two vectors per frame, plus
+//! the outcome list of the fixed datapath.  The fixed datapath's
+//! instrumented entry point must stay within that bound with a
+//! [`NoopRecorder`].  The stream path of both layered codecs, which builds
+//! no outcomes, allocates nothing at all.  The [`QcEncoder`] computes its
+//! parity blocks in place in the returned codeword.  The turbo decoders
+//! keep their channel values, messages and the SISO's γ/α memories in a
+//! per-thread scratch too, so a turbo decode allocates only its decoded
+//! bits.  Counts are taken per thread (see `common`).
 
 mod common;
 
@@ -22,7 +22,7 @@ use fec_fixed::Llr;
 use fec_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder};
-use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode, QuantizedLayeredLdpcCodec};
+use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcEncoder, QcLdpcCode, QuantizedLayeredLdpcCodec};
 use wimax_turbo::{ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig};
 
 const BLOCK_LENGTHS: [usize; 2] = [576, 2304];
@@ -128,34 +128,56 @@ impl FrameStream for Cycle<'_> {
     }
 }
 
+/// The allocations of `codec.decode_frames` over 8 and over 64 frames, at
+/// most 8 in flight, after a warm-up that grows the per-thread scratch to
+/// this code and width.  Clean frames converge in one iteration and noise
+/// runs all ten, so a lockstep codec refills its lanes at different sweeps.
+fn stream_allocations(codec: &dyn FecCodec) -> (u64, u64) {
+    let n = codec.codeword_bits();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(79);
+    let frames = [
+        vec![Llr::new(6.0); n],
+        (0..n).map(|_| Llr::new(rng.gen_range(-1.0..1.0))).collect(),
+        vec![Llr::new(6.0); n],
+    ];
+    let decode = |count: usize| {
+        let mut stream = Cycle {
+            frames: &frames,
+            count,
+            width: 8,
+            pulled: 0,
+            decided: 0,
+        };
+        let (allocs, ()) = allocations(|| codec.decode_frames(&mut stream, None));
+        assert_eq!(stream.decided, count, "{}", codec.name());
+        allocs
+    };
+    decode(8);
+    (decode(8), decode(64))
+}
+
 #[test]
 fn q7_stream_decode_allocates_nothing_per_frame() {
     for n in BLOCK_LENGTHS {
         let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
         let codec = QuantizedLayeredLdpcCodec::new(&code, FixedLayeredConfig::default());
-        // Clean frames converge in one iteration and noise runs all ten,
-        // so lanes are refilled at different sweeps.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(79);
-        let frames = [
-            vec![Llr::new(6.0); n],
-            (0..n).map(|_| Llr::new(rng.gen_range(-1.0..1.0))).collect(),
-            vec![Llr::new(6.0); n],
-        ];
-        let decode = |count: usize| {
-            let mut stream = Cycle {
-                frames: &frames,
-                count,
-                width: 8,
-                pulled: 0,
-                decided: 0,
-            };
-            let (allocs, ()) = allocations(|| codec.decode_frames(&mut stream, None));
-            assert_eq!(stream.decided, count, "n{n}");
-            allocs
-        };
-        // Warm-up: grow the per-thread scratch to this code and width.
-        decode(8);
-        let (eight, many) = (decode(8), decode(64));
+        let (eight, many) = stream_allocations(&codec);
+        assert_eq!(
+            (eight, many),
+            (0, 0),
+            "n{n}: 8 frames made {eight} allocations, 64 made {many}"
+        );
+    }
+}
+
+/// The f64 codec hands each frame's information bits to the stream from
+/// the decoder's scratch and builds no outcome.
+#[test]
+fn f64_stream_decode_allocates_nothing_per_frame() {
+    for n in BLOCK_LENGTHS {
+        let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
+        let codec = LayeredLdpcCodec::new(&code, LayeredConfig::default());
+        let (eight, many) = stream_allocations(&codec);
         assert_eq!(
             (eight, many),
             (0, 0),
