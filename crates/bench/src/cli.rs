@@ -101,7 +101,8 @@ pub fn standard_flag_from_args(
 ///
 /// # Errors
 ///
-/// `--workers` without a count or with a non-integer.
+/// `--workers` without a count, with a non-integer, or above
+/// [`fec_sched::MAX_WORKERS`].
 pub fn workers_flag_from_args(
     mut args: impl Iterator<Item = String>,
 ) -> Result<(usize, Vec<String>), String> {
@@ -110,6 +111,12 @@ pub fn workers_flag_from_args(
     while let Some(arg) = args.next() {
         if arg == "--workers" {
             workers = parsed_value_of(&arg, "a thread count", &mut args)?;
+            if workers > fec_sched::MAX_WORKERS {
+                return Err(format!(
+                    "--workers must be at most {}, not {workers}",
+                    fec_sched::MAX_WORKERS
+                ));
+            }
         } else {
             rest.push(arg);
         }
@@ -365,6 +372,27 @@ mod tests {
         let err =
             workers_flag_from_args(["--workers", "x"].map(String::from).into_iter()).unwrap_err();
         assert_eq!(err, "--workers takes a thread count, not \"x\"");
+    }
+
+    #[test]
+    fn workers_flag_is_bounded() {
+        let workers = |count: usize| {
+            workers_flag_from_args(["--workers".to_string(), count.to_string()].into_iter())
+        };
+        assert_eq!(
+            workers(fec_sched::MAX_WORKERS).unwrap().0,
+            fec_sched::MAX_WORKERS
+        );
+        for count in [fec_sched::MAX_WORKERS + 1, usize::MAX] {
+            let err = workers(count).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "--workers must be at most {}, not {count}",
+                    fec_sched::MAX_WORKERS
+                )
+            );
+        }
     }
 
     #[test]

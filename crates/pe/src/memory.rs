@@ -9,7 +9,7 @@
 //!   SISO's branch-metric (`lambda[c(e)]`) storage.
 
 use fec_fixed::{LAMBDA_BITS, R_BITS};
-use wimax_ldpc::{CodeRate, QcLdpcCode};
+use wimax_ldpc::{BaseMatrix, CodeRate};
 
 /// The shared-memory plan of one PE in a decoder with `pes` processing
 /// elements.
@@ -43,29 +43,14 @@ impl SharedMemoryPlan {
     /// Panics if `pes` is zero.
     pub fn wimax(pes: usize) -> Self {
         assert!(pes > 0, "need at least one PE");
-        let worst = QcLdpcCode::wimax(2304, CodeRate::R12).expect("valid WiMAX code");
-        Self::for_codes(&[worst], 2400, pes)
-    }
-
-    /// Builds a plan for an arbitrary set of supported LDPC codes and a
-    /// maximum turbo frame of `turbo_couples` couples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pes` is zero.
-    pub fn for_codes(codes: &[QcLdpcCode], turbo_couples: usize, pes: usize) -> Self {
-        assert!(pes > 0, "need at least one PE");
         // LDPC: each PE handles ~M/pes checks; for every check it must buffer
         // one lambda and one R value per edge.
-        let ldpc_edges_per_pe = codes
-            .iter()
-            .map(|c| c.edge_count().div_ceil(pes))
-            .max()
-            .unwrap_or(0);
+        let ldpc_edges_per_pe = worst_wimax_ldpc_edges().div_ceil(pes);
         // SISO state metrics: 3 windows x (8 + 8) metrics.
         let siso_state_words = 3 * 16;
-        // SISO branch metrics: 4 transmitted LLRs per couple of this PE's window.
-        let turbo_branch_words = (turbo_couples * 4).div_ceil(pes);
+        // SISO branch metrics: 4 transmitted LLRs per couple of this PE's
+        // window, for the largest frame of 2400 couples.
+        let turbo_branch_words = (2400 * 4usize).div_ceil(pes);
 
         SharedMemoryPlan {
             pes,
@@ -88,9 +73,24 @@ impl SharedMemoryPlan {
     }
 }
 
+/// Tanner-graph edges of the worst-case WiMAX code, `N = 2304`, `r = 1/2`,
+/// counted on its base matrix: each non-zero block expands to `z = 2304 /
+/// 24 = 96` edges, so the code itself need not be built.
+fn worst_wimax_ldpc_edges() -> usize {
+    BaseMatrix::wimax(CodeRate::R12).nonzero_blocks() * 96
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wimax_ldpc::QcLdpcCode;
+
+    #[test]
+    fn worst_case_edges_match_the_expanded_code() {
+        let code = QcLdpcCode::wimax(2304, CodeRate::R12).unwrap();
+        assert_eq!(worst_wimax_ldpc_edges(), code.edge_count());
+        assert_eq!(worst_wimax_ldpc_edges(), 7296);
+    }
 
     #[test]
     fn wimax_plan_for_22_pes() {

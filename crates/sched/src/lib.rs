@@ -736,6 +736,11 @@ where
     tally
 }
 
+/// The most threads a pool run starts, and the largest worker count the
+/// command-line parsers accept.  The pool's work is CPU-bound, so threads
+/// beyond the cores add nothing, and 256 covers the largest common hosts.
+pub const MAX_WORKERS: usize = 256;
+
 /// A fixed-size scoped worker pool executing task sets with id-order
 /// (deterministic) merging.  Configure a run with [`WorkPool::run`]; see
 /// the module docs for the contract.
@@ -754,14 +759,15 @@ impl WorkPool {
 
     /// The number of threads a run over `tasks` concurrent tasks will use:
     /// the configured count (or one per core for `0`), clamped to the task
-    /// count so no thread is spawned just to find an empty queue.
+    /// count, so no thread is spawned just to find an empty queue, and to
+    /// [`MAX_WORKERS`].
     pub fn effective_workers(&self, tasks: usize) -> usize {
         let requested = if self.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
             self.workers
         };
-        requested.clamp(1, tasks.max(1))
+        requested.clamp(1, tasks.clamp(1, MAX_WORKERS))
     }
 
     /// Starts configuring a run.  The returned [`PoolRun`] is consumed by
@@ -997,6 +1003,10 @@ mod tests {
         assert_eq!(WorkPool::new(3).effective_workers(100), 3);
         assert_eq!(WorkPool::new(5).effective_workers(0), 1);
         assert!(WorkPool::default().effective_workers(100) >= 1);
+        assert_eq!(
+            WorkPool::new(usize::MAX).effective_workers(usize::MAX),
+            MAX_WORKERS
+        );
     }
 
     #[test]

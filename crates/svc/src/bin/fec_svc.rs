@@ -3,8 +3,10 @@
 //! Accepts decode jobs as line-delimited JSON (see [`fec_svc::protocol`])
 //! over stdio (default) or a unix socket, schedules them onto one shared
 //! deterministic work pool, and streams row-level results back as they
-//! complete.  Every event is appended to a per-job replay log under
-//! `--log-dir` before delivery, so clients can disconnect and `resume`.
+//! complete.  Every event is appended to one event log,
+//! `<log-dir>/events.ndjson`, before delivery, so clients can disconnect
+//! and `resume`.  The daemon creates the log, truncating any earlier one,
+//! when it admits its first job.
 //!
 //! Usage: `fec_svc [--stdio | --socket <path>] [--workers <n>]
 //! [--max-jobs <n>] [--log-dir <dir>]`
@@ -12,9 +14,11 @@
 //! * `--stdio` — requests on stdin, events on stdout; EOF or a `shutdown`
 //!   request finishes the admitted work and exits.
 //! * `--socket <path>` (unix only) — serves multiple concurrent clients on
-//!   a unix domain socket; a `shutdown` request from any client exits.
+//!   a unix domain socket; a `shutdown` request from any client exits.  A
+//!   socket that cannot be bound exits with status 1.
 //! * `--workers` — worker threads of the shared pool (default one per
-//!   core); results are bit-identical for any worker count.
+//!   core, at most [`fec_sched::MAX_WORKERS`]); results are bit-identical
+//!   for any worker count.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -23,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use fec_svc::{EventSink, Service, ServiceConfig};
 
 /// A clonable sink delivering events to one shared writer (stdout or a
-/// socket), line-buffered and flushed per event.
+/// socket), each event and its newline in one write, flushed per event.
 #[derive(Clone)]
 struct SharedSink(Arc<Mutex<Box<dyn Write + Send>>>);
 
@@ -36,7 +40,9 @@ impl SharedSink {
 impl EventSink for SharedSink {
     fn deliver(&mut self, line: &str) -> bool {
         let mut out = self.0.lock().expect("sink writer poisoned");
-        writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
+        out.write_all(format!("{line}\n").as_bytes())
+            .and_then(|()| out.flush())
+            .is_ok()
     }
 }
 
@@ -49,17 +55,21 @@ const USAGE: &str =
     "usage: fec_svc [--stdio | --socket <path>] [--workers <n>] [--max-jobs <n>] [--log-dir <dir>]";
 
 /// Reads the command line; a bad flag or value is an error naming it.
-fn parse_args(
-    mut args: impl Iterator<Item = String>,
-) -> Result<(Transport, ServiceConfig), String> {
+/// `--workers` goes through the study binaries' shared parser, which also
+/// bounds it.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<(Transport, ServiceConfig), String> {
+    let (workers, rest) = decoder_bench::workers_flag_from_args(args)?;
     let mut transport = Transport::Stdio;
-    let mut cfg = ServiceConfig::default();
+    let mut cfg = ServiceConfig {
+        workers,
+        ..ServiceConfig::default()
+    };
+    let mut args = rest.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |what: &str| args.next().ok_or(format!("{arg} requires {what}"));
         match arg.as_str() {
             "--stdio" => transport = Transport::Stdio,
             "--socket" => transport = Transport::Socket(PathBuf::from(value("a path")?)),
-            "--workers" => cfg.workers = count(&arg, &value("a thread count")?)?,
             "--max-jobs" => {
                 cfg.max_jobs = count(&arg, &value("a job count")?)?;
                 if cfg.max_jobs == 0 {
@@ -94,9 +104,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    match transport {
-        Transport::Stdio => serve_stdio(&service),
+    let served = match transport {
+        Transport::Stdio => {
+            serve_stdio(&service);
+            Ok(())
+        }
         Transport::Socket(path) => serve_socket(&service, &path),
+    };
+    if let Err(message) = served {
+        eprintln!("fec_svc: {message}");
+        std::process::exit(1);
     }
 }
 
@@ -118,15 +135,16 @@ fn serve_stdio(service: &Service) {
 /// Unix-socket transport: the scheduler runs on its own thread; the main
 /// thread accepts connections (non-blocking, so a shutdown request from
 /// any client ends the accept loop) and serves each on a reader thread.
+/// A socket that cannot be bound is an error naming its path, returned
+/// before any thread starts.
 #[cfg(unix)]
-fn serve_socket(service: &Service, path: &std::path::Path) {
+fn serve_socket(service: &Service, path: &std::path::Path) -> Result<(), String> {
     use std::os::unix::net::UnixListener;
 
     let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path).expect("bind unix socket");
-    listener
-        .set_nonblocking(true)
-        .expect("set socket non-blocking");
+    let listener = UnixListener::bind(path)
+        .and_then(|listener| listener.set_nonblocking(true).map(|()| listener))
+        .map_err(|e| format!("cannot bind the socket {}: {e}", path.display()))?;
     eprintln!("fec_svc listening on {}", path.display());
     // fec-lint: allow(no-thread-spawn, the daemon transport needs scheduler + per-client reader threads; all decode fan-out still goes through the shared WorkPool)
     std::thread::scope(|scope| {
@@ -149,6 +167,7 @@ fn serve_socket(service: &Service, path: &std::path::Path) {
         }
     });
     let _ = std::fs::remove_file(path);
+    Ok(())
 }
 
 #[cfg(unix)]
@@ -167,7 +186,34 @@ fn serve_client(service: &Service, stream: std::os::unix::net::UnixStream) {
 }
 
 #[cfg(not(unix))]
-fn serve_socket(_service: &Service, _path: &std::path::Path) {
+fn serve_socket(_service: &Service, _path: &std::path::Path) -> Result<(), String> {
     eprintln!("--socket requires a unix platform; use --stdio");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Transport, ServiceConfig), String> {
+        parse_args(args.iter().map(|arg| arg.to_string()))
+    }
+
+    #[test]
+    fn workers_above_the_bound_are_rejected() {
+        let bound = fec_sched::MAX_WORKERS.to_string();
+        assert_eq!(
+            parse(&["--workers", &bound]).unwrap().1.workers,
+            fec_sched::MAX_WORKERS
+        );
+        for count in [fec_sched::MAX_WORKERS + 1, usize::MAX] {
+            assert_eq!(
+                parse(&["--workers", &count.to_string()]).err(),
+                Some(format!(
+                    "--workers must be at most {}, not {count}",
+                    fec_sched::MAX_WORKERS
+                ))
+            );
+        }
+    }
 }

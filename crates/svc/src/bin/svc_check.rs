@@ -13,8 +13,10 @@
 //! * every job finished with `status: "completed"`;
 //! * at least one BER and one compliance job were verified;
 //! * no `error`/`rejected` events appear in the stream;
-//! * with `--log-dir`, each job's replay log carries exactly the rows the
-//!   live stream delivered, byte for byte.
+//! * with `--log-dir`, the directory's event log (read once) carries each
+//!   job's rows exactly as the live stream delivered them, byte for byte,
+//!   holds exactly one `accepted` and one `done` event per job, and holds
+//!   no job id that the replies lack.
 //!
 //! Usage: `svc_check <replies.ndjson> <reference.json>... [--log-dir <dir>]`
 //!
@@ -131,9 +133,7 @@ fn main() {
         fail("no compliance job completed");
     }
     if let Some(dir) = log_dir {
-        for (job_id, job) in &jobs {
-            check_replay_log(&dir, *job_id, job);
-        }
+        check_event_log(&dir.join(fec_svc::EVENT_LOG), &jobs);
     }
     println!(
         "svc_check: {} jobs verified ({ber_rows} BER rows byte-identical to {} \
@@ -368,36 +368,57 @@ fn check_ber_job(job_id: u64, job: &JobCheck, curves: &BTreeMap<String, Vec<Json
     job.rows.len()
 }
 
-/// The replay log must carry exactly the rows the live stream delivered.
-fn check_replay_log(dir: &std::path::Path, job_id: u64, job: &JobCheck) {
-    let path = dir.join(format!("job_{job_id}.ndjson"));
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(&format!("read replay log {}: {e}", path.display())));
-    let logged: Vec<(u64, String)> = text
-        .lines()
-        .filter_map(|line| {
-            let event = Json::parse(line).ok()?;
-            if event.get("type").and_then(Json::as_str) != Some("row") {
-                return None;
-            }
-            Some((
-                event.get("row").and_then(as_u64)?,
-                event.get("data")?.to_string(),
-            ))
-        })
-        .collect();
-    let streamed: Vec<(u64, String)> = job
-        .rows
-        .iter()
-        .map(|(row, data)| (*row, data.to_string()))
-        .collect();
-    if logged != streamed {
-        fail(&format!(
-            "job {job_id} replay log {} does not match the live stream \
-             ({} logged rows vs {} streamed)",
-            path.display(),
-            logged.len(),
-            streamed.len()
-        ));
+/// What the event log holds of one job: its `accepted` events, its `done`
+/// events and its `(row, data)` rows.
+type LoggedJob = (usize, usize, Vec<(u64, String)>);
+
+/// The event log must carry exactly the rows the live stream delivered,
+/// one `accepted` and one `done` event per job, and no job the replies
+/// lack.
+fn check_event_log(path: &std::path::Path, jobs: &BTreeMap<u64, JobCheck>) {
+    let mut logged: BTreeMap<u64, LoggedJob> =
+        jobs.keys().map(|&id| (id, Default::default())).collect();
+    for line in read(path).lines() {
+        let event = Json::parse(line).ok();
+        let field = |key: &str| event.as_ref().and_then(|e| e.get(key));
+        let id = field("job_id").and_then(as_u64);
+        let Some((accepted, done, rows)) = id.and_then(|id| logged.get_mut(&id)) else {
+            fail(&format!(
+                "event log {} holds a line of no job in the replies: {line}",
+                path.display()
+            ));
+        };
+        match field("type").and_then(Json::as_str) {
+            Some("accepted") => *accepted += 1,
+            Some("done") => *done += 1,
+            Some("row") => rows.push((
+                field("row").and_then(as_u64).unwrap_or(u64::MAX),
+                field("data").map(Json::to_string).unwrap_or_default(),
+            )),
+            _ => {}
+        }
+    }
+    for (job_id, (accepted, done, rows)) in logged {
+        if (accepted, done) != (1, 1) {
+            fail(&format!(
+                "event log {} holds {accepted} accepted and {done} done events of job \
+                 {job_id}, not one each",
+                path.display()
+            ));
+        }
+        let streamed: Vec<(u64, String)> = jobs[&job_id]
+            .rows
+            .iter()
+            .map(|(row, data)| (*row, data.to_string()))
+            .collect();
+        if rows != streamed {
+            fail(&format!(
+                "job {job_id}'s rows in {} do not match the live stream \
+                 ({} logged rows vs {} streamed)",
+                path.display(),
+                rows.len(),
+                streamed.len()
+            ));
+        }
     }
 }

@@ -7,9 +7,9 @@
 //! ([`decoder_bench::cli`]), and schedules every job's work units onto ONE
 //! shared [`fec_sched::WorkPool`] with per-job priorities and admission
 //! control ([`Service`]).  Row-level results stream back in completion
-//! order, every event is appended to a per-job replay log first, and a
-//! client that reconnects after a disconnect can `resume` from any row
-//! without duplicating or missing output.
+//! order, every event is first appended to the daemon's one event log
+//! ([`EVENT_LOG`]), and a client that reconnects after a disconnect can
+//! `resume` from any row without duplicating or missing output.
 //!
 //! # Determinism
 //!
@@ -39,4 +39,4 @@ pub mod service;
 
 pub use job::{run_unit, run_unit_with_store, JobSpec, Unit};
 pub use protocol::Request;
-pub use service::{EventSink, Service, ServiceConfig, MAX_REQUEST_LINE};
+pub use service::{EventSink, Service, ServiceConfig, EVENT_LOG, MAX_REQUEST_LINE};

@@ -1,5 +1,5 @@
 //! The job service: admission control, one shared scheduler pool, event
-//! fan-out and per-job replay logs.
+//! fan-out and the replay log.
 //!
 //! [`Service`] is transport-agnostic: readers (stdio, unix socket, tests)
 //! feed request lines into [`Service::handle_line`] from any thread, while
@@ -15,26 +15,31 @@
 //! units share the service's [`MappingStore`], so a code is mapped by the
 //! first unit that needs it and only its NoC phase runs after that.
 //!
-//! Every event of a job is appended (and flushed) to
-//! `<log_dir>/job_<id>.ndjson` *before* it is delivered to the client, and
-//! the job's rows are additionally streamed to
-//! `<log_dir>/job_<id>_result.json` via [`StreamedRows`].  A client that
-//! disappears mid-job (its sink returns `false`) simply stops receiving
-//! events — the job keeps running and logging — and a later `resume`
-//! request replays the log from any row index and reattaches the new
-//! client for rows still to come.
+//! Every event of every job is appended to one log,
+//! `<log_dir>/`[`EVENT_LOG`], *before* it is delivered to the client, in
+//! one `write` of the line and its newline, under the state lock.  The
+//! service opens the log when it admits its first job, truncating what an
+//! earlier daemon left there: job ids restart at 1, so the log holds only
+//! this service's jobs.  Each job keeps the byte offset and length of its
+//! lines.  A client that disappears mid-job (its sink returns `false`)
+//! simply stops receiving events — the job keeps running and logging — and
+//! a later `resume` request reads back exactly that job's lines, replays
+//! them from any row index and reattaches the new client for rows still to
+//! come.  A resume costs the size of its job, never that of the log.
 //!
-//! File-system failures end a job, never the daemon: a job whose files
-//! cannot be created is rejected, and a failed write to its log or result
-//! file sends one `error` event and ends the job with
-//! `done {status: "failed"}`.
+//! File-system failures end a job, never the daemon: a submit whose log
+//! cannot be created is rejected, and the next admission tries again.  A
+//! failed append sends the job that wrote it one `error` event and ends it
+//! with `done {status: "failed"}`; the log is closed, and the next append
+//! reopens it in append-and-create mode.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, ErrorKind, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use fec_json::{Json, StreamedRows};
+use fec_json::Json;
 use fec_sched::{Admission, CancelToken, Job, JobOutcome, WorkPool};
 use noc_decoder::MappingStore;
 
@@ -45,6 +50,9 @@ use crate::protocol::{self, Request};
 /// excluded).  Requests are small objects; anything longer is rejected
 /// without ever being buffered whole.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// File name of the event log in the service's log directory.
+pub const EVENT_LOG: &str = "events.ndjson";
 
 /// Where a service delivers protocol events for one client.
 ///
@@ -63,7 +71,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Admission limit: queued + running jobs (`accepted` but not `done`).
     pub max_jobs: usize,
-    /// Directory for per-job replay logs and result artifacts.
+    /// Directory of the event log ([`EVENT_LOG`]).
     pub log_dir: PathBuf,
 }
 
@@ -77,6 +85,79 @@ impl Default for ServiceConfig {
     }
 }
 
+/// The service's one append-only event log.
+#[derive(Default)]
+struct EventLog {
+    path: PathBuf,
+    /// The open log: `None` before the first admission and after a failed
+    /// append.
+    file: Option<File>,
+    /// Length of the log in bytes: where the next line starts.
+    end: u64,
+    /// Whether the log was opened before: the first open truncates it,
+    /// every later one appends.
+    opened: bool,
+}
+
+impl EventLog {
+    /// The open log, opening it if it is closed: truncated the first time,
+    /// in append-and-create mode after that.
+    fn open(&mut self) -> Result<&mut File, String> {
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => {
+                let opened = if self.opened {
+                    OpenOptions::new()
+                        .append(true)
+                        .create(true)
+                        .open(&self.path)
+                        .and_then(|file| Ok((file.metadata()?.len(), file)))
+                } else {
+                    File::create(&self.path).map(|file| (0, file))
+                };
+                let (end, file) = opened
+                    .map_err(|e| format!("cannot create job log {}: {e}", self.path.display()))?;
+                self.end = end;
+                self.opened = true;
+                file
+            }
+        };
+        Ok(self.file.insert(file))
+    }
+
+    /// Appends one event line and its newline in one write, returning the
+    /// line's offset and length.  A failed write closes the log.
+    fn append(&mut self, line: &str) -> Result<(u64, usize), String> {
+        let line = format!("{line}\n");
+        if let Err(e) = self.open()?.write_all(line.as_bytes()) {
+            self.file = None;
+            return Err(format!("job log {}: {e}", self.path.display()));
+        }
+        let offset = self.end;
+        self.end += line.len() as u64;
+        Ok((offset, line.len()))
+    }
+
+    /// Reads back the lines at `lines` (offset and length each), without
+    /// their newlines.
+    fn read(&self, lines: &[(u64, usize)]) -> Result<Vec<String>, String> {
+        let failed =
+            |e: std::io::Error| format!("cannot read job log {}: {e}", self.path.display());
+        let mut file = File::open(&self.path).map_err(failed)?;
+        lines
+            .iter()
+            .map(|&(offset, len)| {
+                let mut bytes = vec![0; len];
+                file.seek(SeekFrom::Start(offset))
+                    .and_then(|_| file.read_exact(&mut bytes))
+                    .map_err(failed)?;
+                bytes.pop();
+                String::from_utf8(bytes).map_err(|e| failed(std::io::Error::other(e)))
+            })
+            .collect()
+    }
+}
+
 /// The admission state of one job.
 struct JobEntry {
     cancel: CancelToken,
@@ -87,55 +168,50 @@ struct JobEntry {
     error: Option<String>,
     finished: bool,
     sink: Option<Box<dyn EventSink>>,
-    /// The replay log; `None` once a write to it failed.
-    log: Option<std::fs::File>,
-    log_path: PathBuf,
-    artifact: Option<StreamedRows>,
+    /// The offset and length of each of the job's lines in the event log,
+    /// in order; `None` once an append of the job failed.
+    logged: Option<Vec<(u64, usize)>>,
 }
 
 impl JobEntry {
-    /// Appends the event to the replay log (flushed), then delivers it to
-    /// the attached client, dropping the sink on a dead connection.  A
-    /// failed log write [fails](JobEntry::fail) the job after delivery.
-    fn emit(&mut self, event: &Json) {
+    /// Appends the event to the event log, then delivers it to the attached
+    /// client, dropping the sink on a dead connection.  A failed append
+    /// [fails](JobEntry::fail) the job after delivery.
+    fn emit(&mut self, log: &mut EventLog, event: &Json) {
         let line = event.to_string();
-        let appended = self.append(&line);
+        let appended = self.append(log, &line);
         self.deliver(&line);
         if let Err(message) = appended {
             self.fail(message);
         }
     }
 
-    /// Appends one event line to the replay log (flushed).  A failed write
-    /// drops the log and returns the failure.
-    fn append(&mut self, line: &str) -> Result<(), String> {
-        if let Some(log) = self.log.as_mut() {
-            if let Err(e) = writeln!(log, "{line}").and_then(|()| log.flush()) {
-                self.log = None;
-                return Err(format!("job log {}: {e}", self.log_path.display()));
+    /// Appends one event line of the job to the event log.  A failed append
+    /// drops the job's log and returns the failure.
+    fn append(&mut self, log: &mut EventLog, line: &str) -> Result<(), String> {
+        let Some(logged) = self.logged.as_mut() else {
+            return Ok(());
+        };
+        match log.append(line) {
+            Ok(at) => {
+                logged.push(at);
+                Ok(())
+            }
+            Err(message) => {
+                self.logged = None;
+                Err(message)
             }
         }
-        Ok(())
     }
 
-    /// Streams one result row to the job's result file, then emits it.
-    /// Once either file of the job has failed, the job is ending and its
-    /// rows are dropped.
-    fn emit_row(&mut self, job_id: u64, data: Json) {
-        let Some(artifact) = self.artifact.as_mut() else {
-            return;
-        };
-        if self.log.is_none() {
-            return;
-        }
-        if let Err(e) = artifact.push(&data) {
-            let path = artifact.path().display().to_string();
-            self.artifact = None;
-            self.fail(format!("job result file {path}: {e}"));
+    /// Emits one result row.  Once an append of the job has failed, the job
+    /// is ending and its rows are dropped.
+    fn emit_row(&mut self, log: &mut EventLog, job_id: u64, data: Json) {
+        if self.logged.is_none() {
             return;
         }
         let event = protocol::row(job_id, self.rows, data);
-        self.emit(&event);
+        self.emit(log, &event);
         self.rows += 1;
     }
 
@@ -166,6 +242,7 @@ struct State {
     /// Where `submit` hands each unit, keyed by its job id: the queue of
     /// the scheduler's served run.  Closed once shutdown is requested.
     admission: Admission<'static, UnitResult>,
+    log: EventLog,
 }
 
 /// The decode service: shared by the transport reader threads and the
@@ -188,7 +265,8 @@ impl std::fmt::Debug for Service {
 type UnitResult = Result<Vec<Json>, String>;
 
 impl Service {
-    /// Creates the service and its log directory.
+    /// Creates the service and its log directory.  The event log itself is
+    /// created by the first admission.
     ///
     /// # Errors
     ///
@@ -200,6 +278,10 @@ impl Service {
                 cfg.log_dir.display()
             )
         })?;
+        let log = EventLog {
+            path: cfg.log_dir.join(EVENT_LOG),
+            ..EventLog::default()
+        };
         Ok(Service {
             cfg,
             state: Mutex::new(State {
@@ -207,6 +289,7 @@ impl Service {
                 jobs: BTreeMap::new(),
                 shutdown: false,
                 admission: Admission::new(),
+                log,
             }),
             mappings: Arc::new(MappingStore::new()),
         })
@@ -348,31 +431,13 @@ impl Service {
             );
             return;
         }
-        // The id is spent even if the job's files cannot be created, so a
-        // retry does not collide with whatever blocked them.
+        if let Err(reason) = st.log.open() {
+            drop(st);
+            sink.deliver(&protocol::rejected(&reason).to_string());
+            return;
+        }
         let id = st.next_job_id;
         st.next_job_id += 1;
-        let log_path = self.cfg.log_dir.join(format!("job_{id}.ndjson"));
-        let result_path = self.cfg.log_dir.join(format!("job_{id}_result.json"));
-        let files = std::fs::File::create(&log_path)
-            .map_err(|e| format!("cannot create job log {}: {e}", log_path.display()))
-            .and_then(|log| {
-                let meta = [
-                    ("job_id", Json::from(id)),
-                    ("label", Json::str(parsed.label.clone())),
-                ];
-                StreamedRows::create(&result_path, parsed.kind, &meta)
-                    .map(|artifact| (log, artifact))
-                    .map_err(|e| format!("cannot create job result {}: {e}", result_path.display()))
-            });
-        let (log, artifact) = match files {
-            Ok(files) => files,
-            Err(reason) => {
-                drop(st);
-                sink.deliver(&protocol::rejected(&reason).to_string());
-                return;
-            }
-        };
         let accepted = protocol::accepted(
             id,
             parsed.kind,
@@ -389,11 +454,9 @@ impl Service {
             error: None,
             finished: false,
             sink: Some(sink),
-            log: Some(log),
-            log_path,
-            artifact: Some(artifact),
+            logged: Some(Vec::new()),
         };
-        entry.emit(&accepted);
+        entry.emit(&mut st.log, &accepted);
         for unit in parsed.units {
             let mappings = Arc::clone(&self.mappings);
             let unit = Job::new(id as usize, move || {
@@ -417,7 +480,8 @@ impl Service {
 
     fn cancel<S: EventSink + Clone>(&self, job_id: u64, sink: &S) {
         let mut st = self.lock();
-        match st.jobs.get_mut(&job_id) {
+        let State { jobs, log, .. } = &mut *st;
+        match jobs.get_mut(&job_id) {
             None => {
                 drop(st);
                 sink.clone()
@@ -434,7 +498,7 @@ impl Service {
                 // The acknowledgement answers the requester, who need not be
                 // the job's client; the job's client learns from `done`.
                 let line = protocol::cancelling(job_id).to_string();
-                let appended = entry.append(&line);
+                let appended = entry.append(log, &line);
                 sink.clone().deliver(&line);
                 if let Err(message) = appended {
                     entry.fail(message);
@@ -443,51 +507,37 @@ impl Service {
         }
     }
 
-    /// Replays the job's logged `accepted`/`row`/`done` events (rows from
-    /// `from_row` onwards) into `sink`, then — if the job is still running
-    /// — attaches the sink for the rows still to come.  Replay and
-    /// reattachment happen under the state lock, so no row is duplicated
-    /// or missed around the hand-over point.  A log that failed or cannot
-    /// be read is answered with one `error` event.
+    /// Replays the job's logged events into `sink`, its rows from
+    /// `from_row` onwards, then — if the job is still running — attaches
+    /// the sink for the rows still to come.  Replay and reattachment happen
+    /// under the state lock, so no row is duplicated or missed around the
+    /// hand-over point.  A job whose log failed, or whose lines cannot be
+    /// read back, is answered with one `error` event.
     fn resume(&self, job_id: u64, from_row: u64, mut sink: Box<dyn EventSink>) {
         let mut st = self.lock();
-        let Some(entry) = st.jobs.get_mut(&job_id) else {
+        let State { jobs, log, .. } = &mut *st;
+        let Some(entry) = jobs.get_mut(&job_id) else {
             drop(st);
             sink.deliver(&protocol::error(&format!("unknown job id {job_id}")).to_string());
             return;
         };
-        let text = match entry.log {
-            Some(_) => std::fs::read_to_string(&entry.log_path)
-                .map_err(|e| format!("cannot read job log {}: {e}", entry.log_path.display())),
+        let replay = match &entry.logged {
+            Some(lines) => log
+                .read(lines)
+                .and_then(|lines| replayed(job_id, from_row, lines)),
             None => Err(format!(
                 "job {job_id} has no replay log: a write to it failed"
             )),
         };
-        let text = match text {
-            Ok(text) => text,
+        let lines = match replay {
+            Ok(lines) => lines,
             Err(reason) => {
                 drop(st);
                 sink.deliver(&protocol::error(&reason).to_string());
                 return;
             }
         };
-        let mut alive = true;
-        for line in text.lines() {
-            let Ok(event) = Json::parse(line) else {
-                continue;
-            };
-            let replay = match event.get("type").and_then(Json::as_str) {
-                Some("accepted" | "done" | "cancelling") => true,
-                Some("row") => event
-                    .get("row")
-                    .and_then(protocol::as_u64)
-                    .is_some_and(|r| r >= from_row),
-                _ => false,
-            };
-            if replay && alive {
-                alive = sink.deliver(line);
-            }
-        }
+        let alive = lines.iter().all(|line| sink.deliver(line));
         if alive && !entry.finished {
             entry.sink = Some(sink);
         }
@@ -540,17 +590,45 @@ impl Service {
     }
 }
 
+/// The lines of job `job_id`, read back from the event log, that a resume
+/// from `from_row` replays: all but the rows before `from_row`.  A line
+/// that is not an event of the job means the log was replaced under the
+/// service.
+fn replayed(job_id: u64, from_row: u64, lines: Vec<String>) -> Result<Vec<String>, String> {
+    let mut replay = Vec::with_capacity(lines.len());
+    for line in lines {
+        let event = Json::parse(&line)
+            .ok()
+            .filter(|e| e.get("job_id").and_then(protocol::as_u64) == Some(job_id))
+            .ok_or_else(|| {
+                format!(
+                    "cannot read job log: a line logged for job {job_id} is not one of its events"
+                )
+            })?;
+        let early_row = event.get("type").and_then(Json::as_str) == Some("row")
+            && event
+                .get("row")
+                .and_then(protocol::as_u64)
+                .is_some_and(|row| row < from_row);
+        if !early_row {
+            replay.push(line);
+        }
+    }
+    Ok(replay)
+}
+
 /// Books one unit outcome against its job: emits the unit's rows (log
 /// first, then client), and the `done` event when the last unit lands.
 fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) {
-    let Some(entry) = st.jobs.get_mut(&job_id) else {
+    let State { jobs, log, .. } = st;
+    let Some(entry) = jobs.get_mut(&job_id) else {
         return;
     };
     match outcome {
         JobOutcome::Cancelled => entry.units_cancelled += 1,
         JobOutcome::Done(Ok(rows)) => {
             for data in rows {
-                entry.emit_row(job_id, data);
+                entry.emit_row(log, job_id, data);
             }
         }
         JobOutcome::Done(Err(message)) => {
@@ -561,12 +639,6 @@ fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) 
     }
     entry.units_finished += 1;
     if entry.units_finished == entry.units_total {
-        if let Some(artifact) = entry.artifact.take() {
-            let path = artifact.path().display().to_string();
-            if let Err(e) = artifact.finish() {
-                entry.fail(format!("job result file {path}: {e}"));
-            }
-        }
         let status = if entry.error.is_some() {
             "failed"
         } else if entry.units_cancelled > 0 {
@@ -575,7 +647,7 @@ fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) 
             "completed"
         };
         let done = protocol::done(job_id, entry.rows, status, entry.error.as_deref());
-        entry.emit(&done);
+        entry.emit(log, &done);
         entry.finished = true;
         entry.sink = None;
     }

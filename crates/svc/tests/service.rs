@@ -5,13 +5,13 @@
 //! runs [`Service::run`] on a thread of its own.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use fec_json::Json;
 use fec_sched::CancelToken;
-use fec_svc::{EventSink, Service, ServiceConfig, MAX_REQUEST_LINE};
+use fec_svc::{EventSink, Service, ServiceConfig, EVENT_LOG, MAX_REQUEST_LINE};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -663,8 +663,19 @@ fn repeated_compliance_jobs_reuse_the_services_mappings() {
     }
 }
 
-/// The per-job result artifact is valid JSON carrying exactly the streamed
-/// rows, and the replay log matches the live stream byte for byte.
+/// The names of the files in `dir`, sorted.
+fn files_in(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// The first admission creates the event log, the only file in the log
+/// directory; the log holds the job's events byte for byte as the client
+/// received them, and a resume from row 0 returns the same events.
 #[test]
 fn job_artifacts_mirror_the_live_stream() {
     let dir = test_dir("artifact");
@@ -674,26 +685,67 @@ fn job_artifacts_mirror_the_live_stream() {
         log_dir: dir.clone(),
     })
     .expect("the test log directory is creatable");
+    assert!(files_in(&dir).is_empty(), "start-up creates no file");
     let sink = RecordingSink::default();
     assert!(svc.handle_line(SMALL_BER, &sink));
     svc.drain();
-    let live = rows_of(&sink.lines());
+    let live = sink.lines();
+    assert_eq!(rows_of(&live).len(), 2, "{live:?}");
 
-    let log = std::fs::read_to_string(dir.join("job_1.ndjson")).unwrap();
-    let logged = rows_of(&log.lines().map(str::to_string).collect::<Vec<_>>());
-    assert_eq!(logged, live, "replay log is byte-identical to the stream");
-
-    let artifact = std::fs::read_to_string(dir.join("job_1_result.json")).unwrap();
-    let artifact = Json::parse(&artifact).expect("artifact is well-formed JSON");
-    assert_eq!(artifact.get("table").and_then(Json::as_str), Some("ber"));
-    let rows = artifact.get("rows").and_then(Json::as_array).unwrap();
+    assert_eq!(files_in(&dir), [EVENT_LOG]);
+    let log = std::fs::read_to_string(dir.join(EVENT_LOG)).unwrap();
     assert_eq!(
-        rows.iter().map(|r| r.to_string()).collect::<Vec<_>>(),
-        live.iter()
-            .map(|(_, _, data)| data.clone())
-            .collect::<Vec<_>>(),
-        "artifact rows are the streamed row payloads"
+        log.lines().collect::<Vec<_>>(),
+        live,
+        "the event log is byte-identical to the stream"
     );
+
+    let replay = RecordingSink::default();
+    assert!(svc.handle_line(r#"{"type":"resume","job_id":1}"#, &replay));
+    assert_eq!(replay.lines(), live, "resume from row 0 replays the stream");
+}
+
+/// The `job_id` and, for a row event, the `row` index of an event line.
+fn job_and_row(line: &str) -> (u64, Option<u64>) {
+    let event = Json::parse(line).unwrap();
+    let field = |key: &str| event.get(key).and_then(fec_svc::protocol::as_u64);
+    (field("job_id").unwrap(), field("row"))
+}
+
+/// Two jobs whose events interleave in the shared log each resume to
+/// exactly their own events, from any row.  On one worker the
+/// high-priority job 2 runs between job 1's `accepted` and its rows.
+#[test]
+fn interleaved_jobs_resume_to_exactly_their_own_events() {
+    let svc = service("interleaved", 1, 8);
+    let sink = RecordingSink::default();
+    let low = r#"{"type":"submit","job":"ber","standard":"wimax","codec":"layered","frames":3,"snrs":[1.0,2.0],"priority":"low"}"#;
+    let high = r#"{"type":"submit","job":"ber","standard":"wimax","codec":"layered","frames":3,"snrs":[1.5,2.5],"priority":"high"}"#;
+    assert!(svc.handle_line(low, &sink));
+    assert!(svc.handle_line(high, &sink));
+    svc.drain();
+    let live = sink.lines();
+
+    let log = std::fs::read_to_string(log_dir_of("interleaved").join(EVENT_LOG)).unwrap();
+    let logged_ids: Vec<u64> = log.lines().map(|line| job_and_row(line).0).collect();
+    assert_eq!(logged_ids, [1, 2, 2, 2, 2, 1, 1, 1], "{log}");
+
+    for job_id in [1, 2] {
+        for from_row in 0..=3 {
+            let replay = RecordingSink::default();
+            let resume = format!(r#"{{"type":"resume","job_id":{job_id},"from_row":{from_row}}}"#);
+            assert!(svc.handle_line(&resume, &replay));
+            let expected: Vec<String> = live
+                .iter()
+                .filter(|line| {
+                    let (id, row) = job_and_row(line);
+                    id == job_id && row.is_none_or(|row| row >= from_row)
+                })
+                .cloned()
+                .collect();
+            assert_eq!(replay.lines(), expected, "job {job_id} from row {from_row}");
+        }
+    }
 }
 
 /// The events of one type in `lines`.
@@ -758,10 +810,11 @@ fn bad_flags_exit_with_a_usage_line_not_a_panic() {
     }
 }
 
-/// A job log whose writes fail (a symlink to `/dev/full`, which answers
-/// every write with ENOSPC even for root) ends that job with one `error`
-/// event and `done {status: "failed"}`; the daemon keeps serving, and a
-/// resume of the failed job is answered with an `error`.
+/// An event log whose writes fail (a symlink to `/dev/full`, which answers
+/// every write with ENOSPC even for root) ends the job that wrote with one
+/// `error` event and `done {status: "failed"}`; the daemon keeps serving,
+/// a resume of the failed job is answered with an `error`, and once the
+/// symlink is gone the next job reopens the log and runs.
 #[cfg(unix)]
 #[test]
 fn failed_log_write_ends_the_job_not_the_daemon() {
@@ -769,7 +822,8 @@ fn failed_log_write_ends_the_job_not_the_daemon() {
         return;
     }
     let svc = service("devfull", 1, 8);
-    std::os::unix::fs::symlink("/dev/full", log_dir_of("devfull").join("job_1.ndjson")).unwrap();
+    let log = log_dir_of("devfull").join(EVENT_LOG);
+    std::os::unix::fs::symlink("/dev/full", &log).unwrap();
 
     let sink = RecordingSink::default();
     assert!(svc.handle_line(SMALL_BER, &sink));
@@ -789,19 +843,25 @@ fn failed_log_write_ends_the_job_not_the_daemon() {
     assert_eq!(replies.len(), 1, "{replies:?}");
     assert_eq!(event_type(&replies[0]), "error");
 
+    std::fs::remove_file(&log).unwrap();
     let next = RecordingSink::default();
     assert!(svc.handle_line(SMALL_BER, &next));
     svc.drain();
     assert_eq!(rows_of(&next.lines()).len(), 2);
     assert_eq!(done_status(&next.lines(), 2).as_deref(), Some("completed"));
+    let replay = RecordingSink::default();
+    assert!(svc.handle_line(r#"{"type":"resume","job_id":2}"#, &replay));
+    assert_eq!(replay.lines(), next.lines(), "the reopened log replays");
 }
 
-/// A job log that cannot be created (a directory sits at its path) rejects
-/// the submit with a reason; the next job gets a fresh id and runs.
+/// An event log that cannot be created (a directory sits at its path)
+/// rejects the submit with a reason, without spending a job id; once the
+/// path is free, the next admission creates the log and its job runs.
 #[test]
 fn uncreatable_job_log_rejects_the_submit() {
     let svc = service("nolog", 1, 8);
-    std::fs::create_dir(log_dir_of("nolog").join("job_1.ndjson")).unwrap();
+    let log = log_dir_of("nolog").join(EVENT_LOG);
+    std::fs::create_dir(&log).unwrap();
 
     let sink = RecordingSink::default();
     assert!(svc.handle_line(SMALL_BER, &sink));
@@ -810,14 +870,16 @@ fn uncreatable_job_log_rejects_the_submit() {
     assert_eq!(event_type(&lines[0]), "rejected");
     assert!(lines[0].contains("cannot create job log"), "{}", lines[0]);
 
+    std::fs::remove_dir(&log).unwrap();
     let next = RecordingSink::default();
     assert!(svc.handle_line(SMALL_BER, &next));
     svc.drain();
-    assert_eq!(done_status(&next.lines(), 2).as_deref(), Some("completed"));
+    assert_eq!(done_status(&next.lines(), 1).as_deref(), Some("completed"));
 }
 
-/// A replay log that can no longer be read answers `resume` with one
-/// `error` event.
+/// An event log that can no longer be read answers `resume` with one
+/// `error` event: first a log whose bytes now hold another job's events,
+/// then a directory in its place.
 #[test]
 fn unreadable_replay_log_answers_resume_with_an_error() {
     let svc = service("unreadable", 1, 8);
@@ -826,7 +888,18 @@ fn unreadable_replay_log_answers_resume_with_an_error() {
     svc.drain();
     assert_eq!(done_status(&sink.lines(), 1).as_deref(), Some("completed"));
 
-    let log = log_dir_of("unreadable").join("job_1.ndjson");
+    let log = log_dir_of("unreadable").join(EVENT_LOG);
+    let foreign = std::fs::read_to_string(&log)
+        .unwrap()
+        .replace(r#""job_id":1,"#, r#""job_id":7,"#);
+    std::fs::write(&log, foreign).unwrap();
+    let resume = RecordingSink::default();
+    assert!(svc.handle_line(r#"{"type":"resume","job_id":1}"#, &resume));
+    let replies = resume.lines();
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert_eq!(event_type(&replies[0]), "error");
+    assert!(replies[0].contains("cannot read job log"), "{}", replies[0]);
+
     std::fs::remove_file(&log).unwrap();
     std::fs::create_dir(&log).unwrap();
     let resume = RecordingSink::default();
@@ -835,6 +908,28 @@ fn unreadable_replay_log_answers_resume_with_an_error() {
     assert_eq!(replies.len(), 1, "{replies:?}");
     assert_eq!(event_type(&replies[0]), "error");
     assert!(replies[0].contains("cannot read job log"), "{}", replies[0]);
+}
+
+/// A socket path that cannot be bound (its directory is missing) ends the
+/// daemon binary with exit status 1 and a message naming the path, never
+/// a panic.
+#[cfg(unix)]
+#[test]
+fn unbindable_socket_exits_with_a_message_not_a_panic() {
+    let dir = test_dir("nosocket");
+    let socket = dir.join("missing").join("s.sock");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fec_svc"))
+        .arg("--socket")
+        .arg(&socket)
+        .arg("--log-dir")
+        .arg(dir.join("logs"))
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&socket.display().to_string()), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// Valid request lines of every kind, the starting points of the fuzz test.
