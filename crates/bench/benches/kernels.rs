@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the computational kernels: one layered LDPC
 //! iteration (f64 reference vs the fixed-point datapath), the MEU
 //! two-minimum extraction (the two-pass scan), one flooding
-//! iteration, one SISO half iteration, one NoC message-passing phase, one
+//! iteration and a flooding decode of varied frames, one SISO half
+//! iteration, one NoC message-passing phase, one
 //! graph partitioning run and the corner compliance sweep of a daemon
 //! compliance unit.
 //!
@@ -244,6 +245,32 @@ fn main() {
         bench("layered_f64_n576_awgn_x64f/serial", 2, 200, || {
             for frame in &high_snr_frames {
                 std::hint::black_box(float_default.decode(frame));
+            }
+        }),
+    );
+
+    // The flooding baseline as `ber_study` runs it (10 iterations, early
+    // stop on) over 64 AWGN frames at 1.0-2.5 dB, its waterfall, one after
+    // another.
+    let flooding_frames: Vec<Vec<Llr>> = (0..64u64)
+        .map(|i| {
+            let ebn0_db = 1.0 + 0.5 * (i % 4) as f64;
+            let noise_var = (2.0 * rate * 10f64.powf(ebn0_db / 10.0)).recip();
+            noisy_ldpc_llrs(&code576, noise_var, 300 + i)
+        })
+        .collect();
+    let flooding_default = FloodingDecoder::new(
+        &code576,
+        FloodingConfig {
+            max_iterations: 10,
+            ..FloodingConfig::default()
+        },
+    );
+    run(
+        &mut reports,
+        bench("flooding_f64_n576_awgn_x64f/serial", 2, 40, || {
+            for frame in &flooding_frames {
+                std::hint::black_box(flooding_default.decode(frame));
             }
         }),
     );

@@ -195,10 +195,12 @@ pub trait FecCodec: Send + Sync {
     }
 }
 
-/// The decode loop of a codec without a lockstep datapath: pulls the frames
-/// of `frames` one at a time into one buffer and hands back what `decode`
-/// makes of each — its hard decisions (at least `codec.info_bits()`, the
-/// information bits first), iterations and convergence.
+/// The decode loop of a codec whose decoder has no stream path of its own
+/// (the turbo codecs; every LDPC codec streams frames from its decoder's
+/// scratch): pulls the frames of `frames` one at a time into one buffer and
+/// hands back what `decode` makes of each — its hard decisions (at least
+/// `codec.info_bits()`, the information bits first), iterations and
+/// convergence.
 pub fn decode_serially<B: AsRef<[u8]>>(
     codec: &dyn FecCodec,
     frames: &mut dyn FrameStream,

@@ -3,6 +3,7 @@
 //! NoC mapping flow.
 
 use crate::base_matrix::{BaseMatrix, CodeRate};
+use crate::plan::LayerPlan;
 use crate::sparse::SparseBinaryMatrix;
 use crate::BASE_COLUMNS;
 use std::fmt;
@@ -52,13 +53,15 @@ impl std::error::Error for LdpcError {}
 
 /// A fully-expanded quasi-cyclic LDPC code.
 ///
-/// Holds the base matrix, the expansion factor `z`, the expanded parity-check
-/// matrix in sparse form and the per-block shift values, which the encoder
-/// and the NoC mapping flow both need.
+/// Holds the base matrix, the expansion factor `z`, the layer plan (each
+/// block row's non-zero blocks with their shifts at `z`, which the decoders,
+/// the encoder and the NoC mapping flow read) and the expanded parity-check
+/// matrix in sparse form.
 #[derive(Debug, Clone)]
 pub struct QcLdpcCode {
     base: BaseMatrix,
     z: usize,
+    plan: LayerPlan,
     h: SparseBinaryMatrix,
 }
 
@@ -85,20 +88,18 @@ impl QcLdpcCode {
     /// Panics if `z` is zero.
     pub fn from_base(base: BaseMatrix, z: usize) -> Self {
         assert!(z > 0, "expansion factor must be positive");
-        let mb = base.rows();
-        let nb = base.cols();
-        let mut h = SparseBinaryMatrix::new(mb * z, nb * z);
-        for (br, bc, _) in base.iter_blocks() {
-            let shift = base
-                .shift(br, bc, z)
-                .expect("iter_blocks only yields non-zero blocks");
-            for r in 0..z {
-                // Identity shifted right by `shift`: row r has a one in column (r + shift) mod z.
-                let c = (r + shift) % z;
-                h.set(br * z + r, bc * z + c);
+        let plan = LayerPlan::new(&base, z);
+        let mut h = SparseBinaryMatrix::new(base.rows() * z, base.cols() * z);
+        for (l, layer) in plan.layers().enumerate() {
+            // Row `r` of the layer is chunk `r` (an empty layer has none).
+            let columns = &plan.columns()[layer.start * z..layer.end * z];
+            for (r, bits) in columns.chunks(layer.len().max(1)).enumerate() {
+                for &c in bits {
+                    h.set(l * z + r, c as usize);
+                }
             }
         }
-        QcLdpcCode { base, z, h }
+        QcLdpcCode { base, z, plan, h }
     }
 
     /// The base matrix.
@@ -131,6 +132,12 @@ impl QcLdpcCode {
         self.n() - self.m()
     }
 
+    /// The layer plan: per block row, its non-zero blocks in ascending block
+    /// column with their shifts at `z`, and every check row's bits.
+    pub fn plan(&self) -> &LayerPlan {
+        &self.plan
+    }
+
     /// The expanded parity-check matrix.
     pub fn parity_check(&self) -> &SparseBinaryMatrix {
         &self.h
@@ -139,11 +146,6 @@ impl QcLdpcCode {
     /// Degree of check row `row` of the expanded matrix.
     pub fn check_degree(&self, row: usize) -> usize {
         self.h.row_degree(row)
-    }
-
-    /// Average check-node degree.
-    pub fn average_check_degree(&self) -> f64 {
-        self.h.nonzeros() as f64 / self.m() as f64
     }
 
     /// Total number of edges of the Tanner graph (ones of H), which equals
@@ -156,16 +158,6 @@ impl QcLdpcCode {
     /// Returns `true` if `x` satisfies every parity check.
     pub fn is_codeword(&self, x: &[u8]) -> bool {
         x.len() == self.n() && self.h.is_codeword(x)
-    }
-
-    /// The layered-decoding schedule used by the paper: check rows processed
-    /// in natural order, grouped into `mb` layers of `z` rows (each layer is
-    /// one block row of the base matrix and corresponds to one component
-    /// code).
-    pub fn layers(&self) -> Vec<Vec<usize>> {
-        (0..self.base.rows())
-            .map(|br| (br * self.z..(br + 1) * self.z).collect())
-            .collect()
     }
 }
 
@@ -180,8 +172,6 @@ mod tests {
         assert_eq!(code.n(), 2304);
         assert_eq!(code.m(), 1152);
         assert_eq!(code.k(), 1152);
-        // Average check degree ~6.33 for the standard rate-1/2 matrix (76 blocks / 12 rows).
-        assert!(code.average_check_degree() > 6.0 && code.average_check_degree() < 7.0);
     }
 
     #[test]
@@ -246,22 +236,6 @@ mod tests {
                 assert!(code.edge_count() > 0);
             }
         }
-    }
-
-    #[test]
-    fn layers_cover_all_rows_once() {
-        let code = QcLdpcCode::wimax(672, CodeRate::R34A).unwrap();
-        let layers = code.layers();
-        assert_eq!(layers.len(), code.base().rows());
-        let mut seen = vec![false; code.m()];
-        for layer in &layers {
-            assert_eq!(layer.len(), code.expansion());
-            for &r in layer {
-                assert!(!seen[r]);
-                seen[r] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::decoder::{
     LayeredDecoder,
 };
 use crate::encoder::QcEncoder;
-use fec_channel::sim::{decode_serially, FecCodec, FrameStream};
+use fec_channel::sim::{FecCodec, FrameStream};
 use fec_obs::{NoopRecorder, Registry};
 
 /// The layered normalized-min-sum decoder (the paper's hardware algorithm)
@@ -102,11 +102,11 @@ impl FecCodec for FloodingLdpcCodec {
             .expect("info length matches the code")
     }
 
+    /// Decodes frame after frame through the layered decoder's loop on the
+    /// flooding schedule; like [`LayeredLdpcCodec`], each frame's
+    /// information bits go to the stream straight from the scratch.
     fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
-        decode_serially(self, frames, |llrs| {
-            let out = self.decoder.decode(llrs);
-            (out.hard_bits, out.iterations, out.converged)
-        });
+        self.decoder.decode_stream(frames);
     }
 }
 

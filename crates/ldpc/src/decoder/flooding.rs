@@ -1,11 +1,18 @@
-//! Two-phase (flooding) belief-propagation decoder.
+//! Two-phase (flooding) normalized-min-sum decoder.
 //!
 //! Serves as the baseline scheduling scheme against which the paper's layered
 //! decoder is compared (Section II.B: layered scheduling nearly doubles the
-//! convergence speed of two-phase scheduling).
+//! convergence speed of two-phase scheduling).  It runs the layered
+//! decoder's loop over the same layer plan with λ deferred: in the check
+//! phase every layer computes `Q = λ − R` from the λ of the previous
+//! iteration and its new `R` with the same lane MEU, and in the variable
+//! phase λ becomes the channel LLR plus the sum of each bit's `R` over the
+//! layers, in ascending order.
 
-use super::DecodeOutcome;
+use super::layered::LayeredDecoder;
+use super::{DecodeOutcome, LayeredConfig};
 use crate::code::QcLdpcCode;
+use fec_channel::sim::FrameStream;
 use fec_fixed::Llr;
 
 /// Configuration of the flooding decoder (normalized min-sum check-node
@@ -47,37 +54,28 @@ impl Default for FloodingConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FloodingDecoder {
-    code: QcLdpcCode,
     config: FloodingConfig,
-    /// For each column, the (row, position-within-row) pairs of its entries.
-    col_entries: Vec<Vec<(usize, usize)>>,
+    /// The f64 decode loop on the flooding schedule.
+    decoder: LayeredDecoder,
 }
 
 impl FloodingDecoder {
     /// Creates a decoder for `code`.
     pub fn new(code: &QcLdpcCode, config: FloodingConfig) -> Self {
-        let h = code.parity_check();
-        let col_entries = h
-            .column_lists()
-            .iter()
-            .enumerate()
-            .map(|(c, rows)| {
-                rows.iter()
-                    .map(|&row| {
-                        let pos = h
-                            .row(row)
-                            .iter()
-                            .position(|&x| x == c)
-                            .expect("entry exists");
-                        (row, pos)
-                    })
-                    .collect()
-            })
-            .collect();
+        let FloodingConfig {
+            max_iterations,
+            scale,
+            early_termination,
+        } = config;
+        let layered = LayeredConfig {
+            max_iterations,
+            scale,
+            offset: 0.0,
+            early_termination,
+        };
         FloodingDecoder {
-            code: code.clone(),
             config,
-            col_entries,
+            decoder: LayeredDecoder::flooding(code, layered),
         }
     }
 
@@ -86,93 +84,21 @@ impl FloodingDecoder {
         &self.config
     }
 
-    /// Decodes a block of channel LLRs.
+    /// Decodes a block of channel LLRs.  Like the layered decoder's, a
+    /// decode allocates only the two vectors of its [`DecodeOutcome`].
     ///
     /// # Panics
     ///
     /// Panics if `channel.len() != code.n()`.
     pub fn decode(&self, channel: &[Llr]) -> DecodeOutcome {
-        assert_eq!(
-            channel.len(),
-            self.code.n(),
-            "LLR vector length must equal the code length"
-        );
-        let code = &self.code;
-        let h = code.parity_check();
-        let m = code.m();
+        self.decoder.decode(channel)
+    }
 
-        let ch: Vec<f64> = channel.iter().map(|l| l.value()).collect();
-        // Variable-to-check messages, indexed per row entry; initialised to the channel LLR.
-        let mut v2c: Vec<Vec<f64>> = (0..m)
-            .map(|row| h.row(row).iter().map(|&c| ch[c]).collect())
-            .collect();
-        // Check-to-variable messages.
-        let mut c2v: Vec<Vec<f64>> = (0..m).map(|row| vec![0.0; h.row_degree(row)]).collect();
-
-        let mut posterior = ch.clone();
-        let mut iterations = 0;
-        let mut converged = false;
-
-        for it in 0..self.config.max_iterations {
-            iterations = it + 1;
-
-            // Check-node phase.
-            for row in 0..m {
-                let mut min1 = f64::INFINITY;
-                let mut min2 = f64::INFINITY;
-                let mut min_pos = 0;
-                let mut sign = 1.0;
-                for (j, &v) in v2c[row].iter().enumerate() {
-                    let mag = v.abs();
-                    if v < 0.0 {
-                        sign = -sign;
-                    }
-                    if mag < min1 {
-                        min2 = min1;
-                        min1 = mag;
-                        min_pos = j;
-                    } else if mag < min2 {
-                        min2 = mag;
-                    }
-                }
-                for j in 0..c2v[row].len() {
-                    let mag = if j == min_pos { min2 } else { min1 };
-                    let s = if v2c[row][j] < 0.0 { -sign } else { sign };
-                    c2v[row][j] = self.config.scale * s * mag;
-                }
-            }
-
-            // Variable-node phase and posterior computation.
-            for (c, entries) in self.col_entries.iter().enumerate() {
-                let total: f64 = entries.iter().map(|&(row, pos)| c2v[row][pos]).sum();
-                posterior[c] = ch[c] + total;
-                for &(row, pos) in entries {
-                    v2c[row][pos] = posterior[c] - c2v[row][pos];
-                }
-            }
-
-            let hard: Vec<u8> = posterior.iter().map(|&l| Llr::new(l).hard_bit()).collect();
-            if self.config.early_termination && h.is_codeword(&hard) {
-                converged = true;
-                return DecodeOutcome {
-                    hard_bits: hard,
-                    posterior,
-                    iterations,
-                    converged,
-                };
-            }
-        }
-
-        let hard: Vec<u8> = posterior.iter().map(|&l| Llr::new(l).hard_bit()).collect();
-        if h.is_codeword(&hard) {
-            converged = true;
-        }
-        DecodeOutcome {
-            hard_bits: hard,
-            posterior,
-            iterations,
-            converged,
-        }
+    /// Decodes every frame of `frames`, one after another, handing each
+    /// frame's `k` information-bit decisions to the stream; in steady
+    /// state nothing is allocated.
+    pub(crate) fn decode_stream(&self, frames: &mut dyn FrameStream) {
+        self.decoder.decode_stream(frames);
     }
 }
 
@@ -180,7 +106,6 @@ impl FloodingDecoder {
 mod tests {
     use super::*;
     use crate::base_matrix::CodeRate;
-    use crate::decoder::{LayeredConfig, LayeredDecoder};
     use crate::encoder::QcEncoder;
     use rand::{Rng, SeedableRng};
 

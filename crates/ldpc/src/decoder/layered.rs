@@ -1,11 +1,16 @@
-//! Layered normalized-min-sum decoder (Eq. (6)–(11) of the paper).
+//! Layered normalized-min-sum decoder (Eq. (6)–(11) of the paper), and
+//! the one f64 decode loop that also runs the two-phase (flooding)
+//! schedule.
 //!
 //! Parity checks are grouped into layers (one layer per base-matrix block
-//! row); layers are decoded in sequence and the updated bit LLRs propagate
-//! from one layer to the next within the same iteration, which roughly
-//! doubles convergence speed with respect to two-phase scheduling.  The `z`
-//! checks of a layer share no bit, so, like the paper's PEs, the decoder
-//! updates them together: one f64 lane per check row.
+//! row, as the code's [`LayerPlan`](crate::LayerPlan) lists them); layers
+//! are decoded in sequence and the updated bit LLRs propagate from one
+//! layer to the next within the same iteration, which roughly doubles
+//! convergence speed with respect to two-phase scheduling.  The `z` checks
+//! of a layer share no bit, so, like the paper's PEs, the decoder updates
+//! them together: one f64 lane per check row.  The flooding schedule walks
+//! the same layers with the same lanes but defers λ: every layer reads the
+//! λ of the previous iteration, and λ is rewritten once per iteration.
 
 use super::meu::{LayerScan, ROW_LANES};
 use super::DecodeOutcome;
@@ -13,13 +18,12 @@ use crate::code::QcLdpcCode;
 use fec_channel::sim::FrameStream;
 use fec_fixed::Llr;
 use std::cell::RefCell;
-use std::ops::Range;
 
 thread_local! {
-    /// Per-thread memories and frame buffers of [`LayeredDecoder`], the f64
-    /// counterpart of the fixed-point decoder's scratch.  Buffers only
-    /// grow, so a thread decoding the same code repeatedly never
-    /// reallocates them.
+    /// Per-thread memories and frame buffers of [`LayeredDecoder`] and
+    /// [`FloodingDecoder`](super::FloodingDecoder), the f64 counterpart of
+    /// the fixed-point decoder's scratch.  Buffers only grow, so a thread
+    /// decoding the same code repeatedly never reallocates them.
     static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
 }
 
@@ -39,6 +43,9 @@ struct Scratch {
 struct Memory {
     /// Bit LLRs λ, one per variable.
     lambda: Vec<f64>,
+    /// Under the flooding schedule, the sum of each bit's `R_lk` over the
+    /// layers of the running iteration.
+    sum: Vec<f64>,
     /// `R_lk` message memory: per non-zero block, one message per check
     /// row of its layer, padded to a whole number of [`LayerScan`]s.
     r: Vec<f64>,
@@ -53,6 +60,7 @@ impl Scratch {
         Scratch {
             memory: Memory {
                 lambda: Vec::new(),
+                sum: Vec::new(),
                 r: Vec::new(),
                 q: Vec::new(),
                 syndrome: Vec::new(),
@@ -89,28 +97,14 @@ impl Default for LayeredConfig {
     }
 }
 
-/// A non-zero block of the base matrix: a `z × z` identity shifted right
-/// by `shift`, so check row `r` of its layer meets bit `col + (r + shift)
-/// % z`.
-#[derive(Debug, Clone, Copy)]
-struct Block {
-    /// The first bit of the block column.
-    col: usize,
-    /// The circulant shift at `z`, below `z`.
-    shift: usize,
-}
-
-impl Block {
-    /// The block's check rows and the λ runs they meet, as the two
-    /// contiguous pieces of the rotation: rows `..z - shift` meet bits
-    /// `col + shift..`, the rest meet `col..col + shift`.
-    fn runs(self, z: usize) -> [(Range<usize>, Range<usize>); 2] {
-        let Block { col, shift } = self;
-        [
-            (0..z - shift, col + shift..col + z),
-            (z - shift..z, col..col + shift),
-        ]
-    }
+/// When the decode loop writes λ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// After every layer, `λ = Q + R`: the next layer reads it.
+    Layered,
+    /// Once per iteration, after the last layer: `λ = channel + Σ R`, the
+    /// two-phase (flooding) schedule.
+    Flooding,
 }
 
 /// Layered normalized-min-sum decoder operating on one code.
@@ -132,36 +126,24 @@ impl Block {
 pub struct LayeredDecoder {
     code: QcLdpcCode,
     config: LayeredConfig,
-    /// Every non-zero block, block row by block row: the layer plan.
-    blocks: Vec<Block>,
-    /// Layer `l` is `blocks[layer_ptr[l]..layer_ptr[l + 1]]`.
-    layer_ptr: Vec<usize>,
+    schedule: Schedule,
 }
 
 impl LayeredDecoder {
     /// Creates a decoder for `code` with the given configuration.
     pub fn new(code: &QcLdpcCode, config: LayeredConfig) -> Self {
-        // The blocks and shifts that define H in `QcLdpcCode::from_base`.
-        let (base, z) = (code.base(), code.expansion());
-        let mut blocks = Vec::with_capacity(base.nonzero_blocks());
-        let mut layer_ptr = vec![0];
-        for (br, bc, _) in base.iter_blocks() {
-            // Close every layer before `br`, the empty ones too.
-            layer_ptr.resize(br + 1, blocks.len());
-            let shift = base
-                .shift(br, bc, z)
-                .expect("iter_blocks only yields non-zero blocks");
-            blocks.push(Block {
-                col: bc * z,
-                shift: shift % z,
-            });
-        }
-        layer_ptr.resize(base.rows() + 1, blocks.len());
         LayeredDecoder {
             code: code.clone(),
             config,
-            blocks,
-            layer_ptr,
+            schedule: Schedule::Layered,
+        }
+    }
+
+    /// The same loop on the two-phase (flooding) schedule.
+    pub(super) fn flooding(code: &QcLdpcCode, config: LayeredConfig) -> Self {
+        LayeredDecoder {
+            schedule: Schedule::Flooding,
+            ..Self::new(code, config)
         }
     }
 
@@ -223,10 +205,11 @@ impl LayeredDecoder {
         });
     }
 
-    /// The layered iteration: decodes `channel` into `memory.lambda` and
-    /// returns the iterations run and whether the syndrome is zero.
+    /// The decode loop: decodes `channel` into `memory.lambda` and returns
+    /// the iterations run and whether the syndrome is zero.
     fn run(&self, channel: &[Llr], memory: &mut Memory) -> (usize, bool) {
-        let z = self.code.expansion();
+        let plan = self.code.plan();
+        let z = plan.expansion();
         // A block's slots in `R` and `Q`: one per check row, then padding
         // up to a whole number of `LayerScan`s, which no bit reads.
         let stride = z.next_multiple_of(ROW_LANES);
@@ -236,8 +219,10 @@ impl LayeredDecoder {
             offset,
             early_termination,
         } = self.config;
+        let flooding = self.schedule == Schedule::Flooding;
         let Memory {
             lambda,
+            sum,
             r,
             q,
             syndrome,
@@ -245,14 +230,18 @@ impl LayeredDecoder {
         lambda.clear();
         lambda.extend(channel.iter().map(|l| l.value()));
         r.clear();
-        r.resize(self.blocks.len() * stride, 0.0);
-        let widest = self.layer_ptr.windows(2).map(|l| l[1] - l[0]).max();
-        q.resize(widest.unwrap_or(0) * stride, 0.0);
+        r.resize(plan.blocks().len() * stride, 0.0);
+        q.resize(plan.widest_layer() * stride, 0.0);
 
         for iteration in 1..=max_iterations {
-            for layer in self.layer_ptr.windows(2) {
-                let blocks = &self.blocks[layer[0]..layer[1]];
-                let r = &mut r[layer[0] * stride..layer[1] * stride];
+            if flooding {
+                // `Iterator::sum`'s start: an empty sum is −0.0.
+                sum.clear();
+                sum.resize(lambda.len(), -0.0);
+            }
+            for layer in plan.layers() {
+                let blocks = &plan.blocks()[layer.clone()];
+                let r = &mut r[layer.start * stride..layer.end * stride];
                 let q = &mut q[..r.len()];
                 // Q_lk = lambda_old - R_old, Eq. (6), gathered into lane
                 // order.
@@ -286,44 +275,39 @@ impl LayeredDecoder {
                         );
                     }
                 }
-                // lambda = Q + R_new, scattered back along the rotation.
+                // Scattered back along the rotation: lambda = Q + R_new,
+                // or, when flooding, R_new added to its bit's sum.
                 for ((block, q), r) in blocks
                     .iter()
                     .zip(q.chunks_exact(stride))
                     .zip(r.chunks_exact(stride))
                 {
                     for (rows, bits) in block.runs(z) {
-                        let rows = q[rows.clone()].iter().zip(&r[rows]);
-                        for ((&q, &r), l) in rows.zip(&mut lambda[bits]) {
-                            *l = q + r;
+                        if flooding {
+                            for (&r, s) in r[rows].iter().zip(&mut sum[bits]) {
+                                *s += r;
+                            }
+                        } else {
+                            let rows = q[rows.clone()].iter().zip(&r[rows]);
+                            for ((&q, &r), l) in rows.zip(&mut lambda[bits]) {
+                                *l = q + r;
+                            }
                         }
                     }
                 }
             }
-            if early_termination && self.satisfied(lambda, syndrome) {
+            if flooding {
+                // The variable phase: each bit's R summed over the layers
+                // in ascending order, after its channel LLR.
+                for ((l, &s), c) in lambda.iter_mut().zip(&*sum).zip(channel) {
+                    *l = c.value() + s;
+                }
+            }
+            if early_termination && plan.satisfied(lambda, syndrome) {
                 return (iteration, true);
             }
         }
-        (max_iterations, self.satisfied(lambda, syndrome))
-    }
-
-    /// `true` when the hard decisions of `lambda` satisfy every parity
-    /// check: per layer, each check row XORs the [`Llr::hard_bit`] (`λ <
-    /// 0`) of its bits, block by block along the rotation.
-    fn satisfied(&self, lambda: &[f64], syndrome: &mut Vec<u64>) -> bool {
-        let z = self.code.expansion();
-        self.layer_ptr.windows(2).all(|layer| {
-            syndrome.clear();
-            syndrome.resize(z, 0);
-            for block in &self.blocks[layer[0]..layer[1]] {
-                for (rows, bits) in block.runs(z) {
-                    for (parity, &l) in syndrome[rows].iter_mut().zip(&lambda[bits]) {
-                        *parity ^= u64::from(l < 0.0);
-                    }
-                }
-            }
-            syndrome.iter().all(|&parity| parity == 0)
-        })
+        (max_iterations, plan.satisfied(lambda, syndrome))
     }
 }
 
@@ -332,6 +316,7 @@ mod tests {
     use super::*;
     use crate::base_matrix::{BaseMatrix, CodeRate};
     use crate::decoder::meu::SPECIAL_VALUES;
+    use crate::decoder::{FloodingConfig, FloodingDecoder};
     use crate::encoder::QcEncoder;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -347,7 +332,7 @@ mod tests {
         // The rows as CSR, with one `R` per entry.
         let mut row_ptr = vec![0];
         let mut cols = Vec::new();
-        for row in dec.code.layers().concat() {
+        for row in 0..h.num_rows() {
             cols.extend_from_slice(h.row(row));
             row_ptr.push(cols.len());
         }
@@ -409,6 +394,91 @@ mod tests {
         }
     }
 
+    /// The two-phase loop the flooding schedule replaced, kept as its
+    /// oracle: per-row `Vec`s of variable-to-check and check-to-variable
+    /// messages, a branching two-minimum scan per row, then per column the
+    /// channel LLR plus the sum of its messages in row order, and the
+    /// syndrome of `is_codeword`.  A row without a finite minimum sends 0,
+    /// as in the layered loop.
+    fn flooding_reference_decode(
+        code: &QcLdpcCode,
+        cfg: FloodingConfig,
+        channel: &[Llr],
+    ) -> DecodeOutcome {
+        let h = code.parity_check();
+        let m = code.m();
+        // For each column, the (row, position-within-row) pairs of its entries.
+        let col_entries: Vec<Vec<(usize, usize)>> = h
+            .column_lists()
+            .iter()
+            .enumerate()
+            .map(|(c, rows)| {
+                rows.iter()
+                    .map(|&row| (row, h.row(row).iter().position(|&x| x == c).unwrap()))
+                    .collect()
+            })
+            .collect();
+        let ch: Vec<f64> = channel.iter().map(|l| l.value()).collect();
+        let mut v2c: Vec<Vec<f64>> = (0..m)
+            .map(|row| h.row(row).iter().map(|&c| ch[c]).collect())
+            .collect();
+        let mut c2v: Vec<Vec<f64>> = (0..m).map(|row| vec![0.0; h.row_degree(row)]).collect();
+        let mut posterior = ch.clone();
+        let hard = |lambda: &[f64]| -> Vec<u8> {
+            lambda.iter().map(|&l| Llr::new(l).hard_bit()).collect()
+        };
+        let mut iterations = 0;
+        let mut converged = false;
+        for it in 0..cfg.max_iterations {
+            iterations = it + 1;
+            // Check-node phase.
+            for row in 0..m {
+                let (mut min1, mut min2, mut min_pos, mut sign) =
+                    (f64::INFINITY, f64::INFINITY, 0, 1.0);
+                for (j, &v) in v2c[row].iter().enumerate() {
+                    let mag = v.abs();
+                    if v < 0.0 {
+                        sign = -sign;
+                    }
+                    if mag < min1 {
+                        min2 = min1;
+                        min1 = mag;
+                        min_pos = j;
+                    } else if mag < min2 {
+                        min2 = mag;
+                    }
+                }
+                for j in 0..c2v[row].len() {
+                    let mag = if j == min_pos { min2 } else { min1 };
+                    let mag = if mag.is_finite() { mag } else { 0.0 };
+                    let s = if v2c[row][j] < 0.0 { -sign } else { sign };
+                    c2v[row][j] = cfg.scale * s * mag;
+                }
+            }
+            // Variable-node phase and posterior computation.
+            for (c, entries) in col_entries.iter().enumerate() {
+                let total: f64 = entries.iter().map(|&(row, pos)| c2v[row][pos]).sum();
+                posterior[c] = ch[c] + total;
+                for &(row, pos) in entries {
+                    v2c[row][pos] = posterior[c] - c2v[row][pos];
+                }
+            }
+            if cfg.early_termination && h.is_codeword(&hard(&posterior)) {
+                converged = true;
+                break;
+            }
+        }
+        if !converged {
+            converged = h.is_codeword(&hard(&posterior));
+        }
+        DecodeOutcome {
+            hard_bits: hard(&posterior),
+            posterior,
+            iterations,
+            converged,
+        }
+    }
+
     /// Noisy all-zero frames, from clean to hopeless, each with its own
     /// share (0–50%) of positions replaced by [`SPECIAL_VALUES`].
     fn frames_with_special_llrs(n: usize, seed: u64) -> Vec<Vec<Llr>> {
@@ -439,7 +509,9 @@ mod tests {
         /// included, on frames mixing NaN, signed zeros, infinities, huge
         /// and subnormal LLRs into noise, under min-sum, offset-min-sum and
         /// a fixed budget without early stop, on every lane width and
-        /// shift pattern the codecs use.
+        /// shift pattern the codecs use; so does the flooding schedule,
+        /// against the two-phase loop, under each config without an
+        /// offset.
         #[test]
         fn decode_matches_the_branching_reference(seed in 0u64..1 << 32) {
             let r12 = BaseMatrix::wimax(CodeRate::R12);
@@ -476,6 +548,20 @@ mod tests {
                     prop_assert_eq!(got.converged, want.converged);
                     let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     prop_assert!(bits(&got.posterior) == bits(&want.posterior), "n{} frame {} posterior under {:?}", n, f, cfg);
+                    if cfg.offset != 0.0 {
+                        continue;
+                    }
+                    let flooding = FloodingConfig {
+                        max_iterations: cfg.max_iterations,
+                        scale: cfg.scale,
+                        early_termination: cfg.early_termination,
+                    };
+                    let got = FloodingDecoder::new(code, flooding).decode(frame);
+                    let want = flooding_reference_decode(code, flooding, frame);
+                    prop_assert!(got.hard_bits == want.hard_bits, "flooding n{} frame {} hard bits under {:?}", n, f, flooding);
+                    prop_assert_eq!(got.iterations, want.iterations);
+                    prop_assert_eq!(got.converged, want.converged);
+                    prop_assert!(bits(&got.posterior) == bits(&want.posterior), "flooding n{} frame {} posterior under {:?}", n, f, flooding);
                 }
             }
         }

@@ -18,9 +18,11 @@
 //! refilled five times), [`decode_stream`] at the widest width not above its
 //! stream's frames in flight; lanes never interact, so results do not
 //! depend on the width.  λ and the `R_lk` message memory are
-//! struct-of-arrays (`[var][lane]`, `[edge][lane]`) over the CSR structure,
-//! so every message update is one `[i16; B]` vector operation — the batch
-//! analogue of the paper's PE updating `z` check rows in parallel.  See
+//! struct-of-arrays (`[var][lane]`, `[edge][lane]`), with one edge per entry
+//! of the code's [`LayerPlan`](crate::LayerPlan) columns, check row after
+//! check row, so every message update is one `[i16; B]` vector operation —
+//! the batch analogue of the paper's PE updating `z` check rows in
+//! parallel.  See
 //! `cargo bench -p decoder-bench --bench kernels` for the per-width
 //! throughput.
 //!
@@ -288,14 +290,6 @@ pub struct FixedLayeredDecoder {
     config: FixedLayeredConfig,
     arith: MinSumArith,
     quantizer: Quantizer,
-    /// CSR row pointers into `cols` (length `m + 1`).  Rows are stored in
-    /// natural order, which *is* the layered schedule: each block row of the
-    /// base matrix occupies one contiguous run of `z` rows.
-    row_ptr: Vec<u32>,
-    /// Flattened column indices of every parity-check entry.
-    cols: Vec<u32>,
-    /// Largest check-node degree (scratch-buffer size).
-    max_degree: usize,
 }
 
 impl FixedLayeredDecoder {
@@ -303,40 +297,28 @@ impl FixedLayeredDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if the register widths are outside `2..=15`, if any parity
-    /// check has degree below 2 (a degree-1 check carries no extrinsic
-    /// information and indicates a malformed code) or above `u16::MAX`.
+    /// Panics if the register widths are outside `2..=15`, if any layer's
+    /// check rows have degree below 2 (a degree-1 check carries no
+    /// extrinsic information and indicates a malformed code) or above
+    /// `u16::MAX`.
     pub fn new(code: &QcLdpcCode, config: FixedLayeredConfig) -> Self {
-        let h = code.parity_check();
-        let m = code.m();
-        let mut row_ptr = Vec::with_capacity(m + 1);
-        let mut cols = Vec::with_capacity(code.edge_count());
-        let mut max_degree = 0;
-        row_ptr.push(0);
-        for row in 0..m {
-            let entries = h.row(row);
+        for (l, layer) in code.plan().layers().enumerate() {
             assert!(
-                entries.len() >= 2,
-                "check row {row} has degree {} (< 2): the min-sum update needs \
-                 a leave-one-out partner",
-                entries.len()
+                layer.len() >= 2,
+                "the check rows of layer {l} have degree {} (< 2): the min-sum \
+                 update needs a leave-one-out partner",
+                layer.len()
             );
             assert!(
-                entries.len() <= usize::from(u16::MAX),
-                "check row {row} is wider than the u16 MEU positions"
+                layer.len() <= usize::from(u16::MAX),
+                "the check rows of layer {l} are wider than the u16 MEU positions"
             );
-            max_degree = max_degree.max(entries.len());
-            cols.extend(entries.iter().map(|&c| c as u32));
-            row_ptr.push(cols.len() as u32);
         }
         FixedLayeredDecoder {
             code: code.clone(),
             arith: MinSumArith::new(config.lambda_bits, config.r_bits),
             quantizer: Quantizer::new(config.lambda_bits, config.frac_bits),
             config,
-            row_ptr,
-            cols,
-            max_degree,
         }
     }
 
@@ -558,15 +540,16 @@ impl FixedLayeredDecoder {
         io: &mut impl Lanes,
     ) {
         let n = self.code.n();
+        let plan = self.code.plan();
         let max_iterations = self.config.max_iterations;
         let LaneMemory { lambda, r, q } = lanes;
         lambda.clear();
         lambda.resize(n * B, 0);
         // `R_lk` starts at zero for every frame.
         r.clear();
-        r.resize(self.cols.len() * B, 0);
+        r.resize(plan.columns().len() * B, 0);
         q.clear();
-        q.resize(self.max_degree * B, 0);
+        q.resize(plan.widest_layer() * B, 0);
         let lambda = lambda.as_chunks_mut::<B>().0;
         let r = r.as_chunks_mut::<B>().0;
         let q = q.as_chunks_mut::<B>().0;
@@ -683,66 +666,72 @@ impl FixedLayeredDecoder {
         sat: &mut SatCounts,
     ) {
         let arith = &self.arith;
-        // Natural row order == layered schedule (see `row_ptr` docs).
-        for row in self.row_ptr.windows(2) {
-            let (start, end) = (row[0] as usize, row[1] as usize);
-            let cols = &self.cols[start..end];
-            let r_row = &mut r[start..end];
-            let q_row = &mut q[..cols.len()];
-            let mut sat_q = [0u16; B];
-            let mut r_clip = [0u16; B];
-            let mut sat_lambda = [0u16; B];
+        let plan = self.code.plan();
+        let z = plan.expansion();
+        // Check row after check row, layer by layer: the layered schedule.
+        // A layer's rows are the chunks of its degree in its columns and in
+        // its `R` edges.
+        for layer in plan.layers() {
+            let (degree, edges) = (layer.len(), layer.start * z..layer.end * z);
+            let rows = plan.columns()[edges.clone()].chunks_exact(degree);
+            for (cols, r_row) in rows.zip(r[edges].chunks_exact_mut(degree)) {
+                let q_row = &mut q[..degree];
+                let mut sat_q = [0u16; B];
+                let mut r_clip = [0u16; B];
+                let mut sat_lambda = [0u16; B];
 
-            // Fused pass: Q_lk = sat(λ - R_old), Eq. (6), streamed through
-            // the lane MEU (two minima, first position, sign parity).
-            let mut meu = LaneScan::<B>::default();
-            for (pos, ((qj, &col), rj)) in (0u16..).zip(q_row.iter_mut().zip(cols).zip(&*r_row)) {
-                let lam = lambda[col as usize];
-                *qj = arith.q_message_array(lam, *rj);
-                if R::ENABLED {
-                    // Saturated where the clamp moved the exact difference
-                    // (at legal widths the `i16` difference never saturates;
-                    // see `MinSumArith::q_message_array`).
-                    count_lanes(&mut sat_q, live, |f| qj[f] != lam[f].saturating_sub(rj[f]));
+                // Fused pass: Q_lk = sat(λ - R_old), Eq. (6), streamed through
+                // the lane MEU (two minima, first position, sign parity).
+                let mut meu = LaneScan::<B>::default();
+                for (pos, ((qj, &col), rj)) in (0u16..).zip(q_row.iter_mut().zip(cols).zip(&*r_row))
+                {
+                    let lam = lambda[col as usize];
+                    *qj = arith.q_message_array(lam, *rj);
+                    if R::ENABLED {
+                        // Saturated where the clamp moved the exact difference
+                        // (at legal widths the `i16` difference never saturates;
+                        // see `MinSumArith::q_message_array`).
+                        count_lanes(&mut sat_q, live, |f| qj[f] != lam[f].saturating_sub(rj[f]));
+                    }
+                    meu.push(pos, *qj);
                 }
-                meu.push(pos, *qj);
-            }
-            if R::ENABLED {
-                count_lanes(&mut r_clip, live, |f| arith.r_clips(i32::from(meu.min1[f])));
-                count_lanes(&mut r_clip, live, |f| arith.r_clips(i32::from(meu.min2[f])));
-            }
+                if R::ENABLED {
+                    count_lanes(&mut r_clip, live, |f| arith.r_clips(i32::from(meu.min1[f])));
+                    count_lanes(&mut r_clip, live, |f| arith.r_clips(i32::from(meu.min2[f])));
+                }
 
-            // Update pass: R_new and λ, Eq. (9)-(11).  The 3/4 scaling runs
-            // once per row: the first position holding min1 gets the scaled
-            // min2 (mag1 ^ swap), every other one the scaled min1, negated
-            // as `(mag ^ s) - s`, with `s` all ones where the other inputs'
-            // signs multiply to -1.
-            let mag1 = arith.scaled_magnitude_array(meu.min1);
-            let mag2 = arith.scaled_magnitude_array(meu.min2);
-            let swap: [i16; B] = std::array::from_fn(|f| mag1[f] ^ mag2[f]);
-            for (pos, ((qj, &col), rj)) in (0u16..).zip(q_row.iter().zip(cols).zip(r_row)) {
-                // One short loop per step, like `LaneScan::push`.
-                let mut r_new = mag1;
-                for ((r, swap), first) in r_new.iter_mut().zip(swap).zip(meu.min1_pos) {
-                    *r ^= swap & -i16::from(first == pos);
+                // Update pass: R_new and λ, Eq. (9)-(11).  The 3/4 scaling runs
+                // once per row: the first position holding min1 gets the scaled
+                // min2 (mag1 ^ swap), every other one the scaled min1, negated
+                // as `(mag ^ s) - s`, with `s` all ones where the other inputs'
+                // signs multiply to -1.
+                let mag1 = arith.scaled_magnitude_array(meu.min1);
+                let mag2 = arith.scaled_magnitude_array(meu.min2);
+                let swap: [i16; B] = std::array::from_fn(|f| mag1[f] ^ mag2[f]);
+                for (pos, ((qj, &col), rj)) in (0u16..).zip(q_row.iter().zip(cols).zip(r_row)) {
+                    // One short loop per step, like `LaneScan::push`.
+                    let mut r_new = mag1;
+                    for ((r, swap), first) in r_new.iter_mut().zip(swap).zip(meu.min1_pos) {
+                        *r ^= swap & -i16::from(first == pos);
+                    }
+                    for ((r, q), sign) in r_new.iter_mut().zip(*qj).zip(meu.sign) {
+                        let s = (q ^ sign) >> 15;
+                        // Never wraps: magnitudes are non-negative.
+                        *r = (*r ^ s).wrapping_sub(s);
+                    }
+                    let lam_new = arith.lambda_update_array(*qj, r_new);
+                    if R::ENABLED {
+                        // As for `sat_q`: the clamp moved the exact sum.
+                        count_lanes(&mut sat_lambda, live, |f| {
+                            lam_new[f] != qj[f].saturating_add(r_new[f])
+                        });
+                    }
+                    lambda[col as usize] = lam_new;
+                    *rj = r_new;
                 }
-                for ((r, q), sign) in r_new.iter_mut().zip(*qj).zip(meu.sign) {
-                    let s = (q ^ sign) >> 15;
-                    // Never wraps: magnitudes are non-negative.
-                    *r = (*r ^ s).wrapping_sub(s);
-                }
-                let lam_new = arith.lambda_update_array(*qj, r_new);
                 if R::ENABLED {
-                    // As for `sat_q`: the clamp moved the exact sum.
-                    count_lanes(&mut sat_lambda, live, |f| {
-                        lam_new[f] != qj[f].saturating_add(r_new[f])
-                    });
+                    sat.add_row(sat_q, r_clip, sat_lambda);
                 }
-                lambda[col as usize] = lam_new;
-                *rj = r_new;
-            }
-            if R::ENABLED {
-                sat.add_row(sat_q, r_clip, sat_lambda);
             }
         }
     }
@@ -755,9 +744,14 @@ impl FixedLayeredDecoder {
         // Sign bit of `failed[f]`: lane `f` has an odd-parity row (unchecked
         // lanes start failed, so they never hold up the early exit).
         let mut failed = lanes.map(|m| !m);
-        for row in self.row_ptr.windows(2) {
+        let plan = self.code.plan();
+        let z = plan.expansion();
+        let rows = plan.layers().flat_map(|layer| {
+            plan.columns()[layer.start * z..layer.end * z].chunks_exact(layer.len())
+        });
+        for cols in rows {
             let mut parity = [0i16; B];
-            for &col in &self.cols[row[0] as usize..row[1] as usize] {
+            for &col in cols {
                 let l = &lambda[col as usize];
                 for f in 0..B {
                     parity[f] ^= l[f];
@@ -832,8 +826,13 @@ mod tests {
         let h = dec.code.parity_check();
         let (lo, hi) = dec.lambda_bounds();
         let mut lambda: Vec<i16> = quantized.iter().map(|&v| v.clamp(lo, hi)).collect();
-        let mut r = vec![0i16; dec.cols.len()];
-        let mut q = vec![0i16; dec.max_degree];
+        // The rows of H as CSR, with one `R` per entry.
+        let mut row_ptr = vec![0];
+        for row in 0..dec.code.m() {
+            row_ptr.push(row_ptr[row] + h.row_degree(row));
+        }
+        let mut r = vec![0i16; h.nonzeros()];
+        let mut q = Vec::new();
         let (mut sat_q, mut r_clip, mut sat_lambda) = (0u64, 0u64, 0u64);
         let hard =
             |lambda: &[i16]| -> Vec<u8> { lambda.iter().map(|&l| u8::from(l < 0)).collect() };
@@ -842,13 +841,12 @@ mod tests {
         for it in 0..dec.config.max_iterations {
             iterations = it + 1;
             for row in 0..dec.code.m() {
-                let start = dec.row_ptr[row] as usize;
-                let end = dec.row_ptr[row + 1] as usize;
-                let cols = &dec.cols[start..end];
-                let r_row = &mut r[start..end];
-                let q_row = &mut q[..cols.len()];
+                let cols = h.row(row);
+                let r_row = &mut r[row_ptr[row]..row_ptr[row + 1]];
+                q.resize(cols.len(), 0);
+                let q_row = &mut q[..];
                 for ((qj, &col), &rj) in q_row.iter_mut().zip(cols).zip(r_row.iter()) {
-                    let (lam, rv) = (i32::from(lambda[col as usize]), i32::from(rj));
+                    let (lam, rv) = (i32::from(lambda[col]), i32::from(rj));
                     sat_q += u64::from(arith.q_saturates(lam, rv));
                     *qj = arith.q_message(lam, rv);
                 }
@@ -872,7 +870,7 @@ mod tests {
                     };
                     sat_lambda +=
                         u64::from(arith.lambda_saturates(i32::from(qj), i32::from(r_new)));
-                    lambda[col as usize] = arith.lambda_update(i32::from(qj), i32::from(r_new));
+                    lambda[col] = arith.lambda_update(i32::from(qj), i32::from(r_new));
                     *rj = r_new;
                 }
             }
@@ -1372,21 +1370,5 @@ mod tests {
         dec.decode_stream(&mut stream, &mut empty);
         assert!(stream.into_decoded().is_empty());
         assert!(empty.is_empty(), "{empty:?}");
-    }
-
-    #[test]
-    fn csr_layout_matches_the_sparse_matrix() {
-        let code = QcLdpcCode::wimax(672, CodeRate::R34A).unwrap();
-        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        assert_eq!(dec.row_ptr.len(), code.m() + 1);
-        assert_eq!(dec.cols.len(), code.edge_count());
-        let h = code.parity_check();
-        for row in 0..code.m() {
-            let s = dec.row_ptr[row] as usize;
-            let e = dec.row_ptr[row + 1] as usize;
-            let cols: Vec<usize> = dec.cols[s..e].iter().map(|&c| c as usize).collect();
-            assert_eq!(&cols[..], h.row(row));
-        }
-        assert!(dec.max_degree >= 2);
     }
 }

@@ -42,10 +42,6 @@ fn xor_shifted(dst: &mut [u8], src: &[u8], shift: usize) {
 #[derive(Debug, Clone)]
 pub struct QcEncoder {
     code: QcLdpcCode,
-    /// Per block row, the `(block column, shift)` pairs of its non-zero
-    /// systematic blocks (shifts scaled to `z` and reduced modulo `z`, as
-    /// in the expansion of `H`).
-    row_blocks: Vec<Vec<(usize, usize)>>,
     /// Shift of the `h_b` column's top (and bottom) block.
     hb_shift: usize,
     /// The "middle" block row of the weight-3 `h_b` column (the entry with
@@ -62,27 +58,21 @@ impl QcEncoder {
     /// `h_b` column with entries in the first block row and in a middle
     /// block row.
     pub fn new(code: &QcLdpcCode) -> Self {
-        let z = code.expansion();
-        let base = code.base();
+        let (plan, base) = (code.plan(), code.base());
         let mb = base.rows();
         let kb = base.systematic_cols();
-        let row_blocks = (0..mb)
-            .map(|br| {
-                (0..kb)
-                    .filter_map(|bc| base.shift(br, bc, z).map(|s| (bc, s % z)))
-                    .collect()
-            })
-            .collect();
-        let hb_shift = base
-            .shift(0, kb, z)
+        // The h_b column's first bit is the first parity bit, `k`.
+        let hb_shift = plan
+            .layers()
+            .next()
+            .and_then(|layer| plan.blocks()[layer].iter().find(|b| b.col == code.k()))
             .expect("h_b column has an entry in block row 0")
-            % z;
+            .shift;
         let mid = (1..mb - 1)
             .find(|&r| base.entry(r, kb) >= 0)
             .expect("h_b column has a middle entry");
         QcEncoder {
             code: code.clone(),
-            row_blocks,
             hb_shift,
             mid,
         }
@@ -105,20 +95,22 @@ impl QcEncoder {
                 actual: info.len(),
             });
         }
+        let plan = code.plan();
         let z = code.expansion();
-        let mb = self.row_blocks.len();
+        let mb = plan.layers().len();
         let mut codeword = vec![0u8; code.n()];
         codeword[..k].copy_from_slice(info);
         let parity = &mut codeword[k..];
 
-        // lambda_i = sum_j P_{s(i,j)} u_j over the systematic part, written
-        // one parity block ahead (lambda_i into block i + 1, the last one
-        // into block 0) so the recursion below can run in place.
-        for (br, blocks) in self.row_blocks.iter().enumerate() {
+        // lambda_i = sum_j P_{s(i,j)} u_j over the systematic part (the
+        // blocks before bit `k`, which lead each layer), written one parity
+        // block ahead (lambda_i into block i + 1, the last one into block
+        // 0) so the recursion below can run in place.
+        for (br, layer) in plan.layers().enumerate() {
             let slot = (br + 1) % mb;
             let dst = &mut parity[slot * z..(slot + 1) * z];
-            for &(bc, s) in blocks {
-                xor_shifted(dst, &info[bc * z..(bc + 1) * z], s);
+            for block in plan.blocks()[layer].iter().take_while(|b| b.col < k) {
+                xor_shifted(dst, &info[block.col..block.col + z], block.shift);
             }
         }
 

@@ -11,6 +11,9 @@
 //!   and surrogate tables of every standard).
 //! * [`code`] — expansion of a base matrix into a full parity-check matrix
 //!   for any of the 19 WiMAX block lengths (576..=2304 bits in steps of 96).
+//! * [`plan`] — the layer plan: each block row's non-zero blocks with their
+//!   shifts at `z` and every check row's bits, built once per code; H, the
+//!   decoders, the QC encoder and the NoC mapping's store key read it.
 //! * [`encoder`] — the efficient two-stage QC encoder exploiting the
 //!   dual-diagonal parity structure, plus a generic Gaussian-elimination
 //!   encoder used for cross-validation.
@@ -19,9 +22,10 @@
 //!   two-minimum extraction performed by the hardware MEU.  The layered
 //!   decoder exists in two flavours: the floating-point reference
 //!   ([`LayeredDecoder`], which updates a layer's check rows as f64
-//!   lanes) and the fixed-point hardware-datapath model
-//!   ([`FixedLayeredDecoder`]: quantized λ, saturating arithmetic,
-//!   contiguous CSR message buffers and the batch two-minimum scan kernel).
+//!   lanes, and whose loop also runs the flooding schedule) and the
+//!   fixed-point hardware-datapath model ([`FixedLayeredDecoder`]:
+//!   quantized λ, saturating arithmetic, per-edge message buffers over the
+//!   plan's row columns and the batch two-minimum scan kernel).
 //! * [`tanner`] — Tanner-graph views and the row-adjacency graph used for
 //!   mapping check nodes onto NoC nodes.
 //!
@@ -54,6 +58,7 @@ pub mod code;
 pub mod codec;
 pub mod decoder;
 pub mod encoder;
+pub mod plan;
 pub mod sparse;
 pub mod tanner;
 
@@ -65,6 +70,7 @@ pub use decoder::{
     LayeredConfig, LayeredDecoder,
 };
 pub use encoder::{GaussianEncoder, QcEncoder};
+pub use plan::{Block, LayerPlan};
 pub use sparse::SparseBinaryMatrix;
 pub use tanner::TannerGraph;
 

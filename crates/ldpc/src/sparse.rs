@@ -1,7 +1,5 @@
 //! A simple sparse binary (GF(2)) matrix used for parity-check matrices.
 
-use std::collections::BTreeSet;
-
 /// Sparse binary matrix stored as sorted column indices per row.
 ///
 /// # Example
@@ -184,12 +182,6 @@ impl SparseBinaryMatrix {
             .map(|((a, b), c)| (a, b, c))
             .collect()
     }
-
-    /// The set of columns participating in at least one row (useful for
-    /// validation).
-    pub fn used_columns(&self) -> BTreeSet<usize> {
-        self.rows.iter().flat_map(|r| r.iter().copied()).collect()
-    }
 }
 
 /// GF(2) parity of the bits of `v` selected by one sparse row.
@@ -341,7 +333,6 @@ mod tests {
         assert_eq!(cols[0], vec![0, 2]);
         assert_eq!(cols[1], vec![0, 1]);
         assert_eq!(cols[5], vec![2]);
-        assert_eq!(h.used_columns().len(), 6);
     }
 
     proptest! {

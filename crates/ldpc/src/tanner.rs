@@ -43,21 +43,6 @@ impl TannerGraph {
         self.var_to_checks.len()
     }
 
-    /// Variables connected to check `c`.
-    pub fn check_neighbors(&self, c: usize) -> &[usize] {
-        &self.check_to_vars[c]
-    }
-
-    /// Checks connected to variable `v`.
-    pub fn variable_neighbors(&self, v: usize) -> &[usize] {
-        &self.var_to_checks[v]
-    }
-
-    /// Number of edges (ones of H).
-    pub fn num_edges(&self) -> usize {
-        self.check_to_vars.iter().map(|v| v.len()).sum()
-    }
-
     /// Edge-weighted row adjacency, the graph used for NoC mapping: for every
     /// check node, the other check nodes sharing at least one variable with
     /// it, in increasing order, each with the number of shared variables
@@ -168,9 +153,6 @@ mod tests {
         let g = TannerGraph::from_matrix(&tiny_matrix());
         assert_eq!(g.num_checks(), 3);
         assert_eq!(g.num_variables(), 4);
-        assert_eq!(g.num_edges(), 5);
-        assert_eq!(g.check_neighbors(0), &[0, 1]);
-        assert_eq!(g.variable_neighbors(1), &[0, 1]);
     }
 
     #[test]

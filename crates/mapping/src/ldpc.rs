@@ -180,14 +180,14 @@ impl LdpcMapping {
 }
 
 /// The key of a kept mapping (see [`MappingStore`]).  The base matrix's
-/// shape, `z` and the block shifts at `z` determine the parity-check
-/// matrix.
+/// shape, `z` and the block shifts at `z` (the code's layer plan)
+/// determine the parity-check matrix.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct MappingKey {
     base_rows: usize,
     base_cols: usize,
     z: usize,
-    /// `(block row, block column, shift)` of every non-zero block.
+    /// `(layer, block column, shift at z)` of every non-zero block.
     blocks: Vec<(usize, usize, usize)>,
     pes: usize,
     candidates: usize,
@@ -197,16 +197,18 @@ struct MappingKey {
 
 impl MappingKey {
     fn new(code: &QcLdpcCode, pes: usize, config: MappingConfig) -> Self {
-        let base = code.base();
-        let z = code.expansion();
+        let (base, plan) = (code.base(), code.plan());
+        let z = plan.expansion();
+        let blocks = plan.layers().enumerate().flat_map(|(layer, blocks)| {
+            plan.blocks()[blocks]
+                .iter()
+                .map(move |block| (layer, block.col / z, block.shift))
+        });
         MappingKey {
             base_rows: base.rows(),
             base_cols: base.cols(),
             z,
-            blocks: base
-                .iter_blocks()
-                .map(|(row, col, entry)| (row, col, base.scaling().apply(entry as usize, z)))
-                .collect(),
+            blocks: blocks.collect(),
             pes,
             candidates: config.candidates,
             refinement_passes: config.refinement_passes,

@@ -6,8 +6,9 @@
 //! outcomes, however many iterations it runs: two vectors per frame, plus
 //! the outcome list of the fixed datapath.  The fixed datapath's
 //! instrumented entry point must stay within that bound with a
-//! [`NoopRecorder`].  The stream path of both layered codecs, which builds
-//! no outcomes, allocates nothing at all.  The [`QcEncoder`] computes its
+//! [`NoopRecorder`].  The stream path of the f64 layered and flooding
+//! codecs, which share one decode loop, and of the q7 codec builds no
+//! outcomes and allocates nothing at all.  The [`QcEncoder`] computes its
 //! parity blocks in place in the returned codeword.  The turbo decoders
 //! keep their channel values, messages and the SISO's γ/α memories in a
 //! per-thread scratch too, so a turbo decode allocates only its decoded
@@ -21,8 +22,12 @@ use fec_channel::sim::{FecCodec, FrameStream};
 use fec_fixed::Llr;
 use fec_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
-use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder};
-use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcEncoder, QcLdpcCode, QuantizedLayeredLdpcCodec};
+use wimax_ldpc::decoder::{
+    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, LayeredConfig, LayeredDecoder,
+};
+use wimax_ldpc::{
+    CodeRate, FloodingLdpcCodec, LayeredLdpcCodec, QcEncoder, QcLdpcCode, QuantizedLayeredLdpcCodec,
+};
 use wimax_turbo::{ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig};
 
 const BLOCK_LENGTHS: [usize; 2] = [576, 2304];
@@ -170,19 +175,25 @@ fn q7_stream_decode_allocates_nothing_per_frame() {
     }
 }
 
-/// The f64 codec hands each frame's information bits to the stream from
-/// the decoder's scratch and builds no outcome.
+/// The f64 codecs, layered and flooding, hand each frame's information
+/// bits to the stream from the decoder's scratch and build no outcome.
 #[test]
 fn f64_stream_decode_allocates_nothing_per_frame() {
     for n in BLOCK_LENGTHS {
         let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
-        let codec = LayeredLdpcCodec::new(&code, LayeredConfig::default());
-        let (eight, many) = stream_allocations(&codec);
-        assert_eq!(
-            (eight, many),
-            (0, 0),
-            "n{n}: 8 frames made {eight} allocations, 64 made {many}"
-        );
+        let codecs: [Box<dyn FecCodec>; 2] = [
+            Box::new(LayeredLdpcCodec::new(&code, LayeredConfig::default())),
+            Box::new(FloodingLdpcCodec::new(&code, FloodingConfig::default())),
+        ];
+        for codec in &codecs {
+            let (eight, many) = stream_allocations(codec.as_ref());
+            assert_eq!(
+                (eight, many),
+                (0, 0),
+                "{}: 8 frames made {eight} allocations, 64 made {many}",
+                codec.name()
+            );
+        }
     }
 }
 
