@@ -239,6 +239,32 @@ mod tests {
     }
 
     #[test]
+    fn layers_cover_all_rows_once() {
+        // Walked layer by layer, the plan's rows reach every check row of H
+        // once, `z` rows per layer in row order.
+        let code = QcLdpcCode::wimax(672, CodeRate::R34A).unwrap();
+        let (plan, h, z) = (code.plan(), code.parity_check(), code.expansion());
+        assert_eq!(plan.layers().len(), code.base().rows());
+        let mut seen = vec![false; code.m()];
+        let mut next = 0;
+        for layer in plan.layers() {
+            let columns = &plan.columns()[layer.start * z..layer.end * z];
+            assert_eq!(columns.chunks_exact(layer.len()).len(), z);
+            for bits in columns.chunks_exact(layer.len()) {
+                let bits: Vec<usize> = bits.iter().map(|&c| c as usize).collect();
+                let r = (0..code.m())
+                    .find(|&r| h.row(r) == &bits[..])
+                    .expect("every plan row is a row of H");
+                assert_eq!(r, next);
+                assert!(!seen[r]);
+                seen[r] = true;
+                next += 1;
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
     fn all_zero_word_is_codeword() {
         let code = QcLdpcCode::wimax(576, CodeRate::R23B).unwrap();
         assert!(code.is_codeword(&vec![0u8; code.n()]));

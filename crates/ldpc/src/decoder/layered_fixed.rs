@@ -744,12 +744,7 @@ impl FixedLayeredDecoder {
         // Sign bit of `failed[f]`: lane `f` has an odd-parity row (unchecked
         // lanes start failed, so they never hold up the early exit).
         let mut failed = lanes.map(|m| !m);
-        let plan = self.code.plan();
-        let z = plan.expansion();
-        let rows = plan.layers().flat_map(|layer| {
-            plan.columns()[layer.start * z..layer.end * z].chunks_exact(layer.len())
-        });
-        for cols in rows {
+        for cols in self.check_rows() {
             let mut parity = [0i16; B];
             for &col in cols {
                 let l = &lambda[col as usize];
@@ -765,6 +760,16 @@ impl FixedLayeredDecoder {
             }
         }
         failed.map(|x| x >= 0)
+    }
+
+    /// The bits of every check row, row after row in schedule order: the
+    /// plan's columns cut into chunks of each layer's degree.
+    fn check_rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let plan = self.code.plan();
+        let z = plan.expansion();
+        plan.layers().flat_map(move |layer| {
+            plan.columns()[layer.start * z..layer.end * z].chunks_exact(layer.len())
+        })
     }
 }
 
@@ -1370,5 +1375,31 @@ mod tests {
         dec.decode_stream(&mut stream, &mut empty);
         assert!(stream.into_decoded().is_empty());
         assert!(empty.is_empty(), "{empty:?}");
+    }
+
+    #[test]
+    fn csr_layout_matches_the_sparse_matrix() {
+        // The rows the sweep and the parity check walk are the rows of H,
+        // and the `R` edges they index are one per entry of H.
+        let code = QcLdpcCode::wimax(672, CodeRate::R34A).unwrap();
+        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
+        let plan = code.plan();
+        assert_eq!(plan.columns().len(), code.edge_count());
+        let h = code.parity_check();
+        let mut row = 0;
+        for bits in dec.check_rows() {
+            let cols: Vec<usize> = bits.iter().map(|&c| c as usize).collect();
+            assert_eq!(&cols[..], h.row(row), "row {row}");
+            row += 1;
+        }
+        assert_eq!(row, code.m());
+        let z = plan.expansion();
+        let mut edges = 0;
+        for layer in plan.layers() {
+            assert_eq!(layer.start * z, edges);
+            edges = layer.end * z;
+        }
+        assert_eq!(edges, code.edge_count());
+        assert!(plan.widest_layer() >= 2);
     }
 }
