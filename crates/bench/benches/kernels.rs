@@ -27,8 +27,7 @@ use noc_mapping::LdpcMapping;
 use noc_sim::{NocConfig, NocSimulator, RoutingAlgorithm, Topology, TopologyKind};
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::decoder::{
-    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder, LayeredConfig,
-    LayeredDecoder, MinimumExtractionUnit,
+    FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder, MinimumExtractionUnit,
 };
 use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
 use wimax_turbo::{DuoBinaryTrellis, LteTrellis, SisoUnit};
@@ -87,12 +86,12 @@ fn main() {
     let code = QcLdpcCode::wimax(2304, CodeRate::R12).expect("valid code");
     let llrs = noisy_ldpc_llrs(&code, 0.64, 1);
     let (layered, layered_fixed) = layered_pair(&code);
-    let flooding = FloodingDecoder::new(
+    let flooding = LayeredDecoder::flooding(
         &code,
-        FloodingConfig {
+        LayeredConfig {
             max_iterations: 1,
             early_termination: false,
-            ..FloodingConfig::default()
+            ..LayeredConfig::default()
         },
     );
     run(
@@ -151,6 +150,9 @@ fn main() {
     // Serial vs lockstep batch fixed decode on n576/R12, full 10-iteration
     // budget with early termination off so every variant does identical
     // work: the b8/b1 ratio is the pure lockstep (SoA) datapath speedup.
+    // The 16 frames go in as one stream of channel LLRs that quantize to
+    // random λ values, 1, 8 and 16 lanes wide, so each row also quantizes
+    // 576 LLRs per frame (about 2.7 µs per frame).
     let fixed10 = FixedLayeredDecoder::new(
         &code576,
         FixedLayeredConfig {
@@ -165,19 +167,25 @@ fn main() {
         .map(|_| frame_rng.gen_range(-64i16..=63))
         .collect();
     let n576 = code576.n();
-    let b1_report = bench("fixed_layered_n576_x16f/serial_b1", 2, 12, || {
-        for frame in quantized_frames.chunks_exact(n576) {
-            std::hint::black_box(fixed10.decode_quantized(frame, &mut NoopRecorder));
-        }
-    });
-    let b8_report = bench("fixed_layered_n576_x16f/lockstep_b8", 2, 12, || {
-        for half in quantized_frames.chunks_exact(8 * n576) {
-            std::hint::black_box(fixed10.decode_quantized(half, &mut NoopRecorder));
-        }
-    });
-    let b16_report = bench("fixed_layered_n576_x16f/lockstep_b16", 2, 12, || {
-        std::hint::black_box(fixed10.decode_quantized(&quantized_frames, &mut NoopRecorder));
-    });
+    // One fractional bit: λ LSBs are halves of an LLR unit.
+    let lambda_frames: Vec<Vec<Llr>> = quantized_frames
+        .chunks_exact(n576)
+        .map(|frame| {
+            frame
+                .iter()
+                .map(|&v| Llr::new(f64::from(v) / 2.0))
+                .collect()
+        })
+        .collect();
+    let lambda_refs: Vec<&[Llr]> = lambda_frames.iter().map(Vec::as_slice).collect();
+    let lanes = |width: usize| {
+        let mut stream = FrameSlice::new(&lambda_refs, width);
+        fixed10.decode_stream(&mut stream, &mut NoopRecorder);
+        std::hint::black_box(stream.into_decoded());
+    };
+    let b1_report = bench("fixed_layered_n576_x16f/serial_b1", 2, 12, || lanes(1));
+    let b8_report = bench("fixed_layered_n576_x16f/lockstep_b8", 2, 12, || lanes(8));
+    let b16_report = bench("fixed_layered_n576_x16f/lockstep_b16", 2, 12, || lanes(16));
     let batch_speedup_b8 = b1_report.min_ns / b8_report.min_ns;
     let frames_per_s = |r: &BenchReport| batch_total as f64 / (r.min_ns * 1e-9);
     let rates = [
@@ -195,10 +203,10 @@ fn main() {
     );
 
     // The waterfall frames on the default decoder (early termination on):
-    // AWGN frames at 1.0-1.75 dB, in 8-frame chunks (most blocks run on
-    // after some lanes have converged), then as one 8-lane stream, the
-    // path the engine runs, where a lane takes the next frame as soon as
-    // its frame is decided.
+    // AWGN frames at 1.0-1.75 dB, as eight 8-frame streams (most streams
+    // run on after some lanes have converged), then as one 8-lane stream,
+    // the path the engine runs, where a lane takes the next frame as soon
+    // as its frame is decided.
     let rate = code576.k() as f64 / n576 as f64;
     let awgn_frames: Vec<Vec<Llr>> = (0..64u64)
         .map(|i| {
@@ -213,7 +221,9 @@ fn main() {
         &mut reports,
         bench("fixed_layered_n576_awgn_x64f/lockstep_b8", 2, 12, || {
             for chunk in awgn_refs.chunks(8) {
-                std::hint::black_box(fixed_default.decode_batch(chunk, &mut NoopRecorder));
+                let mut stream = FrameSlice::new(chunk, 8);
+                fixed_default.decode_stream(&mut stream, &mut NoopRecorder);
+                std::hint::black_box(stream.into_decoded());
             }
         }),
     );
@@ -259,13 +269,7 @@ fn main() {
             noisy_ldpc_llrs(&code576, noise_var, 300 + i)
         })
         .collect();
-    let flooding_default = FloodingDecoder::new(
-        &code576,
-        FloodingConfig {
-            max_iterations: 10,
-            ..FloodingConfig::default()
-        },
-    );
+    let flooding_default = LayeredDecoder::flooding(&code576, LayeredConfig::default());
     run(
         &mut reports,
         bench("flooding_f64_n576_awgn_x64f/serial", 2, 40, || {

@@ -20,10 +20,9 @@ use crate::wifi::{wifi_ldpc, wifi_rates, WIFI_BLOCK_LENGTHS};
 use crate::wran::{wran_ldpc, wran_rates, WRAN_BLOCK_LENGTHS};
 use fec_channel::sim::{FecCodec, FrameStream};
 use fec_obs::Registry;
-use wimax_ldpc::decoder::{FixedLayeredConfig, FloodingConfig, LayeredConfig};
+use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
 use wimax_ldpc::{
-    wimax_block_lengths, CodeRate, FloodingLdpcCodec, LayeredLdpcCodec, QcLdpcCode,
-    QuantizedLayeredLdpcCodec,
+    wimax_block_lengths, CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec,
 };
 use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig, WIMAX_FRAME_SIZES};
 
@@ -178,13 +177,7 @@ impl StandardCode {
                 format!("{standard}-ldpc-n{}-layered", code.n()),
             ),
             (StandardCode::Ldpc { code, .. }, DecoderKind::Flooding) => named(
-                FloodingLdpcCodec::new(
-                    code,
-                    FloodingConfig {
-                        max_iterations: 10,
-                        ..FloodingConfig::default()
-                    },
-                ),
+                LayeredLdpcCodec::flooding(code, LayeredConfig::default()),
                 format!("{standard}-ldpc-n{}-flooding", code.n()),
             ),
             (StandardCode::Ldpc { code, .. }, DecoderKind::Quantized { lambda_bits }) => {

@@ -126,11 +126,6 @@ impl Quantizer {
     pub fn dequantize(&self, q: SatFixed) -> f64 {
         q.value() as f64 / self.scale()
     }
-
-    /// Quantizes a slice of values, returning the integer representations.
-    pub fn quantize_slice(&self, xs: &[f64]) -> Vec<SatFixed> {
-        xs.iter().map(|&x| self.quantize(x)).collect()
-    }
 }
 
 impl Default for Quantizer {
@@ -217,16 +212,6 @@ mod tests {
     #[should_panic(expected = "fractional bits")]
     fn too_many_frac_bits_panics() {
         let _ = Quantizer::new(4, 4);
-    }
-
-    #[test]
-    fn quantize_slice_matches_scalar() {
-        let q = Quantizer::new(7, 1);
-        let xs = [0.3, -2.7, 10.0];
-        let v = q.quantize_slice(&xs);
-        for (x, s) in xs.iter().zip(&v) {
-            assert_eq!(q.quantize(*x).value(), s.value());
-        }
     }
 
     proptest! {

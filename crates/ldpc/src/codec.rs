@@ -2,15 +2,13 @@
 //! Monte-Carlo simulation engine (`fec_channel::sim`).
 
 use crate::code::QcLdpcCode;
-use crate::decoder::{
-    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder, LayeredConfig,
-    LayeredDecoder,
-};
+use crate::decoder::{FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder};
 use crate::encoder::QcEncoder;
 use fec_channel::sim::{FecCodec, FrameStream};
 use fec_obs::{NoopRecorder, Registry};
 
-/// The layered normalized-min-sum decoder (the paper's hardware algorithm)
+/// The f64 layered normalized-min-sum decoder (the paper's hardware
+/// algorithm), or the same loop on the two-phase (flooding) schedule,
 /// behind the [`FecCodec`] interface.
 #[derive(Debug, Clone)]
 pub struct LayeredLdpcCodec {
@@ -18,23 +16,36 @@ pub struct LayeredLdpcCodec {
     k: usize,
     encoder: QcEncoder,
     decoder: LayeredDecoder,
+    /// The schedule's name: `layered` or `flooding`.
+    schedule: &'static str,
 }
 
 impl LayeredLdpcCodec {
     /// Builds the codec for `code` with the given decoder configuration.
     pub fn new(code: &QcLdpcCode, config: LayeredConfig) -> Self {
+        Self::with(code, LayeredDecoder::new(code, config), "layered")
+    }
+
+    /// Builds the codec of [`LayeredDecoder::flooding`], the two-phase
+    /// baseline.
+    pub fn flooding(code: &QcLdpcCode, config: LayeredConfig) -> Self {
+        Self::with(code, LayeredDecoder::flooding(code, config), "flooding")
+    }
+
+    fn with(code: &QcLdpcCode, decoder: LayeredDecoder, schedule: &'static str) -> Self {
         LayeredLdpcCodec {
             n: code.n(),
             k: code.k(),
             encoder: QcEncoder::new(code),
-            decoder: LayeredDecoder::new(code, config),
+            decoder,
+            schedule,
         }
     }
 }
 
 impl FecCodec for LayeredLdpcCodec {
     fn name(&self) -> String {
-        format!("wimax-ldpc-n{}-layered", self.n)
+        format!("wimax-ldpc-n{}-{}", self.n, self.schedule)
     }
 
     fn info_bits(&self) -> usize {
@@ -61,55 +72,6 @@ impl FecCodec for LayeredLdpcCodec {
     }
 }
 
-/// The two-phase (flooding) normalized-min-sum decoder behind the
-/// [`FecCodec`] interface.
-#[derive(Debug, Clone)]
-pub struct FloodingLdpcCodec {
-    n: usize,
-    k: usize,
-    encoder: QcEncoder,
-    decoder: FloodingDecoder,
-}
-
-impl FloodingLdpcCodec {
-    /// Builds the codec for `code` with the given decoder configuration.
-    pub fn new(code: &QcLdpcCode, config: FloodingConfig) -> Self {
-        FloodingLdpcCodec {
-            n: code.n(),
-            k: code.k(),
-            encoder: QcEncoder::new(code),
-            decoder: FloodingDecoder::new(code, config),
-        }
-    }
-}
-
-impl FecCodec for FloodingLdpcCodec {
-    fn name(&self) -> String {
-        format!("wimax-ldpc-n{}-flooding", self.n)
-    }
-
-    fn info_bits(&self) -> usize {
-        self.k
-    }
-
-    fn codeword_bits(&self) -> usize {
-        self.n
-    }
-
-    fn encode(&self, info: &[u8]) -> Vec<u8> {
-        self.encoder
-            .encode(info)
-            .expect("info length matches the code")
-    }
-
-    /// Decodes frame after frame through the layered decoder's loop on the
-    /// flooding schedule; like [`LayeredLdpcCodec`], each frame's
-    /// information bits go to the stream straight from the scratch.
-    fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
-        self.decoder.decode_stream(frames);
-    }
-}
-
 /// The fixed-point layered decoder (quantized λ, saturating message
 /// arithmetic — the hardware datapath model) behind the [`FecCodec`]
 /// interface, so the [`fec_channel::sim::SimulationEngine`] can run
@@ -131,11 +93,6 @@ impl QuantizedLayeredLdpcCodec {
             encoder: QcEncoder::new(code),
             decoder: FixedLayeredDecoder::new(code, config),
         }
-    }
-
-    /// The underlying fixed-point decoder.
-    pub fn decoder(&self) -> &FixedLayeredDecoder {
-        &self.decoder
     }
 }
 
@@ -198,7 +155,8 @@ mod tests {
     fn noiseless_roundtrip_through_both_codecs() {
         let code = code();
         let layered = LayeredLdpcCodec::new(&code, LayeredConfig::default());
-        let flooding = FloodingLdpcCodec::new(&code, FloodingConfig::default());
+        let flooding = LayeredLdpcCodec::flooding(&code, LayeredConfig::default());
+        assert_eq!(flooding.name(), "wimax-ldpc-n576-flooding");
         let info = vec![1u8; layered.info_bits()];
         for codec in [&layered as &dyn FecCodec, &flooding] {
             let cw = codec.encode(&info);
@@ -227,7 +185,6 @@ mod tests {
         assert_eq!(codec.info_bits(), 288);
         assert_eq!(codec.codeword_bits(), 576);
         assert_eq!(codec.name(), "wimax-ldpc-n576-layered-q7");
-        assert_eq!(codec.decoder().config().lambda_bits, 7);
     }
 
     #[test]

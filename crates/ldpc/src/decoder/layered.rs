@@ -20,10 +20,10 @@ use fec_fixed::Llr;
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread memories and frame buffers of [`LayeredDecoder`] and
-    /// [`FloodingDecoder`](super::FloodingDecoder), the f64 counterpart of
-    /// the fixed-point decoder's scratch.  Buffers only grow, so a thread
-    /// decoding the same code repeatedly never reallocates them.
+    /// Per-thread memories and frame buffers of [`LayeredDecoder`] on
+    /// either schedule, the f64 counterpart of the fixed-point decoder's
+    /// scratch.  Buffers only grow, so a thread decoding the same code
+    /// repeatedly never reallocates them.
     static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
 }
 
@@ -139,8 +139,26 @@ impl LayeredDecoder {
         }
     }
 
-    /// The same loop on the two-phase (flooding) schedule.
-    pub(super) fn flooding(code: &QcLdpcCode, config: LayeredConfig) -> Self {
+    /// The same loop on the two-phase (flooding) schedule, the baseline of
+    /// the paper's Section II.B: every layer computes `Q = λ − R` from the
+    /// λ of the previous iteration and its new `R` with the same lane MEU,
+    /// and once per iteration λ becomes the channel LLR plus the sum of
+    /// each bit's `R` over the layers, in ascending order.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use wimax_ldpc::{CodeRate, QcLdpcCode};
+    /// use wimax_ldpc::decoder::{LayeredConfig, LayeredDecoder};
+    /// use fec_fixed::Llr;
+    ///
+    /// let code = QcLdpcCode::wimax(576, CodeRate::R12)?;
+    /// let decoder = LayeredDecoder::flooding(&code, LayeredConfig::default());
+    /// let out = decoder.decode(&vec![Llr::new(4.0); code.n()]);
+    /// assert!(out.converged);
+    /// # Ok::<(), wimax_ldpc::LdpcError>(())
+    /// ```
+    pub fn flooding(code: &QcLdpcCode, config: LayeredConfig) -> Self {
         LayeredDecoder {
             schedule: Schedule::Flooding,
             ..Self::new(code, config)
@@ -316,7 +334,6 @@ mod tests {
     use super::*;
     use crate::base_matrix::{BaseMatrix, CodeRate};
     use crate::decoder::meu::SPECIAL_VALUES;
-    use crate::decoder::{FloodingConfig, FloodingDecoder};
     use crate::encoder::QcEncoder;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
@@ -399,10 +416,10 @@ mod tests {
     /// messages, a branching two-minimum scan per row, then per column the
     /// channel LLR plus the sum of its messages in row order, and the
     /// syndrome of `is_codeword`.  A row without a finite minimum sends 0,
-    /// as in the layered loop.
+    /// and the offset applies before the scale, as in the layered loop.
     fn flooding_reference_decode(
         code: &QcLdpcCode,
-        cfg: FloodingConfig,
+        cfg: LayeredConfig,
         channel: &[Llr],
     ) -> DecodeOutcome {
         let h = code.parity_check();
@@ -452,7 +469,7 @@ mod tests {
                     let mag = if j == min_pos { min2 } else { min1 };
                     let mag = if mag.is_finite() { mag } else { 0.0 };
                     let s = if v2c[row][j] < 0.0 { -sign } else { sign };
-                    c2v[row][j] = cfg.scale * s * mag;
+                    c2v[row][j] = cfg.scale * s * (mag - cfg.offset).max(0.0);
                 }
             }
             // Variable-node phase and posterior computation.
@@ -510,8 +527,7 @@ mod tests {
         /// and subnormal LLRs into noise, under min-sum, offset-min-sum and
         /// a fixed budget without early stop, on every lane width and
         /// shift pattern the codecs use; so does the flooding schedule,
-        /// against the two-phase loop, under each config without an
-        /// offset.
+        /// against the two-phase loop, under each config.
         #[test]
         fn decode_matches_the_branching_reference(seed in 0u64..1 << 32) {
             let r12 = BaseMatrix::wimax(CodeRate::R12);
@@ -548,20 +564,12 @@ mod tests {
                     prop_assert_eq!(got.converged, want.converged);
                     let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                     prop_assert!(bits(&got.posterior) == bits(&want.posterior), "n{} frame {} posterior under {:?}", n, f, cfg);
-                    if cfg.offset != 0.0 {
-                        continue;
-                    }
-                    let flooding = FloodingConfig {
-                        max_iterations: cfg.max_iterations,
-                        scale: cfg.scale,
-                        early_termination: cfg.early_termination,
-                    };
-                    let got = FloodingDecoder::new(code, flooding).decode(frame);
-                    let want = flooding_reference_decode(code, flooding, frame);
-                    prop_assert!(got.hard_bits == want.hard_bits, "flooding n{} frame {} hard bits under {:?}", n, f, flooding);
+                    let got = LayeredDecoder::flooding(code, cfg).decode(frame);
+                    let want = flooding_reference_decode(code, cfg, frame);
+                    prop_assert!(got.hard_bits == want.hard_bits, "flooding n{} frame {} hard bits under {:?}", n, f, cfg);
                     prop_assert_eq!(got.iterations, want.iterations);
                     prop_assert_eq!(got.converged, want.converged);
-                    prop_assert!(bits(&got.posterior) == bits(&want.posterior), "flooding n{} frame {} posterior under {:?}", n, f, flooding);
+                    prop_assert!(bits(&got.posterior) == bits(&want.posterior), "flooding n{} frame {} posterior under {:?}", n, f, cfg);
                 }
             }
         }
@@ -730,5 +738,105 @@ mod tests {
             assert!(out.converged, "rate {rate}");
             assert_eq!(out.hard_bits, cw, "rate {rate}");
         }
+    }
+
+    /// The flooding schedule with `max_iterations` and the default scale,
+    /// early stop on.
+    fn flooding(code: &QcLdpcCode, max_iterations: usize) -> LayeredDecoder {
+        let cfg = LayeredConfig {
+            max_iterations,
+            ..LayeredConfig::default()
+        };
+        LayeredDecoder::flooding(code, cfg)
+    }
+
+    #[test]
+    fn flooding_noiseless_all_zero_converges() {
+        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+        let out = flooding(&code, 20).decode(&vec![Llr::new(5.0); code.n()]);
+        assert!(out.converged);
+        assert!(out.hard_bits.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn flooding_decodes_noisy_codeword() {
+        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+        let enc = QcEncoder::new(&code);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let info: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..=1)).collect();
+        let cw = enc.encode(&info).unwrap();
+        let out = flooding(&code, 20).decode(&noisy_llrs(&cw, 0.63f64.sqrt(), 4));
+        assert!(out.converged);
+        assert_eq!(out.hard_bits, cw);
+    }
+
+    #[test]
+    fn layered_converges_in_fewer_iterations_than_flooding() {
+        // The paper (Sec. II.B): layered scheduling nearly doubles convergence speed.
+        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+        let enc = QcEncoder::new(&code);
+        let flooding = flooding(&code, 50);
+        let layered = LayeredDecoder::new(
+            &code,
+            LayeredConfig {
+                max_iterations: 50,
+                ..LayeredConfig::default()
+            },
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(100);
+        let mut flood_iters = 0usize;
+        let mut layer_iters = 0usize;
+        let mut frames = 0usize;
+        for seed in 0..8 {
+            let info: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..=1)).collect();
+            let cw = enc.encode(&info).unwrap();
+            let llrs = noisy_llrs(&cw, 0.7, seed + 200);
+            let f = flooding.decode(&llrs);
+            let l = layered.decode(&llrs);
+            if f.converged && l.converged {
+                flood_iters += f.iterations;
+                layer_iters += l.iterations;
+                frames += 1;
+            }
+        }
+        assert!(frames >= 4, "not enough convergent frames to compare");
+        assert!(
+            layer_iters < flood_iters,
+            "layered ({layer_iters}) should need fewer total iterations than flooding ({flood_iters})"
+        );
+    }
+
+    #[test]
+    fn flooding_does_not_converge_on_pure_noise() {
+        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
+        let llrs: Vec<Llr> = (0..code.n())
+            .map(|_| Llr::new(rng.gen_range(-1.0..1.0)))
+            .collect();
+        let out = flooding(&code, 3).decode(&llrs);
+        assert!(!out.converged);
+    }
+
+    #[test]
+    #[should_panic(expected = "length")]
+    fn flooding_wrong_llr_length_panics() {
+        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+        let _ = flooding(&code, 20).decode(&[]);
+    }
+
+    #[test]
+    fn flooding_nan_llr_decodes_as_zero_bit() {
+        // Same NaN hard-decision convention as the layered schedule: a NaN
+        // posterior must decode as bit 0, not silently as bit 1.
+        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+        let cfg = LayeredConfig {
+            max_iterations: 1,
+            early_termination: false,
+            ..LayeredConfig::default()
+        };
+        let mut llrs = vec![Llr::new(6.0); code.n()];
+        llrs[11] = Llr::new(f64::NAN);
+        let out = LayeredDecoder::flooding(&code, cfg).decode(&llrs);
+        assert_eq!(out.hard_bits[11], 0, "NaN LLR must decode as bit 0");
     }
 }

@@ -4,31 +4,28 @@
 //! Where [`super::LayeredDecoder`] is the floating-point algorithmic
 //! reference, this decoder computes exactly what the silicon computes:
 //! channel LLRs are quantized to `lambda_bits` (7 in the paper, one
-//! fractional bit), every message addition saturates at the register width,
-//! the `3/4` normalization of Eq. (11) is a shift-add, and the `R_lk`
-//! messages are saturated to `r_bits` before being written back.
+//! fractional bit) as they enter, every message addition saturates at the
+//! register width, the `3/4` normalization of Eq. (11) is a shift-add, and
+//! the `R_lk` messages are saturated to `r_bits` before being written back.
 //!
 //! There is one decode loop: a refill loop over `B` frame lanes in
-//! lockstep, with `B` a compile-time width, one of 1, 2, 4, 8 and 16.  When
-//! a lane's frame is decided, the lane hands its decisions out, loads the
-//! next frame, resets its `R_lk` messages and iteration count and sweeps on
-//! with the others, so while frames are left no lane waits for a slower
-//! one.  [`decode`], [`decode_batch`] and [`decode_quantized`] run at the
-//! widest width not above their frame count (13 frames run on 8 lanes,
-//! refilled five times), [`decode_stream`] at the widest width not above its
-//! stream's frames in flight; lanes never interact, so results do not
-//! depend on the width.  λ and the `R_lk` message memory are
-//! struct-of-arrays (`[var][lane]`, `[edge][lane]`), with one edge per entry
-//! of the code's [`LayerPlan`](crate::LayerPlan) columns, check row after
-//! check row, so every message update is one `[i16; B]` vector operation —
-//! the batch analogue of the paper's PE updating `z` check rows in
-//! parallel.  See
+//! lockstep, with `B` a compile-time width, one of 1, 2, 4, 8 and 16, that
+//! pulls frames of channel LLRs from a [`FrameStream`].  When a lane's
+//! frame is decided, the lane hands its decisions out, loads the next
+//! frame, resets its `R_lk` messages and iteration count and sweeps on with
+//! the others, so while frames are left no lane waits for a slower one.
+//! [`decode_stream`] runs at the widest width not above its stream's frames
+//! in flight, and [`decode`] is a one-lane run over a one-frame stream;
+//! lanes never interact, so results do not depend on the width.  λ and the
+//! `R_lk` message memory are struct-of-arrays (`[var][lane]`,
+//! `[edge][lane]`), with one edge per entry of the code's
+//! [`LayerPlan`](crate::LayerPlan) columns, check row after check row, so
+//! every message update is one `[i16; B]` vector operation — the batch
+//! analogue of the paper's PE updating `z` check rows in parallel.  See
 //! `cargo bench -p decoder-bench --bench kernels` for the per-width
 //! throughput.
 //!
 //! [`decode`]: FixedLayeredDecoder::decode
-//! [`decode_batch`]: FixedLayeredDecoder::decode_batch
-//! [`decode_quantized`]: FixedLayeredDecoder::decode_quantized
 //! [`decode_stream`]: FixedLayeredDecoder::decode_stream
 
 use super::meu::LaneScan;
@@ -40,10 +37,10 @@ use fec_obs::{Class, NoopRecorder, Recorder};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread lane memories and frame buffers of every entry point, so
-    /// steady-state decoding allocates only the outcomes it returns (nothing
-    /// on the stream path).  Buffers only grow, so one thread decoding the
-    /// same code repeatedly never reallocates.
+    /// Per-thread lane memories and frame buffers, so steady-state decoding
+    /// allocates only the outcome [`FixedLayeredDecoder::decode`] returns
+    /// (nothing on the stream path).  Buffers only grow, so one thread
+    /// decoding the same code repeatedly never reallocates.
     static SCRATCH: RefCell<FixedScratch> = const { RefCell::new(FixedScratch::new()) };
 }
 
@@ -90,133 +87,28 @@ struct LaneMemory {
     q: Vec<i16>,
 }
 
-/// A frame entering a lane.
-enum Input<'a> {
-    /// Channel LLRs, quantized on entry.
-    Llrs(&'a [Llr]),
-    /// λ values already quantized, saturated to the register width on
-    /// entry.
-    Quantized(&'a [i16]),
+/// One frame of channel LLRs as a [`FrameStream`], the input of
+/// [`FixedLayeredDecoder::decode`]; it keeps the frame's iterations and
+/// convergence.
+struct OneFrame<'a> {
+    frame: Option<&'a [Llr]>,
+    iterations: usize,
+    converged: bool,
 }
 
-/// Where the refill loop's frames come from and where their decisions go.
-trait Lanes {
-    /// The next frame for lane `lane`, or `None` once there is none, and on
-    /// every call after that.
-    fn next(&mut self, lane: usize) -> Option<Input<'_>>;
-
-    /// Lane `lane`'s frame is decided, with λ as it stands.
-    fn decided<const B: usize>(
-        &mut self,
-        lambda: &[[i16; B]],
-        lane: usize,
-        iterations: usize,
-        converged: bool,
-    );
-}
-
-/// The frames of a [`FixedLayeredDecoder::decode_batch`] or
-/// [`FixedLayeredDecoder::decode_quantized`] call and their outcomes, in
-/// input order.
-struct Outcomes<'a> {
-    frames: Frames<'a>,
-    next: usize,
-    /// The frame each lane holds.
-    lane_frame: [usize; MAX_LANES],
-    /// The λ quantizer's LSBs per unit LLR.
-    scale: f64,
-    outcomes: Vec<DecodeOutcome>,
-}
-
-/// The frames of an [`Outcomes`] call.
-enum Frames<'a> {
-    Llrs(&'a [&'a [Llr]]),
-    /// Frames of `n` quantized values, back to back.
-    Quantized(&'a [i16], usize),
-}
-
-impl<'a> Outcomes<'a> {
-    fn new(frames: Frames<'a>, count: usize, scale: f64) -> Self {
-        Outcomes {
-            frames,
-            next: 0,
-            lane_frame: [0; MAX_LANES],
-            scale,
-            outcomes: (0..count)
-                .map(|_| DecodeOutcome {
-                    hard_bits: Vec::new(),
-                    posterior: Vec::new(),
-                    iterations: 0,
-                    converged: false,
-                })
-                .collect(),
-        }
-    }
-}
-
-impl Lanes for Outcomes<'_> {
-    fn next(&mut self, lane: usize) -> Option<Input<'_>> {
-        let f = self.next;
-        if f == self.outcomes.len() {
-            return None;
-        }
-        self.next += 1;
-        self.lane_frame[lane] = f;
-        Some(match self.frames {
-            Frames::Llrs(frames) => Input::Llrs(frames[f]),
-            Frames::Quantized(values, n) => Input::Quantized(&values[f * n..(f + 1) * n]),
-        })
+impl FrameStream for OneFrame<'_> {
+    fn max_in_flight(&self) -> usize {
+        1
     }
 
-    fn decided<const B: usize>(
-        &mut self,
-        lambda: &[[i16; B]],
-        lane: usize,
-        iterations: usize,
-        converged: bool,
-    ) {
-        self.outcomes[self.lane_frame[lane]] = DecodeOutcome {
-            hard_bits: lambda.iter().map(|l| u8::from(l[lane] < 0)).collect(),
-            posterior: lambda
-                .iter()
-                .map(|l| f64::from(l[lane]) / self.scale)
-                .collect(),
-            iterations,
-            converged,
-        };
-    }
-}
-
-/// A [`FrameStream`] feeding the refill loop: each frame is pulled into
-/// `frame`, and each decision goes back as the frame's first `k` hard
-/// decisions, written into `bits`.
-struct StreamLanes<'a> {
-    stream: &'a mut dyn FrameStream,
-    frame: &'a mut [Llr],
-    bits: &'a mut Vec<u8>,
-    k: usize,
-    /// The stream's tag of the frame each lane holds.
-    lane_frame: [usize; MAX_LANES],
-}
-
-impl Lanes for StreamLanes<'_> {
-    fn next(&mut self, lane: usize) -> Option<Input<'_>> {
-        self.lane_frame[lane] = self.stream.next_frame(self.frame)?;
-        Some(Input::Llrs(self.frame))
+    fn next_frame(&mut self, llrs: &mut [Llr]) -> Option<usize> {
+        llrs.copy_from_slice(self.frame.take()?);
+        Some(0)
     }
 
-    fn decided<const B: usize>(
-        &mut self,
-        lambda: &[[i16; B]],
-        lane: usize,
-        iterations: usize,
-        converged: bool,
-    ) {
-        self.bits.clear();
-        self.bits
-            .extend(lambda[..self.k].iter().map(|l| u8::from(l[lane] < 0)));
-        self.stream
-            .decided(self.lane_frame[lane], self.bits, iterations, converged);
+    fn decided(&mut self, _frame: usize, _info_bits: &[u8], iterations: usize, converged: bool) {
+        self.iterations = iterations;
+        self.converged = converged;
     }
 }
 
@@ -327,24 +219,46 @@ impl FixedLayeredDecoder {
         &self.config
     }
 
-    /// The λ quantizer in front of the datapath.
-    pub fn quantizer(&self) -> &Quantizer {
-        &self.quantizer
-    }
-
-    /// Quantizes floating-point channel LLRs and decodes one frame.
+    /// Quantizes floating-point channel LLRs and decodes one frame: a
+    /// one-lane run of the refill loop over a one-frame stream.  The
+    /// outcome is read from the lane's λ after the run, which the drained
+    /// stream never reloads; in steady state a decode allocates only the
+    /// two vectors of its outcome.
     ///
     /// # Panics
     ///
     /// Panics if `channel.len() != code.n()`.
     pub fn decode(&self, channel: &[Llr]) -> DecodeOutcome {
-        self.decode_batch(&[channel], &mut NoopRecorder).remove(0)
+        assert_eq!(
+            channel.len(),
+            self.code.n(),
+            "LLR vector length must equal the code length"
+        );
+        let mut stream = OneFrame {
+            frame: Some(channel),
+            iterations: 0,
+            converged: false,
+        };
+        self.decode_stream(&mut stream, &mut NoopRecorder);
+        let scale = self.quantizer.scale();
+        SCRATCH.with(|scratch| {
+            // One lane: λ holds one value per variable.
+            let lambda = &scratch.borrow().lanes.lambda;
+            DecodeOutcome {
+                hard_bits: lambda.iter().map(|&l| u8::from(l < 0)).collect(),
+                posterior: lambda.iter().map(|&l| f64::from(l) / scale).collect(),
+                iterations: stream.iterations,
+                converged: stream.converged,
+            }
+        })
     }
 
-    /// Quantizes `frames.len()` frames of channel LLRs and decodes them in
-    /// the refill loop, on the widest lane width not above their count (at
-    /// most 16).  Per-frame results are bit-identical to decoding each frame
-    /// alone.
+    /// Decodes every frame of `frames` in the refill loop, on the widest
+    /// lane width not above its
+    /// [`max_in_flight`](FrameStream::max_in_flight) (at most 16), and hands
+    /// each frame's `k` information-bit decisions, iterations and
+    /// convergence back to the stream.  No outcome is built per frame, and
+    /// in steady state nothing is allocated.
     ///
     /// `rec` receives the per-frame count metrics (`fixed.frames`,
     /// iterations, convergence, quantizer and min-sum saturation), which
@@ -353,100 +267,17 @@ impl FixedLayeredDecoder {
     /// the loop's lane width `fixed.lane_width` and the lane-iterations of
     /// emptied lanes, `fixed.overwork_iters`.  With [`NoopRecorder`] every
     /// recording site compiles away.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frame's length differs from `code.n()`.
-    pub fn decode_batch<R: Recorder>(&self, frames: &[&[Llr]], rec: &mut R) -> Vec<DecodeOutcome> {
-        let n = self.code.n();
-        for frame in frames {
-            assert_eq!(
-                frame.len(),
-                n,
-                "LLR vector length must equal the code length"
-            );
-        }
-        let io = Outcomes::new(Frames::Llrs(frames), frames.len(), self.quantizer.scale());
-        self.decode_outcomes(io, rec)
-    }
-
-    /// Decodes already-quantized frames (integer λ values in LSB units) in
-    /// the refill loop like [`decode_batch`](FixedLayeredDecoder::decode_batch).
-    /// `quantized` holds the frames back to back (frame `f` occupies
-    /// `quantized[f * n .. (f + 1) * n]`); out-of-range values are
-    /// saturated to the register width.  Returns one [`DecodeOutcome`] per
-    /// frame, in input order — none for an empty input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantized.len()` is not a multiple of `code.n()`.
-    pub fn decode_quantized<R: Recorder>(
-        &self,
-        quantized: &[i16],
-        rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
-        let n = self.code.n();
-        assert_eq!(
-            quantized.len() % n,
-            0,
-            "quantized input must hold whole frames: batch * n LLR values"
-        );
-        let frames = Frames::Quantized(quantized, n);
-        let io = Outcomes::new(frames, quantized.len() / n, self.quantizer.scale());
-        self.decode_outcomes(io, rec)
-    }
-
-    /// Decodes the frames of `io` on as many lanes as it has frames (at
-    /// most 16) and returns their outcomes.
-    fn decode_outcomes<R: Recorder>(
-        &self,
-        mut io: Outcomes<'_>,
-        rec: &mut R,
-    ) -> Vec<DecodeOutcome> {
-        let width = io.outcomes.len();
-        SCRATCH.with(|scratch| self.run(width, &mut scratch.borrow_mut().lanes, rec, &mut io));
-        io.outcomes
-    }
-
-    /// Decodes every frame of `frames` in the refill loop, on the widest
-    /// lane width not above its
-    /// [`max_in_flight`](FrameStream::max_in_flight) (at most 16), and hands
-    /// each frame's `k` information-bit decisions, iterations and
-    /// convergence back to the stream.  No outcome is built per frame, and
-    /// in steady state nothing is allocated.  `rec` receives the metrics of
-    /// [`decode_batch`](FixedLayeredDecoder::decode_batch).
     pub fn decode_stream<R: Recorder>(&self, frames: &mut dyn FrameStream, rec: &mut R) {
-        let width = frames.max_in_flight();
         SCRATCH.with(|scratch| {
-            let FixedScratch { lanes, frame, bits } = &mut *scratch.borrow_mut();
-            frame.resize(self.code.n(), Llr::default());
-            let mut io = StreamLanes {
-                stream: frames,
-                frame,
-                bits,
-                k: self.code.k(),
-                lane_frame: [0; MAX_LANES],
-            };
-            self.run(width, lanes, rec, &mut io);
+            let scratch = &mut *scratch.borrow_mut();
+            match frames.max_in_flight() {
+                MAX_LANES.. => self.refill::<MAX_LANES, R>(scratch, rec, frames),
+                8..=15 => self.refill::<8, R>(scratch, rec, frames),
+                4..=7 => self.refill::<4, R>(scratch, rec, frames),
+                2..=3 => self.refill::<2, R>(scratch, rec, frames),
+                _ => self.refill::<1, R>(scratch, rec, frames),
+            }
         });
-    }
-
-    /// Runs the refill loop on the widest supported lane width not above
-    /// `width`.
-    fn run<R: Recorder>(
-        &self,
-        width: usize,
-        lanes: &mut LaneMemory,
-        rec: &mut R,
-        io: &mut impl Lanes,
-    ) {
-        match width {
-            MAX_LANES.. => self.refill::<MAX_LANES, R>(lanes, rec, io),
-            8..=15 => self.refill::<8, R>(lanes, rec, io),
-            4..=7 => self.refill::<4, R>(lanes, rec, io),
-            2..=3 => self.refill::<2, R>(lanes, rec, io),
-            _ => self.refill::<1, R>(lanes, rec, io),
-        }
     }
 
     /// Quantizes one channel LLR into a λ register value, counting
@@ -461,45 +292,25 @@ impl FixedLayeredDecoder {
         q.value() as i16
     }
 
-    /// The λ register rails, for saturating already-quantized inputs.
-    fn lambda_bounds(&self) -> (i16, i16) {
-        // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
-        let lo = self.arith.lambda_min() as i16;
-        // fec-lint: allow(fixed-narrowing-cast, lambda register bounds fit i16 because MinSumArith::new rejects lambda_bits > 15)
-        let hi = self.arith.lambda_max() as i16;
-        (lo, hi)
-    }
-
-    /// Loads one frame into lane `f`, counting quantizer saturation into
-    /// `quant` when recording.
+    /// Quantizes one frame of channel LLRs into lane `f`, counting
+    /// quantizer saturation into `quant` when recording.
     fn load<const B: usize, R: Recorder>(
         &self,
         lambda: &mut [[i16; B]],
         f: usize,
-        input: Input<'_>,
+        llrs: &[Llr],
         quant: &mut QuantStats,
     ) {
-        match input {
-            Input::Llrs(llrs) => {
-                // Quantize a contiguous block, then scatter it into the
-                // lane: with the lane stride inside the quantizer loop, an
-                // 8-lane decode of waterfall frames took about 8 µs more per
-                // frame.
-                let mut block = [0i16; 64];
-                for (lanes, llrs) in lambda.chunks_mut(block.len()).zip(llrs.chunks(block.len())) {
-                    for (value, &llr) in block.iter_mut().zip(llrs) {
-                        *value = self.quantize_lambda::<R>(llr, quant);
-                    }
-                    for (lane, &value) in lanes.iter_mut().zip(&block) {
-                        lane[f] = value;
-                    }
-                }
+        // Quantize a contiguous block, then scatter it into the lane: with
+        // the lane stride inside the quantizer loop, an 8-lane decode of
+        // waterfall frames took about 8 µs more per frame.
+        let mut block = [0i16; 64];
+        for (lanes, llrs) in lambda.chunks_mut(block.len()).zip(llrs.chunks(block.len())) {
+            for (value, &llr) in block.iter_mut().zip(llrs) {
+                *value = self.quantize_lambda::<R>(llr, quant);
             }
-            Input::Quantized(values) => {
-                let (lo, hi) = self.lambda_bounds();
-                for (lanes, &value) in lambda.iter_mut().zip(values) {
-                    lanes[f] = value.clamp(lo, hi);
-                }
+            for (lane, &value) in lanes.iter_mut().zip(&block) {
+                lane[f] = value;
             }
         }
     }
@@ -519,30 +330,36 @@ impl FixedLayeredDecoder {
     }
 
     /// The decode loop: `B` frame lanes in lockstep, each refilled from
-    /// `io` as soon as its frame is decided.
+    /// `frames` as soon as its frame is decided.
     ///
     /// A lane's frame is decided after the sweep in which its hard decisions
     /// first satisfy every check (under early termination) or after its
     /// last iteration, so its outcome matches a decode of that frame alone
-    /// bit for bit.  The lane hands its decisions to `io`, loads the next
-    /// frame, resets its `R_lk` messages and iteration count, and sweeps on
-    /// with the others: lanes never interact, and one sweep body serves any
-    /// mix of lanes.  Once `io` runs dry, emptied lanes keep running,
-    /// unobserved, until the last frame is decided.
+    /// bit for bit.  The lane hands its first `k` hard decisions to
+    /// `frames`, loads the next frame, resets its `R_lk` messages and
+    /// iteration count, and sweeps on with the others: lanes never
+    /// interact, and one sweep body serves any mix of lanes.  Once `frames`
+    /// runs dry, emptied lanes keep running, unobserved, until the last
+    /// frame is decided; an emptied lane is never loaded again.
     ///
     /// Generic over [`Recorder`]: every recording site sits behind
     /// `R::ENABLED`, an associated `const`, so the [`NoopRecorder`]
     /// monomorphization carries no instrumentation.
     fn refill<const B: usize, R: Recorder>(
         &self,
-        lanes: &mut LaneMemory,
+        scratch: &mut FixedScratch,
         rec: &mut R,
-        io: &mut impl Lanes,
+        frames: &mut dyn FrameStream,
     ) {
-        let n = self.code.n();
+        let (n, k) = (self.code.n(), self.code.k());
         let plan = self.code.plan();
         let max_iterations = self.config.max_iterations;
-        let LaneMemory { lambda, r, q } = lanes;
+        let FixedScratch {
+            lanes: LaneMemory { lambda, r, q },
+            frame,
+            bits,
+        } = scratch;
+        frame.resize(n, Llr::default());
         lambda.clear();
         lambda.resize(n * B, 0);
         // `R_lk` starts at zero for every frame.
@@ -557,14 +374,17 @@ impl FixedLayeredDecoder {
         // Lane masks are all-ones while a lane holds an undecided frame and
         // zero once it is empty.
         let mut live = [0i16; B];
+        // The stream's tag of the frame each lane holds.
+        let mut tags = [0usize; B];
         let mut quant = QuantStats::default();
         let mut dry = false;
         for (f, lane) in live.iter_mut().enumerate() {
-            let Some(input) = io.next(f) else {
+            let Some(tag) = frames.next_frame(frame) else {
                 dry = true;
                 break;
             };
-            self.load::<B, R>(lambda, f, input, &mut quant);
+            tags[f] = tag;
+            self.load::<B, R>(lambda, f, frame, &mut quant);
             *lane = -1;
         }
         if live == [0; B] {
@@ -599,7 +419,9 @@ impl FixedLayeredDecoder {
                 if live[f] == 0 || !(satisfied[f] || iterations[f] == max_iterations) {
                     continue;
                 }
-                io.decided(lambda, f, iterations[f], satisfied[f]);
+                bits.clear();
+                bits.extend(lambda[..k].iter().map(|l| u8::from(l[f] < 0)));
+                frames.decided(tags[f], bits, iterations[f], satisfied[f]);
                 if R::ENABLED {
                     self.record_frame_counts(rec, iterations[f], satisfied[f]);
                     let it = iterations[f] as u64;
@@ -611,9 +433,10 @@ impl FixedLayeredDecoder {
                 if dry {
                     continue;
                 }
-                match io.next(f) {
-                    Some(input) => {
-                        self.load::<B, R>(lambda, f, input, &mut quant);
+                match frames.next_frame(frame) {
+                    Some(tag) => {
+                        tags[f] = tag;
+                        self.load::<B, R>(lambda, f, frame, &mut quant);
                         live[f] = -1;
                         fresh[f] = -1;
                     }
@@ -632,10 +455,8 @@ impl FixedLayeredDecoder {
             rec.incr(Class::Count, "fixed.sat_q", sat.sat_q);
             rec.incr(Class::Count, "fixed.r_clip", sat.r_clip);
             rec.incr(Class::Count, "fixed.sat_lambda", sat.sat_lambda);
-            if quant.total > 0 {
-                rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
-                rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
-            }
+            rec.incr(Class::Count, "fixed.sat_quantize", quant.saturated);
+            rec.incr(Class::Count, "fixed.quantized_llrs", quant.total);
             // Every sweep runs all `B` lanes; the lane-iterations not spent
             // on a frame are the over-work of the emptied lanes.
             rec.observe(Class::Execution, "fixed.lane_width", B as u64);
@@ -813,15 +634,23 @@ mod tests {
     use crate::base_matrix::CodeRate;
     use crate::decoder::{LayeredConfig, LayeredDecoder, MinimumExtractionUnit};
     use crate::encoder::QcEncoder;
-    use fec_channel::sim::FrameSlice;
+    use fec_channel::sim::{DecodedFrame, FrameSlice};
     use fec_obs::Registry;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
+    /// The λ register rails of `dec`.
+    fn rails(dec: &FixedLayeredDecoder) -> (i16, i16) {
+        let rail = |v: i32| i16::try_from(v).unwrap();
+        (rail(dec.arith.lambda_min()), rail(dec.arith.lambda_max()))
+    }
+
     /// The serial loop the lockstep kernel replaced, kept as its oracle:
-    /// one frame at a time, a two-pass [`MinimumExtractionUnit::scan`] per
-    /// row and a syndrome check of the hard decisions after every
-    /// iteration.  Records the same Count-class metrics as the kernel.
+    /// one frame of λ values at a time, saturated to the register rails as
+    /// the quantizer saturates [`llrs_of`] them, a two-pass
+    /// [`MinimumExtractionUnit::scan`] per row and a syndrome check of the
+    /// hard decisions after every iteration.  Records the same Count-class
+    /// metrics as the kernel.
     fn reference_decode(
         dec: &FixedLayeredDecoder,
         quantized: &[i16],
@@ -829,8 +658,9 @@ mod tests {
     ) -> DecodeOutcome {
         let arith = &dec.arith;
         let h = dec.code.parity_check();
-        let (lo, hi) = dec.lambda_bounds();
+        let (lo, hi) = rails(dec);
         let mut lambda: Vec<i16> = quantized.iter().map(|&v| v.clamp(lo, hi)).collect();
+        let at_rail = lambda.iter().filter(|&&l| l == lo || l == hi).count();
         // The rows of H as CSR, with one `R` per entry.
         let mut row_ptr = vec![0];
         for row in 0..dec.code.m() {
@@ -891,6 +721,8 @@ mod tests {
         rec.incr(Class::Count, "fixed.sat_q", sat_q);
         rec.incr(Class::Count, "fixed.r_clip", r_clip);
         rec.incr(Class::Count, "fixed.sat_lambda", sat_lambda);
+        rec.incr(Class::Count, "fixed.sat_quantize", at_rail as u64);
+        rec.incr(Class::Count, "fixed.quantized_llrs", lambda.len() as u64);
         DecodeOutcome {
             hard_bits: hard(&lambda),
             posterior: lambda
@@ -930,9 +762,41 @@ mod tests {
             .collect()
     }
 
-    /// Decodes one already-quantized frame.
+    /// Channel LLRs that quantize to exactly the λ values of `frame`
+    /// (saturated to the register width, as `reference_decode` clamps).
+    fn llrs_of(dec: &FixedLayeredDecoder, frame: &[i16]) -> Vec<Llr> {
+        let scale = dec.quantizer.scale();
+        frame
+            .iter()
+            .map(|&v| Llr::new(f64::from(v) / scale))
+            .collect()
+    }
+
+    /// Decodes one frame of λ values, entered as [`llrs_of`] them.
     fn decode_one(dec: &FixedLayeredDecoder, frame: &[i16]) -> DecodeOutcome {
-        dec.decode_quantized(frame, &mut NoopRecorder).remove(0)
+        dec.decode(&llrs_of(dec, frame))
+    }
+
+    /// Decodes `frames` as one stream with at most `width` in flight.
+    fn decode_streamed(
+        dec: &FixedLayeredDecoder,
+        frames: &[Vec<Llr>],
+        width: usize,
+        rec: &mut Registry,
+    ) -> Vec<DecodedFrame> {
+        let frames: Vec<&[Llr]> = frames.iter().map(Vec::as_slice).collect();
+        let mut stream = FrameSlice::new(&frames, width);
+        dec.decode_stream(&mut stream, rec);
+        stream.into_decoded()
+    }
+
+    /// What a stream is handed for a frame with outcome `out`.
+    fn decision(dec: &FixedLayeredDecoder, out: &DecodeOutcome) -> DecodedFrame {
+        DecodedFrame {
+            info_bits: out.info_bits(dec.code.k()).to_vec(),
+            iterations: out.iterations,
+            converged: out.converged,
+        }
     }
 
     fn noisy_llrs(cw: &[u8], sigma: f64, seed: u64) -> Vec<Llr> {
@@ -1033,11 +897,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_quantized_saturates_out_of_range_inputs() {
+    fn decode_saturates_out_of_range_llrs() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        // +1000 saturates to +63: still a confident zero bit.
-        let out = decode_one(&dec, &vec![1000i16; code.n()]);
+        // +500 quantizes to +1000 LSB and saturates to +63: still a
+        // confident zero bit.
+        let out = dec.decode(&vec![Llr::new(500.0); code.n()]);
         assert!(out.converged);
         assert!(out.hard_bits.iter().all(|&b| b == 0));
         assert!(out.posterior.iter().all(|&p| p == 31.5)); // 63 / 2^1
@@ -1100,13 +965,16 @@ mod tests {
         for (seed, batch) in [(1u64, 1usize), (2, 2), (3, 3), (4, 5), (5, 8)] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             // ±300 exceeds the 7-bit λ range, so saturation is exercised too.
-            let q: Vec<i16> = (0..batch * n)
-                .map(|_| rng.gen_range(-300i16..=300))
+            let frames: Vec<Vec<Llr>> = (0..batch)
+                .map(|_| {
+                    let q: Vec<i16> = (0..n).map(|_| rng.gen_range(-300i16..=300)).collect();
+                    llrs_of(&dec, &q)
+                })
                 .collect();
-            let batched = dec.decode_quantized(&q, &mut NoopRecorder);
+            let batched = decode_streamed(&dec, &frames, batch, &mut Registry::new());
             assert_eq!(batched.len(), batch);
-            for f in 0..batch {
-                let serial = decode_one(&dec, &q[f * n..(f + 1) * n]);
+            for (f, frame) in frames.iter().enumerate() {
+                let serial = decision(&dec, &dec.decode(frame));
                 assert_eq!(batched[f], serial, "lane {f} of batch {batch}");
             }
         }
@@ -1131,9 +999,11 @@ mod tests {
                 noisy_llrs(&cw, sigma, 100 + i as u64)
             })
             .collect();
-        let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
-        let batched = dec.decode_batch(&refs, &mut NoopRecorder);
-        let serial: Vec<DecodeOutcome> = frames.iter().map(|f| dec.decode(f)).collect();
+        let batched = decode_streamed(&dec, &frames, 4, &mut Registry::new());
+        let serial: Vec<DecodedFrame> = frames
+            .iter()
+            .map(|f| decision(&dec, &dec.decode(f)))
+            .collect();
         assert_eq!(batched, serial);
         let iters: Vec<usize> = serial.iter().map(|o| o.iterations).collect();
         assert!(
@@ -1157,42 +1027,15 @@ mod tests {
                 noisy_llrs(&cw, 0.63f64.sqrt(), 500 + i as u64)
             })
             .collect();
-        let refs: Vec<&[Llr]> = frames.iter().map(|f| f.as_slice()).collect();
-        let batched = dec.decode_batch(&refs, &mut NoopRecorder);
+        let batched = decode_streamed(&dec, &frames, 3, &mut Registry::new());
         for (f, frame) in frames.iter().enumerate() {
-            assert_eq!(batched[f], dec.decode(frame), "lane {f}");
+            assert_eq!(batched[f], decision(&dec, &dec.decode(frame)), "lane {f}");
         }
     }
 
     #[test]
-    fn empty_batch_decodes_to_no_outcomes() {
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        assert!(dec.decode_batch(&[], &mut NoopRecorder).is_empty());
-        assert!(dec.decode_quantized(&[], &mut NoopRecorder).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "whole frames")]
-    fn zero_batch_of_quantized_frames_panics() {
-        // Fewer values than one frame is zero whole frames plus a ragged
-        // tail: it must panic, not decode to no outcomes like `&[]`.
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        let _ = dec.decode_quantized(&vec![0i16; code.n() - 1], &mut NoopRecorder);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch * n")]
-    fn ragged_quantized_batch_panics() {
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        let _ = dec.decode_quantized(&vec![0i16; code.n() + 1], &mut NoopRecorder);
-    }
-
-    #[test]
     fn scratch_reuse_across_calls_is_harmless() {
-        // The per-thread scratch driven through one, three and one lanes in
+        // The per-thread scratch driven through one, two and one lanes in
         // alternation must not leak state between calls of either width.
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
@@ -1204,7 +1047,10 @@ mod tests {
             .map(|frame| reference_decode(&dec, frame, &mut Registry::new()))
             .collect();
         assert_eq!(decode_one(&dec, &q[..n]), expected[0]);
-        assert_eq!(dec.decode_quantized(&q, &mut NoopRecorder), expected);
+        let frames: Vec<Vec<Llr>> = q.chunks_exact(n).map(|f| llrs_of(&dec, f)).collect();
+        let streamed = decode_streamed(&dec, &frames, 3, &mut Registry::new());
+        let want: Vec<DecodedFrame> = expected.iter().map(|out| decision(&dec, out)).collect();
+        assert_eq!(streamed, want);
         assert_eq!(decode_one(&dec, &q[2 * n..]), expected[2]);
     }
 
@@ -1218,10 +1064,10 @@ mod tests {
             let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
             let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
             let batch = frames.len();
-            let flat: Vec<i16> = frames.concat();
-            let batched = dec.decode_quantized(&flat, &mut NoopRecorder);
+            let llrs: Vec<Vec<Llr>> = frames.iter().map(|f| llrs_of(&dec, f)).collect();
+            let batched = decode_streamed(&dec, &llrs, batch, &mut Registry::new());
             for (f, frame) in frames.iter().enumerate() {
-                let serial = decode_one(&dec, frame);
+                let serial = decision(&dec, &decode_one(&dec, frame));
                 prop_assert!(batched[f] == serial, "lane {} of batch {} diverged", f, batch);
             }
         }
@@ -1229,10 +1075,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2))]
-        /// Every batch size 1..=17 (all lane widths and their splits, up to
-        /// 16 + 1) under four datapath configurations: each lane's outcome
-        /// and the batch's Count-class `fixed.*` metrics equal the serial
-        /// reference's.
+        /// Under four datapath configurations, the one-frame `decode`
+        /// equals the serial reference on every outcome field, and a stream
+        /// of every batch size 1..=17 (all lane widths and their splits, up
+        /// to 16 + 1) hands back each frame's reference decisions, with the
+        /// stream's Count-class `fixed.*` metrics equal to the reference's.
         #[test]
         fn every_batch_size_matches_the_serial_reference(seed in 0u64..1 << 32) {
             let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
@@ -1251,17 +1098,18 @@ mod tests {
             ];
             for cfg in configs {
                 let dec = FixedLayeredDecoder::new(&code, cfg);
-                let frames = random_lambda_frames(n, dec.lambda_bounds().1, seed);
+                let frames = random_lambda_frames(n, rails(&dec).1, seed);
+                let llrs: Vec<Vec<Llr>> = frames.iter().map(|f| llrs_of(&dec, f)).collect();
                 let mut reference = Vec::new();
-                for frame in &frames {
+                for (frame, llr) in frames.iter().zip(&llrs) {
                     let mut reg = Registry::new();
                     let out = reference_decode(&dec, frame, &mut reg);
-                    prop_assert!(decode_one(&dec, frame) == out, "serial decode under {:?}", cfg);
-                    reference.push((out, reg));
+                    prop_assert!(dec.decode(llr) == out, "serial decode under {:?}", cfg);
+                    reference.push((decision(&dec, &out), reg));
                 }
                 for batch in 1..=frames.len() {
                     let mut got_counts = Registry::new();
-                    let got = dec.decode_quantized(&frames[..batch].concat(), &mut got_counts);
+                    let got = decode_streamed(&dec, &llrs[..batch], batch, &mut got_counts);
                     let mut want_counts = Registry::new();
                     for (f, (want, counts)) in reference[..batch].iter().enumerate() {
                         prop_assert!(got[f] == *want, "lane {} of batch {} under {:?}", f, batch, cfg);
@@ -1271,16 +1119,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Channel LLRs that quantize to exactly the λ values of `frame`
-    /// (saturated to the register width, as `reference_decode` clamps).
-    fn llrs_of(dec: &FixedLayeredDecoder, frame: &[i16]) -> Vec<Llr> {
-        let scale = dec.quantizer.scale();
-        frame
-            .iter()
-            .map(|&v| Llr::new(f64::from(v) / scale))
-            .collect()
     }
 
     proptest! {
@@ -1311,7 +1149,7 @@ mod tests {
                 ..base
             };
             let dec = FixedLayeredDecoder::new(&code, cfg);
-            let hi = dec.lambda_bounds().1;
+            let hi = rails(&dec).1;
             let lambdas: Vec<Vec<i16>> = (seed..)
                 .flat_map(|s| random_lambda_frames(code.n(), hi, s))
                 .take(frames)

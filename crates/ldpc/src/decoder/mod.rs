@@ -1,19 +1,17 @@
 //! LDPC decoders: the layered normalized-min-sum decoder used by the
-//! paper's processing element, in both a floating-point reference flavour
+//! paper's processing element, in a floating-point reference flavour
 //! ([`LayeredDecoder`]) and the fixed-point hardware-datapath flavour
-//! ([`FixedLayeredDecoder`]), and the two-phase (flooding) baseline
-//! ([`FloodingDecoder`]), which runs the f64 layered loop with λ written
-//! once per iteration.  All three walk the code's
+//! ([`FixedLayeredDecoder`]).  The f64 decoder also runs the two-phase
+//! (flooding) baseline ([`LayeredDecoder::flooding`]): the same loop with
+//! λ written once per iteration.  Both walk the code's
 //! [`LayerPlan`](crate::LayerPlan): the f64 loop by blocks, with a layer's
 //! check rows as lanes, the fixed-point loop by the plan's row columns,
 //! with frames as lanes.
 
-mod flooding;
 mod layered;
 mod layered_fixed;
 mod meu;
 
-pub use flooding::{FloodingConfig, FloodingDecoder};
 pub use layered::{LayeredConfig, LayeredDecoder};
 pub use layered_fixed::{FixedLayeredConfig, FixedLayeredDecoder};
 pub use meu::{MinimumExtractionUnit, TwoMinScan};

@@ -17,15 +17,15 @@
 //! * [`encoder`] — the efficient two-stage QC encoder exploiting the
 //!   dual-diagonal parity structure, plus a generic Gaussian-elimination
 //!   encoder used for cross-validation.
-//! * [`decoder`] — two-phase (flooding) belief propagation and the layered
-//!   normalized-min-sum decoder of the paper (Eq. 6–11), including the
-//!   two-minimum extraction performed by the hardware MEU.  The layered
-//!   decoder exists in two flavours: the floating-point reference
+//! * [`decoder`] — the layered normalized-min-sum decoder of the paper
+//!   (Eq. 6–11), including the two-minimum extraction performed by the
+//!   hardware MEU, in two flavours: the floating-point reference
 //!   ([`LayeredDecoder`], which updates a layer's check rows as f64
-//!   lanes, and whose loop also runs the flooding schedule) and the
-//!   fixed-point hardware-datapath model ([`FixedLayeredDecoder`]:
-//!   quantized λ, saturating arithmetic, per-edge message buffers over the
-//!   plan's row columns and the batch two-minimum scan kernel).
+//!   lanes, and whose loop also runs the two-phase (flooding) baseline,
+//!   [`LayeredDecoder::flooding`]) and the fixed-point hardware-datapath
+//!   model ([`FixedLayeredDecoder`]: channel LLRs quantized to λ on entry,
+//!   saturating arithmetic, per-edge message buffers over the plan's row
+//!   columns and frames as lanes of one refill loop).
 //! * [`tanner`] — Tanner-graph views and the row-adjacency graph used for
 //!   mapping check nodes onto NoC nodes.
 //!
@@ -64,10 +64,9 @@ pub mod tanner;
 
 pub use base_matrix::{BaseMatrix, CodeRate, ShiftScaling};
 pub use code::{LdpcError, QcLdpcCode};
-pub use codec::{FloodingLdpcCodec, LayeredLdpcCodec, QuantizedLayeredLdpcCodec};
+pub use codec::{LayeredLdpcCodec, QuantizedLayeredLdpcCodec};
 pub use decoder::{
-    DecodeOutcome, FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, FloodingDecoder,
-    LayeredConfig, LayeredDecoder,
+    DecodeOutcome, FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder,
 };
 pub use encoder::{GaussianEncoder, QcEncoder};
 pub use plan::{Block, LayerPlan};

@@ -34,11 +34,6 @@ impl SparseBinaryMatrix {
         self.rows.len()
     }
 
-    /// Number of columns.
-    pub fn num_cols(&self) -> usize {
-        self.cols
-    }
-
     /// Sets entry `(row, col)` to one (idempotent).
     ///
     /// # Panics
@@ -90,7 +85,7 @@ impl SparseBinaryMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `v.len() != num_cols()`.
+    /// Panics if `v.len()` differs from the number of columns.
     pub fn multiply_vector(&self, v: &[u8]) -> Vec<u8> {
         assert_eq!(v.len(), self.cols, "vector length must equal column count");
         self.rows.iter().map(|row| parity(row, v)).collect()
@@ -102,7 +97,7 @@ impl SparseBinaryMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `v.len() != num_cols()`.
+    /// Panics if `v.len()` differs from the number of columns.
     pub fn is_codeword(&self, v: &[u8]) -> bool {
         assert_eq!(v.len(), self.cols, "vector length must equal column count");
         self.rows.iter().all(|row| parity(row, v) == 0)

@@ -104,11 +104,6 @@ impl WeightedGraph {
         self.adjacency[u].len()
     }
 
-    /// Sum of the weights of the edges incident to `u`.
-    pub fn weighted_degree(&self, u: usize) -> u64 {
-        self.adjacency[u].iter().map(|&(_, w)| w).sum()
-    }
-
     /// Total weight over all (undirected) edges.
     pub fn total_edge_weight(&self) -> u64 {
         self.adjacency
@@ -158,7 +153,6 @@ mod tests {
         let g = triangle();
         assert_eq!(g.len(), 3);
         assert_eq!(g.degree(0), 2);
-        assert_eq!(g.weighted_degree(0), 4);
         assert_eq!(g.total_edge_weight(), 6);
     }
 

@@ -39,4 +39,6 @@ pub mod service;
 
 pub use job::{run_unit, run_unit_with_store, JobSpec, Unit};
 pub use protocol::Request;
-pub use service::{EventSink, Service, ServiceConfig, EVENT_LOG, MAX_REQUEST_LINE};
+pub use service::{
+    EventSink, Service, ServiceConfig, EVENT_LOG, KEPT_FINISHED_JOBS, MAX_REQUEST_LINE,
+};

@@ -25,7 +25,10 @@
 //! simply stops receiving events — the job keeps running and logging — and
 //! a later `resume` request reads back exactly that job's lines, replays
 //! them from any row index and reattaches the new client for rows still to
-//! come.  A resume costs the size of its job, never that of the log.
+//! come.  A resume costs the size of its job, never that of the log.  The
+//! service keeps the last [`KEPT_FINISHED_JOBS`] finished jobs, so its
+//! memory does not grow with the jobs it has served; a `resume` or `cancel`
+//! of an older one is answered with one `error` event.
 //!
 //! File-system failures end a job, never the daemon: a submit whose log
 //! cannot be created is rejected, and the next admission tries again.  A
@@ -33,7 +36,7 @@
 //! with `done {status: "failed"}`; the log is closed, and the next append
 //! reopens it in append-and-create mode.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -53,6 +56,10 @@ pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// File name of the event log in the service's log directory.
 pub const EVENT_LOG: &str = "events.ndjson";
+
+/// Finished jobs the service keeps for `resume` and `cancel`: a `done` past
+/// this many drops the job that finished first.
+pub const KEPT_FINISHED_JOBS: usize = 1024;
 
 /// Where a service delivers protocol events for one client.
 ///
@@ -238,6 +245,8 @@ impl JobEntry {
 struct State {
     next_job_id: u64,
     jobs: BTreeMap<u64, JobEntry>,
+    /// The ids of the finished jobs in `jobs`, in the order they finished.
+    finished: VecDeque<u64>,
     shutdown: bool,
     /// Where `submit` hands each unit, keyed by its job id: the queue of
     /// the scheduler's served run.  Closed once shutdown is requested.
@@ -287,6 +296,7 @@ impl Service {
             state: Mutex::new(State {
                 next_job_id: 1,
                 jobs: BTreeMap::new(),
+                finished: VecDeque::new(),
                 shutdown: false,
                 admission: Admission::new(),
                 log,
@@ -419,7 +429,7 @@ impl Service {
             sink.deliver(&protocol::rejected("service is shutting down").to_string());
             return;
         }
-        let active = st.jobs.values().filter(|j| !j.finished).count();
+        let active = st.jobs.len() - st.finished.len();
         if active >= self.cfg.max_jobs {
             drop(st);
             sink.deliver(
@@ -480,12 +490,17 @@ impl Service {
 
     fn cancel<S: EventSink + Clone>(&self, job_id: u64, sink: &S) {
         let mut st = self.lock();
-        let State { jobs, log, .. } = &mut *st;
+        let State {
+            jobs,
+            log,
+            next_job_id,
+            ..
+        } = &mut *st;
         match jobs.get_mut(&job_id) {
             None => {
+                let reason = missing_job(job_id, *next_job_id);
                 drop(st);
-                sink.clone()
-                    .deliver(&protocol::error(&format!("unknown job id {job_id}")).to_string());
+                sink.clone().deliver(&protocol::error(&reason).to_string());
             }
             Some(entry) if entry.finished => {
                 drop(st);
@@ -511,14 +526,21 @@ impl Service {
     /// `from_row` onwards, then — if the job is still running — attaches
     /// the sink for the rows still to come.  Replay and reattachment happen
     /// under the state lock, so no row is duplicated or missed around the
-    /// hand-over point.  A job whose log failed, or whose lines cannot be
-    /// read back, is answered with one `error` event.
+    /// hand-over point.  A job whose log failed, whose lines cannot be
+    /// read back or that is no longer kept is answered with one `error`
+    /// event.
     fn resume(&self, job_id: u64, from_row: u64, mut sink: Box<dyn EventSink>) {
         let mut st = self.lock();
-        let State { jobs, log, .. } = &mut *st;
+        let State {
+            jobs,
+            log,
+            next_job_id,
+            ..
+        } = &mut *st;
         let Some(entry) = jobs.get_mut(&job_id) else {
+            let reason = missing_job(job_id, *next_job_id);
             drop(st);
-            sink.deliver(&protocol::error(&format!("unknown job id {job_id}")).to_string());
+            sink.deliver(&protocol::error(&reason).to_string());
             return;
         };
         let replay = match &entry.logged {
@@ -590,6 +612,19 @@ impl Service {
     }
 }
 
+/// The reason a request names job `job_id`, which the service does not
+/// hold: an issued id belongs to a job dropped after it finished.
+fn missing_job(job_id: u64, next_job_id: u64) -> String {
+    if (1..next_job_id).contains(&job_id) {
+        format!(
+            "job {job_id} is no longer kept: the service keeps the last \
+             {KEPT_FINISHED_JOBS} finished jobs"
+        )
+    } else {
+        format!("unknown job id {job_id}")
+    }
+}
+
 /// The lines of job `job_id`, read back from the event log, that a resume
 /// from `from_row` replays: all but the rows before `from_row`.  A line
 /// that is not an event of the job means the log was replaced under the
@@ -618,9 +653,16 @@ fn replayed(job_id: u64, from_row: u64, lines: Vec<String>) -> Result<Vec<String
 }
 
 /// Books one unit outcome against its job: emits the unit's rows (log
-/// first, then client), and the `done` event when the last unit lands.
+/// first, then client), and the `done` event when the last unit lands,
+/// dropping the job that finished first once more than
+/// [`KEPT_FINISHED_JOBS`] have.
 fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) {
-    let State { jobs, log, .. } = st;
+    let State {
+        jobs,
+        finished,
+        log,
+        ..
+    } = st;
     let Some(entry) = jobs.get_mut(&job_id) else {
         return;
     };
@@ -650,5 +692,11 @@ fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) 
         entry.emit(log, &done);
         entry.finished = true;
         entry.sink = None;
+        finished.push_back(job_id);
+        if finished.len() > KEPT_FINISHED_JOBS {
+            if let Some(oldest) = finished.pop_front() {
+                jobs.remove(&oldest);
+            }
+        }
     }
 }

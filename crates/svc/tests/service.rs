@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use fec_json::Json;
 use fec_sched::CancelToken;
-use fec_svc::{EventSink, Service, ServiceConfig, EVENT_LOG, MAX_REQUEST_LINE};
+use fec_svc::{EventSink, Service, ServiceConfig, EVENT_LOG, KEPT_FINISHED_JOBS, MAX_REQUEST_LINE};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -480,6 +480,58 @@ fn admission_control_caps_active_jobs() {
     assert!(svc.handle_line(SMALL_BER, &sink), "capacity frees up");
     let lines = sink.lines();
     assert_eq!(event_type(lines.last().unwrap()), "accepted");
+}
+
+/// The service keeps the last `KEPT_FINISHED_JOBS` finished jobs: after
+/// one more, the first is dropped, and a `resume` or `cancel` of it gets
+/// one `error` that differs from the one for an id never issued, while the
+/// last job still replays exactly its lines.
+#[test]
+fn finished_jobs_past_the_bound_are_dropped_oldest_first() {
+    let svc = service("kept", 1, 1);
+    let tiny = r#"{"type":"submit","job":"ber","standard":"wimax","codec":"layered","frames":1,"snrs":[6.0]}"#;
+    let mut last = RecordingSink::default();
+    for _ in 0..=KEPT_FINISHED_JOBS {
+        last = RecordingSink::default();
+        assert!(svc.handle_line(tiny, &last));
+        svc.drain();
+        assert_eq!(
+            event_type(&last.lines()[0]),
+            "accepted",
+            "a kept finished job is not an active one"
+        );
+    }
+    let last_id = KEPT_FINISHED_JOBS as u64 + 1;
+    assert_eq!(
+        done_status(&last.lines(), last_id).as_deref(),
+        Some("completed")
+    );
+
+    let reply = |request: &str| {
+        let sink = RecordingSink::default();
+        assert!(svc.handle_line(request, &sink));
+        sink.lines()
+    };
+    let dropped = reply(r#"{"type":"resume","job_id":1}"#);
+    assert_eq!(dropped.len(), 1, "{dropped:?}");
+    assert_eq!(event_type(&dropped[0]), "error");
+    assert!(
+        dropped[0].contains("job 1 is no longer kept"),
+        "{dropped:?}"
+    );
+    assert_eq!(reply(r#"{"type":"cancel","job_id":1}"#), dropped);
+    let never = reply(&format!(r#"{{"type":"resume","job_id":{}}}"#, last_id + 1));
+    assert_eq!(event_type(&never[0]), "error");
+    assert!(never[0].contains("unknown job id"), "{never:?}");
+    assert_eq!(
+        reply(&format!(r#"{{"type":"resume","job_id":{last_id}}}"#)),
+        last.lines(),
+        "the last job replays exactly its lines"
+    );
+    assert_eq!(
+        event_type(&reply(r#"{"type":"resume","job_id":2}"#)[0]),
+        "accepted"
+    );
 }
 
 #[test]

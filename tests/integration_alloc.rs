@@ -2,13 +2,11 @@
 //!
 //! Both layered decoders keep λ, the `R` message memory and the `Q` values
 //! in a per-thread scratch — the software image of the processing
-//! element's fixed λ/`R_lk` memories — so a decode allocates only its
-//! outcomes, however many iterations it runs: two vectors per frame, plus
-//! the outcome list of the fixed datapath.  The fixed datapath's
-//! instrumented entry point must stay within that bound with a
-//! [`NoopRecorder`].  The stream path of the f64 layered and flooding
-//! codecs, which share one decode loop, and of the q7 codec builds no
-//! outcomes and allocates nothing at all.  The [`QcEncoder`] computes its
+//! element's fixed λ/`R_lk` memories — so a one-frame `decode` allocates
+//! only the two vectors of its outcome, however many iterations it runs.
+//! The stream path of the f64 codec, on the layered and the flooding
+//! schedule alike, and of the q7 codec, whose `decode` is a one-frame
+//! stream, builds no outcomes and allocates nothing at all.  The [`QcEncoder`] computes its
 //! parity blocks in place in the returned codeword.  The turbo decoders
 //! keep their channel values, messages and the SISO's γ/α memories in a
 //! per-thread scratch too, so a turbo decode allocates only its decoded
@@ -20,14 +18,9 @@ use code_tables::{dvb_rcs_ctc, LteTurboCode, LteTurboCodec};
 use common::allocations;
 use fec_channel::sim::{FecCodec, FrameStream};
 use fec_fixed::Llr;
-use fec_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
-use wimax_ldpc::decoder::{
-    FixedLayeredConfig, FixedLayeredDecoder, FloodingConfig, LayeredConfig, LayeredDecoder,
-};
-use wimax_ldpc::{
-    CodeRate, FloodingLdpcCodec, LayeredLdpcCodec, QcEncoder, QcLdpcCode, QuantizedLayeredLdpcCodec,
-};
+use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder};
+use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcEncoder, QcLdpcCode, QuantizedLayeredLdpcCodec};
 use wimax_turbo::{ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig};
 
 const BLOCK_LENGTHS: [usize; 2] = [576, 2304];
@@ -66,41 +59,30 @@ fn fixed_decode_allocations_do_not_grow_with_iterations() {
     for n in BLOCK_LENGTHS {
         let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
         let decoder = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
-        // λ = +4 LSB everywhere is a clean all-zero frame that converges in
-        // one iteration; small random λ is pure noise that runs every
-        // iteration without converging.
-        let clean = vec![4i16; n];
+        // LLR 2.0 (λ = +4 LSB) everywhere is a clean all-zero frame that
+        // converges in one iteration; small random λ is pure noise that
+        // runs every iteration without converging.
+        let clean = vec![Llr::new(2.0); n];
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let noise: Vec<i16> = (0..n).map(|_| rng.gen_range(-4i16..=4)).collect();
-        for frames in [1usize, 8] {
-            let (clean, noise) = (clean.repeat(frames), noise.repeat(frames));
-            // Warm-up: grow the per-thread scratch to this code and width.
-            let _ = decoder.decode_quantized(&noise, &mut NoopRecorder);
+        let noise: Vec<Llr> = (0..n)
+            .map(|_| Llr::new(f64::from(rng.gen_range(-4i16..=4)) / 2.0))
+            .collect();
 
-            let (one_allocs, one) =
-                allocations(|| decoder.decode_quantized(&clean, &mut NoopRecorder));
-            let (all_allocs, all) =
-                allocations(|| decoder.decode_quantized(&noise, &mut NoopRecorder));
-            assert!(
-                one.iter().all(|o| (o.iterations, o.converged) == (1, true)),
-                "n{n} x{frames}"
-            );
-            assert!(
-                all.iter()
-                    .all(|o| (o.iterations, o.converged) == (10, false)),
-                "n{n} x{frames}"
-            );
-            assert_eq!(
-                one_allocs, all_allocs,
-                "n{n} x{frames}: 1 iteration made {one_allocs} allocations, 10 made {all_allocs}"
-            );
-            let outcomes = 1 + 2 * frames as u64;
-            assert!(
-                one_allocs <= outcomes,
-                "n{n} x{frames}: a decode should allocate only its {outcomes} outcome \
-                 vectors, made {one_allocs}"
-            );
-        }
+        // Warm-up: grow the per-thread scratch to this code's size.
+        let _ = decoder.decode(&noise);
+
+        let (one_allocs, one) = allocations(|| decoder.decode(&clean));
+        let (all_allocs, all) = allocations(|| decoder.decode(&noise));
+        assert_eq!((one.iterations, one.converged), (1, true), "n{n}");
+        assert_eq!((all.iterations, all.converged), (10, false), "n{n}");
+        assert_eq!(
+            one_allocs, all_allocs,
+            "n{n}: 1 iteration made {one_allocs} allocations, 10 made {all_allocs}"
+        );
+        assert!(
+            one_allocs <= 2,
+            "n{n}: a decode should allocate only its outcome, made {one_allocs}"
+        );
     }
 }
 
@@ -175,15 +157,16 @@ fn q7_stream_decode_allocates_nothing_per_frame() {
     }
 }
 
-/// The f64 codecs, layered and flooding, hand each frame's information
-/// bits to the stream from the decoder's scratch and build no outcome.
+/// The f64 codec, on the layered and the flooding schedule, hands each
+/// frame's information bits to the stream from the decoder's scratch and
+/// builds no outcome.
 #[test]
 fn f64_stream_decode_allocates_nothing_per_frame() {
     for n in BLOCK_LENGTHS {
         let code = QcLdpcCode::wimax(n, CodeRate::R12).expect("valid WiMAX length");
         let codecs: [Box<dyn FecCodec>; 2] = [
             Box::new(LayeredLdpcCodec::new(&code, LayeredConfig::default())),
-            Box::new(FloodingLdpcCodec::new(&code, FloodingConfig::default())),
+            Box::new(LayeredLdpcCodec::flooding(&code, LayeredConfig::default())),
         ];
         for codec in &codecs {
             let (eight, many) = stream_allocations(codec.as_ref());

@@ -13,8 +13,7 @@ use noc_decoder::{
 };
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::{
-    CodeRate, DecodeOutcome, FloodingConfig, FloodingDecoder, FloodingLdpcCodec, LayeredConfig,
-    LayeredDecoder, LayeredLdpcCodec, QcLdpcCode,
+    CodeRate, DecodeOutcome, LayeredConfig, LayeredDecoder, LayeredLdpcCodec, QcLdpcCode,
 };
 use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
 
@@ -328,15 +327,13 @@ fn layered(code: &QcLdpcCode) -> F64Ldpc {
     )
 }
 
-/// The flooding decoder of `code` with `ber_study`'s 10-iteration budget.
+/// The flooding schedule of `code` with the default config, as `ber_study`
+/// runs it.
 fn flooding(code: &QcLdpcCode) -> F64Ldpc {
-    let config = FloodingConfig {
-        max_iterations: 10,
-        ..FloodingConfig::default()
-    };
-    let decoder = FloodingDecoder::new(code, config);
+    let config = LayeredConfig::default();
+    let decoder = LayeredDecoder::flooding(code, config);
     (
-        Box::new(FloodingLdpcCodec::new(code, config)),
+        Box::new(LayeredLdpcCodec::flooding(code, config)),
         Box::new(move |llrs: &[Llr]| decoder.decode(llrs)),
     )
 }
