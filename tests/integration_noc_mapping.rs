@@ -3,15 +3,17 @@
 //! by every topology/routing combination, and the resulting phase duration
 //! must respect the structural lower bounds.
 
+use decoder_pe::SisoCoreModel;
 use fec_json::ToJson;
 use noc_decoder::{
     run_multi_compliance_sharded, ComplianceScope, DecoderConfig, MappingConfig, Standard,
     StandardCode,
 };
+use noc_mapping::turbo::HalfIteration;
 use noc_mapping::{LdpcMapping, MappingStore, TurboMapping};
 use noc_sim::{
     CollisionPolicy, NocConfig, NocSimulator, NocStats, NodeArchitecture, RoutingAlgorithm,
-    Topology, TopologyKind,
+    Topology, TopologyKind, TrafficTrace,
 };
 use wimax_ldpc::{CodeRate, QcLdpcCode};
 use wimax_turbo::CtcCode;
@@ -340,7 +342,156 @@ fn noc_phases_reproduce_their_golden_stats() {
             }
         }
     }
+
+    let rate = SisoCoreModel::default().injection_rate();
+    let turbo: Vec<(String, Vec<PhaseGolden>)> = Standard::all()
+        .into_iter()
+        .filter_map(|standard| standard.corner_codes().iter().rev().find_map(turbo_trace))
+        .map(|(label, trace)| {
+            let topology = Topology::new(paper.topology, paper.pes, paper.degree).unwrap();
+            (
+                label,
+                phase_goldens(&topology, &trace, rate, false, paper.seed),
+            )
+        })
+        .collect();
+    let golden: Vec<(String, Vec<PhaseGolden>)> = TURBO_PHASE_GOLDENS
+        .iter()
+        .map(|(label, phases)| (label.to_string(), phases.to_vec()))
+        .collect();
+    assert_eq!(turbo, golden, "turbo phases at R = {rate}");
+
+    let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+    let mapping = LdpcMapping::new(&code, paper.pes, paper.mapping);
+    let topology = Topology::new(paper.topology, paper.pes, paper.degree).unwrap();
+    let routed = phase_goldens(
+        &topology,
+        mapping.traffic_trace(),
+        paper.ldpc_output_rate,
+        true,
+        paper.seed,
+    );
+    assert_eq!(routed, ROUTE_LOCAL_PHASE_GOLDENS, "n = 576 with RL = 1");
+
+    let topology = Topology::new(TopologyKind::GeneralizedKautz, 70, 66).unwrap();
+    assert_eq!(topology.crossbar_size(), 67);
+    let trace = TrafficTrace::uniform_random(70, 24, 0x70_66);
+    let wide = phase_goldens(&topology, &trace, paper.ldpc_output_rate, false, paper.seed);
+    assert_eq!(
+        wide, WIDE_KAUTZ_PHASE_GOLDENS,
+        "uniform traffic on P = 70, D = 66"
+    );
 }
+
+/// The phase of `trace` on `topology` for every routing algorithm ×
+/// {DCM, SCM} in that loop order.
+fn phase_goldens(
+    topology: &Topology,
+    trace: &TrafficTrace,
+    rate: f64,
+    route_local: bool,
+    seed: u64,
+) -> Vec<PhaseGolden> {
+    let mut phases = Vec::new();
+    for routing in RoutingAlgorithm::all() {
+        for collision in [CollisionPolicy::Dcm, CollisionPolicy::Scm] {
+            let config = NocConfig::new(topology.clone(), routing)
+                .with_collision(collision)
+                .with_route_local(route_local)
+                .with_output_rate(rate)
+                .with_seed(seed);
+            let stats = NocSimulator::new(config).unwrap().run(trace);
+            phases.push((
+                stats.cycles,
+                stats.delivered,
+                stats.collisions,
+                stats.misrouted,
+                noc_stats_hash(&stats),
+            ));
+        }
+    }
+    phases
+}
+
+/// `(label, first-half trace)` of a turbo code's mapping at `P = 22`,
+/// built the way the compliance evaluation builds it; `None` for LDPC.
+fn turbo_trace(code: &StandardCode) -> Option<(String, TrafficTrace)> {
+    let pes = DecoderConfig::paper_design_point().pes;
+    let mapping = match code {
+        StandardCode::WimaxTurbo { code } | StandardCode::DvbRcsTurbo { code } => {
+            TurboMapping::new(code, pes)
+        }
+        StandardCode::LteTurbo { code } => {
+            let pi = code.interleaver();
+            let permutation: Vec<usize> = (0..code.info_bits()).map(|j| pi.inverse(j)).collect();
+            TurboMapping::from_permutation(&permutation, pes)
+        }
+        StandardCode::Ldpc { .. } => return None,
+    };
+    Some((code.label(), mapping.traffic_trace(HalfIteration::First)))
+}
+
+/// The first-half NoC phase of the largest turbo corner code of each
+/// standard at the paper design point and the SISO injection rate (1/3),
+/// for every routing algorithm × {DCM, SCM} in that loop order.
+const TURBO_PHASE_GOLDENS: [(&str, [PhaseGolden; 6]); 3] = [
+    (
+        "802.16e DBTC 4800 r=1/2",
+        [
+            (323, 2400, 577, 0, 0x76f1_05e1_6f06_f762),   // SSP-RR DCM
+            (323, 2400, 717, 475, 0xc484_cc5b_9776_5e40), // SSP-RR SCM
+            (323, 2400, 561, 0, 0xfc22_33d8_ce54_4f02),   // SSP-FL DCM
+            (323, 2400, 694, 462, 0x37f4_a6e9_b145_b760), // SSP-FL SCM
+            (323, 2400, 540, 0, 0x642e_0719_768f_e327),   // ASP-FT DCM
+            (323, 2400, 651, 418, 0x8f71_375a_9ab7_188b), // ASP-FT SCM
+        ],
+    ),
+    (
+        "LTE TC K=6144 r=1/3",
+        [
+            (810, 6144, 1870, 0, 0x9379_3f76_325f_6365), // SSP-RR DCM
+            (810, 6144, 2229, 1457, 0x89f6_e7a4_36ab_c28e), // SSP-RR SCM
+            (810, 6144, 1853, 0, 0x4281_a69e_33a6_ee64), // SSP-FL DCM
+            (813, 6144, 2069, 1282, 0xfa84_ed74_36f9_17bb), // SSP-FL SCM
+            (810, 6144, 1795, 0, 0x193d_ca58_23a7_58f5), // ASP-FT DCM
+            (810, 6144, 1939, 1189, 0xb716_3eb0_37e7_a67e), // ASP-FT SCM
+        ],
+    ),
+    (
+        "DVB-RCS CTC 1728 r=1/2",
+        [
+            (117, 864, 254, 0, 0xd0c9_e4bf_48b4_81a2),   // SSP-RR DCM
+            (117, 864, 310, 249, 0xca4b_7785_c1f7_9c32), // SSP-RR SCM
+            (117, 864, 238, 0, 0xc3ba_5c3c_0a44_d68f),   // SSP-FL DCM
+            (118, 864, 291, 237, 0x7343_f04e_1af2_7ae3), // SSP-FL SCM
+            (117, 864, 230, 0, 0x478a_1898_654b_41b1),   // ASP-FT DCM
+            (118, 864, 344, 284, 0x74f6_5478_5892_12a3), // ASP-FT SCM
+        ],
+    ),
+];
+
+/// The WiMAX n576 rate-1/2 phase at the paper design point with RL = 1
+/// (local messages take the node's local port), every routing × {DCM, SCM}.
+const ROUTE_LOCAL_PHASE_GOLDENS: [PhaseGolden; 6] = [
+    (206, 1824, 878, 0, 0x0215_d7e5_ea59_c295), // SSP-RR DCM
+    (206, 1824, 1149, 662, 0x08ee_77a1_68f6_b096), // SSP-RR SCM
+    (206, 1824, 951, 0, 0xb34a_8b70_0827_2fd3), // SSP-FL DCM
+    (206, 1824, 1103, 566, 0x082a_a775_2634_3910), // SSP-FL SCM
+    (206, 1824, 966, 0, 0xb04d_0b88_b8ca_5a8a), // ASP-FT DCM
+    (206, 1824, 1050, 562, 0x441a_f291_4f1c_a9e2), // ASP-FT SCM
+];
+
+/// Uniform random traffic (24 messages per node) on a `P = 70`, `D = 66`
+/// generalized Kautz network, whose nodes have 67 ports, at `R = 0.5`,
+/// every routing × {DCM, SCM}.
+const WIDE_KAUTZ_PHASE_GOLDENS: [PhaseGolden; 6] = [
+    (55, 1680, 1155, 0, 0xda90_e7db_fdd2_3e38), // SSP-RR DCM
+    (55, 1680, 1162, 1, 0xdbaa_30cf_b552_c868), // SSP-RR SCM
+    (55, 1680, 1176, 0, 0x2de5_dd50_35e2_ff97), // SSP-FL DCM
+    (55, 1680, 1176, 1, 0xd98a_3b02_1f5d_b69d), // SSP-FL SCM
+    (55, 1680, 1176, 0, 0xd52e_0785_da83_a1f1), // ASP-FT DCM
+    (55, 1680, 1176, 1, 0xc85a_8920_dd87_30bb), // ASP-FT SCM
+];
 
 /// The JSON rows of the five corner scopes at the paper design point.
 const CORNER_COMPLIANCE_ROWS: [&str; 18] = [
