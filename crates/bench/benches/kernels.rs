@@ -2,7 +2,7 @@
 //! iteration (f64 reference vs the fixed-point datapath), the MEU
 //! two-minimum extraction (the two-pass scan), one flooding
 //! iteration and a flooding decode of varied frames, one SISO half
-//! iteration, one NoC message-passing phase, one
+//! iteration, one LDPC and one turbo NoC message-passing phase, one
 //! graph partitioning run and the corner compliance sweep of a daemon
 //! compliance unit.
 //!
@@ -12,7 +12,7 @@
 //! Pass `--json <path>` to additionally emit the rows as machine-readable
 //! JSON (`BENCH_kernels.json` in CI) for trajectory tracking.
 
-use code_tables::{DecoderKind, Standard, StandardCode};
+use code_tables::{DecoderKind, LteTurboCode, Standard, StandardCode};
 use decoder_bench::harness::{bench, print_header, BenchReport};
 use decoder_bench::{exit_with_usage, json_flag_from_args, write_json};
 use fec_channel::sim::{EngineConfig, FrameSlice, SimulationEngine};
@@ -23,7 +23,8 @@ use noc_decoder::{
     run_multi_compliance_sharded, run_multi_compliance_with_store, ComplianceScope, DecoderConfig,
     MappingConfig, MappingStore,
 };
-use noc_mapping::LdpcMapping;
+use noc_mapping::turbo::HalfIteration;
+use noc_mapping::{LdpcMapping, TurboMapping};
 use noc_sim::{NocConfig, NocSimulator, RoutingAlgorithm, Topology, TopologyKind};
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::decoder::{
@@ -354,6 +355,26 @@ fn main() {
         &mut reports,
         bench("noc_phase_p22_kautz_d3/ssp_fl_scm", 2, 20, || {
             std::hint::black_box(sim.run(&trace));
+        }),
+    );
+
+    // The LTE K = 6144 turbo phase of a compliance unit: the first-half
+    // trace of the QPP mapping at the SISO injection rate of 1/3.
+    let lte = LteTurboCode::new(6144).expect("LTE block size");
+    let natural_to_interleaved: Vec<usize> = (0..lte.info_bits())
+        .map(|j| lte.interleaver().inverse(j))
+        .collect();
+    let lte_trace = TurboMapping::from_permutation(&natural_to_interleaved, 22)
+        .traffic_trace(HalfIteration::First);
+    let topology = Topology::new(TopologyKind::GeneralizedKautz, 22, 3).expect("valid topology");
+    let lte_sim = NocSimulator::new(
+        NocConfig::new(topology, RoutingAlgorithm::SspFl).with_output_rate(1.0 / 3.0),
+    )
+    .expect("sim");
+    run(
+        &mut reports,
+        bench("noc_phase_p22_kautz_d3/lte_k6144_r13", 2, 20, || {
+            std::hint::black_box(lte_sim.run(&lte_trace));
         }),
     );
 

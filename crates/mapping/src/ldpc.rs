@@ -87,16 +87,36 @@ impl LdpcMapping {
     /// natural row order, cyclically) that also contains `col`.
     fn schedule_entries(code: &QcLdpcCode) -> Vec<(usize, usize, usize)> {
         let h = code.parity_check();
-        let cols = h.column_lists();
+        // the rows of every column in row order, counting-sorted into one
+        // list: column `c` holds `col_rows[start[c]..start[c + 1]]`
+        let mut start = vec![0usize; code.n() + 1];
+        for row in 0..code.m() {
+            for &col in h.row(row) {
+                start[col + 1] += 1;
+            }
+        }
+        for col in 0..code.n() {
+            start[col + 1] += start[col];
+        }
+        let mut fill = start.clone();
+        let mut col_rows = vec![0usize; start[code.n()]];
+        // first `(row, col, position of the entry in col_rows)`, then the
+        // position becomes the next row
         let mut entries = Vec::with_capacity(code.edge_count());
         for row in 0..code.m() {
             for &col in h.row(row) {
-                let rows_of_col = &cols[col];
-                let pos = rows_of_col
-                    .binary_search(&row)
-                    .expect("entry must be present in its own column list");
-                entries.push((row, col, rows_of_col[(pos + 1) % rows_of_col.len()]));
+                col_rows[fill[col]] = row;
+                entries.push((row, col, fill[col]));
+                fill[col] += 1;
             }
+        }
+        for (_, col, at) in &mut entries {
+            let next = if *at + 1 == start[*col + 1] {
+                start[*col]
+            } else {
+                *at + 1
+            };
+            *at = col_rows[next];
         }
         entries
     }
@@ -363,6 +383,41 @@ mod tests {
         let pes = 22;
         let mapping = LdpcMapping::new(&code, pes, MappingConfig::default());
         assert!(mapping.traffic_trace().max_destination().unwrap() < pes);
+    }
+
+    /// The former `schedule_entries`, one `Vec` per column, as the oracle
+    /// of the counting-sorted column index.
+    fn reference_schedule_entries(code: &QcLdpcCode) -> Vec<(usize, usize, usize)> {
+        let h = code.parity_check();
+        let cols = h.column_lists();
+        let mut entries = Vec::new();
+        for row in 0..code.m() {
+            for &col in h.row(row) {
+                let rows_of_col = &cols[col];
+                let pos = rows_of_col.binary_search(&row).unwrap();
+                entries.push((row, col, rows_of_col[(pos + 1) % rows_of_col.len()]));
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn schedule_entries_match_the_column_list_reference() {
+        for (n, rate) in [
+            (576, CodeRate::R12),
+            (576, CodeRate::R56),
+            (2304, CodeRate::R23A),
+            (1152, CodeRate::R34B),
+        ] {
+            let code = QcLdpcCode::wimax(n, rate).unwrap();
+            let entries = LdpcMapping::schedule_entries(&code);
+            assert_eq!(entries.len(), code.edge_count());
+            assert_eq!(
+                entries,
+                reference_schedule_entries(&code),
+                "n = {n}, {rate:?}"
+            );
+        }
     }
 
     #[test]

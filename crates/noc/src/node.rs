@@ -1,7 +1,10 @@
-//! The routing-element (RE) node model: input FIFOs, crossbar, output
-//! registers (paper Fig. 1).
+//! The routing-element (RE) node's parameters: collision management and the
+//! node architecture (paper Fig. 1).  The node state itself (input FIFOs,
+//! crossbar, output registers) lives in the simulator's flat per-port rings.
 
+#[cfg(test)]
 use crate::packet::InFlight;
+#[cfg(test)]
 use std::collections::VecDeque;
 
 /// Collision-management strategy (paper parameter `DCM`/`SCM`).
@@ -65,9 +68,13 @@ impl NodeArchitecture {
     }
 }
 
-/// State of one router node during simulation.
+/// State of one router node in the test-only reference loop
+/// (`simulator::tests::reference_run`), which keeps the simulator's former
+/// `VecDeque` FIFOs as an oracle for the flat rings of
+/// [`NocSimulator::run`](crate::NocSimulator::run).
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct NodeState {
+pub(crate) struct NodeState {
     /// One input FIFO per port (`0..degree` are network ports, the last is
     /// the local PE injection port).
     pub input_fifos: Vec<VecDeque<InFlight>>,
@@ -84,6 +91,7 @@ pub struct NodeState {
     pub max_fifo_occupancy: Vec<usize>,
 }
 
+#[cfg(test)]
 impl NodeState {
     /// Creates an idle node with `ports` input/output ports
     /// (`degree + 1`, the extra one being the local PE port).
@@ -128,11 +136,11 @@ impl NodeState {
     }
 
     /// Writes into `order` the order in which input ports are served this
-    /// cycle (the simulator reuses one buffer for every node and cycle).
+    /// cycle (the reference loop reuses one buffer for every node and cycle).
     ///
     /// * Round-robin: start from the rotating pointer.
     /// * FIFO-length: longest FIFO first (ties broken by port index).
-    pub(crate) fn fill_serving_order(&self, longest_first: bool, order: &mut Vec<usize>) {
+    pub fn fill_serving_order(&self, longest_first: bool, order: &mut Vec<usize>) {
         let ports = self.ports();
         order.clear();
         order.extend(0..ports);

@@ -37,9 +37,10 @@ impl Message {
     }
 }
 
-/// A message in flight, tracked by the simulator.
+/// A message in flight, tracked by the test-only reference loop.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InFlight {
+pub(crate) struct InFlight {
     /// The message itself.
     pub message: Message,
     /// Cycle at which it was injected into the network.
@@ -48,6 +49,7 @@ pub struct InFlight {
     pub hops: usize,
 }
 
+#[cfg(test)]
 impl InFlight {
     /// Wraps a message at injection time.
     pub fn new(message: Message, injected_at: u64) -> Self {

@@ -81,8 +81,6 @@ pub struct RoutingTables {
     /// `ports[src][dst]` = all output ports of `src` that lie on a shortest
     /// path towards `dst` (empty when `src == dst`).
     ports: Vec<Vec<Vec<usize>>>,
-    /// `distance[src][dst]` in hops.
-    distance: Vec<Vec<usize>>,
 }
 
 impl RoutingTables {
@@ -131,11 +129,7 @@ impl RoutingTables {
             }
         }
 
-        RoutingTables {
-            nodes: p,
-            ports,
-            distance,
-        }
+        RoutingTables { nodes: p, ports }
     }
 
     /// Number of nodes the tables were built for.
@@ -148,14 +142,15 @@ impl RoutingTables {
         &self.ports[src][dst]
     }
 
-    /// The single shortest-path port (lowest-numbered) used by SSP policies.
-    pub fn single_port(&self, src: usize, dst: usize) -> Option<usize> {
-        self.ports[src][dst].first().copied()
-    }
-
-    /// Hop distance from `src` to `dst`.
-    pub fn distance(&self, src: usize, dst: usize) -> usize {
-        self.distance[src][dst]
+    /// The single shortest-path port (lowest-numbered) the SSP policies use,
+    /// flat: entry `src * P + dst`; `u32::MAX` when `src == dst` or `dst` is
+    /// unreachable.
+    pub(crate) fn first_ports(&self) -> Vec<u32> {
+        self.ports
+            .iter()
+            .flatten()
+            .map(|ports| ports.first().map_or(u32::MAX, |&port| port as u32))
+            .collect()
     }
 }
 
@@ -181,12 +176,12 @@ mod tests {
     fn every_pair_is_routable() {
         let t = kautz(22, 3);
         let tables = RoutingTables::build(&t);
-        for s in 0..22 {
-            for d in 0..22 {
+        for (s, row) in t.all_distances().iter().enumerate() {
+            for (d, &distance) in row.iter().enumerate() {
                 if s != d {
                     assert!(!tables.ports(s, d).is_empty(), "{s} -> {d}");
-                    assert!(tables.distance(s, d) >= 1);
-                    assert!(tables.distance(s, d) <= t.diameter());
+                    assert!(distance >= 1);
+                    assert!(distance <= t.diameter());
                 }
             }
         }
@@ -196,15 +191,22 @@ mod tests {
     fn next_hop_reduces_distance() {
         let t = kautz(16, 2);
         let tables = RoutingTables::build(&t);
-        for s in 0..16 {
-            for d in 0..16 {
+        let all = t.all_distances();
+        for (s, row) in all.iter().enumerate() {
+            for (d, &distance) in row.iter().enumerate() {
                 if s == d {
                     continue;
                 }
                 for &port in tables.ports(s, d) {
                     let n = t.neighbors(s)[port];
-                    assert_eq!(tables.distance(n, d) + 1, tables.distance(s, d));
+                    assert_eq!(all[n][d] + 1, distance);
                 }
+                // and no other port does
+                let shortest = t
+                    .neighbors(s)
+                    .iter()
+                    .filter(|&&n| all[n][d] + 1 == distance);
+                assert_eq!(shortest.count(), tables.ports(s, d).len());
             }
         }
     }
@@ -213,17 +215,15 @@ mod tests {
     fn single_port_is_first_alternative() {
         let t = kautz(24, 3);
         let tables = RoutingTables::build(&t);
+        let first = tables.first_ports();
+        assert_eq!(first.len(), 24 * 24);
         for s in 0..24 {
             for d in 0..24 {
-                if s != d {
-                    assert_eq!(
-                        tables.single_port(s, d),
-                        tables.ports(s, d).first().copied()
-                    );
-                }
+                let expected = tables.ports(s, d).first().map_or(u32::MAX, |&p| p as u32);
+                assert_eq!(first[s * 24 + d], expected, "{s} -> {d}");
             }
         }
-        assert_eq!(tables.single_port(3, 3), None);
+        assert_eq!(first[3 * 24 + 3], u32::MAX);
     }
 
     #[test]
@@ -241,11 +241,13 @@ mod tests {
 
     #[test]
     fn direct_neighbors_have_distance_one() {
+        // a direct link is the one shortest path: its port is the only
+        // alternative
         let t = Topology::new(TopologyKind::Spidergon, 16, 3).unwrap();
         let tables = RoutingTables::build(&t);
         for s in 0..16 {
-            for &n in t.neighbors(s) {
-                assert_eq!(tables.distance(s, n), 1);
+            for (port, &n) in t.neighbors(s).iter().enumerate() {
+                assert_eq!(tables.ports(s, n), [port]);
             }
         }
     }
@@ -254,13 +256,26 @@ mod tests {
     fn mesh_routing_matches_manhattan_distance() {
         let t = Topology::new(TopologyKind::ToroidalMesh, 16, 4).unwrap();
         let tables = RoutingTables::build(&t);
-        // 4x4 torus: the maximum distance is 2 + 2 = 4
-        let max = (0..16)
-            .flat_map(|s| (0..16).map(move |d| (s, d)))
-            .filter(|(s, d)| s != d)
-            .map(|(s, d)| tables.distance(s, d))
-            .max()
-            .unwrap();
+        // following the first shortest-path port from every source reaches
+        // every destination in its Manhattan distance on the 4x4 torus:
+        // at most 2 + 2 = 4 hops
+        let first = tables.first_ports();
+        let torus = |a: usize, b: usize| {
+            let ring = |x: usize, y: usize| x.abs_diff(y).min(4 - x.abs_diff(y));
+            ring(a / 4, b / 4) + ring(a % 4, b % 4)
+        };
+        let mut max = 0;
+        for s in 0..16 {
+            for d in (0..16).filter(|&d| d != s) {
+                let (mut at, mut hops) = (s, 0);
+                while at != d {
+                    at = t.neighbors(at)[first[at * 16 + d] as usize];
+                    hops += 1;
+                }
+                assert_eq!(hops, torus(s, d), "{s} -> {d}");
+                max = max.max(hops);
+            }
+        }
         assert_eq!(max, 4);
     }
 }

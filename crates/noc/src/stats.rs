@@ -33,26 +33,6 @@ pub struct NocStats {
     pub misrouted: u64,
 }
 
-impl NocStats {
-    /// Aggregate link utilization: forwarded messages per node per cycle.
-    pub fn average_node_load(&self) -> f64 {
-        if self.cycles == 0 || self.forwarded_per_node.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.forwarded_per_node.iter().sum();
-        total as f64 / (self.cycles as f64 * self.forwarded_per_node.len() as f64)
-    }
-
-    /// Throughput of the phase in delivered messages per cycle.
-    pub fn accepted_rate(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / self.cycles as f64
-        }
-    }
-}
-
 impl ToJson for NocStats {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -80,25 +60,6 @@ impl ToJson for NocStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn derived_rates() {
-        let stats = NocStats {
-            cycles: 100,
-            delivered: 50,
-            forwarded_per_node: vec![20, 30],
-            ..NocStats::default()
-        };
-        assert!((stats.accepted_rate() - 0.5).abs() < 1e-12);
-        assert!((stats.average_node_load() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_cycaccording_is_safe() {
-        let stats = NocStats::default();
-        assert_eq!(stats.accepted_rate(), 0.0);
-        assert_eq!(stats.average_node_load(), 0.0);
-    }
 
     #[test]
     fn stats_are_serializable_and_cloneable() {

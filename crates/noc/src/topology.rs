@@ -270,11 +270,6 @@ impl Topology {
         &self.neighbors[i]
     }
 
-    /// The output port of node `from` that leads directly to `to`, if any.
-    pub fn port_towards(&self, from: usize, to: usize) -> Option<usize> {
-        self.neighbors[from].iter().position(|&n| n == to)
-    }
-
     /// Breadth-first shortest-path distances from `src` to every node.
     pub fn distances_from(&self, src: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.nodes];
@@ -435,18 +430,6 @@ mod tests {
     fn invalid_parameters_rejected() {
         assert!(Topology::new(TopologyKind::Mesh, 1, 2).is_err());
         assert!(Topology::new(TopologyKind::Mesh, 8, 0).is_err());
-    }
-
-    #[test]
-    fn port_towards_finds_direct_links() {
-        let t = Topology::new(TopologyKind::GeneralizedDeBruijn, 8, 2).unwrap();
-        for i in 0..8 {
-            for (port, &n) in t.neighbors(i).iter().enumerate() {
-                assert_eq!(t.port_towards(i, n), Some(port));
-            }
-        }
-        // De Bruijn with D=2 and P=8: node 0 connects to 0 and 1; no link to 5
-        assert_eq!(t.port_towards(0, 5), None);
     }
 
     #[test]

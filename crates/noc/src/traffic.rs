@@ -98,25 +98,6 @@ impl TrafficTrace {
         }
     }
 
-    /// The largest per-source message count: the message-passing phase cannot
-    /// be shorter than `max_per_source / R` cycles.
-    pub fn max_per_source(&self) -> usize {
-        self.per_source.iter().map(|m| m.len()).max().unwrap_or(0)
-    }
-
-    /// Standard deviation of the per-source message counts, a measure of the
-    /// "uniform message distribution" quality check of the paper's mapping
-    /// flow.
-    pub fn per_source_std_dev(&self) -> f64 {
-        let n = self.nodes();
-        if n == 0 {
-            return 0.0;
-        }
-        let counts: Vec<f64> = self.per_source.iter().map(|m| m.len() as f64).collect();
-        let mean = counts.iter().sum::<f64>() / n as f64;
-        (counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / n as f64).sqrt()
-    }
-
     /// Largest destination index referenced by the trace, if any.
     pub fn max_destination(&self) -> Option<usize> {
         self.per_source
@@ -137,8 +118,7 @@ mod tests {
         assert_eq!(t.nodes(), 8);
         assert_eq!(t.total_messages(), 160);
         assert_eq!(t.remote_messages(), 160, "self-traffic is excluded");
-        assert_eq!(t.max_per_source(), 20);
-        assert_eq!(t.per_source_std_dev(), 0.0);
+        assert!((0..8).all(|src| t.messages(src).len() == 20));
         assert!(t.max_destination().unwrap() < 8);
     }
 
@@ -179,13 +159,6 @@ mod tests {
         assert_eq!(t.total_messages(), 0);
         assert_eq!(t.locality(), 0.0);
         assert_eq!(t.max_destination(), None);
-        assert_eq!(t.max_per_source(), 0);
-    }
-
-    #[test]
-    fn per_source_std_dev_detects_imbalance() {
-        let msgs = vec![(0..10).map(|s| Message::new(0, 1, s, s)).collect(), vec![]];
-        let t = TrafficTrace::new(msgs);
-        assert!(t.per_source_std_dev() > 4.9);
+        assert!((0..4).all(|src| t.messages(src).is_empty()));
     }
 }
