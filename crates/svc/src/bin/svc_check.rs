@@ -16,7 +16,10 @@
 //! * with `--log-dir`, the directory's event log (read once) carries each
 //!   job's rows exactly as the live stream delivered them, byte for byte,
 //!   holds exactly one `accepted` and one `done` event per job, and holds
-//!   no job id that the replies lack.
+//!   no job id that the replies lack.  A job that finished before the last
+//!   [`KEPT_FINISHED_JOBS`](fec_svc::KEPT_FINISHED_JOBS) is no longer kept,
+//!   and compaction may have removed it: it may be absent from the log
+//!   entirely, never in part.
 //!
 //! Usage: `svc_check <replies.ndjson> <reference.json>... [--log-dir <dir>]`
 //!
@@ -37,6 +40,8 @@ struct JobCheck {
     rows: Vec<(u64, Json)>,
     done_status: Option<String>,
     done_rows: u64,
+    /// How many jobs of the stream finished before this one.
+    finished_after: usize,
 }
 
 fn fail(message: &str) -> ! {
@@ -152,6 +157,7 @@ fn read(path: &std::path::Path) -> String {
 /// Groups the reply stream's events per job, failing on any error events.
 fn collect_jobs(replies: &str) -> BTreeMap<u64, JobCheck> {
     let mut jobs = BTreeMap::new();
+    let mut finished = 0;
     for line in replies.lines().filter(|l| !l.trim().is_empty()) {
         let event =
             Json::parse(line).unwrap_or_else(|e| fail(&format!("unparsable reply {line:?}: {e}")));
@@ -177,6 +183,7 @@ fn collect_jobs(replies: &str) -> BTreeMap<u64, JobCheck> {
                         rows: Vec::new(),
                         done_status: None,
                         done_rows: 0,
+                        finished_after: 0,
                     },
                 );
             }
@@ -206,6 +213,8 @@ fn collect_jobs(replies: &str) -> BTreeMap<u64, JobCheck> {
                     .unwrap_or_else(|| fail(&format!("done for unknown job {id}")));
                 job.done_status = Some(status.to_string());
                 job.done_rows = rows;
+                job.finished_after = finished;
+                finished += 1;
             }
             "rejected" | "error" => fail(&format!("stream carries a failure event: {line}")),
             "shutting_down" | "cancelling" => {}
@@ -374,8 +383,9 @@ type LoggedJob = (usize, usize, Vec<(u64, String)>);
 
 /// The event log must carry exactly the rows the live stream delivered,
 /// one `accepted` and one `done` event per job, and no job the replies
-/// lack.
+/// lack; a job the service no longer keeps may be absent as a whole.
 fn check_event_log(path: &std::path::Path, jobs: &BTreeMap<u64, JobCheck>) {
+    let dropped_before = jobs.len().saturating_sub(fec_svc::KEPT_FINISHED_JOBS);
     let mut logged: BTreeMap<u64, LoggedJob> =
         jobs.keys().map(|&id| (id, Default::default())).collect();
     for line in read(path).lines() {
@@ -399,6 +409,10 @@ fn check_event_log(path: &std::path::Path, jobs: &BTreeMap<u64, JobCheck>) {
         }
     }
     for (job_id, (accepted, done, rows)) in logged {
+        let compacted = (accepted, done) == (0, 0) && rows.is_empty();
+        if compacted && jobs[&job_id].finished_after < dropped_before {
+            continue;
+        }
         if (accepted, done) != (1, 1) {
             fail(&format!(
                 "event log {} holds {accepted} accepted and {done} done events of job \

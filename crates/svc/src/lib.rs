@@ -40,5 +40,6 @@ pub mod service;
 pub use job::{run_unit, run_unit_with_store, JobSpec, Unit};
 pub use protocol::Request;
 pub use service::{
-    EventSink, Service, ServiceConfig, EVENT_LOG, KEPT_FINISHED_JOBS, MAX_REQUEST_LINE,
+    EventSink, Service, ServiceConfig, COMPACT_LOG_FLOOR, EVENT_LOG, KEPT_FINISHED_JOBS,
+    MAX_REQUEST_LINE,
 };

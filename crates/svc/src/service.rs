@@ -30,6 +30,14 @@
 //! memory does not grow with the jobs it has served; a `resume` or `cancel`
 //! of an older one is answered with one `error` event.
 //!
+//! Neither does its disk: when a job finishes and the log is longer than
+//! [`COMPACT_LOG_FLOOR`] and than twice the bytes of the jobs the service
+//! still keeps, the kept lines are copied, in their order, to a temporary
+//! file that is renamed over the log, and every kept job's offsets move
+//! with them, all under the state lock.  A compaction that fails leaves
+//! the old log in place and is retried once the log has grown by another
+//! [`COMPACT_LOG_FLOOR`].
+//!
 //! File-system failures end a job, never the daemon: a submit whose log
 //! cannot be created is rejected, and the next admission tries again.  A
 //! failed append sends the job that wrote it one `error` event and ends it
@@ -38,7 +46,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, ErrorKind, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -60,6 +68,11 @@ pub const EVENT_LOG: &str = "events.ndjson";
 /// Finished jobs the service keeps for `resume` and `cancel`: a `done` past
 /// this many drops the job that finished first.
 pub const KEPT_FINISHED_JOBS: usize = 1024;
+
+/// Length in bytes below which the event log is never compacted; above it,
+/// the log is compacted when it holds more than twice the bytes of the
+/// jobs the service keeps.
+pub const COMPACT_LOG_FLOOR: u64 = 256 * 1024;
 
 /// Where a service delivers protocol events for one client.
 ///
@@ -104,6 +117,11 @@ struct EventLog {
     /// Whether the log was opened before: the first open truncates it,
     /// every later one appends.
     opened: bool,
+    /// Bytes of the lines of the jobs the service keeps.
+    kept: u64,
+    /// After a failed compaction, the length the log must pass before the
+    /// next attempt.
+    retry_after: u64,
 }
 
 impl EventLog {
@@ -143,6 +161,55 @@ impl EventLog {
         let offset = self.end;
         self.end += line.len() as u64;
         Ok((offset, line.len()))
+    }
+
+    /// Whether the log is due for [`compact`](EventLog::compact): past the
+    /// floor, past twice the kept bytes and past a failed attempt's mark.
+    fn wants_compaction(&self) -> bool {
+        self.end > COMPACT_LOG_FLOOR.max(2 * self.kept).max(self.retry_after)
+    }
+
+    /// Replaces the log with the lines at `lines` (offset and length each,
+    /// in log order), written to a temporary file that is renamed over it,
+    /// and returns their new offsets.  On failure the old log stays.
+    fn compact(&mut self, lines: &[(u64, usize)]) -> Result<Vec<u64>, String> {
+        let compacting = self.path.with_extension("ndjson.compacting");
+        let copied = (|| -> std::io::Result<Vec<u64>> {
+            let mut from = BufReader::new(File::open(&self.path)?);
+            let mut to = BufWriter::new(File::create(&compacting)?);
+            let (mut read_to, mut written) = (0, 0);
+            let mut line = Vec::new();
+            let mut offsets = Vec::with_capacity(lines.len());
+            for &(offset, len) in lines {
+                let gap = i64::try_from(offset - read_to).map_err(std::io::Error::other)?;
+                from.seek_relative(gap)?;
+                line.resize(len, 0);
+                from.read_exact(&mut line)?;
+                to.write_all(&line)?;
+                offsets.push(written);
+                read_to = offset + len as u64;
+                written += len as u64;
+            }
+            to.flush()?;
+            std::fs::rename(&compacting, &self.path)?;
+            Ok(offsets)
+        })();
+        match copied {
+            Ok(offsets) => {
+                // the open descriptor still points at the replaced file
+                self.file = None;
+                self.end = lines.iter().map(|&(_, len)| len as u64).sum();
+                Ok(offsets)
+            }
+            Err(e) => {
+                let _ = std::fs::remove_file(&compacting);
+                self.retry_after = self.end + COMPACT_LOG_FLOOR;
+                Err(format!(
+                    "cannot compact job log {}: {e}",
+                    self.path.display()
+                ))
+            }
+        }
     }
 
     /// Reads back the lines at `lines` (offset and length each), without
@@ -202,13 +269,24 @@ impl JobEntry {
         match log.append(line) {
             Ok(at) => {
                 logged.push(at);
+                log.kept += at.1 as u64;
                 Ok(())
             }
             Err(message) => {
+                log.kept -= self.logged_bytes();
                 self.logged = None;
                 Err(message)
             }
         }
+    }
+
+    /// Bytes of the job's lines in the event log.
+    fn logged_bytes(&self) -> u64 {
+        self.logged
+            .iter()
+            .flatten()
+            .map(|&(_, len)| len as u64)
+            .sum()
     }
 
     /// Emits one result row.  Once an append of the job has failed, the job
@@ -694,9 +772,93 @@ fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) 
         entry.sink = None;
         finished.push_back(job_id);
         if finished.len() > KEPT_FINISHED_JOBS {
-            if let Some(oldest) = finished.pop_front() {
-                jobs.remove(&oldest);
+            if let Some(dropped) = finished.pop_front().and_then(|oldest| jobs.remove(&oldest)) {
+                log.kept -= dropped.logged_bytes();
             }
         }
+        if log.wants_compaction() {
+            compact_log(jobs, log);
+        }
+    }
+}
+
+/// Compacts the event log to the lines of the jobs in `jobs`, moving their
+/// offsets.  A failure keeps the old log (and the offsets into it).
+fn compact_log(jobs: &mut BTreeMap<u64, JobEntry>, log: &mut EventLog) {
+    // every kept line in log order: (offset, length, job, its index there)
+    let mut kept: Vec<(u64, usize, u64, usize)> = jobs
+        .iter()
+        .flat_map(|(&job_id, entry)| {
+            let lines = entry.logged.iter().flatten().enumerate();
+            lines.map(move |(index, &(offset, len))| (offset, len, job_id, index))
+        })
+        .collect();
+    kept.sort_unstable();
+    let lines: Vec<(u64, usize)> = kept
+        .iter()
+        .map(|&(offset, len, ..)| (offset, len))
+        .collect();
+    if let Ok(offsets) = log.compact(&lines) {
+        for (&(_, _, job_id, index), offset) in kept.iter().zip(offsets) {
+            if let Some(line) = jobs
+                .get_mut(&job_id)
+                .and_then(|entry| entry.logged.as_mut())
+                .and_then(|logged| logged.get_mut(index))
+            {
+                line.0 = offset;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn log_in(name: &str) -> EventLog {
+        let dir = std::env::temp_dir().join(format!("fec-svc-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        EventLog {
+            path: dir.join(EVENT_LOG),
+            ..EventLog::default()
+        }
+    }
+
+    #[test]
+    fn compaction_keeps_the_given_lines_in_order() {
+        let mut log = log_in("compact");
+        let at: Vec<(u64, usize)> = ["a", "bb", "ccc", "dddd"]
+            .iter()
+            .map(|line| log.append(line).unwrap())
+            .collect();
+        let kept = [at[1], at[3]];
+        assert_eq!(log.compact(&kept).unwrap(), [0, 3]);
+        assert_eq!(std::fs::read_to_string(&log.path).unwrap(), "bb\ndddd\n");
+        assert_eq!(log.read(&[(0, 3), (3, 5)]).unwrap(), ["bb", "dddd"]);
+        // appends continue after the kept lines
+        assert_eq!(log.append("e").unwrap(), (8, 2));
+        assert_eq!(std::fs::read_to_string(&log.path).unwrap(), "bb\ndddd\ne\n");
+    }
+
+    #[test]
+    fn a_failed_compaction_keeps_the_log_until_it_grows_by_the_floor() {
+        let mut log = log_in("compact-fails");
+        let line = "x".repeat(1023);
+        while log.end <= COMPACT_LOG_FLOOR {
+            log.append(&line).unwrap();
+        }
+        assert!(log.wants_compaction(), "nothing is kept");
+        // a directory where the temporary file goes makes the copy fail
+        std::fs::create_dir(log.path.with_extension("ndjson.compacting")).unwrap();
+        let before = std::fs::read(&log.path).unwrap();
+        assert!(log.compact(&[(0, 1024)]).is_err());
+        assert_eq!(std::fs::read(&log.path).unwrap(), before);
+        assert!(!log.wants_compaction());
+        while log.end <= before.len() as u64 + COMPACT_LOG_FLOOR {
+            assert!(!log.wants_compaction());
+            log.append(&line).unwrap();
+        }
+        assert!(log.wants_compaction(), "retried after further growth");
     }
 }
