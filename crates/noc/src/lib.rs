@@ -13,9 +13,12 @@
 //! * [`routing`] — Single-Shortest-Path and All-local-Shortest-Paths routing
 //!   tables with the three serving policies of the paper: SSP-RR, SSP-FL and
 //!   ASP-FT (FIFO-length with traffic spreading).
-//! * [`node`] — the RE node: `F x F` crossbar, `F` input FIFOs, `F` output
-//!   registers, with Delay-Colliding-Message (DCM) or Send-Colliding-Message
-//!   (SCM) collision management and the Route-Local (RL) flag.
+//! * [`node`] — the RE node's parameters: Delay-Colliding-Message (DCM) or
+//!   Send-Colliding-Message (SCM) collision management and the
+//!   All-/Partially-Precalculated architecture.  The node itself (`F x F`
+//!   crossbar, `F` input FIFOs, `F` output registers) is simulated on flat
+//!   state: every input FIFO is a power-of-two ring in one buffer shared by
+//!   the network, and a per-node occupancy mask names the non-empty ones.
 //! * [`traffic`] — injection traces: for every PE, the ordered list of
 //!   messages it produces during one message-passing phase, injected at a
 //!   configurable output rate `R`.

@@ -785,28 +785,20 @@ fn record_outcome(st: &mut State, job_id: u64, outcome: JobOutcome<UnitResult>) 
 /// Compacts the event log to the lines of the jobs in `jobs`, moving their
 /// offsets.  A failure keeps the old log (and the offsets into it).
 fn compact_log(jobs: &mut BTreeMap<u64, JobEntry>, log: &mut EventLog) {
-    // every kept line in log order: (offset, length, job, its index there)
-    let mut kept: Vec<(u64, usize, u64, usize)> = jobs
-        .iter()
-        .flat_map(|(&job_id, entry)| {
-            let lines = entry.logged.iter().flatten().enumerate();
-            lines.map(move |(index, &(offset, len))| (offset, len, job_id, index))
-        })
+    let mut lines: Vec<(u64, usize)> = jobs
+        .values()
+        .flat_map(|entry| entry.logged.iter().flatten().copied())
         .collect();
-    kept.sort_unstable();
-    let lines: Vec<(u64, usize)> = kept
-        .iter()
-        .map(|&(offset, len, ..)| (offset, len))
-        .collect();
+    lines.sort_unstable();
     if let Ok(offsets) = log.compact(&lines) {
-        for (&(_, _, job_id, index), offset) in kept.iter().zip(offsets) {
-            if let Some(line) = jobs
-                .get_mut(&job_id)
-                .and_then(|entry| entry.logged.as_mut())
-                .and_then(|logged| logged.get_mut(index))
-            {
-                line.0 = offset;
-            }
+        for line in jobs
+            .values_mut()
+            .flat_map(|entry| entry.logged.iter_mut().flatten())
+        {
+            let copied = lines
+                .binary_search(line)
+                .expect("every kept line is copied");
+            line.0 = offsets[copied];
         }
     }
 }
