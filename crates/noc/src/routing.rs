@@ -11,7 +11,6 @@
 //! nodes, stored in one (SSP) or more (ASP) routing tables.
 
 use crate::topology::Topology;
-use std::collections::VecDeque;
 
 /// The routing policies of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,58 +77,39 @@ impl std::fmt::Display for RoutingAlgorithm {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTables {
     nodes: usize,
-    /// `ports[src][dst]` = all output ports of `src` that lie on a shortest
-    /// path towards `dst` (empty when `src == dst`).
-    ports: Vec<Vec<Vec<usize>>>,
+    /// All output ports of `src` that lie on a shortest path towards `dst`,
+    /// flat: pair `src * P + dst` owns `ports[start[pair]..start[pair + 1]]`
+    /// (none when `src == dst`).
+    ports: Vec<usize>,
+    start: Vec<usize>,
 }
 
 impl RoutingTables {
-    /// Builds the tables from a topology (BFS towards every destination).
+    /// Builds the tables from a topology's all-pairs hop distances.
     pub fn build(topology: &Topology) -> Self {
         let p = topology.nodes();
-        // reverse adjacency for BFS from destinations
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); p];
-        for i in 0..p {
-            for &j in topology.neighbors(i) {
-                rev[j].push(i);
+        let distance = topology.all_distances();
+        let mut ports = Vec::new();
+        let mut start = Vec::with_capacity(p * p + 1);
+        start.push(0);
+        for (src, row) in distance.iter().enumerate() {
+            for (dst, &hops) in row.iter().enumerate() {
+                if src != dst && hops != usize::MAX {
+                    let neighbors = topology.neighbors(src).iter().enumerate();
+                    ports.extend(
+                        neighbors
+                            .filter(|&(_, &n)| distance[n][dst].checked_add(1) == Some(hops))
+                            .map(|(port, _)| port),
+                    );
+                }
+                start.push(ports.len());
             }
         }
-
-        let mut distance = vec![vec![usize::MAX; p]; p];
-        for dst in 0..p {
-            let mut dist = vec![usize::MAX; p];
-            let mut queue = VecDeque::new();
-            dist[dst] = 0;
-            queue.push_back(dst);
-            while let Some(u) = queue.pop_front() {
-                for &v in &rev[u] {
-                    if dist[v] == usize::MAX {
-                        dist[v] = dist[u] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            for src in 0..p {
-                distance[src][dst] = dist[src];
-            }
+        RoutingTables {
+            nodes: p,
+            ports,
+            start,
         }
-
-        let mut ports = vec![vec![Vec::new(); p]; p];
-        for src in 0..p {
-            for dst in 0..p {
-                if src == dst || distance[src][dst] == usize::MAX {
-                    continue;
-                }
-                for (port, &n) in topology.neighbors(src).iter().enumerate() {
-                    if distance[n][dst] != usize::MAX && distance[n][dst] + 1 == distance[src][dst]
-                    {
-                        ports[src][dst].push(port);
-                    }
-                }
-            }
-        }
-
-        RoutingTables { nodes: p, ports }
     }
 
     /// Number of nodes the tables were built for.
@@ -139,17 +119,23 @@ impl RoutingTables {
 
     /// All shortest-path output ports from `src` towards `dst`.
     pub fn ports(&self, src: usize, dst: usize) -> &[usize] {
-        &self.ports[src][dst]
+        let pair = src * self.nodes + dst;
+        &self.ports[self.start[pair]..self.start[pair + 1]]
     }
 
     /// The single shortest-path port (lowest-numbered) the SSP policies use,
     /// flat: entry `src * P + dst`; `u32::MAX` when `src == dst` or `dst` is
     /// unreachable.
     pub(crate) fn first_ports(&self) -> Vec<u32> {
-        self.ports
-            .iter()
-            .flatten()
-            .map(|ports| ports.first().map_or(u32::MAX, |&port| port as u32))
+        self.start
+            .windows(2)
+            .map(|pair| {
+                if pair[0] < pair[1] {
+                    self.ports[pair[0]] as u32
+                } else {
+                    u32::MAX
+                }
+            })
             .collect()
     }
 }

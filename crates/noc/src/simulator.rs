@@ -289,13 +289,17 @@ impl NocSimulator {
         let mut latency_sum: u64 = 0;
         let mut hop_sum: u64 = 0;
         let mut routed_delivered: u64 = 0;
+        let (mut max_latency, mut collisions, mut misrouted) = (0, 0, 0);
 
         let routing = self.config.routing;
         let longest_first = matches!(routing, RoutingAlgorithm::SspFl | RoutingAlgorithm::AspFt);
         let misroute = self.config.collision == CollisionPolicy::Scm;
+        let spreads = routing == RoutingAlgorithm::AspFt;
         // per-node scratch, reused across nodes and cycles: the serving
         // order and, per output port, the node visit that last took it
         let mut order: Vec<u64> = Vec::new();
+        let widest = self.nodes.iter().map(|node| node.ports).max();
+        let mut head_dst = vec![0u32; widest.unwrap_or(0) as usize];
         let widest_out = self.nodes.iter().map(|node| node.out_ports).max();
         let mut taken_at = vec![0u64; widest_out.unwrap_or(0) as usize + 1];
         let mut visit: u64 = 0;
@@ -350,6 +354,7 @@ impl NocSimulator {
                     while bits != 0 {
                         let port = w as u32 * 64 + bits.trailing_zeros();
                         bits &= bits - 1;
+                        head_dst[port as usize] = fifos.front(ring_base + port as usize).dst;
                         if !longest_first {
                             order.push(u64::from(!port));
                             continue;
@@ -384,8 +389,7 @@ impl NocSimulator {
                 for &key in &order {
                     let in_port = !(key as u32) as usize;
                     let ring = ring_base + in_port;
-                    let packet = fifos.front(ring);
-                    let dst = packet.dst as usize;
+                    let dst = head_dst[in_port] as usize;
                     let free = |port: usize| taken_at[port] != visit;
                     let chosen = match routing {
                         RoutingAlgorithm::SspRr | RoutingAlgorithm::SspFl => {
@@ -406,14 +410,14 @@ impl NocSimulator {
                     let assigned = match chosen {
                         Some(port) => port,
                         None => {
-                            stats.collisions += 1;
+                            collisions += 1;
                             // SCM: misroute to a uniformly drawn free
                             // *network* port
                             let free_count = out_ports - taken_network;
                             if !misroute || free_count == 0 || dst == node {
                                 continue;
                             }
-                            stats.misrouted += 1;
+                            misrouted += 1;
                             let k = rng.gen_range(0..free_count);
                             (0..out_ports)
                                 .filter(|&port| free(port))
@@ -425,6 +429,7 @@ impl NocSimulator {
                     // the rest is branch-free: every message either leaves
                     // through a network port, into the cycle's staging
                     // list, or is delivered to the PE
+                    let packet = fifos.front(ring);
                     let left = fifos.pop(ring);
                     mask[in_port / 64] &= !(u64::from(left == 0) << (in_port % 64));
                     taken_at[assigned] = visit;
@@ -438,14 +443,16 @@ impl NocSimulator {
                     );
                     forwarded += usize::from(forward);
                     taken_network += usize::from(forward);
-                    sent[out_base + assigned] += u64::from(forward);
+                    if spreads {
+                        sent[out_base + assigned] += u64::from(forward);
+                    }
                     let arrived = u64::from(!forward);
                     let lat = cycle + 1 - u64::from(packet.injected_at);
                     delivered += arrived as usize;
                     routed_delivered += arrived;
                     latency_sum += arrived * lat;
                     hop_sum += arrived * u64::from(packet.hops);
-                    stats.max_latency = stats.max_latency.max(arrived * lat);
+                    max_latency = max_latency.max(arrived * lat);
                 }
                 stats.forwarded_per_node[node] += taken_network as u64;
             }
@@ -466,6 +473,9 @@ impl NocSimulator {
 
         stats.cycles = cycle;
         stats.delivered = delivered;
+        stats.max_latency = max_latency;
+        stats.collisions = collisions;
+        stats.misrouted = misrouted;
         stats.max_fifo_occupancy = stats.per_node_max_fifo.iter().copied().max().unwrap_or(0);
         if routed_delivered > 0 {
             stats.average_latency = latency_sum as f64 / routed_delivered as f64;
