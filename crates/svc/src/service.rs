@@ -172,7 +172,7 @@ impl EventLog {
     /// Replaces the log with the lines at `lines` (offset and length each,
     /// in log order), written to a temporary file that is renamed over it,
     /// and returns their new offsets.  On failure the old log stays.
-    fn compact(&mut self, lines: &[(u64, usize)]) -> Result<Vec<u64>, String> {
+    fn compact(&mut self, lines: &[(u64, usize)]) -> std::io::Result<Vec<u64>> {
         let compacting = self.path.with_extension("ndjson.compacting");
         let copied = (|| -> std::io::Result<Vec<u64>> {
             let mut from = BufReader::new(File::open(&self.path)?);
@@ -199,15 +199,13 @@ impl EventLog {
                 // the open descriptor still points at the replaced file
                 self.file = None;
                 self.end = lines.iter().map(|&(_, len)| len as u64).sum();
+                self.retry_after = 0;
                 Ok(offsets)
             }
             Err(e) => {
                 let _ = std::fs::remove_file(&compacting);
                 self.retry_after = self.end + COMPACT_LOG_FLOOR;
-                Err(format!(
-                    "cannot compact job log {}: {e}",
-                    self.path.display()
-                ))
+                Err(e)
             }
         }
     }
@@ -852,5 +850,8 @@ mod tests {
             log.append(&line).unwrap();
         }
         assert!(log.wants_compaction(), "retried after further growth");
+        std::fs::remove_dir(log.path.with_extension("ndjson.compacting")).unwrap();
+        assert_eq!(log.compact(&[(0, 1024)]).unwrap(), [0]);
+        assert_eq!(log.retry_after, 0, "a success forgets the failure");
     }
 }
