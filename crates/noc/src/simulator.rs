@@ -298,6 +298,8 @@ impl NocSimulator {
         // per-node scratch, reused across nodes and cycles: the serving
         // order and, per output port, the node visit that last took it
         let mut order: Vec<u64> = Vec::new();
+        // each non-empty FIFO's head destination, read while ordering so
+        // routing decisions do not wait on the rings
         let widest = self.nodes.iter().map(|node| node.ports).max();
         let mut head_dst = vec![0u32; widest.unwrap_or(0) as usize];
         let widest_out = self.nodes.iter().map(|node| node.out_ports).max();
