@@ -75,17 +75,6 @@ impl PeAreaModel {
     pub fn core_area(&self, inputs: &PeAreaInputs) -> AreaMm2 {
         AreaMm2::new(self.pe_area(inputs).mm2() * inputs.pes as f64)
     }
-
-    /// Fraction of the core area occupied by the shared memories.
-    pub fn memory_share(&self, inputs: &PeAreaInputs) -> f64 {
-        let mem = self.memory_area(inputs).mm2();
-        let total = self.pe_area(inputs).mm2();
-        if total == 0.0 {
-            0.0
-        } else {
-            mem / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +98,8 @@ mod tests {
     fn memory_dominates_the_core_area() {
         // Paper: shared memories are 61.8 % of the processing core.
         let model = PeAreaModel::default();
-        let share = model.memory_share(&paper_inputs());
+        let inputs = paper_inputs();
+        let share = model.memory_area(&inputs).mm2() / model.pe_area(&inputs).mm2();
         assert!(share > 0.45 && share < 0.85, "memory share {share}");
     }
 

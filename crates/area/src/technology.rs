@@ -18,11 +18,6 @@ impl Technology {
         Technology { feature_nm: 65.0 }
     }
 
-    /// The 45 nm node (used by two of the compared designs in Table III).
-    pub fn nm45() -> Self {
-        Technology { feature_nm: 45.0 }
-    }
-
     /// Area scaling factor from this node to `target` (areas scale with the
     /// square of the feature-size ratio).
     ///
@@ -72,18 +67,6 @@ impl UnitAreas {
             gate_um2: 3.1,
         }
     }
-
-    /// Scales every constant to another technology node.
-    pub fn scaled_to(&self, target: Technology) -> UnitAreas {
-        let f = self.technology.scale_factor_to(target);
-        UnitAreas {
-            technology: target,
-            flipflop_um2: self.flipflop_um2 * f,
-            sram_bit_um2: self.sram_bit_um2 * f,
-            crossbar_bit_um2: self.crossbar_bit_um2 * f,
-            gate_um2: self.gate_um2 * f,
-        }
-    }
 }
 
 impl Default for UnitAreas {
@@ -99,7 +82,7 @@ mod tests {
     #[test]
     fn scaling_is_quadratic() {
         let t90 = Technology::nm90();
-        let t45 = Technology::nm45();
+        let t45 = Technology { feature_nm: 45.0 };
         assert!((t90.scale_factor_to(t45) - 0.25).abs() < 1e-12);
         assert!((t90.scale_area(4.0, t45) - 1.0).abs() < 1e-12);
         // identity
@@ -111,16 +94,6 @@ mod tests {
         // Table III: 3.17 mm2 at 90 nm normalises to ~1.65 mm2 at 65 nm.
         let n = Technology::nm90().scale_area(3.17, Technology::nm65());
         assert!((n - 1.65).abs() < 0.05, "normalised area {n}");
-    }
-
-    #[test]
-    fn unit_areas_scale_together() {
-        let u90 = UnitAreas::nm90();
-        let u65 = u90.scaled_to(Technology::nm65());
-        let f = Technology::nm90().scale_factor_to(Technology::nm65());
-        assert!((u65.flipflop_um2 - u90.flipflop_um2 * f).abs() < 1e-9);
-        assert!((u65.sram_bit_um2 - u90.sram_bit_um2 * f).abs() < 1e-9);
-        assert!(u65.technology.feature_nm == 65.0);
     }
 
     #[test]

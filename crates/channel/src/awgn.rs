@@ -25,18 +25,6 @@ impl EbN0 {
         EbN0 { db }
     }
 
-    /// Creates an `Eb/N0` from a linear ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `linear` is not strictly positive.
-    pub fn from_linear(linear: f64) -> Self {
-        assert!(linear > 0.0, "Eb/N0 must be positive");
-        EbN0 {
-            db: 10.0 * linear.log10(),
-        }
-    }
-
     /// The ratio in decibels.
     pub fn db(&self) -> f64 {
         self.db
@@ -71,16 +59,6 @@ pub struct AwgnChannel {
 }
 
 impl AwgnChannel {
-    /// Creates a channel with an explicit noise variance `sigma^2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma2` is not strictly positive.
-    pub fn with_noise_variance(sigma2: f64) -> Self {
-        assert!(sigma2 > 0.0, "noise variance must be positive");
-        AwgnChannel { sigma2 }
-    }
-
     /// Creates a channel whose noise variance corresponds to the given
     /// `Eb/N0` for a code of rate `rate`.
     ///
@@ -148,14 +126,8 @@ mod tests {
     fn ebn0_conversions() {
         let e = EbN0::from_db(0.0);
         assert!((e.linear() - 1.0).abs() < 1e-12);
-        let e = EbN0::from_linear(2.0);
-        assert!((e.db() - 3.0103).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn nonpositive_linear_panics() {
-        let _ = EbN0::from_linear(0.0);
+        let e = EbN0::from_db(10.0 * 2f64.log10());
+        assert!((e.linear() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -173,7 +145,9 @@ mod tests {
 
     #[test]
     fn llr_sign_follows_received_sample() {
-        let ch = AwgnChannel::with_noise_variance(0.5);
+        // sigma^2 = 1 / (2 * 1 * 1) = 0.5
+        let ch = AwgnChannel::for_code_rate(EbN0::from_db(0.0), 1.0);
+        assert_eq!(ch.noise_variance(), 0.5);
         assert!(ch.llr(0.7).value() > 0.0);
         assert!(ch.llr(-0.7).value() < 0.0);
         assert!((ch.llr(1.0).value() - 4.0).abs() < 1e-12);
@@ -181,7 +155,8 @@ mod tests {
 
     #[test]
     fn noise_statistics_are_plausible() {
-        let ch = AwgnChannel::with_noise_variance(1.0);
+        let ch = AwgnChannel::for_code_rate(EbN0::from_db(0.0), 0.5);
+        assert_eq!(ch.noise_variance(), 1.0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let n = 20_000;
         let tx = vec![0.0; n];
@@ -204,7 +179,8 @@ mod tests {
 
     #[test]
     fn llrs_vector_matches_scalar() {
-        let ch = AwgnChannel::with_noise_variance(2.0);
+        let ch = AwgnChannel::for_code_rate(EbN0::from_db(0.0), 0.25);
+        assert_eq!(ch.noise_variance(), 2.0);
         let rx = [0.3, -0.9, 1.4];
         let v = ch.llrs(&rx);
         for (y, l) in rx.iter().zip(v) {

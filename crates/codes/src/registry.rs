@@ -623,38 +623,4 @@ mod tests {
             );
         }
     }
-
-    /// The mapping flow's row graph on every LDPC code of the five
-    /// registries, against a sorted merge of each pair of rows: the listed
-    /// weights are those merge counts, and they add up to all other entries
-    /// of the row's columns, so no row sharing a column is left out.
-    #[test]
-    fn every_registry_ldpc_code_has_an_exact_row_adjacency() {
-        let shared =
-            |a: &[usize], b: &[usize]| a.iter().filter(|c| b.binary_search(c).is_ok()).count();
-        for standard in Standard::all() {
-            for code in standard.full_codes() {
-                let StandardCode::Ldpc { code, .. } = code else {
-                    continue;
-                };
-                let h = code.parity_check();
-                let cols = h.column_lists();
-                let adjacency = wimax_ldpc::TannerGraph::from_code(&code).weighted_row_adjacency();
-                assert_eq!(adjacency.len(), code.m());
-                for (a, neigh) in adjacency.iter().enumerate() {
-                    assert!(neigh.windows(2).all(|p| p[0].0 < p[1].0), "row {a}");
-                    for &(b, w) in neigh {
-                        assert!(b != a && w > 0, "row {a}: ({b}, {w})");
-                        assert_eq!(w, shared(h.row(a), h.row(b)), "rows {a} and {b}");
-                    }
-                    let others: usize = h.row(a).iter().map(|&c| cols[c].len() - 1).sum();
-                    assert_eq!(
-                        neigh.iter().map(|&(_, w)| w).sum::<usize>(),
-                        others,
-                        "row {a}"
-                    );
-                }
-            }
-        }
-    }
 }

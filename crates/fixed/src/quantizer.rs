@@ -14,18 +14,6 @@ pub struct QuantStats {
     pub saturated: u64,
 }
 
-impl QuantStats {
-    /// Fraction of quantized samples that saturated (0 when nothing was
-    /// quantized yet).
-    pub fn saturation_ratio(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.saturated as f64 / self.total as f64
-        }
-    }
-}
-
 /// A uniform mid-tread quantizer mapping floating-point LLRs to `bits`-bit
 /// signed integers with `frac_bits` fractional bits.
 ///
@@ -81,12 +69,14 @@ impl Quantizer {
     }
 
     /// Largest representable real value.
-    pub fn max_real(&self) -> f64 {
+    #[cfg(test)]
+    fn max_real(&self) -> f64 {
         SatFixed::max_value(self.bits) as f64 / self.scale()
     }
 
     /// Smallest representable real value.
-    pub fn min_real(&self) -> f64 {
+    #[cfg(test)]
+    fn min_real(&self) -> f64 {
         SatFixed::min_value(self.bits) as f64 / self.scale()
     }
 
@@ -193,12 +183,6 @@ mod tests {
         q.quantize_tracked(-500.0, &mut stats);
         assert_eq!(stats.total, 3);
         assert_eq!(stats.saturated, 2);
-        assert!((stats.saturation_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_ratio_is_zero() {
-        assert_eq!(QuantStats::default().saturation_ratio(), 0.0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Expansion of 802.16e base matrices into full quasi-cyclic parity-check
-//! matrices and the [`QcLdpcCode`] handle used by encoders, decoders and the
-//! NoC mapping flow.
+//! The [`QcLdpcCode`] handle used by encoders, decoders and the NoC mapping
+//! flow: an 802.16e-style base matrix expanded by `z`, held as its base
+//! matrix and its layer plan, whose rows are the rows of the parity-check
+//! matrix H.
 
 use crate::base_matrix::{BaseMatrix, CodeRate};
 use crate::plan::LayerPlan;
-use crate::sparse::SparseBinaryMatrix;
 use crate::BASE_COLUMNS;
 use std::fmt;
 
@@ -51,18 +51,18 @@ impl fmt::Display for LdpcError {
 
 impl std::error::Error for LdpcError {}
 
-/// A fully-expanded quasi-cyclic LDPC code.
+/// A quasi-cyclic LDPC code: a base matrix expanded by `z`.
 ///
-/// Holds the base matrix, the expansion factor `z`, the layer plan (each
-/// block row's non-zero blocks with their shifts at `z`, which the decoders,
-/// the encoder and the NoC mapping flow read) and the expanded parity-check
-/// matrix in sparse form.
+/// Holds the base matrix, the expansion factor `z` and the layer plan: each
+/// block row's non-zero blocks with their shifts at `z`, and every check
+/// row's bits, the rows of the parity-check matrix H.  The decoders, the
+/// encoders, the parity check and the NoC mapping flow all read the plan;
+/// H is never expanded as a matrix of its own.
 #[derive(Debug, Clone)]
 pub struct QcLdpcCode {
     base: BaseMatrix,
     z: usize,
     plan: LayerPlan,
-    h: SparseBinaryMatrix,
 }
 
 impl QcLdpcCode {
@@ -81,7 +81,7 @@ impl QcLdpcCode {
         Ok(Self::from_base(BaseMatrix::wimax(rate), z))
     }
 
-    /// Expands an arbitrary base matrix with expansion factor `z`.
+    /// The code of an arbitrary base matrix with expansion factor `z`.
     ///
     /// # Panics
     ///
@@ -89,17 +89,7 @@ impl QcLdpcCode {
     pub fn from_base(base: BaseMatrix, z: usize) -> Self {
         assert!(z > 0, "expansion factor must be positive");
         let plan = LayerPlan::new(&base, z);
-        let mut h = SparseBinaryMatrix::new(base.rows() * z, base.cols() * z);
-        for (l, layer) in plan.layers().enumerate() {
-            // Row `r` of the layer is chunk `r` (an empty layer has none).
-            let columns = &plan.columns()[layer.start * z..layer.end * z];
-            for (r, bits) in columns.chunks(layer.len().max(1)).enumerate() {
-                for &c in bits {
-                    h.set(l * z + r, c as usize);
-                }
-            }
-        }
-        QcLdpcCode { base, z, plan, h }
+        QcLdpcCode { base, z, plan }
     }
 
     /// The base matrix.
@@ -138,27 +128,46 @@ impl QcLdpcCode {
         &self.plan
     }
 
-    /// The expanded parity-check matrix.
-    pub fn parity_check(&self) -> &SparseBinaryMatrix {
-        &self.h
-    }
-
-    /// Degree of check row `row` of the expanded matrix.
-    pub fn check_degree(&self, row: usize) -> usize {
-        self.h.row_degree(row)
-    }
-
     /// Total number of edges of the Tanner graph (ones of H), which equals
     /// the number of extrinsic messages exchanged per decoding iteration in a
     /// layered decoder.
     pub fn edge_count(&self) -> usize {
-        self.h.nonzeros()
+        self.plan.columns().len()
     }
 
-    /// Returns `true` if `x` satisfies every parity check.
+    /// Returns `true` if `x` (bits as 0/1 values) satisfies every parity
+    /// check.  Allocation-free; stops at the first unsatisfied check.
     pub fn is_codeword(&self, x: &[u8]) -> bool {
-        x.len() == self.n() && self.h.is_codeword(x)
+        x.len() == self.n()
+            && self
+                .plan
+                .rows()
+                .all(|bits| bits.iter().fold(0, |parity, &c| parity ^ x[c as usize]) & 1 == 0)
     }
+}
+
+/// The rows of H spelled out from the base matrix's shifts, apart from the
+/// layer plan: row `l * z + r` meets bit `bc * z + (r + shift) % z` of every
+/// non-zero block `(l, bc)`, in ascending block column.  The test oracles
+/// read H through these rows.
+#[cfg(test)]
+pub(crate) fn spelled_rows(code: &QcLdpcCode) -> Vec<Vec<usize>> {
+    let (base, z) = (code.base(), code.expansion());
+    (0..base.rows() * z)
+        .map(|row| {
+            let (l, r) = (row / z, row % z);
+            (0..base.cols())
+                .filter_map(|bc| base.shift(l, bc, z).map(|s| bc * z + (r + s) % z))
+                .collect()
+        })
+        .collect()
+}
+
+/// `true` when the bits `x` (0/1 values) satisfy every row of `rows`.
+#[cfg(test)]
+pub(crate) fn satisfies_rows(rows: &[Vec<usize>], x: &[u8]) -> bool {
+    rows.iter()
+        .all(|row| row.iter().fold(0, |parity, &c| parity ^ x[c]) & 1 == 0)
 }
 
 #[cfg(test)]
@@ -196,12 +205,15 @@ mod tests {
     #[test]
     fn every_row_degree_matches_base_degree() {
         let code = QcLdpcCode::wimax(1152, CodeRate::R12).unwrap();
-        let z = code.expansion();
-        for br in 0..code.base().rows() {
-            let expected = code.base().row_degree(br);
-            for r in br * z..(br + 1) * z {
-                assert_eq!(code.check_degree(r), expected);
-            }
+        let plan = code.plan();
+        let z = plan.expansion();
+        for (br, layer) in plan.layers().enumerate() {
+            assert_eq!(layer.len(), code.base().row_degree(br));
+        }
+        let degrees: Vec<usize> = plan.rows().map(<[u32]>::len).collect();
+        assert_eq!(degrees.len(), code.m());
+        for (r, &degree) in degrees.iter().enumerate() {
+            assert_eq!(degree, code.base().row_degree(r / z), "row {r}");
         }
     }
 
@@ -209,21 +221,21 @@ mod tests {
     fn column_degrees_match_base() {
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
         let z = code.expansion();
-        let cols = code.parity_check().column_lists();
-        for bc in 0..24 {
-            let expected = code.base().col_degree(bc);
-            for (c, col) in cols.iter().enumerate().take((bc + 1) * z).skip(bc * z) {
-                assert_eq!(col.len(), expected, "column {c}");
-            }
+        let mut degrees = vec![0; code.n()];
+        for &c in code.plan().columns() {
+            degrees[c as usize] += 1;
+        }
+        for (c, &degree) in degrees.iter().enumerate() {
+            assert_eq!(degree, code.base().col_degree(c / z), "column {c}");
         }
     }
 
     #[test]
     fn expanded_h_has_full_row_rank_for_rate_half() {
         // The dual-diagonal construction gives a full-rank H (the code rate is
-        // exactly k/n).  Use the smallest code to keep the test fast.
+        // exactly k/n): the Gaussian encoder inverts H's square parity part.
         let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        assert_eq!(code.parity_check().rank(), code.m());
+        assert!(crate::GaussianEncoder::new(&code).is_some());
     }
 
     #[test]
@@ -243,7 +255,7 @@ mod tests {
         // Walked layer by layer, the plan's rows reach every check row of H
         // once, `z` rows per layer in row order.
         let code = QcLdpcCode::wimax(672, CodeRate::R34A).unwrap();
-        let (plan, h, z) = (code.plan(), code.parity_check(), code.expansion());
+        let (plan, h, z) = (code.plan(), spelled_rows(&code), code.expansion());
         assert_eq!(plan.layers().len(), code.base().rows());
         let mut seen = vec![false; code.m()];
         let mut next = 0;
@@ -253,7 +265,7 @@ mod tests {
             for bits in columns.chunks_exact(layer.len()) {
                 let bits: Vec<usize> = bits.iter().map(|&c| c as usize).collect();
                 let r = (0..code.m())
-                    .find(|&r| h.row(r) == &bits[..])
+                    .find(|&r| h[r] == bits)
                     .expect("every plan row is a row of H");
                 assert_eq!(r, next);
                 assert!(!seen[r]);
@@ -269,6 +281,30 @@ mod tests {
         let code = QcLdpcCode::wimax(576, CodeRate::R23B).unwrap();
         assert!(code.is_codeword(&vec![0u8; code.n()]));
         assert!(!code.is_codeword(&vec![0u8; code.n() - 1]));
+    }
+
+    /// On a codeword of n576 at every rate and on every single-bit flip of
+    /// it, `is_codeword` agrees with the rows spelled from the base matrix.
+    #[test]
+    fn is_codeword_agrees_with_the_spelled_rows() {
+        for rate in CodeRate::all() {
+            let code = QcLdpcCode::wimax(576, rate).unwrap();
+            let h = spelled_rows(&code);
+            let info: Vec<u8> = (0..code.k()).map(|i| (i * 7 % 5 % 2) as u8).collect();
+            let mut word = crate::QcEncoder::new(&code).encode(&info).unwrap();
+            assert!(code.is_codeword(&word), "rate {rate}");
+            assert!(satisfies_rows(&h, &word), "rate {rate}");
+            for bit in 0..code.n() {
+                word[bit] ^= 1;
+                assert_eq!(
+                    code.is_codeword(&word),
+                    satisfies_rows(&h, &word),
+                    "rate {rate}, bit {bit}"
+                );
+                assert!(!code.is_codeword(&word), "rate {rate}, bit {bit}");
+                word[bit] ^= 1;
+            }
+        }
     }
 
     #[test]

@@ -333,6 +333,7 @@ impl LayeredDecoder {
 mod tests {
     use super::*;
     use crate::base_matrix::{BaseMatrix, CodeRate};
+    use crate::code::{satisfies_rows, spelled_rows};
     use crate::decoder::meu::SPECIAL_VALUES;
     use crate::encoder::QcEncoder;
     use proptest::prelude::*;
@@ -340,17 +341,17 @@ mod tests {
 
     /// The serial loop with a branching check-node update, kept as the
     /// oracle of the lane loop: row after row of the parity-check matrix
-    /// in layer order, a sequential two-minimum scan that compares
-    /// magnitudes as floats, one signed message computed per edge, and the
-    /// syndrome of `is_codeword`.
+    /// (spelled from the base matrix) in layer order, a sequential
+    /// two-minimum scan that compares magnitudes as floats, one signed
+    /// message computed per edge, and a syndrome over the spelled rows.
     fn reference_decode(dec: &LayeredDecoder, channel: &[Llr]) -> DecodeOutcome {
-        let h = dec.code.parity_check();
+        let h = spelled_rows(&dec.code);
         let LayeredConfig { scale, offset, .. } = dec.config;
         // The rows as CSR, with one `R` per entry.
         let mut row_ptr = vec![0];
         let mut cols = Vec::new();
-        for row in 0..h.num_rows() {
-            cols.extend_from_slice(h.row(row));
+        for row in &h {
+            cols.extend_from_slice(row);
             row_ptr.push(cols.len());
         }
         let mut lambda: Vec<f64> = channel.iter().map(|l| l.value()).collect();
@@ -395,13 +396,13 @@ mod tests {
                     r[start + j] = r_new;
                 }
             }
-            if dec.config.early_termination && h.is_codeword(&hard(&lambda)) {
+            if dec.config.early_termination && satisfies_rows(&h, &hard(&lambda)) {
                 converged = true;
                 break;
             }
         }
         if !converged {
-            converged = h.is_codeword(&hard(&lambda));
+            converged = satisfies_rows(&h, &hard(&lambda));
         }
         DecodeOutcome {
             hard_bits: hard(&lambda),
@@ -414,32 +415,31 @@ mod tests {
     /// The two-phase loop the flooding schedule replaced, kept as its
     /// oracle: per-row `Vec`s of variable-to-check and check-to-variable
     /// messages, a branching two-minimum scan per row, then per column the
-    /// channel LLR plus the sum of its messages in row order, and the
-    /// syndrome of `is_codeword`.  A row without a finite minimum sends 0,
-    /// and the offset applies before the scale, as in the layered loop.
+    /// channel LLR plus the sum of its messages in row order, and a
+    /// syndrome over the rows spelled from the base matrix.  A row without
+    /// a finite minimum sends 0, and the offset applies before the scale,
+    /// as in the layered loop.
     fn flooding_reference_decode(
         code: &QcLdpcCode,
         cfg: LayeredConfig,
         channel: &[Llr],
     ) -> DecodeOutcome {
-        let h = code.parity_check();
+        let h = spelled_rows(code);
         let m = code.m();
-        // For each column, the (row, position-within-row) pairs of its entries.
-        let col_entries: Vec<Vec<(usize, usize)>> = h
-            .column_lists()
-            .iter()
-            .enumerate()
-            .map(|(c, rows)| {
-                rows.iter()
-                    .map(|&row| (row, h.row(row).iter().position(|&x| x == c).unwrap()))
-                    .collect()
-            })
-            .collect();
+        // For each column, the (row, position-within-row) pairs of its
+        // entries, in row order.
+        let mut col_entries: Vec<Vec<(usize, usize)>> = vec![Vec::new(); code.n()];
+        for (row, cols) in h.iter().enumerate() {
+            for (pos, &c) in cols.iter().enumerate() {
+                col_entries[c].push((row, pos));
+            }
+        }
         let ch: Vec<f64> = channel.iter().map(|l| l.value()).collect();
-        let mut v2c: Vec<Vec<f64>> = (0..m)
-            .map(|row| h.row(row).iter().map(|&c| ch[c]).collect())
+        let mut v2c: Vec<Vec<f64>> = h
+            .iter()
+            .map(|row| row.iter().map(|&c| ch[c]).collect())
             .collect();
-        let mut c2v: Vec<Vec<f64>> = (0..m).map(|row| vec![0.0; h.row_degree(row)]).collect();
+        let mut c2v: Vec<Vec<f64>> = h.iter().map(|row| vec![0.0; row.len()]).collect();
         let mut posterior = ch.clone();
         let hard = |lambda: &[f64]| -> Vec<u8> {
             lambda.iter().map(|&l| Llr::new(l).hard_bit()).collect()
@@ -480,13 +480,13 @@ mod tests {
                     v2c[row][pos] = posterior[c] - c2v[row][pos];
                 }
             }
-            if cfg.early_termination && h.is_codeword(&hard(&posterior)) {
+            if cfg.early_termination && satisfies_rows(&h, &hard(&posterior)) {
                 converged = true;
                 break;
             }
         }
         if !converged {
-            converged = h.is_codeword(&hard(&posterior));
+            converged = satisfies_rows(&h, &hard(&posterior));
         }
         DecodeOutcome {
             hard_bits: hard(&posterior),

@@ -565,7 +565,7 @@ impl FixedLayeredDecoder {
         // Sign bit of `failed[f]`: lane `f` has an odd-parity row (unchecked
         // lanes start failed, so they never hold up the early exit).
         let mut failed = lanes.map(|m| !m);
-        for cols in self.check_rows() {
+        for cols in self.code.plan().rows() {
             let mut parity = [0i16; B];
             for &col in cols {
                 let l = &lambda[col as usize];
@@ -581,16 +581,6 @@ impl FixedLayeredDecoder {
             }
         }
         failed.map(|x| x >= 0)
-    }
-
-    /// The bits of every check row, row after row in schedule order: the
-    /// plan's columns cut into chunks of each layer's degree.
-    fn check_rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        let plan = self.code.plan();
-        let z = plan.expansion();
-        plan.layers().flat_map(move |layer| {
-            plan.columns()[layer.start * z..layer.end * z].chunks_exact(layer.len())
-        })
     }
 }
 
@@ -632,6 +622,7 @@ fn count_lanes<const B: usize>(
 mod tests {
     use super::*;
     use crate::base_matrix::CodeRate;
+    use crate::code::{satisfies_rows, spelled_rows};
     use crate::decoder::{LayeredConfig, LayeredDecoder, MinimumExtractionUnit};
     use crate::encoder::QcEncoder;
     use fec_channel::sim::{DecodedFrame, FrameSlice};
@@ -657,16 +648,17 @@ mod tests {
         rec: &mut Registry,
     ) -> DecodeOutcome {
         let arith = &dec.arith;
-        let h = dec.code.parity_check();
+        let h = spelled_rows(&dec.code);
         let (lo, hi) = rails(dec);
         let mut lambda: Vec<i16> = quantized.iter().map(|&v| v.clamp(lo, hi)).collect();
         let at_rail = lambda.iter().filter(|&&l| l == lo || l == hi).count();
-        // The rows of H as CSR, with one `R` per entry.
+        // The rows of H (spelled from the base matrix) as CSR, with one `R`
+        // per entry.
         let mut row_ptr = vec![0];
-        for row in 0..dec.code.m() {
-            row_ptr.push(row_ptr[row] + h.row_degree(row));
+        for (row, cols) in h.iter().enumerate() {
+            row_ptr.push(row_ptr[row] + cols.len());
         }
-        let mut r = vec![0i16; h.nonzeros()];
+        let mut r = vec![0i16; row_ptr[h.len()]];
         let mut q = Vec::new();
         let (mut sat_q, mut r_clip, mut sat_lambda) = (0u64, 0u64, 0u64);
         let hard =
@@ -675,8 +667,7 @@ mod tests {
         let mut converged = false;
         for it in 0..dec.config.max_iterations {
             iterations = it + 1;
-            for row in 0..dec.code.m() {
-                let cols = h.row(row);
+            for (row, cols) in h.iter().enumerate() {
                 let r_row = &mut r[row_ptr[row]..row_ptr[row + 1]];
                 q.resize(cols.len(), 0);
                 let q_row = &mut q[..];
@@ -709,13 +700,13 @@ mod tests {
                     *rj = r_new;
                 }
             }
-            if dec.config.early_termination && h.is_codeword(&hard(&lambda)) {
+            if dec.config.early_termination && satisfies_rows(&h, &hard(&lambda)) {
                 converged = true;
                 break;
             }
         }
         if !converged {
-            converged = h.is_codeword(&hard(&lambda));
+            converged = satisfies_rows(&h, &hard(&lambda));
         }
         dec.record_frame_counts(rec, iterations, converged);
         rec.incr(Class::Count, "fixed.sat_q", sat_q);
@@ -1220,17 +1211,17 @@ mod tests {
         // The rows the sweep and the parity check walk are the rows of H,
         // and the `R` edges they index are one per entry of H.
         let code = QcLdpcCode::wimax(672, CodeRate::R34A).unwrap();
-        let dec = FixedLayeredDecoder::new(&code, FixedLayeredConfig::default());
         let plan = code.plan();
         assert_eq!(plan.columns().len(), code.edge_count());
-        let h = code.parity_check();
+        let h = spelled_rows(&code);
         let mut row = 0;
-        for bits in dec.check_rows() {
+        for bits in plan.rows() {
             let cols: Vec<usize> = bits.iter().map(|&c| c as usize).collect();
-            assert_eq!(&cols[..], h.row(row), "row {row}");
+            assert_eq!(cols, h[row], "row {row}");
             row += 1;
         }
         assert_eq!(row, code.m());
+        assert_eq!(h.iter().map(Vec::len).sum::<usize>(), code.edge_count());
         let z = plan.expansion();
         let mut edges = 0;
         for layer in plan.layers() {

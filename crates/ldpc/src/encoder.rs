@@ -160,10 +160,14 @@ impl GaussianEncoder {
         let words = m.div_ceil(64);
 
         // Dense copy of the parity columns of H, augmented with the identity.
-        let mut rows: Vec<(Vec<u64>, Vec<u64>)> = (0..m)
-            .map(|r| {
+        let mut rows: Vec<(Vec<u64>, Vec<u64>)> = code
+            .plan()
+            .rows()
+            .enumerate()
+            .map(|(r, bits)| {
                 let mut a = vec![0u64; words];
-                for &c in code.parity_check().row(r) {
+                for &c in bits {
+                    let c = c as usize;
                     if c >= k {
                         let pc = c - k;
                         a[pc / 64] |= 1 << (pc % 64);
@@ -219,9 +223,10 @@ impl GaussianEncoder {
 
         // s = H_s * u as a bit-packed vector.
         let mut s = vec![0u64; words];
-        for r in 0..m {
+        for (r, bits) in code.plan().rows().enumerate() {
             let mut acc = 0u8;
-            for &c in code.parity_check().row(r) {
+            for &c in bits {
+                let c = c as usize;
                 if c < k {
                     acc ^= info[c] & 1;
                 }

@@ -9,11 +9,14 @@
 //!   surrogates with the standard's dimensions, parity structure and degree
 //!   profile (the README's "Supported standards" table lists the published
 //!   and surrogate tables of every standard).
-//! * [`code`] — expansion of a base matrix into a full parity-check matrix
-//!   for any of the 19 WiMAX block lengths (576..=2304 bits in steps of 96).
+//! * [`code`] — a base matrix expanded by `z`, for any of the 19 WiMAX
+//!   block lengths (576..=2304 bits in steps of 96), held as its base matrix
+//!   and its layer plan.
 //! * [`plan`] — the layer plan: each block row's non-zero blocks with their
-//!   shifts at `z` and every check row's bits, built once per code; H, the
-//!   decoders, the QC encoder and the NoC mapping's store key read it.
+//!   shifts at `z` and every check row's bits (the rows of the parity-check
+//!   matrix H), built once per code; the parity check, the decoders, both
+//!   encoders and the NoC mapping flow (its row graph, its traffic and its
+//!   store key) read it.
 //! * [`encoder`] — the efficient two-stage QC encoder exploiting the
 //!   dual-diagonal parity structure, plus a generic Gaussian-elimination
 //!   encoder used for cross-validation.
@@ -26,8 +29,6 @@
 //!   model ([`FixedLayeredDecoder`]: channel LLRs quantized to λ on entry,
 //!   saturating arithmetic, per-edge message buffers over the plan's row
 //!   columns and frames as lanes of one refill loop).
-//! * [`tanner`] — Tanner-graph views and the row-adjacency graph used for
-//!   mapping check nodes onto NoC nodes.
 //!
 //! # Example
 //!
@@ -59,8 +60,6 @@ pub mod codec;
 pub mod decoder;
 pub mod encoder;
 pub mod plan;
-pub mod sparse;
-pub mod tanner;
 
 pub use base_matrix::{BaseMatrix, CodeRate, ShiftScaling};
 pub use code::{LdpcError, QcLdpcCode};
@@ -70,8 +69,6 @@ pub use decoder::{
 };
 pub use encoder::{GaussianEncoder, QcEncoder};
 pub use plan::{Block, LayerPlan};
-pub use sparse::SparseBinaryMatrix;
-pub use tanner::TannerGraph;
 
 /// The number of columns of every 802.16e base matrix.
 pub const BASE_COLUMNS: usize = 24;

@@ -48,9 +48,13 @@ impl Block {
 /// let plan = code.plan();
 /// let z = plan.expansion();
 /// let first = plan.layers().next().unwrap();
-/// // Check row 0 meets one bit per block of layer 0, the bits of H's row 0.
-/// let row0: Vec<usize> = plan.columns()[..first.len()].iter().map(|&c| c as usize).collect();
-/// assert_eq!(row0, code.parity_check().row(0));
+/// // Check row 0 meets one bit per block of layer 0, at the block's shift.
+/// let row0 = plan.rows().next().unwrap();
+/// assert_eq!(row0.len(), first.len());
+/// for (&bit, block) in row0.iter().zip(&plan.blocks()[first]) {
+///     assert_eq!(bit as usize, block.col + block.shift);
+/// }
+/// assert_eq!(plan.rows().count(), code.m());
 /// assert_eq!(plan.columns().len(), plan.blocks().len() * z);
 /// # Ok::<(), wimax_ldpc::LdpcError>(())
 /// ```
@@ -138,6 +142,17 @@ impl LayerPlan {
         &self.columns
     }
 
+    /// Every check row's bits, row after row in schedule order: row `r` of
+    /// layer `l` is check row `l * z + r`, chunk `r` of the layer's
+    /// [`columns`](Self::columns).  An empty layer's rows meet no bit.
+    pub fn rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let z = self.z;
+        self.layers().flat_map(move |layer| {
+            let (degree, first) = (layer.len(), layer.start * z);
+            (0..z).map(move |r| &self.columns[first + r * degree..first + (r + 1) * degree])
+        })
+    }
+
     /// `true` when the hard decisions of `lambda` ([`Llr::hard_bit`]: `λ <
     /// 0`) satisfy every parity check.  Per layer, each check row XORs the
     /// decisions of its bits, block by block along the rotation, into
@@ -164,13 +179,13 @@ impl LayerPlan {
 #[cfg(test)]
 mod tests {
     use crate::base_matrix::{BaseMatrix, CodeRate};
-    use crate::code::QcLdpcCode;
+    use crate::code::{spelled_rows, QcLdpcCode};
 
     /// Every check row of every WiMAX rate at n576 and n2304, and of the
     /// rate-1/2 base at the odd `z` = 27 (802.11n n648's shape) and at
-    /// `z` = 20 (802.22 n480's): the plan's rows equal the rows of H entry
-    /// for entry, in order, and both equal the rows spelled out from the
-    /// base matrix's shifts.
+    /// `z` = 20 (802.22 n480's): the plan's rows, cut from its columns
+    /// layer by layer and read through `rows`, equal the rows of H spelled
+    /// out from the base matrix's shifts, entry for entry, in order.
     #[test]
     fn plan_rows_are_the_rows_of_h() {
         let r12 = BaseMatrix::wimax(CodeRate::R12);
@@ -184,27 +199,49 @@ mod tests {
             }
         }
         for code in &codes {
-            let (base, plan, h) = (code.base(), code.plan(), code.parity_check());
+            let (base, plan, h) = (code.base(), code.plan(), spelled_rows(code));
             let z = plan.expansion();
             assert_eq!(z, code.expansion());
             assert_eq!(plan.layers().len(), base.rows());
             assert_eq!(plan.columns().len(), code.edge_count());
+            assert_eq!(h.len(), code.m());
             let mut row = 0;
             for (l, layer) in plan.layers().enumerate() {
                 let columns = &plan.columns()[layer.start * z..layer.end * z];
                 assert_eq!(layer.len(), base.row_degree(l));
-                for (r, bits) in columns.chunks_exact(layer.len()).enumerate() {
+                for bits in columns.chunks_exact(layer.len()) {
                     let bits: Vec<usize> = bits.iter().map(|&c| c as usize).collect();
-                    let spelled: Vec<usize> = (0..base.cols())
-                        .filter_map(|bc| base.shift(l, bc, z).map(|s| bc * z + (r + s) % z))
-                        .collect();
-                    assert_eq!(bits, h.row(row), "n{} row {row}", code.n());
-                    assert_eq!(bits, spelled, "n{} row {row}", code.n());
+                    assert_eq!(bits, h[row], "n{} row {row}", code.n());
                     row += 1;
                 }
             }
             assert_eq!(row, code.m());
+            let rows: Vec<Vec<usize>> = plan
+                .rows()
+                .map(|bits| bits.iter().map(|&c| c as usize).collect())
+                .collect();
+            assert_eq!(rows, h, "n{}", code.n());
             assert!(plan.widest_layer() >= 2);
         }
+    }
+
+    /// A layer without blocks still holds `z` check rows, which meet no
+    /// bit, so the rows after it keep their numbers.
+    #[test]
+    fn an_empty_layer_keeps_its_rows() {
+        let base = BaseMatrix::from_entries(
+            CodeRate::R12,
+            crate::base_matrix::ShiftScaling::Modulo,
+            vec![vec![0, 1, -1, -1], vec![-1, -1, -1, -1], vec![2, -1, 0, 3]],
+        );
+        let code = QcLdpcCode::from_base(base, 4);
+        let rows: Vec<Vec<usize>> = code
+            .plan()
+            .rows()
+            .map(|bits| bits.iter().map(|&c| c as usize).collect())
+            .collect();
+        assert_eq!(rows, spelled_rows(&code));
+        assert!(rows[4..8].iter().all(Vec::is_empty));
+        assert_eq!(rows[8], vec![2, 8, 15]);
     }
 }

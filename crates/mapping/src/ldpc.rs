@@ -6,7 +6,7 @@ use crate::{MappingConfig, MappingQuality, WeightedGraph};
 use noc_sim::{Message, TrafficTrace};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use wimax_ldpc::{QcLdpcCode, TannerGraph};
+use wimax_ldpc::QcLdpcCode;
 
 /// What a [`MappingStore`] keeps of a mapping: the selected partition and
 /// its quality.  The traffic trace is rebuilt from them on every lookup.
@@ -69,16 +69,34 @@ impl LdpcMapping {
         best.expect("at least one candidate is generated")
     }
 
-    /// The weighted row-adjacency graph of the code under layered scheduling.
+    /// The weighted row-adjacency graph of the code under layered
+    /// scheduling: one node per check row, and an edge between two rows
+    /// that share a bit, weighted by the number of bits they share (the
+    /// LLR messages one row hands the other per iteration).
     pub fn row_graph(code: &QcLdpcCode) -> WeightedGraph {
-        let tanner = TannerGraph::from_code(code);
-        WeightedGraph::from_adjacency(
-            tanner
-                .weighted_row_adjacency()
-                .into_iter()
-                .map(|neigh| neigh.into_iter().map(|(v, w)| (v, w as u64)).collect())
-                .collect(),
-        )
+        let index = ColumnIndex::new(code);
+        // `shared[b]`: bits the current row shares with row `b`;
+        // `touched`: the rows with a non-zero count
+        let mut shared = vec![0u64; code.m()];
+        let mut touched = Vec::new();
+        let lists = code.plan().rows().enumerate().map(|(a, bits)| {
+            for &col in bits {
+                for &b in index.rows_of(col as usize) {
+                    if b != a {
+                        if shared[b] == 0 {
+                            touched.push(b);
+                        }
+                        shared[b] += 1;
+                    }
+                }
+            }
+            touched.sort_unstable();
+            touched
+                .drain(..)
+                .map(|b| (b, std::mem::take(&mut shared[b])))
+                .collect()
+        });
+        WeightedGraph::from_adjacency(lists.collect())
     }
 
     /// `(row, col, next_row)` for every H entry, in row order: after
@@ -86,37 +104,22 @@ impl LdpcMapping {
     /// owning `next_row`, the *next* row (in the layered schedule, i.e.
     /// natural row order, cyclically) that also contains `col`.
     fn schedule_entries(code: &QcLdpcCode) -> Vec<(usize, usize, usize)> {
-        let h = code.parity_check();
-        // the rows of every column in row order, counting-sorted into one
-        // list: column `c` holds `col_rows[start[c]..start[c + 1]]`
-        let mut start = vec![0usize; code.n() + 1];
-        for row in 0..code.m() {
-            for &col in h.row(row) {
-                start[col + 1] += 1;
-            }
-        }
-        for col in 0..code.n() {
-            start[col + 1] += start[col];
-        }
-        let mut fill = start.clone();
-        let mut col_rows = vec![0usize; start[code.n()]];
-        // first `(row, col, position of the entry in col_rows)`, then the
-        // position becomes the next row
+        let index = ColumnIndex::new(code);
+        // `at[c]`: the position in `index.rows` of the current row's entry
+        // of column `c`, as the rows reach the column in order
+        let mut at = index.start.clone();
         let mut entries = Vec::with_capacity(code.edge_count());
-        for row in 0..code.m() {
-            for &col in h.row(row) {
-                col_rows[fill[col]] = row;
-                entries.push((row, col, fill[col]));
-                fill[col] += 1;
+        for (row, bits) in code.plan().rows().enumerate() {
+            for &col in bits {
+                let col = col as usize;
+                at[col] += 1;
+                let next = if at[col] == index.start[col + 1] {
+                    index.start[col]
+                } else {
+                    at[col]
+                };
+                entries.push((row, col, index.rows[next]));
             }
-        }
-        for (_, col, at) in &mut entries {
-            let next = if *at + 1 == start[*col + 1] {
-                start[*col]
-            } else {
-                *at + 1
-            };
-            *at = col_rows[next];
         }
         entries
     }
@@ -199,9 +202,45 @@ impl LdpcMapping {
     }
 }
 
+/// The check rows of every bit in row order, counting-sorted into one
+/// list: bit `c` is met by rows `rows[start[c]..start[c + 1]]`.  The row
+/// graph and the schedule entries read the code's rows through it.
+struct ColumnIndex {
+    start: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl ColumnIndex {
+    fn new(code: &QcLdpcCode) -> Self {
+        let plan = code.plan();
+        let mut start = vec![0usize; code.n() + 1];
+        for &col in plan.columns() {
+            start[col as usize + 1] += 1;
+        }
+        for col in 0..code.n() {
+            start[col + 1] += start[col];
+        }
+        let mut fill = start.clone();
+        let mut rows = vec![0usize; plan.columns().len()];
+        for (row, bits) in plan.rows().enumerate() {
+            for &col in bits {
+                rows[fill[col as usize]] = row;
+                fill[col as usize] += 1;
+            }
+        }
+        ColumnIndex { start, rows }
+    }
+
+    /// The rows that meet bit `col`, in row order.
+    fn rows_of(&self, col: usize) -> &[usize] {
+        &self.rows[self.start[col]..self.start[col + 1]]
+    }
+}
+
 /// The key of a kept mapping (see [`MappingStore`]).  The base matrix's
 /// shape, `z` and the block shifts at `z` (the code's layer plan)
-/// determine the parity-check matrix.
+/// determine every row of the parity-check matrix, so every input the
+/// mapping flow reads.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct MappingKey {
     base_rows: usize,
@@ -243,13 +282,13 @@ impl MappingKey {
 /// [`MappingConfig`].
 ///
 /// An entry holds the selected [`Partition`] and its [`MappingQuality`],
-/// keyed on everything the mapping flow reads: the code's parity-check
-/// matrix (the base matrix's shape and each non-zero block's shift at `z`,
-/// i.e. its entries under its shift scaling), `P` and the
-/// [`MappingConfig`].  A lookup that finds its key rebuilds only the
-/// traffic trace, with the code a first mapping uses, so every lookup
-/// equals [`LdpcMapping::new`] bit for bit.  The trace is not kept; it is
-/// several times the size of the partition.
+/// keyed on everything the mapping flow reads: the code's layer plan,
+/// whose rows are the rows of the parity-check matrix (the base matrix's
+/// shape and each non-zero block's shift at `z`, i.e. its entries under
+/// its shift scaling), `P` and the [`MappingConfig`].  A lookup that finds
+/// its key rebuilds only the traffic trace, with the code a first mapping
+/// uses, so every lookup equals [`LdpcMapping::new`] bit for bit.  The
+/// trace is not kept; it is several times the size of the partition.
 ///
 /// The store is shared by reference across threads.  When several threads
 /// miss the same key, one of them partitions the code and the others wait
@@ -336,10 +375,132 @@ impl MappingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wimax_ldpc::CodeRate;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use wimax_ldpc::{BaseMatrix, CodeRate, ShiftScaling};
 
     fn small_code() -> QcLdpcCode {
         QcLdpcCode::wimax(576, CodeRate::R12).unwrap()
+    }
+
+    /// The rows of H, each as its sorted bits, and every column's rows in
+    /// row order, as the one-`Vec`-per-row oracles read them.
+    fn rows_and_columns(code: &QcLdpcCode) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let rows: Vec<Vec<usize>> = code
+            .plan()
+            .rows()
+            .map(|bits| bits.iter().map(|&c| c as usize).collect())
+            .collect();
+        let mut cols = vec![Vec::new(); code.n()];
+        for (r, bits) in rows.iter().enumerate() {
+            for &c in bits {
+                cols[c].push(r);
+            }
+        }
+        (rows, cols)
+    }
+
+    /// The row adjacency as first written, kept as the oracle of
+    /// [`LdpcMapping::row_graph`]: every pair of rows in every column list,
+    /// counted in one map per row.
+    fn reference_weighted_row_adjacency(code: &QcLdpcCode) -> Vec<Vec<(usize, u64)>> {
+        let (_, cols) = rows_and_columns(code);
+        let mut maps: Vec<BTreeMap<usize, u64>> = vec![BTreeMap::new(); code.m()];
+        for checks in &cols {
+            for (i, &a) in checks.iter().enumerate() {
+                for &b in &checks[i + 1..] {
+                    *maps[a].entry(b).or_insert(0) += 1;
+                    *maps[b].entry(a).or_insert(0) += 1;
+                }
+            }
+        }
+        maps.into_iter().map(|m| m.into_iter().collect()).collect()
+    }
+
+    fn assert_row_graph_matches_the_reference(code: &QcLdpcCode) {
+        let graph = LdpcMapping::row_graph(code);
+        let reference = reference_weighted_row_adjacency(code);
+        assert_eq!(graph.len(), reference.len());
+        for (row, neighbours) in reference.iter().enumerate() {
+            assert_eq!(graph.neighbors(row), &neighbours[..], "row {row}");
+        }
+    }
+
+    #[test]
+    fn row_graph_matches_the_reference_on_every_wimax_code() {
+        for n in wimax_ldpc::wimax_block_lengths() {
+            for rate in CodeRate::all() {
+                assert_row_graph_matches_the_reference(&QcLdpcCode::wimax(n, rate).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn row_graph_is_symmetric_and_nontrivial() {
+        let code = small_code();
+        let graph = LdpcMapping::row_graph(&code);
+        assert_eq!(graph.len(), code.m());
+        for row in 0..graph.len() {
+            for &(other, weight) in graph.neighbors(row) {
+                assert_ne!(other, row, "no self loops");
+                assert!(graph.neighbors(other).contains(&(row, weight)));
+            }
+        }
+        // every check row shares bits with several other rows
+        let degrees: usize = (0..graph.len()).map(|row| graph.degree(row)).sum();
+        assert!(degrees > 5 * graph.len(), "{degrees} neighbours in all");
+    }
+
+    /// The standard's rate-1/2 matrix has no 4-cycle: no two check rows
+    /// share two bits, so every edge of its row graph weighs 1.
+    #[test]
+    fn the_rate_half_row_graph_has_unit_weights() {
+        let graph = LdpcMapping::row_graph(&small_code());
+        for row in 0..graph.len() {
+            assert!(
+                graph.neighbors(row).iter().all(|&(_, weight)| weight == 1),
+                "row {row}: {:?}",
+                graph.neighbors(row)
+            );
+        }
+    }
+
+    /// A random QC code: 1-5 block rows, more block columns than rows,
+    /// about a third of the blocks empty (whole empty layers included) and
+    /// random shifts, expanded by a random `z`.
+    fn random_qc_code(seed: u64) -> QcLdpcCode {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let rows = rng.gen_range(1..6);
+        let cols = rng.gen_range(rows + 1..rows + 9);
+        let z = rng.gen_range(1..17);
+        let entries = (0..rows)
+            .map(|_| {
+                (0..cols)
+                    .map(|_| {
+                        if rng.gen_range(0..3) == 0 {
+                            -1
+                        } else {
+                            rng.gen_range(0..40)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let base = BaseMatrix::from_entries(CodeRate::R12, ShiftScaling::Direct, entries);
+        QcLdpcCode::from_base(base, z)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn row_graph_matches_the_reference_on_random_qc_codes(seed in 0u64..1_000_000) {
+            let code = random_qc_code(seed);
+            assert_row_graph_matches_the_reference(&code);
+            prop_assert_eq!(
+                LdpcMapping::schedule_entries(&code),
+                reference_schedule_entries(&code)
+            );
+        }
     }
 
     #[test]
@@ -388,11 +549,10 @@ mod tests {
     /// The former `schedule_entries`, one `Vec` per column, as the oracle
     /// of the counting-sorted column index.
     fn reference_schedule_entries(code: &QcLdpcCode) -> Vec<(usize, usize, usize)> {
-        let h = code.parity_check();
-        let cols = h.column_lists();
+        let (rows, cols) = rows_and_columns(code);
         let mut entries = Vec::new();
-        for row in 0..code.m() {
-            for &col in h.row(row) {
+        for (row, bits) in rows.iter().enumerate() {
+            for &col in bits {
                 let rows_of_col = &cols[col];
                 let pos = rows_of_col.binary_search(&row).unwrap();
                 entries.push((row, col, rows_of_col[(pos + 1) % rows_of_col.len()]));

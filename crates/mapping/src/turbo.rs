@@ -102,11 +102,6 @@ impl TurboMapping {
         self.owner.len()
     }
 
-    /// The PE owning trellis section `j` (natural order).
-    pub fn owner_of(&self, j: usize) -> usize {
-        self.owner[j]
-    }
-
     /// The trellis sections assigned to a PE (natural order indices).
     pub fn couples_of(&self, pe: usize) -> Vec<usize> {
         self.owner
@@ -237,8 +232,8 @@ mod tests {
     #[test]
     fn owners_cover_range() {
         let mapping = TurboMapping::new(&code(120), 5);
-        assert_eq!(mapping.owner_of(0), 0);
-        assert_eq!(mapping.owner_of(119), 4);
+        assert_eq!(mapping.couples_of(0)[0], 0);
+        assert_eq!(mapping.couples_of(4).last(), Some(&119));
         assert_eq!(mapping.pes(), 5);
     }
 

@@ -34,11 +34,6 @@ impl RoutingAlgorithm {
         ]
     }
 
-    /// Whether the policy uses every local shortest path (ASP) or one (SSP).
-    pub fn uses_all_shortest_paths(&self) -> bool {
-        matches!(self, RoutingAlgorithm::AspFt)
-    }
-
     /// Short name used in result tables ("SSP-RR", "SSP-FL", "ASP-FT").
     pub fn name(&self) -> &'static str {
         match self {
@@ -153,8 +148,6 @@ mod tests {
     fn names_and_flags() {
         assert_eq!(RoutingAlgorithm::SspRr.name(), "SSP-RR");
         assert_eq!(RoutingAlgorithm::AspFt.to_string(), "ASP-FT");
-        assert!(RoutingAlgorithm::AspFt.uses_all_shortest_paths());
-        assert!(!RoutingAlgorithm::SspFl.uses_all_shortest_paths());
         assert_eq!(RoutingAlgorithm::all().len(), 3);
     }
 

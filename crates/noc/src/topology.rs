@@ -302,26 +302,6 @@ impl Topology {
             .unwrap_or(0)
     }
 
-    /// Average shortest-path distance over all ordered pairs of distinct nodes.
-    pub fn average_distance(&self) -> f64 {
-        let d = self.all_distances();
-        let mut sum = 0usize;
-        let mut count = 0usize;
-        for (i, row) in d.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                if i != j && v != usize::MAX {
-                    sum += v;
-                    count += 1;
-                }
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
-    }
-
     fn is_strongly_connected(&self) -> bool {
         // forward reachability from node 0
         if self.distances_from(0).contains(&usize::MAX) {
@@ -423,7 +403,6 @@ mod tests {
         assert_eq!(t.nodes(), 22);
         assert_eq!(t.degree(), 3);
         assert!(t.diameter() <= 4);
-        assert!(t.average_distance() < 3.0);
     }
 
     #[test]
@@ -443,7 +422,6 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(max, t.diameter());
-        assert!(t.average_distance() <= t.diameter() as f64);
     }
 
     #[test]

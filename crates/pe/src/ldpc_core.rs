@@ -1,7 +1,5 @@
 //! Timing model of the sequential LDPC decoding core (paper Fig. 2).
 
-use wimax_ldpc::QcLdpcCode;
-
 /// Timing model of the LDPC decoding core.
 ///
 /// The core processes parity checks sequentially: for a check of degree `d`
@@ -36,84 +34,16 @@ impl LdpcCoreModel {
     pub fn core_latency(&self) -> u64 {
         self.core_latency
     }
-
-    /// Cycles the datapath needs to process one parity check of degree
-    /// `degree` (excluding any wait for network messages).
-    pub fn cycles_per_check(&self, degree: usize) -> u64 {
-        degree as u64 + self.pipeline_overhead
-    }
-
-    /// Pure-processing cycles for one layered iteration when this core is
-    /// assigned `rows` parity checks of the given `code` (no network stalls).
-    pub fn processing_cycles(&self, code: &QcLdpcCode, rows: &[usize]) -> u64 {
-        rows.iter()
-            .map(|&r| self.cycles_per_check(code.check_degree(r)))
-            .sum()
-    }
-
-    /// Cycles needed to *inject* `messages` extrinsic values into the network
-    /// at the configured output rate — a lower bound on the message-passing
-    /// phase seen by this PE.
-    pub fn injection_cycles(&self, messages: usize) -> u64 {
-        (messages as f64 / self.output_rate).ceil() as u64
-    }
-
-    /// Number of 7-bit `lambda` reads plus 5-bit `R` reads for one iteration
-    /// over `rows` checks (used by the power model's memory-access count).
-    pub fn memory_accesses(&self, code: &QcLdpcCode, rows: &[usize]) -> u64 {
-        // each entry is read once and written once for both lambda and R
-        rows.iter().map(|&r| 4 * code.check_degree(r) as u64).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wimax_ldpc::CodeRate;
 
     #[test]
     fn defaults_match_paper() {
         let m = LdpcCoreModel::default();
         assert_eq!(m.core_latency(), 15);
         assert_eq!(m.output_rate, 0.5);
-    }
-
-    #[test]
-    fn cycles_grow_with_degree() {
-        let m = LdpcCoreModel::default();
-        assert!(m.cycles_per_check(7) > m.cycles_per_check(6));
-        assert_eq!(m.cycles_per_check(6), 8);
-    }
-
-    #[test]
-    fn processing_cycles_for_a_share_of_the_worst_case_code() {
-        let m = LdpcCoreModel::default();
-        let code = QcLdpcCode::wimax(2304, CodeRate::R12).unwrap();
-        // 1152 checks over 22 PEs ~ 52-53 checks each, degree 6-7
-        let rows: Vec<usize> = (0..53).collect();
-        let cycles = m.processing_cycles(&code, &rows);
-        assert!(cycles > 53 * 6 && cycles < 53 * 10, "cycles = {cycles}");
-    }
-
-    #[test]
-    fn injection_cycles_inverse_to_rate() {
-        let m = LdpcCoreModel {
-            output_rate: 0.5,
-            ..LdpcCoreModel::default()
-        };
-        assert_eq!(m.injection_cycles(100), 200);
-        let m = LdpcCoreModel {
-            output_rate: 1.0,
-            ..LdpcCoreModel::default()
-        };
-        assert_eq!(m.injection_cycles(100), 100);
-    }
-
-    #[test]
-    fn memory_access_count() {
-        let m = LdpcCoreModel::default();
-        let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-        let accesses = m.memory_accesses(&code, &[0]);
-        assert_eq!(accesses, 4 * code.check_degree(0) as u64);
     }
 }

@@ -27,55 +27,3 @@ pub mod siso_core;
 pub use ldpc_core::LdpcCoreModel;
 pub use memory::SharedMemoryPlan;
 pub use siso_core::SisoCoreModel;
-
-/// A full processing element: the two cores plus their shared memories.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProcessingElement {
-    ldpc: LdpcCoreModel,
-    siso: SisoCoreModel,
-    memory: SharedMemoryPlan,
-}
-
-impl ProcessingElement {
-    /// Builds the WiMAX-compliant PE of the paper for a decoder with `pes`
-    /// processing elements.
-    pub fn wimax(pes: usize) -> Self {
-        ProcessingElement {
-            ldpc: LdpcCoreModel::default(),
-            siso: SisoCoreModel::default(),
-            memory: SharedMemoryPlan::wimax(pes),
-        }
-    }
-
-    /// The LDPC core model.
-    pub fn ldpc_core(&self) -> &LdpcCoreModel {
-        &self.ldpc
-    }
-
-    /// The SISO core model.
-    pub fn siso_core(&self) -> &SisoCoreModel {
-        &self.siso
-    }
-
-    /// The shared memory plan.
-    pub fn memory(&self) -> &SharedMemoryPlan {
-        &self.memory
-    }
-
-    /// Total shared-memory bits of this PE.
-    pub fn memory_bits(&self) -> u64 {
-        self.memory.total_bits()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wimax_pe_has_nontrivial_memory() {
-        let pe = ProcessingElement::wimax(22);
-        assert!(pe.memory_bits() > 1000);
-        assert_eq!(pe.ldpc_core().core_latency(), 15);
-    }
-}

@@ -66,11 +66,6 @@ impl SharedMemoryPlan {
         self.lambda_words as u64 * self.lambda_bits as u64
             + self.r_words as u64 * self.r_bits as u64
     }
-
-    /// Total storage of the whole decoder (all PEs) in bits.
-    pub fn decoder_bits(&self) -> u64 {
-        self.total_bits() * self.pes as u64
-    }
 }
 
 /// Tanner-graph edges of the worst-case WiMAX code, `N = 2304`, `r = 1/2`,
@@ -114,12 +109,6 @@ mod tests {
         let p22 = SharedMemoryPlan::wimax(22);
         assert!(p8.lambda_words > p22.lambda_words);
         assert!(p8.total_bits() > p22.total_bits());
-    }
-
-    #[test]
-    fn decoder_total_is_per_pe_times_pes() {
-        let plan = SharedMemoryPlan::wimax(22);
-        assert_eq!(plan.decoder_bits(), plan.total_bits() * 22);
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl SisoCoreModel {
     pub fn injection_rate(&self) -> f64 {
         self.outputs_per_cycle() * self.clock_ratio
     }
-
-    /// Number of `alpha`/`beta` state-metric words that must be stored for a
-    /// window-based recursion: 8 + 8 metrics per window.
-    pub fn state_metric_words(&self) -> usize {
-        self.windows * 16
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +70,6 @@ mod tests {
         assert!((m.outputs_per_cycle() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(m.clock_ratio, 0.5);
         assert_eq!(m.windows, 3);
-        assert_eq!(m.state_metric_words(), 48);
     }
 
     #[test]

@@ -94,17 +94,19 @@ pub trait SampleRange<T> {
 }
 
 /// Uniform `u64` in `[0, bound)` via Lemire's widening-multiply method with
-/// rejection, so every value is exactly equally likely.
+/// rejection, so every value is exactly equally likely.  The rejection
+/// zone, `2^64 mod bound`, is below `bound`, so it is computed (a 64-bit
+/// division) only when a draw's low product falls below `bound`.
 fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     assert!(bound > 0, "cannot sample from an empty range");
-    let zone = bound.wrapping_neg() % bound; // 2^64 mod bound
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128).wrapping_mul(bound as u128);
-        if (m as u64) >= zone {
-            return (m >> 64) as u64;
+    let mut m = u128::from(rng.next_u64()) * u128::from(bound);
+    if (m as u64) < bound {
+        let zone = bound.wrapping_neg() % bound; // 2^64 mod bound
+        while (m as u64) < zone {
+            m = u128::from(rng.next_u64()) * u128::from(bound);
         }
     }
+    (m >> 64) as u64
 }
 
 macro_rules! impl_int_range {
@@ -303,7 +305,90 @@ pub mod prelude {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{uniform_u64_below, Rng, RngCore, SeedableRng};
+
+    /// `uniform_u64_below` before its fast path, kept as its oracle: the
+    /// rejection zone computed on every call.
+    fn reference_uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
+        let zone = bound.wrapping_neg() % bound; // 2^64 mod bound
+        loop {
+            let x = rng.next_u64();
+            let m = (x as u128).wrapping_mul(bound as u128);
+            if (m as u64) >= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    const BOUNDS: [u64; 8] = [1, 2, 3, 7, (1 << 32) + 1, 1 << 63, (1 << 63) + 1, u64::MAX];
+
+    /// Plays a script of values, then a seeded stream; counts its draws.
+    struct Scripted {
+        script: Vec<u64>,
+        draws: usize,
+        rest: StdRng,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            match self.script.get(self.draws - 1) {
+                Some(&x) => x,
+                None => self.rest.next_u64(),
+            }
+        }
+    }
+
+    #[test]
+    fn the_fast_path_draws_what_the_reference_draws() {
+        for bound in BOUNDS {
+            let mut fast = StdRng::seed_from_u64(bound);
+            let mut reference = StdRng::seed_from_u64(bound);
+            for _ in 0..10_000 {
+                assert_eq!(
+                    uniform_u64_below(&mut fast, bound),
+                    reference_uniform_u64_below(&mut reference, bound),
+                    "bound {bound}"
+                );
+            }
+            assert_eq!(fast.next_u64(), reference.next_u64(), "bound {bound}");
+        }
+    }
+
+    /// Values whose low product lands below `bound`: 0, and `x_k =
+    /// ceil(k * 2^64 / bound)`, whose product is `k * 2^64` plus less than
+    /// `bound`.  Those below `2^64 mod bound` are rejected, and both
+    /// functions draw again, alike.
+    #[test]
+    fn rejected_draws_are_resampled_as_before() {
+        for bound in BOUNDS {
+            let zone = bound.wrapping_neg() % bound;
+            let script: Vec<u64> = std::iter::once(0)
+                .chain(
+                    (1..u128::from(bound).min(64))
+                        .map(|k| ((k << 64).div_ceil(u128::from(bound))) as u64),
+                )
+                .collect();
+            let low = |x: u64| (u128::from(x) * u128::from(bound)) as u64;
+            assert!(script.iter().all(|&x| low(x) < bound), "bound {bound}");
+            let rejected = script.iter().filter(|&&x| low(x) < zone).count();
+            assert_eq!(rejected > 0, zone > 0, "bound {bound}");
+            let scripted = || Scripted {
+                script: script.clone(),
+                draws: 0,
+                rest: StdRng::seed_from_u64(bound),
+            };
+            let (mut fast, mut reference) = (scripted(), scripted());
+            while fast.draws <= script.len() {
+                assert_eq!(
+                    uniform_u64_below(&mut fast, bound),
+                    reference_uniform_u64_below(&mut reference, bound),
+                    "bound {bound}"
+                );
+                assert_eq!(fast.draws, reference.draws, "bound {bound}");
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_seed() {

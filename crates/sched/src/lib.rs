@@ -233,39 +233,6 @@ impl CancelToken {
     }
 }
 
-/// Client-side handle to a submitted [`Job`]: echoes the id and priority
-/// and shares the job's [`CancelToken`], so the holder can cancel the job
-/// while the pool runs.  Obtained from [`Job::handle`].
-#[derive(Debug, Clone)]
-pub struct JobHandle {
-    id: usize,
-    priority: Priority,
-    cancel: CancelToken,
-}
-
-impl JobHandle {
-    /// The id the job was created with.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The job's scheduling priority.
-    pub fn priority(&self) -> Priority {
-        self.priority
-    }
-
-    /// Requests cancellation: if the job has not started when a worker
-    /// reaches it, it is retired as [`JobOutcome::Cancelled`].
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// The shared token itself, for callers that aggregate tokens.
-    pub fn token(&self) -> &CancelToken {
-        &self.cancel
-    }
-}
-
 /// How a [`Job`] left the pool: executed to completion, or retired at the
 /// queue barrier because its cancel token was set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,17 +306,6 @@ impl<'env, T> Job<'env, T> {
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// A [`JobHandle`] for this job, installing a fresh [`CancelToken`] if
-    /// none was attached yet.  The handle stays valid while the pool runs.
-    pub fn handle(&mut self) -> JobHandle {
-        let token = self.cancel.get_or_insert_with(CancelToken::new).clone();
-        JobHandle {
-            id: self.id,
-            priority: self.priority,
-            cancel: token,
-        }
     }
 }
 
@@ -1073,23 +1029,6 @@ mod tests {
             .run()
             .jobs(initial, |id, _, _| order.push(id));
         assert_eq!(order, vec![2, 3, 1, 4, 0]);
-    }
-
-    #[test]
-    fn job_handle_shares_the_cancel_token() {
-        let mut job = Job::new(7, || "never runs").with_priority(Priority::High);
-        let handle = job.handle();
-        assert_eq!(handle.id(), 7);
-        assert_eq!(handle.priority(), Priority::High);
-        assert!(!handle.token().is_cancelled());
-        handle.cancel();
-        assert!(handle.token().is_cancelled());
-
-        let mut outcomes = Vec::new();
-        WorkPool::new(1)
-            .run()
-            .jobs(vec![job], |id, outcome, _| outcomes.push((id, outcome)));
-        assert_eq!(outcomes, vec![(7, JobOutcome::Cancelled)]);
     }
 
     #[test]

@@ -577,13 +577,16 @@ fn is_event(line: &str, ty: &str, job_id: u64) -> bool {
 /// Acceptance: a job admitted while a long unit runs starts on the idle
 /// worker at once.  Job 1 is one slow compliance unit and job 2 a fast BER
 /// unit; once job 2 is done, job 3 (fast) is submitted, and it must finish
-/// before job 1's unit ends — job 1's first row arrives only then.
+/// before job 1's unit ends — job 1's first row arrives only then.  The
+/// slow unit is the full 802.16e compliance sweep from an empty store (114
+/// LDPC codes to map, and every code's NoC phase), dozens of times as long
+/// as the two one-frame BER jobs and the test thread's round trip.
 #[test]
 fn a_job_admitted_while_a_long_unit_runs_starts_on_an_idle_worker() {
     let svc = service("idle-worker", 2, 8);
     let (tx, rx) = mpsc::channel();
     let sink = ChannelSink(tx);
-    let slow = r#"{"type":"submit","job":"compliance","standard":"wimax","scope":"corners"}"#;
+    let slow = r#"{"type":"submit","job":"compliance","standard":"wimax","scope":"full"}"#;
     let fast = r#"{"type":"submit","job":"ber","standard":"wimax","codec":"layered","frames":1,"snrs":[3.0]}"#;
     let mut lines: Vec<String> = Vec::new();
     // fec-lint: allow(no-thread-spawn, the test runs the daemon's scheduler on its own thread, as the socket transport does; decode work stays on the WorkPool)

@@ -10,7 +10,9 @@
 //! parity blocks in place in the returned codeword.  The turbo decoders
 //! keep their channel values, messages and the SISO's γ/α memories in a
 //! per-thread scratch too, so a turbo decode allocates only its decoded
-//! bits.  Counts are taken per thread (see `common`).
+//! bits.  A code itself is its base matrix and layer plan, built with the
+//! same few allocations at every length.  Counts are taken per thread (see
+//! `common`).
 
 mod common;
 
@@ -178,6 +180,23 @@ fn f64_stream_decode_allocates_nothing_per_frame() {
             );
         }
     }
+}
+
+/// A code holds its base matrix and its layer plan, no per-row storage, so
+/// building one makes the same few allocations at every length.
+#[test]
+fn building_a_code_allocates_the_same_at_every_length() {
+    let counts = BLOCK_LENGTHS.map(|n| {
+        let (allocs, code) = allocations(|| QcLdpcCode::wimax(n, CodeRate::R12));
+        assert_eq!(code.expect("valid WiMAX length").n(), n);
+        allocs
+    });
+    assert_eq!(
+        counts[0], counts[1],
+        "n576 made {} allocations, n2304 {}",
+        counts[0], counts[1]
+    );
+    assert!(counts[0] <= 24, "a code made {} allocations", counts[0]);
 }
 
 #[test]

@@ -189,6 +189,40 @@ fn ldpc_codes(codes: Vec<StandardCode>) -> Vec<(String, QcLdpcCode)> {
         .collect()
 }
 
+/// The mapping flow's row graph on every LDPC code of the five
+/// registries, against a sorted merge of each pair of rows: the listed
+/// weights are those merge counts, and they add up to all other entries
+/// of the row's columns, so no row sharing a column is left out.
+#[test]
+fn every_registry_ldpc_code_has_an_exact_row_adjacency() {
+    let shared = |a: &[u32], b: &[u32]| a.iter().filter(|c| b.binary_search(c).is_ok()).count();
+    for standard in Standard::all() {
+        for (label, code) in ldpc_codes(standard.full_codes()) {
+            let rows: Vec<&[u32]> = code.plan().rows().collect();
+            let mut column_degree = vec![0; code.n()];
+            for &c in code.plan().columns() {
+                column_degree[c as usize] += 1;
+            }
+            let graph = LdpcMapping::row_graph(&code);
+            assert_eq!(graph.len(), code.m(), "{label}");
+            for (a, bits) in rows.iter().enumerate() {
+                let neighbours = graph.neighbors(a);
+                assert!(
+                    neighbours.windows(2).all(|p| p[0].0 < p[1].0),
+                    "{label} row {a}"
+                );
+                for &(b, w) in neighbours {
+                    assert!(b != a && w > 0, "{label} row {a}: ({b}, {w})");
+                    assert_eq!(w as usize, shared(bits, rows[b]), "{label} rows {a}, {b}");
+                }
+                let others: usize = bits.iter().map(|&c| column_degree[c as usize] - 1).sum();
+                let listed: u64 = neighbours.iter().map(|&(_, w)| w).sum();
+                assert_eq!(listed as usize, others, "{label} row {a}");
+            }
+        }
+    }
+}
+
 /// [`mapping_hash`] of every LDPC corner code at `P = 22`.
 const CORNER_MAPPING_HASHES: [(&str, u64); 12] = [
     ("802.16e LDPC 576 r=1/2", 0x1b0c_a109_7701_7d2c),

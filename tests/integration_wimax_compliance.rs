@@ -40,9 +40,11 @@ fn worst_case_ldpc_code_is_the_rate_half_n2304() {
     // 1152 parity checks of degree 6/7 of the N = 2304, r = 1/2 code.
     let worst = QcLdpcCode::wimax(2304, CodeRate::R12).unwrap();
     assert_eq!(worst.m(), 1152);
-    for r in 0..worst.m() {
-        let d = worst.check_degree(r);
-        assert!(d == 6 || d == 7, "row {r} has degree {d}");
+    let plan = worst.plan();
+    assert_eq!(plan.layers().len() * plan.expansion(), worst.m());
+    for (l, layer) in plan.layers().enumerate() {
+        let d = layer.len();
+        assert!(d == 6 || d == 7, "layer {l} has degree {d}");
     }
     // no other WiMAX code has more parity checks
     for &n in &wimax_block_lengths() {
