@@ -426,6 +426,36 @@ mod tests {
         }
     }
 
+    /// The code with `z = 1` whose H is `entries` with its `0` shifts as
+    /// ones and its `-1` blocks as zeros.
+    fn unexpanded_code(entries: Vec<Vec<i32>>) -> QcLdpcCode {
+        let base = BaseMatrix::from_entries(CodeRate::R12, ShiftScaling::Direct, entries);
+        QcLdpcCode::from_base(base, 1)
+    }
+
+    #[test]
+    fn row_graph_links_rows_sharing_columns() {
+        // rows: r0 = {0,1}, r1 = {1,2}, r2 = {3}
+        let code = unexpanded_code(vec![
+            vec![0, 0, -1, -1],
+            vec![-1, 0, 0, -1],
+            vec![-1, -1, -1, 0],
+        ]);
+        let graph = LdpcMapping::row_graph(&code);
+        assert_eq!(graph.neighbors(0), &[(1, 1)]);
+        assert_eq!(graph.neighbors(1), &[(0, 1)]);
+        assert!(graph.neighbors(2).is_empty());
+    }
+
+    #[test]
+    fn row_graph_counts_shared_columns() {
+        // rows: r0 = {0,1,2}, r1 = {1,2,3}
+        let code = unexpanded_code(vec![vec![0, 0, 0, -1], vec![-1, 0, 0, 0]]);
+        let graph = LdpcMapping::row_graph(&code);
+        assert_eq!(graph.neighbors(0), &[(1, 2)]);
+        assert_eq!(graph.neighbors(1), &[(0, 2)]);
+    }
+
     #[test]
     fn row_graph_matches_the_reference_on_every_wimax_code() {
         for n in wimax_ldpc::wimax_block_lengths() {
