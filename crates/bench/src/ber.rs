@@ -1,15 +1,16 @@
-//! BER studies backing the paper's algorithmic claims: the
-//! normalized-min-sum LDPC decoder, layered vs two-phase scheduling, and the
-//! bit-level vs symbol-level turbo extrinsic exchange (Section IV.B).
+//! The pieces the BER studies share: each standard's `Eb/N0` grid
+//! ([`standard_snrs`]), the curve table ([`print_curve`]) and the codec
+//! delegations perfbench imports.
 //!
-//! All runs route through the unified parallel
-//! [`fec_channel::sim::SimulationEngine`]; this module only selects codecs
-//! and formats results.  The historical per-flavour Monte-Carlo loops are
-//! gone.
+//! The studies themselves (the normalized-min-sum LDPC decoder, layered vs
+//! two-phase scheduling, and the bit-level vs symbol-level turbo extrinsic
+//! exchange of Section IV.B) are the `ber_study` binary, which runs every
+//! curve on the unified parallel [`fec_channel::sim::SimulationEngine`], as
+//! the `fec-svc` daemon's BER jobs do.
 
 use code_tables::{DecoderKind, Standard, StandardCode};
+use fec_channel::sim::FecCodec;
 pub use fec_channel::sim::{BerCurve, BerPoint};
-use fec_channel::sim::{EngineConfig, FecCodec, SimulationEngine};
 use wimax_turbo::ExtrinsicExchange;
 
 /// Kept for perfbench, which imports it; the catalogue's [`DecoderKind`].
@@ -61,45 +62,6 @@ pub fn standard_snrs(standard: Standard) -> &'static [f64] {
     }
 }
 
-/// Runs an LDPC BER curve on the WiMAX `r = 1/2` code of length `n`, with
-/// exactly `frames` frames per point.
-///
-/// # Panics
-///
-/// Panics if `n` is not a WiMAX length or `decoder` is not an LDPC decoder.
-pub fn run_ldpc_ber(
-    n: usize,
-    decoder: DecoderKind,
-    ebn0_dbs: &[f64],
-    frames: usize,
-    seed: u64,
-) -> Vec<BerPoint> {
-    let codec = catalogue_codec(Standard::Wimax, decoder, n);
-    fixed_curve(codec.as_ref(), ebn0_dbs, frames, seed)
-}
-
-/// Runs a turbo BER curve on the WiMAX CTC with `couples` couples using the
-/// given extrinsic exchange mode, with exactly `frames` frames per point.
-///
-/// # Panics
-///
-/// Panics if `couples` is not a WiMAX frame size.
-pub fn run_turbo_ber(
-    couples: usize,
-    exchange: ExtrinsicExchange,
-    ebn0_dbs: &[f64],
-    frames: usize,
-    seed: u64,
-) -> Vec<BerPoint> {
-    let codec = catalogue_codec(Standard::Wimax, DecoderKind::Ctc(exchange), couples);
-    fixed_curve(codec.as_ref(), ebn0_dbs, frames, seed)
-}
-
-fn fixed_curve(codec: &dyn FecCodec, ebn0_dbs: &[f64], frames: usize, seed: u64) -> Vec<BerPoint> {
-    let engine = SimulationEngine::new(EngineConfig::fixed_frames(frames as u64, seed));
-    engine.run_curve(codec, ebn0_dbs).points
-}
-
 /// Prints a BER curve as a table.
 pub fn print_curve(label: &str, points: &[BerPoint]) {
     println!("{label}");
@@ -116,12 +78,27 @@ pub fn print_curve(label: &str, points: &[BerPoint]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fec_channel::sim::{EngineConfig, SimulationEngine};
 
     const Q7: DecoderKind = DecoderKind::Quantized { lambda_bits: 7 };
 
+    /// The points of a `frames`-per-point curve of the catalogue's WiMAX
+    /// `decoder` codec of size `block`.
+    fn wimax_curve(
+        decoder: DecoderKind,
+        block: usize,
+        snrs: &[f64],
+        frames: u64,
+        seed: u64,
+    ) -> Vec<BerPoint> {
+        let codec = catalogue_codec(Standard::Wimax, decoder, block);
+        let engine = SimulationEngine::new(EngineConfig::fixed_frames(frames, seed));
+        engine.run_curve(codec.as_ref(), snrs).points
+    }
+
     #[test]
     fn ldpc_ber_decreases_with_snr() {
-        let points = run_ldpc_ber(576, DecoderKind::Layered, &[0.0, 3.0], 10, 1);
+        let points = wimax_curve(DecoderKind::Layered, 576, &[0.0, 3.0], 10, 1);
         assert_eq!(points.len(), 2);
         assert!(points[0].ber >= points[1].ber);
         assert_eq!(
@@ -133,22 +110,23 @@ mod tests {
 
     #[test]
     fn turbo_ber_decreases_with_snr() {
-        let points = run_turbo_ber(48, ExtrinsicExchange::BitLevel, &[0.0, 3.5], 10, 2);
+        let bit = DecoderKind::Ctc(ExtrinsicExchange::BitLevel);
+        let points = wimax_curve(bit, 48, &[0.0, 3.5], 10, 2);
         assert!(points[0].ber >= points[1].ber);
         assert_eq!(points[1].ber, 0.0);
     }
 
     #[test]
     fn layered_uses_fewer_iterations_than_flooding() {
-        let lay = run_ldpc_ber(576, DecoderKind::Layered, &[2.0], 10, 3);
-        let flo = run_ldpc_ber(576, DecoderKind::Flooding, &[2.0], 10, 3);
+        let lay = wimax_curve(DecoderKind::Layered, 576, &[2.0], 10, 3);
+        let flo = wimax_curve(DecoderKind::Flooding, 576, &[2.0], 10, 3);
         assert!(lay[0].average_iterations <= flo[0].average_iterations);
     }
 
     #[test]
     fn quantized_flavor_tracks_the_float_reference() {
-        let float = run_ldpc_ber(576, DecoderKind::Layered, &[3.0], 10, 1);
-        let fixed = run_ldpc_ber(576, Q7, &[3.0], 10, 1);
+        let float = wimax_curve(DecoderKind::Layered, 576, &[3.0], 10, 1);
+        let fixed = wimax_curve(Q7, 576, &[3.0], 10, 1);
         assert_eq!(float[0].frames, fixed[0].frames);
         assert_eq!(fixed[0].ber, 0.0, "7-bit datapath must be clean at 3 dB");
         let custom = catalogue_codec(

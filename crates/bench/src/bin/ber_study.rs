@@ -288,3 +288,62 @@ fn main() {
         write_json(&path, &Json::obj(pairs));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<StudyArgs, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    /// The decoder and block of each curve, in output order.
+    fn decoders(standard: Standard, quantized: Option<u32>) -> Vec<(DecoderKind, usize)> {
+        study_curves(standard, quantized)
+            .iter()
+            .map(|c| (c.decoder, c.block))
+            .collect()
+    }
+
+    #[test]
+    fn a_positional_argument_is_the_frame_count() {
+        let args = parse(&["256"]).unwrap();
+        assert_eq!(args.frames, 256);
+        assert_eq!(args.quantized, None);
+        assert_eq!(parse(&[]).unwrap().frames, 60);
+    }
+
+    #[test]
+    fn quantized_alone_means_seven_bits() {
+        assert_eq!(parse(&["--quantized"]).unwrap().quantized, Some(7));
+        let args = parse(&["--lambda-bits", "5", "20"]).unwrap();
+        assert_eq!((args.quantized, args.frames), (Some(5), 20));
+    }
+
+    #[test]
+    fn a_missing_or_malformed_lambda_width_names_the_flag() {
+        for args in [&["--lambda-bits"][..], &["--lambda-bits", "x"]] {
+            let message = parse(args).err().expect("rejected");
+            assert!(message.contains("--lambda-bits"), "{args:?}: {message}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_flag_is_unrecognised() {
+        let message = parse(&["--bogus"]).err().expect("rejected");
+        assert_eq!(message, "unrecognised argument: --bogus");
+    }
+
+    #[test]
+    fn the_wimax_study_compares_both_schedules_and_both_exchanges() {
+        use DecoderKind::{Ctc, Flooding, Layered, Quantized};
+        let ctc = [(Ctc(SymbolLevel), 240), (Ctc(BitLevel), 240)];
+        let ldpc = [(Layered, 576), (Flooding, 576)];
+        assert_eq!(decoders(Standard::Wimax, None), [&ldpc[..], &ctc].concat());
+        let q7 = [(Quantized { lambda_bits: 7 }, 576)];
+        assert_eq!(
+            decoders(Standard::Wimax, Some(7)),
+            [&ldpc[..], &q7, &ctc].concat()
+        );
+    }
+}

@@ -1,7 +1,8 @@
-//! Shared experiment harness of the benchmark crate: functions that
-//! regenerate the paper's tables and BER studies, used both by the
-//! `cargo bench` targets and by the standalone binaries
-//! (`table1`, `table2`, `table3`, `ber_study`).
+//! Shared experiment harness of the benchmark crate: the table builders
+//! and printers, flag parsers, JSON writers and timing harness behind the
+//! study binaries (`table1`, `table2`, `table3`, `ber_study`), the
+//! `wimax_compliance` example and the `kernels` and `engine_scaling`
+//! benches.
 //!
 //! Every Monte-Carlo study routes through the unified parallel
 //! [`fec_channel::sim::SimulationEngine`]; see [`ber`].  Results can be
@@ -22,7 +23,7 @@ pub mod table3;
 
 pub use ber::{
     dvb_rcs_turbo_codec, ldpc_codec, lte_turbo_codec, print_curve, quantized_ldpc_codec,
-    run_ldpc_ber, run_turbo_ber, standard_snrs, BerCurve, BerPoint, LdpcFlavor,
+    standard_snrs, BerCurve, BerPoint, LdpcFlavor,
 };
 pub use cli::{
     adaptive_flags_from_args, batch_frames_flag_from_args, exit_with_usage, json_flag_from_args,

@@ -48,10 +48,6 @@ pub fn turbo_throughput_mbps(
         / ((siso_latency + half_phase_cycles) as f64 * 2.0 * iterations as f64)
 }
 
-/// The worst-case throughput the WiMAX (IEEE 802.16e) standard requires from
-/// the FEC decoder, in Mb/s.
-pub const WIMAX_REQUIRED_THROUGHPUT_MBPS: f64 = 70.0;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,10 +100,5 @@ mod tests {
     #[should_panic(expected = "iteration count")]
     fn zero_iterations_panics() {
         let _ = ldpc_throughput_mbps(1152, 300.0, 0, 15, 100);
-    }
-
-    #[test]
-    fn wimax_requirement_constant() {
-        assert_eq!(WIMAX_REQUIRED_THROUGHPUT_MBPS, 70.0);
     }
 }

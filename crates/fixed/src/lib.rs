@@ -4,8 +4,6 @@
 //! channel and state metrics on 7 bits and the LDPC check-to-variable messages
 //! (`R_lk`) on 5 bits (Section IV of the paper).  This crate provides:
 //!
-//! * [`SatFixed`] — a saturating two's-complement fixed-point value with a
-//!   configurable bit width, mirroring what a datapath register would hold.
 //! * [`Quantizer`] — converts floating-point log-likelihood ratios (LLRs) into
 //!   quantized integers and back, with saturation statistics.
 //! * [`minsum`] — saturating integer message arithmetic for the
@@ -25,8 +23,8 @@
 //!    integers, mirroring what the paper's silicon computes: channel LLRs
 //!    pass through the λ [`Quantizer`] ([`LAMBDA_BITS`]-bit with one
 //!    fractional bit, NaN mapping to 0), every message add/subtract saturates
-//!    at the register width ([`SatFixed`] semantics, [`minsum::MinSumArith`])
-//!    and the `3/4` min-sum normalization is a shift-add.
+//!    at the register width ([`minsum::MinSumArith`]) and the `3/4` min-sum
+//!    normalization is a shift-add.
 //!
 //! Comparing the two (see the `wimax_ldpc_quantization` example) yields the
 //! quantization-loss curves the hardware evaluation relies on.
@@ -34,17 +32,14 @@
 //! # Example
 //!
 //! ```
-//! use fec_fixed::{Quantizer, SatFixed};
+//! use fec_fixed::Quantizer;
 //!
 //! // 7-bit quantizer with 1 fractional bit, as used for channel LLRs.
 //! let q = Quantizer::new(7, 1);
 //! let x = q.quantize(3.2);
 //! assert!(q.dequantize(x) > 2.9 && q.dequantize(x) < 3.6);
-//!
-//! let a = SatFixed::new(60, 7);
-//! let b = SatFixed::new(30, 7);
-//! // 60 + 30 saturates at the 7-bit maximum of 63.
-//! assert_eq!((a + b).value(), 63);
+//! // 100 saturates at the 7-bit register's maximum of 63.
+//! assert_eq!(q.quantize(100.0), 63);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,12 +49,10 @@
 pub mod llr;
 pub mod minsum;
 pub mod quantizer;
-pub mod sat;
 
 pub use llr::Llr;
 pub use minsum::MinSumArith;
 pub use quantizer::{QuantStats, Quantizer};
-pub use sat::SatFixed;
 
 /// Number of bits used for channel LLRs, state metrics (`alpha`, `beta`) and
 /// extrinsic values in the paper's processing element (Section IV).
@@ -69,6 +62,14 @@ pub const LAMBDA_BITS: u32 = 7;
 /// the turbo branch metric inputs `lambda[c(e)]` (Section IV).
 pub const R_BITS: u32 = 5;
 
+/// The saturation rails `(-2^(bits-1), 2^(bits-1) - 1)` of a `bits`-bit
+/// two's-complement register, the range every datapath value is clamped to.
+#[inline]
+pub(crate) const fn rails(bits: u32) -> (i32, i32) {
+    let half = 1i32 << (bits - 1);
+    (-half, half - 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,5 +78,15 @@ mod tests {
     fn constants_match_paper() {
         assert_eq!(LAMBDA_BITS, 7);
         assert_eq!(R_BITS, 5);
+    }
+
+    #[test]
+    fn range_of_seven_bits() {
+        assert_eq!(rails(7), (-64, 63));
+    }
+
+    #[test]
+    fn range_of_five_bits() {
+        assert_eq!(rails(5), (-16, 15));
     }
 }

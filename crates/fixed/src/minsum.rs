@@ -25,7 +25,7 @@
 //! assert_eq!(a.lambda_update(-62, -6), -64); // saturates at the negative rail
 //! ```
 
-use crate::SatFixed;
+use crate::rails;
 
 /// Numerator of the fixed normalization factor `sigma = 3/4` of Eq. (11).
 pub const NMS_SCALE_NUM: i32 = 3;
@@ -58,10 +58,11 @@ impl MinSumArith {
             "lambda bit width must be in 2..=15"
         );
         assert!((2..=15).contains(&r_bits), "R bit width must be in 2..=15");
+        let (lambda_min, lambda_max) = rails(lambda_bits);
         MinSumArith {
-            lambda_min: SatFixed::min_value(lambda_bits),
-            lambda_max: SatFixed::max_value(lambda_bits),
-            r_max: SatFixed::max_value(r_bits),
+            lambda_min,
+            lambda_max,
+            r_max: rails(r_bits).1,
         }
     }
 

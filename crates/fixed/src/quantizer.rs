@@ -1,6 +1,6 @@
 //! Uniform LLR quantization with saturation accounting.
 
-use crate::SatFixed;
+use crate::rails;
 
 /// Statistics accumulated while quantizing a stream of values.
 ///
@@ -19,7 +19,8 @@ pub struct QuantStats {
 ///
 /// The quantized value of `x` is `round(x * 2^frac_bits)` saturated to the
 /// representable range, the usual choice for channel-LLR quantization in
-/// turbo/LDPC decoder ASICs.
+/// turbo/LDPC decoder ASICs.  It is returned as the `i32` a `bits`-bit
+/// datapath register holds.
 ///
 /// # Example
 ///
@@ -27,8 +28,8 @@ pub struct QuantStats {
 /// use fec_fixed::Quantizer;
 ///
 /// let q = Quantizer::new(5, 1);   // 5-bit, one fractional bit => range [-8, 7.5]
-/// assert_eq!(q.quantize(1.0).value(), 2);
-/// assert_eq!(q.quantize(100.0).value(), 15);   // saturates
+/// assert_eq!(q.quantize(1.0), 2);
+/// assert_eq!(q.quantize(100.0), 15);   // saturates
 /// assert_eq!(q.dequantize(q.quantize(-3.0)), -3.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,13 +72,13 @@ impl Quantizer {
     /// Largest representable real value.
     #[cfg(test)]
     fn max_real(&self) -> f64 {
-        SatFixed::max_value(self.bits) as f64 / self.scale()
+        self.dequantize(rails(self.bits).1)
     }
 
     /// Smallest representable real value.
     #[cfg(test)]
     fn min_real(&self) -> f64 {
-        SatFixed::min_value(self.bits) as f64 / self.scale()
+        self.dequantize(rails(self.bits).0)
     }
 
     /// Quantizes a single value: `round(x * 2^frac_bits)` with halves away
@@ -89,32 +90,30 @@ impl Quantizer {
     /// passes, and the cast maps it to 0), truncated, and moved one step
     /// away from zero where its exact fraction reaches a half.
     #[inline]
-    pub fn quantize(&self, x: f64) -> SatFixed {
-        let lo = f64::from(SatFixed::min_value(self.bits) - 1);
-        let hi = f64::from(SatFixed::max_value(self.bits) + 1);
-        let v = (x * self.scale()).clamp(lo, hi);
+    pub fn quantize(&self, x: f64) -> i32 {
+        let (min, max) = rails(self.bits);
+        let v = (x * self.scale()).clamp(f64::from(min - 1), f64::from(max + 1));
         let truncated = v as i32;
         let frac = v - f64::from(truncated);
         let rounded = truncated + i32::from(frac >= 0.5) - i32::from(frac <= -0.5);
-        SatFixed::new(rounded, self.bits)
+        rounded.clamp(min, max)
     }
 
     /// Quantizes a single value while updating saturation statistics.
     #[inline]
-    pub fn quantize_tracked(&self, x: f64, stats: &mut QuantStats) -> SatFixed {
+    pub fn quantize_tracked(&self, x: f64, stats: &mut QuantStats) -> i32 {
         let q = self.quantize(x);
+        let (min, max) = rails(self.bits);
         stats.total += 1;
-        if q.value() == SatFixed::max_value(self.bits)
-            || q.value() == SatFixed::min_value(self.bits)
-        {
+        if q == max || q == min {
             stats.saturated += 1;
         }
         q
     }
 
-    /// Converts a quantized value back to a real number.
-    pub fn dequantize(&self, q: SatFixed) -> f64 {
-        q.value() as f64 / self.scale()
+    /// Converts a quantized register value back to a real number.
+    pub fn dequantize(&self, q: i32) -> f64 {
+        f64::from(q) / self.scale()
     }
 }
 
@@ -144,14 +143,14 @@ mod tests {
     #[test]
     fn saturation_at_rails() {
         let q = Quantizer::new(5, 0);
-        assert_eq!(q.quantize(1000.0).value(), 15);
-        assert_eq!(q.quantize(-1000.0).value(), -16);
+        assert_eq!(q.quantize(1000.0), 15);
+        assert_eq!(q.quantize(-1000.0), -16);
     }
 
     #[test]
     fn nan_maps_to_zero() {
         let q = Quantizer::new(7, 1);
-        assert_eq!(q.quantize(f64::NAN).value(), 0);
+        assert_eq!(q.quantize(f64::NAN), 0);
     }
 
     #[test]
@@ -170,7 +169,7 @@ mod tests {
             (f64::NEG_INFINITY, -64),
         ];
         for (x, want) in cases {
-            assert_eq!(q.quantize(x).value(), want, "x = {x}");
+            assert_eq!(q.quantize(x), want, "x = {x}");
         }
     }
 
@@ -198,6 +197,12 @@ mod tests {
         let _ = Quantizer::new(4, 4);
     }
 
+    #[test]
+    #[should_panic(expected = "bit width")]
+    fn zero_width_panics() {
+        let _ = Quantizer::new(0, 0);
+    }
+
     proptest! {
         #[test]
         fn quantization_error_bounded(x in -30.0f64..30.0, frac in 0u32..4) {
@@ -216,15 +221,19 @@ mod tests {
             wide in -1e12f64..1e12,
             near in -200.0f64..200.0,
             quarters in -800i32..800,
-            bits in 2u32..=31,
+            special in 0usize..4,
+            bits in 1u32..=31,
             frac in 0u32..8,
         ) {
             let q = Quantizer::new(bits, frac.min(bits - 1));
+            let (min, max) = rails(bits);
             // Quarter steps put exact halves before the rounding at
-            // `frac_bits` 0 and 1.
-            for x in [wide, near, f64::from(quarters) / 4.0] {
-                let rounded = (x * q.scale()).round().clamp(f64::from(i32::MIN), f64::from(i32::MAX));
-                prop_assert_eq!(q.quantize(x), SatFixed::new(rounded as i32, bits));
+            // `frac_bits` 0 and 1; NaN rounds to NaN, which the cast maps to
+            // 0, and the infinities clamp to the rails.
+            let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][special];
+            for x in [wide, near, f64::from(quarters) / 4.0, special] {
+                let rounded = (x * q.scale()).round().clamp(f64::from(min), f64::from(max));
+                prop_assert_eq!(q.quantize(x), rounded as i32);
             }
         }
 
@@ -232,7 +241,7 @@ mod tests {
         fn quantizer_is_monotone(a in -100.0f64..100.0, b in -100.0f64..100.0, frac in 0u32..4) {
             let q = Quantizer::new(7, frac);
             if a <= b {
-                prop_assert!(q.quantize(a).value() <= q.quantize(b).value());
+                prop_assert!(q.quantize(a) <= q.quantize(b));
             }
         }
     }

@@ -288,8 +288,8 @@ impl FixedLayeredDecoder {
         } else {
             self.quantizer.quantize(llr.value())
         };
-        // fec-lint: allow(fixed-narrowing-cast, quantizer output is a SatFixed already clamped to the lambda register range, which new() bounds to 15 bits)
-        q.value() as i16
+        // fec-lint: allow(fixed-narrowing-cast, quantizer output is already clamped to the lambda register range, which new() bounds to 15 bits)
+        q as i16
     }
 
     /// Quantizes one frame of channel LLRs into lane `f`, counting

@@ -5,8 +5,8 @@
 /// The paper's SISO produces two extrinsic values `lambda_k[u]` every three
 /// clock cycles and therefore runs at half the NoC clock frequency
 /// (`f_SISO = 0.5 * f_NoC`).  The frame window assigned to a SISO is split
-/// into `windows` sliding windows whose `alpha`/`beta` state metrics (8 + 8
-/// values) live in the shared PE memory.
+/// into sliding windows (3 in the paper's WiMAX design) whose `alpha`/`beta`
+/// state metrics (8 + 8 values) live in the shared PE memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SisoCoreModel {
     /// Extrinsic values produced per `cycles_per_output_group` SISO cycles.
@@ -15,8 +15,6 @@ pub struct SisoCoreModel {
     pub cycles_per_output_group: u64,
     /// Ratio between the SISO clock and the NoC clock (0.5 in the paper).
     pub clock_ratio: f64,
-    /// Number of sliding windows per SISO (3 in the paper's WiMAX design).
-    pub windows: usize,
     /// Core latency of one half iteration (pipeline fill, in SISO cycles).
     pub core_latency: u64,
 }
@@ -27,7 +25,6 @@ impl Default for SisoCoreModel {
             outputs_per_group: 2,
             cycles_per_output_group: 3,
             clock_ratio: 0.5,
-            windows: 3,
             core_latency: 15,
         }
     }
@@ -69,7 +66,6 @@ mod tests {
         let m = SisoCoreModel::default();
         assert!((m.outputs_per_cycle() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(m.clock_ratio, 0.5);
-        assert_eq!(m.windows, 3);
     }
 
     #[test]
