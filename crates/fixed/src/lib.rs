@@ -62,12 +62,51 @@ pub const LAMBDA_BITS: u32 = 7;
 /// the turbo branch metric inputs `lambda[c(e)]` (Section IV).
 pub const R_BITS: u32 = 5;
 
-/// The saturation rails `(-2^(bits-1), 2^(bits-1) - 1)` of a `bits`-bit
-/// two's-complement register, the range every datapath value is clamped to.
-#[inline]
-pub(crate) const fn rails(bits: u32) -> (i32, i32) {
-    let half = 1i32 << (bits - 1);
-    (-half, half - 1)
+pub(crate) use sat::rails;
+
+/// Saturation of a datapath register: the one definition of its rails.
+mod sat {
+    /// The saturation rails `(-2^(bits-1), 2^(bits-1) - 1)` of a `bits`-bit
+    /// two's-complement register, the range every datapath value is clamped to.
+    #[inline]
+    pub(crate) const fn rails(bits: u32) -> (i32, i32) {
+        let half = 1i32 << (bits - 1);
+        (-half, half - 1)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[test]
+        fn range_of_seven_bits() {
+            assert_eq!(rails(7), (-64, 63));
+        }
+
+        #[test]
+        fn range_of_five_bits() {
+            assert_eq!(rails(5), (-16, 15));
+        }
+
+        proptest! {
+            /// A value clamped to the rails fits a `bits`-bit two's-complement
+            /// register (sign-extending its low `bits` bits gives it back), and
+            /// a value already within them is kept.
+            #[test]
+            fn always_within_range(v in i32::MIN / 2..i32::MAX / 2, bits in 1u32..=31) {
+                let (min, max) = rails(bits);
+                prop_assert!(min <= max);
+                let s = v.clamp(min, max);
+                let unused = 32 - bits;
+                prop_assert_eq!((s << unused) >> unused, s);
+                prop_assert_eq!(i64::from(max) - i64::from(min), (1i64 << bits) - 1);
+                if (min..=max).contains(&v) {
+                    prop_assert_eq!(s, v);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -78,15 +117,5 @@ mod tests {
     fn constants_match_paper() {
         assert_eq!(LAMBDA_BITS, 7);
         assert_eq!(R_BITS, 5);
-    }
-
-    #[test]
-    fn range_of_seven_bits() {
-        assert_eq!(rails(7), (-64, 63));
-    }
-
-    #[test]
-    fn range_of_five_bits() {
-        assert_eq!(rails(5), (-16, 15));
     }
 }
