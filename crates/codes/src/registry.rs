@@ -614,8 +614,19 @@ mod tests {
             err(Wimax, Layered, 577),
             "invalid block 577 for wimax: InvalidBlockLength { n: 577 }"
         );
-        assert!(err(Wimax, Ctc(BitLevel), 576).starts_with("invalid block 576 for wimax"));
-        assert!(err(Lte, Turbo, 41).starts_with("invalid block 41 for lte"));
+        // the daemon answers a bad turbo size with these texts
+        assert_eq!(
+            err(Lte, Turbo, 41),
+            "invalid block 41 for lte: UnsupportedBlockSize { k: 41 }"
+        );
+        assert_eq!(
+            err(DvbRcs, Ctc(BitLevel), 50),
+            "invalid block 50 for dvbrcs: UnsupportedFrameSize { couples: 50 }"
+        );
+        assert_eq!(
+            err(Wimax, Ctc(BitLevel), 576),
+            "invalid block 576 for wimax: UnsupportedFrameSize { couples: 576 }"
+        );
         for lambda_bits in [0, 1, 16, u32::MAX] {
             assert_eq!(
                 err(Wimax, Quantized { lambda_bits }, 576),

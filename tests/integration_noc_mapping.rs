@@ -3,8 +3,10 @@
 //! by every topology/routing combination, and the resulting phase duration
 //! must respect the structural lower bounds.
 
+use code_tables::DecoderKind;
 use decoder_pe::SisoCoreModel;
 use fec_json::ToJson;
+use noc_decoder::evaluation::{evaluate_standard_code, Mode};
 use noc_decoder::{
     run_multi_compliance_sharded, ComplianceScope, DecoderConfig, MappingConfig, Standard,
     StandardCode,
@@ -15,8 +17,10 @@ use noc_sim::{
     CollisionPolicy, NocConfig, NocSimulator, NocStats, NodeArchitecture, RoutingAlgorithm,
     Topology, TopologyKind, TrafficTrace,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use wimax_ldpc::{CodeRate, QcLdpcCode};
-use wimax_turbo::CtcCode;
+use wimax_turbo::{CtcCode, ExtrinsicExchange};
 
 #[test]
 fn ldpc_equivalent_interleaver_is_fully_delivered_on_every_routing() {
@@ -597,4 +601,110 @@ fn full_registry_mappings_reproduce_their_golden_hashes() {
         }
     }
     assert_eq!(hashes, FULL_REGISTRY_MAPPING_HASHES);
+}
+
+/// FNV-1a over one turbo code of the registry: its label, its catalogue
+/// codec's name, the codeword of one random frame seeded by the code's
+/// size, and every field of its evaluation at the paper design point.
+fn turbo_code_hash(code: &StandardCode) -> u64 {
+    let decoder = match code.standard() {
+        Standard::Lte => DecoderKind::Turbo,
+        _ => DecoderKind::Ctc(ExtrinsicExchange::BitLevel),
+    };
+    let codec = code.codec(decoder).unwrap();
+    let mut rng = StdRng::seed_from_u64(code.info_bits() as u64);
+    let info: Vec<u8> = (0..codec.info_bits())
+        .map(|_| rng.gen_range(0..=1))
+        .collect();
+    let codeword = codec.encode(&info);
+    let e = evaluate_standard_code(
+        &DecoderConfig::paper_design_point(),
+        code,
+        &MappingStore::new(),
+    )
+    .unwrap();
+    let text = [
+        code.label(),
+        codec.name(),
+        e.topology.clone(),
+        e.routing.clone(),
+        e.architecture.clone(),
+    ]
+    .join("\n");
+    let numbers = [
+        u64::from(e.mode == Mode::Turbo),
+        e.pes as u64,
+        e.degree as u64,
+        e.phase_cycles,
+        e.info_bits as u64,
+        e.throughput_mbps.to_bits(),
+        e.noc_area_mm2.to_bits(),
+        e.core_area_mm2.to_bits(),
+        e.fifo_depth as u64,
+        e.locality.to_bits(),
+        e.average_latency.to_bits(),
+        e.messages_per_phase as u64,
+    ];
+    let bytes = text.bytes().chain(codeword).map(u64::from);
+    fnv1a(bytes.chain(numbers))
+}
+
+/// `(label, turbo_code_hash)` of every turbo code of the five full
+/// registries, in registry order: 17 802.16e CTC sizes, 10 LTE block sizes
+/// and 12 DVB-RCS sizes.
+const TURBO_CODE_HASHES: [(&str, u64); 39] = [
+    ("802.16e DBTC 48 r=1/2", 0x9b16_6208_7740_b314),
+    ("802.16e DBTC 72 r=1/2", 0x32fe_7283_5aa9_22f6),
+    ("802.16e DBTC 96 r=1/2", 0xbb75_b5db_e55e_b37e),
+    ("802.16e DBTC 144 r=1/2", 0xb959_0a93_9f49_7835),
+    ("802.16e DBTC 192 r=1/2", 0xc177_067b_cdfb_c256),
+    ("802.16e DBTC 216 r=1/2", 0x9112_4d3e_1c50_1138),
+    ("802.16e DBTC 240 r=1/2", 0x7ecc_4828_045b_6fd8),
+    ("802.16e DBTC 288 r=1/2", 0xe610_7fac_afc5_c245),
+    ("802.16e DBTC 360 r=1/2", 0x84ae_b7ec_9c43_67a1),
+    ("802.16e DBTC 384 r=1/2", 0x4bf4_0681_e713_3198),
+    ("802.16e DBTC 432 r=1/2", 0xa7b8_f89c_53fb_30c1),
+    ("802.16e DBTC 480 r=1/2", 0xa994_c64e_0bfe_e6d2),
+    ("802.16e DBTC 960 r=1/2", 0x8511_03e0_987b_5066),
+    ("802.16e DBTC 1920 r=1/2", 0x8580_8e04_b682_0acd),
+    ("802.16e DBTC 2880 r=1/2", 0x3276_0e1a_3f2c_0978),
+    ("802.16e DBTC 3840 r=1/2", 0xa607_98fa_1738_e349),
+    ("802.16e DBTC 4800 r=1/2", 0x8358_53ad_fe79_6777),
+    ("LTE TC K=40 r=1/3", 0x36cd_9230_d3dc_16d2),
+    ("LTE TC K=64 r=1/3", 0x1327_d0f7_f3b9_5c0b),
+    ("LTE TC K=104 r=1/3", 0x0a77_79a7_2dcb_c0e8),
+    ("LTE TC K=128 r=1/3", 0xcab7_b0df_c9fa_8b01),
+    ("LTE TC K=208 r=1/3", 0x8340_b7ce_dc8a_0f33),
+    ("LTE TC K=256 r=1/3", 0xfd81_d531_8534_4613),
+    ("LTE TC K=512 r=1/3", 0x4a43_3b4d_55f5_8070),
+    ("LTE TC K=1024 r=1/3", 0x1c14_61b3_dbd3_3597),
+    ("LTE TC K=2048 r=1/3", 0x2798_2553_1d9a_5118),
+    ("LTE TC K=6144 r=1/3", 0x5039_8b7b_a2ed_69fd),
+    ("DVB-RCS CTC 96 r=1/2", 0x7d6b_716a_942f_bd7c),
+    ("DVB-RCS CTC 128 r=1/2", 0x8331_8b11_0a5d_7566),
+    ("DVB-RCS CTC 424 r=1/2", 0x0c66_788e_6dfc_fde4),
+    ("DVB-RCS CTC 440 r=1/2", 0x6888_5c22_9831_e0e5),
+    ("DVB-RCS CTC 456 r=1/2", 0xb7a2_fde3_f8ce_87d8),
+    ("DVB-RCS CTC 848 r=1/2", 0x9515_6dea_4ce2_7f14),
+    ("DVB-RCS CTC 864 r=1/2", 0x0c59_ded3_adb4_ea96),
+    ("DVB-RCS CTC 880 r=1/2", 0x02df_2e81_3395_7211),
+    ("DVB-RCS CTC 1504 r=1/2", 0xae24_e176_63e5_0b00),
+    ("DVB-RCS CTC 1696 r=1/2", 0xc1e7_b7d0_7769_1d39),
+    ("DVB-RCS CTC 1712 r=1/2", 0x87be_c344_2524_e4b5),
+    ("DVB-RCS CTC 1728 r=1/2", 0x006a_aeea_44cf_9c6c),
+];
+
+#[test]
+fn every_registry_turbo_code_reproduces_its_golden_hash() {
+    let hashes: Vec<(String, u64)> = Standard::all()
+        .into_iter()
+        .flat_map(Standard::full_codes)
+        .filter(|code| !code.is_ldpc())
+        .map(|code| (code.label(), turbo_code_hash(&code)))
+        .collect();
+    let golden: Vec<(String, u64)> = TURBO_CODE_HASHES
+        .iter()
+        .map(|&(label, hash)| (label.to_string(), hash))
+        .collect();
+    assert_eq!(hashes, golden);
 }
