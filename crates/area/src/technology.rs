@@ -44,8 +44,6 @@ impl Technology {
 /// the paper's component areas are approximated (see crate docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitAreas {
-    /// Technology these constants refer to.
-    pub technology: Technology,
     /// Area of one flip-flop bit including routing overhead (µm²).
     pub flipflop_um2: f64,
     /// Area of one SRAM bit including periphery overhead (µm²).
@@ -60,7 +58,6 @@ impl UnitAreas {
     /// Default constants for the 90 nm node.
     pub fn nm90() -> Self {
         UnitAreas {
-            technology: Technology::nm90(),
             flipflop_um2: 18.0,
             sram_bit_um2: 2.0,
             crossbar_bit_um2: 2.5,

@@ -12,7 +12,7 @@
 //! Pass `--json <path>` to additionally emit the rows as machine-readable
 //! JSON (`BENCH_kernels.json` in CI) for trajectory tracking.
 
-use code_tables::{DecoderKind, LteTurboCode, Standard, StandardCode};
+use code_tables::{lte_turbo_code, DecoderKind, Standard, StandardCode};
 use decoder_bench::harness::{bench, print_header, BenchReport};
 use decoder_bench::{exit_with_usage, json_flag_from_args, write_json};
 use fec_channel::sim::{EngineConfig, FrameSlice, SimulationEngine};
@@ -360,12 +360,8 @@ fn main() {
 
     // The LTE K = 6144 turbo phase of a compliance unit: the first-half
     // trace of the QPP mapping at the SISO injection rate of 1/3.
-    let lte = LteTurboCode::new(6144).expect("LTE block size");
-    let natural_to_interleaved: Vec<usize> = (0..lte.info_bits())
-        .map(|j| lte.interleaver().inverse(j))
-        .collect();
-    let lte_trace = TurboMapping::from_permutation(&natural_to_interleaved, 22)
-        .traffic_trace(HalfIteration::First);
+    let lte = lte_turbo_code(6144).expect("LTE block size");
+    let lte_trace = TurboMapping::new(lte.interleaver(), 22).traffic_trace(HalfIteration::First);
     let topology = Topology::new(TopologyKind::GeneralizedKautz, 22, 3).expect("valid topology");
     let lte_sim = NocSimulator::new(
         NocConfig::new(topology, RoutingAlgorithm::SspFl).with_output_rate(1.0 / 3.0),

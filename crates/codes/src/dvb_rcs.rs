@@ -13,18 +13,20 @@
 //! ```
 //!
 //! so the whole functional substrate (`wimax_turbo`'s trellis, SISO,
-//! encoder, decoder and [`ArpInterleaver`]) is reused unchanged — only the
-//! `(P0, Q1, Q2, Q3)` parameter table per couple size is DVB-RCS-specific.
+//! [`CtcCode`], decoder and [`Interleaver::arp`]) is reused unchanged — only
+//! the `(P0, Q1, Q2, Q3)` parameter table per couple size is
+//! DVB-RCS-specific.
 //! The twelve couple sizes cover the standard's ATM (53-byte) and MPEG
 //! (188-byte) payloads plus the surrounding signalling frames.
 //!
 //! Transcription of the parameter quadruples is best-effort (the README's
 //! "Supported standards" table lists every standard's substitutions);
 //! as with the WiMAX ARP and LTE QPP tables, **every entry is validated to
-//! be a bijection at construction time**, so a transcription slip can only
+//! be a bijection at construction time** (by [`Interleaver::new`], the one
+//! bijection check of the workspace), so a transcription slip can only
 //! shift BER performance marginally, never break correctness.
 
-use wimax_turbo::{ArpInterleaver, ArpParameters, CtcCode, PunctureRate, TurboError};
+use wimax_turbo::{ArpParameters, CtcCode, Interleaver, PunctureRate, TurboError};
 
 /// The DVB-RCS frame sizes in couples (two information bits each): the
 /// standard's couple counts from 12-byte signalling bursts up to the
@@ -36,7 +38,7 @@ pub const DVB_RCS_COUPLE_SIZES: [usize; 12] =
 /// The DVB-RCS interleaver parameter table, expressed in the shared
 /// [`ArpParameters`] form: `p0` is the multiplicative parameter `P0` and
 /// `p1`/`p2`/`p3` carry the additive `Q1`/`Q2`/`Q3` of the DVB-RCS law
-/// (identical to the 802.16e ARP law implemented by [`ArpInterleaver`]).
+/// (identical to the 802.16e ARP law of [`Interleaver::arp`]).
 pub const DVB_RCS_ARP_TABLE: [ArpParameters; 12] = [
     ArpParameters {
         couples: 48,
@@ -131,13 +133,12 @@ pub const DVB_RCS_ARP_TABLE: [ArpParameters; 12] = [
 /// Returns [`TurboError::UnsupportedFrameSize`] for sizes outside the
 /// DVB-RCS table, or [`TurboError::InvalidInterleaver`] if the table entry
 /// does not describe a permutation.
-pub fn dvb_rcs_interleaver(couples: usize) -> Result<ArpInterleaver, TurboError> {
+pub fn dvb_rcs_interleaver(couples: usize) -> Result<Interleaver, TurboError> {
     let params = DVB_RCS_ARP_TABLE
         .iter()
         .find(|p| p.couples == couples)
-        .copied()
         .ok_or(TurboError::UnsupportedFrameSize { couples })?;
-    ArpInterleaver::from_parameters(params)
+    Interleaver::arp(*params)
 }
 
 /// Builds the rate-1/2 DVB-RCS duo-binary CTC with the given frame size in
@@ -223,15 +224,14 @@ mod tests {
     #[test]
     fn noiseless_roundtrip_through_the_shared_turbo_substrate() {
         use fec_fixed::Llr;
-        use wimax_turbo::{TurboDecoder, TurboDecoderConfig, TurboEncoder};
+        use wimax_turbo::{TurboDecoder, TurboDecoderConfig};
         let code = dvb_rcs_ctc(64).unwrap();
-        let enc = TurboEncoder::new(&code);
         let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xDB);
         let info: Vec<u8> = (0..code.info_bits())
             .map(|_| rng.gen_range(0..=1))
             .collect();
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         let llrs: Vec<Llr> = cw
             .iter()
             .map(|&b| Llr::new(8.0 * (1.0 - 2.0 * f64::from(b))))
@@ -259,7 +259,7 @@ mod tests {
             b in 0usize..864,
         ) {
             let params = DVB_RCS_ARP_TABLE[entry];
-            let pi = ArpInterleaver::from_parameters(params).unwrap();
+            let pi = Interleaver::arp(params).unwrap();
             let (a, b) = (a % params.couples, b % params.couples);
             prop_assume!(a != b);
             prop_assert!(pi.permute(a) != pi.permute(b));

@@ -10,10 +10,10 @@
 //! * [`wifi`] — the twelve IEEE 802.11n QC-LDPC base matrices (n = 648 /
 //!   1296 / 1944 x rates 1/2, 2/3, 3/4, 5/6) built on the generalized
 //!   [`wimax_ldpc::BaseMatrix`] with direct (per-`z`) shift tables;
-//! * [`lte`] — the 3GPP LTE rate-1/3 binary turbo code: QPP interleaver
-//!   table, tail-bit-terminated encoder and the
-//!   [`fec_channel::sim::FecCodec`] adapter over `wimax_turbo`'s binary
-//!   decoder (the same Max-Log SISO kernel and iterative loop as the CTC);
+//! * [`lte`] — the 3GPP LTE rate-1/3 binary turbo code: the QPP interleaver
+//!   table and [`lte_turbo_code`], which builds `wimax_turbo`'s
+//!   [`wimax_turbo::LteTurboCode`] from it (the code, its encoder, decoder
+//!   and codec live beside the CTC's in `wimax_turbo`);
 //! * [`wran`] — the IEEE 802.22 WRAN QC-LDPC tables (n = 384 … 2304 x
 //!   rates 1/2, 2/3, 3/4) on the same 24-column base layout and floor
 //!   shift-scaling rule as 802.16e;
@@ -64,10 +64,7 @@ pub use dvb_rcs::{
     dvb_rcs_ctc, dvb_rcs_ctc_with_rate, dvb_rcs_interleaver, DVB_RCS_ARP_TABLE,
     DVB_RCS_COUPLE_SIZES,
 };
-pub use lte::{
-    lte_block_sizes, LteTurboCode, LteTurboCodec, LteTurboEncoder, LteTurboError, QppInterleaver,
-    QppParameters, LTE_QPP_TABLE,
-};
+pub use lte::{lte_block_sizes, lte_turbo_code, QppParameters, LTE_QPP_TABLE};
 pub use registry::{DecoderKind, StandardCode};
 pub use standard::{Standard, UnknownStandard};
 pub use wifi::{wifi_base_matrix, wifi_ldpc, wifi_rates, WIFI_BLOCK_LENGTHS};

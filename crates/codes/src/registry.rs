@@ -14,7 +14,7 @@
 //! here, not touching the sweeps.
 
 use crate::dvb_rcs::{dvb_rcs_ctc, DVB_RCS_COUPLE_SIZES};
-use crate::lte::{lte_block_sizes, LteTurboCode, LteTurboCodec};
+use crate::lte::{lte_block_sizes, lte_turbo_code};
 use crate::standard::Standard;
 use crate::wifi::{wifi_ldpc, wifi_rates, WIFI_BLOCK_LENGTHS};
 use crate::wran::{wran_ldpc, wran_rates, WRAN_BLOCK_LENGTHS};
@@ -24,7 +24,10 @@ use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
 use wimax_ldpc::{
     wimax_block_lengths, CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec,
 };
-use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig, WIMAX_FRAME_SIZES};
+use wimax_turbo::{
+    BinaryTurboDecoder, CtcCode, ExtrinsicExchange, LteTurboCode, TurboDecoder, TurboDecoderConfig,
+    WIMAX_FRAME_SIZES,
+};
 
 /// One channel code of one standard, carrying everything the functional and
 /// architectural layers need.
@@ -151,7 +154,7 @@ impl StandardCode {
                 code: dvb_rcs_ctc(block).map_err(|e| invalid(&e))?,
             },
             (Standard::Lte, DecoderKind::Turbo) => StandardCode::LteTurbo {
-                code: LteTurboCode::new(block).map_err(|e| invalid(&e))?,
+                code: lte_turbo_code(block).map_err(|e| invalid(&e))?,
             },
             _ => return Err(not_available(standard)),
         })
@@ -201,12 +204,12 @@ impl StandardCode {
                     ExtrinsicExchange::BitLevel => "bit",
                 };
                 named(
-                    TurboCodec::new(code, turbo(exchange)),
+                    TurboDecoder::new(code, turbo(exchange)),
                     format!("{standard}-ctc-{}c-{mode}", code.couples()),
                 )
             }
             (StandardCode::LteTurbo { code }, DecoderKind::Turbo) => named(
-                LteTurboCodec::new(code, TurboDecoderConfig::default()),
+                BinaryTurboDecoder::new(code, TurboDecoderConfig::default()),
                 format!("{standard}-turbo-k{}", code.info_bits()),
             ),
             _ => return Err(not_available(self.standard())),
@@ -246,7 +249,7 @@ fn named<C: FecCodec + 'static>(inner: C, name: String) -> Box<dyn FecCodec> {
 }
 
 /// A [`FecCodec`] reporting the catalogue's label, so every codec carries a
-/// standard-accurate name without touching the underlying adapters.
+/// standard-accurate name without touching the underlying codecs.
 struct NamedCodec<C> {
     inner: C,
     name: String,
@@ -388,7 +391,7 @@ fn wimax_ctc(couples: usize) -> StandardCode {
 
 fn lte_turbo(k: usize) -> StandardCode {
     StandardCode::LteTurbo {
-        code: LteTurboCode::new(k).expect("valid LTE block size"),
+        code: lte_turbo_code(k).expect("valid LTE block size"),
     }
 }
 

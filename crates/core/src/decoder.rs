@@ -1,7 +1,9 @@
 //! The top-level flexible decoder object.
 
 use crate::config::DecoderConfig;
-use crate::evaluation::{evaluate_ldpc, evaluate_turbo, DecoderError, DesignEvaluation};
+use crate::evaluation::{
+    evaluate_ldpc, evaluate_turbo, DecoderError, DesignEvaluation, CTC_PAYLOAD_BITS,
+};
 use asic_model::power::OperatingMode;
 use asic_model::{PowerModel, Technology};
 use fec_fixed::Llr;
@@ -86,7 +88,12 @@ impl NocDecoder {
     ///
     /// Returns a [`DecoderError`] if the configuration cannot be realised.
     pub fn evaluate_turbo(&self, code: &CtcCode) -> Result<DesignEvaluation, DecoderError> {
-        evaluate_turbo(&self.config, code)
+        evaluate_turbo(
+            &self.config,
+            code.info_bits(),
+            code.interleaver(),
+            CTC_PAYLOAD_BITS,
+        )
     }
 
     /// Estimated peak power in mW of an evaluated design point.
@@ -120,7 +127,6 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use wimax_ldpc::{CodeRate, QcEncoder};
-    use wimax_turbo::TurboEncoder;
 
     #[test]
     fn functional_ldpc_decode_roundtrip() {
@@ -143,12 +149,11 @@ mod tests {
     fn functional_turbo_decode_roundtrip() {
         let decoder = NocDecoder::default();
         let code = CtcCode::wimax(48).unwrap();
-        let enc = TurboEncoder::new(&code);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let info: Vec<u8> = (0..code.info_bits())
             .map(|_| rng.gen_range(0..=1))
             .collect();
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         let llrs: Vec<Llr> = cw
             .iter()
             .map(|&b| Llr::new(6.0 * (1.0 - 2.0 * b as f64)))

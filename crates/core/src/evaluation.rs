@@ -1,5 +1,11 @@
 //! Evaluation of one decoder design point on one code: cycle-accurate phase
 //! duration, throughput, area and the supporting statistics.
+//!
+//! LDPC codes go through [`evaluate_ldpc`] and their partitioned mapping.
+//! Every turbo code — the duo-binary CTCs of 802.16e and DVB-RCS and the
+//! binary LTE code — goes through the one [`evaluate_turbo`], which maps the
+//! code's interleaver onto the SISOs and takes the payload of one extrinsic
+//! message; [`evaluate_standard_code`] picks the path for a registry code.
 
 use crate::config::DecoderConfig;
 use crate::throughput::{ldpc_throughput_mbps, turbo_throughput_mbps};
@@ -11,7 +17,7 @@ use noc_mapping::{MappingStore, TurboMapping};
 use noc_sim::{NocConfig, NocError, NocSimulator, NocStats, Topology};
 use std::fmt;
 use wimax_ldpc::QcLdpcCode;
-use wimax_turbo::CtcCode;
+use wimax_turbo::Interleaver;
 
 /// Errors produced while evaluating a design point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +56,7 @@ impl From<NocError> for DecoderError {
 pub enum Mode {
     /// LDPC decoding mode.
     Ldpc,
-    /// Double-binary turbo decoding mode.
+    /// Turbo decoding mode.
     Turbo,
 }
 
@@ -129,7 +135,7 @@ pub fn evaluate_ldpc(
         code.k(),
         config.ldpc_clock_mhz,
         config.ldpc_iterations,
-        core.core_latency(),
+        core.core_latency,
         stats.cycles,
     );
 
@@ -154,48 +160,17 @@ pub fn evaluate_ldpc(
     })
 }
 
-/// Evaluates one design point in turbo mode (the 802.16e double-binary CTC:
-/// one trellis section per couple, bit-level extrinsic exchange of two 7-bit
-/// values per message).
-pub fn evaluate_turbo(
-    config: &DecoderConfig,
-    code: &CtcCode,
-) -> Result<DesignEvaluation, DecoderError> {
-    if config.pes > code.couples() {
-        return Err(DecoderError::InvalidConfiguration {
-            reason: format!("{} PEs but only {} couples", config.pes, code.couples()),
-        });
-    }
-    let mapping = TurboMapping::new(code, config.pes);
-    evaluate_turbo_mapping(config, code.info_bits(), &mapping, 14)
-}
+/// Payload bits of one extrinsic message of a duo-binary CTC: the two 7-bit
+/// bit-level values of a couple.
+pub(crate) const CTC_PAYLOAD_BITS: u32 = 14;
 
-/// Evaluates one design point in turbo mode for an arbitrary interleaver
-/// permutation (`permutation[j]` = interleaved position of trellis section
-/// `j`).  Single-binary codes such as the LTE turbo code exchange one 7-bit
-/// extrinsic per message (`payload_bits = 7`).
-fn evaluate_turbo_generic(
-    config: &DecoderConfig,
-    info_bits: usize,
-    permutation: &[usize],
-    payload_bits: u32,
-) -> Result<DesignEvaluation, DecoderError> {
-    if config.pes > permutation.len() {
-        return Err(DecoderError::InvalidConfiguration {
-            reason: format!(
-                "{} PEs but only {} trellis sections",
-                config.pes,
-                permutation.len()
-            ),
-        });
-    }
-    let mapping = TurboMapping::from_permutation(permutation, config.pes);
-    evaluate_turbo_mapping(config, info_bits, &mapping, payload_bits)
-}
+/// Payload bits of one extrinsic message of the binary LTE code: one 7-bit
+/// value per bit.
+const BINARY_PAYLOAD_BITS: u32 = 7;
 
 /// Evaluates one design point for any code of the multi-standard registry,
 /// dispatching LDPC codes to [`evaluate_ldpc`] (with `mappings`) and turbo
-/// codes to the matching turbo evaluation.
+/// codes to [`evaluate_turbo`] with their interleaver and payload.
 pub fn evaluate_standard_code(
     config: &DecoderConfig,
     code: &StandardCode,
@@ -206,28 +181,42 @@ pub fn evaluate_standard_code(
         // The DVB-RCS CTC shares the duo-binary trellis and the couple-level
         // extrinsic traffic of the 802.16e CTC; only its interleaver (and
         // hence the NoC traffic pattern) differs, which `CtcCode` carries.
-        StandardCode::WimaxTurbo { code } | StandardCode::DvbRcsTurbo { code } => {
-            evaluate_turbo(config, code)
-        }
-        StandardCode::LteTurbo { code } => {
-            // QppInterleaver::permute is interleaved -> natural (output i
-            // reads input pi(i)); TurboMapping wants natural -> interleaved
-            // (where section j's extrinsic travels), which is the inverse.
-            let pi = code.interleaver();
-            let permutation: Vec<usize> = (0..code.info_bits()).map(|j| pi.inverse(j)).collect();
-            evaluate_turbo_generic(config, code.info_bits(), &permutation, 7)
-        }
+        StandardCode::WimaxTurbo { code } | StandardCode::DvbRcsTurbo { code } => evaluate_turbo(
+            config,
+            code.info_bits(),
+            code.interleaver(),
+            CTC_PAYLOAD_BITS,
+        ),
+        StandardCode::LteTurbo { code } => evaluate_turbo(
+            config,
+            code.info_bits(),
+            code.interleaver(),
+            BINARY_PAYLOAD_BITS,
+        ),
     }
 }
 
-/// The shared turbo-mode evaluation: NoC phase simulation of the mapping's
-/// first-half traffic, SISO overlap, throughput and areas.
-fn evaluate_turbo_mapping(
+/// Evaluates one design point in turbo mode on a code of `info_bits`
+/// information bits whose trellis sections (couples of a duo-binary CTC,
+/// bits of a binary code) cross `interleaver`, exchanging extrinsic
+/// messages of `payload_bits` bits: NoC phase simulation of the first-half
+/// traffic, SISO overlap, throughput and areas.
+pub fn evaluate_turbo(
     config: &DecoderConfig,
     info_bits: usize,
-    mapping: &TurboMapping,
+    interleaver: &Interleaver,
     payload_bits: u32,
 ) -> Result<DesignEvaluation, DecoderError> {
+    if config.pes > interleaver.len() {
+        return Err(DecoderError::InvalidConfiguration {
+            reason: format!(
+                "{} PEs but only {} trellis sections",
+                config.pes,
+                interleaver.len()
+            ),
+        });
+    }
+    let mapping = TurboMapping::new(interleaver, config.pes);
     let topology = Topology::new(config.topology, config.pes, config.degree)?;
     let degree = topology.degree();
 
@@ -324,9 +313,23 @@ fn areas(
 mod tests {
     use super::*;
     use wimax_ldpc::CodeRate;
+    use wimax_turbo::CtcCode;
 
     fn small_code() -> QcLdpcCode {
         QcLdpcCode::wimax(576, CodeRate::R12).unwrap()
+    }
+
+    /// The turbo evaluation of a duo-binary CTC.
+    fn evaluate_ctc(
+        config: &DecoderConfig,
+        code: &CtcCode,
+    ) -> Result<DesignEvaluation, DecoderError> {
+        evaluate_turbo(
+            config,
+            code.info_bits(),
+            code.interleaver(),
+            CTC_PAYLOAD_BITS,
+        )
     }
 
     #[test]
@@ -348,7 +351,7 @@ mod tests {
     fn turbo_evaluation_produces_consistent_numbers() {
         let config = DecoderConfig::paper_design_point().with_pes(8);
         let code = CtcCode::wimax(240).unwrap();
-        let eval = evaluate_turbo(&config, &code).unwrap();
+        let eval = evaluate_ctc(&config, &code).unwrap();
         assert_eq!(eval.mode, Mode::Turbo);
         assert_eq!(eval.info_bits, 480);
         assert!(eval.phase_cycles > 0);
@@ -388,7 +391,7 @@ mod tests {
             Err(DecoderError::InvalidConfiguration { .. })
         ));
         let code = CtcCode::wimax(24).unwrap();
-        assert!(evaluate_turbo(&config, &code).is_err());
+        assert!(evaluate_ctc(&config, &code).is_err());
     }
 
     #[test]
@@ -462,7 +465,7 @@ mod tests {
         assert_eq!(direct, via);
 
         let ctc = CtcCode::wimax(240).unwrap();
-        let direct = evaluate_turbo(&config, &ctc).unwrap();
+        let direct = evaluate_ctc(&config, &ctc).unwrap();
         let via = evaluate_standard_code(
             &config,
             &code_tables::StandardCode::WimaxTurbo { code: ctc },
@@ -476,13 +479,15 @@ mod tests {
     fn lte_dispatch_uses_the_natural_to_interleaved_orientation() {
         // The decoder sends natural section j's extrinsic to interleaved
         // position pi^{-1}(j) (QPP output i reads input pi(i)); the NoC
-        // traffic must follow the same direction.
-        use code_tables::LteTurboCode;
+        // traffic follows the code's interleaver, which runs that way.
         let config = DecoderConfig::paper_design_point().with_pes(8);
-        let code = LteTurboCode::new(104).unwrap();
+        let code = code_tables::lte_turbo_code(104).unwrap();
         let pi = code.interleaver();
-        let natural_to_interleaved: Vec<usize> = (0..104).map(|j| pi.inverse(j)).collect();
-        let expected = evaluate_turbo_generic(&config, 104, &natural_to_interleaved, 7).unwrap();
+        for j in 0..104 {
+            let p = pi.permute(j);
+            assert_eq!((7 * p + 26 * p * p) % 104, j, "section {j}");
+        }
+        let expected = evaluate_turbo(&config, 104, pi, 7).unwrap();
         let via = evaluate_standard_code(
             &config,
             &code_tables::StandardCode::LteTurbo { code },
@@ -509,7 +514,7 @@ mod tests {
         // evaluation on its own CtcCode (same trellis, its own interleaver).
         let config = DecoderConfig::paper_design_point().with_pes(8);
         let code = code_tables::dvb_rcs_ctc(212).unwrap();
-        let direct = evaluate_turbo(&config, &code).unwrap();
+        let direct = evaluate_ctc(&config, &code).unwrap();
         let via = evaluate_standard_code(
             &config,
             &code_tables::StandardCode::DvbRcsTurbo { code: code.clone() },
@@ -522,7 +527,7 @@ mod tests {
         assert_eq!(via.messages_per_phase, 212);
         // A different interleaver than the (nonexistent) WiMAX 212 would
         // give different traffic; sanity-check against a WiMAX size close by.
-        let wimax = evaluate_turbo(&config, &CtcCode::wimax(216).unwrap()).unwrap();
+        let wimax = evaluate_ctc(&config, &CtcCode::wimax(216).unwrap()).unwrap();
         assert_ne!(via.phase_cycles, 0);
         assert_ne!(wimax.messages_per_phase, via.messages_per_phase);
     }
@@ -530,9 +535,9 @@ mod tests {
     #[test]
     fn generic_turbo_rejects_too_many_pes() {
         let config = DecoderConfig::paper_design_point().with_pes(100);
-        let perm: Vec<usize> = (0..40).collect();
+        let identity = Interleaver::new((0..40).collect()).unwrap();
         assert!(matches!(
-            evaluate_turbo_generic(&config, 40, &perm, 7),
+            evaluate_turbo(&config, 40, &identity, 7),
             Err(DecoderError::InvalidConfiguration { .. })
         ));
     }

@@ -10,11 +10,11 @@
 /// ```
 /// use noc_mapping::WeightedGraph;
 ///
-/// let mut g = WeightedGraph::new(3);
-/// g.add_edge(0, 1, 2);
-/// g.add_edge(1, 2, 1);
+/// // a path 0 - 1 - 2 with weights 2 and 1
+/// let g = WeightedGraph::from_adjacency(vec![vec![(1, 2)], vec![(2, 1)], vec![]]);
 /// assert_eq!(g.degree(1), 2);
-/// assert_eq!(g.total_edge_weight(), 3);
+/// assert_eq!(g.neighbors(1), &[(0, 2), (2, 1)]);
+/// assert_eq!(g.edge_cut(&[0, 0, 1]), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedGraph {
@@ -22,8 +22,10 @@ pub struct WeightedGraph {
 }
 
 impl WeightedGraph {
-    /// Creates a graph with `nodes` isolated nodes.
-    pub fn new(nodes: usize) -> Self {
+    /// Creates a graph with `nodes` isolated nodes, for the tests to add
+    /// edges to.
+    #[cfg(test)]
+    pub(crate) fn new(nodes: usize) -> Self {
         WeightedGraph {
             adjacency: vec![Vec::new(); nodes],
         }
@@ -33,9 +35,9 @@ impl WeightedGraph {
     /// (`lists[u]` = `(v, weight)` pairs; both directions must be present or
     /// will be merged).
     ///
-    /// Only the `u < v` entries are read, so the result equals
-    /// [`add_edge`](Self::add_edge)`(u, v, w)` for each of them: repeated
-    /// pairs add their weights and self-loop entries are ignored.
+    /// Only the `u < v` entries are read, as if each added the undirected
+    /// edge `(u, v)` of weight `w`: repeated pairs add their weights and
+    /// self-loop entries are ignored.
     ///
     /// # Panics
     ///
@@ -83,7 +85,8 @@ impl WeightedGraph {
     /// # Panics
     ///
     /// Panics on out-of-range nodes or self loops.
-    pub fn add_edge(&mut self, u: usize, v: usize, weight: u64) {
+    #[cfg(test)]
+    pub(crate) fn add_edge(&mut self, u: usize, v: usize, weight: u64) {
         assert!(u < self.len() && v < self.len(), "node out of range");
         assert_ne!(u, v, "self loops are not allowed");
         for (a, b) in [(u, v), (v, u)] {
@@ -105,7 +108,8 @@ impl WeightedGraph {
     }
 
     /// Total weight over all (undirected) edges.
-    pub fn total_edge_weight(&self) -> u64 {
+    #[cfg(test)]
+    fn total_edge_weight(&self) -> u64 {
         self.adjacency
             .iter()
             .flat_map(|n| n.iter())

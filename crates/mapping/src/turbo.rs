@@ -7,15 +7,14 @@
 //! during the second half iteration the extrinsics travel along the inverse
 //! permutation.
 //!
-//! The mapping only depends on the frame length and the interleaver
-//! permutation, so one implementation serves both the duo-binary 802.16e CTC
-//! (one trellis section per *couple*, the ARP permutation) and single-binary
-//! codes such as the LTE turbo code (one section per *bit*, the QPP
-//! permutation) via [`TurboMapping::from_permutation`].
+//! The mapping only depends on the code's [`Interleaver`], so one
+//! implementation serves both the duo-binary CTCs of 802.16e and DVB-RCS
+//! (one trellis section per *couple*, the ARP permutation) and the binary
+//! LTE turbo code (one section per *bit*, the QPP permutation).
 
 use crate::MappingQuality;
 use noc_sim::{Message, TrafficTrace};
-use wimax_turbo::CtcCode;
+use wimax_turbo::Interleaver;
 
 /// Which half iteration a traffic trace describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +34,7 @@ pub enum HalfIteration {
 /// use wimax_turbo::CtcCode;
 ///
 /// let code = CtcCode::wimax(2400)?;
-/// let mapping = TurboMapping::new(&code, 22);
+/// let mapping = TurboMapping::new(code.interleaver(), 22);
 /// let trace = mapping.traffic_trace(noc_mapping::turbo::HalfIteration::First);
 /// assert_eq!(trace.total_messages(), 2400);
 /// # Ok::<(), wimax_turbo::TurboError>(())
@@ -44,50 +43,24 @@ pub enum HalfIteration {
 pub struct TurboMapping {
     pes: usize,
     owner: Vec<usize>,
-    forward: Vec<usize>,
-    inverse: Vec<usize>,
+    interleaver: Interleaver,
 }
 
 impl TurboMapping {
-    /// Maps a WiMAX CTC onto `pes` SISOs using contiguous windows of couples
-    /// and the code's ARP permutation as traffic.
+    /// Maps a turbo code with the given interleaver onto `pes` SISOs using
+    /// contiguous windows of trellis sections.
     ///
     /// # Panics
     ///
-    /// Panics if `pes` is zero or exceeds the number of couples.
-    pub fn new(code: &CtcCode, pes: usize) -> Self {
-        let pi = code.interleaver();
-        let forward: Vec<usize> = (0..code.couples()).map(|j| pi.permute(j)).collect();
-        Self::from_permutation(&forward, pes)
-    }
-
-    /// Maps a turbo code with the given interleaver permutation onto `pes`
-    /// SISOs using contiguous windows of trellis sections.  `permutation[j]`
-    /// is the interleaved position of natural section `j`; it must be a
-    /// bijection on `0..permutation.len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pes` is zero or exceeds the section count, or if
-    /// `permutation` is not a permutation.
-    pub fn from_permutation(permutation: &[usize], pes: usize) -> Self {
-        let n = permutation.len();
+    /// Panics if `pes` is zero or exceeds the section count.
+    pub fn new(interleaver: &Interleaver, pes: usize) -> Self {
+        let n = interleaver.len();
         assert!(pes >= 1, "need at least one PE");
         assert!(pes <= n, "cannot map {n} trellis sections onto {pes} PEs");
-        let mut inverse = vec![usize::MAX; n];
-        for (j, &p) in permutation.iter().enumerate() {
-            assert!(
-                p < n && inverse[p] == usize::MAX,
-                "interleaver map is not a permutation (position {p} from section {j})"
-            );
-            inverse[p] = j;
-        }
-        let owner = (0..n).map(|j| j * pes / n).collect();
         TurboMapping {
             pes,
-            owner,
-            forward: permutation.to_vec(),
-            inverse,
+            owner: (0..n).map(|j| j * pes / n).collect(),
+            interleaver: interleaver.clone(),
         }
     }
 
@@ -131,7 +104,7 @@ impl TurboMapping {
                 // owning interleaved position pi(j)
                 for j in 0..n {
                     let src = self.owner[j];
-                    let p = self.forward[j];
+                    let p = self.interleaver.permute(j);
                     let dst = self.owner[p];
                     let seq = sequence[src];
                     sequence[src] += 1;
@@ -143,7 +116,7 @@ impl TurboMapping {
                 // the PE owning natural position j = pi^{-1}(p)
                 for p in 0..n {
                     let src = self.owner[p];
-                    let j = self.inverse[p];
+                    let j = self.interleaver.inverse(p);
                     let dst = self.owner[j];
                     let seq = sequence[src];
                     sequence[src] += 1;
@@ -173,14 +146,15 @@ impl TurboMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wimax_turbo::CtcCode;
 
-    fn code(n: usize) -> CtcCode {
-        CtcCode::wimax(n).unwrap()
+    fn ctc_mapping(couples: usize, pes: usize) -> TurboMapping {
+        TurboMapping::new(CtcCode::wimax(couples).unwrap().interleaver(), pes)
     }
 
     #[test]
     fn windows_are_contiguous_and_balanced() {
-        let mapping = TurboMapping::new(&code(2400), 22);
+        let mapping = ctc_mapping(2400, 22);
         let mut total = 0;
         for pe in 0..22 {
             let couples = mapping.couples_of(pe);
@@ -202,7 +176,7 @@ mod tests {
 
     #[test]
     fn one_message_per_couple_per_half_iteration() {
-        let mapping = TurboMapping::new(&code(240), 8);
+        let mapping = ctc_mapping(240, 8);
         for half in [HalfIteration::First, HalfIteration::Second] {
             let t = mapping.traffic_trace(half);
             assert_eq!(t.total_messages(), 240);
@@ -212,7 +186,7 @@ mod tests {
 
     #[test]
     fn second_half_is_the_inverse_permutation() {
-        let mapping = TurboMapping::new(&code(48), 4);
+        let mapping = ctc_mapping(48, 4);
         let first = mapping.traffic_trace(HalfIteration::First);
         let second = mapping.traffic_trace(HalfIteration::Second);
         // volumes match and the src/dst multisets are swapped
@@ -222,7 +196,7 @@ mod tests {
 
     #[test]
     fn interleaver_spreads_traffic_across_pes() {
-        let mapping = TurboMapping::new(&code(960), 16);
+        let mapping = ctc_mapping(960, 16);
         let q = mapping.quality();
         // The ARP interleaver is designed to scatter couples: most traffic is remote.
         assert!(q.locality() < 0.3, "locality {}", q.locality());
@@ -231,7 +205,7 @@ mod tests {
 
     #[test]
     fn owners_cover_range() {
-        let mapping = TurboMapping::new(&code(120), 5);
+        let mapping = ctc_mapping(120, 5);
         assert_eq!(mapping.couples_of(0)[0], 0);
         assert_eq!(mapping.couples_of(4).last(), Some(&119));
         assert_eq!(mapping.pes(), 5);
@@ -240,47 +214,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one PE")]
     fn zero_pes_panics() {
-        let _ = TurboMapping::new(&code(24), 0);
+        let _ = ctc_mapping(24, 0);
     }
 
     #[test]
     fn single_pe_is_fully_local() {
-        let mapping = TurboMapping::new(&code(24), 1);
+        let mapping = ctc_mapping(24, 1);
         assert_eq!(mapping.quality().remote_messages, 0);
-    }
-
-    #[test]
-    fn from_permutation_matches_the_ctc_path() {
-        let ctc = code(240);
-        let pi = ctc.interleaver();
-        let forward: Vec<usize> = (0..240).map(|j| pi.permute(j)).collect();
-        let a = TurboMapping::new(&ctc, 8);
-        let b = TurboMapping::from_permutation(&forward, 8);
-        for half in [HalfIteration::First, HalfIteration::Second] {
-            assert_eq!(
-                a.traffic_trace(half).total_messages(),
-                b.traffic_trace(half).total_messages()
-            );
-        }
-        assert_eq!(a.max_window(), b.max_window());
-        assert_eq!(b.sections(), 240);
     }
 
     #[test]
     fn arbitrary_permutation_generates_traffic() {
         // a QPP-style quadratic permutation on 64 sections
         let perm: Vec<usize> = (0..64).map(|i| (7 * i + 16 * i * i) % 64).collect();
-        let mapping = TurboMapping::from_permutation(&perm, 4);
+        let mapping = TurboMapping::new(&Interleaver::new(perm).unwrap(), 4);
         let t = mapping.traffic_trace(HalfIteration::First);
         assert_eq!(t.total_messages(), 64);
         assert!(t.max_destination().unwrap() < 4);
         let q = mapping.quality();
         assert!(q.locality() < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn non_permutation_panics() {
-        let _ = TurboMapping::from_permutation(&[0, 0, 1, 2], 2);
     }
 }

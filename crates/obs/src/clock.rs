@@ -66,7 +66,8 @@ impl ManualClock {
     }
 
     /// Advances the clock by `ns` nanoseconds.
-    pub fn advance(&self, ns: u64) {
+    #[cfg(test)]
+    fn advance(&self, ns: u64) {
         self.now.fetch_add(ns, Ordering::Relaxed);
     }
 }

@@ -21,13 +21,6 @@ impl Default for LdpcCoreModel {
     }
 }
 
-impl LdpcCoreModel {
-    /// The core latency in cycles (`lat_core` in Eq. (12)).
-    pub fn core_latency(&self) -> u64 {
-        self.core_latency
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -35,6 +28,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let m = LdpcCoreModel::default();
-        assert_eq!(m.core_latency(), 15);
+        assert_eq!(m.core_latency, 15);
     }
 }

@@ -1,22 +1,128 @@
-//! Single-binary turbo codes: the tail-terminated iterative decoder of the
-//! 3GPP LTE rate-1/3 code.
+//! The binary turbo code of 3GPP LTE: its rate-1/3 tail-terminated code,
+//! which encodes itself, and its iterative decoder.
 //!
 //! LTE's two constituent encoders are the 8-state RSC of [`LteTrellis`]
-//! (feedback `1 + D^2 + D^3`, parity `1 + D + D^3`), each terminated with
-//! three tail bits.  [`BinaryTurboDecoder`] runs them through the same SISO
-//! kernel and iterative loop as the duo-binary CTC; the `code-tables` crate
-//! supplies the QPP interleaver, the encoder and the codec adapter.
+//! (feedback `1 + D^2 + D^3`, parity `1 + D + D^3`, one step is
+//! [`lte_rsc_step`]), each terminated with [`TAIL_STEPS`] tail bits.
+//! [`BinaryTurboDecoder`] runs them through the same SISO kernel and
+//! iterative loop as the duo-binary CTC.  The `code-tables` crate supplies
+//! the QPP parameter table and builds an [`LteTurboCode`] from it.
 
 use crate::decoder::{
     channel_llr, iterate, Iterated, Scratch, TurboDecodeOutcome, TurboDecoderConfig,
 };
-use crate::trellis::LteTrellis;
+use crate::interleaver::Interleaver;
+use crate::trellis::{lte_rsc_step, LteTrellis};
 use crate::{ExtrinsicExchange, TurboError};
 use fec_fixed::Llr;
 use std::cell::RefCell;
 
 /// Number of tail steps per constituent encoder (the encoder memory).
 pub const TAIL_STEPS: usize = 3;
+
+/// The LTE rate-1/3 binary turbo code: `K` information bits, one per
+/// trellis section, through a bit interleaver.
+///
+/// Transmitted bit order: `K` systematic bits, `K` parity-1 bits, `K`
+/// parity-2 bits, then the 12 tail bits as `(x, z)` pairs of encoder 1
+/// followed by `(x', z')` pairs of encoder 2.  (36.212 multiplexes the tail
+/// across the three streams; since this code's decoder reads the same
+/// layout, the simpler contiguous arrangement is used — the transmitted bit
+/// *set* is identical.)
+///
+/// # Example
+///
+/// ```
+/// use wimax_turbo::{Interleaver, LteTurboCode};
+///
+/// // K = 8 with the identity interleaver
+/// let code = LteTurboCode::new(Interleaver::new((0..8).collect())?);
+/// assert_eq!(code.coded_bits(), 3 * 8 + 12);
+/// assert_eq!(code.encode(&[0; 8])?, vec![0; 36]);
+/// # Ok::<(), wimax_turbo::TurboError>(())
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LteTurboCode {
+    interleaver: Interleaver,
+}
+
+impl LteTurboCode {
+    /// The code whose second encoder reads the information bits through
+    /// `interleaver`.
+    pub fn new(interleaver: Interleaver) -> Self {
+        LteTurboCode { interleaver }
+    }
+
+    /// Number of information bits `K`.
+    pub fn info_bits(&self) -> usize {
+        self.interleaver.len()
+    }
+
+    /// Number of transmitted bits: `3K + 12` (rate-1/3 mother code plus the
+    /// twelve tail bits).
+    pub fn coded_bits(&self) -> usize {
+        3 * self.info_bits() + 4 * TAIL_STEPS
+    }
+
+    /// The bit interleaver.
+    pub fn interleaver(&self) -> &Interleaver {
+        &self.interleaver
+    }
+
+    /// Encodes `info` (length `K`) into the `3K + 12` transmitted bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TurboError::InvalidLength`] on a wrong info length.
+    pub fn encode(&self, info: &[u8]) -> Result<Vec<u8>, TurboError> {
+        let k = self.info_bits();
+        if info.len() != k {
+            return Err(TurboError::InvalidLength {
+                what: "information bits",
+                expected: k,
+                actual: info.len(),
+            });
+        }
+        let pi = &self.interleaver;
+        let (parity_1, tail_1) = encode_constituent(info.iter().copied());
+        let (parity_2, tail_2) = encode_constituent((0..k).map(|p| info[pi.inverse(p)]));
+
+        let mut out = Vec::with_capacity(self.coded_bits());
+        out.extend_from_slice(info);
+        out.extend_from_slice(&parity_1[..k]);
+        out.extend_from_slice(&parity_2[..k]);
+        for (tail, parity) in [(tail_1, &parity_1[k..]), (tail_2, &parity_2[k..])] {
+            for (&x, &z) in tail.iter().zip(parity) {
+                out.extend([x, z]);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Encodes `bits` with the LTE RSC from state 0 and drains the register
+/// with [`TAIL_STEPS`] feedback-cancelling tail bits: the parity bit of
+/// every step, tail steps last, and the tail's input bits.
+fn encode_constituent(bits: impl Iterator<Item = u8>) -> (Vec<u8>, [u8; TAIL_STEPS]) {
+    let mut state = 0u8;
+    let mut parity = Vec::with_capacity(bits.size_hint().0 + TAIL_STEPS);
+    for b in bits {
+        let (next, p) = lte_rsc_step(state, b & 1);
+        state = next;
+        parity.push(p);
+    }
+    // Tail: feed the feedback bit so the register input becomes 0 and the
+    // state drains to zero in `TAIL_STEPS` steps.
+    let mut tail = [0u8; TAIL_STEPS];
+    for x in &mut tail {
+        *x = ((state >> 1) & 1) ^ (state & 1);
+        let (next, p) = lte_rsc_step(state, *x);
+        state = next;
+        parity.push(p);
+    }
+    debug_assert_eq!(state, 0, "tail bits must terminate the trellis");
+    (parity, tail)
+}
 
 impl Iterated<2, 4> for LteTrellis {
     fn with_scratch<R>(f: impl FnOnce(&mut Scratch<[f64; 2], f64>) -> R) -> R {
@@ -31,6 +137,10 @@ impl Iterated<2, 4> for LteTrellis {
         message
     }
 
+    fn swapped(_step: usize) -> bool {
+        false
+    }
+
     fn swap(message: f64) -> f64 {
         message
     }
@@ -40,9 +150,10 @@ impl Iterated<2, 4> for LteTrellis {
     }
 }
 
-/// The iterative binary turbo decoder of the LTE code: two Max-Log SISOs on
-/// tail-terminated [`LteTrellis`] constituents, exchanging bit LLRs through
-/// an interleaver.
+/// The iterative binary turbo decoder of an [`LteTurboCode`]: two Max-Log
+/// SISOs on tail-terminated [`LteTrellis`] constituents, exchanging bit
+/// LLRs through the code's interleaver.  It is also the code's
+/// [`fec_channel::sim::FecCodec`].
 ///
 /// A frame of `K` information bits arrives as `3K + 12` channel LLRs: `K`
 /// systematic, `K` parity-1 and `K` parity-2 values, then the tail as
@@ -53,52 +164,28 @@ impl Iterated<2, 4> for LteTrellis {
 ///
 /// ```
 /// use fec_fixed::Llr;
-/// use wimax_turbo::{BinaryTurboDecoder, TurboDecoderConfig};
+/// use wimax_turbo::{BinaryTurboDecoder, Interleaver, LteTurboCode, TurboDecoderConfig};
 ///
 /// // K = 8 with the identity interleaver; the all-zero frame is a codeword
-/// let decoder = BinaryTurboDecoder::new(&(0..8).collect::<Vec<_>>(), TurboDecoderConfig::default())?;
-/// let out = decoder.decode(&vec![Llr::new(4.0); decoder.coded_bits()])?;
+/// let code = LteTurboCode::new(Interleaver::new((0..8).collect())?);
+/// let decoder = BinaryTurboDecoder::new(&code, TurboDecoderConfig::default());
+/// let out = decoder.decode(&vec![Llr::new(4.0); code.coded_bits()])?;
 /// assert_eq!(out.info_bits, vec![0; 8]);
 /// # Ok::<(), wimax_turbo::TurboError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct BinaryTurboDecoder {
-    config: TurboDecoderConfig,
-    /// Interleaved position of every natural bit (never swapped).
-    interleaver: Vec<(usize, bool)>,
+    pub(crate) code: LteTurboCode,
+    pub(crate) config: TurboDecoderConfig,
 }
 
 impl BinaryTurboDecoder {
-    /// Creates a decoder for the interleaver that reads natural position
-    /// `permutation[i]` at interleaved position `i` (LTE's QPP `pi(i)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TurboError::InvalidInterleaver`] if `permutation` is not a
-    /// permutation of `0..K`.
-    pub fn new(permutation: &[usize], config: TurboDecoderConfig) -> Result<Self, TurboError> {
-        let k = permutation.len();
-        let mut interleaver = vec![(usize::MAX, false); k];
-        for (i, &j) in permutation.iter().enumerate() {
-            match interleaver.get_mut(j) {
-                Some(slot) if slot.0 == usize::MAX => slot.0 = i,
-                _ => return Err(TurboError::InvalidInterleaver),
-            }
-        }
-        Ok(BinaryTurboDecoder {
+    /// Creates a decoder for `code`.
+    pub fn new(code: &LteTurboCode, config: TurboDecoderConfig) -> Self {
+        BinaryTurboDecoder {
+            code: code.clone(),
             config,
-            interleaver,
-        })
-    }
-
-    /// Number of information bits `K`.
-    pub fn info_bits(&self) -> usize {
-        self.interleaver.len()
-    }
-
-    /// Number of channel LLRs per frame: `3K + 12`.
-    pub fn coded_bits(&self) -> usize {
-        3 * self.info_bits() + 4 * TAIL_STEPS
+        }
     }
 
     /// Decodes one frame of channel LLRs in the layout described on the
@@ -108,17 +195,19 @@ impl BinaryTurboDecoder {
     ///
     /// Returns [`TurboError::InvalidLength`] on a wrong LLR count.
     pub fn decode(&self, llrs: &[Llr]) -> Result<TurboDecodeOutcome, TurboError> {
-        if llrs.len() != self.coded_bits() {
+        let expected = self.code.coded_bits();
+        if llrs.len() != expected {
             return Err(TurboError::InvalidLength {
                 what: "channel LLRs",
-                expected: self.coded_bits(),
+                expected,
                 actual: llrs.len(),
             });
         }
+        let interleaver = self.code.interleaver().forward();
         Ok(LteTrellis::with_scratch(|scratch| {
-            demap(&self.interleaver, llrs, &mut scratch.channel);
+            demap(interleaver, llrs, &mut scratch.channel);
             let (iterations, converged) =
-                iterate::<LteTrellis, 2, 4>(scratch, &self.interleaver, &self.config);
+                iterate::<LteTrellis, 2, 4>(scratch, interleaver, &self.config);
             TurboDecodeOutcome {
                 info_bits: scratch.decisions.clone(),
                 iterations,
@@ -131,13 +220,13 @@ impl BinaryTurboDecoder {
 /// Splits a frame of `3K + 12` channel LLRs (length already checked) into
 /// the two constituents' `[systematic, parity]` values, tail steps last:
 /// natural order for SISO 1, interleaved order for SISO 2.
-fn demap(interleaver: &[(usize, bool)], llrs: &[Llr], channel: &mut [Vec<[f64; 2]>; 2]) {
+fn demap(interleaver: &[usize], llrs: &[Llr], channel: &mut [Vec<[f64; 2]>; 2]) {
     let k = interleaver.len();
     let value = |i: usize| channel_llr(&llrs[i]);
     let [natural, interleaved] = channel;
     natural.resize(k + TAIL_STEPS, [0.0; 2]);
     interleaved.resize(k + TAIL_STEPS, [0.0; 2]);
-    for (j, &(p, _)) in interleaver.iter().enumerate() {
+    for (j, &p) in interleaver.iter().enumerate() {
         natural[j] = [value(j), value(k + j)];
         interleaved[p][0] = natural[j][0];
     }
@@ -158,7 +247,6 @@ fn demap(interleaver: &[(usize, bool)], llrs: &[Llr], channel: &mut [Vec<[f64; 2
 mod tests {
     use super::*;
     use crate::siso::{Constituent, SisoUnit};
-    use crate::trellis::lte_rsc_step;
     use crate::ConstTrellis;
 
     /// Runs one terminated LTE half-iteration: `(extrinsic, a-posteriori)`.
@@ -172,22 +260,8 @@ mod tests {
     /// Encodes `bits` from state 0 and terminates the trellis: the input
     /// and parity bits of every step, tail steps included.
     fn terminated(bits: &[u8]) -> (Vec<u8>, Vec<u8>) {
-        let (mut inputs, mut parity) = (bits.to_vec(), Vec::new());
-        let mut state = 0u8;
-        for &b in bits {
-            let (next, p) = lte_rsc_step(state, b);
-            state = next;
-            parity.push(p);
-        }
-        for _ in 0..TAIL_STEPS {
-            let feedback = ((state >> 1) & 1) ^ (state & 1);
-            let (next, p) = lte_rsc_step(state, feedback);
-            state = next;
-            inputs.push(feedback);
-            parity.push(p);
-        }
-        assert_eq!(state, 0, "tail bits terminate the trellis");
-        (inputs, parity)
+        let (parity, tail) = encode_constituent(bits.iter().copied());
+        ([bits, &tail].concat(), parity)
     }
 
     fn hard_bit(app: f64) -> u8 {
@@ -261,17 +335,5 @@ mod tests {
     #[should_panic(expected = "leaves the state range")]
     fn bad_transition_function_panics() {
         let _ = ConstTrellis::<2>::new([[7, 8]; 8], [[0, 1]; 8]);
-    }
-
-    #[test]
-    fn non_permutations_are_rejected() {
-        let config = TurboDecoderConfig::default();
-        assert!(BinaryTurboDecoder::new(&[0, 2, 1], config).is_ok());
-        for bad in [&[0, 0, 1][..], &[0, 1, 3]] {
-            assert_eq!(
-                BinaryTurboDecoder::new(bad, config).unwrap_err(),
-                TurboError::InvalidInterleaver
-            );
-        }
     }
 }

@@ -69,16 +69,16 @@ pub fn bitlevel_roundtrip(symbol: &SymbolLlr) -> SymbolLlr {
     bits_to_symbol(la, lb)
 }
 
-/// Number of NoC payload values per couple with symbol-level exchange.
-pub const SYMBOL_LEVEL_VALUES_PER_COUPLE: usize = 3;
-
-/// Number of NoC payload values per couple with bit-level exchange.
-pub const BIT_LEVEL_VALUES_PER_COUPLE: usize = 2;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Number of NoC payload values per couple with symbol-level exchange.
+    const SYMBOL_LEVEL_VALUES_PER_COUPLE: usize = 3;
+
+    /// Number of NoC payload values per couple with bit-level exchange.
+    const BIT_LEVEL_VALUES_PER_COUPLE: usize = 2;
 
     #[test]
     fn neutral_symbol_gives_neutral_bits() {

@@ -1,37 +1,17 @@
-//! [`FecCodec`] adapter exposing the WiMAX double-binary turbo decoder to
-//! the unified Monte-Carlo simulation engine (`fec_channel::sim`).
+//! The turbo decoders behind the [`FecCodec`] interface of the unified
+//! Monte-Carlo simulation engine (`fec_channel::sim`): each decoder holds its
+//! code, which encodes the frames, so the decoder is the codec.
 
-use crate::decoder::{ExtrinsicExchange, TurboDecoder, TurboDecoderConfig};
-use crate::encoder::{CtcCode, TurboEncoder};
+use crate::binary::BinaryTurboDecoder;
+use crate::decoder::{ExtrinsicExchange, TurboDecoder};
 use fec_channel::sim::{decode_serially, FecCodec, FrameStream};
 use fec_obs::Registry;
 
-/// The iterative duo-binary turbo decoder behind the [`FecCodec`]
-/// interface; the extrinsic-exchange mode (symbol- or bit-level) comes from
-/// the [`TurboDecoderConfig`].
-#[derive(Debug, Clone)]
-pub struct TurboCodec {
-    code: CtcCode,
-    encoder: TurboEncoder,
-    decoder: TurboDecoder,
-    exchange: ExtrinsicExchange,
-}
-
-impl TurboCodec {
-    /// Builds the codec for `code` with the given decoder configuration.
-    pub fn new(code: &CtcCode, config: TurboDecoderConfig) -> Self {
-        TurboCodec {
-            code: code.clone(),
-            encoder: TurboEncoder::new(code),
-            decoder: TurboDecoder::new(code, config),
-            exchange: config.exchange,
-        }
-    }
-}
-
-impl FecCodec for TurboCodec {
+/// The duo-binary CTC; the extrinsic-exchange mode (symbol- or bit-level)
+/// of its [`crate::TurboDecoderConfig`] names it.
+impl FecCodec for TurboDecoder {
     fn name(&self) -> String {
-        let mode = match self.exchange {
+        let mode = match self.config.exchange {
             ExtrinsicExchange::SymbolLevel => "symbol",
             ExtrinsicExchange::BitLevel => "bit",
         };
@@ -47,7 +27,7 @@ impl FecCodec for TurboCodec {
     }
 
     fn encode(&self, info: &[u8]) -> Vec<u8> {
-        self.encoder
+        self.code
             .encode(info)
             .expect("info length matches the code")
     }
@@ -55,9 +35,36 @@ impl FecCodec for TurboCodec {
     fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
         decode_serially(self, frames, |llrs| {
             let out = self
-                .decoder
                 .decode(llrs)
                 .expect("LLR length matches the punctured codeword");
+            (out.info_bits, out.iterations, out.converged)
+        });
+    }
+}
+
+/// The LTE binary turbo code.
+impl FecCodec for BinaryTurboDecoder {
+    fn name(&self) -> String {
+        format!("lte-turbo-k{}", self.code.info_bits())
+    }
+
+    fn info_bits(&self) -> usize {
+        self.code.info_bits()
+    }
+
+    fn codeword_bits(&self) -> usize {
+        self.code.coded_bits()
+    }
+
+    fn encode(&self, info: &[u8]) -> Vec<u8> {
+        self.code
+            .encode(info)
+            .expect("info length matches the code")
+    }
+
+    fn decode_frames(&self, frames: &mut dyn FrameStream, _obs: Option<&mut Registry>) {
+        decode_serially(self, frames, |llrs| {
+            let out = self.decode(llrs).expect("LLR length matches the codeword");
             (out.info_bits, out.iterations, out.converged)
         });
     }
@@ -66,12 +73,13 @@ impl FecCodec for TurboCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CtcCode, TurboDecoderConfig};
     use fec_channel::sim::{EngineConfig, SimulationEngine};
     use fec_fixed::Llr;
 
-    fn codec(exchange: ExtrinsicExchange) -> TurboCodec {
+    fn codec(exchange: ExtrinsicExchange) -> TurboDecoder {
         let code = CtcCode::wimax(24).expect("valid WiMAX frame size");
-        TurboCodec::new(
+        TurboDecoder::new(
             &code,
             TurboDecoderConfig {
                 exchange,
@@ -102,7 +110,7 @@ mod tests {
             .iter()
             .map(|&b| Llr::new(7.0 * (1.0 - 2.0 * f64::from(b))))
             .collect();
-        let out = c.decode(&llrs);
+        let out = FecCodec::decode(&c, &llrs);
         assert_eq!(out.info_bits, info);
     }
 

@@ -7,7 +7,7 @@
 //! of a per-thread scratch, so a decode allocates only its outcome.
 
 use crate::bitlevel::{bitlevel_roundtrip, SymbolLlr};
-use crate::encoder::{CtcCode, PunctureRate};
+use crate::encoder::{swaps_couple, CtcCode, PunctureRate};
 use crate::siso::{Constituent, SisoUnit};
 use crate::trellis::DuoBinaryTrellis;
 use crate::TurboError;
@@ -110,6 +110,10 @@ pub(crate) trait Iterated<const U: usize, const L: usize>: Constituent<U, L> {
     /// The extrinsic message as the other SISO receives it.
     fn exchange(message: Self::Message, mode: ExtrinsicExchange) -> Self::Message;
 
+    /// Whether natural step `step`'s symbol is swapped crossing the
+    /// interleaver.
+    fn swapped(step: usize) -> bool;
+
     /// The message with the two bits of its symbol swapped.
     fn swap(message: Self::Message) -> Self::Message;
 
@@ -121,12 +125,13 @@ pub(crate) trait Iterated<const U: usize, const L: usize>: Constituent<U, L> {
 /// `scratch.channel`, leaving the hard decisions in `scratch.decisions`:
 /// `(iterations, converged)`.
 ///
-/// `interleaver[j]` is the interleaved position of natural step `j` and
-/// whether its symbol is swapped on the way.  Steps past the interleaver
-/// length are tail steps; they get no a-priori information.
+/// `interleaver[j]` is the interleaved position of natural step `j`, and
+/// [`Iterated::swapped`] says whether its symbol is swapped on the way.
+/// Steps past the interleaver length are tail steps; they get no a-priori
+/// information.
 pub(crate) fn iterate<C: Iterated<U, L>, const U: usize, const L: usize>(
     scratch: &mut Scratch<C::Channel, C::Message>,
-    interleaver: &[(usize, bool)],
+    interleaver: &[usize],
     config: &TurboDecoderConfig,
 ) -> (usize, bool) {
     let Scratch {
@@ -148,9 +153,9 @@ pub(crate) fn iterate<C: Iterated<U, L>, const U: usize, const L: usize>(
         bits.clear();
         bits.resize(interleaver.len(), 0);
     }
-    let cross = |message: C::Message, swapped: bool| {
+    let cross = |message: C::Message, step: usize| {
         let message = C::exchange(message, config.exchange);
-        if swapped {
+        if C::swapped(step) {
             C::swap(message)
         } else {
             message
@@ -164,17 +169,17 @@ pub(crate) fn iterate<C: Iterated<U, L>, const U: usize, const L: usize>(
 
         // ---- SISO 1: natural order ----
         siso.run::<C, U, L>(&channel[0], apriori_1, extrinsic, aposteriori);
-        for (&ext, &(p, swapped)) in extrinsic.iter().zip(interleaver) {
-            apriori_2[p] = cross(ext, swapped);
+        for (j, (&ext, &p)) in extrinsic.iter().zip(interleaver).enumerate() {
+            apriori_2[p] = cross(ext, j);
         }
 
         // ---- SISO 2: interleaved order ----
         siso.run::<C, U, L>(&channel[1], apriori_2, extrinsic, aposteriori);
         // extrinsic 2 -> a-priori 1, and decisions from SISO 2's
         // a-posteriori, both back in natural order
-        for (j, &(p, swapped)) in interleaver.iter().enumerate() {
-            apriori_1[j] = cross(extrinsic[p], swapped);
-            let apo = if swapped {
+        for (j, &p) in interleaver.iter().enumerate() {
+            apriori_1[j] = cross(extrinsic[p], j);
+            let apo = if C::swapped(j) {
                 C::swap(aposteriori[p])
             } else {
                 aposteriori[p]
@@ -209,6 +214,10 @@ impl Iterated<4, 16> for DuoBinaryTrellis {
         }
     }
 
+    fn swapped(step: usize) -> bool {
+        swaps_couple(step)
+    }
+
     /// Symbols 1 and 2 trade places under the `A <-> B` swap; symbol 3 is
     /// invariant.
     fn swap(message: SymbolLlr) -> SymbolLlr {
@@ -222,27 +231,22 @@ impl Iterated<4, 16> for DuoBinaryTrellis {
     }
 }
 
-/// The iterative double-binary turbo decoder.
+/// The iterative double-binary turbo decoder of a [`CtcCode`], also the
+/// code's [`fec_channel::sim::FecCodec`].
 ///
 /// See the crate-level example for end-to-end usage.
 #[derive(Debug, Clone)]
 pub struct TurboDecoder {
-    code: CtcCode,
-    config: TurboDecoderConfig,
-    /// Interleaved position and bit swap of every natural couple.
-    interleaver: Vec<(usize, bool)>,
+    pub(crate) code: CtcCode,
+    pub(crate) config: TurboDecoderConfig,
 }
 
 impl TurboDecoder {
     /// Creates a decoder for `code`.
     pub fn new(code: &CtcCode, config: TurboDecoderConfig) -> Self {
-        let pi = code.interleaver();
         TurboDecoder {
             code: code.clone(),
             config,
-            interleaver: (0..code.couples())
-                .map(|j| (pi.permute(j), pi.swaps_couple(j)))
-                .collect(),
         }
     }
 
@@ -262,15 +266,11 @@ impl TurboDecoder {
                 actual: llrs.len(),
             });
         }
+        let interleaver = self.code.interleaver().forward();
         Ok(DuoBinaryTrellis::with_scratch(|scratch| {
-            demap(
-                self.code.rate(),
-                &self.interleaver,
-                llrs,
-                &mut scratch.channel,
-            );
+            demap(self.code.rate(), interleaver, llrs, &mut scratch.channel);
             let (iterations, converged) =
-                iterate::<DuoBinaryTrellis, 4, 16>(scratch, &self.interleaver, &self.config);
+                iterate::<DuoBinaryTrellis, 4, 16>(scratch, interleaver, &self.config);
             let mut info_bits = Vec::with_capacity(self.code.info_bits());
             for &u in &scratch.decisions {
                 info_bits.push((u >> 1) & 1);
@@ -292,7 +292,7 @@ impl TurboDecoder {
 /// SISO 2.
 fn demap(
     rate: PunctureRate,
-    interleaver: &[(usize, bool)],
+    interleaver: &[usize],
     llrs: &[Llr],
     channel: &mut [Vec<[f64; 4]>; 2],
 ) {
@@ -326,8 +326,8 @@ fn demap(
     for (p, ch) in interleaved.iter_mut().enumerate() {
         ch[3] = take(rate.keeps_w2(p));
     }
-    for (ch, &(p, swapped)) in natural.iter().zip(interleaver) {
-        let (a, b) = if swapped {
+    for (j, (ch, &p)) in natural.iter().zip(interleaver).enumerate() {
+        let (a, b) = if swaps_couple(j) {
             (ch[1], ch[0])
         } else {
             (ch[0], ch[1])
@@ -340,7 +340,6 @@ fn demap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoder::TurboEncoder;
     use rand::{Rng, SeedableRng};
 
     fn bpsk(bit: u8) -> f64 {
@@ -374,13 +373,12 @@ mod tests {
     #[test]
     fn noiseless_roundtrip_small_frame() {
         let code = CtcCode::wimax(24).unwrap();
-        let enc = TurboEncoder::new(&code);
         let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let info: Vec<u8> = (0..code.info_bits())
             .map(|_| rng.gen_range(0..=1))
             .collect();
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         let llrs: Vec<Llr> = cw
             .iter()
             .map(|&b| Llr::new(8.0 * (1.0 - 2.0 * b as f64)))
@@ -392,13 +390,12 @@ mod tests {
     #[test]
     fn decodes_noisy_frame_at_moderate_snr() {
         let code = CtcCode::wimax(48).unwrap();
-        let enc = TurboEncoder::new(&code);
         let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let info: Vec<u8> = (0..code.info_bits())
             .map(|_| rng.gen_range(0..=1))
             .collect();
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         // Eb/N0 = 3 dB at rate 1/2 -> sigma^2 = 1/(2*0.5*10^0.3) ~ 0.5
         let llrs = noisy_llrs(&cw, 0.5f64.sqrt(), 33);
         let out = dec.decode(&llrs).unwrap();
@@ -408,7 +405,6 @@ mod tests {
     #[test]
     fn symbol_level_exchange_also_decodes() {
         let code = CtcCode::wimax(48).unwrap();
-        let enc = TurboEncoder::new(&code);
         let cfg = TurboDecoderConfig {
             exchange: ExtrinsicExchange::SymbolLevel,
             ..TurboDecoderConfig::default()
@@ -418,7 +414,7 @@ mod tests {
         let info: Vec<u8> = (0..code.info_bits())
             .map(|_| rng.gen_range(0..=1))
             .collect();
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         let llrs = noisy_llrs(&cw, 0.5f64.sqrt(), 44);
         let out = dec.decode(&llrs).unwrap();
         assert_eq!(out.info_bits, info);
@@ -432,14 +428,13 @@ mod tests {
         let mut errors = [0usize; 2];
         for (slot, rate) in [(0, PunctureRate::R13), (1, PunctureRate::R12)] {
             let code = CtcCode::with_rate(48, rate).unwrap();
-            let enc = TurboEncoder::new(&code);
             let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
             let mut rng = rand::rngs::StdRng::seed_from_u64(123);
             for seed in 0..6 {
                 let info: Vec<u8> = (0..code.info_bits())
                     .map(|_| rng.gen_range(0..=1))
                     .collect();
-                let cw = enc.encode(&info).unwrap();
+                let cw = code.encode(&info).unwrap();
                 let llrs = noisy_llrs(&cw, sigma, 1000 + seed);
                 let out = dec.decode(&llrs).unwrap();
                 errors[slot] += out
@@ -461,10 +456,9 @@ mod tests {
     #[test]
     fn early_termination_reports_convergence() {
         let code = CtcCode::wimax(24).unwrap();
-        let enc = TurboEncoder::new(&code);
         let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
         let info = vec![0u8; code.info_bits()];
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         let llrs: Vec<Llr> = cw
             .iter()
             .map(|&b| Llr::new(9.0 * (1.0 - 2.0 * b as f64)))
@@ -487,10 +481,14 @@ mod tests {
     #[test]
     fn demap_inserts_zeros_at_punctured_positions() {
         let code = CtcCode::with_rate(24, PunctureRate::R23).unwrap();
-        let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
         let llrs = vec![Llr::new(1.0); code.coded_bits()];
         let mut channel = [Vec::new(), Vec::new()];
-        demap(code.rate(), &dec.interleaver, &llrs, &mut channel);
+        demap(
+            code.rate(),
+            code.interleaver().forward(),
+            &llrs,
+            &mut channel,
+        );
         let [natural, interleaved] = &channel;
         // systematic bits are never punctured
         assert!(natural
@@ -516,7 +514,7 @@ mod tests {
         ] {
             let code = CtcCode::with_rate(48, rate).unwrap();
             let info: Vec<u8> = (0..code.info_bits()).map(|i| (i % 3 % 2) as u8).collect();
-            let cw = TurboEncoder::new(&code).encode(&info).unwrap();
+            let cw = code.encode(&info).unwrap();
             let llrs: Vec<Llr> = cw.iter().map(|&b| Llr::new(8.0 * bpsk(b))).collect();
             let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
             assert_eq!(dec.decode(&llrs).unwrap().info_bits, info, "{rate:?}");
@@ -529,7 +527,7 @@ mod tests {
         // the loop bounds them; clamped, they decode like any clean frame.
         let code = CtcCode::wimax(48).unwrap();
         let info: Vec<u8> = (0..code.info_bits()).map(|i| (i % 5 % 2) as u8).collect();
-        let cw = TurboEncoder::new(&code).encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         for magnitude in [1e300, f64::INFINITY] {
             let llrs: Vec<Llr> = cw.iter().map(|&b| Llr::new(magnitude * bpsk(b))).collect();
             for exchange in [ExtrinsicExchange::SymbolLevel, ExtrinsicExchange::BitLevel] {
@@ -547,13 +545,12 @@ mod tests {
     #[test]
     fn larger_wimax_frame_decodes() {
         let code = CtcCode::wimax(240).unwrap();
-        let enc = TurboEncoder::new(&code);
         let dec = TurboDecoder::new(&code, TurboDecoderConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
         let info: Vec<u8> = (0..code.info_bits())
             .map(|_| rng.gen_range(0..=1))
             .collect();
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         let llrs = noisy_llrs(&cw, 0.55f64.sqrt(), 77);
         let out = dec.decode(&llrs).unwrap();
         let errs = out

@@ -1,9 +1,9 @@
 //! The WiMAX convolutional turbo-code encoder (parallel concatenation of two
 //! duo-binary CRSC encoders) and its puncturing to the transmitted rates.
 
-use crate::interleaver::ArpInterleaver;
+use crate::interleaver::{Interleaver, WIMAX_ARP_TABLE};
 use crate::trellis::{step, CirculationState};
-use crate::{TurboError, WIMAX_FRAME_SIZES};
+use crate::TurboError;
 
 /// Code rates obtained by puncturing the rate-1/3 mother code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -62,7 +62,13 @@ impl PunctureRate {
     }
 }
 
-/// A WiMAX double-binary turbo code: frame size plus puncturing.
+/// A duo-binary turbo code (the CTC of 802.16e and DVB-RCS): its couple
+/// interleaver plus puncturing.  The code encodes itself; its decoder is
+/// [`crate::TurboDecoder`].
+///
+/// The transmitted bit layout is sub-block oriented, matching the order the
+/// decoder expects:
+/// `A[0..N] | B[0..N] | Y1 (kept) | W1 (kept) | Y2 (kept) | W2 (kept)`.
 ///
 /// # Example
 ///
@@ -73,13 +79,13 @@ impl PunctureRate {
 /// assert_eq!(code.info_bits(), 4800);
 /// assert_eq!(code.rate(), PunctureRate::R12);
 /// assert_eq!(code.coded_bits(), 9600);
+/// assert_eq!(code.encode(&vec![0; 4800])?, vec![0; 9600]);
 /// # Ok::<(), wimax_turbo::TurboError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtcCode {
-    couples: usize,
     rate: PunctureRate,
-    interleaver: ArpInterleaver,
+    interleaver: Interleaver,
 }
 
 impl CtcCode {
@@ -99,18 +105,18 @@ impl CtcCode {
     ///
     /// Same as [`CtcCode::wimax`].
     pub fn with_rate(couples: usize, rate: PunctureRate) -> Result<Self, TurboError> {
-        if !WIMAX_FRAME_SIZES.contains(&couples) {
-            return Err(TurboError::UnsupportedFrameSize { couples });
-        }
-        let interleaver = ArpInterleaver::wimax(couples)?;
-        Self::from_interleaver(interleaver, rate)
+        let params = WIMAX_ARP_TABLE
+            .iter()
+            .find(|p| p.couples == couples)
+            .ok_or(TurboError::UnsupportedFrameSize { couples })?;
+        Self::from_interleaver(Interleaver::arp(*params)?, rate)
     }
 
-    /// Builds a duo-binary CTC from an already-validated couple interleaver
-    /// and a puncture rate.  The constituent trellis is the shared 8-state
-    /// duo-binary CRSC used by both 802.16e and DVB-RCS; standards that reuse
-    /// it with their own interleaver parameter tables (DVB-RCS in the
-    /// `code-tables` crate) construct their codes through this entry point.
+    /// Builds a duo-binary CTC from a couple interleaver and a puncture
+    /// rate.  The constituent trellis is the shared 8-state duo-binary CRSC
+    /// used by both 802.16e and DVB-RCS; standards that reuse it with their
+    /// own interleaver parameter tables (DVB-RCS in the `code-tables` crate)
+    /// construct their codes through this entry point.
     ///
     /// # Errors
     ///
@@ -118,28 +124,24 @@ impl CtcCode {
     /// multiple of the CRSC period 7 (the circulation state would be
     /// undefined).
     pub fn from_interleaver(
-        interleaver: ArpInterleaver,
+        interleaver: Interleaver,
         rate: PunctureRate,
     ) -> Result<Self, TurboError> {
         let couples = interleaver.len();
         if couples.is_multiple_of(7) {
             return Err(TurboError::InvalidCirculation { couples });
         }
-        Ok(CtcCode {
-            couples,
-            rate,
-            interleaver,
-        })
+        Ok(CtcCode { rate, interleaver })
     }
 
     /// Frame size in couples.
     pub fn couples(&self) -> usize {
-        self.couples
+        self.interleaver.len()
     }
 
     /// Number of information bits `2 * couples`.
     pub fn info_bits(&self) -> usize {
-        2 * self.couples
+        2 * self.couples()
     }
 
     /// Puncture rate.
@@ -147,15 +149,14 @@ impl CtcCode {
         self.rate
     }
 
-    /// The ARP interleaver.
-    pub fn interleaver(&self) -> &ArpInterleaver {
+    /// The couple interleaver.
+    pub fn interleaver(&self) -> &Interleaver {
         &self.interleaver
     }
 
     /// Number of transmitted bits after puncturing.
     pub fn coded_bits(&self) -> usize {
-        let n = self.couples;
-        let parity: usize = (0..n)
+        let parity: usize = (0..self.couples())
             .map(|j| {
                 usize::from(self.rate.keeps_y1(j))
                     + usize::from(self.rate.keeps_w1(j))
@@ -166,11 +167,76 @@ impl CtcCode {
         self.info_bits() + parity
     }
 
-    /// The couple sequence seen by the second constituent encoder:
-    /// interleaved order with the odd-position bit swap applied.
-    pub fn interleaved_couples(&self, couples: &[(u8, u8)]) -> Vec<(u8, u8)> {
-        self.interleaver.interleave_couples(couples)
+    /// The couple sequence seen by the second constituent encoder: output
+    /// position `permute(j)` receives couple `j`, its two bits swapped when
+    /// [`swaps_couple`] says so.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `couples.len() != self.couples()`.
+    pub(crate) fn interleaved_couples<T: Copy>(&self, couples: &[(T, T)]) -> Vec<(T, T)> {
+        assert_eq!(couples.len(), self.couples(), "frame size mismatch");
+        let mut out = couples.to_vec();
+        for (j, &(a, b)) in couples.iter().enumerate() {
+            out[self.interleaver.permute(j)] = if swaps_couple(j) { (b, a) } else { (a, b) };
+        }
+        out
     }
+
+    /// Encodes `info` (length `2 * couples`, couple `j` is bits `2j`,
+    /// `2j+1`) into the transmitted bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TurboError::InvalidLength`] if `info` has the wrong length.
+    pub fn encode(&self, info: &[u8]) -> Result<Vec<u8>, TurboError> {
+        let n = self.couples();
+        if info.len() != 2 * n {
+            return Err(TurboError::InvalidLength {
+                what: "information bits",
+                expected: 2 * n,
+                actual: info.len(),
+            });
+        }
+        let couples: Vec<(u8, u8)> = (0..n)
+            .map(|j| (info[2 * j] & 1, info[2 * j + 1] & 1))
+            .collect();
+        let enc1 = encode_constituent(&couples)?;
+        let enc2 = encode_constituent(&self.interleaved_couples(&couples))?;
+
+        let rate = self.rate;
+        let mut out = Vec::with_capacity(self.coded_bits());
+        out.extend(couples.iter().map(|&(a, _)| a));
+        out.extend(couples.iter().map(|&(_, b)| b));
+        out.extend(
+            (0..n)
+                .filter(|&j| rate.keeps_y1(j))
+                .map(|j| enc1.parity_y[j]),
+        );
+        out.extend(
+            (0..n)
+                .filter(|&j| rate.keeps_w1(j))
+                .map(|j| enc1.parity_w[j]),
+        );
+        out.extend(
+            (0..n)
+                .filter(|&j| rate.keeps_y2(j))
+                .map(|j| enc2.parity_y[j]),
+        );
+        out.extend(
+            (0..n)
+                .filter(|&j| rate.keeps_w2(j))
+                .map(|j| enc2.parity_w[j]),
+        );
+        Ok(out)
+    }
+}
+
+/// Whether the couple at natural position `j` has its two bits swapped on
+/// the way into the second constituent encoder: step 1 of the CTC
+/// interleaver swaps every odd couple.
+pub(crate) fn swaps_couple(j: usize) -> bool {
+    j % 2 == 1
 }
 
 /// Parity streams produced by one CRSC constituent encoder.
@@ -217,76 +283,6 @@ pub fn encode_constituent(couples: &[(u8, u8)]) -> Result<ConstituentOutput, Tur
     })
 }
 
-/// The full CTC encoder.
-///
-/// The transmitted bit layout is sub-block oriented, matching the order the
-/// decoder expects:
-/// `A[0..N] | B[0..N] | Y1 (kept) | W1 (kept) | Y2 (kept) | W2 (kept)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TurboEncoder {
-    code: CtcCode,
-}
-
-impl TurboEncoder {
-    /// Creates an encoder for the given code.
-    pub fn new(code: &CtcCode) -> Self {
-        TurboEncoder { code: code.clone() }
-    }
-
-    /// The code being encoded.
-    pub fn code(&self) -> &CtcCode {
-        &self.code
-    }
-
-    /// Encodes `info` (length `2 * couples`, couple `j` is bits `2j`, `2j+1`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TurboError::InvalidLength`] if `info` has the wrong length.
-    pub fn encode(&self, info: &[u8]) -> Result<Vec<u8>, TurboError> {
-        let n = self.code.couples();
-        if info.len() != 2 * n {
-            return Err(TurboError::InvalidLength {
-                what: "information bits",
-                expected: 2 * n,
-                actual: info.len(),
-            });
-        }
-        let couples: Vec<(u8, u8)> = (0..n)
-            .map(|j| (info[2 * j] & 1, info[2 * j + 1] & 1))
-            .collect();
-        let enc1 = encode_constituent(&couples)?;
-        let interleaved = self.code.interleaved_couples(&couples);
-        let enc2 = encode_constituent(&interleaved)?;
-
-        let rate = self.code.rate();
-        let mut out = Vec::with_capacity(self.code.coded_bits());
-        out.extend(couples.iter().map(|&(a, _)| a));
-        out.extend(couples.iter().map(|&(_, b)| b));
-        out.extend(
-            (0..n)
-                .filter(|&j| rate.keeps_y1(j))
-                .map(|j| enc1.parity_y[j]),
-        );
-        out.extend(
-            (0..n)
-                .filter(|&j| rate.keeps_w1(j))
-                .map(|j| enc1.parity_w[j]),
-        );
-        out.extend(
-            (0..n)
-                .filter(|&j| rate.keeps_y2(j))
-                .map(|j| enc2.parity_y[j]),
-        );
-        out.extend(
-            (0..n)
-                .filter(|&j| rate.keeps_w2(j))
-                .map(|j| enc2.parity_w[j]),
-        );
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,17 +326,16 @@ mod tests {
             p2: 32,
             p3: 2,
         };
-        let pi = ArpInterleaver::from_parameters(params).unwrap();
+        let pi = Interleaver::arp(params).unwrap();
         let code = CtcCode::from_interleaver(pi, PunctureRate::R12).unwrap();
         assert_eq!(code.couples(), 64);
         assert_eq!(code.info_bits(), 128);
         assert_eq!(code.coded_bits(), 256);
         assert!(CtcCode::wimax(64).is_err());
         // the full encode path runs on it
-        let enc = TurboEncoder::new(&code);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let info: Vec<u8> = (0..128).map(|_| rng.gen_range(0..=1)).collect();
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         assert_eq!(cw.len(), code.coded_bits());
         assert_eq!(
             &cw[..64],
@@ -358,7 +353,7 @@ mod tests {
             p2: 0,
             p3: 0,
         };
-        let pi = ArpInterleaver::from_parameters(params).unwrap();
+        let pi = Interleaver::arp(params).unwrap();
         assert!(matches!(
             CtcCode::from_interleaver(pi, PunctureRate::R12),
             Err(TurboError::InvalidCirculation { couples: 28 })
@@ -394,8 +389,7 @@ mod tests {
     #[test]
     fn all_zero_info_encodes_to_all_zero() {
         let code = CtcCode::wimax(24).unwrap();
-        let enc = TurboEncoder::new(&code);
-        let cw = enc.encode(&[0u8; 48]).unwrap();
+        let cw = code.encode(&[0u8; 48]).unwrap();
         assert!(cw.iter().all(|&b| b == 0));
         assert_eq!(cw.len(), code.coded_bits());
     }
@@ -403,10 +397,9 @@ mod tests {
     #[test]
     fn systematic_prefix_matches_info() {
         let code = CtcCode::wimax(36).unwrap();
-        let enc = TurboEncoder::new(&code);
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let info: Vec<u8> = (0..72).map(|_| rng.gen_range(0..=1)).collect();
-        let cw = enc.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         let n = code.couples();
         for j in 0..n {
             assert_eq!(cw[j], info[2 * j], "A[{j}]");
@@ -417,9 +410,8 @@ mod tests {
     #[test]
     fn encode_wrong_length_rejected() {
         let code = CtcCode::wimax(24).unwrap();
-        let enc = TurboEncoder::new(&code);
         assert!(matches!(
-            enc.encode(&[0u8; 10]),
+            code.encode(&[0u8; 10]),
             Err(TurboError::InvalidLength {
                 expected: 48,
                 actual: 10,
@@ -432,14 +424,11 @@ mod tests {
     fn encoding_is_deterministic_and_rate_dependent() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let info: Vec<u8> = (0..96).map(|_| rng.gen_range(0..=1)).collect();
-        let c12 = TurboEncoder::new(&CtcCode::wimax(48).unwrap())
-            .encode(&info)
-            .unwrap();
-        let c12b = TurboEncoder::new(&CtcCode::wimax(48).unwrap())
-            .encode(&info)
-            .unwrap();
+        let c12 = CtcCode::wimax(48).unwrap().encode(&info).unwrap();
+        let c12b = CtcCode::wimax(48).unwrap().encode(&info).unwrap();
         assert_eq!(c12, c12b);
-        let c13 = TurboEncoder::new(&CtcCode::with_rate(48, PunctureRate::R13).unwrap())
+        let c13 = CtcCode::with_rate(48, PunctureRate::R13)
+            .unwrap()
             .encode(&info)
             .unwrap();
         assert!(c13.len() > c12.len());

@@ -1,15 +1,29 @@
-//! The two-step almost-regular-permutation (ARP) interleaver of the WiMAX CTC.
+//! The turbo interleaver: one validated permutation type for every turbo
+//! code of the workspace, and the almost-regular-permutation (ARP) law of
+//! the duo-binary CTCs.
 //!
-//! Step 1 swaps the two bits of every odd-indexed couple; step 2 permutes the
-//! couple positions with the ARP law
+//! An [`Interleaver`] maps each natural trellis section (a couple of the
+//! duo-binary CTC, a bit of the binary LTE code) to its interleaved
+//! position and holds the inverse map.  [`Interleaver::new`] is the one
+//! place that checks a map is a bijection; both laws go through it:
 //!
-//! ```text
-//! P(j) = (P0*j + 1 + Q(j)) mod N        with
-//! Q(j) = 0            for j = 0 (mod 4)
-//!        N/2 + P1     for j = 1 (mod 4)
-//!        P2           for j = 2 (mod 4)
-//!        N/2 + P3     for j = 3 (mod 4)
-//! ```
+//! * the ARP law of 802.16e and DVB-RCS ([`Interleaver::arp`]), which
+//!   permutes the couple positions as
+//!
+//!   ```text
+//!   P(j) = (P0*j + 1 + Q(j)) mod N        with
+//!   Q(j) = 0            for j = 0 (mod 4)
+//!          N/2 + P1     for j = 1 (mod 4)
+//!          P2           for j = 2 (mod 4)
+//!          N/2 + P3     for j = 3 (mod 4)
+//!   ```
+//!
+//! * the QPP law of LTE, which `code-tables` writes as the read order of
+//!   the interleaved positions and turns around with
+//!   [`Interleaver::inverted`] where it builds the code.
+//!
+//! The CTC's first interleaving step, the swap of the two bits of every
+//! odd couple, is a rule of the CTC (`CtcCode`), not of the permutation.
 //!
 //! The `(P0, P1, P2, P3)` parameters per frame size follow the 802.16e CTC
 //! channel-coding table.  Transcription of the larger sizes is best-effort
@@ -157,99 +171,96 @@ pub const WIMAX_ARP_TABLE: [ArpParameters; 17] = [
     },
 ];
 
-/// A validated ARP interleaver: a couple-level permutation plus the per-couple
-/// bit swap of step 1.
+/// A validated turbo interleaver: the interleaved position of every natural
+/// trellis section, and the natural section at every interleaved position.
 ///
 /// # Example
 ///
 /// ```
-/// use wimax_turbo::ArpInterleaver;
+/// use wimax_turbo::Interleaver;
 ///
-/// let pi = ArpInterleaver::wimax(24)?;
-/// assert_eq!(pi.len(), 24);
-/// // the map is a bijection
-/// let mut seen = vec![false; 24];
-/// for j in 0..24 {
-///     seen[pi.permute(j)] = true;
-/// }
-/// assert!(seen.iter().all(|&s| s));
+/// let pi = Interleaver::new(vec![2, 0, 3, 1])?;
+/// assert_eq!(pi.permute(0), 2);
+/// assert_eq!(pi.inverse(2), 0);
+/// // read the other way round, the same map is its own inverse
+/// let back = pi.clone().inverted();
+/// assert_eq!(back.permute(2), 0);
+/// assert!(Interleaver::new(vec![0, 0, 1]).is_err());
 /// # Ok::<(), wimax_turbo::TurboError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArpInterleaver {
-    params: ArpParameters,
+pub struct Interleaver {
     forward: Vec<usize>,
     inverse: Vec<usize>,
 }
 
-impl ArpInterleaver {
-    /// Builds the interleaver for a WiMAX frame size (in couples).
+impl Interleaver {
+    /// Validates `forward`, the interleaved position of every natural
+    /// section, and builds its inverse.
     ///
     /// # Errors
     ///
-    /// Returns [`TurboError::UnsupportedFrameSize`] for sizes outside the
-    /// WiMAX table, or [`TurboError::InvalidInterleaver`] if the table entry
-    /// does not describe a permutation.
-    pub fn wimax(couples: usize) -> Result<Self, TurboError> {
-        let params = WIMAX_ARP_TABLE
-            .iter()
-            .find(|p| p.couples == couples)
-            .copied()
-            .ok_or(TurboError::UnsupportedFrameSize { couples })?;
-        Self::from_parameters(params)
+    /// Returns [`TurboError::InvalidInterleaver`] if `forward` is empty or
+    /// not a permutation of `0..forward.len()`.
+    pub fn new(forward: Vec<usize>) -> Result<Self, TurboError> {
+        if forward.is_empty() {
+            return Err(TurboError::InvalidInterleaver);
+        }
+        let mut inverse = vec![usize::MAX; forward.len()];
+        for (j, &p) in forward.iter().enumerate() {
+            match inverse.get_mut(p) {
+                Some(slot) if *slot == usize::MAX => *slot = j,
+                _ => return Err(TurboError::InvalidInterleaver),
+            }
+        }
+        Ok(Interleaver { forward, inverse })
     }
 
-    /// Builds the interleaver from explicit ARP parameters.
+    /// The couple permutation of the ARP law with the given parameters.
     ///
     /// # Errors
     ///
-    /// Returns [`TurboError::InvalidInterleaver`] if the parameters do not
-    /// yield a bijection.
-    pub fn from_parameters(params: ArpParameters) -> Result<Self, TurboError> {
+    /// Returns [`TurboError::InvalidInterleaver`] if the frame size is not a
+    /// positive multiple of 4 or the parameters do not yield a bijection.
+    pub fn arp(params: ArpParameters) -> Result<Self, TurboError> {
         let n = params.couples;
         if n == 0 || !n.is_multiple_of(4) {
             return Err(TurboError::InvalidInterleaver);
         }
-        let mut forward = vec![0usize; n];
-        for (j, f) in forward.iter_mut().enumerate() {
-            let q = match j % 4 {
-                0 => 0,
-                1 => n / 2 + params.p1,
-                2 => params.p2,
-                _ => n / 2 + params.p3,
-            };
-            *f = (params.p0 * j + 1 + q) % n;
-        }
-        let mut inverse = vec![usize::MAX; n];
-        for (j, &p) in forward.iter().enumerate() {
-            if inverse[p] != usize::MAX {
-                return Err(TurboError::InvalidInterleaver);
-            }
-            inverse[p] = j;
-        }
-        Ok(ArpInterleaver {
-            params,
-            forward,
-            inverse,
-        })
+        let forward = (0..n)
+            .map(|j| {
+                let q = match j % 4 {
+                    0 => 0,
+                    1 => n / 2 + params.p1,
+                    2 => params.p2,
+                    _ => n / 2 + params.p3,
+                };
+                (params.p0 * j + 1 + q) % n
+            })
+            .collect();
+        Self::new(forward)
     }
 
-    /// The ARP parameters.
-    pub fn parameters(&self) -> ArpParameters {
-        self.params
+    /// The same permutation read the other way round: natural and
+    /// interleaved positions trade places.
+    pub fn inverted(self) -> Self {
+        Interleaver {
+            forward: self.inverse,
+            inverse: self.forward,
+        }
     }
 
-    /// Frame size in couples.
+    /// Number of trellis sections.
     pub fn len(&self) -> usize {
         self.forward.len()
     }
 
-    /// Returns `true` if the frame size is zero (never for valid parameters).
+    /// Always `false`: an interleaver maps at least one section.
     pub fn is_empty(&self) -> bool {
         self.forward.is_empty()
     }
 
-    /// Interleaved position of couple `j`.
+    /// Interleaved position of natural section `j`.
     ///
     /// # Panics
     ///
@@ -258,7 +269,7 @@ impl ArpInterleaver {
         self.forward[j]
     }
 
-    /// Natural position feeding interleaved position `p`.
+    /// Natural section at interleaved position `p`.
     ///
     /// # Panics
     ///
@@ -267,59 +278,45 @@ impl ArpInterleaver {
         self.inverse[p]
     }
 
-    /// Whether the couple at *natural* position `j` has its two bits swapped
-    /// (step 1 of the interleaver; odd positions are swapped).
-    pub fn swaps_couple(&self, j: usize) -> bool {
-        j % 2 == 1
-    }
-
-    /// Interleaves a sequence of couples given as `(a, b)` pairs, applying
-    /// both the bit swap and the position permutation: output position
-    /// `permute(j)` receives the (possibly swapped) couple `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `couples.len() != self.len()`.
-    pub fn interleave_couples<T: Copy>(&self, couples: &[(T, T)]) -> Vec<(T, T)> {
-        assert_eq!(couples.len(), self.len(), "frame size mismatch");
-        let mut out = vec![couples[0]; couples.len()];
-        for (j, &(a, b)) in couples.iter().enumerate() {
-            let v = if self.swaps_couple(j) { (b, a) } else { (a, b) };
-            out[self.permute(j)] = v;
-        }
-        out
-    }
-
-    /// Spread factor: the minimum over all couple pairs `(i, j)` with
-    /// `|i - j| <= window` of `|permute(i) - permute(j)| + |i - j|`.  A larger
-    /// spread gives better turbo-code distance properties; exposed for
-    /// diagnostics and interleaver-quality tests.
-    pub fn spread(&self, window: usize) -> usize {
-        let n = self.len();
-        let mut best = usize::MAX;
-        for i in 0..n {
-            for d in 1..=window.min(n - 1) {
-                let j = (i + d) % n;
-                let pi = self.forward[i] as isize;
-                let pj = self.forward[j] as isize;
-                let dp = (pi - pj).unsigned_abs().min(n - (pi - pj).unsigned_abs());
-                let spread = d.min(n - d) + dp;
-                best = best.min(spread);
-            }
-        }
-        best
+    /// The interleaved position of every natural section, in natural order.
+    pub fn forward(&self) -> &[usize] {
+        &self.forward
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WIMAX_FRAME_SIZES;
+    use crate::encoder::swaps_couple;
+    use crate::{CtcCode, WIMAX_FRAME_SIZES};
+
+    /// Spread factor: the minimum over all section pairs `(i, j)` with
+    /// `|i - j| <= window` (cyclically) of `|permute(i) - permute(j)| +
+    /// |i - j|`.  A larger spread gives better turbo-code distance.
+    fn spread(pi: &Interleaver, window: usize) -> usize {
+        let n = pi.len();
+        let mut best = usize::MAX;
+        for i in 0..n {
+            for d in 1..=window.min(n - 1) {
+                let j = (i + d) % n;
+                let (pi, pj) = (pi.permute(i) as isize, pi.permute(j) as isize);
+                let dp = (pi - pj).unsigned_abs().min(n - (pi - pj).unsigned_abs());
+                best = best.min(d.min(n - d) + dp);
+            }
+        }
+        best
+    }
+
+    fn wimax(couples: usize) -> Interleaver {
+        let params = WIMAX_ARP_TABLE.iter().find(|p| p.couples == couples);
+        Interleaver::arp(*params.expect("a WiMAX frame size")).unwrap()
+    }
 
     #[test]
     fn all_wimax_sizes_are_permutations() {
-        for &n in &WIMAX_FRAME_SIZES {
-            let pi = ArpInterleaver::wimax(n).unwrap_or_else(|e| panic!("size {n}: {e}"));
+        for params in WIMAX_ARP_TABLE {
+            let n = params.couples;
+            let pi = Interleaver::arp(params).unwrap_or_else(|e| panic!("size {n}: {e}"));
             let mut seen = vec![false; n];
             for j in 0..n {
                 let p = pi.permute(j);
@@ -332,10 +329,11 @@ mod tests {
 
     #[test]
     fn unsupported_size_is_rejected() {
-        assert!(matches!(
-            ArpInterleaver::wimax(100),
+        assert!(WIMAX_ARP_TABLE.iter().all(|p| p.couples != 100));
+        assert_eq!(
+            CtcCode::wimax(100),
             Err(TurboError::UnsupportedFrameSize { couples: 100 })
-        ));
+        );
     }
 
     #[test]
@@ -348,7 +346,7 @@ mod tests {
             p3: 0,
         };
         assert_eq!(
-            ArpInterleaver::from_parameters(params),
+            Interleaver::arp(params),
             Err(TurboError::InvalidInterleaver)
         );
     }
@@ -363,24 +361,43 @@ mod tests {
             p3: 0,
         };
         assert_eq!(
-            ArpInterleaver::from_parameters(params),
+            Interleaver::arp(params),
             Err(TurboError::InvalidInterleaver)
         );
     }
 
     #[test]
+    fn non_permutations_are_rejected() {
+        assert!(Interleaver::new(vec![0, 2, 1]).is_ok());
+        for bad in [vec![0, 0, 1], vec![0, 1, 3], Vec::new()] {
+            assert_eq!(Interleaver::new(bad), Err(TurboError::InvalidInterleaver));
+        }
+    }
+
+    #[test]
+    fn inverted_trades_the_two_directions() {
+        let pi = wimax(48);
+        let back = pi.clone().inverted();
+        for j in 0..48 {
+            assert_eq!(back.permute(pi.permute(j)), j);
+            assert_eq!(back.inverse(j), pi.permute(j));
+        }
+        assert_eq!(back.inverted(), pi);
+    }
+
+    #[test]
     fn swap_rule_is_odd_positions() {
-        let pi = ArpInterleaver::wimax(24).unwrap();
-        assert!(!pi.swaps_couple(0));
-        assert!(pi.swaps_couple(1));
-        assert!(!pi.swaps_couple(2));
+        assert!(!swaps_couple(0));
+        assert!(swaps_couple(1));
+        assert!(!swaps_couple(2));
     }
 
     #[test]
     fn interleave_couples_applies_swap_and_permutation() {
-        let pi = ArpInterleaver::wimax(24).unwrap();
+        let code = CtcCode::wimax(24).unwrap();
+        let pi = code.interleaver();
         let couples: Vec<(u8, u8)> = (0..24).map(|i| (i as u8, 100 + i as u8)).collect();
-        let out = pi.interleave_couples(&couples);
+        let out = code.interleaved_couples(&couples);
         for j in 0..24 {
             let expected = if j % 2 == 1 {
                 (couples[j].1, couples[j].0)
@@ -394,15 +411,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "frame size mismatch")]
     fn interleave_wrong_length_panics() {
-        let pi = ArpInterleaver::wimax(24).unwrap();
-        let _ = pi.interleave_couples(&[(0u8, 0u8); 10]);
+        let code = CtcCode::wimax(24).unwrap();
+        let _ = code.interleaved_couples(&[(0u8, 0u8); 10]);
     }
 
     #[test]
     fn interleaver_has_nontrivial_spread() {
-        let pi = ArpInterleaver::wimax(240).unwrap();
+        let pi = wimax(240);
         // neighbouring couples must be sent far apart
-        assert!(pi.spread(4) >= 8, "spread = {}", pi.spread(4));
+        assert!(spread(&pi, 4) >= 8, "spread = {}", spread(&pi, 4));
     }
 
     #[test]

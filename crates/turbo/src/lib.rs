@@ -1,5 +1,6 @@
-//! IEEE 802.16e (WiMAX) double-binary convolutional turbo codes (CTC), and
-//! the one Max-Log-MAP turbo decoder that also runs DVB-RCS and LTE.
+//! The turbo codes of the workspace — the IEEE 802.16e (WiMAX) and DVB-RCS
+//! double-binary convolutional turbo codes (CTC) and the 3GPP LTE binary
+//! turbo code — and the one Max-Log-MAP turbo decoder that runs them all.
 //!
 //! This crate provides the turbo-code substrate of the NoC-based decoder of
 //! Condo, Martina and Masera (DATE 2012):
@@ -9,33 +10,38 @@
 //!   compile-time trellis tables and the circulation-state computation
 //!   (solved algebraically over GF(2) instead of using the standard's lookup
 //!   table).
-//! * [`interleaver`] — the almost-regular-permutation (ARP) two-step CTC
-//!   interleaver with the WiMAX parameter set for all frame sizes.
-//! * [`encoder`] — the parallel concatenation of two CRSC encoders with
-//!   puncturing to the transmitted code rates.
+//! * [`interleaver`] — [`Interleaver`], the one validated permutation of
+//!   every turbo code (natural to interleaved position, with its inverse),
+//!   and the almost-regular-permutation (ARP) law with the WiMAX parameter
+//!   set for all frame sizes.
+//! * [`encoder`] — [`CtcCode`], the duo-binary code, which encodes itself:
+//!   the parallel concatenation of two CRSC encoders with the odd-couple
+//!   bit swap and puncturing to the transmitted code rates.
 //! * [`siso`] — the Soft-In-Soft-Out kernel implementing the Max-Log BCJR
 //!   recursion of Eq. (1)–(5) of the paper for any constituent trellis known
 //!   at compile time.
 //! * [`decoder`] — the iterative loop shared by every turbo code and the
 //!   duo-binary decoder, including the symbol-level / bit-level extrinsic
 //!   exchange trade-off (paper Sec. IV.B, refs [23] and [24]).
-//! * [`binary`] — the tail-terminated binary decoder of the LTE code.
+//! * [`binary`] — [`LteTurboCode`], the tail-terminated binary code of LTE,
+//!   which encodes itself, and its decoder [`BinaryTurboDecoder`].
+//! * [`codec`] — both decoders behind the Monte-Carlo engine's
+//!   [`fec_channel::sim::FecCodec`] interface.
 //! * [`bitlevel`] — the Symbol-To-Bit (STB) and Bit-To-Symbol (BTS)
 //!   conversion units.
 //!
 //! # Example
 //!
 //! ```
-//! use wimax_turbo::{CtcCode, TurboDecoder, TurboDecoderConfig, TurboEncoder};
+//! use wimax_turbo::{CtcCode, TurboDecoder, TurboDecoderConfig};
 //! use fec_channel::{AwgnChannel, BpskModulator, EbN0};
 //! use rand::SeedableRng;
 //!
 //! let code = CtcCode::wimax(24)?;              // 24 couples = 48 info bits
-//! let encoder = TurboEncoder::new(&code);
 //! let decoder = TurboDecoder::new(&code, TurboDecoderConfig::default());
 //!
 //! let info = vec![0u8; code.info_bits()];
-//! let coded = encoder.encode(&info)?;
+//! let coded = code.encode(&info)?;
 //!
 //! let ch = AwgnChannel::for_code_rate(EbN0::from_db(3.0), 0.5);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -61,11 +67,10 @@ pub mod interleaver;
 pub mod siso;
 pub mod trellis;
 
-pub use binary::BinaryTurboDecoder;
-pub use codec::TurboCodec;
+pub use binary::{BinaryTurboDecoder, LteTurboCode};
 pub use decoder::{ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig};
-pub use encoder::{CtcCode, PunctureRate, TurboEncoder};
-pub use interleaver::{ArpInterleaver, ArpParameters};
+pub use encoder::{CtcCode, PunctureRate};
+pub use interleaver::{ArpParameters, Interleaver};
 pub use siso::{Constituent, SisoUnit};
 pub use trellis::{
     lte_rsc_step, CirculationState, ConstTrellis, DuoBinaryTrellis, LteTrellis, NUM_STATES, SYMBOLS,
@@ -81,13 +86,19 @@ pub enum TurboError {
         /// Offending number of couples.
         couples: usize,
     },
+    /// The block size `K` is not in the LTE QPP table.
+    UnsupportedBlockSize {
+        /// Offending number of information bits.
+        k: usize,
+    },
     /// The frame size is incompatible with the CRSC period (N mod 7 == 0),
     /// which makes the circulation state undefined.
     InvalidCirculation {
         /// Offending number of couples.
         couples: usize,
     },
-    /// The ARP parameters do not describe a permutation.
+    /// An interleaver map (or the law that builds it) is not a
+    /// permutation.
     InvalidInterleaver,
     /// An input slice had the wrong length.
     InvalidLength {
@@ -106,12 +117,15 @@ impl fmt::Display for TurboError {
             TurboError::UnsupportedFrameSize { couples } => {
                 write!(f, "frame size of {couples} couples is not a WiMAX CTC size")
             }
+            TurboError::UnsupportedBlockSize { k } => {
+                write!(f, "block size K = {k} is not in the LTE QPP table")
+            }
             TurboError::InvalidCirculation { couples } => write!(
                 f,
                 "frame size {couples} couples is a multiple of the CRSC period 7"
             ),
             TurboError::InvalidInterleaver => {
-                write!(f, "ARP parameters do not yield a permutation")
+                write!(f, "interleaver map is not a permutation")
             }
             TurboError::InvalidLength {
                 what,

@@ -8,7 +8,6 @@ use fec_channel::{AwgnChannel, BpskModulator, EbN0};
 use noc_decoder::{CodeRate, CtcCode, DecoderConfig, NocDecoder, QcLdpcCode};
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::QcEncoder;
-use wimax_turbo::TurboEncoder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2012);
@@ -44,11 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Turbo mode: WiMAX double-binary CTC, N = 2400 couples, rate 1/2
     // ------------------------------------------------------------------
     let turbo_code = CtcCode::wimax(2400)?;
-    let turbo_encoder = TurboEncoder::new(&turbo_code);
     let info: Vec<u8> = (0..turbo_code.info_bits())
         .map(|_| rng.gen_range(0..=1))
         .collect();
-    let coded = turbo_encoder.encode(&info)?;
+    let coded = turbo_code.encode(&info)?;
 
     let channel = AwgnChannel::for_code_rate(EbN0::from_db(2.5), 0.5);
     let received = channel.transmit(&modulator.modulate(&coded), &mut rng);

@@ -16,14 +16,16 @@
 
 mod common;
 
-use code_tables::{dvb_rcs_ctc, LteTurboCode, LteTurboCodec};
+use code_tables::{dvb_rcs_ctc, lte_turbo_code};
 use common::allocations;
 use fec_channel::sim::{FecCodec, FrameStream};
 use fec_fixed::Llr;
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::decoder::{FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder};
 use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcEncoder, QcLdpcCode, QuantizedLayeredLdpcCodec};
-use wimax_turbo::{ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig};
+use wimax_turbo::{
+    BinaryTurboDecoder, ExtrinsicExchange, TurboDecodeOutcome, TurboDecoder, TurboDecoderConfig,
+};
 
 const BLOCK_LENGTHS: [usize; 2] = [576, 2304];
 
@@ -248,14 +250,14 @@ fn turbo_decode_allocations_do_not_grow_with_iterations() {
     let mut noise =
         |n: usize| -> Vec<Llr> { (0..n).map(|_| Llr::new(rng.gen_range(-1.0..1.0))).collect() };
 
-    let lte = LteTurboCode::new(1024).expect("valid LTE block size");
-    let lte_codecs = [1, 8].map(|it| LteTurboCodec::new(&lte, turbo_config(it)));
+    let lte = lte_turbo_code(1024).expect("valid LTE block size");
+    let lte_decoders = [1, 8].map(|it| BinaryTurboDecoder::new(&lte, turbo_config(it)));
     let lte_noise = noise(lte.coded_bits());
     check_turbo_allocations(
         "LTE K1024",
         [
-            &|| lte_codecs[0].decoder().decode(&lte_noise).expect("length"),
-            &|| lte_codecs[1].decoder().decode(&lte_noise).expect("length"),
+            &|| lte_decoders[0].decode(&lte_noise).expect("length"),
+            &|| lte_decoders[1].decode(&lte_noise).expect("length"),
         ],
     );
 

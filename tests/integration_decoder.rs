@@ -6,7 +6,6 @@ use fec_channel::{AwgnChannel, BpskModulator, EbN0, ErrorCounter};
 use noc_decoder::{CodeRate, CtcCode, DecoderConfig, NocDecoder, QcLdpcCode};
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::QcEncoder;
-use wimax_turbo::TurboEncoder;
 
 fn random_bits(len: usize, rng: &mut impl Rng) -> Vec<u8> {
     (0..len).map(|_| rng.gen_range(0..=1u8)).collect()
@@ -41,7 +40,6 @@ fn ldpc_frames_survive_a_two_db_awgn_channel() {
 fn turbo_frames_survive_a_three_db_awgn_channel() {
     let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
     let code = CtcCode::wimax(480).unwrap();
-    let encoder = TurboEncoder::new(&code);
     let modulator = BpskModulator::new();
     let channel = AwgnChannel::for_code_rate(EbN0::from_db(3.0), 0.5);
     let mut rng = rand::rngs::StdRng::seed_from_u64(12);
@@ -49,7 +47,7 @@ fn turbo_frames_survive_a_three_db_awgn_channel() {
     let mut counter = ErrorCounter::new();
     for _ in 0..4 {
         let info = random_bits(code.info_bits(), &mut rng);
-        let cw = encoder.encode(&info).unwrap();
+        let cw = code.encode(&info).unwrap();
         let rx = channel.transmit(&modulator.modulate(&cw), &mut rng);
         let out = decoder
             .decode_turbo_frame(&code, &channel.llrs(&rx))

@@ -7,7 +7,7 @@ use fec_channel::StopRule;
 use fec_obs::{ManualClock, Registry};
 use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
 use wimax_ldpc::{CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec};
-use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
+use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboDecoder, TurboDecoderConfig};
 
 fn layered_codec() -> LayeredLdpcCodec {
     let code = QcLdpcCode::wimax(576, CodeRate::R12).expect("valid WiMAX length");
@@ -19,9 +19,9 @@ fn q7_codec() -> QuantizedLayeredLdpcCodec {
     QuantizedLayeredLdpcCodec::new(&code, FixedLayeredConfig::default())
 }
 
-fn ctc_codec() -> TurboCodec {
+fn ctc_codec() -> TurboDecoder {
     let code = CtcCode::wimax(24).expect("valid WiMAX frame size");
-    TurboCodec::new(
+    TurboDecoder::new(
         &code,
         TurboDecoderConfig {
             exchange: ExtrinsicExchange::BitLevel,

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use wimax_ldpc::{
     CodeRate, DecodeOutcome, LayeredConfig, LayeredDecoder, LayeredLdpcCodec, QcLdpcCode,
 };
-use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboCodec, TurboDecoderConfig};
+use wimax_turbo::{CtcCode, ExtrinsicExchange, TurboDecoder, TurboDecoderConfig};
 
 /// The smallest corner code of a standard (fast enough for Monte-Carlo in a
 /// test).
@@ -190,7 +190,7 @@ fn registry_codec(standard: Standard, info_bits: usize) -> Box<dyn FecCodec> {
 }
 
 fn ctc_codec(code: CtcCode, exchange: ExtrinsicExchange) -> Box<dyn FecCodec> {
-    Box::new(TurboCodec::new(
+    Box::new(TurboDecoder::new(
         &code,
         TurboDecoderConfig {
             exchange,

@@ -52,7 +52,7 @@ fn ldpc_equivalent_interleaver_is_fully_delivered_on_every_routing() {
 fn turbo_mapping_traffic_is_delivered_on_the_paper_design_point() {
     let code = CtcCode::wimax(960).unwrap();
     let pes = 22;
-    let mapping = TurboMapping::new(&code, pes);
+    let mapping = TurboMapping::new(code.interleaver(), pes);
     let topology = Topology::new(TopologyKind::GeneralizedKautz, pes, 3).unwrap();
     let sim = NocSimulator::new(
         NocConfig::new(topology, RoutingAlgorithm::SspFl).with_output_rate(1.0 / 3.0),
@@ -457,13 +457,9 @@ fn turbo_trace(code: &StandardCode) -> Option<(String, TrafficTrace)> {
     let pes = DecoderConfig::paper_design_point().pes;
     let mapping = match code {
         StandardCode::WimaxTurbo { code } | StandardCode::DvbRcsTurbo { code } => {
-            TurboMapping::new(code, pes)
+            TurboMapping::new(code.interleaver(), pes)
         }
-        StandardCode::LteTurbo { code } => {
-            let pi = code.interleaver();
-            let permutation: Vec<usize> = (0..code.info_bits()).map(|j| pi.inverse(j)).collect();
-            TurboMapping::from_permutation(&permutation, pes)
-        }
+        StandardCode::LteTurbo { code } => TurboMapping::new(code.interleaver(), pes),
         StandardCode::Ldpc { .. } => return None,
     };
     Some((code.label(), mapping.traffic_trace(HalfIteration::First)))

@@ -4,7 +4,7 @@
 
 use noc_decoder::{CodeRate, DecoderConfig, NocDecoder, QcLdpcCode};
 use wimax_ldpc::{wimax_block_lengths, QcEncoder};
-use wimax_turbo::{ArpInterleaver, CtcCode, TurboEncoder, WIMAX_FRAME_SIZES};
+use wimax_turbo::{CtcCode, WIMAX_FRAME_SIZES};
 
 #[test]
 fn every_wimax_ldpc_code_is_constructible_and_encodable() {
@@ -26,10 +26,8 @@ fn every_wimax_ctc_frame_size_is_constructible_and_encodable() {
     for &couples in &WIMAX_FRAME_SIZES {
         let code = CtcCode::wimax(couples).unwrap_or_else(|e| panic!("{couples} couples: {e}"));
         assert_eq!(code.info_bits(), 2 * couples);
-        let interleaver = ArpInterleaver::wimax(couples).unwrap();
-        assert_eq!(interleaver.len(), couples);
-        let encoder = TurboEncoder::new(&code);
-        let cw = encoder.encode(&vec![0u8; code.info_bits()]).unwrap();
+        assert_eq!(code.interleaver().len(), couples);
+        let cw = code.encode(&vec![0u8; code.info_bits()]).unwrap();
         assert_eq!(cw.len(), code.coded_bits());
     }
 }
