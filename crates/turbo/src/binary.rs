@@ -336,4 +336,14 @@ mod tests {
     fn bad_transition_function_panics() {
         let _ = ConstTrellis::<2>::new([[7, 8]; 8], [[0, 1]; 8]);
     }
+
+    #[test]
+    fn non_permutations_are_rejected() {
+        // a code's map goes through the interleaver's bijection check
+        let code = |map: Vec<usize>| Interleaver::new(map).map(LteTurboCode::new);
+        assert_eq!(code(vec![0, 2, 1]).unwrap().info_bits(), 3);
+        for bad in [vec![0, 0, 1], vec![0, 1, 3], Vec::new()] {
+            assert_eq!(code(bad), Err(TurboError::InvalidInterleaver));
+        }
+    }
 }

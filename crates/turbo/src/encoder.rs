@@ -1,5 +1,7 @@
-//! The WiMAX convolutional turbo-code encoder (parallel concatenation of two
-//! duo-binary CRSC encoders) and its puncturing to the transmitted rates.
+//! The duo-binary convolutional turbo code of 802.16e and DVB-RCS: the
+//! parallel concatenation of two CRSC encoders through the couple
+//! interleaver and the odd-couple bit swap, and its puncturing to the
+//! transmitted rates.
 
 use crate::interleaver::{Interleaver, WIMAX_ARP_TABLE};
 use crate::trellis::{step, CirculationState};
@@ -174,7 +176,7 @@ impl CtcCode {
     /// # Panics
     ///
     /// Panics if `couples.len() != self.couples()`.
-    pub(crate) fn interleaved_couples<T: Copy>(&self, couples: &[(T, T)]) -> Vec<(T, T)> {
+    pub(crate) fn interleaved_couples(&self, couples: &[(u8, u8)]) -> Vec<(u8, u8)> {
         assert_eq!(couples.len(), self.couples(), "frame size mismatch");
         let mut out = couples.to_vec();
         for (j, &(a, b)) in couples.iter().enumerate() {
