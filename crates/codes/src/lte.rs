@@ -291,8 +291,8 @@ mod tests {
     }
 
     proptest! {
-        /// The satellite bijectivity property: for every table entry and a
-        /// sampled index pair, distinct indices map to distinct positions.
+        /// Bijectivity: for every table entry and a sampled index pair,
+        /// distinct interleaved positions read distinct natural positions.
         #[test]
         fn qpp_is_injective(entry in 0usize..LTE_QPP_TABLE.len(), a in 0usize..6144, b in 0usize..6144) {
             let p = LTE_QPP_TABLE[entry];
