@@ -8,8 +8,8 @@ use decoder_pe::SisoCoreModel;
 use fec_json::ToJson;
 use noc_decoder::evaluation::{evaluate_standard_code, Mode};
 use noc_decoder::{
-    run_multi_compliance_sharded, ComplianceScope, DecoderConfig, MappingConfig, Standard,
-    StandardCode,
+    run_multi_compliance_sharded, ComplianceScope, DecoderConfig, MappingConfig, NocDecoder,
+    Standard, StandardCode, Technology,
 };
 use noc_mapping::turbo::HalfIteration;
 use noc_mapping::{LdpcMapping, MappingStore, TurboMapping};
@@ -703,4 +703,63 @@ fn every_registry_turbo_code_reproduces_its_golden_hash() {
         .map(|&(label, hash)| (label.to_string(), hash))
         .collect();
     assert_eq!(hashes, golden);
+}
+
+/// FNV-1a over a code's label, the `Debug` text of its evaluation at
+/// `config`, the bits of its power and the bits of its total area at 65 nm.
+fn design_point_hash(config: &DecoderConfig, code: &StandardCode, mappings: &MappingStore) -> u64 {
+    let e = evaluate_standard_code(config, code, mappings).unwrap();
+    let decoder = NocDecoder::new(*config);
+    let text = format!("{}\n{e:?}", code.label());
+    let model = [
+        decoder.power_mw(&e).to_bits(),
+        decoder
+            .normalized_area_mm2(&e, Technology::nm65())
+            .to_bits(),
+    ];
+    fnv1a(text.bytes().map(u64::from).chain(model))
+}
+
+/// `[paper design point, ASP-FT routing with AP nodes at P = 16]`
+/// `design_point_hash`es of the 18 corner codes of the five standards, in
+/// registry order.
+const CORNER_DESIGN_POINT_HASHES: [[u64; 2]; 18] = [
+    [0x020f_e221_a24d_750e, 0xd637_c250_bdf0_c00b], // 802.16e LDPC 576 r=1/2
+    [0x0ff7_5422_d345_e605, 0x02de_b45b_c6cb_a8c9], // 802.16e LDPC 576 r=5/6
+    [0xebae_dd82_8985_d850, 0x16bc_b301_318d_5691], // 802.16e LDPC 2304 r=1/2
+    [0x852f_0936_7fe4_fa7b, 0x9f08_02b1_c2c7_aeb0], // 802.16e LDPC 2304 r=5/6
+    [0xc99e_7927_04e7_ad17, 0xd057_321a_f718_97dc], // 802.16e DBTC 48 r=1/2
+    [0xf45e_8287_cc0e_3e8c, 0x66ec_09ee_9be5_baf9], // 802.16e DBTC 4800 r=1/2
+    [0x5ff7_ffd1_8cd5_fa9a, 0x2be6_c55f_8469_e5e6], // 802.11n LDPC 648 r=1/2
+    [0x3ac3_f164_f862_7d00, 0x1ed1_53c9_60a2_a14d], // 802.11n LDPC 648 r=5/6
+    [0x7bf6_a2e2_fec5_b7ca, 0x7118_3ed9_6b94_0499], // 802.11n LDPC 1944 r=1/2
+    [0x790e_9380_2bc9_aeca, 0x577c_9a5f_4edc_d878], // 802.11n LDPC 1944 r=5/6
+    [0x0f51_4e49_fec5_ab3c, 0x6c0d_b9d6_b36f_ccf2], // LTE TC K=40 r=1/3
+    [0x86a2_aedc_cf52_db5c, 0xc588_4ade_1981_3399], // LTE TC K=6144 r=1/3
+    [0x3e98_c177_655a_9c57, 0x762e_9978_a8f0_5ed6], // 802.22 LDPC 384 r=1/2
+    [0xd1c5_216f_42fb_5796, 0x872b_9a97_3910_3691], // 802.22 LDPC 384 r=3/4
+    [0x376b_aed8_13fe_82c6, 0x3671_2d63_02ed_46bb], // 802.22 LDPC 2304 r=1/2
+    [0x0b62_81db_d341_dfa8, 0xd5d5_8a37_5fc1_e787], // 802.22 LDPC 2304 r=3/4
+    [0xb430_0e80_4a44_1e1e, 0x7982_af4a_e22d_58ec], // DVB-RCS CTC 96 r=1/2
+    [0xfde0_2a6b_99ef_909a, 0x5d29_96d9_ff53_8da5], // DVB-RCS CTC 1728 r=1/2
+];
+
+#[test]
+fn corner_design_points_reproduce_their_golden_hashes() {
+    let paper = DecoderConfig::paper_design_point();
+    let asp_ft = paper
+        .with_pes(16)
+        .with_routing(RoutingAlgorithm::AspFt)
+        .with_architecture(NodeArchitecture::AllPrecalculated);
+    let mappings = MappingStore::new();
+    let codes: Vec<StandardCode> = Standard::all()
+        .into_iter()
+        .flat_map(Standard::corner_codes)
+        .collect();
+    let hashes: Vec<[u64; 2]> = codes
+        .iter()
+        .map(|code| [paper, asp_ft].map(|config| design_point_hash(&config, code, &mappings)))
+        .collect();
+    let labels: Vec<String> = codes.iter().map(StandardCode::label).collect();
+    assert_eq!(hashes, CORNER_DESIGN_POINT_HASHES, "{labels:?}");
 }
