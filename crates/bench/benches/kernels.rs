@@ -19,6 +19,7 @@ use fec_channel::sim::{EngineConfig, FrameSlice, SimulationEngine};
 use fec_fixed::Llr;
 use fec_json::{Json, ToJson};
 use fec_obs::NoopRecorder;
+use noc_decoder::model::SISO_INJECTION_RATE;
 use noc_decoder::{
     run_multi_compliance_sharded, run_multi_compliance_with_store, ComplianceScope, DecoderConfig,
     MappingConfig, MappingStore,
@@ -364,7 +365,7 @@ fn main() {
     let lte_trace = TurboMapping::new(lte.interleaver(), 22).traffic_trace(HalfIteration::First);
     let topology = Topology::new(TopologyKind::GeneralizedKautz, 22, 3).expect("valid topology");
     let lte_sim = NocSimulator::new(
-        NocConfig::new(topology, RoutingAlgorithm::SspFl).with_output_rate(1.0 / 3.0),
+        NocConfig::new(topology, RoutingAlgorithm::SspFl).with_output_rate(SISO_INJECTION_RATE),
     )
     .expect("sim");
     run(

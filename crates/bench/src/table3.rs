@@ -5,7 +5,9 @@
 //! designs are proprietary RTL and cannot be regenerated); the "This Work"
 //! rows are regenerated from our architectural models.
 
-use noc_decoder::{CodeRate, CtcCode, DecoderConfig, NocDecoder, QcLdpcCode, Technology};
+use noc_decoder::evaluation::{evaluate_ldpc, evaluate_standard_code};
+use noc_decoder::model::{LDPC_CLOCK_MHZ, LDPC_ITERATIONS, TURBO_CLOCK_MHZ, TURBO_ITERATIONS};
+use noc_decoder::{CodeRate, CtcCode, DecoderConfig, MappingStore, QcLdpcCode, StandardCode};
 
 /// One row of the comparison table.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,37 +64,38 @@ impl fec_json::ToJson for Table3Row {
 ///
 /// Panics if the worst-case WiMAX codes cannot be constructed or evaluated.
 pub fn table3_rows() -> Vec<Table3Row> {
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
+    let config = DecoderConfig::paper_design_point();
     let ldpc_code = QcLdpcCode::wimax(2304, CodeRate::R12).expect("worst-case LDPC code");
-    let turbo_code = CtcCode::wimax(2400).expect("largest CTC frame");
-    let ldpc = decoder.evaluate_ldpc(&ldpc_code).expect("LDPC evaluation");
-    let turbo = decoder
-        .evaluate_turbo(&turbo_code)
-        .expect("turbo evaluation");
+    let turbo_code = StandardCode::WimaxTurbo {
+        code: CtcCode::wimax(2400).expect("largest CTC frame"),
+    };
+    let mappings = MappingStore::new();
+    let ldpc = evaluate_ldpc(&config, &ldpc_code, &mappings).expect("LDPC evaluation");
+    let turbo = evaluate_standard_code(&config, &turbo_code, &mappings).expect("turbo evaluation");
 
     let mut rows = vec![
         Table3Row {
             decoder: "This Work (measured)".into(),
-            parallelism: 22,
+            parallelism: ldpc.pes,
             technology_nm: 90,
             total_area_mm2: ldpc.total_area_mm2(),
-            normalized_area_mm2: decoder.normalized_area_mm2(&ldpc, Technology::nm65()),
-            clock_mhz: 300.0,
-            power_mw: Some(decoder.power_mw(&ldpc)),
-            iterations: 10,
+            normalized_area_mm2: ldpc.total_area_mm2_at(65.0),
+            clock_mhz: LDPC_CLOCK_MHZ,
+            power_mw: Some(ldpc.power_mw()),
+            iterations: LDPC_ITERATIONS,
             code: "LDPC 2304, 0.5".into(),
             throughput_mbps: ldpc.throughput_mbps,
             measured: true,
         },
         Table3Row {
             decoder: "This Work (measured)".into(),
-            parallelism: 22,
+            parallelism: turbo.pes,
             technology_nm: 90,
             total_area_mm2: turbo.total_area_mm2(),
-            normalized_area_mm2: decoder.normalized_area_mm2(&turbo, Technology::nm65()),
-            clock_mhz: 75.0,
-            power_mw: Some(decoder.power_mw(&turbo)),
-            iterations: 8,
+            normalized_area_mm2: turbo.total_area_mm2_at(65.0),
+            clock_mhz: TURBO_CLOCK_MHZ,
+            power_mw: Some(turbo.power_mw()),
+            iterations: TURBO_ITERATIONS,
             code: "DBTC 4800, 0.5".into(),
             throughput_mbps: turbo.throughput_mbps,
             measured: true,

@@ -3,7 +3,10 @@
 use noc_mapping::MappingConfig;
 use noc_sim::{CollisionPolicy, NodeArchitecture, RoutingAlgorithm, TopologyKind};
 
-/// Full description of a decoder design point.
+/// The settable part of a decoder design point: the NoC, the parallelism,
+/// the mapping flow and the LDPC output rate.  The clocks, iteration limits
+/// and calibration of the paper's design are the [`model`](crate::model)'s
+/// constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderConfig {
     /// NoC topology family.
@@ -22,18 +25,6 @@ pub struct DecoderConfig {
     pub route_local: bool,
     /// PE output rate `R` in LDPC mode (messages per NoC cycle).
     pub ldpc_output_rate: f64,
-    /// NoC clock frequency in LDPC mode (MHz); the paper uses 300 MHz.
-    pub ldpc_clock_mhz: f64,
-    /// NoC clock frequency in turbo mode (MHz); the paper uses 75 MHz.
-    pub turbo_clock_mhz: f64,
-    /// Maximum LDPC iterations (`It_max`); the paper uses 10.
-    pub ldpc_iterations: usize,
-    /// Maximum turbo iterations; the paper uses 8.
-    pub turbo_iterations: usize,
-    /// Number of code configurations whose routing/location sequences an AP
-    /// node must store (1 = single-code analysis as in Table I; the full
-    /// WiMAX set has 19 LDPC lengths x 6 rates + 17 turbo sizes).
-    pub stored_codes: usize,
     /// Mapping-flow configuration.
     pub mapping: MappingConfig,
     /// Simulation seed.
@@ -42,8 +33,9 @@ pub struct DecoderConfig {
 
 impl DecoderConfig {
     /// The paper's chosen design point: `P = 22`, `D = 3` generalized Kautz,
-    /// SSP-FL routing, PP node architecture, `RL = 0`, `SCM`, `R = 0.5`,
-    /// 300 MHz LDPC / 75 MHz turbo NoC clocks, 10 LDPC / 8 turbo iterations.
+    /// SSP-FL routing, PP node architecture, `RL = 0`, `SCM`, `R = 0.5`.
+    /// Its clocks and iteration limits are the [`model`](crate::model)'s
+    /// constants.
     pub fn paper_design_point() -> Self {
         DecoderConfig {
             topology: TopologyKind::GeneralizedKautz,
@@ -54,11 +46,6 @@ impl DecoderConfig {
             architecture: NodeArchitecture::PartiallyPrecalculated,
             route_local: false,
             ldpc_output_rate: 0.5,
-            ldpc_clock_mhz: 300.0,
-            turbo_clock_mhz: 75.0,
-            ldpc_iterations: 10,
-            turbo_iterations: 8,
-            stored_codes: 1,
             mapping: MappingConfig::default(),
             seed: 0x1CE,
         }
@@ -118,10 +105,10 @@ mod tests {
         assert_eq!(c.pes, 22);
         assert_eq!(c.degree, 3);
         assert_eq!(c.topology, TopologyKind::GeneralizedKautz);
-        assert_eq!(c.ldpc_clock_mhz, 300.0);
-        assert_eq!(c.turbo_clock_mhz, 75.0);
-        assert_eq!(c.ldpc_iterations, 10);
-        assert_eq!(c.turbo_iterations, 8);
+        assert_eq!(crate::model::LDPC_CLOCK_MHZ, 300.0);
+        assert_eq!(crate::model::TURBO_CLOCK_MHZ, 75.0);
+        assert_eq!(crate::model::LDPC_ITERATIONS, 10);
+        assert_eq!(crate::model::TURBO_ITERATIONS, 8);
         assert!(!c.route_local);
         assert_eq!(c.ldpc_output_rate, 0.5);
     }

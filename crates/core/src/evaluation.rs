@@ -1,20 +1,21 @@
 //! Evaluation of one decoder design point on one code: cycle-accurate phase
-//! duration, throughput, area and the supporting statistics.
+//! duration, throughput, area and power, and the supporting statistics.
 //!
-//! LDPC codes go through [`evaluate_ldpc`] and their partitioned mapping.
-//! Every turbo code — the duo-binary CTCs of 802.16e and DVB-RCS and the
-//! binary LTE code — goes through the one [`evaluate_turbo`], which maps the
-//! code's interleaver onto the SISOs and takes the payload of one extrinsic
-//! message; [`evaluate_standard_code`] picks the path for a registry code.
+//! Every code goes through one private tail.  [`evaluate_ldpc`] hands it
+//! the code's partitioned mapping; the turbo arm of
+//! [`evaluate_standard_code`] hands it the contiguous-window mapping of the
+//! code's interleaver — the duo-binary CTCs of 802.16e and DVB-RCS and the
+//! binary LTE code alike — with the payload of one extrinsic message.  The
+//! tail builds the network before any mapping, simulates the mapped phase
+//! and costs it with the [`model`](crate::model).
 
 use crate::config::DecoderConfig;
+use crate::model::{self, NocAreaInputs};
 use crate::throughput::{ldpc_throughput_mbps, turbo_throughput_mbps};
-use asic_model::{NocAreaInputs, NocAreaModel, PeAreaInputs, PeAreaModel};
 use code_tables::StandardCode;
-use decoder_pe::{LdpcCoreModel, SharedMemoryPlan, SisoCoreModel};
 use noc_mapping::turbo::HalfIteration;
 use noc_mapping::{MappingStore, TurboMapping};
-use noc_sim::{NocConfig, NocError, NocSimulator, NocStats, Topology};
+use noc_sim::{NocConfig, NocError, NocSimulator, NocStats, Topology, TrafficTrace};
 use std::fmt;
 use wimax_ldpc::QcLdpcCode;
 use wimax_turbo::Interleaver;
@@ -100,6 +101,17 @@ impl DesignEvaluation {
     pub fn total_area_mm2(&self) -> f64 {
         self.noc_area_mm2 + self.core_area_mm2
     }
+
+    /// Estimated peak power in mW, from the mode and the total area.
+    pub fn power_mw(&self) -> f64 {
+        model::power_mw(self.mode, self.total_area_mm2())
+    }
+
+    /// Total area scaled from 90 nm to a node of `feature_nm` nm (Table
+    /// III's `A_N` at 65 nm).
+    pub fn total_area_mm2_at(&self, feature_nm: f64) -> f64 {
+        model::scaled_area_mm2(self.total_area_mm2(), feature_nm)
+    }
 }
 
 /// Evaluates one design point in LDPC mode, taking the code's mapping from
@@ -115,54 +127,26 @@ pub fn evaluate_ldpc(
             reason: format!("{} PEs but only {} parity checks", config.pes, code.m()),
         });
     }
-    let topology = Topology::new(config.topology, config.pes, config.degree)?;
-    let degree = topology.degree();
-
-    let mapping = mappings.mapping(code, config.pes, config.mapping);
-    let quality = mapping.quality();
-
-    let noc_config = NocConfig::new(topology, config.routing)
-        .with_collision(config.collision)
-        .with_architecture(config.architecture)
-        .with_route_local(config.route_local)
-        .with_output_rate(config.ldpc_output_rate)
-        .with_seed(config.seed);
-    let simulator = NocSimulator::new(noc_config)?;
-    let stats = simulator.run(mapping.traffic_trace());
-
-    let core = LdpcCoreModel::default();
-    let throughput = ldpc_throughput_mbps(
+    evaluate(
+        config,
+        Mode::Ldpc,
         code.k(),
-        config.ldpc_clock_mhz,
-        config.ldpc_iterations,
-        core.core_latency,
-        stats.cycles,
-    );
-
-    let (noc_area, core_area) = areas(config, code.n(), &stats, quality.total_messages, 7);
-
-    Ok(DesignEvaluation {
-        mode: Mode::Ldpc,
-        topology: config.topology.name().to_string(),
-        pes: config.pes,
-        degree,
-        routing: config.routing.name().to_string(),
-        architecture: config.architecture.name().to_string(),
-        phase_cycles: stats.cycles,
-        info_bits: code.k(),
-        throughput_mbps: throughput,
-        noc_area_mm2: noc_area,
-        core_area_mm2: core_area,
-        fifo_depth: stats.max_fifo_occupancy.max(1),
-        locality: quality.locality(),
-        average_latency: stats.average_latency,
-        messages_per_phase: quality.total_messages,
-    })
+        code.n(),
+        LDPC_PAYLOAD_BITS,
+        || {
+            mappings
+                .mapping(code, config.pes, config.mapping)
+                .into_traffic_trace()
+        },
+    )
 }
+
+/// Payload bits of one LDPC message: one 7-bit value.
+const LDPC_PAYLOAD_BITS: u32 = 7;
 
 /// Payload bits of one extrinsic message of a duo-binary CTC: the two 7-bit
 /// bit-level values of a couple.
-pub(crate) const CTC_PAYLOAD_BITS: u32 = 14;
+const CTC_PAYLOAD_BITS: u32 = 14;
 
 /// Payload bits of one extrinsic message of the binary LTE code: one 7-bit
 /// value per bit.
@@ -170,7 +154,7 @@ const BINARY_PAYLOAD_BITS: u32 = 7;
 
 /// Evaluates one design point for any code of the multi-standard registry,
 /// dispatching LDPC codes to [`evaluate_ldpc`] (with `mappings`) and turbo
-/// codes to [`evaluate_turbo`] with their interleaver and payload.
+/// codes to the turbo arm with their interleaver and payload.
 pub fn evaluate_standard_code(
     config: &DecoderConfig,
     code: &StandardCode,
@@ -199,9 +183,9 @@ pub fn evaluate_standard_code(
 /// Evaluates one design point in turbo mode on a code of `info_bits`
 /// information bits whose trellis sections (couples of a duo-binary CTC,
 /// bits of a binary code) cross `interleaver`, exchanging extrinsic
-/// messages of `payload_bits` bits: NoC phase simulation of the first-half
-/// traffic, SISO overlap, throughput and areas.
-pub fn evaluate_turbo(
+/// messages of `payload_bits` bits: the first-half traffic of its
+/// contiguous windows.
+fn evaluate_turbo(
     config: &DecoderConfig,
     info_bits: usize,
     interleaver: &Interleaver,
@@ -216,71 +200,112 @@ pub fn evaluate_turbo(
             ),
         });
     }
-    let mapping = TurboMapping::new(interleaver, config.pes);
+    evaluate(
+        config,
+        Mode::Turbo,
+        info_bits,
+        interleaver.len(),
+        payload_bits,
+        || TurboMapping::new(interleaver, config.pes).traffic_trace(HalfIteration::First),
+    )
+}
+
+/// The tail of every evaluation: builds the topology (so `P < 2` fails here,
+/// before any mapping), the NoC configuration at the mode's PE output rate
+/// and the simulator, simulates the phase of the trace `map` builds, and
+/// computes throughput and areas.  `address_space` counts the units one
+/// location-memory entry addresses: code bits for LDPC, trellis sections
+/// for turbo.
+fn evaluate(
+    config: &DecoderConfig,
+    mode: Mode,
+    info_bits: usize,
+    address_space: usize,
+    payload_bits: u32,
+    map: impl FnOnce() -> TrafficTrace,
+) -> Result<DesignEvaluation, DecoderError> {
     let topology = Topology::new(config.topology, config.pes, config.degree)?;
     let degree = topology.degree();
-
-    let quality = mapping.quality();
-    let siso = SisoCoreModel::default();
-
+    let output_rate = match mode {
+        Mode::Ldpc => config.ldpc_output_rate,
+        Mode::Turbo => model::SISO_INJECTION_RATE,
+    };
     let noc_config = NocConfig::new(topology, config.routing)
         .with_collision(config.collision)
         .with_architecture(config.architecture)
         .with_route_local(config.route_local)
-        .with_output_rate(siso.injection_rate())
+        .with_output_rate(output_rate)
         .with_seed(config.seed);
     let simulator = NocSimulator::new(noc_config)?;
-    let stats = simulator.run(&mapping.traffic_trace(HalfIteration::First));
+    let trace = map();
+    let stats = simulator.run(&trace);
 
-    // The message-passing phase overlaps the SISO computation; the half
-    // iteration lasts as long as the slower of the two.
-    let siso_cycles = siso.half_iteration_noc_cycles(mapping.max_window());
-    let half_cycles = stats.cycles.max(siso_cycles);
+    let (phase_cycles, throughput_mbps) = match mode {
+        Mode::Ldpc => {
+            let throughput = ldpc_throughput_mbps(
+                info_bits,
+                model::LDPC_CLOCK_MHZ,
+                model::LDPC_ITERATIONS,
+                model::LDPC_CORE_LATENCY,
+                stats.cycles,
+            );
+            (stats.cycles, throughput)
+        }
+        Mode::Turbo => {
+            // The message-passing phase overlaps the SISO computation of the
+            // largest window, `sections.div_ceil(P)` sections; the half
+            // iteration lasts as long as the slower of the two.
+            let siso_cycles =
+                model::siso_half_iteration_noc_cycles(address_space.div_ceil(config.pes));
+            let half_cycles = stats.cycles.max(siso_cycles);
+            let throughput = turbo_throughput_mbps(
+                info_bits,
+                model::TURBO_CLOCK_MHZ,
+                model::TURBO_ITERATIONS,
+                model::SISO_CORE_LATENCY,
+                half_cycles,
+            );
+            (half_cycles, throughput)
+        }
+    };
 
-    let throughput = turbo_throughput_mbps(
-        info_bits,
-        config.turbo_clock_mhz,
-        config.turbo_iterations,
-        siso.core_latency,
-        half_cycles,
-    );
-
-    let (noc_area, core_area) = areas(
+    let messages_per_phase = trace.total_messages();
+    let noc_area_mm2 = noc_area_inputs(
         config,
-        mapping.sections(),
+        address_space,
         &stats,
-        quality.total_messages,
+        messages_per_phase,
         payload_bits,
-    );
+    )
+    .noc_area_mm2();
 
     Ok(DesignEvaluation {
-        mode: Mode::Turbo,
+        mode,
         topology: config.topology.name().to_string(),
         pes: config.pes,
         degree,
         routing: config.routing.name().to_string(),
         architecture: config.architecture.name().to_string(),
-        phase_cycles: half_cycles,
+        phase_cycles,
         info_bits,
-        throughput_mbps: throughput,
-        noc_area_mm2: noc_area,
-        core_area_mm2: core_area,
+        throughput_mbps,
+        noc_area_mm2,
+        core_area_mm2: model::core_area_mm2(config.pes),
         fifo_depth: stats.max_fifo_occupancy.max(1),
-        locality: quality.locality(),
+        locality: trace.locality(),
         average_latency: stats.average_latency,
-        messages_per_phase: quality.total_messages,
+        messages_per_phase,
     })
 }
 
-/// Computes the NoC and core areas of a design point from the simulation
-/// statistics.
-fn areas(
+/// The NoC area inputs of a design point, from the simulation statistics.
+fn noc_area_inputs(
     config: &DecoderConfig,
     address_space: usize,
     stats: &NocStats,
     total_messages: usize,
     payload_bits: u32,
-) -> (f64, f64) {
+) -> NocAreaInputs {
     let location_bits = (usize::BITS - address_space.saturating_sub(1).leading_zeros()).max(1);
     let messages_per_node = total_messages.div_ceil(config.pes);
     let forwarded_max = stats.forwarded_per_node.iter().copied().max().unwrap_or(0) as usize;
@@ -289,7 +314,7 @@ fn areas(
         noc_sim::NodeArchitecture::AllPrecalculated => forwarded_max.max(messages_per_node),
         noc_sim::NodeArchitecture::PartiallyPrecalculated => 0,
     };
-    let noc_inputs = NocAreaInputs {
+    NocAreaInputs {
         nodes: config.pes,
         crossbar_size,
         fifo_depth: stats.max_fifo_occupancy.max(2),
@@ -299,14 +324,7 @@ fn areas(
         location_bits,
         routing_entries,
         routing_bits: (usize::BITS - crossbar_size.saturating_sub(1).leading_zeros()).max(1),
-        stored_codes: config.stored_codes,
-    };
-    let noc_area = NocAreaModel::default().noc_area(&noc_inputs).mm2();
-
-    let memory = SharedMemoryPlan::wimax(config.pes);
-    let pe_inputs = PeAreaInputs::wimax(config.pes, memory.total_bits());
-    let core_area = PeAreaModel::default().core_area(&pe_inputs).mm2();
-    (noc_area, core_area)
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +413,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_pes_is_an_error_for_every_corner_code() {
+        let config = DecoderConfig::paper_design_point().with_pes(0);
+        let mappings = MappingStore::new();
+        for code in code_tables::Standard::all()
+            .into_iter()
+            .flat_map(code_tables::Standard::corner_codes)
+        {
+            assert!(
+                evaluate_standard_code(&config, &code, &mappings).is_err(),
+                "{}",
+                code.label()
+            );
+        }
+    }
+
+    #[test]
     fn ap_architecture_has_no_header_but_routing_memory() {
         let code = small_code();
         let mappings = MappingStore::new();
@@ -417,6 +451,23 @@ mod tests {
         // cycle counts are identical (same routing), areas differ
         assert_eq!(pp.phase_cycles, ap.phase_cycles);
         assert_ne!(pp.noc_area_mm2, ap.noc_area_mm2);
+    }
+
+    #[test]
+    fn power_is_larger_in_ldpc_mode() {
+        let config = DecoderConfig::paper_design_point().with_pes(8);
+        let e_ldpc = evaluate_ldpc(&config, &small_code(), &MappingStore::new()).unwrap();
+        let e_turbo = evaluate_ctc(&config, &CtcCode::wimax(240).unwrap()).unwrap();
+        assert!(e_ldpc.power_mw() > e_turbo.power_mw());
+    }
+
+    #[test]
+    fn normalized_area_shrinks_at_65nm() {
+        let config = DecoderConfig::paper_design_point().with_pes(8);
+        let eval = evaluate_ldpc(&config, &small_code(), &MappingStore::new()).unwrap();
+        let a65 = eval.total_area_mm2_at(65.0);
+        assert!(a65 < eval.total_area_mm2());
+        assert!((a65 / eval.total_area_mm2() - (65.0f64 / 90.0).powi(2)).abs() < 1e-9);
     }
 
     #[test]

@@ -19,7 +19,6 @@ type Kept = (Partition, MappingQuality);
 /// See the crate-level example for usage.
 #[derive(Debug, Clone)]
 pub struct LdpcMapping {
-    pes: usize,
     partition: Partition,
     trace: TrafficTrace,
     quality: MappingQuality,
@@ -170,11 +169,6 @@ impl LdpcMapping {
         TrafficTrace::new(per_source)
     }
 
-    /// Number of PEs.
-    pub fn pes(&self) -> usize {
-        self.pes
-    }
-
     /// The check-row partition.
     pub fn partition(&self) -> &Partition {
         &self.partition
@@ -185,13 +179,19 @@ impl LdpcMapping {
         &self.trace
     }
 
+    /// The traffic of one message-passing phase, taken out of the mapping.
+    pub fn into_traffic_trace(self) -> TrafficTrace {
+        self.trace
+    }
+
     /// Quality metrics of the selected candidate.
     pub fn quality(&self) -> MappingQuality {
         self.quality
     }
 
     /// The check rows assigned to a given PE, in schedule order.
-    pub fn rows_of(&self, pe: usize) -> Vec<usize> {
+    #[cfg(test)]
+    fn rows_of(&self, pe: usize) -> Vec<usize> {
         self.partition
             .assignment()
             .iter()
@@ -351,7 +351,6 @@ impl MappingStore {
             .clone();
         let trace = LdpcMapping::build_trace(&entries, &partition, pes);
         LdpcMapping {
-            pes,
             partition,
             trace,
             quality,

@@ -1,17 +1,20 @@
-//! Quickstart: build the paper's `P = 22` NoC-based decoder, decode one LDPC
-//! frame and one turbo frame over an AWGN channel, and print the
-//! architectural evaluation of the design point.
+//! Quickstart: decode one LDPC frame and one turbo frame over an AWGN
+//! channel with the decoders' default configurations (the paper's 10 LDPC
+//! and 8 turbo iterations), and print the architectural evaluation of the
+//! paper's `P = 22` NoC-based decoder on both codes.
 //!
 //! Run with `cargo run --example quickstart --release`.
 
 use fec_channel::{AwgnChannel, BpskModulator, EbN0};
-use noc_decoder::{CodeRate, CtcCode, DecoderConfig, NocDecoder, QcLdpcCode};
+use noc_decoder::evaluation::{evaluate_ldpc, evaluate_standard_code};
+use noc_decoder::{CodeRate, CtcCode, DecoderConfig, MappingStore, QcLdpcCode, StandardCode};
 use rand::{Rng, SeedableRng};
+use wimax_ldpc::decoder::{LayeredConfig, LayeredDecoder};
 use wimax_ldpc::QcEncoder;
+use wimax_turbo::{TurboDecoder, TurboDecoderConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2012);
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
     let modulator = BpskModulator::new();
 
     // ------------------------------------------------------------------
@@ -26,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let received = channel.transmit(&modulator.modulate(&codeword), &mut rng);
     let llrs = channel.llrs(&received);
 
-    let outcome = decoder.decode_ldpc_frame(&ldpc_code, &llrs);
+    let outcome = LayeredDecoder::new(&ldpc_code, LayeredConfig::default()).decode(&llrs);
     let bit_errors = outcome
         .info_bits(ldpc_code.k())
         .iter()
@@ -52,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let received = channel.transmit(&modulator.modulate(&coded), &mut rng);
     let llrs = channel.llrs(&received);
 
-    let outcome = decoder.decode_turbo_frame(&turbo_code, &llrs)?;
+    let outcome = TurboDecoder::new(&turbo_code, TurboDecoderConfig::default()).decode(&llrs)?;
     let bit_errors = outcome
         .info_bits
         .iter()
@@ -68,8 +71,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // 3. Architectural evaluation of the paper's design point
     // ------------------------------------------------------------------
-    let ldpc_eval = decoder.evaluate_ldpc(&ldpc_code)?;
-    let turbo_eval = decoder.evaluate_turbo(&turbo_code)?;
+    let config = DecoderConfig::paper_design_point();
+    let mappings = MappingStore::new();
+    let ldpc_eval = evaluate_ldpc(&config, &ldpc_code, &mappings)?;
+    let turbo_code = StandardCode::WimaxTurbo { code: turbo_code };
+    let turbo_eval = evaluate_standard_code(&config, &turbo_code, &mappings)?;
     println!("\nPaper design point (P = 22, D = 3 generalized Kautz, SSP-FL):");
     println!(
         "  LDPC : {:.2} Mb/s, phase = {} cycles, NoC area = {:.2} mm2, total = {:.2} mm2, power ~ {:.0} mW",
@@ -77,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ldpc_eval.phase_cycles,
         ldpc_eval.noc_area_mm2,
         ldpc_eval.total_area_mm2(),
-        decoder.power_mw(&ldpc_eval)
+        ldpc_eval.power_mw()
     );
     println!(
         "  Turbo: {:.2} Mb/s, phase = {} cycles, NoC area = {:.2} mm2, total = {:.2} mm2, power ~ {:.0} mW",
@@ -85,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         turbo_eval.phase_cycles,
         turbo_eval.noc_area_mm2,
         turbo_eval.total_area_mm2(),
-        decoder.power_mw(&turbo_eval)
+        turbo_eval.power_mw()
     );
     Ok(())
 }

@@ -1,11 +1,16 @@
-//! End-to-end integration tests: encoder -> AWGN channel -> flexible decoder,
-//! exercising both operating modes of the NoC-based decoder through the
+//! End-to-end integration tests: encoder -> AWGN channel -> decoder in both
+//! operating modes of the flexible decoder (with the decoders' default
+//! configurations, which carry the paper's 10 LDPC and 8 turbo
+//! iterations), and the architectural evaluation of both modes through the
 //! public API of `noc-decoder`.
 
 use fec_channel::{AwgnChannel, BpskModulator, EbN0, ErrorCounter};
-use noc_decoder::{CodeRate, CtcCode, DecoderConfig, NocDecoder, QcLdpcCode};
+use noc_decoder::evaluation::{evaluate_ldpc, evaluate_standard_code};
+use noc_decoder::{CodeRate, CtcCode, DecoderConfig, MappingStore, QcLdpcCode, StandardCode};
 use rand::{Rng, SeedableRng};
+use wimax_ldpc::decoder::{LayeredConfig, LayeredDecoder};
 use wimax_ldpc::QcEncoder;
+use wimax_turbo::{TurboDecoder, TurboDecoderConfig};
 
 fn random_bits(len: usize, rng: &mut impl Rng) -> Vec<u8> {
     (0..len).map(|_| rng.gen_range(0..=1u8)).collect()
@@ -13,8 +18,8 @@ fn random_bits(len: usize, rng: &mut impl Rng) -> Vec<u8> {
 
 #[test]
 fn ldpc_frames_survive_a_two_db_awgn_channel() {
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
     let code = QcLdpcCode::wimax(1152, CodeRate::R12).unwrap();
+    let decoder = LayeredDecoder::new(&code, LayeredConfig::default());
     let encoder = QcEncoder::new(&code);
     let modulator = BpskModulator::new();
     let channel = AwgnChannel::for_code_rate(EbN0::from_db(2.2), 0.5);
@@ -25,7 +30,7 @@ fn ldpc_frames_survive_a_two_db_awgn_channel() {
         let info = random_bits(code.k(), &mut rng);
         let cw = encoder.encode(&info).unwrap();
         let rx = channel.transmit(&modulator.modulate(&cw), &mut rng);
-        let out = decoder.decode_ldpc_frame(&code, &channel.llrs(&rx));
+        let out = decoder.decode(&channel.llrs(&rx));
         counter.record_frame(&info, out.info_bits(code.k()));
     }
     assert_eq!(
@@ -38,8 +43,8 @@ fn ldpc_frames_survive_a_two_db_awgn_channel() {
 
 #[test]
 fn turbo_frames_survive_a_three_db_awgn_channel() {
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
     let code = CtcCode::wimax(480).unwrap();
+    let decoder = TurboDecoder::new(&code, TurboDecoderConfig::default());
     let modulator = BpskModulator::new();
     let channel = AwgnChannel::for_code_rate(EbN0::from_db(3.0), 0.5);
     let mut rng = rand::rngs::StdRng::seed_from_u64(12);
@@ -49,9 +54,7 @@ fn turbo_frames_survive_a_three_db_awgn_channel() {
         let info = random_bits(code.info_bits(), &mut rng);
         let cw = code.encode(&info).unwrap();
         let rx = channel.transmit(&modulator.modulate(&cw), &mut rng);
-        let out = decoder
-            .decode_turbo_frame(&code, &channel.llrs(&rx))
-            .unwrap();
+        let out = decoder.decode(&channel.llrs(&rx)).unwrap();
         counter.record_frame(&info, &out.info_bits);
     }
     assert_eq!(
@@ -66,8 +69,8 @@ fn turbo_frames_survive_a_three_db_awgn_channel() {
 fn ldpc_decoding_improves_with_snr() {
     // At very low SNR the decoder must fail, at high SNR it must succeed:
     // a basic sanity check that the whole chain is actually doing something.
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
     let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
+    let decoder = LayeredDecoder::new(&code, LayeredConfig::default());
     let encoder = QcEncoder::new(&code);
     let modulator = BpskModulator::new();
     let mut rng = rand::rngs::StdRng::seed_from_u64(13);
@@ -79,7 +82,7 @@ fn ldpc_decoding_improves_with_snr() {
             let info = random_bits(code.k(), rng);
             let cw = encoder.encode(&info).unwrap();
             let rx = channel.transmit(&modulator.modulate(&cw), rng);
-            let out = decoder.decode_ldpc_frame(&code, &channel.llrs(&rx));
+            let out = decoder.decode(&channel.llrs(&rx));
             counter.record_frame(&info, out.info_bits(code.k()));
         }
         counter.ber()
@@ -93,24 +96,33 @@ fn ldpc_decoding_improves_with_snr() {
 
 #[test]
 fn architectural_evaluation_is_deterministic() {
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point().with_pes(12));
+    let config = DecoderConfig::paper_design_point().with_pes(12);
     let code = QcLdpcCode::wimax(576, CodeRate::R12).unwrap();
-    let a = decoder.evaluate_ldpc(&code).unwrap();
-    let b = decoder.evaluate_ldpc(&code).unwrap();
+    let a = evaluate_ldpc(&config, &code, &MappingStore::new()).unwrap();
+    let b = evaluate_ldpc(&config, &code, &MappingStore::new()).unwrap();
     assert_eq!(a, b);
 }
 
 #[test]
 fn both_modes_share_the_same_configuration() {
-    // The same decoder instance (same P, topology, routing) must evaluate in
+    // The same design point (same P, topology, routing) must evaluate in
     // both modes — that is the whole point of the flexible architecture.
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point().with_pes(16));
-    let ldpc = decoder
-        .evaluate_ldpc(&QcLdpcCode::wimax(1152, CodeRate::R12).unwrap())
-        .unwrap();
-    let turbo = decoder
-        .evaluate_turbo(&CtcCode::wimax(960).unwrap())
-        .unwrap();
+    let config = DecoderConfig::paper_design_point().with_pes(16);
+    let mappings = MappingStore::new();
+    let ldpc = evaluate_ldpc(
+        &config,
+        &QcLdpcCode::wimax(1152, CodeRate::R12).unwrap(),
+        &mappings,
+    )
+    .unwrap();
+    let turbo = evaluate_standard_code(
+        &config,
+        &StandardCode::WimaxTurbo {
+            code: CtcCode::wimax(960).unwrap(),
+        },
+        &mappings,
+    )
+    .unwrap();
     assert_eq!(ldpc.pes, turbo.pes);
     assert_eq!(ldpc.topology, turbo.topology);
     assert_eq!(ldpc.routing, turbo.routing);

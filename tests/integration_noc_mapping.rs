@@ -4,12 +4,12 @@
 //! must respect the structural lower bounds.
 
 use code_tables::DecoderKind;
-use decoder_pe::SisoCoreModel;
 use fec_json::ToJson;
 use noc_decoder::evaluation::{evaluate_standard_code, Mode};
+use noc_decoder::model::SISO_INJECTION_RATE;
 use noc_decoder::{
-    run_multi_compliance_sharded, ComplianceScope, DecoderConfig, MappingConfig, NocDecoder,
-    Standard, StandardCode, Technology,
+    run_multi_compliance_sharded, ComplianceScope, DecoderConfig, MappingConfig, Standard,
+    StandardCode,
 };
 use noc_mapping::turbo::HalfIteration;
 use noc_mapping::{LdpcMapping, MappingStore, TurboMapping};
@@ -381,7 +381,7 @@ fn noc_phases_reproduce_their_golden_stats() {
         }
     }
 
-    let rate = SisoCoreModel::default().injection_rate();
+    let rate = SISO_INJECTION_RATE;
     let turbo: Vec<(String, Vec<PhaseGolden>)> = Standard::all()
         .into_iter()
         .filter_map(|standard| standard.corner_codes().iter().rev().find_map(turbo_trace))
@@ -709,14 +709,8 @@ fn every_registry_turbo_code_reproduces_its_golden_hash() {
 /// `config`, the bits of its power and the bits of its total area at 65 nm.
 fn design_point_hash(config: &DecoderConfig, code: &StandardCode, mappings: &MappingStore) -> u64 {
     let e = evaluate_standard_code(config, code, mappings).unwrap();
-    let decoder = NocDecoder::new(*config);
     let text = format!("{}\n{e:?}", code.label());
-    let model = [
-        decoder.power_mw(&e).to_bits(),
-        decoder
-            .normalized_area_mm2(&e, Technology::nm65())
-            .to_bits(),
-    ];
+    let model = [e.power_mw().to_bits(), e.total_area_mm2_at(65.0).to_bits()];
     fnv1a(text.bytes().map(u64::from).chain(model))
 }
 

@@ -2,9 +2,35 @@
 //! codes must be constructible, encodable and decodable, and the paper's
 //! P = 22 design point must sustain the standard's worst-case workload.
 
-use noc_decoder::{CodeRate, DecoderConfig, NocDecoder, QcLdpcCode};
+use noc_decoder::evaluation::{evaluate_ldpc, evaluate_standard_code, DesignEvaluation};
+use noc_decoder::{CodeRate, DecoderConfig, MappingStore, QcLdpcCode, StandardCode};
 use wimax_ldpc::{wimax_block_lengths, QcEncoder};
-use wimax_turbo::{CtcCode, WIMAX_FRAME_SIZES};
+use wimax_turbo::interleaver::WIMAX_ARP_TABLE;
+use wimax_turbo::CtcCode;
+
+/// The paper design point on the worst-case WiMAX LDPC code.
+fn worst_ldpc_evaluation() -> DesignEvaluation {
+    let code = QcLdpcCode::wimax(2304, CodeRate::R12).unwrap();
+    evaluate_ldpc(
+        &DecoderConfig::paper_design_point(),
+        &code,
+        &MappingStore::new(),
+    )
+    .unwrap()
+}
+
+/// The paper design point on the largest WiMAX CTC frame, 2400 couples.
+fn largest_turbo_evaluation() -> DesignEvaluation {
+    let code = StandardCode::WimaxTurbo {
+        code: CtcCode::wimax(2400).unwrap(),
+    };
+    evaluate_standard_code(
+        &DecoderConfig::paper_design_point(),
+        &code,
+        &MappingStore::new(),
+    )
+    .unwrap()
+}
 
 #[test]
 fn every_wimax_ldpc_code_is_constructible_and_encodable() {
@@ -23,7 +49,7 @@ fn every_wimax_ldpc_code_is_constructible_and_encodable() {
 
 #[test]
 fn every_wimax_ctc_frame_size_is_constructible_and_encodable() {
-    for &couples in &WIMAX_FRAME_SIZES {
+    for couples in WIMAX_ARP_TABLE.map(|p| p.couples) {
         let code = CtcCode::wimax(couples).unwrap_or_else(|e| panic!("{couples} couples: {e}"));
         assert_eq!(code.info_bits(), 2 * couples);
         assert_eq!(code.interleaver().len(), couples);
@@ -63,9 +89,7 @@ fn paper_design_point_sustains_the_worst_case_ldpc_workload() {
     // worst-case code and deliver a throughput within the order of magnitude
     // of the paper's 72 Mb/s (the exact value depends on the partitioner and
     // the simulator details; see README, "Reproducing the paper").
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
-    let code = QcLdpcCode::wimax(2304, CodeRate::R12).unwrap();
-    let eval = decoder.evaluate_ldpc(&code).unwrap();
+    let eval = worst_ldpc_evaluation();
     assert!(
         eval.throughput_mbps > 25.0 && eval.throughput_mbps < 250.0,
         "LDPC throughput {:.1} Mb/s is outside the plausible range",
@@ -82,9 +106,7 @@ fn paper_design_point_sustains_the_worst_case_ldpc_workload() {
 
 #[test]
 fn paper_design_point_sustains_the_largest_turbo_frame() {
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
-    let code = CtcCode::wimax(2400).unwrap();
-    let eval = decoder.evaluate_turbo(&code).unwrap();
+    let eval = largest_turbo_evaluation();
     assert_eq!(eval.info_bits, 4800);
     assert!(
         eval.throughput_mbps > 25.0 && eval.throughput_mbps < 250.0,
@@ -97,15 +119,8 @@ fn paper_design_point_sustains_the_largest_turbo_frame() {
 fn turbo_mode_consumes_less_power_than_ldpc_mode() {
     // The paper highlights the particularly low power consumption in turbo
     // mode (59 mW vs 415 mW); our model must preserve that ordering.
-    let decoder = NocDecoder::new(DecoderConfig::paper_design_point());
-    let ldpc = decoder
-        .evaluate_ldpc(&QcLdpcCode::wimax(2304, CodeRate::R12).unwrap())
-        .unwrap();
-    let turbo = decoder
-        .evaluate_turbo(&CtcCode::wimax(2400).unwrap())
-        .unwrap();
-    let p_ldpc = decoder.power_mw(&ldpc);
-    let p_turbo = decoder.power_mw(&turbo);
+    let p_ldpc = worst_ldpc_evaluation().power_mw();
+    let p_turbo = largest_turbo_evaluation().power_mw();
     assert!(
         p_turbo < p_ldpc / 3.0,
         "turbo power {p_turbo:.0} mW should be well below LDPC power {p_ldpc:.0} mW"
