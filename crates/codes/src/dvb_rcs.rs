@@ -28,17 +28,16 @@
 
 use wimax_turbo::{ArpParameters, CtcCode, Interleaver, PunctureRate, TurboError};
 
-/// The DVB-RCS frame sizes in couples (two information bits each): the
-/// standard's couple counts from 12-byte signalling bursts up to the
-/// 216-byte MPEG-plus-options frame.  212 couples (424 bits) is the
-/// 53-byte ATM cell, 752 couples (1504 bits) the 188-byte MPEG packet.
-pub const DVB_RCS_COUPLE_SIZES: [usize; 12] =
-    [48, 64, 212, 220, 228, 424, 432, 440, 752, 848, 856, 864];
-
 /// The DVB-RCS interleaver parameter table, expressed in the shared
 /// [`ArpParameters`] form: `p0` is the multiplicative parameter `P0` and
 /// `p1`/`p2`/`p3` carry the additive `Q1`/`Q2`/`Q3` of the DVB-RCS law
 /// (identical to the 802.16e ARP law of [`Interleaver::arp`]).
+///
+/// One entry per frame size in couples (two information bits each), in
+/// ascending order: the standard's couple counts from 12-byte signalling
+/// bursts up to the 216-byte MPEG-plus-options frame.  212 couples (424
+/// bits) is the 53-byte ATM cell, 752 couples (1504 bits) the 188-byte MPEG
+/// packet.
 pub const DVB_RCS_ARP_TABLE: [ArpParameters; 12] = [
     ArpParameters {
         couples: 48,
@@ -171,7 +170,7 @@ mod tests {
     fn every_table_entry_is_a_permutation() {
         // The construction-time bijectivity validation, exercised over the
         // whole table: forward and inverse must compose to the identity.
-        for &n in &DVB_RCS_COUPLE_SIZES {
+        for n in DVB_RCS_ARP_TABLE.map(|p| p.couples) {
             let pi = dvb_rcs_interleaver(n).unwrap_or_else(|e| panic!("couples {n}: {e}"));
             assert_eq!(pi.len(), n);
             let mut seen = vec![false; n];
@@ -186,13 +185,11 @@ mod tests {
 
     #[test]
     fn table_covers_every_couple_size_once() {
-        assert_eq!(DVB_RCS_ARP_TABLE.len(), DVB_RCS_COUPLE_SIZES.len());
-        for &n in &DVB_RCS_COUPLE_SIZES {
-            assert_eq!(
-                DVB_RCS_ARP_TABLE.iter().filter(|p| p.couples == n).count(),
-                1,
-                "couples {n}"
-            );
+        // strictly ascending: no size twice, in the registry's order
+        for pair in DVB_RCS_ARP_TABLE.windows(2) {
+            assert!(pair[0].couples < pair[1].couples, "{pair:?}");
+        }
+        for n in DVB_RCS_ARP_TABLE.map(|p| p.couples) {
             // Every size must admit both the ARP step (N mod 4 == 0) and the
             // CRSC circulation state (N mod 7 != 0).
             assert_eq!(n % 4, 0, "couples {n}");

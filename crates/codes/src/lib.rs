@@ -60,10 +60,7 @@ pub mod standard;
 pub mod wifi;
 pub mod wran;
 
-pub use dvb_rcs::{
-    dvb_rcs_ctc, dvb_rcs_ctc_with_rate, dvb_rcs_interleaver, DVB_RCS_ARP_TABLE,
-    DVB_RCS_COUPLE_SIZES,
-};
+pub use dvb_rcs::{dvb_rcs_ctc, dvb_rcs_ctc_with_rate, dvb_rcs_interleaver, DVB_RCS_ARP_TABLE};
 pub use lte::{lte_block_sizes, lte_turbo_code, QppParameters, LTE_QPP_TABLE};
 pub use registry::{DecoderKind, StandardCode};
 pub use standard::{Standard, UnknownStandard};

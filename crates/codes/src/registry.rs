@@ -13,7 +13,7 @@
 //! a bad request never panics.  Adding a standard means adding its arms
 //! here, not touching the sweeps.
 
-use crate::dvb_rcs::{dvb_rcs_ctc, DVB_RCS_COUPLE_SIZES};
+use crate::dvb_rcs::{dvb_rcs_ctc, DVB_RCS_ARP_TABLE};
 use crate::lte::{lte_block_sizes, lte_turbo_code};
 use crate::standard::Standard;
 use crate::wifi::{wifi_ldpc, wifi_rates, WIFI_BLOCK_LENGTHS};
@@ -24,9 +24,9 @@ use wimax_ldpc::decoder::{FixedLayeredConfig, LayeredConfig};
 use wimax_ldpc::{
     wimax_block_lengths, CodeRate, LayeredLdpcCodec, QcLdpcCode, QuantizedLayeredLdpcCodec,
 };
+use wimax_turbo::interleaver::WIMAX_ARP_TABLE;
 use wimax_turbo::{
     BinaryTurboDecoder, CtcCode, ExtrinsicExchange, LteTurboCode, TurboDecoder, TurboDecoderConfig,
-    WIMAX_FRAME_SIZES,
 };
 
 /// One channel code of one standard, carrying everything the functional and
@@ -309,9 +309,9 @@ impl Standard {
     /// defines turbo.
     fn turbo_table(self) -> Option<(Vec<usize>, BuildTurbo)> {
         match self {
-            Standard::Wimax => Some((WIMAX_FRAME_SIZES.into(), wimax_ctc)),
+            Standard::Wimax => Some((WIMAX_ARP_TABLE.map(|p| p.couples).into(), wimax_ctc)),
             Standard::Lte => Some((lte_block_sizes(), lte_turbo)),
-            Standard::DvbRcs => Some((DVB_RCS_COUPLE_SIZES.into(), dvb_rcs_turbo)),
+            Standard::DvbRcs => Some((DVB_RCS_ARP_TABLE.map(|p| p.couples).into(), dvb_rcs_turbo)),
             Standard::Wifi80211n | Standard::Wran80222 => None,
         }
     }

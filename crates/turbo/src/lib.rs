@@ -138,11 +138,6 @@ impl fmt::Display for TurboError {
 
 impl std::error::Error for TurboError {}
 
-/// WiMAX CTC frame sizes expressed in couples (two information bits each).
-pub const WIMAX_FRAME_SIZES: [usize; 17] = [
-    24, 36, 48, 72, 96, 108, 120, 144, 180, 192, 216, 240, 480, 960, 1440, 1920, 2400,
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn frame_sizes_are_not_multiples_of_seven() {
         // The CRSC circulation state only exists when N mod 7 != 0.
-        for &n in &WIMAX_FRAME_SIZES {
+        for n in interleaver::WIMAX_ARP_TABLE.map(|p| p.couples) {
             assert_ne!(n % 7, 0, "frame size {n}");
         }
     }
