@@ -34,10 +34,10 @@
 //! ```
 //! use fec_fixed::Quantizer;
 //!
-//! // 7-bit quantizer with 1 fractional bit, as used for channel LLRs.
+//! // 7-bit quantizer with 1 fractional bit, as used for channel LLRs:
+//! // 3.2 is 6.4 half-LSB steps, held as the register value 6 (3.0).
 //! let q = Quantizer::new(7, 1);
-//! let x = q.quantize(3.2);
-//! assert!(q.dequantize(x) > 2.9 && q.dequantize(x) < 3.6);
+//! assert_eq!(q.quantize(3.2), 6);
 //! // 100 saturates at the 7-bit register's maximum of 63.
 //! assert_eq!(q.quantize(100.0), 63);
 //! ```

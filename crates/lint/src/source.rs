@@ -1,6 +1,7 @@
 //! Per-file analysis context: lexed tokens plus the structural annotations
-//! the rules need — brace depth, enclosing-function names, `#[cfg(test)]`
-//! regions, bracket matching and parsed suppression comments.
+//! the rules need — enclosing-function names, `#[cfg(test)]` regions,
+//! bracket matching and parsed suppression comments, all found through the
+//! brace depth of each token.
 
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 
@@ -28,9 +29,6 @@ pub struct SourceFile {
     pub crate_dir: Option<String>,
     /// Lexed tokens and comments.
     pub lexed: Lexed,
-    /// Per-token brace depth *before* the token is applied (so an opening
-    /// `{` carries the depth outside the block it opens).
-    pub depth: Vec<u32>,
     /// Per-token name of the innermost enclosing `fn`, if any.
     pub enclosing_fn: Vec<Option<String>>,
     /// Per-token flag: inside a `#[cfg(test)]`-gated item.
@@ -49,6 +47,8 @@ impl SourceFile {
         let crate_dir = crate_dir_of(path);
         let n = lexed.tokens.len();
 
+        // Per-token brace depth *before* the token is applied (so an
+        // opening `{` carries the depth outside the block it opens).
         let mut depth = vec![0u32; n];
         let mut matching = vec![usize::MAX; n];
         let mut enclosing_fn: Vec<Option<String>> = vec![None; n];
@@ -167,7 +167,6 @@ impl SourceFile {
             path: path.to_string(),
             crate_dir,
             lexed,
-            depth,
             enclosing_fn,
             in_test,
             matching,
