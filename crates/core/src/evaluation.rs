@@ -7,7 +7,7 @@
 //! code's interleaver — the duo-binary CTCs of 802.16e and DVB-RCS and the
 //! binary LTE code alike — with the payload of one extrinsic message.  The
 //! tail builds the network before any mapping, simulates the mapped phase
-//! and costs it with the [`model`](crate::model).
+//! and costs it with the [`model`].
 
 use crate::config::DecoderConfig;
 use crate::model::{self, NocAreaInputs};
@@ -80,7 +80,8 @@ pub struct DesignEvaluation {
     pub phase_cycles: u64,
     /// Decoded information bits per frame.
     pub info_bits: usize,
-    /// Throughput in Mb/s at the configured clock.
+    /// Throughput in Mb/s at the mode's clock ([`model::LDPC_CLOCK_MHZ`] or
+    /// [`model::TURBO_CLOCK_MHZ`]).
     pub throughput_mbps: f64,
     /// NoC area (routing elements only, as in Table I) in mm² at 90 nm.
     pub noc_area_mm2: f64,

@@ -41,7 +41,7 @@ pub enum HalfIteration {
 /// assert_eq!(trace.total_messages(), 2400);
 /// # Ok::<(), wimax_turbo::TurboError>(())
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct TurboMapping<'a> {
     pes: usize,
     interleaver: &'a Interleaver,
@@ -69,7 +69,6 @@ impl<'a> TurboMapping<'a> {
     /// The traffic of one half iteration.
     pub fn traffic_trace(&self, half: HalfIteration) -> TrafficTrace {
         let mut per_source: Vec<Vec<Message>> = vec![Vec::new(); self.pes];
-        let mut sequence = vec![0usize; self.pes];
         for k in 0..self.interleaver.len() {
             let (src, location, dst) = match half {
                 // natural-order SISOs send extrinsic of section j = k to the
@@ -85,8 +84,7 @@ impl<'a> TurboMapping<'a> {
                     (self.owner(k), j, self.owner(j))
                 }
             };
-            let seq = sequence[src];
-            sequence[src] += 1;
+            let seq = per_source[src].len();
             per_source[src].push(Message::new(src, dst, location, seq));
         }
         TrafficTrace::new(per_source)
