@@ -277,8 +277,12 @@ mod tests {
     const PAPER_AREA_MM2: f64 = 3.17;
 
     #[test]
-    fn defaults_match_paper() {
+    fn ldpc_core_defaults_match_paper() {
         assert_eq!(LDPC_CORE_LATENCY, 15);
+    }
+
+    #[test]
+    fn siso_core_defaults_match_paper() {
         assert!((SISO_INJECTION_RATE / SISO_CLOCK_RATIO - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(SISO_CLOCK_RATIO, 0.5);
     }
