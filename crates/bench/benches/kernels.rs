@@ -27,30 +27,109 @@ use noc_decoder::{
 use noc_mapping::turbo::HalfIteration;
 use noc_mapping::{LdpcMapping, TurboMapping};
 use noc_sim::{NocConfig, NocSimulator, RoutingAlgorithm, Topology, TopologyKind};
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wimax_ldpc::decoder::{
     FixedLayeredConfig, FixedLayeredDecoder, LayeredConfig, LayeredDecoder, MinimumExtractionUnit,
 };
 use wimax_ldpc::{CodeRate, QcEncoder, QcLdpcCode};
-use wimax_turbo::{DuoBinaryTrellis, LteTrellis, SisoUnit};
+use wimax_turbo::binary::TAIL_STEPS;
+use wimax_turbo::encoder::encode_constituent;
+use wimax_turbo::{lte_rsc_step, DuoBinaryTrellis, LteTrellis, SisoUnit};
+
+/// A standard normal draw (Box-Muller).
+fn gaussian(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen::<f64>().max(1e-12);
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// The channel LLR of `bit` sent as BPSK over AWGN with noise variance
+/// `noise_var`.
+fn awgn_llr(bit: u8, noise_var: f64, rng: &mut StdRng) -> f64 {
+    let s = if bit == 0 { 1.0 } else { -1.0 };
+    2.0 * (s + noise_var.sqrt() * gaussian(rng)) / noise_var
+}
 
 /// Channel LLRs of a random codeword of `code` over BPSK + AWGN with noise
 /// variance `noise_var`.
 fn noisy_ldpc_llrs(code: &QcLdpcCode, noise_var: f64, seed: u64) -> Vec<Llr> {
-    let sigma = noise_var.sqrt();
     let enc = QcEncoder::new(code);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let info: Vec<u8> = (0..code.k()).map(|_| rng.gen_range(0..=1)).collect();
     let cw = enc.encode(&info).expect("encoding succeeds");
     cw.iter()
-        .map(|&b| {
-            let s = if b == 0 { 1.0 } else { -1.0 };
-            let u1: f64 = rng.gen::<f64>().max(1e-12);
-            let u2: f64 = rng.gen();
-            let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            Llr::new(2.0 * (s + sigma * n) / noise_var)
-        })
+        .map(|&b| Llr::new(awgn_llr(b, noise_var, &mut rng)))
         .collect()
+}
+
+/// The noise variance of a rate-1/3 turbo code at `ebn0_db`.
+fn turbo_noise_var(ebn0_db: f64) -> f64 {
+    (2.0 / 3.0 * 10f64.powf(ebn0_db / 10.0)).recip()
+}
+
+/// An a-priori LLR of `bit` as the other constituent hands it over in
+/// mid-decode: a consistent Gaussian of mean 1.
+fn apriori_llr(bit: u8, rng: &mut StdRng) -> f64 {
+    let mean = if bit == 0 { 1.0 } else { -1.0 };
+    mean + std::f64::consts::SQRT_2 * gaussian(rng)
+}
+
+/// The inputs of one duo-binary SISO half-iteration in mid-decode: channel
+/// LLRs `[A, B, Y, W]` of a random circular constituent codeword of
+/// `couples` couples at `ebn0_db`, and symbol a-priori `ln P(u)/P(0)`.
+fn noisy_duo_binary_siso(
+    couples: usize,
+    ebn0_db: f64,
+    seed: u64,
+) -> (Vec<[f64; 4]>, Vec<[f64; 3]>) {
+    let noise_var = turbo_noise_var(ebn0_db);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let symbols: Vec<(u8, u8)> = (0..couples)
+        .map(|_| (rng.gen_range(0..=1), rng.gen_range(0..=1)))
+        .collect();
+    let parity = encode_constituent(&symbols).expect("N is not a multiple of 7");
+    let mut channel = Vec::with_capacity(couples);
+    let mut apriori = Vec::with_capacity(couples);
+    for (j, &(a, b)) in symbols.iter().enumerate() {
+        channel.push(
+            [a, b, parity.parity_y[j], parity.parity_w[j]]
+                .map(|bit| awgn_llr(bit, noise_var, &mut rng)),
+        );
+        let (la, lb) = (apriori_llr(a, &mut rng), apriori_llr(b, &mut rng));
+        apriori.push([-lb, -la, -(la + lb)]);
+    }
+    (channel, apriori)
+}
+
+/// The inputs of one LTE SISO half-iteration in mid-decode: channel LLRs
+/// `[systematic, parity]` of a random terminated constituent codeword of
+/// `k` bits plus its tail steps at `ebn0_db`, and bit a-priori (0 on the
+/// tail).
+fn noisy_lte_siso(k: usize, ebn0_db: f64, seed: u64) -> (Vec<[f64; 2]>, Vec<f64>) {
+    let noise_var = turbo_noise_var(ebn0_db);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut state = 0u8;
+    let mut channel = Vec::with_capacity(k + TAIL_STEPS);
+    let mut apriori = Vec::with_capacity(k + TAIL_STEPS);
+    for step in 0..k + TAIL_STEPS {
+        let bit = if step < k {
+            rng.gen_range(0..=1)
+        } else {
+            // the tail bit that drains the register
+            ((state >> 1) & 1) ^ (state & 1)
+        };
+        let (next, parity) = lte_rsc_step(state, bit);
+        state = next;
+        channel.push([bit, parity].map(|b| awgn_llr(b, noise_var, &mut rng)));
+        apriori.push(if step < k {
+            apriori_llr(bit, &mut rng)
+        } else {
+            0.0
+        });
+    }
+    assert_eq!(state, 0, "the tail terminates the trellis");
+    (channel, apriori)
 }
 
 /// One-iteration float and fixed layered decoders for `code`.
@@ -318,31 +397,39 @@ fn main() {
     // One SISO half-iteration of the one Max-Log kernel on both trellis
     // shapes: the paper's duo-binary N = 2400 couples (circular, with the
     // wrap-around training passes) and LTE's largest block, K = 6144 plus
-    // the 3 tail steps (binary, terminated).
+    // the 3 tail steps (binary, terminated).  Each run decodes the next of
+    // 4 noisy frames at 1.0-2.5 dB with informative a-priori, so the branch
+    // predictor cannot learn one frame's compares.
     let mut siso = SisoUnit::new();
     let n = 2400usize;
-    let channel = vec![[1.0, -1.0, 0.7, 0.0]; n];
-    let apriori = vec![[0.0; 3]; n];
+    let duo_frames: Vec<_> = (0..4u64)
+        .map(|i| noisy_duo_binary_siso(n, 1.0 + 0.5 * i as f64, 400 + i))
+        .collect();
     let (mut ext, mut apo) = (vec![[0.0; 3]; n], vec![[0.0; 3]; n]);
+    let mut frames = duo_frames.iter().cycle();
     run(
         &mut reports,
-        bench("turbo_siso_half_iteration_n2400/max_log_map", 2, 20, || {
-            siso.run::<DuoBinaryTrellis, 4, 16>(&channel, &apriori, &mut ext, &mut apo);
+        bench("turbo_siso_half_iteration_n2400/max_log_map", 4, 40, || {
+            let (channel, apriori) = frames.next().expect("cycled frames");
+            siso.run::<DuoBinaryTrellis, 4, 16>(channel, apriori, &mut ext, &mut apo);
             std::hint::black_box(&ext);
         }),
     );
-    let steps = 6144 + 3;
-    let channel = vec![[1.0, 0.7]; steps];
-    let apriori = vec![0.0; steps];
+    let steps = 6144 + TAIL_STEPS;
+    let lte_frames: Vec<_> = (0..4u64)
+        .map(|i| noisy_lte_siso(6144, 1.0 + 0.5 * i as f64, 500 + i))
+        .collect();
     let (mut ext, mut apo) = (vec![0.0; steps], vec![0.0; steps]);
+    let mut frames = lte_frames.iter().cycle();
     run(
         &mut reports,
         bench(
             "turbo_binary_siso_half_iteration_k6144/max_log_map",
-            2,
-            20,
+            4,
+            40,
             || {
-                siso.run::<LteTrellis, 2, 4>(&channel, &apriori, &mut ext, &mut apo);
+                let (channel, apriori) = frames.next().expect("cycled frames");
+                siso.run::<LteTrellis, 2, 4>(channel, apriori, &mut ext, &mut apo);
                 std::hint::black_box(&ext);
             },
         ),

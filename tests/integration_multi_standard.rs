@@ -296,6 +296,27 @@ fn turbo_decoders_reproduce_their_golden_outputs() {
             points: &[(1.0, 187, 7, 64), (1.25, 110, 6, 55), (1.5, 53, 5, 50)],
             decoded_hash: 0x7576_717e_6486_b4f2,
         },
+        // The shortest 802.16e CTC, at both exchange levels: some of its
+        // SISO runs end with recursions that never settle on the circular
+        // boundary metrics.
+        TurboGolden {
+            codec: ctc_codec(
+                CtcCode::wimax(24).expect("WiMAX size"),
+                ExtrinsicExchange::BitLevel,
+            ),
+            frames: 16,
+            points: &[(1.0, 66, 10, 71), (2.0, 14, 3, 49), (3.0, 0, 0, 35)],
+            decoded_hash: 0x55d7_ee42_c013_a2f7,
+        },
+        TurboGolden {
+            codec: ctc_codec(
+                CtcCode::wimax(24).expect("WiMAX size"),
+                ExtrinsicExchange::SymbolLevel,
+            ),
+            frames: 16,
+            points: &[(1.0, 63, 8, 58), (2.0, 13, 3, 39), (3.0, 5, 1, 32)],
+            decoded_hash: 0xc971_f6bf_9ccd_3b8b,
+        },
     ];
     let mut mismatches = Vec::new();
     for golden in &goldens {
