@@ -1,5 +1,5 @@
 //! Table III reproduction: comparison of the proposed decoder with the
-//! state-of-the-art flexible turbo/LDPC decoders of refs [5]–[9].
+//! state-of-the-art flexible turbo/LDPC decoders of refs \[5\]–\[9\].
 //!
 //! The competitor rows are literature values quoted from the paper (those
 //! designs are proprietary RTL and cannot be regenerated); the "This Work"
@@ -12,7 +12,7 @@ use noc_decoder::{CodeRate, CtcCode, DecoderConfig, MappingStore, QcLdpcCode, St
 /// One row of the comparison table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
-    /// Design label ("This Work", "[9]", ...).
+    /// Design label ("This Work", "\[9\]", ...).
     pub decoder: String,
     /// Parallelism (PEs / ASIPs).
     pub parallelism: usize,
@@ -106,7 +106,7 @@ pub fn table3_rows() -> Vec<Table3Row> {
 }
 
 /// The rows of Table III quoted from the paper (the paper's own reported
-/// values plus the compared designs [5]–[9]).
+/// values plus the compared designs \[5\]–\[9\]).
 pub fn literature_rows() -> Vec<Table3Row> {
     let quoted = |decoder: &str,
                   parallelism: usize,

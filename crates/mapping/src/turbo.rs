@@ -1,7 +1,7 @@
 //! Mapping of turbo codes onto NoC nodes.
 //!
 //! Turbo decoding partitions the frame into `P` contiguous windows, one per
-//! SISO (the Turbo NOC framework of refs [16], [17]): trellis section `j`
+//! SISO (the Turbo NOC framework of refs \[16\], \[17\]): trellis section `j`
 //! of `N` belongs to SISO `j * P / N`, so the largest window holds
 //! `N.div_ceil(P)` sections.  During the first half iteration each SISO
 //! produces one extrinsic message per trellis section of its window and

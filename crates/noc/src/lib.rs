@@ -1,7 +1,7 @@
 //! Cycle-accurate intra-IP Network-on-Chip simulator.
 //!
 //! This crate reproduces, in Rust, the functionality of the SystemC "Turbo
-//! NOC" simulator the paper builds on (refs [16], [17]): a configurable
+//! NOC" simulator the paper builds on (refs \[16\], \[17\]): a configurable
 //! network of routing elements (REs), each attached to one processing element
 //! (PE), used to evaluate how many clock cycles the message-passing phase of
 //! a parallel turbo/LDPC decoder takes.

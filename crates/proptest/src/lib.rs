@@ -96,7 +96,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Lengths accepted by [`vec`].
+    /// Lengths accepted by [`vec()`].
     pub trait SizeRange {
         /// Draws a length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;

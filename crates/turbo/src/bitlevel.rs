@@ -3,7 +3,7 @@
 //! The paper (Section IV.B) sends *bit-level* extrinsic information over the
 //! NoC for the double-binary turbo code: this reduces the network payload by
 //! roughly one third (two bit LLRs instead of three symbol LLRs per couple)
-//! at the cost of about 0.2 dB of BER performance (refs [23], [24]).  The
+//! at the cost of about 0.2 dB of BER performance (refs \[23\], \[24\]).  The
 //! STB unit compresses a symbol-level extrinsic vector into two bit LLRs
 //! before transmission; the BTS unit expands the received bit LLRs back into
 //! a symbol-level a-priori vector.  Both units use the Max-Log `max*` of the

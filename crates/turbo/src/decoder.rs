@@ -24,7 +24,7 @@ use std::cell::RefCell;
 pub enum ExtrinsicExchange {
     /// Three symbol LLRs per couple (reference).
     SymbolLevel,
-    /// Two bit LLRs per couple (paper's choice, refs [23][24]).
+    /// Two bit LLRs per couple (paper's choice, refs \[23\]\[24\]).
     #[default]
     BitLevel,
 }

@@ -22,7 +22,7 @@
 //!   at compile time.
 //! * [`decoder`] — the iterative loop shared by every turbo code and the
 //!   duo-binary decoder, including the symbol-level / bit-level extrinsic
-//!   exchange trade-off (paper Sec. IV.B, refs [23] and [24]).
+//!   exchange trade-off (paper Sec. IV.B, refs \[23\] and \[24\]).
 //! * [`binary`] — [`LteTurboCode`], the tail-terminated binary code of LTE,
 //!   which encodes itself, and its decoder [`BinaryTurboDecoder`].
 //! * [`codec`] — both decoders behind the Monte-Carlo engine's

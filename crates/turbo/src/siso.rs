@@ -3,12 +3,13 @@
 //!
 //! The kernel is generic over a [`Constituent`] whose trellis is known at
 //! compile time — states, branches, bits per symbol and frame boundary — so
-//! the recursions unroll over constant tables and keep the 8 state metrics
-//! in registers.  Like the paper's SISO (Fig. 3), which keeps 8 + 8 state
-//! metrics in fixed PE memory, it allocates nothing per frame: the branch
-//! metrics γ and the forward metrics α live in a [`SisoUnit`] that only
-//! grows, and the backward metrics β are folded into the a-posteriori /
-//! extrinsic pass.  `max*` is the Max-Log `max`, the paper's choice for
+//! every trellis step compiles to straight-line code over constant tables
+//! and keeps the 8 state metrics in registers.  It allocates nothing per
+//! frame: the branch metrics γ, the forward metrics α entering every step
+//! and the backward metrics β leaving every step live in a [`SisoUnit`]
+//! that only grows.  Both recursions run side by side from the two frame
+//! ends, then one pass emits every step's a-posteriori and extrinsic
+//! outputs.  `max*` is the Max-Log `max`, the paper's choice for
 //! double-binary codes.
 //!
 //! The Max-Log results do not depend on the order of the `max` operations,
@@ -19,14 +20,18 @@
 use crate::trellis::{ConstTrellis, DuoBinaryTrellis, LteTrellis, NUM_STATES, SYMBOLS};
 
 /// Extrinsic scaling factor `sigma <= 1` compensating the Max-Log optimism
-/// (paper Sec. II.A, ref. [18]).
+/// (paper Sec. II.A, ref. \[18\]).
 pub const EXTRINSIC_SCALE: f64 = 0.75;
 
 /// How a constituent trellis is closed at the frame ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Boundary {
-    /// Circular (tail-biting) trellis: the boundary metrics are learnt by a
-    /// wrap-around training pass in each direction (the CRSC codes).
+    /// Circular (tail-biting) trellis (the CRSC codes): both recursions
+    /// first run from uniform metrics, a wrap-around training pass that
+    /// learns the boundary metrics, then each reruns from its boundary
+    /// until its metrics equal the training's bit for bit.  From there on
+    /// they stay equal, because a step is a pure function of the metrics
+    /// and γ.
     Circular,
     /// Both ends pinned to state 0 by tail bits (LTE).
     Terminated,
@@ -67,6 +72,17 @@ pub(crate) fn max(a: f64, b: f64) -> f64 {
     }
 }
 
+/// `[f(0), …, f(N - 1)]`, built by a loop that always inlines, so that a
+/// trellis step compiles to straight-line code over the constant tables.
+#[inline(always)]
+fn build<const N: usize>(mut f: impl FnMut(usize) -> f64) -> [f64; N] {
+    let mut out = [0.0; N];
+    for (i, slot) in out.iter_mut().enumerate() {
+        *slot = f(i);
+    }
+    out
+}
+
 /// The largest of `N` (a power of two) metrics, as a balanced tree of
 /// [`max`] so that no dependency chain is longer than `log2(N)`.
 #[inline(always)]
@@ -93,7 +109,7 @@ impl Constituent<SYMBOLS, 16> for DuoBinaryTrellis {
     fn gammas(channel: &[f64; 4], apriori: &[f64; 3]) -> [f64; 16] {
         let [la, lb, ly, lw] = *channel;
         let sign = |bit: usize| 1.0 - 2.0 * bit as f64;
-        let par: [f64; 4] = std::array::from_fn(|p| 0.5 * (sign(p >> 1) * ly + sign(p & 1) * lw));
+        let par: [f64; 4] = build(|p| 0.5 * (sign(p >> 1) * ly + sign(p & 1) * lw));
         let mut gamma = [0.0; 16];
         for u in 0..SYMBOLS {
             let apr = if u == 0 { 0.0 } else { apriori[u - 1] };
@@ -109,7 +125,7 @@ impl Constituent<SYMBOLS, 16> for DuoBinaryTrellis {
     fn output(apo: [f64; 4], channel: &[f64; 4], apriori: &[f64; 3]) -> ([f64; 3], [f64; 3]) {
         let rel = [apo[1] - apo[0], apo[2] - apo[0], apo[3] - apo[0]];
         let [la, lb, ..] = *channel;
-        let ext = std::array::from_fn(|i| {
+        let ext = build(|i| {
             let u = i + 1;
             let a = ((u >> 1) & 1) as f64;
             let b = (u & 1) as f64;
@@ -133,7 +149,7 @@ impl Constituent<2, 4> for LteTrellis {
     fn gammas(channel: &[f64; 2], apriori: &f64) -> [f64; 4] {
         let lu = channel[0] + apriori;
         let lp = channel[1];
-        std::array::from_fn(|label| {
+        build(|label| {
             let (input, parity) = ((label >> 1) as f64, (label & 1) as f64);
             0.5 * ((1.0 - 2.0 * input) * lu + (1.0 - 2.0 * parity) * lp)
         })
@@ -146,10 +162,9 @@ impl Constituent<2, 4> for LteTrellis {
     }
 }
 
-/// Working memory of the SISO: the branch metrics γ of a frame and the
-/// state metrics each recursion stores for its half of it.  Buffers only
-/// grow, so a unit that keeps decoding frames of one size never
-/// reallocates.
+/// Working memory of the SISO: the branch metrics γ of a frame, α entering
+/// every step and β leaving every step.  Buffers only grow, so a unit that
+/// keeps decoding frames of one size never reallocates.
 ///
 /// # Example
 ///
@@ -170,8 +185,7 @@ impl Constituent<2, 4> for LteTrellis {
 pub struct SisoUnit {
     /// γ of every step, `L` labels each.
     gamma: Vec<f64>,
-    /// α entering each step of the first half of the frame, β leaving
-    /// each step of the second half.
+    /// α entering every step, then β leaving every step.
     metrics: Vec<[f64; NUM_STATES]>,
 }
 
@@ -203,16 +217,152 @@ impl SisoUnit {
             "SISO input and output vectors must have equal length"
         );
         self.gamma.resize(n * L, 0.0);
-        self.metrics.resize(n, [0.0; NUM_STATES]);
+        self.metrics.resize(2 * n, [0.0; NUM_STATES]);
         let gamma = self.gamma.as_chunks_mut::<L>().0;
         for ((g, ch), apr) in gamma.iter_mut().zip(channel).zip(apriori) {
             *g = C::gammas(ch, apr);
         }
         let gamma = &*gamma;
+        let (alphas, betas) = self.metrics.split_at_mut(n);
 
+        // Both recursions run at once from the two frame ends, so neither
+        // waits for the other, and store α entering and β leaving every
+        // step.  On a circular trellis this is the wrap-around training.
+        let (mut alpha, mut beta) = match C::BOUNDARY {
+            Boundary::Circular => ([0.0; NUM_STATES], [0.0; NUM_STATES]),
+            Boundary::Terminated => {
+                let mut pinned = [f64::NEG_INFINITY; NUM_STATES];
+                pinned[0] = 0.0;
+                (pinned, pinned)
+            }
+        };
+        let forward_steps = alphas.iter_mut().zip(gamma);
+        let backward_steps = betas.iter_mut().zip(gamma).rev();
+        for ((alpha_slot, ga), (beta_slot, gb)) in forward_steps.zip(backward_steps) {
+            *alpha_slot = alpha;
+            *beta_slot = beta;
+            alpha = forward::<C, U, L>(alpha, ga);
+            beta = backward::<C, U, L>(beta, gb);
+        }
+
+        // Each recursion reruns from the boundary metrics the training
+        // learnt until its metrics equal the stored ones bit for bit (`==`
+        // would take -0.0 for 0.0); every later step is then equal too.  A
+        // rerun that never meets them covers the whole frame.
+        if C::BOUNDARY == Boundary::Circular {
+            let same = |a: &[f64; NUM_STATES], b: &[f64; NUM_STATES]| {
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            };
+            for (slot, g) in alphas.iter_mut().zip(gamma) {
+                if same(slot, &alpha) {
+                    break;
+                }
+                *slot = alpha;
+                alpha = forward::<C, U, L>(alpha, g);
+            }
+            for (slot, g) in betas.iter_mut().zip(gamma).rev() {
+                if same(slot, &beta) {
+                    break;
+                }
+                *slot = beta;
+                beta = backward::<C, U, L>(beta, g);
+            }
+        }
+
+        for (j, ((alpha, beta), g)) in alphas.iter().zip(&*betas).zip(gamma).enumerate() {
+            let apo = a_posteriori::<C, U, L>(alpha, g, beta);
+            (extrinsic[j], aposteriori[j]) = C::output(apo, &channel[j], &apriori[j]);
+        }
+    }
+}
+
+/// One forward step: α of the next step from α of this one.
+#[inline(always)]
+fn forward<C: Constituent<U, L>, const U: usize, const L: usize>(
+    alpha: [f64; NUM_STATES],
+    gamma: &[f64; L],
+) -> [f64; NUM_STATES] {
+    let table = &C::TRELLIS;
+    normalize(build(|s| {
+        max_of(build::<U>(|k| {
+            let (from, label) = table.prev[s][k];
+            alpha[usize::from(from)] + gamma[usize::from(label)]
+        }))
+    }))
+}
+
+/// One backward step: β of this step from β of the next one.
+#[inline(always)]
+fn backward<C: Constituent<U, L>, const U: usize, const L: usize>(
+    beta: [f64; NUM_STATES],
+    gamma: &[f64; L],
+) -> [f64; NUM_STATES] {
+    let table = &C::TRELLIS;
+    normalize(build(|s| {
+        max_of(build::<U>(|u| {
+            beta[usize::from(table.next[s][u])] + gamma[usize::from(table.label[s][u])]
+        }))
+    }))
+}
+
+/// The per-symbol a-posteriori metrics of one step: the best
+/// `(α + γ) + β` over the branches carrying each symbol.
+#[inline(always)]
+fn a_posteriori<C: Constituent<U, L>, const U: usize, const L: usize>(
+    alpha: &[f64; NUM_STATES],
+    gamma: &[f64; L],
+    beta: &[f64; NUM_STATES],
+) -> [f64; U] {
+    let table = &C::TRELLIS;
+    build(|u| {
+        max_of(build::<NUM_STATES>(|s| {
+            let branch = alpha[s] + gamma[usize::from(table.label[s][u])];
+            branch + beta[usize::from(table.next[s][u])]
+        }))
+    })
+}
+
+/// Subtracts the largest metric so the metrics stay bounded.
+#[inline(always)]
+fn normalize(mut metrics: [f64; NUM_STATES]) -> [f64; NUM_STATES] {
+    let top = max_of(metrics);
+    if top.is_finite() {
+        for m in &mut metrics {
+            *m -= top;
+        }
+    }
+    metrics
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encoder::encode_constituent;
+    use fec_fixed::Llr;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The `(extrinsic, a-posteriori)` outputs of one half-iteration.
+    type Outputs<M> = (Vec<M>, Vec<M>);
+
+    /// The former SISO loop, kept as the oracle of [`SisoUnit::run`]: on a
+    /// circular trellis the wrap-around training as a fold, then both
+    /// recursions side by side, each storing its metrics up to the middle
+    /// and emitting its half's outputs past it.
+    fn reference_run<C: Constituent<U, L>, const U: usize, const L: usize>(
+        channel: &[C::Channel],
+        apriori: &[C::Message],
+    ) -> Outputs<C::Message> {
+        let n = channel.len();
+        let mut extrinsic = vec![C::Message::default(); n];
+        let mut aposteriori = vec![C::Message::default(); n];
+        let gamma: Vec<[f64; L]> = channel
+            .iter()
+            .zip(apriori)
+            .map(|(ch, apr)| C::gammas(ch, apr))
+            .collect();
         let (alpha_0, beta_n) = match C::BOUNDARY {
-            // wrap-around training: one pass in each direction from uniform
-            // metrics, run side by side
             Boundary::Circular => gamma.iter().zip(gamma.iter().rev()).fold(
                 ([0.0; NUM_STATES], [0.0; NUM_STATES]),
                 |(a, b), (ga, gb)| (forward::<C, U, L>(a, ga), backward::<C, U, L>(b, gb)),
@@ -223,12 +373,7 @@ impl SisoUnit {
                 (pinned, pinned)
             }
         };
-
-        // Both recursions run at once from the two ends.  Up to the middle
-        // each stores its metrics — α of the first half, β of the second —
-        // and past it each meets the other's stored metrics and emits the
-        // outputs of its half, so the recursions never wait for each other.
-        let slots = &mut self.metrics;
+        let mut slots = vec![[0.0; NUM_STATES]; n];
         let half = n / 2;
         let (mut alpha, mut beta) = (alpha_0, beta_n);
         for (i, j) in (0..half).zip((n - half..n).rev()) {
@@ -252,72 +397,97 @@ impl SisoUnit {
             alpha = forward::<C, U, L>(alpha, &gamma[i]);
             beta = backward::<C, U, L>(beta, &gamma[j]);
         }
+        (extrinsic, aposteriori)
     }
-}
 
-/// One forward step: α of the next step from α of this one.
-#[inline(always)]
-fn forward<C: Constituent<U, L>, const U: usize, const L: usize>(
-    alpha: [f64; NUM_STATES],
-    gamma: &[f64; L],
-) -> [f64; NUM_STATES] {
-    let table = &C::TRELLIS;
-    normalize(std::array::from_fn(|s| {
-        max_of(std::array::from_fn::<_, U, _>(|k| {
-            let (from, label) = table.prev[s][k];
-            alpha[usize::from(from)] + gamma[usize::from(label)]
-        }))
-    }))
-}
+    /// The outputs of [`SisoUnit::run`] on the first `n` steps of a frame,
+    /// on a unit last run on the whole frame, and of [`reference_run`] on
+    /// the same steps.
+    fn both_runs<C: Constituent<U, L>, const U: usize, const L: usize>(
+        channel: &[C::Channel],
+        apriori: &[C::Message],
+        n: usize,
+    ) -> [Outputs<C::Message>; 2] {
+        let mut siso = SisoUnit::new();
+        let mut outputs = |steps: usize| {
+            let mut extrinsic = vec![C::Message::default(); steps];
+            let mut aposteriori = vec![C::Message::default(); steps];
+            siso.run::<C, U, L>(
+                &channel[..steps],
+                &apriori[..steps],
+                &mut extrinsic,
+                &mut aposteriori,
+            );
+            (extrinsic, aposteriori)
+        };
+        outputs(channel.len());
+        [
+            outputs(n),
+            reference_run::<C, U, L>(&channel[..n], &apriori[..n]),
+        ]
+    }
 
-/// One backward step: β of this step from β of the next one.
-#[inline(always)]
-fn backward<C: Constituent<U, L>, const U: usize, const L: usize>(
-    beta: [f64; NUM_STATES],
-    gamma: &[f64; L],
-) -> [f64; NUM_STATES] {
-    let table = &C::TRELLIS;
-    normalize(std::array::from_fn(|s| {
-        max_of(std::array::from_fn::<_, U, _>(|u| {
-            beta[usize::from(table.next[s][u])] + gamma[usize::from(table.label[s][u])]
-        }))
-    }))
-}
+    /// The position of the first value whose bits differ between two
+    /// output sequences.
+    fn first_difference<'a>(
+        ours: impl Iterator<Item = &'a f64>,
+        reference: impl Iterator<Item = &'a f64>,
+    ) -> Option<usize> {
+        ours.zip(reference)
+            .position(|(a, b)| a.to_bits() != b.to_bits())
+    }
 
-/// The per-symbol a-posteriori metrics of one step: the best
-/// `(α + γ) + β` over the branches carrying each symbol.
-#[inline(always)]
-fn a_posteriori<C: Constituent<U, L>, const U: usize, const L: usize>(
-    alpha: &[f64; NUM_STATES],
-    gamma: &[f64; L],
-    beta: &[f64; NUM_STATES],
-) -> [f64; U] {
-    let table = &C::TRELLIS;
-    std::array::from_fn(|u| {
-        max_of(std::array::from_fn::<_, NUM_STATES, _>(|s| {
-            let branch = alpha[s] + gamma[usize::from(table.label[s][u])];
-            branch + beta[usize::from(table.next[s][u])]
-        }))
-    })
-}
-
-/// Subtracts the largest metric so the metrics stay bounded.
-#[inline(always)]
-fn normalize(mut metrics: [f64; NUM_STATES]) -> [f64; NUM_STATES] {
-    let top = max_of(metrics);
-    if top.is_finite() {
-        for m in &mut metrics {
-            *m -= top;
+    /// A channel or a-priori value: mostly uniform in `±scale`, at times a
+    /// signed zero or a clamped certainty.
+    fn value(rng: &mut StdRng, scale: f64) -> f64 {
+        match rng.gen_range(0..32) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => Llr::CERTAIN_MAGNITUDE,
+            3 => -Llr::CERTAIN_MAGNITUDE,
+            _ => rng.gen_range(-scale..scale),
         }
     }
-    metrics
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::encoder::encode_constituent;
-    use rand::{Rng, SeedableRng};
+    /// Frame lengths past the short range, odd and even.
+    const LONG_FRAMES: [usize; 4] = [200, 201, 1499, 2400];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `SisoUnit::run` gives the former loop's extrinsic and
+        /// a-posteriori outputs bit for bit on both trellises, for 1-64
+        /// steps and a few long frames, with random a-priori and channel
+        /// values that include ±0 and ±`Llr::CERTAIN_MAGNITUDE`.
+        #[test]
+        fn run_matches_the_reference_loop(len_pick in 0usize..72, seed in 0u64..u64::MAX) {
+            let n = if len_pick < 64 { len_pick + 1 } else { LONG_FRAMES[len_pick % 4] };
+            let mut rng = StdRng::seed_from_u64(seed);
+            // a few more steps than `n`, which the unit runs first
+            let steps = n + 5;
+
+            let channel: Vec<[f64; 4]> =
+                (0..steps).map(|_| build(|_| value(&mut rng, 12.0))).collect();
+            let apriori: Vec<[f64; 3]> =
+                (0..steps).map(|_| build(|_| value(&mut rng, 8.0))).collect();
+            let [(ext, apo), (ref_ext, ref_apo)] =
+                both_runs::<DuoBinaryTrellis, 4, 16>(&channel, &apriori, n);
+            let differs = first_difference(
+                ext.iter().chain(&apo).flatten(),
+                ref_ext.iter().chain(&ref_apo).flatten(),
+            );
+            prop_assert!(differs.is_none(), "duo-binary, {n} steps: value {differs:?} differs");
+
+            let channel: Vec<[f64; 2]> =
+                (0..steps).map(|_| build(|_| value(&mut rng, 12.0))).collect();
+            let apriori: Vec<f64> = (0..steps).map(|_| value(&mut rng, 8.0)).collect();
+            let [(ext, apo), (ref_ext, ref_apo)] =
+                both_runs::<LteTrellis, 2, 4>(&channel, &apriori, n);
+            let differs =
+                first_difference(ext.iter().chain(&apo), ref_ext.iter().chain(&ref_apo));
+            prop_assert!(differs.is_none(), "LTE, {n} steps: value {differs:?} differs");
+        }
+    }
 
     /// Runs one duo-binary half-iteration with neutral a-priori information:
     /// `(extrinsic, a-posteriori)`.
