@@ -26,12 +26,12 @@ pub const EXTRINSIC_SCALE: f64 = 0.75;
 /// How a constituent trellis is closed at the frame ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Boundary {
-    /// Circular (tail-biting) trellis (the CRSC codes): both recursions
+    /// Circular (tail-biting) trellis (the CRSC codes).  Both recursions
     /// first run from uniform metrics, a wrap-around training pass that
-    /// learns the boundary metrics, then each reruns from its boundary
-    /// until its metrics equal the training's bit for bit.  From there on
-    /// they stay equal, because a step is a pure function of the metrics
-    /// and γ.
+    /// learns the boundary metrics.  Each then reruns from its learnt
+    /// boundary until its metrics equal the training's bit for bit; from
+    /// there on they stay equal, because a step is a pure function of the
+    /// metrics and γ.
     Circular,
     /// Both ends pinned to state 0 by tail bits (LTE).
     Terminated,
@@ -245,10 +245,9 @@ impl SisoUnit {
             beta = backward::<C, U, L>(beta, gb);
         }
 
-        // Each recursion reruns from the boundary metrics the training
-        // learnt until its metrics equal the stored ones bit for bit (`==`
-        // would take -0.0 for 0.0); every later step is then equal too.  A
-        // rerun that never meets them covers the whole frame.
+        // Each recursion reruns from the boundary the training learnt until
+        // its metrics equal the stored ones bit for bit (`==` would take
+        // -0.0 for 0.0).  A rerun that never meets them covers the frame.
         if C::BOUNDARY == Boundary::Circular {
             let same = |a: &[f64; NUM_STATES], b: &[f64; NUM_STATES]| {
                 a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
